@@ -428,6 +428,26 @@ def _apply_word_mod(word, point, p):
     return x
 
 
+def _sample_images(word, primes, per_prime: int, rng: random.Random):
+    """Yield (p, point, image) for per_prime points over each prime, drawn
+    from [2, p-2]^2 off the pole locus; RuntimeError after 100 draws per
+    point on one prime."""
+    for p in primes:
+        done = 0
+        attempts = 0
+        while done < per_prime:
+            attempts += 1
+            if attempts > 100 * per_prime:
+                raise RuntimeError("could not sample off the pole locus")
+            point = (rng.randrange(2, p - 1), rng.randrange(2, p - 1))
+            try:
+                image = _apply_word_mod(word, point, p)
+            except ZeroDivisionError:
+                continue
+            done += 1
+            yield p, point, image
+
+
 def word_equals_identity(word, primes=None, trials: int = 20,
                          seed: int = 0) -> dict:
     """Probabilistic identity test for a word over {P, C, I}.
@@ -442,26 +462,14 @@ def word_equals_identity(word, primes=None, trials: int = 20,
         if p <= 2 ** 61:
             raise ValueError("prime %d is not above 2^61" % p)
     length = sum(abs(e) for _, e in word)
-    rng = random.Random(seed)
     samples = 0
     mismatch = None
-    for p in primes:
-        done = 0
-        attempts = 0
-        while done < trials:
-            attempts += 1
-            if attempts > 100 * trials:
-                raise RuntimeError("could not sample off the pole locus")
-            point = (rng.randrange(2, p - 1), rng.randrange(2, p - 1))
-            try:
-                image = _apply_word_mod(word, point, p)
-            except ZeroDivisionError:
-                continue
-            done += 1
-            samples += 1
-            if image != point and mismatch is None:
-                mismatch = {"prime": p, "point": list(point),
-                            "image": list(image)}
+    for p, point, image in _sample_images(word, primes, trials,
+                                          random.Random(seed)):
+        samples += 1
+        if image != point and mismatch is None:
+            mismatch = {"prime": p, "point": list(point),
+                        "image": list(image)}
     # deg(components) <= 2^(length+1); each sample misleads with
     # probability <= deg/(p-1) <= 2^(length+1-61)
     exponent_per_sample = 61 - (length + 1)
@@ -502,32 +510,23 @@ def kernel_probe(word, npoints: int = 100, primes=None, seed: int = 0) -> dict:
 
     Reports whether the word acted as the identity on every sampled point;
     the verdict is experimental data about the candidate kernel element,
-    never an assertion about the group.
+    never an assertion about the group.  Raises RuntimeError when the points
+    cannot be drawn off the pole locus.
     """
     primes = tuple(primes or PRIMES[:3])
     per = -(-npoints // len(primes))  # ceil
-    rng = random.Random(seed)
     agree = 0
     disagree = 0
     first = None
-    for p in primes:
-        done = 0
-        attempts = 0
-        while done < per and attempts < 100 * per:
-            attempts += 1
-            point = (rng.randrange(2, p - 1), rng.randrange(2, p - 1))
-            try:
-                image = _apply_word_mod(word, point, p)
-            except ZeroDivisionError:
-                continue
-            done += 1
-            if image == point:
-                agree += 1
-            else:
-                disagree += 1
-                if first is None:
-                    first = {"prime": p, "point": list(point),
-                             "image": list(image)}
+    for p, point, image in _sample_images(word, primes, per,
+                                          random.Random(seed)):
+        if image == point:
+            agree += 1
+        else:
+            disagree += 1
+            if first is None:
+                first = {"prime": p, "point": list(point),
+                         "image": list(image)}
     verdict = "identity" if disagree == 0 else "nonidentity"
     if agree and disagree:
         verdict = "inconsistent"

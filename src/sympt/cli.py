@@ -4,7 +4,8 @@ Every subcommand prints exactly one JSON document with sorted keys, so the
 output is byte-identical across runs for the same inputs and seed.  Exit
 status: 0 when the command succeeds (and any checked relation holds), 1 when
 a checked relation or equality fails or an orbit hits a pole, 2 on usage or
-domain errors (unknown suite or backend, malformed words, composition cap).
+domain errors (unknown suite or backend, malformed words, composition cap,
+recursion depth, sampling that cannot avoid the poles).
 
 Subcommands
 -----------
@@ -25,7 +26,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import birational, picard, quantum, thompson, words
+from . import birational, picard, thompson, words
 from .plcore import mat_inv, primitive
 
 TROP_CAP = 8
@@ -47,10 +48,6 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _core(text: str):
-    return words._expand_to(words.parse_word(text), words.CORE)
-
-
 def _parse_vec(text: str):
     try:
         a, b = (int(t) for t in text.split(","))
@@ -59,84 +56,39 @@ def _parse_vec(text: str):
     return (a, b)
 
 
-def _params(args) -> dict:
-    out = {"seed": args.seed}
-    if args.trials is not None:
-        out["trials"] = args.trials
-    if args.backend == "quantum":
-        if args.N is not None:
-            out["N"] = args.N
-        if args.prime:
-            out["p"] = args.prime[-1]
-    elif args.prime:
-        out["primes"] = args.prime
-    return out
+def _params(args, backend: str) -> dict:
+    """Backend params for the sampling flags the user set; each backend's
+    own functions supply the defaults for the rest."""
+    named = words.BACKENDS[backend].flags(args.trials, args.prime, args.N)
+    return {"seed": args.seed,
+            **{k: v for k, v in named.items() if v not in (None, [])}}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_relations(args):
-    run = words.check_suite(args.suite, backend=args.backend or "pl",
-                            params=_params(args))
+    run = words.check_suite(args.suite, backend=args.backend,
+                            params=_params(args, args.backend))
     return run, 0 if run["ok"] else 1
 
 
 def cmd_equal(args):
-    backend = args.backend or "pl"
-    payload = {"backend": backend, "lhs": args.lhs, "rhs": args.rhs}
-    if backend in ("pl", "tree", "dyadic"):
-        lv = words.evaluate(args.lhs, backend)
-        rv = words.evaluate(args.rhs, backend)
-        payload["equal"] = lv == rv
-    elif backend == "bir":
-        verdict = birational.word_equals(
-            _core(args.lhs), _core(args.rhs),
-            primes=args.prime or None,
-            trials=args.trials if args.trials is not None else 20,
-            seed=args.seed)
-        payload["equal"] = verdict["equal"]
-        payload["evidence"] = verdict["evidence"]
-    elif backend == "picard":
-        word = _core(args.lhs) + words.word_inverse(_core(args.rhs))
-        verdict = picard.word_acts_as_identity(
-            word,
-            nvectors=args.trials if args.trials is not None else 20,
-            seed=args.seed)
-        payload["equal"] = verdict["identity"]
-        payload["evidence"] = verdict["evidence"]
-    elif backend == "quantum":
-        word = _core(args.lhs) + words.word_inverse(_core(args.rhs))
-        verdict = quantum.word_acts_as_identity(
-            word,
-            N=args.N if args.N is not None else 5,
-            p=args.prime[-1] if args.prime else None,
-            trials=args.trials if args.trials is not None else 10,
-            seed=args.seed)
-        payload["equal"] = verdict["identity"]
-        payload["evidence"] = verdict["evidence"]
-    else:
-        raise ValueError("unknown backend %r" % backend)
-    return payload, 0 if payload["equal"] else 1
+    equal, evidence = words.check_relation(args.lhs, args.rhs, args.backend,
+                                           _params(args, args.backend))
+    payload = {"backend": args.backend, "lhs": args.lhs, "rhs": args.rhs,
+               "equal": equal}
+    if evidence is not None:
+        payload["evidence"] = evidence
+    return payload, 0 if equal else 1
 
 
 def cmd_eval(args):
-    backend = args.backend or "pl"
-    params = None
-    if backend == "quantum":
-        params = {"seed": args.seed}
-        if args.N is not None:
-            params["N"] = args.N
-        if args.prime:
-            params["p"] = args.prime[-1]
-    value = words.evaluate(args.word, backend, params)
-    if backend == "picard":
-        rep = {"operator": [[s, e] for s, e in value.word]}
-    elif backend == "quantum":
-        rep = value
-    else:
-        rep = value.to_json()
-    return {"backend": backend, "word": args.word, "value": rep}, 0
+    value = words.evaluate(args.word, args.backend,
+                           _params(args, args.backend))
+    # quantum values are plain JSON data already
+    rep = value.to_json() if hasattr(value, "to_json") else value
+    return {"backend": args.backend, "word": args.word, "value": rep}, 0
 
 
 def _trop_factors(text: str):
@@ -195,8 +147,6 @@ _CONVERTERS = {
 def cmd_convert(args):
     src = args.via
     dst = args.to
-    if src not in ("pl", "tree", "dyadic") or dst not in ("pl", "tree", "dyadic"):
-        raise ValueError("convert moves between pl, tree and dyadic models")
     value = words.evaluate(args.word, src)
     if src != dst:
         value = _CONVERTERS[(src, dst)](value)
@@ -248,15 +198,10 @@ def cmd_mutate(args):
 
 
 def cmd_quantum(args):
-    cfg = quantum.make_config(args.N if args.N is not None else 5,
-                              args.prime[-1] if args.prime else None,
-                              args.seed)
-    report = quantum.q_relation_check(
-        _core(args.word), cfg,
-        trials=args.trials if args.trials is not None else 10,
-        seed=args.seed)
+    identity, report = words.check_relation(args.word, "1", "quantum",
+                                            _params(args, "quantum"))
     report["word"] = args.word
-    return report, 0 if report["verdict"] == "identity" else 1
+    return report, 0 if identity else 1
 
 
 def cmd_orbit(args):
@@ -275,7 +220,7 @@ def cmd_orbit(args):
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--backend", choices=words.BACKENDS,
+    common.add_argument("--backend", choices=words.BACKENDS, default="pl",
                         help="computational model (default pl)")
     common.add_argument("--prime", action="append", type=int, default=[],
                         help="prime modulus; repeatable (bir needs > 2^61)")
@@ -355,7 +300,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         payload, code = args.func(args)
-    except ValueError as exc:  # includes word syntax and domain errors
+    # ValueError: word syntax and domain errors; RuntimeError: recursion
+    # depth and sampling that cannot get off the pole locus
+    except (ValueError, RuntimeError) as exc:
         _emit({"error": str(exc)}, args)
         return 2
     except ZeroDivisionError as exc:

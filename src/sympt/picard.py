@@ -971,6 +971,9 @@ class PicOperator:
         from .words import format_word
         return "PicOperator(%s)" % format_word(self.word)
 
+    def to_json(self):
+        return {"operator": [[s, e] for s, e in self.word]}
+
 
 def word_operator(word) -> PicOperator:
     return PicOperator(word)

@@ -12,13 +12,22 @@ their expansions read R = P^2 C, A = C R^2, B = C^-1 R^-1, alpha = C^-1 R C^-1,
 beta = R^2 C R^2, and why the corresponding suite files invert each bare C and
 I.  Relation suites live in suites/*.json as data: a list of
 {name, lhs, rhs} with rhs a word, "1", or "probe".
+
+BACKENDS is the one table of models, keyed by name.  Each entry says how to
+evaluate a word; the randomized models (bir, picard, quantum) also say how to
+test whether a core word is the identity, while the exact ones (pl, tree,
+dyadic) compare values; and each names the params the CLI sampling flags set.
+evaluate, check_relation and check_suite reach the models only through it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-from importlib import resources
+from dataclasses import dataclass
+from importlib import import_module, resources
+from typing import Callable
 
 from . import plcore
 
@@ -135,13 +144,6 @@ def expand(word: Word, alphabet=("P", "C")) -> Word:
 # ---------------------------------------------------------------------------
 # backends
 
-BACKENDS = ("pl", "tree", "dyadic", "bir", "picard", "quantum")
-
-
-def _pl_atoms():
-    return {s: plcore.generator_pl(s) for s in ("P", "C", "I")}
-
-
 def _fold(word: Word, atoms: dict, identity, mul, inv_atoms: dict | None = None):
     # balanced reduction keeps symbolic backends from nesting lopsidedly
     factors = []
@@ -162,6 +164,123 @@ def _fold(word: Word, atoms: dict, identity, mul, inv_atoms: dict | None = None)
     return factors[0]
 
 
+def _core(word) -> Word:
+    return _expand_to(parse_word(word) if isinstance(word, str) else word,
+                      CORE)
+
+
+def _module(name: str):
+    # birational imports sympy, so the models load on first use
+    return import_module("." + name, __package__)
+
+
+# Generator values are immutable, so each exact model builds its atoms,
+# identity and product once per process.  Model functions are looked up when
+# called, never captured, so that a wrapper set on a module attribute sees
+# every call.
+
+@functools.cache
+def _pl_ring():
+    return ({s: plcore.generator_pl(s) for s in ("P", "C", "I")},
+            plcore.identity_pl(), lambda a, b: a * b)
+
+
+@functools.cache
+def _tree_ring():
+    th = _module("thompson")
+    return ({s: th.plaut_to_treepair(g) for s, g in _pl_ring()[0].items()},
+            th.treepair_identity(), lambda a, b: th.treepair_compose(a, b))
+
+
+@functools.cache
+def _dyadic_ring():
+    th = _module("thompson")
+    atoms = {s: th.plaut_to_dyadic(g) for s, g in _pl_ring()[0].items()}
+    # A and B fold as the native CFP elements (equal to their expansions)
+    atoms["A"], atoms["B"], _ = th.cfp_generators()
+    return atoms, th.dyadic_identity(), lambda a, b: th.dyadic_compose(a, b)
+
+
+@functools.cache
+def _bir_ring():
+    bir = _module("birational")
+    return ({s: bir.generator_bir(s) for s in ("P", "C", "I")},
+            bir.identity_bir(), lambda f, g: bir.compose_bir(f, g),
+            {s: bir.generator_bir_inverse(s) for s in ("P", "C", "I")})
+
+
+def _exact(ring):
+    return lambda word, params: _fold(word, *ring())
+
+
+def _bir_value(word, params):
+    cap = params.get("max_length", 8)
+    core = _core(word)
+    if word_length(core) > cap:
+        raise ValueError(
+            "symbolic composition capped at length %d; expanded word has "
+            "length %d (use word_equals for long words)"
+            % (cap, word_length(core)))
+    return _fold(core, *_bir_ring())
+
+
+def _sampled(module: str, function: str, key: str, *names):
+    """identity_test over module.function(core_word, **params), which
+    takes the params called names and returns {key: bool, "evidence": ...}.
+    """
+    def identity_test(word, params):
+        verdict = getattr(_module(module), function)(
+            word, **{k: params[k] for k in names if k in params})
+        return verdict[key], verdict["evidence"]
+    return identity_test
+
+
+def _sample_flags(trials, primes, N):
+    # the exact models ignore these params; a report still echoes them
+    return {"trials": trials, "primes": primes}
+
+
+@dataclass(frozen=True)
+class Backend:
+    """evaluate(word, params) -> value; identity_test(core_word, params) ->
+    (identity, evidence) for a randomized model, None for an exact one;
+    flags(trials, primes, N) -> the params that --trials, every --prime and
+    --N set, where None or [] stands for a flag not given."""
+
+    evaluate: Callable[[Word, dict], object]
+    identity_test: Callable[[Word, dict], tuple] | None = None
+    flags: Callable[..., dict] = _sample_flags
+
+
+BACKENDS = {
+    "pl": Backend(_exact(_pl_ring)),
+    "tree": Backend(_exact(_tree_ring)),
+    "dyadic": Backend(_exact(_dyadic_ring)),
+    "bir": Backend(_bir_value, _sampled(
+        "birational", "word_equals_identity", "equal",
+        "primes", "trials", "seed")),
+    "picard": Backend(
+        lambda word, params: _module("picard").word_operator(_core(word)),
+        _sampled("picard", "word_acts_as_identity", "identity",
+                 "nvectors", "seed"),
+        lambda trials, primes, N: {"nvectors": trials, "primes": primes}),
+    "quantum": Backend(
+        lambda word, params: _module("quantum").evaluate_word(_core(word),
+                                                              params),
+        _sampled("quantum", "word_acts_as_identity", "identity",
+                 "N", "p", "trials", "seed"),
+        lambda trials, primes, N: {"trials": trials, "N": N,
+                                   "p": primes[-1] if primes else None}),
+}
+
+
+def _backend(name: str) -> Backend:
+    try:
+        return BACKENDS[name]
+    except KeyError:
+        raise ValueError("unknown backend %r" % name) from None
+
+
 def evaluate(word, backend: str = "pl", params: dict | None = None):
     """Value of a word in a backend, rightmost factor first.
 
@@ -170,48 +289,10 @@ def evaluate(word, backend: str = "pl", params: dict | None = None):
     pair reached from a sampled clock/shift pair, and picard returns the word
     as an operator on Picard vectors.
     """
+    entry = _backend(backend)
     if isinstance(word, str):
         word = parse_word(word)
-    params = params or {}
-    if backend == "pl":
-        return _fold(word, _pl_atoms(), plcore.identity_pl(),
-                     lambda a, b: a * b)
-    if backend == "tree":
-        from . import thompson
-        atoms = {s: thompson.plaut_to_treepair(plcore.generator_pl(s))
-                 for s in ("P", "C", "I")}
-        return _fold(word, atoms, thompson.treepair_identity(),
-                     thompson.treepair_compose)
-    if backend == "dyadic":
-        from . import thompson
-        atoms = {s: thompson.plaut_to_dyadic(plcore.generator_pl(s))
-                 for s in ("P", "C", "I")}
-        # A and B fold as the native CFP elements (equal to their expansions)
-        cfp_a, cfp_b, _ = thompson.cfp_generators()
-        atoms["A"] = cfp_a
-        atoms["B"] = cfp_b
-        return _fold(word, atoms, thompson.dyadic_identity(),
-                     thompson.dyadic_compose)
-    if backend == "bir":
-        from . import birational
-        cap = params.get("max_length", 8)
-        core = _expand_to(word, CORE)
-        if word_length(core) > cap:
-            raise ValueError(
-                "symbolic composition capped at length %d; expanded word has "
-                "length %d (use word_equals for long words)"
-                % (cap, word_length(core)))
-        atoms = {s: birational.generator_bir(s) for s in ("P", "C", "I")}
-        inv = {s: birational.generator_bir_inverse(s) for s in ("P", "C", "I")}
-        return _fold(core, atoms, birational.identity_bir(),
-                     birational.compose_bir, inv)
-    if backend == "picard":
-        from . import picard
-        return picard.word_operator(_expand_to(word, CORE))
-    if backend == "quantum":
-        from . import quantum
-        return quantum.evaluate_word(_expand_to(word, CORE), params)
-    raise ValueError("unknown backend %r" % backend)
+    return entry.evaluate(word, params or {})
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +318,37 @@ def load_suite(name: str) -> list[dict]:
     return data
 
 
-def _pl_like_check(lhs, rhs, backend):
-    """Exact equality in pl/tree/dyadic; returns (equal, witness)."""
-    lv = evaluate(lhs, backend)
-    rv = evaluate(rhs, backend)
-    if lv == rv:
-        return True, None
-    if backend == "pl":
+def _witness(lv, rv) -> dict:
+    """Why two exact values differ: a moved lattice point for PL maps."""
+    if isinstance(lv, plcore.PLAut):
         for n in range(1, 12):
             for a in range(-n, n + 1):
                 for b in (-n, n):
                     for v in ((a, b), (b, a)):
                         if lv(v) != rv(v):
-                            return False, {"point": list(v),
-                                           "lhs_image": list(lv(v)),
-                                           "rhs_image": list(rv(v))}
-    return False, {"lhs_value": repr(lv), "rhs_value": repr(rv)}
+                            return {"point": list(v),
+                                    "lhs_image": list(lv(v)),
+                                    "rhs_image": list(rv(v))}
+    return {"lhs_value": repr(lv), "rhs_value": repr(rv)}
+
+
+def check_relation(lhs, rhs, backend: str = "pl", params: dict | None = None,
+                   witness: bool = False) -> tuple:
+    """Whether lhs = rhs holds in a backend: (equal, evidence).
+
+    A randomized backend tests lhs rhs^-1 on samples and always returns its
+    evidence.  An exact backend compares the two values; its evidence is
+    None, or, with witness set, a witness of a failure.
+    """
+    entry = _backend(backend)
+    if entry.identity_test is not None:
+        return entry.identity_test(_core(lhs) + word_inverse(_core(rhs)),
+                                   params or {})
+    lv = evaluate(lhs, backend)
+    rv = evaluate(rhs, backend)
+    if lv == rv:
+        return True, None
+    return False, _witness(lv, rv) if witness else None
 
 
 def check_suite(suite, backend: str = "pl", params: dict | None = None) -> dict:
@@ -273,64 +369,17 @@ def check_suite(suite, backend: str = "pl", params: dict | None = None) -> dict:
     for entry in entries:
         lhs, rhs = entry["lhs"], entry["rhs"]
         probe = rhs == "probe"
-        target = "1" if probe else rhs
+        equal, evidence = check_relation(lhs, "1" if probe else rhs, backend,
+                                         params, witness=True)
         res = {"name": entry.get("name", lhs), "lhs": lhs, "rhs": rhs}
-        if backend in ("pl", "tree", "dyadic"):
-            equal, witness = _pl_like_check(lhs, target, backend)
-            res["verdict"] = ((("identity" if equal else "nonidentity"))
-                              if probe else ("pass" if equal else "fail"))
-            if witness:
-                res["witness"] = witness
-        elif backend == "bir":
-            from . import birational
-            word = _expand_to(parse_word(lhs), CORE) + word_inverse(
-                _expand_to(parse_word(target), CORE))
-            verdict = birational.word_equals_identity(
-                word,
-                primes=params.get("primes"),
-                trials=params.get("trials", 20),
-                seed=params["seed"],
-            )
-            res["witness"] = verdict["evidence"]
-            if probe:
-                res["verdict"] = ("identity" if verdict["equal"]
-                                  else "nonidentity")
+        if probe:
+            res["verdict"] = "identity" if equal else "nonidentity"
+            if BACKENDS[backend].identity_test is not None:
                 res["note"] = "experimental verdict, not asserted"
-            else:
-                res["verdict"] = "pass" if verdict["equal"] else "fail"
-        elif backend == "picard":
-            from . import picard
-            word = _expand_to(parse_word(lhs), CORE) + word_inverse(
-                _expand_to(parse_word(target), CORE))
-            verdict = picard.word_acts_as_identity(
-                word, nvectors=params.get("nvectors", 20), seed=params["seed"])
-            res["witness"] = verdict["evidence"]
-            if probe:
-                res["verdict"] = ("identity" if verdict["identity"]
-                                  else "nonidentity")
-                res["note"] = "experimental verdict, not asserted"
-            else:
-                res["verdict"] = "pass" if verdict["identity"] else "fail"
-        elif backend == "quantum":
-            from . import quantum
-            word = _expand_to(parse_word(lhs), CORE) + word_inverse(
-                _expand_to(parse_word(target), CORE))
-            verdict = quantum.word_acts_as_identity(
-                word,
-                N=params.get("N", 5),
-                p=params.get("p"),
-                trials=params.get("trials", 10),
-                seed=params["seed"],
-            )
-            res["witness"] = verdict["evidence"]
-            if probe:
-                res["verdict"] = ("identity" if verdict["identity"]
-                                  else "nonidentity")
-                res["note"] = "experimental verdict, not asserted"
-            else:
-                res["verdict"] = "pass" if verdict["identity"] else "fail"
         else:
-            raise ValueError("unknown backend %r" % backend)
+            res["verdict"] = "pass" if equal else "fail"
+        if evidence is not None:
+            res["witness"] = evidence
         results.append(res)
     return {
         "suite": name,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sympt import plcore
+from sympt import birational, plcore
 from sympt.birational import (
     ONE,
     PRIMES,
@@ -245,6 +245,15 @@ def test_kernel_probe_identity_word():
     probe = kernel_probe(parse_word("P^5"), npoints=12)
     assert probe["verdict"] == "identity"
     assert probe["points_moved"] == 0
+
+
+def test_kernel_probe_raises_when_no_point_avoids_the_poles(monkeypatch):
+    def always_pole(word, point, p):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(birational, "_apply_word_mod", always_pole)
+    with pytest.raises(RuntimeError, match="pole locus"):
+        kernel_probe(parse_word("P^5"), npoints=6)
 
 
 def test_kernel_probe_pic7():

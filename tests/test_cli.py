@@ -50,6 +50,14 @@ def test_relations_quantum_backend():
     assert all(r["witness"]["p"] == 7 for r in rep["results"])
 
 
+def test_relations_picard_trials_sets_vector_count():
+    code, rep = run_json(["relations", "--suite", "H", "--backend", "picard",
+                          "--trials", "3"])
+    assert code == 0
+    assert rep["params"] == {"nvectors": 3, "seed": 0}
+    assert all(r["witness"]["vectors"] == 3 for r in rep["results"])
+
+
 def test_relations_probe_suite_never_fails():
     code, rep = run_json(["relations", "--suite", "probe", "--backend", "pl"])
     assert code == 0
@@ -91,6 +99,17 @@ def test_equal_picard_and_quantum():
                           "--trials", "5"])
     assert code == 0 and rep["equal"]
     assert rep["evidence"]["p"] == 7
+
+
+def test_equal_bir_sampling_failure_is_json(monkeypatch):
+    def always_pole(word, point, p):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(birational, "_apply_word_mod", always_pole)
+    code, rep = run_json(["equal", "--backend", "bir", "--lhs", "P",
+                          "--rhs", "C", "--trials", "2"])
+    assert code == 2
+    assert "pole locus" in rep["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +206,12 @@ def test_convert_same_model_is_plain_eval():
     assert code == 0
     assert thompson.TreePair.from_json(rep["element"]) == \
         words.evaluate("I", "tree")
+
+
+def test_convert_recursion_error_is_json():
+    code, rep = run_json(["convert", "--word", "U^5000", "--to", "dyadic"])
+    assert code == 2
+    assert "recursion" in rep["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,115 @@
+"""Replay recorded CLI calls and compare stdout bytes and exit codes.
+
+The corpus in data/cli_golden.json covers each subcommand that dispatches
+on a backend, in every backend, with and without the sampling flags; the
+benchmark's own CLI corpus in perfbench/expected/cli.json is replayed too.
+
+    PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]
+
+re-records the named entries of CORPUS (all of them when no name is given)
+from the current code.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from sympt import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
+BENCH = ROOT / "perfbench" / "expected" / "cli.json"
+
+BACKENDS = ("pl", "tree", "dyadic", "bir", "picard", "quantum")
+BIR_PRIMES = ["--prime", "4611686018427388039", "--prime",
+              "9223372036854775837"]
+
+CORPUS = {
+    **{"relations.H.%s" % b: ["relations", "--suite", "H", "--backend", b]
+       for b in BACKENDS},
+    **{"equal.PCP.%s" % b: ["equal", "--lhs", "P C P", "--rhs", "I",
+                            "--backend", b] for b in BACKENDS},
+    **{"eval.PC.%s" % b: ["eval", "--word", "P C", "--backend", b]
+       for b in BACKENDS},
+    **{"equal.unequal.%s" % b: ["equal", "--lhs", "P", "--rhs", "C",
+                                "--backend", b] for b in BACKENDS},
+    "relations.probe.pl": ["relations", "--suite", "probe"],
+    "relations.probe.picard.seed": ["relations", "--suite", "probe",
+                                    "--backend", "picard", "--seed", "3"],
+    "relations.theorem.bir": ["relations", "--suite", "theorem",
+                              "--backend", "bir"],
+    "relations.t_rc.bir": ["relations", "--suite", "t_rc", "--backend",
+                           "bir"],
+    "relations.H.pl.flags": ["relations", "--suite", "H", "--trials", "3",
+                             "--prime", "7", "--seed", "3"],
+    "relations.H.bir.trials": ["relations", "--suite", "H", "--backend",
+                               "bir", "--trials", "5", "--seed", "3"],
+    "relations.H.bir.prime": ["relations", "--suite", "H", "--backend",
+                              "bir", "--trials", "4"] + BIR_PRIMES,
+    "relations.H.picard.trials": ["relations", "--suite", "H", "--backend",
+                                  "picard", "--trials", "3"],
+    "relations.H.quantum.flags": ["relations", "--suite", "H", "--backend",
+                                  "quantum", "--N", "3", "--prime", "7",
+                                  "--trials", "5", "--seed", "3"],
+    "relations.H.quantum.last_prime": ["relations", "--suite", "H",
+                                       "--backend", "quantum", "--prime",
+                                       "31", "--prime", "11"],
+    "equal.PCP.bir.flags": ["equal", "--lhs", "P C P", "--rhs", "I",
+                            "--backend", "bir", "--trials", "5",
+                            "--seed", "3"] + BIR_PRIMES,
+    "equal.PCP.picard.trials": ["equal", "--lhs", "P C P", "--rhs", "I",
+                                "--backend", "picard", "--trials", "3",
+                                "--seed", "3"],
+    "equal.PCP.quantum.flags": ["equal", "--lhs", "P C P", "--rhs", "I",
+                                "--backend", "quantum", "--N", "3",
+                                "--prime", "7", "--trials", "4",
+                                "--seed", "3"],
+    "equal.bir.small_prime": ["equal", "--lhs", "P^5", "--rhs", "1",
+                              "--backend", "bir", "--prime", "101"],
+    "eval.PC.quantum.flags": ["eval", "--word", "P C", "--backend",
+                              "quantum", "--N", "3", "--prime", "7",
+                              "--seed", "3"],
+    "eval.bir.cap": ["eval", "--word", "P^9", "--backend", "bir"],
+    "quantum.flags": ["quantum", "--word", "P^5", "--N", "3", "--p", "7",
+                      "--trials", "4", "--seed", "3"],
+    "quantum.default": ["quantum", "--word", "P^4"],
+}
+
+
+def _cases():
+    cases = []
+    for path in (GOLDEN, BENCH):
+        for name, entry in json.loads(path.read_text()).items():
+            cases.append(pytest.param(entry, id="%s:%s" % (path.stem, name)))
+    return cases
+
+
+@pytest.mark.parametrize("entry", _cases())
+def test_cli_output_matches_recording(entry, capsys):
+    code = cli.main(entry["argv"])
+    assert capsys.readouterr().out == entry["stdout"]
+    assert code == entry["exit"]
+
+
+def test_corpus_is_recorded():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(CORPUS)
+
+
+def record(names) -> None:
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name in names or CORPUS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(CORPUS[name])
+        golden[name] = {"argv": CORPUS[name], "exit": code,
+                        "stdout": buf.getvalue()}
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    record(sys.argv[1:])
