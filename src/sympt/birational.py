@@ -3,8 +3,10 @@
 Maps are pairs of rational functions with integer-coefficient Laurent
 polynomials for numerator and denominator; nothing is ever reduced to lowest
 terms, so equality tests cross-multiply.  Symbolic composition substitutes
-one map into another and is capped at short words; long words are compared
-pointwise modulo large primes with a Schwartz-Zippel error bound.
+one map into another, cancels common factors with sympy's polynomial gcd
+(reduce_fraction, the only user of sympy, which it imports on first use) and
+is capped at short words; long words are compared pointwise modulo large
+primes with a Schwartz-Zippel error bound, in plain integer arithmetic.
 
 The symplectic structure is the log form dx∧dy/(xy): a map (f1, f2) preserves
 it exactly when x·y·det J(f1,f2) = f1·f2.  Tropicalization reads off leading
@@ -18,9 +20,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-import sympy
-
-from .plcore import PLAut, from_function, primitive
+from .plcore import PLAut, from_function, is_prime, primitive
 
 # primes just above 2^61, 2^61 + 10^6, 2^62, 2^63
 PRIMES = (
@@ -181,40 +181,30 @@ class RationalFn:
         return "(%r)/(%r)" % (self.num, self.den)
 
 
-_SYMS = sympy.symbols("x y")
-
-
-def _to_sympy(poly: LaurentPoly, shift: Monomial) -> sympy.Poly:
-    x, y = _SYMS
-    expr = sympy.Integer(0)
-    for (i, j), c in poly.terms.items():
-        expr += sympy.Integer(c) * x ** (i - shift[0]) * y ** (j - shift[1])
-    return sympy.Poly(expr, x, y, domain="ZZ")
-
-
-def _from_sympy(poly: sympy.Poly) -> LaurentPoly:
-    return LaurentPoly({(int(i), int(j)): int(c)
-                        for (i, j), c in poly.terms()})
-
-
 def reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Cancel the polynomial gcd and monomial content of num/den.
 
     Composition never reduces on its own; without this the unreduced
-    representations grow exponentially with word length.
+    representations grow exponentially with word length.  The gcd is
+    sympy's, imported on the first call.
     """
+    import sympy
+
     if not num:
         return ZERO, ONE
     shift_n = (min(i for i, _ in num.terms), min(j for _, j in num.terms))
     shift_d = (min(i for i, _ in den.terms), min(j for _, j in den.terms))
-    pn = _to_sympy(num, shift_n)
-    pd = _to_sympy(den, shift_d)
+    x, y = sympy.symbols("x y")
+    pn, pd = (sympy.Poly({(i - shift[0], j - shift[1]): c
+                          for (i, j), c in poly.terms.items()},
+                         x, y, domain="ZZ")
+              for poly, shift in ((num, shift_n), (den, shift_d)))
     g = sympy.gcd(pn, pd)
     if not g.is_one:
-        pn = sympy.Poly(sympy.div(pn, g, *_SYMS)[0], *_SYMS, domain="ZZ")
-        pd = sympy.Poly(sympy.div(pd, g, *_SYMS)[0], *_SYMS, domain="ZZ")
-    num = _from_sympy(pn)
-    den = _from_sympy(pd)
+        pn, pd = pn.exquo(g), pd.exquo(g)
+    num, den = (LaurentPoly({(int(i), int(j)): int(c)
+                             for (i, j), c in poly.terms()})
+                for poly in (pn, pd))
     # park the net monomial x^i y^j on the numerator
     num = num.shift(shift_n[0] - shift_d[0], shift_n[1] - shift_d[1])
     if len(den.terms) == 1:
@@ -430,8 +420,13 @@ def _apply_word_mod(word, point, p):
 
 def _sample_images(word, primes, per_prime: int, rng: random.Random):
     """Yield (p, point, image) for per_prime points over each prime, drawn
-    from [2, p-2]^2 off the pole locus; RuntimeError after 100 draws per
-    point on one prime."""
+    from [2, p-2]^2 off the pole locus; ValueError before any draw if a
+    modulus is not prime, RuntimeError after 100 draws per point on one
+    prime."""
+    for p in primes:
+        # the Schwartz-Zippel bound holds over a field only
+        if not is_prime(p):
+            raise ValueError("p=%d is not prime" % p)
     for p in primes:
         done = 0
         attempts = 0

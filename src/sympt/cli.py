@@ -26,7 +26,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import birational, picard, thompson, words
+from . import words
 from .plcore import mat_inv, primitive
 
 TROP_CAP = 8
@@ -94,6 +94,8 @@ def cmd_eval(args):
 def _trop_factors(text: str):
     """Parse the trop grammar: generator tokens over {P,C,I,U} plus
     'lambda:r1,r2' torus scalings and 'mono:a,b,c,d' monomial maps."""
+    from . import birational
+
     factors = []
     for chunk in text.split():
         if chunk.startswith("lambda:"):
@@ -122,6 +124,8 @@ def _trop_factors(text: str):
 
 
 def cmd_trop(args):
+    from . import birational
+
     factors = _trop_factors(args.word)
     if len(factors) > TROP_CAP:
         raise ValueError(
@@ -134,22 +138,19 @@ def cmd_trop(args):
     return birational.tropicalize(total).to_json(), 0
 
 
-_CONVERTERS = {
-    ("pl", "tree"): thompson.plaut_to_treepair,
-    ("pl", "dyadic"): thompson.plaut_to_dyadic,
-    ("tree", "pl"): thompson.treepair_to_plaut,
-    ("tree", "dyadic"): thompson.treepair_to_dyadic,
-    ("dyadic", "pl"): thompson.dyadic_to_plaut,
-    ("dyadic", "tree"): thompson.dyadic_to_treepair,
-}
+# circle model -> the name of its form in the thompson converters
+_FORMS = {"pl": "plaut", "tree": "treepair", "dyadic": "dyadic"}
 
 
 def cmd_convert(args):
+    from . import thompson
+
     src = args.via
     dst = args.to
     value = words.evaluate(args.word, src)
     if src != dst:
-        value = _CONVERTERS[(src, dst)](value)
+        value = getattr(thompson, "%s_to_%s" % (_FORMS[src], _FORMS[dst]))(
+            value)
     return {"word": args.word, "from": src, "to": dst,
             "element": value.to_json()}, 0
 
@@ -157,17 +158,21 @@ def cmd_convert(args):
 def _wq_at(x, v):
     """The q-mutation along a general primitive direction: move v to the
     base direction by a fixed unimodular matrix and conjugate."""
+    from . import picard
+
     if v == (1, 0):
         return picard.mu_Wq_action(x)
     if primitive(v) != v:
         raise ValueError("mutation direction must be primitive; got %r" % (v,))
-    g, s, t = picard._egcd(v[0], v[1])
+    g, s, t = picard.egcd(v[0], v[1])
     m = (v[0], -t, v[1], s)  # det 1, m(1,0) = v
     return picard.gamma_action(
         picard.mu_Wq_action(picard.gamma_action(x, mat_inv(m))), m)
 
 
 def cmd_mutate(args):
+    from . import picard
+
     if args.vector is not None:
         raw = args.vector
     elif args.input:
@@ -205,6 +210,8 @@ def cmd_quantum(args):
 
 
 def cmd_orbit(args):
+    from . import birational
+
     f = words.evaluate(args.word, "bir")
     start = tuple(Fraction(t) for t in args.start.split(","))
     if len(start) != 2:

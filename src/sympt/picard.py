@@ -39,7 +39,9 @@ from .plcore import (
     Mat,
     PLAut,
     Vec,
+    dir_less,
     generator_pl,
+    in_sector,
     linear_pl,
     mat_apply,
     mat_inv,
@@ -47,10 +49,9 @@ from .plcore import (
     vec_add,
     wedge,
 )
-from .plcore import _dir_less, _in_sector
 
 _CCW_KEY = cmp_to_key(
-    lambda u, w: 0 if u == w else (-1 if _dir_less(u, w) else 1))
+    lambda u, w: 0 if u == w else (-1 if dir_less(u, w) else 1))
 
 __all__ = [
     "QPoly",
@@ -211,7 +212,7 @@ def _content_and_primitive(v: Vec):
     return k, (v[0] // k, v[1] // k)
 
 
-def _egcd(a, b):
+def egcd(a, b):
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -228,7 +229,7 @@ def _egcd(a, b):
 def _next_boundary_ray(u: Vec, w: Vec, d: int) -> Vec:
     """Primitive m strictly inside cone(u, w) with u ^ m = 1 and m ^ w
     as small as possible; splitting at it drops the wedge below d."""
-    g, s, t = _egcd(u[0], u[1])
+    g, s, t = egcd(u[0], u[1])
     m0 = (-t, s)
     r = wedge(m0, w) % d
     if r == 0:
@@ -305,7 +306,7 @@ class BreakFn:
         n = len(rays)
         for i in range(n):
             u, w = rays[i], rays[(i + 1) % n]
-            if _in_sector(u, w, p):
+            if in_sector(u, w, p):
                 return k * (wedge(p, w) * vals[i]
                             + wedge(u, p) * vals[(i + 1) % n])
         raise AssertionError("no cone contains %r" % (v,))
@@ -426,12 +427,12 @@ def _unimodular_companions(F: BreakFn, a: Vec):
     n = len(rays)
     for i in range(n):
         u, w = rays[i], rays[(i + 1) % n]
-        if _in_sector(u, w, a):
+        if in_sector(u, w, a):
             while True:
                 m = vec_add(u, w)
                 if m == a:
                     return u, w
-                if _in_sector(u, m, a):
+                if in_sector(u, m, a):
                     w = m
                 else:
                     u = m

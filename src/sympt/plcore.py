@@ -70,6 +70,41 @@ def mat_inv(m: Mat) -> Mat:
     raise ValueError("matrix is not unimodular: det=%d" % d)
 
 
+# Miller-Rabin to the first 13 prime bases is exact for every n below
+# _MR_EXACT_BELOW (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Primality of n: deterministic Miller-Rabin, proven exact below
+    3.3*10^24; above that, sympy.isprime (BPSW, imported only then)."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_EXACT_BELOW:
+        from sympy import isprime
+        return bool(isprime(n))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 # Named generators.  C and I generate SL(2,Z) inside the group; U is the
 # standard unipotent; P is the tropical Lyness map and mu the x-shear that
 # equals I*P.
@@ -94,7 +129,7 @@ def _quadrant(v: Vec) -> int:
     return 3
 
 
-def _dir_less(u: Vec, v: Vec) -> bool:
+def dir_less(u: Vec, v: Vec) -> bool:
     """Strict counterclockwise order of directions, anchored at (1,0)."""
     qu, qv = _quadrant(u), _quadrant(v)
     if qu != qv:
@@ -107,22 +142,22 @@ def _sort_ccw(rays):
     out = []
     for r in set(rays):
         i = 0
-        while i < len(out) and _dir_less(out[i], r):
+        while i < len(out) and dir_less(out[i], r):
             i += 1
         out.insert(i, r)
     return out
 
 
-def _in_sector(a: Vec, b: Vec, v: Vec) -> bool:
+def in_sector(a: Vec, b: Vec, v: Vec) -> bool:
     """Is direction v in the half-open sector [a, b), counterclockwise?
 
     Handles straight and reflex sectors; v need not be primitive.
     """
     if primitive(v) == a:
         return True
-    if _dir_less(a, b):
-        return not _dir_less(v, a) and _dir_less(v, b)
-    return not _dir_less(v, a) or _dir_less(v, b)
+    if dir_less(a, b):
+        return not dir_less(v, a) and dir_less(v, b)
+    return not dir_less(v, a) or dir_less(v, b)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +184,7 @@ class Fan:
             s = rays[(i + 1) % len(rays)]
             if wedge(r, s) < 1:
                 raise ValueError("rays %r, %r do not span a positive cone" % (r, s))
-            if not _dir_less(r, s):
+            if not dir_less(r, s):
                 wraps += 1
         if wraps != 1:
             raise ValueError("rays do not wind once counterclockwise")
@@ -213,7 +248,7 @@ class PLAut:
             return self.mats[0]
         n = len(self.rays)
         for i in range(n):
-            if _in_sector(self.rays[i], self.rays[(i + 1) % n], v):
+            if in_sector(self.rays[i], self.rays[(i + 1) % n], v):
                 return self.mats[i]
         raise AssertionError("no cone contains %r" % (v,))
 
@@ -329,7 +364,7 @@ def _validate(rays, mats):
             raise ValueError("ray %r is not primitive" % (r,))
         if r == s:
             raise ValueError("repeated ray %r" % (r,))
-        if not _dir_less(r, s):
+        if not dir_less(r, s):
             wraps += 1
         # adjacent pieces must agree on the shared ray s
         if mat_apply(mats[i], s) != mat_apply(mats[(i + 1) % n], s):
@@ -340,7 +375,7 @@ def _validate(rays, mats):
     images = [mat_apply(m, r) for r, m in zip(rays, mats)]
     wraps = 0
     for i in range(n):
-        if not _dir_less(images[i], images[(i + 1) % n]):
+        if not dir_less(images[i], images[(i + 1) % n]):
             wraps += 1
     if wraps != 1:
         raise ValueError("image rays do not wind once; map is not bijective")

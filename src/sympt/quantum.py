@@ -34,6 +34,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .plcore import is_prime
+
 Matrix = tuple[tuple[int, ...], ...]
 
 _MAX_RESAMPLES = 500
@@ -136,10 +138,8 @@ def default_prime(N: int) -> int:
     The floor keeps the scalar pool large enough that resampling around
     singular substitutions converges quickly.
     """
-    from sympy import isprime
-
     k = 101
-    while not (k % N == 1 % N and isprime(k)):
+    while not (k % N == 1 % N and is_prime(k)):
         k += 1
     return k
 
@@ -165,13 +165,11 @@ class QConfig:
 def make_config(N: int, p: int | None = None, seed: int = 0) -> QConfig:
     """Pick p = 1 mod N (smallest >= 101 when omitted) and the smallest
     element of exact order N in F_p*."""
-    from sympy import isprime
-
     if N < 1:
         raise ValueError("N must be a positive integer")
     if p is None:
         p = default_prime(N)
-    if not isprime(p):
+    if not is_prime(p):
         raise ValueError("p=%d is not prime" % p)
     if p % N != 1 % N:
         raise ValueError("need p = 1 mod N; got p=%d, N=%d" % (p, N))

@@ -170,7 +170,8 @@ def _core(word) -> Word:
 
 
 def _module(name: str):
-    # birational imports sympy, so the models load on first use
+    # a model module loads on first use, so a call imports only the
+    # models it reaches
     return import_module("." + name, __package__)
 
 

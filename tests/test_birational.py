@@ -256,6 +256,13 @@ def test_kernel_probe_raises_when_no_point_avoids_the_poles(monkeypatch):
         kernel_probe(parse_word("P^5"), npoints=6)
 
 
+def test_sampling_rejects_a_composite_modulus():
+    composite = (2 ** 31 + 11) * 2148483661  # both factors prime, > 2^61
+    for check in (word_equals_identity, kernel_probe):
+        with pytest.raises(ValueError, match="p=%d is not prime" % composite):
+            check(parse_word("P^5"), primes=(PRIMES[0], composite))
+
+
 def test_kernel_probe_pic7():
     word = _expand_to(parse_word("P I C"), CORE) * 7
     probe = kernel_probe(word, npoints=30)

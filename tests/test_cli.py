@@ -90,6 +90,15 @@ def test_equal_bir_rejects_small_prime():
     assert "2^61" in rep["error"]
 
 
+def test_equal_bir_rejects_composite_modulus():
+    # (2^31 + 11) * (the next prime after 2^31 + 10^6), above 2^61
+    code, rep = run_json(["equal", "--backend", "bir", "--lhs", "P^5",
+                          "--rhs", "1", "--prime", "4613833553625995599",
+                          "--trials", "3"])
+    assert code == 2
+    assert rep == {"error": "p=4613833553625995599 is not prime"}
+
+
 def test_equal_picard_and_quantum():
     code, rep = run_json(["equal", "--backend", "picard",
                           "--lhs", "P C P", "--rhs", "I", "--trials", "5"])

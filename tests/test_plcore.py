@@ -14,6 +14,7 @@ from sympt.plcore import (
     generator_pl,
     identity_pl,
     inverse_pl,
+    is_prime,
     linear_pl,
     mat_apply,
     order_pl,
@@ -326,3 +327,49 @@ def test_json_linear_form():
     d = C.to_json()
     assert d == {"orientation": "clockwise", "linear": [[-1, 1], [-1, 0]]}
     assert PLAut.from_json(d) == C
+
+
+# ---------------------------------------------------------------------------
+# primality
+
+def test_is_prime_agrees_with_sympy_below_20000():
+    from sympy import isprime
+
+    assert [n for n in range(20000) if is_prime(n)] == [
+        n for n in range(20000) if isprime(n)]
+
+
+@pytest.mark.parametrize("n", [
+    # strong pseudoprimes to the first 1, 2, ..., 12 prime bases
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    # Carmichael numbers
+    561, 41041,
+    # (2^31 + 11) * (the next prime after 2^31 + 10^6)
+    4613833553625995599,
+    # 2^83 - 1 = 167 * 57912614113275649087721, past the Miller-Rabin bound
+    2 ** 83 - 1,
+])
+def test_is_prime_rejects_pseudoprimes_and_composites(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [
+    # birational.PRIMES
+    2305843009213693967, 2305843009214693957, 4611686018427388039,
+    9223372036854775837,
+    2 ** 31 + 11,
+    # the Mersenne prime 2^89 - 1, past the Miller-Rabin bound
+    2 ** 89 - 1,
+])
+def test_is_prime_accepts_primes(n):
+    assert is_prime(n)
+
+
+def test_is_prime_defers_to_sympy_past_the_bound(monkeypatch):
+    import sympy
+
+    asked = []
+    monkeypatch.setattr(sympy, "isprime", lambda n: asked.append(n) or True)
+    assert is_prime(2 ** 83 - 1) and asked == [2 ** 83 - 1]
+    assert not is_prime(2047) and asked == [2 ** 83 - 1]
