@@ -20,6 +20,14 @@ The lattice is spanned by several families of symbols:
 
 Coefficients are polynomials in q; the commutative picture is q = 1.
 
+Word action: a word in P, C, I acts on W[q] vectors only (PicOperator
+refuses any other family with a ValueError).  C and I relabel the e
+symbols by a matrix, and P^(+-1) is the canonical mutation or its inverse
+next to I^(-+1), so the word is compiled once into mutation steps, each
+preceded by one fused relabel matrix.  The steps run on plain dicts
+{(direction, level): coefficient tuple}; a PicVec is built only at the
+boundary, where its keys are validated.
+
 Sign convention: the mutation rule on e_(x,y) with y < 0 carries the
 coefficient -q*y.  That sign is forced by exactness: it is the unique
 choice under which V is invariant and the wedge form is preserved
@@ -35,6 +43,7 @@ from math import gcd
 
 from .plcore import (
     GEN_MATS,
+    MAT_ID,
     Fan,
     Mat,
     PLAut,
@@ -45,6 +54,7 @@ from .plcore import (
     linear_pl,
     mat_apply,
     mat_inv,
+    mat_mul,
     primitive,
     vec_add,
     wedge,
@@ -198,7 +208,6 @@ class QPoly:
 
 Q_ZERO = QPoly()
 Q_ONE = QPoly((1,))
-Q_Q = QPoly((0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +849,76 @@ def gamma_action(x: PicVec, m: Mat) -> PicVec:
     return PicVec(out)
 
 
+# Inside the word action a W[q] vector is a plain dict {(a, k): coeffs}:
+# the e symbol at primitive direction a and level k, with the ascending
+# integer q-coefficients, no trailing zeros and never empty.  PicVec
+# validates every key it is built from, so vectors cross into this form
+# once on the way in and once on the way out.
+
+def _e_terms(x: PicVec, what: str = "W[q] action") -> dict:
+    raw = {}
+    for key, c in x.terms.items():
+        if key[0] != "e":
+            raise ValueError("%s needs e terms, got %r" % (what, key[0]))
+        raw[key[1], key[2]] = c.coeffs
+    return raw
+
+
+def _picvec(raw: dict) -> PicVec:
+    return PicVec([(("e", a, k), QPoly(c)) for (a, k), c in raw.items()])
+
+
+def _add_scaled(acc: list, n: int, c: tuple, shift: int) -> None:
+    """acc += n q^shift c, on ascending coefficient lists."""
+    grow = len(c) + shift - len(acc)
+    if grow > 0:
+        acc.extend([0] * grow)
+    for i, ci in enumerate(c, shift):
+        acc[i] += n * ci
+
+
+def _mutate(raw: dict, sign: int, m: Mat = MAT_ID) -> dict:
+    """The canonical mutation (sign 1) or its inverse (sign -1) of the
+    vector relabelled by m, on the raw form.
+
+    With s = sign and t = (-s, 0), e_w for w = (x, y) goes to
+    e_w + (1-q) y e_t when y > 0, to e_(x-s*y, y) - q y e_t when y < 0,
+    and to e_(x-s, 0) - e_t when y = 0, e at the origin being zero.  The
+    index map is injective and never hits e_t (y is kept, and x-s = -s
+    would need w = 0), so only the e_t coefficient sums several terms.
+    """
+    m0, m1, m2, m3 = m
+    out = {}
+    acc = []
+    for (a, k), c in raw.items():
+        ax = m0 * a[0] + m1 * a[1]
+        ay = m2 * a[0] + m3 * a[1]
+        if ay > 0:
+            out[(ax, ay), k] = c
+            _add_scaled(acc, k * ay, c, 0)
+            _add_scaled(acc, -k * ay, c, 1)
+        elif ay < 0:
+            # the shear keeps the content, so the level stays k
+            out[(ax - sign * ay, ay), k] = c
+            _add_scaled(acc, -k * ay, c, 1)
+        else:
+            wx = k * ax - sign
+            if wx:
+                out[(1 if wx > 0 else -1, 0), abs(wx)] = c
+            _add_scaled(acc, -1, c, 0)
+    while acc and not acc[-1]:
+        acc.pop()
+    if acc:
+        out[(-sign, 0), 1] = tuple(acc)
+    return out
+
+
+def _relabel(raw: dict, m: Mat) -> dict:
+    m0, m1, m2, m3 = m
+    return {((m0 * a[0] + m1 * a[1], m2 * a[0] + m3 * a[1]), k): c
+            for (a, k), c in raw.items()}
+
+
 def mu_Wq_action(x: PicVec) -> PicVec:
     """Canonical mutation on W[q] vectors (e symbols, Z[q] coefficients).
 
@@ -847,50 +926,24 @@ def mu_Wq_action(x: PicVec) -> PicVec:
     y < 0 sends it to (x-y, y) and adds -q y e_(-1,0); y = 0 shifts to
     (x-1, 0) minus e_(-1,0), with e at the origin equal to zero.
     """
-    one_minus_q = Q_ONE - Q_Q
-    out = ZERO_VEC
-    for key, c in x.terms.items():
-        if key[0] != "e":
-            raise ValueError("W[q] action needs e terms, got %r" % (key[0],))
-        wx, wy = _e_key_vector(key)
-        if wy > 0:
-            img = e_vec((wx, wy)) + (one_minus_q * wy) * e_vec((-1, 0))
-        elif wy < 0:
-            img = e_vec((wx - wy, wy)) - (Q_Q * wy) * e_vec((-1, 0))
-        else:
-            img = e_vec((wx - 1, 0)) - e_vec((-1, 0))
-        out = out + c * img
-    return out
+    return _picvec(_mutate(_e_terms(x), 1))
 
 
 def mu_Wq_inverse(x: PicVec) -> PicVec:
-    one_minus_q = Q_ONE - Q_Q
-    out = ZERO_VEC
-    for key, c in x.terms.items():
-        if key[0] != "e":
-            raise ValueError("W[q] action needs e terms, got %r" % (key[0],))
-        wx, wy = _e_key_vector(key)
-        if wy > 0:
-            img = e_vec((wx, wy)) + (one_minus_q * wy) * e_vec((1, 0))
-        elif wy < 0:
-            img = e_vec((wx + wy, wy)) - (Q_Q * wy) * e_vec((1, 0))
-        else:
-            img = e_vec((wx + 1, 0)) - e_vec((1, 0))
-        out = out + c * img
-    return out
+    return _picvec(_mutate(_e_terms(x), -1))
+
+
+def _in_v(raw: dict) -> bool:
+    sx, sy = [], []
+    for (a, k), c in raw.items():
+        _add_scaled(sx, k * a[0], c, 0)
+        _add_scaled(sy, k * a[1], c, 0)
+    return not any(sx) and not any(sy)
 
 
 def v_membership(x: PicVec) -> bool:
     """Whether the Z[q]-weighted sum of the e indices vanishes."""
-    sx, sy = Q_ZERO, Q_ZERO
-    for key, c in x.terms.items():
-        if key[0] != "e":
-            raise ValueError("V membership applies to e terms, got %r"
-                             % (key[0],))
-        wx, wy = _e_key_vector(key)
-        sx = sx + c * wx
-        sy = sy + c * wy
-    return not sx and not sy
+    return _in_v(_e_terms(x, "V membership"))
 
 
 def wedge_form(x: PicVec, y: PicVec) -> QPoly:
@@ -905,10 +958,10 @@ def wedge_form(x: PicVec, y: PicVec) -> QPoly:
     return total
 
 
-def random_v_vector(rng: random.Random, size: int = 3) -> PicVec:
-    """Random nonzero member of V with small integer data."""
+def _random_v_terms(rng: random.Random, size: int) -> dict:
+    """random_v_vector in the raw form of the word action."""
     while True:
-        out = ZERO_VEC
+        acc = {}
         for _ in range(rng.randint(1, size)):
             c = rng.choice((-2, -1, 1, 2))
             if rng.random() < 0.5:
@@ -917,56 +970,90 @@ def random_v_vector(rng: random.Random, size: int = 3) -> PicVec:
                 s = vec_add(u, w)
                 if u == (0, 0) or w == (0, 0) or s == (0, 0):
                     continue
-                out = out + c * (e_vec(u) + e_vec(w) - e_vec(s))
+                parts = ((u, c), (w, c), (s, -c))
             else:
                 k = rng.randint(2, 4)
                 a = (rng.randint(-2, 2), rng.randint(-2, 2))
                 if a == (0, 0):
                     continue
                 a = primitive(a)
-                ka = (k * a[0], k * a[1])
-                out = out + c * (k * e_vec(a) - e_vec(ka))
-        if not out.is_zero():
-            return out
+                parts = ((a, k * c), ((k * a[0], k * a[1]), -c))
+            for v, n in parts:
+                k, a = _content_and_primitive(v)
+                acc[a, k] = acc.get((a, k), 0) + n
+        raw = {key: (n,) for key, n in acc.items() if n}
+        if raw:
+            return raw
+
+
+def random_v_vector(rng: random.Random, size: int = 3) -> PicVec:
+    """Random nonzero member of V with small integer data."""
+    return _picvec(_random_v_terms(rng, size))
 
 
 # ---------------------------------------------------------------------------
 # word action
 
 _I_MAT = GEN_MATS["I"]
-_C_MAT = GEN_MATS["C"]
+_I_INV = mat_inv(_I_MAT)
 
 
-def _apply_letter(x: PicVec, sym: str, sign: int) -> PicVec:
-    if sym == "C":
-        return gamma_action(x, _C_MAT if sign > 0 else mat_inv(_C_MAT))
-    if sym == "I":
-        return gamma_action(x, _I_MAT if sign > 0 else mat_inv(_I_MAT))
-    if sym == "P":
-        # P = I^-1 (I P); the composite I P is the canonical mutation
-        if sign > 0:
-            return gamma_action(mu_Wq_action(x), mat_inv(_I_MAT))
-        return mu_Wq_inverse(gamma_action(x, _I_MAT))
-    raise ValueError("unsupported letter %r in the lattice action" % (sym,))
+def _compile(word):
+    """Mutation steps (m, sign), each relabelling by m before it mutates,
+    and the relabel that ends the word; rightmost letter first.
+
+    C and I only relabel, and P = I^-1 mu, P^-1 = mu^-1 I with mu = I P
+    the canonical mutation, so every run of relabels between two
+    mutations fuses into one matrix.
+    """
+    steps = []
+    m = MAT_ID
+    for sym, exp in reversed(word):
+        sign = 1 if exp > 0 else -1
+        if sym in ("C", "I"):
+            g = GEN_MATS[sym] if sign > 0 else mat_inv(GEN_MATS[sym])
+            for _ in range(abs(exp)):
+                m = mat_mul(g, m)
+        elif sym == "P":
+            for _ in range(abs(exp)):
+                if sign > 0:
+                    steps.append((m, 1))
+                    m = _I_INV
+                else:
+                    steps.append((mat_mul(_I_MAT, m), -1))
+                    m = MAT_ID
+        else:
+            raise ValueError(
+                "unsupported letter %r in the lattice action" % (sym,))
+    return tuple(steps), m
 
 
 class PicOperator:
-    """Word in P, C, I acting on W[q] vectors, rightmost letter first."""
+    """Word in P, C, I acting on W[q] vectors, rightmost letter first.
 
-    __slots__ = ("word",)
+    The word is compiled once into mutation steps and relabels; calls
+    accept vectors of e terms only.
+    """
+
+    __slots__ = ("word", "_steps", "_last")
 
     def __init__(self, word):
-        object.__setattr__(self, "word", tuple(word))
+        word = tuple(word)
+        steps, last = _compile(word)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_last", last)
 
     def __setattr__(self, *a):
         raise AttributeError("PicOperator is immutable")
 
     def __call__(self, x: PicVec) -> PicVec:
-        for sym, exp in reversed(self.word):
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                x = _apply_letter(x, sym, sign)
-        return x
+        return _picvec(self._apply(_e_terms(x)))
+
+    def _apply(self, raw: dict) -> dict:
+        for m, sign in self._steps:
+            raw = _mutate(raw, sign, m)
+        return raw if self._last == MAT_ID else _relabel(raw, self._last)
 
     def __repr__(self):
         from .words import format_word
@@ -980,6 +1067,10 @@ def word_operator(word) -> PicOperator:
     return PicOperator(word)
 
 
+def _at_one(raw: dict) -> dict:
+    return {key: v for key, c in raw.items() if (v := sum(c))}
+
+
 def word_acts_as_identity(word, nvectors: int = 20, seed: int = 0) -> dict:
     """Test a word on random V vectors; identity is judged at q = 1 and
     the generic-q outcome is reported alongside."""
@@ -988,16 +1079,17 @@ def word_acts_as_identity(word, nvectors: int = 20, seed: int = 0) -> dict:
     exact = True
     at_one = True
     witness = None
-    for i in range(nvectors):
-        x = random_v_vector(rng)
-        y = op(x)
-        if y != x:
+    for _ in range(nvectors):
+        rx = _random_v_terms(rng, 3)
+        ry = op._apply(rx)
+        if ry != rx:
             exact = False
-        if y.at_one() != x.at_one():
+        if _at_one(ry) != _at_one(rx):
             at_one = False
             if witness is None:
-                witness = {"vector": x.to_json(), "image": y.to_json()}
-        if not v_membership(y):
+                witness = {"vector": _picvec(rx).to_json(),
+                           "image": _picvec(ry).to_json()}
+        if not _in_v(ry):
             raise AssertionError("image left the V subspace")
     return {
         "identity": at_one,

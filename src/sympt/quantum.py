@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 
 from .plcore import is_prime
 
@@ -173,8 +174,20 @@ def make_config(N: int, p: int | None = None, seed: int = 0) -> QConfig:
         raise ValueError("p=%d is not prime" % p)
     if p % N != 1 % N:
         raise ValueError("need p = 1 mod N; got p=%d, N=%d" % (p, N))
-    q = next(q for q in range(1, p) if _mult_order_is(q, N, p))
-    return QConfig(N, p, q, seed)
+    return QConfig(N, p, _least_root_of_unity(N, p), seed)
+
+
+def _least_root_of_unity(N: int, p: int) -> int:
+    """Smallest element of exact order N in F_p*, for p = 1 mod N.
+
+    The elements of order N are the powers h^k, gcd(k, N) = 1, of any
+    one of them, and h = r^((p-1)/N) has order N for some r < p (a
+    primitive root gives one), so this takes a few modular powers where
+    scanning 1, 2, 3, ... takes about p/N steps.
+    """
+    h = next(h for h in (pow(r, (p - 1) // N, p) for r in range(1, p))
+             if _mult_order_is(h, N, p))
+    return min(pow(h, k, p) for k in range(1, N + 1) if gcd(k, N) == 1)
 
 
 # ---------------------------------------------------------------------------

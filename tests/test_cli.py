@@ -4,6 +4,10 @@ and byte-stable output."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -306,6 +310,24 @@ def test_quantum_nonidentity_exit_code():
     code, rep = run_json(["quantum", "--word", word, "--N", "3", "--p", "7"])
     assert code == 1
     assert rep["verdict"] == "nonidentity" and rep["witnesses"]
+
+
+def test_quantum_config_for_a_large_prime_is_fast():
+    # the root of unity used to be found by scanning q = 1, 2, 3, ...,
+    # about p/N steps; this call did not finish in 8 s
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    extra = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, extra] if extra else [src]))
+    p = 1000000000061
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympt.cli", "quantum", "--word", "P^5",
+         "--N", "5", "--p", str(p)],
+        env=env, capture_output=True, text=True, timeout=1)
+    assert proc.returncode == 0
+    rep = json.loads(proc.stdout)
+    assert rep["verdict"] == "identity" and rep["p"] == p
+    assert pow(rep["q"], 5, p) == 1 and rep["q"] != 1
 
 
 def test_orbit_five_cycle():

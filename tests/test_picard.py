@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sympt import words
+from sympt import picard, words
 from sympt.picard import (
     BreakFn,
     PicVec,
@@ -577,6 +577,113 @@ def test_seven_power_detects_kernel_element():
     assert not report["identity"]
     five = (("I", -1), ("I", 1), ("P", 1)) * 5
     assert word_acts_as_identity(five, nvectors=10, seed=5)["identity"]
+
+
+def _reference_mu(x, sign):
+    """The canonical mutation (sign 1) or its inverse, term by term in
+    PicVec arithmetic."""
+    t = e_vec((-sign, 0))
+    out = PicVec()
+    for (fam, a, k), c in x.terms.items():
+        wx, wy = k * a[0], k * a[1]
+        if wy > 0:
+            img = e_vec((wx, wy)) + (ONE_MINUS_Q * wy) * t
+        elif wy < 0:
+            img = e_vec((wx - sign * wy, wy)) - (Q * wy) * t
+        else:
+            img = e_vec((wx - sign, 0)) - t
+        out = out + c * img
+    return out
+
+
+def _reference_apply(word, x):
+    """The word action letter by letter through the public maps:
+    P = I^-1 mu and P^-1 = mu^-1 I, C and I by gamma_action."""
+    I = GEN_MATS["I"]
+    for sym, exp in reversed(word):
+        for _ in range(abs(exp)):
+            if sym == "P" and exp > 0:
+                x = gamma_action(mu_Wq_action(x), mat_inv(I))
+            elif sym == "P":
+                x = mu_Wq_inverse(gamma_action(x, I))
+            else:
+                m = GEN_MATS[sym]
+                x = gamma_action(x, m if exp > 0 else mat_inv(m))
+    return x
+
+
+def _reference_identity(word, nvectors=20, seed=0):
+    rng = random.Random(seed)
+    exact = at_one = True
+    witness = None
+    for _ in range(nvectors):
+        x = random_v_vector(rng)
+        y = _reference_apply(word, x)
+        exact = exact and y == x
+        if y.at_one() != x.at_one():
+            at_one = False
+            if witness is None:
+                witness = {"vector": x.to_json(), "image": y.to_json()}
+        assert v_membership(y)
+    evidence = {"vectors": nvectors, "identity_at_q1": at_one,
+                "identity_in_Zq": exact}
+    if witness:
+        evidence["witness"] = witness
+    return {"identity": at_one, "evidence": evidence}
+
+
+def _random_q_vector(rng):
+    return (random_v_vector(rng) + Q * random_v_vector(rng)
+            - (Q * Q) * random_v_vector(rng))
+
+
+def test_wq_action_matches_picvec_arithmetic():
+    rng = random.Random(17)
+    for _ in range(100):
+        x = _random_q_vector(rng)
+        assert mu_Wq_action(x) == _reference_mu(x, 1)
+        assert mu_Wq_inverse(x) == _reference_mu(x, -1)
+
+
+def test_compiled_operator_matches_letter_by_letter_action():
+    rng = random.Random(29)
+    for _ in range(100):
+        word = tuple((rng.choice("PCI"), rng.choice((-2, -1, 1, 2)))
+                     for _ in range(rng.randint(0, 60)))
+        x = _random_q_vector(rng)
+        # exact equality in Z[q], not only at q = 1
+        assert word_operator(word)(x) == _reference_apply(word, x), word
+
+
+def test_suite_evidence_matches_letter_by_letter_action(monkeypatch):
+    compiled = picard.word_acts_as_identity
+    checked = []
+
+    def both(word, **params):
+        got = compiled(word, **params)
+        # witness JSON included, byte for byte
+        assert json.dumps(got) == json.dumps(
+            _reference_identity(word, **params)), word
+        checked.append(word)
+        return got
+
+    monkeypatch.setattr(picard, "word_acts_as_identity", both)
+    suites = words.list_suites()
+    assert len(suites) == 7
+    for name in suites:
+        words.check_suite(name, backend="picard")
+    assert len(checked) == sum(len(words.load_suite(n)) for n in suites)
+
+
+@pytest.mark.parametrize("term", [
+    b_vec((1, 0)), delta_vec((0, 1), 2), p_vec((2, 3)), chain_vec((1, 1)),
+    plpart_vec(ample_A())], ids=lambda v: next(iter(v.terms))[0])
+@pytest.mark.parametrize("text", ["P C", "C I^-1"])
+def test_operator_refuses_non_e_terms(term, text):
+    family = next(iter(term.terms))[0]
+    op = word_operator(core_word(text))
+    with pytest.raises(ValueError, match="needs e terms, got '%s'" % family):
+        op(e_vec((1, 0)) + term)
 
 
 def test_operator_preserves_v_subspace():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sympt import birational, quantum, words
+from sympt.plcore import is_prime
 from sympt.quantum import (
     QConfig,
     QPair,
@@ -45,6 +46,19 @@ def test_make_config_picks_exact_order_root():
     cfg = make_config(5, 11)
     assert pow(cfg.q, 5, 11) == 1 and cfg.q != 1
     assert make_config(1, 101).q == 1
+
+
+def test_make_config_matches_linear_scan():
+    # the root is read off a generator of the order-N subgroup; it must be
+    # the same smallest element the scan 1, 2, 3, ... finds
+    for p in range(2, 3000):
+        if not is_prime(p):
+            continue
+        for n in range(1, 13):
+            if p % n == 1 % n:
+                scan = next(q for q in range(1, p)
+                            if quantum._mult_order_is(q, n, p))
+                assert make_config(n, p).q == scan, (n, p)
 
 
 def test_make_config_validation():
