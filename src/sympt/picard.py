@@ -48,6 +48,8 @@ from .plcore import (
     Mat,
     PLAut,
     Vec,
+    cone_parents,
+    cone_runs,
     dir_less,
     generator_pl,
     in_sector,
@@ -428,23 +430,15 @@ def index(F: BreakFn, a: Vec, shift: int = 0) -> int:
 def _unimodular_companions(F: BreakFn, a: Vec):
     """Neighbors u, w with u ^ a = a ^ w = 1 inside the cone holding a.
 
-    Found by mediant descent from the cone corners: a strictly interior
-    primitive direction is eventually the mediant of the walk, and its
-    two parents stay inside the cone, where F is linear.
+    They are the parents of a in the mediant descent from the corners of
+    its unimodular cone, so they stay inside the cone, where F is linear.
     """
     rays = F._rays
     n = len(rays)
     for i in range(n):
         u, w = rays[i], rays[(i + 1) % n]
         if in_sector(u, w, a):
-            while True:
-                m = vec_add(u, w)
-                if m == a:
-                    return u, w
-                if in_sector(u, m, a):
-                    w = m
-                else:
-                    u = m
+            return cone_parents(u, w, cone_runs(u, w, a))
     raise AssertionError("no cone contains %r" % (a,))
 
 

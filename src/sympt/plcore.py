@@ -44,6 +44,43 @@ def vec_neg(v: Vec) -> Vec:
     return (-v[0], -v[1])
 
 
+def cone_runs(u: Vec, v: Vec, w: Vec) -> list[int]:
+    """Stern-Brocot run lengths of w in the unimodular cone (u, v).
+
+    The mediant descent from (u, v) to w first replaces v by the mediant
+    runs[0] times (steps towards u), then u by the mediant runs[1] times,
+    and so on alternately, until w is the mediant of the pair.  The runs are
+    the partial quotients of Euclid's algorithm on the cone coordinates
+    (w ^ v, u ^ w), the last one less one, so they cost O(#quotients)
+    integer operations.  w must be primitive and strictly inside the cone.
+    """
+    if wedge(u, v) != 1:
+        raise ValueError("cone %r, %r is not unimodular" % (u, v))
+    a, b = wedge(w, v), wedge(u, w)
+    if a <= 0 or b <= 0:
+        raise ValueError("%r is not strictly inside cone %r, %r" % (w, u, v))
+    runs = []
+    while b:
+        q, r = divmod(a, b)
+        runs.append(q)
+        a, b = b, r
+    if a != 1:
+        raise ValueError("vector must be primitive: %s" % (w,))
+    runs[-1] -= 1
+    return runs
+
+
+def cone_parents(u: Vec, v: Vec, runs) -> tuple[Vec, Vec]:
+    """The unimodular pair the mediant descent from (u, v) reaches after the
+    given runs (see cone_runs); its mediant is the vector with these runs."""
+    for i, c in enumerate(runs):
+        if i % 2:
+            u = (u[0] + c * v[0], u[1] + c * v[1])
+        else:
+            v = (v[0] + c * u[0], v[1] + c * u[1])
+    return u, v
+
+
 def mat_apply(m: Mat, v: Vec) -> Vec:
     return (m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1])
 

@@ -1,27 +1,36 @@
 """Circle models of the piecewise-linear group.
 
 A piecewise-linear automorphism of the plane permutes primitive integer
-vectors, and the Stern-Brocot walk identifies primitive vectors with dyadic
-points on the circle R/Z.  Under that identification every element of the
-group becomes a piecewise-affine circle homeomorphism whose breakpoints are
-dyadic and whose slopes are powers of two, i.e. an element of Thompson's
-circle group.  This module implements two exact presentations of those circle
-maps and the conversions between all three pictures:
+vectors, and the Stern-Brocot correspondence identifies primitive vectors
+with dyadic points on the circle R/Z.  Under that identification every
+element of the group becomes a piecewise-affine circle homeomorphism whose
+breakpoints are dyadic and whose slopes are powers of two, i.e. an element
+of Thompson's circle group.  This module implements two exact presentations
+of those circle maps and the conversions between all three pictures:
 
 * ``DyadicPL``: the map as a list of (point, image) breakpoint pairs.
 * ``TreePair``: the combinatorial form, a pair of binary trees with a
   rotation offset matching domain leaves to range leaves.
 
 The correspondence sends 0, 1/2, 3/4 to the vectors (1,0), (0,1), (-1,-1)
-and interval midpoints to vector mediants.
+and interval midpoints to vector mediants.  On each base cell [lo, hi) with
+corner rays u, v it is Minkowski's question-mark function: w goes to
+lo + (hi - lo) * ?(b / (a + b)), where (a, b) = (w ^ v, u ^ w) are the cone
+coordinates of w.  Both directions are computed from continued fractions:
+the partial quotients of a / b are the run lengths of the binary digits of
+?(x) (``plcore.cone_runs``), so a conversion costs O(#partial quotients)
+integer operations.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
 
 from .plcore import (
     PLAut,
     Vec,
+    cone_parents,
+    cone_runs,
     from_function,
     generator_pl,
     inverse_pl,
@@ -50,17 +59,17 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
-# Base cells of the correspondence: (left endpoint, right endpoint, left ray,
-# right ray).  Midpoint of a cell corresponds to the mediant of its rays.
+# Base cells of the correspondence: (c, e, left ray, right ray) for the
+# standard dyadic interval [c/2^e, (c+1)/2^e).  Midpoint of a cell
+# corresponds to the mediant of its rays.
 _BASE_CELLS = (
-    (_ZERO, _HALF, (1, 0), (0, 1)),
-    (_HALF, Fraction(3, 4), (0, 1), (-1, -1)),
-    (Fraction(3, 4), _ONE, (-1, -1), (1, 0)),
+    (0, 1, (1, 0), (0, 1)),
+    (2, 2, (0, 1), (-1, -1)),
+    (3, 2, (-1, -1), (1, 0)),
 )
 
-_ANCHOR_T = (_ZERO, _HALF, Fraction(3, 4))
+_ANCHOR_T = (_ZERO, Fraction(1, 2), Fraction(3, 4))
 _ANCHOR_VECS = ((1, 0), (0, 1), (-1, -1))
 
 _MAX_DEPTH = 4096
@@ -68,6 +77,19 @@ _MAX_DEPTH = 4096
 
 def _mod1(t: Fraction) -> Fraction:
     return t % 1
+
+
+def _exact(t) -> Fraction:
+    """t as a Fraction.  Floats are refused: every float is a dyadic
+    rational, so 0.1 would silently become a 55-bit dyadic."""
+    if isinstance(t, float):
+        raise ValueError("circle points must be exact, got float %r" % (t,))
+    return Fraction(t)
+
+
+def _twos(n: int) -> int:
+    """Exponent of 2 in a nonzero integer."""
+    return (n & -n).bit_length() - 1
 
 
 def _is_dyadic(t: Fraction) -> bool:
@@ -84,163 +106,208 @@ def _dyadic_pair(t: Fraction):
 
 def _from_dyadic_pair(pair) -> Fraction:
     num, log2den = pair
+    for x in (num, log2den):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError("dyadic pair entries must be integers, got %r"
+                             % (x,))
     if log2den < 0:
         raise ValueError("negative denominator exponent")
-    return Fraction(int(num), 2 ** int(log2den))
+    return Fraction(num, 1 << log2den)
 
 
 def dyadic_to_vector(t) -> Vec:
     """Primitive integer vector corresponding to a dyadic circle point."""
-    t = _mod1(Fraction(t))
-    if not _is_dyadic(t):
-        raise ValueError("not a dyadic rational: %s" % (t,))
-    for lo, hi, u, v in _BASE_CELLS:
-        if lo <= t < hi:
-            break
-    for _ in range(_MAX_DEPTH):
-        if t == lo:
-            return u
-        mid = (lo + hi) / 2
-        m = vec_add(u, v)
-        if t == mid:
-            return m
-        if t < mid:
-            hi, v = mid, m
-        else:
-            lo, u = mid, m
-    raise RuntimeError("dyadic walk did not terminate")
+    n, k = _dyadic_pair(_mod1(_exact(t)))
+    if k < 2:
+        n, k = n << (2 - k), 2
+    c, e, u, v = _BASE_CELLS[max(0, (n >> (k - 2)) - 1)]
+    # t = lo + (hi - lo) * x with x = rel / 2^k in [0, 1)
+    rel, k = n - (c << (k - e)), k - e
+    if not rel:
+        return u
+    z = _twos(rel)
+    rel, k = rel >> z, k - z
+    # x = ?(b / (a + b)) has binary digits 0^r0 1^r1 0^r2 ... and then a
+    # final 1, where r0, r1, ... are the runs of the descent to the vector
+    digits = format(rel >> 1, "0%db" % (k - 1)) if k > 1 else ""
+    runs = []
+    pos, digit = 0, "1"
+    while pos < len(digits):
+        end = digits.find(digit, pos)
+        if end < 0:
+            end = len(digits)
+        runs.append(end - pos)
+        pos, digit = end, "0" if digit == "1" else "1"
+    return vec_add(*cone_parents(u, v, runs))
 
 
 def vector_to_dyadic(w: Vec) -> Fraction:
     """Dyadic circle point corresponding to a primitive integer vector."""
     if primitive(w) != w:
         raise ValueError("vector must be primitive: %s" % (w,))
-    for lo, hi, u, v in _BASE_CELLS:
+    for c, e, u, v in _BASE_CELLS:
         if w == u:
-            return lo
+            return Fraction(c, 1 << e)
         if wedge(u, w) > 0 and wedge(w, v) > 0:
             break
     else:
         raise ValueError("vector not located in any base cell: %s" % (w,))
-    for _ in range(_MAX_DEPTH):
-        mid = (lo + hi) / 2
-        m = vec_add(u, v)
-        if w == m:
-            return mid
-        if wedge(u, w) > 0 and wedge(w, m) > 0:
-            hi, v = mid, m
-        else:
-            lo, u = mid, m
-    raise RuntimeError("mediant walk did not terminate")
-
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and n & (n - 1) == 0
+    # t = lo + (hi - lo) * ?(x); the binary digits of ?(x) are the runs of
+    # the descent to w, alternately 0s and 1s, and then a final 1
+    digits = "".join("01"[i % 2] * r
+                     for i, r in enumerate(cone_runs(u, v, w))) + "1"
+    k = len(digits)
+    return Fraction((c << k) + int(digits, 2), 1 << (e + k))
 
 
 class DyadicPL:
     """Orientation-preserving circle map, affine between dyadic breakpoints.
 
-    Stored as ``points``, a tuple of (t, f(t)) pairs with strictly increasing
+    Given by ``points``, a tuple of (t, f(t)) pairs with strictly increasing
     dyadic t in [0,1), holding only genuine slope-change points.  A rigid
-    rotation is stored as the single pair ((0, c),).  Slopes are validated to
-    be powers of two and the map to be a degree-one circle bijection.
+    rotation is the single pair ((0, c),).  Slopes are validated to be powers
+    of two and the map to be a degree-one circle bijection.
+
+    The points are stored as integers over 2**_exp, their least common
+    denominator: ``_ts`` the abscissae, ``_ys`` their images and ``_shifts``
+    the slope exponent of the piece starting at each.  Evaluation finds the
+    piece by bisection and applies the slope as a shift.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("_exp", "_ts", "_ys", "_shifts")
 
     def __init__(self, points):
         pts = []
         for t, y in points:
-            t, y = _mod1(Fraction(t)), _mod1(Fraction(y))
+            t, y = _exact(t), _exact(y)
             if not _is_dyadic(t) or not _is_dyadic(y):
-                raise ValueError("breakpoint not dyadic: (%s, %s)" % (t, y))
+                raise ValueError("breakpoint not dyadic: (%s, %s)"
+                                 % (_mod1(t), _mod1(y)))
             pts.append((t, y))
         if not pts:
             raise ValueError("need at least one breakpoint")
-        pts.sort()
-        for (t1, _), (t2, _) in zip(pts, pts[1:]):
+        exp = max(x.denominator.bit_length() - 1 for pt in pts for x in pt)
+        mask = (1 << exp) - 1
+        self._set(exp, [
+            tuple(x.numerator << (exp + 1 - x.denominator.bit_length()) & mask
+                  for x in pt)
+            for pt in pts])
+
+    @classmethod
+    def _from_ints(cls, exp, pairs) -> "DyadicPL":
+        """The map through the points (t/2^exp, y/2^exp) of the int pairs."""
+        self = object.__new__(cls)
+        self._set(exp, pairs)
+        return self
+
+    def _set(self, exp, pairs):
+        """Validate integer pairs over 2**exp and store the canonical form."""
+        one = 1 << exp
+        pairs.sort()
+        n = len(pairs)
+        for (t1, _), (t2, _) in zip(pairs, pairs[1:]):
             if t1 == t2:
-                raise ValueError("repeated breakpoint at t=%s" % (t1,))
-        if len(pts) == 1:
-            t0, y0 = pts[0]
-            object.__setattr__(self, "points", ((_ZERO, _mod1(y0 - t0)),))
-            return
-        n = len(pts)
-        slopes = []
-        total = _ZERO
-        for i in range(n):
-            t1, y1 = pts[i]
-            t2, y2 = pts[(i + 1) % n]
-            dt = _mod1(t2 - t1)
-            dy = _mod1(y2 - y1)
-            if dy == 0:
-                raise ValueError("map is not injective near t=%s" % (t1,))
-            s = dy / dt
-            if not (_is_pow2(s.numerator) and _is_pow2(s.denominator)):
-                raise ValueError("slope %s is not a power of two" % (s,))
-            slopes.append(s)
-            total += dy
-        if total != 1:
-            raise ValueError("total winding is %s, expected 1" % (total,))
-        keep = [
-            pts[i]
-            for i in range(n)
-            if slopes[i] != slopes[(i - 1) % n]
-        ]
+                raise ValueError(
+                    "repeated breakpoint at t=%s" % (Fraction(t1, one),))
+        keep = []
+        if n > 1:
+            shifts = []
+            total = 0
+            for i in range(n):
+                t1, y1 = pairs[i]
+                t2, y2 = pairs[(i + 1) % n]
+                dt = (t2 - t1) % one
+                dy = (y2 - y1) % one
+                if dy == 0:
+                    raise ValueError("map is not injective near t=%s"
+                                     % (Fraction(t1, one),))
+                zt, zy = _twos(dt), _twos(dy)
+                if dt >> zt != dy >> zy:
+                    raise ValueError("slope %s is not a power of two"
+                                     % (Fraction(dy, dt),))
+                shifts.append(zy - zt)
+                total += dy
+            if total != one:
+                raise ValueError("total winding is %s, expected 1"
+                                 % (Fraction(total, one),))
+            keep = [(t, y, s) for (t, y), s, before
+                    in zip(pairs, shifts, shifts[-1:] + shifts[:-1])
+                    if s != before]
         if not keep:
-            t0, y0 = pts[0]
-            keep = [(_ZERO, _mod1(y0 - t0))]
-        object.__setattr__(self, "points", tuple(keep))
+            t0, y0 = pairs[0]
+            keep = [(0, (y0 - t0) % one, 0)]
+        low = max([exp - _twos(x) for t, y, _ in keep for x in (t, y) if x],
+                  default=0)
+        set_ = object.__setattr__
+        set_(self, "_exp", low)
+        set_(self, "_ts", tuple(t >> (exp - low) for t, _, _ in keep))
+        set_(self, "_ys", tuple(y >> (exp - low) for _, y, _ in keep))
+        set_(self, "_shifts", tuple(s for _, _, s in keep))
 
     def __setattr__(self, name, value):
         raise AttributeError("DyadicPL is immutable")
 
     @property
+    def points(self):
+        """(t, f(t)) Fraction pairs by increasing t."""
+        den = 1 << self._exp
+        return tuple((Fraction(t, den), Fraction(y, den))
+                     for t, y in zip(self._ts, self._ys))
+
+    @property
     def is_rotation(self) -> bool:
-        return len(self.points) == 1
+        return len(self._ts) == 1
 
     @property
     def breakpoints(self):
         """Slope-change points; empty for a rotation."""
         if self.is_rotation:
             return ()
-        return tuple(t for t, _ in self.points)
+        return tuple(Fraction(t, 1 << self._exp) for t in self._ts)
 
     def is_identity(self) -> bool:
-        return self.points == ((_ZERO, _ZERO),)
+        return self._ts == self._ys == (0,)
 
     def __call__(self, t) -> Fraction:
-        t = _mod1(Fraction(t))
-        pts = self.points
-        if len(pts) == 1:
-            return _mod1(t + pts[0][1])
-        n = len(pts)
-        i = n - 1
-        for j in range(n):
-            if pts[j][0] <= t:
-                i = j
-            else:
-                break
-        if t < pts[0][0]:
-            i = n - 1
-        t1, y1 = pts[i]
-        t2, y2 = pts[(i + 1) % n]
-        slope = _mod1(y2 - y1) / _mod1(t2 - t1)
-        return _mod1(y1 + slope * _mod1(t - t1))
+        t = _exact(t)
+        return Fraction(*self._image(t.numerator % t.denominator,
+                                     t.denominator))
+
+    def _image(self, n, d):
+        """Image of n/d in [0, 1) as an unreduced fraction (y, den)."""
+        exp = self._exp
+        # den is a common denominator of n/d and the points, unit = den/2^exp
+        k = max(0, exp - _twos(d))
+        den, x = d << k, n << k
+        unit = den >> exp
+        i = bisect_right(self._ts, x // unit) - 1
+        dt = x - self._ts[i] * unit
+        if dt < 0:
+            # before the first breakpoint: on the last piece, across 0
+            dt += den
+        y = self._ys[i] * unit
+        s = self._shifts[i]
+        if s >= 0:
+            y += dt << s
+        else:
+            y = (y << -s) + dt
+            den <<= -s
+        if y >= den:
+            y -= den
+        return y, den
 
     def __eq__(self, other):
         if not isinstance(other, DyadicPL):
             return NotImplemented
-        return self.points == other.points
+        return (self._exp, self._ts, self._ys) == (
+            other._exp, other._ts, other._ys)
 
     def __hash__(self):
-        return hash(("DyadicPL", self.points))
+        return hash(("DyadicPL", self._exp, self._ts, self._ys))
 
     def __invert__(self) -> "DyadicPL":
-        if self.is_rotation:
-            return DyadicPL([(_ZERO, -self.points[0][1])])
-        return DyadicPL([(y, t) for t, y in self.points])
+        return DyadicPL._from_ints(
+            self._exp, [(y, t) for t, y in zip(self._ts, self._ys)])
 
     def __mul__(self, other) -> "DyadicPL":
         if not isinstance(other, DyadicPL):
@@ -273,13 +340,23 @@ def dyadic_identity() -> DyadicPL:
 
 def dyadic_compose(f: DyadicPL, g: DyadicPL) -> DyadicPL:
     """Composite f(g(t)); breakpoints of g joined with g-preimages of f's."""
-    ginv = ~g
-    cand = set(g.breakpoints)
-    for b in f.breakpoints:
-        cand.add(ginv(b))
+    # candidate breakpoints as (numerator, power-of-two denominator)
+    cand = []
+    if not g.is_rotation:
+        cand += [(t, 1 << g._exp) for t in g._ts]
+    if not f.is_rotation:
+        ginv = ~g
+        cand += [ginv._image(b, 1 << f._exp) for b in f._ts]
     if not cand:
-        cand.add(_ZERO)
-    return DyadicPL([(t, f(g(t))) for t in cand])
+        cand = [(0, 1)]
+    den = max(d for _, d in cand)
+    images = []
+    for t in {n * (den // d) for n, d in cand}:
+        y, dy = f._image(*g._image(t, den))
+        images.append((t, y, dy))
+    top = max(den, max(dy for _, _, dy in images))
+    return DyadicPL._from_ints(top.bit_length() - 1, [
+        (t * (top // den), y * (top // dy)) for t, y, dy in images])
 
 
 def _nleaves(tree) -> int:
@@ -547,23 +624,26 @@ def _required_rays(f: PLAut):
 
 
 def _refined_cells(required):
-    """Mediant-refine the base cells until required rays are endpoints."""
+    """Mediant-refine the base cells until required rays are endpoints.
+
+    Rays come out counterclockwise: a cone is split at its mediant while a
+    required ray lies strictly inside, and the halves are visited in order
+    from an explicit stack, since a descent can be thousands of steps deep.
+    """
     rays = []
-
-    def split(u, v):
-        inside = [
-            s for s in required if wedge(u, s) > 0 and wedge(s, v) > 0
-        ]
-        if not inside:
-            return
-        m = primitive(vec_add(u, v))
-        split(u, m)
-        rays.append(m)
-        split(m, v)
-
     for _, _, u, v in _BASE_CELLS:
-        rays.append(u)
-        split(u, v)
+        # entries: (ray, None) emits a ray, (u, v, inside) splits a cone
+        stack = [(u, v, required), (u, None)]
+        while stack:
+            entry = stack.pop()
+            if entry[1] is None:
+                rays.append(entry[0])
+                continue
+            a, b, req = entry
+            inside = [s for s in req if wedge(a, s) > 0 and wedge(s, b) > 0]
+            if inside:
+                m = vec_add(a, b)
+                stack += [(m, b, inside), (m, None), (a, m, inside)]
     return rays
 
 

@@ -221,8 +221,23 @@ def test_convert_same_model_is_plain_eval():
         words.evaluate("I", "tree")
 
 
-def test_convert_recursion_error_is_json():
+def test_convert_large_power_to_dyadic():
+    # U^5000 is 5000 mediant steps deep; the conversion must not recurse
     code, rep = run_json(["convert", "--word", "U^5000", "--to", "dyadic"])
+    assert code == 0
+    d = thompson.DyadicPL.from_json(rep["element"])
+    u = plcore.linear_pl((1, 5000, 0, 1))
+    for v in ((1, 0), (-3, 1), (2, -7)):
+        assert d(thompson.vector_to_dyadic(v)) == (
+            thompson.vector_to_dyadic(u(v)))
+
+
+def test_convert_recursion_error_is_json(monkeypatch):
+    def too_deep(value):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(thompson, "plaut_to_dyadic", too_deep)
+    code, rep = run_json(["convert", "--word", "P", "--to", "dyadic"])
     assert code == 2
     assert "recursion" in rep["error"]
 

@@ -15,19 +15,24 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench" / "expected" / "cli.json"
 
 # Runs argv lists from stdin through cli.main in one interpreter; prints,
-# per call, stdout, exit code and whether sympy was loaded afterwards.
+# per call, stdout, exit code and the sympt and sympy modules loaded by then.
 _SCRIPT = """
 import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("sympt", "sympy"))
 import sympt.cli
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("sympt", "sympy"))
+at_import = loaded()
 calls = []
 for argv in json.load(sys.stdin):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = sympt.cli.main(argv)
-    calls.append([buf.getvalue(), code, "sympy" in sys.modules])
-print(json.dumps({"loaded": loaded, "calls": calls}))
+    calls.append([buf.getvalue(), code, loaded()])
+print(json.dumps({"loaded": at_import, "calls": calls}))
 """
+
+CLI_MODULES = ["sympt", "sympt.cli", "sympt.plcore", "sympt.words"]
 
 
 def _fresh_run(argvs):
@@ -45,8 +50,17 @@ def test_only_symbolic_composition_loads_sympy():
     names = sorted(corpus, key=lambda n: corpus[n]["argv"][0] == "trop")
     assert corpus[names[-1]]["argv"] == ["trop", "--word", "P"]
     run = _fresh_run([corpus[n]["argv"] for n in names])
-    assert run["loaded"] == ["sympt", "sympt.cli", "sympt.plcore",
-                             "sympt.words"]
-    for name, (out, code, sympy_loaded) in zip(names, run["calls"]):
+    assert run["loaded"] == CLI_MODULES
+    for name, (out, code, modules) in zip(names, run["calls"]):
         assert (out, code) == (corpus[name]["stdout"], corpus[name]["exit"])
-        assert sympy_loaded == (name == "trop"), name
+        assert ("sympy" in modules) == (name == "trop"), name
+
+
+def test_dyadic_convert_loads_only_the_circle_models():
+    corpus = json.loads(BENCH.read_text())
+    argv = corpus["convert.dyadic"]["argv"]
+    assert argv == ["convert", "--word", "P C", "--to", "dyadic"]
+    [(out, code, modules)] = _fresh_run([argv])["calls"]
+    assert (out, code) == (corpus["convert.dyadic"]["stdout"],
+                           corpus["convert.dyadic"]["exit"])
+    assert modules == sorted(CLI_MODULES + ["sympt.thompson"])

@@ -140,6 +140,22 @@ def test_index_shift_independence():
         assert len(vals) == 1
 
 
+def test_unimodular_companions_stay_in_the_cone():
+    rng = random.Random(59)
+    for _ in range(40):
+        F = rand_breakfn(rng)
+        for _ in range(10):
+            a = primitive((rng.randint(-10**6, 10**6),
+                           rng.randint(-10**6, 10**6) or 1))
+            if a in F._rays:
+                continue
+            u, w = picard._unimodular_companions(F, a)
+            assert (u[0] + w[0], u[1] + w[1]) == a
+            assert wedge(u, a) == wedge(a, w) == 1
+            # u and w lie in the cone of a, where F is linear
+            assert F(u) + F(w) == F(a)
+
+
 def test_breakfn_equality_mod_linear():
     A = ample_A()
     # add the linear function x - 2y: same class

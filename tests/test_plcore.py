@@ -2,6 +2,7 @@
 canonical forms, fans and serialization."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,8 @@ from sympt.plcore import (
     PLAut,
     chain_fan,
     compose_pl,
+    cone_parents,
+    cone_runs,
     from_function,
     generator_pl,
     identity_pl,
@@ -17,6 +20,7 @@ from sympt.plcore import (
     is_prime,
     linear_pl,
     mat_apply,
+    mat_mul,
     order_pl,
     primitive,
     wedge,
@@ -300,6 +304,53 @@ def test_subdivide_requires_transversal_cone():
     fan = Fan(((1, 0), (-1, 2), (-1, -2)))
     with pytest.raises(ValueError):
         fan.subdivide(0)  # mediant (0,2) is imprimitive
+
+
+def random_unimodular_cone(rng):
+    m = (1, 0, 0, 1)
+    for _ in range(rng.randint(0, 12)):
+        m = mat_mul(m, rng.choice(
+            [(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (0, -1, 1, 0)]))
+    return mat_apply(m, (1, 0)), mat_apply(m, (0, 1))
+
+
+def mediant_descent(u, v, w):
+    """Reference: the pair whose mediant is w, one mediant step at a time."""
+    while (u[0] + v[0], u[1] + v[1]) != w:
+        m = (u[0] + v[0], u[1] + v[1])
+        if wedge(m, w) > 0:
+            u = m
+        else:
+            v = m
+    return u, v
+
+
+def test_cone_descent_gives_unimodular_companions():
+    rng = random.Random(53)
+    for trial in range(600):
+        u, v = random_unimodular_cone(rng)
+        top = 40 if trial % 2 else 10**12
+        p, q = 0, 0
+        while gcd(p, q) != 1:
+            p, q = rng.randint(1, top), rng.randint(1, top)
+        a = (p * u[0] + q * v[0], p * u[1] + q * v[1])
+        left, right = cone_parents(u, v, cone_runs(u, v, a))
+        assert (left[0] + right[0], left[1] + right[1]) == a
+        assert wedge(left, a) == wedge(a, right) == 1
+        assert wedge(u, left) >= 0 and wedge(right, v) >= 0
+        if top == 40:
+            assert (left, right) == mediant_descent(u, v, a)
+
+
+def test_cone_runs_rejects_bad_input():
+    with pytest.raises(ValueError):
+        cone_runs((1, 0), (1, 2), (1, 1))  # cone not unimodular
+    with pytest.raises(ValueError):
+        cone_runs((1, 0), (0, 1), (-1, 1))  # outside the cone
+    with pytest.raises(ValueError):
+        cone_runs((1, 0), (0, 1), (1, 0))  # on its boundary
+    with pytest.raises(ValueError):
+        cone_runs((1, 0), (0, 1), (2, 4))  # not primitive
 
 
 # ---------------------------------------------------------------------------

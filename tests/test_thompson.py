@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from sympt.plcore import generator_pl, identity_pl, inverse_pl, order_pl
+from sympt.plcore import (generator_pl, identity_pl, inverse_pl, order_pl,
+                          primitive, wedge)
 from sympt.thompson import (
     DyadicPL,
     TreePair,
@@ -70,6 +71,139 @@ def test_walk_rejects_bad_input():
         dyadic_to_vector(F(1, 3))
     with pytest.raises(ValueError):
         vector_to_dyadic((2, 4))
+
+
+# The mediant walks the closed form replaced, kept as the reference.
+_CELLS = (
+    (F(0), F(1, 2), (1, 0), (0, 1)),
+    (F(1, 2), F(3, 4), (0, 1), (-1, -1)),
+    (F(3, 4), F(1), (-1, -1), (1, 0)),
+)
+
+
+def walk_dyadic_to_vector(t):
+    t = t % 1
+    for lo, hi, u, v in _CELLS:
+        if lo <= t < hi:
+            break
+    while True:
+        if t == lo:
+            return u
+        mid = (lo + hi) / 2
+        m = (u[0] + v[0], u[1] + v[1])
+        if t == mid:
+            return m
+        if t < mid:
+            hi, v = mid, m
+        else:
+            lo, u = mid, m
+
+
+def walk_vector_to_dyadic(w):
+    for lo, hi, u, v in _CELLS:
+        if w == u:
+            return lo
+        if wedge(u, w) > 0 and wedge(w, v) > 0:
+            break
+    while True:
+        mid = (lo + hi) / 2
+        m = (u[0] + v[0], u[1] + v[1])
+        if w == m:
+            return mid
+        if wedge(u, w) > 0 and wedge(w, m) > 0:
+            hi, v = mid, m
+        else:
+            lo, u = mid, m
+
+
+def random_primitive(rng, top):
+    while True:
+        w = (rng.randint(-top, top), rng.randint(-top, top))
+        if w != (0, 0) and primitive(w) == w:
+            return w
+
+
+def test_walk_agrees_with_mediant_walk():
+    rng = random.Random(61)
+    extremes = [(300, 1), (1, 300), (-300, 1), (1, -300), (-300, -299),
+                (299, -300), (300, 299), (-1, 300)]
+    for w in extremes + [random_primitive(rng, 300) for _ in range(1500)]:
+        t = vector_to_dyadic(w)
+        assert t == walk_vector_to_dyadic(w)
+        assert dyadic_to_vector(t) == walk_dyadic_to_vector(t) == w
+
+
+def test_walk_round_trips_large_vectors():
+    rng = random.Random(67)
+    for _ in range(2000):
+        w = random_primitive(rng, 10**12)
+        assert dyadic_to_vector(vector_to_dyadic(w)) == w
+    # n - 1 mediant steps deep, past the old depth cap of 4096
+    for n in [2, 3, 4096, 5000, 99999, 100000] + rng.sample(
+            range(2, 100000), 4):
+        for w in ((n, 1), (-n, 1), (1, -n)):
+            assert dyadic_to_vector(vector_to_dyadic(w)) == w
+    assert vector_to_dyadic((5000, 1)) == F(1, 2**5001)
+
+
+def test_walk_round_trips_long_dyadics():
+    rng = random.Random(71)
+    for _ in range(1000):
+        k = rng.randint(0, 300)
+        t = F(rng.randrange(2**k), 2**k)
+        assert vector_to_dyadic(dyadic_to_vector(t)) == t
+        assert dyadic_to_vector(t + rng.randint(-2, 2)) == (
+            dyadic_to_vector(t))
+
+
+def scan_evaluate(d, t):
+    """Reference: find the piece of d holding t by a linear scan."""
+    t = t % 1
+    pts = d.points
+    if len(pts) == 1:
+        return (t + pts[0][1]) % 1
+    n = len(pts)
+    i = n - 1
+    for j in range(n):
+        if pts[j][0] <= t:
+            i = j
+    t1, y1 = pts[i]
+    t2, y2 = pts[(i + 1) % n]
+    slope = ((y2 - y1) % 1) / ((t2 - t1) % 1)
+    return (y1 + slope * ((t - t1) % 1)) % 1
+
+
+def test_bisect_evaluation_matches_linear_scan():
+    rng = random.Random(73)
+    letters = ("P", "C", "I", "U", "mu", "L")
+    maps = [DyadicPL([(F(0), F(c, 16))]) for c in range(16)]
+    maps += [evaluate(" ".join(rng.choice(letters)
+                               for _ in range(rng.randint(1, 40))), "dyadic")
+             for _ in range(60)]
+    for d in maps:
+        pts = d.points
+        probes = [t for t, _ in pts] + [pts[0][0] / 2, F(0), F(1, 3)]
+        probes += [(t + F(1, 2**40)) % 1 for t, _ in pts]
+        probes += [(t - F(1, 2**40)) % 1 for t, _ in pts]
+        for _ in range(20):
+            k = rng.randint(0, 60)
+            probes.append(F(rng.randrange(2**k), 2**k) + rng.randint(-2, 2))
+        for t in probes:
+            assert d(t) == scan_evaluate(d, t), (d, t)
+
+
+def test_float_points_are_refused():
+    # every float is a dyadic rational, so it would be taken silently
+    with pytest.raises(ValueError):
+        dyadic_to_vector(0.1)
+    with pytest.raises(ValueError):
+        DyadicPL([(0.5, F(0))])
+    with pytest.raises(ValueError):
+        plaut_to_dyadic(generator_pl("P"))(0.25)
+    for pair in ([[1.5, 2], [3, 2]], [[1, 2], [3.9, 2]], [[1, 2.0], [3, 2]],
+                 [[True, 1], [0, 0]], [["1", 2], [3, 2]]):
+        with pytest.raises(ValueError):
+            DyadicPL.from_json({"breakpoints": [pair]})
 
 
 def test_dyadic_validation():
