@@ -304,6 +304,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # results are exact, so an integer of any length is printed in full
+    sys.set_int_max_str_digits(0)
     args = _parser().parse_args(argv)
     try:
         payload, code = args.func(args)

@@ -18,15 +18,32 @@ matrices, which satisfy the commutation rule on the nose:
     clock = diag(1, q, ..., q^{N-1}),   shift e_i = e_{i+1 mod N}
     clock . shift = q . shift . clock
 
-Substituting is then plain matrix arithmetic mod p.  Each substitution
-preserves the commutation rule exactly (an algebraic identity, re-checked by
-the tests), so a relation word can be probed by applying it to random
-nonsingular pairs and comparing with the input.
+Each substitution preserves the commutation rule exactly (an algebraic
+identity, re-checked by the tests), so a relation word can be probed by
+applying it to random nonsingular pairs and comparing with the input.
 
-A substitution can hit a singular matrix (P needs det(1 + y) != 0, its
-inverse det(1 + x) != 0); callers resample the scalar factors and retry.
-Odd N keeps 1 + shift invertible at the start, but after a few steps
-singularity depends on the scalars, hence the retry loop.
+A word is applied by one kernel, `apply_word`, which carries X, X^-1, Y and
+Y^-1 through the word, each as a scalar times a matrix, so every factor q
+or q^-1 costs one modular multiply.  I and I^-1 only relabel the four, C
+and C^-1 take two matrix products, and P (P^-1) takes one product and one
+Gauss-Jordan solve against 1 + y (1 + x).  A missing pivot in that solve
+means det(1 + y) = 0: the substitution is singular, and callers resample
+the scalar factors and retry.  Odd N keeps 1 + shift invertible at the
+start, but after a few steps singularity depends on the scalars, hence the
+retry loop.  The inverses of the input pair are computed only when a letter
+first needs them, so a letter that inverts neither member answers even on
+a singular pair.
+
+At q of exact order N with N odd, X^N and Y^N are central, and the
+q-binomial theorem ((u + v)^N = u^N + v^N when v u = q u v) gives
+
+    P:    (X^N, Y^N) -> (Y^N, X^{-N} (1 + Y^N))
+    P^-1: (X^N, Y^N) -> ((1 + X^N) Y^{-N}, X^N)
+
+and C, I likewise move (X^N, Y^N) by their commutative maps.  On a
+clock/shift pair X^N and Y^N are scalars, so the N-th powers of a word's
+output are the commutative word applied to (lx^N, ly^N) mod p: an exact
+link between this model and the birational one, checked by the tests.
 """
 
 from __future__ import annotations
@@ -34,6 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .plcore import is_prime
 
@@ -50,64 +68,47 @@ class SingularSubstitution(ValueError):
 # dense matrix arithmetic over F_p (N <= 7, so no need for numpy)
 
 def _mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) % p for cb in bt)
-        for ra in a)
-
-
-def _mat_add(a: Matrix, b: Matrix, p: int) -> Matrix:
-    return tuple(tuple((x + y) % p for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
+    return tuple(tuple(sum(map(mul, ra, cb)) % p for cb in bt) for ra in a)
 
 
 def _mat_scale(c: int, a: Matrix, p: int) -> Matrix:
     return tuple(tuple((c * x) % p for x in row) for row in a)
 
 
-def _mat_eye(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n))
-                 for i in range(n))
+def _one_plus(c: int, a: Matrix, p: int) -> Matrix:
+    """1 + c * a mod p."""
+    return tuple(tuple((c * x + (i == j)) % p for j, x in enumerate(row))
+                 for i, row in enumerate(a))
 
 
-def _mat_inv(a: Matrix, p: int) -> Matrix:
-    """Gauss-Jordan inverse mod p; SingularSubstitution if det = 0."""
+def _solve(a: Matrix, b: Matrix, p: int) -> Matrix:
+    """a^-1 b mod p by Gauss-Jordan on [a | b].
+
+    A column with no pivot is the singularity test: it is met exactly when
+    det(a) = 0 mod p, and raises SingularSubstitution.
+    """
     n = len(a)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(a)]
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] % p), None)
         if pivot is None:
             raise SingularSubstitution("singular substitution")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = pow(aug[col][col], -1, p)
-        aug[col] = [v * inv % p for v in aug[col]]
+        top = aug[col] = [v * inv % p for v in aug[col]]
         for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(v - f * w) % p for v, w in zip(aug[r], aug[col])]
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [(v - f * w) % p for v, w in zip(aug[r], top)]
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def _mat_det(a: Matrix, p: int) -> int:
+def _mat_inv(a: Matrix, p: int) -> Matrix:
+    """Inverse mod p; SingularSubstitution if det = 0."""
     n = len(a)
-    m = [list(row) for row in a]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv % p
-                m[r] = [(v - f * w) % p for v, w in zip(m[r], m[col])]
-    return det % p
+    return _solve(a, tuple(tuple(int(i == j) for j in range(n))
+                           for i in range(n)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +223,12 @@ def commutes_q(pair: QPair, cfg: QConfig) -> bool:
 
 
 def pair_valid(pair: QPair, cfg: QConfig) -> bool:
-    return (_mat_det(pair.X, cfg.p) != 0 and _mat_det(pair.Y, cfg.p) != 0
-            and commutes_q(pair, cfg))
+    try:
+        _mat_inv(pair.X, cfg.p)
+        _mat_inv(pair.Y, cfg.p)
+    except SingularSubstitution:
+        return False
+    return commutes_q(pair, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -232,45 +237,72 @@ def pair_valid(pair: QPair, cfg: QConfig) -> bool:
 def q_apply(name: str, pair: QPair, cfg: QConfig) -> QPair:
     """Apply one of P, C, I; SingularSubstitution when an inverse or the
     new pair member does not exist."""
-    p, q = cfg.p, cfg.q
-    x, y = pair.X, pair.Y
-    if name == "P":
-        one_plus_y = _mat_add(_mat_eye(cfg.N), y, p)
-        if _mat_det(one_plus_y, p) == 0:
-            raise SingularSubstitution("singular substitution")
-        return QPair(y, _mat_scale(q, _mat_mul(_mat_inv(x, p), one_plus_y, p), p))
-    if name == "C":
-        xinv = _mat_inv(x, p)
-        return QPair(_mat_scale(q, _mat_mul(xinv, y, p), p),
-                     _mat_scale(q, xinv, p))
-    if name == "I":
-        return QPair(_mat_scale(q, _mat_inv(y, p), p), x)
-    raise ValueError("unknown generator %r (expected P, C or I)" % name)
+    return apply_word(((name, 1),), pair, cfg)
 
 
 def q_apply_inverse(name: str, pair: QPair, cfg: QConfig) -> QPair:
-    p, q = cfg.p, cfg.q
-    x, y = pair.X, pair.Y
-    if name == "P":
-        one_plus_x = _mat_add(_mat_eye(cfg.N), x, p)
-        if _mat_det(one_plus_x, p) == 0:
-            raise SingularSubstitution("singular substitution")
-        return QPair(_mat_scale(q, _mat_mul(one_plus_x, _mat_inv(y, p), p), p), x)
-    if name == "C":
-        yinv = _mat_inv(y, p)
-        return QPair(_mat_scale(q, yinv, p), _mat_mul(yinv, x, p))
-    if name == "I":
-        return QPair(y, _mat_scale(q, _mat_inv(x, p), p))
-    raise ValueError("unknown generator %r (expected P, C or I)" % name)
+    return apply_word(((name, -1),), pair, cfg)
 
 
 def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
-    """Apply a word over {P, C, I}, rightmost factor first."""
+    """Apply a word over {P, C, I}, rightmost factor first.
+
+    X, X^-1, Y and Y^-1 are carried through the word, each as a pair
+    (c, M) standing for c * M mod p, so a factor q or q^-1 costs one
+    modular multiply.  An inverse of the input pair is None until a letter
+    needs it; then it is computed, which raises SingularSubstitution
+    exactly where the letter-by-letter maps would.
+    """
+    p, q = cfg.p, cfg.q
+    qi = pow(q, -1, p)
+
+    def inv(a):
+        return pow(a[0], -1, p), _mat_inv(a[1], p)
+
+    def scale(c, a):
+        return c * a[0] % p, a[1]
+
+    def prod(c, a, b):
+        return c * a[0] * b[0] % p, _mat_mul(a[1], b[1], p)
+
+    x, y = (1, pair.X), (1, pair.Y)
+    xi = yi = None
     for sym, exp in reversed(tuple(word)):
-        step = q_apply if exp > 0 else q_apply_inverse
         for _ in range(abs(exp)):
-            pair = step(sym, pair, cfg)
-    return pair
+            if sym == "I" and exp > 0:    # (x, y) -> (q y^-1, x)
+                yi = yi or inv(y)
+                x, xi, y, yi = scale(q, yi), scale(qi, y), x, xi
+            elif sym == "I":              # (x, y) -> (y, q x^-1)
+                xi = xi or inv(x)
+                x, xi, y, yi = y, yi, scale(q, xi), scale(qi, x)
+            elif sym == "C" and exp > 0:  # (x, y) -> (q x^-1 y, q x^-1)
+                xi = xi or inv(x)
+                x, xi, y, yi = (prod(q, xi, y), yi and prod(qi, yi, x),
+                                scale(q, xi), scale(qi, x))
+            elif sym == "C":              # (x, y) -> (q y^-1, y^-1 x)
+                yi = yi or inv(y)
+                x, xi, y, yi = (scale(q, yi), scale(qi, y),
+                                prod(1, yi, x), xi and prod(1, xi, y))
+            elif sym == "P" and exp > 0:  # (x, y) -> (y, q x^-1 (1 + y))
+                one_y = _one_plus(y[0], y[1], p)
+                # (1 + y)^-1 x; a failed pivot means det(1 + y) = 0
+                solved = _solve(one_y, x[1], p)
+                xi = xi or inv(x)
+                x, xi, y, yi = (y, yi,
+                                (q * xi[0] % p, _mat_mul(xi[1], one_y, p)),
+                                (qi * x[0] % p, solved))
+            elif sym == "P":              # (x, y) -> (q (1 + x) y^-1, x)
+                one_x = _one_plus(x[0], x[1], p)
+                # y (1 + x)^-1 = ((1 + x)^T^-1 y^T)^T
+                solved = tuple(zip(*_solve(tuple(zip(*one_x)),
+                                           tuple(zip(*y[1])), p)))
+                yi = yi or inv(y)
+                x, xi, y, yi = ((q * yi[0] % p, _mat_mul(one_x, yi[1], p)),
+                                (qi * y[0] % p, solved), x, xi)
+            else:
+                raise ValueError(
+                    "unknown generator %r (expected P, C or I)" % sym)
+    return QPair(*(m if c == 1 else _mat_scale(c, m, p) for c, m in (x, y)))
 
 
 # ---------------------------------------------------------------------------

@@ -505,10 +505,14 @@ class TreePair:
 
     @classmethod
     def from_json(cls, data) -> "TreePair":
+        rotation = data["rotation"]
+        if not isinstance(rotation, int) or isinstance(rotation, bool):
+            raise ValueError("tree-pair rotation must be an integer, got %r"
+                             % (rotation,))
         return cls(
             _tree_from_json(data["domain"]),
             _tree_from_json(data["range"]),
-            int(data["rotation"]),
+            rotation,
         )
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,21 @@ def test_convert_large_power_to_dyadic():
     for v in ((1, 0), (-3, 1), (2, -7)):
         assert d(thompson.vector_to_dyadic(v)) == (
             thompson.vector_to_dyadic(u(v)))
+
+
+def test_integer_past_the_str_digit_limit_prints_in_full(monkeypatch):
+    # a 4516-digit numerator, past Python's default int-to-str limit
+    num = 2**15000 - 1
+    element = thompson.DyadicPL([(0, Fraction(num, 2**15000))])
+    monkeypatch.setattr(cli, "cmd_convert", lambda args: (
+        {"element": element.to_json()}, 0))
+    limit = sys.get_int_max_str_digits()
+    try:
+        code, out = run(["convert", "--word", "P", "--to", "dyadic"])
+        assert code == 0
+        assert json.loads(out)["element"]["breakpoints"][0][1] == [num, 15000]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_convert_recursion_error_is_json(monkeypatch):

@@ -1,5 +1,6 @@
 """Clock/shift matrix model of the q-commuting substitution maps."""
 
+import json
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from sympt.quantum import (
 )
 
 CONFIGS = [(1, 101), (3, 7), (5, 11), (7, 29)]
+KERNEL_CONFIGS = [(1, 101), (3, 7), (5, 11), (5, 101), (7, 29), (3, 31)]
 
 H_RELATIONS = {
     "C^3": (("C", 3),),
@@ -292,3 +294,230 @@ def test_words_probe_suite_reports_not_asserts():
     for r in run["results"]:
         assert r["verdict"] in ("identity", "nonidentity")
         assert r["note"] == "experimental verdict, not asserted"
+
+
+# ---------------------------------------------------------------------------
+# the word kernel against the letter-by-letter maps
+
+# Reference only: the substitutions written as plain matrix arithmetic, one
+# letter at a time, with a fresh inverse and a determinant test per letter.
+
+def _ref_mul(a, b, p):
+    n = len(a)
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(ra[k] * cb[k] for k in range(n)) % p for cb in bt)
+                 for ra in a)
+
+
+def _ref_add(a, b, p):
+    return tuple(tuple((x + y) % p for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
+
+
+def _ref_scale(c, a, p):
+    return tuple(tuple((c * x) % p for x in row) for row in a)
+
+
+def _ref_eye(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _ref_inv(a, p):
+    n = len(a)
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
+           for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] % p), None)
+        if pivot is None:
+            raise SingularSubstitution("singular substitution")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = pow(aug[col][col], -1, p)
+        aug[col] = [v * inv % p for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(v - f * w) % p for v, w in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def _ref_det(a, p):
+    n = len(a)
+    m = [list(row) for row in a]
+    det = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col] % p
+        inv = pow(m[col][col], -1, p)
+        for r in range(col + 1, n):
+            if m[r][col]:
+                f = m[r][col] * inv % p
+                m[r] = [(v - f * w) % p for v, w in zip(m[r], m[col])]
+    return det % p
+
+
+def _ref_apply(name, pair, cfg):
+    p, q = cfg.p, cfg.q
+    x, y = pair.X, pair.Y
+    if name == "P":
+        one_plus_y = _ref_add(_ref_eye(cfg.N), y, p)
+        if _ref_det(one_plus_y, p) == 0:
+            raise SingularSubstitution("singular substitution")
+        return QPair(y, _ref_scale(q, _ref_mul(_ref_inv(x, p), one_plus_y, p), p))
+    if name == "C":
+        xinv = _ref_inv(x, p)
+        return QPair(_ref_scale(q, _ref_mul(xinv, y, p), p),
+                     _ref_scale(q, xinv, p))
+    if name == "I":
+        return QPair(_ref_scale(q, _ref_inv(y, p), p), x)
+    raise ValueError("unknown generator %r (expected P, C or I)" % name)
+
+
+def _ref_apply_inverse(name, pair, cfg):
+    p, q = cfg.p, cfg.q
+    x, y = pair.X, pair.Y
+    if name == "P":
+        one_plus_x = _ref_add(_ref_eye(cfg.N), x, p)
+        if _ref_det(one_plus_x, p) == 0:
+            raise SingularSubstitution("singular substitution")
+        return QPair(_ref_scale(q, _ref_mul(one_plus_x, _ref_inv(y, p), p), p), x)
+    if name == "C":
+        yinv = _ref_inv(y, p)
+        return QPair(_ref_scale(q, yinv, p), _ref_mul(yinv, x, p))
+    if name == "I":
+        return QPair(y, _ref_scale(q, _ref_inv(x, p), p))
+    raise ValueError("unknown generator %r (expected P, C or I)" % name)
+
+
+def _ref_apply_word(word, pair, cfg):
+    for sym, exp in reversed(tuple(word)):
+        step = _ref_apply if exp > 0 else _ref_apply_inverse
+        for _ in range(abs(exp)):
+            pair = step(sym, pair, cfg)
+    return pair
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularSubstitution:
+        return "singular"
+
+
+def _random_word(rng, max_len):
+    return tuple((rng.choice("PCI"), rng.choice((-3, -2, -1, 1, 2, 3)))
+                 for _ in range(rng.randint(1, max_len)))
+
+
+def _random_matrix(n, p, rng):
+    return tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CONFIGS)
+def test_kernel_matches_letter_by_letter_maps(n, p):
+    """Same pair out, or SingularSubstitution in the same cases, on
+    clock/shift pairs and on arbitrary matrix pairs (often singular, and
+    not q-commuting: the maps need only the inverses they take)."""
+    cfg = make_config(n, p)
+    rng = random.Random(100 * n + p)
+    singular = 0
+    for k in range(120):
+        if k % 2:
+            pair = random_pair(cfg, rng)
+        else:
+            pair = QPair(_random_matrix(n, p, rng), _random_matrix(n, p, rng))
+        word = _random_word(rng, 40)
+        want = _outcome(_ref_apply_word, word, pair, cfg)
+        assert _outcome(apply_word, word, pair, cfg) == want, (word, pair)
+        singular += want == "singular"
+        for s in "PCI":
+            assert (_outcome(q_apply, s, pair, cfg)
+                    == _outcome(_ref_apply, s, pair, cfg)), (s, pair)
+            assert (_outcome(q_apply_inverse, s, pair, cfg)
+                    == _outcome(_ref_apply_inverse, s, pair, cfg)), (s, pair)
+    assert 0 < singular < 120
+
+
+@pytest.mark.parametrize("suite", words.list_suites())
+def test_relation_reports_match_letter_by_letter_maps(suite, monkeypatch):
+    cfg = make_config(5, 101)
+    cases = []
+    for entry in words.load_suite(suite):
+        rhs = "1" if entry["rhs"] == "probe" else entry["rhs"]
+        cases.append(words._core(entry["lhs"])
+                     + words.word_inverse(words._core(rhs)))
+    got = [json.dumps(q_relation_check(w, cfg, trials=4, seed=7))
+           for w in cases]
+    monkeypatch.setattr(quantum, "apply_word", _ref_apply_word)
+    assert got == [json.dumps(q_relation_check(w, cfg, trials=4, seed=7))
+                   for w in cases]
+
+
+def test_letter_needing_no_inverse_of_a_singular_member_answers():
+    # I inverts only y; P after it needs 1 + x and the new x, not x^-1
+    cfg = make_config(3, 7)
+    pair = QPair(((1, 2, 3), (2, 4, 6), (0, 0, 1)), clock_shift(cfg, 1, 2).Y)
+    assert _ref_det(pair.X, 7) == 0
+    for word in ((("I", 1),), (("P", 1), ("I", 1)), (("I", -1), ("C", -1))):
+        out = apply_word(word, pair, cfg)
+        assert out == _ref_apply_word(word, pair, cfg)
+    assert q_apply("I", pair, cfg).Y == pair.X
+    with pytest.raises(SingularSubstitution):
+        q_apply("C", pair, cfg)
+
+
+# ---------------------------------------------------------------------------
+# N-th powers move by the commutative maps
+
+def _mat_pow(a, n, p):
+    out = a
+    for _ in range(n - 1):
+        out = _ref_mul(out, a, p)
+    return out
+
+
+def _scalar_of(a, p):
+    """c when a = c * identity, else None."""
+    c = a[0][0]
+    return c if a == _ref_scale(c, _ref_eye(len(a)), p) else None
+
+
+def _classical(word, point, p):
+    for sym, exp in reversed(word):
+        g = (birational.generator_bir if exp > 0
+             else birational.generator_bir_inverse)(sym)
+        for _ in range(abs(exp)):
+            point = g.apply_mod(point, p)
+    return point
+
+
+@pytest.mark.parametrize("n,p", [(3, 7), (5, 11), (5, 101), (7, 29), (3, 31)])
+def test_nth_powers_move_by_the_classical_maps(n, p):
+    """For q of exact order N, N odd, X^N and Y^N are central, and by the
+    q-binomial theorem P sends (X^N, Y^N) to (Y^N, X^-N (1 + Y^N)) and P^-1
+    sends it to ((1 + X^N) Y^-N, X^N): the q = 1 maps.  C and I do so too,
+    hence every word does."""
+    cfg = make_config(n, p)
+    rng = random.Random(n * p)
+    done = 0
+    while done < 120:
+        pair = random_pair(cfg, rng)
+        a, b = (_scalar_of(_mat_pow(m, n, p), p) for m in (pair.X, pair.Y))
+        assert a and b
+        cases = [((("P", 1),), (b, (1 + b) * pow(a, -1, p) % p)),
+                 ((("P", -1),), ((1 + a) * pow(b, -1, p) % p, a))]
+        word = _random_word(rng, 12)
+        cases.append((word, None))
+        for w, want in cases:
+            try:
+                out = apply_word(w, pair, cfg)
+            except SingularSubstitution:
+                continue
+            got = tuple(_scalar_of(_mat_pow(m, n, p), p)
+                        for m in (out.X, out.Y))
+            assert got == (want or _classical(w, (a, b), p)), (w, pair)
+            done += 1

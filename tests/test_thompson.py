@@ -328,6 +328,13 @@ def test_treepair_validation():
         TreePair((None, None), None, 0)
     with pytest.raises(ValueError):
         TreePair([None, None], (None, None), 0)
+    # a rotation read from JSON is not truncated or coerced
+    for rotation in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="rotation"):
+            TreePair.from_json({"domain": [0, 0], "range": [0, 0],
+                                "rotation": rotation})
+    assert TreePair.from_json({"domain": [0, 0], "range": [0, 0],
+                               "rotation": 3}).rotation == 1
 
 
 def add_caret(tree, i):
