@@ -310,7 +310,8 @@ def main(argv=None) -> int:
     try:
         payload, code = args.func(args)
     # ValueError: word syntax and domain errors; RuntimeError: recursion
-    # depth and sampling that cannot get off the pole locus
+    # depth, sampling that cannot get off the pole locus and a failed
+    # midpoint certification in thompson.plaut_to_dyadic
     except (ValueError, RuntimeError) as exc:
         _emit({"error": str(exc)}, args)
         return 2

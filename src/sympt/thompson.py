@@ -10,7 +10,10 @@ of those circle maps and the conversions between all three pictures:
 
 * ``DyadicPL``: the map as a list of (point, image) breakpoint pairs.
 * ``TreePair``: the combinatorial form, a pair of binary trees with a
-  rotation offset matching domain leaves to range leaves.
+  rotation offset matching domain leaves to range leaves.  A tree is the
+  flat tuple of its leaf depths, so no step recurses: a pair is reduced in
+  one stack pass, composed through a two-pointer common refinement and
+  read off a ``DyadicPL``'s integer breakpoints in one pass.
 
 The correspondence sends 0, 1/2, 3/4 to the vectors (1,0), (0,1), (-1,-1)
 and interval midpoints to vector mediants.  On each base cell [lo, hi) with
@@ -58,7 +61,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Base cells of the correspondence: (c, e, left ray, right ray) for the
 # standard dyadic interval [c/2^e, (c+1)/2^e).  Midpoint of a cell
@@ -71,8 +73,6 @@ _BASE_CELLS = (
 
 _ANCHOR_T = (_ZERO, Fraction(1, 2), Fraction(3, 4))
 _ANCHOR_VECS = ((1, 0), (0, 1), (-1, -1))
-
-_MAX_DEPTH = 4096
 
 
 def _mod1(t: Fraction) -> Fraction:
@@ -359,106 +359,87 @@ def dyadic_compose(f: DyadicPL, g: DyadicPL) -> DyadicPL:
         (t * (top // den), y * (top // dy)) for t, y, dy in images])
 
 
-def _nleaves(tree) -> int:
-    if tree is None:
-        return 1
-    return _nleaves(tree[0]) + _nleaves(tree[1])
+def _leaf_starts(depths, exp):
+    """Leaf starts and then the end, as integers over 2**exp >= 2**depth."""
+    starts = [0]
+    for d in depths:
+        starts.append(starts[-1] + (1 << (exp - d)))
+    return starts
 
 
-def _sup_tree(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return (_sup_tree(a[0], b[0]), _sup_tree(a[1], b[1]))
+def _checked_tree(depths):
+    """(depths, largest depth e, leaf starts over 2**e) for leaf depths that
+    tile [0, 1) by standard dyadic intervals; ValueError otherwise."""
+    if not (isinstance(depths, (list, tuple)) and depths and all(
+            isinstance(d, int) and not isinstance(d, bool) and d >= 0
+            for d in depths)):
+        raise ValueError("a tree is a non-empty list of its leaf depths, "
+                         "non-negative integers, e.g. [2, 2, 1]")
+    depths = tuple(depths)
+    exp = max(depths)
+    # a tree of depth e has more than e leaves; this keeps 1 << e small
+    starts = _leaf_starts(depths, exp) if exp < len(depths) else [0]
+    if starts[-1] != 1 << exp:
+        raise ValueError("leaf lengths do not sum to 1")
+    if any(x & ((1 << (exp - d)) - 1) for d, x in zip(depths, starts)):
+        raise ValueError("a leaf does not start at a multiple of its length")
+    return depths, exp, starts
 
 
-def _subtrees_over_leaves(big, small):
-    """Subtrees of ``big`` hanging over each leaf of ``small`` (small <= big)."""
-    if small is None:
-        return [big]
-    if big is None:
-        raise ValueError("tree is not a refinement")
-    return _subtrees_over_leaves(big[0], small[0]) + _subtrees_over_leaves(
-        big[1], small[1]
-    )
+def _reduced(domain, range_, rotation):
+    """Check a pair and cancel its matched carets in one pass.
 
-
-def _graft(tree, subs_iter):
-    if tree is None:
-        return next(subs_iter)
-    return (_graft(tree[0], subs_iter), _graft(tree[1], subs_iter))
-
-
-def _leaf_intervals(tree, lo=_ZERO, hi=_ONE):
-    if tree is None:
-        return [(lo, hi)]
-    mid = (lo + hi) / 2
-    return _leaf_intervals(tree[0], lo, mid) + _leaf_intervals(tree[1], mid, hi)
-
-
-def _carets(tree):
-    """Leaf index i for every internal node whose two children are leaves."""
-    out = []
-
-    def walk(t, base):
-        if t is None:
-            return 1
-        nl = walk(t[0], base)
-        nr = walk(t[1], base + nl)
-        if t[0] is None and t[1] is None:
-            out.append(base)
-        return nl + nr
-
-    walk(tree, 0)
-    return out
-
-
-def _drop_caret(tree, i):
-    """Replace the caret whose left leaf has index i by a single leaf."""
-
-    def walk(t, base):
-        if t is None:
-            return None, 1
-        nl = _nleaves(t[0])
-        if t[0] is None and t[1] is None and base == i:
-            return None, 2
-        left, ln = walk(t[0], base)
-        right, rn = walk(t[1], base + nl)
-        return (left, right), ln + rn
-
-    new, _ = walk(tree, 0)
-    return new
-
-
-def _validate_tree(t):
-    if t is None:
-        return
-    if not (isinstance(t, tuple) and len(t) == 2):
-        raise ValueError("tree nodes must be None or 2-tuples")
-    _validate_tree(t[0])
-    _validate_tree(t[1])
+    The leaves are read in domain order onto a stack, kept as four columns:
+    domain depth and start, range depth and start.  The top and the next
+    leaf are a caret of the pair when they are siblings in the domain, and
+    their range leaves are siblings in the same order, not wrapping past 1;
+    they are then merged into one leaf, which is checked against the new
+    top.  Columns, not a list of 4-tuples: freeing those in bulk after each
+    composition made the peak RSS of repeated compositions creep upward.
+    """
+    domain, dexp, dstarts = _checked_tree(domain)
+    range_, rexp, rstarts = _checked_tree(range_)
+    n = len(domain)
+    if len(range_) != n:
+        raise ValueError("domain and range trees must have equal leaf counts")
+    dd_, ds_, rd_, rs_ = [], [], [], []
+    for i in range(n):
+        j = (rotation + i) % n
+        dd, ds, rd, rs = domain[i], dstarts[i], range_[j], rstarts[j]
+        while dd_ and dd_[-1] == dd and rd_[-1] == rd and not (
+                ds_[-1] >> (dexp - dd) & 1 or rs_[-1] >> (rexp - rd) & 1
+                or rs != rs_[-1] + (1 << (rexp - rd))):
+            dd, rd = dd - 1, rd - 1
+            del dd_[-1], rd_[-1]
+            ds, rs = ds_.pop(), rs_.pop()
+        dd_.append(dd)
+        ds_.append(ds)
+        rd_.append(rd)
+        rs_.append(rs)
+    # the range order is the domain order turned to start at range leaf 0
+    first = rs_.index(0)
+    return tuple(dd_), tuple(rd_[first:] + rd_[:first]), -first % len(dd_)
 
 
 class TreePair:
     """Reduced tree-pair form of a dyadic circle map.
 
-    ``domain`` and ``range`` are binary trees (None = leaf, (l, r) = caret)
-    with the same number of leaves N; ``rotation`` r matches domain leaf i
-    with range leaf (r + i) mod N.  Construction reduces the pair: any caret
-    present in both trees at matched positions is cancelled.
+    ``domain`` and ``range`` are binary trees with N leaves each, stored as
+    the tuples of their leaf depths read left to right: (2, 2, 1) has the
+    leaves [0, 1/4), [1/4, 1/2), [1/2, 1), and (0,) is one leaf.  In JSON a
+    tree is the same flat list.  ``rotation`` r matches domain leaf i with
+    range leaf (r + i) mod N.  Construction checks that each tree's leaves
+    tile [0, 1) by standard dyadic intervals, then cancels every caret
+    present in both trees at matched leaves, in one left-to-right pass.
     """
 
     __slots__ = ("domain", "range", "rotation")
 
     def __init__(self, domain, range_, rotation):
-        _validate_tree(domain)
-        _validate_tree(range_)
-        n = _nleaves(domain)
-        if _nleaves(range_) != n:
-            raise ValueError("domain and range trees must have equal leaf counts")
-        rotation = int(rotation) % n
-        domain, range_, rotation = _reduce_pair(domain, range_, rotation)
+        if not isinstance(rotation, int) or isinstance(rotation, bool):
+            raise ValueError("tree-pair rotation must be an integer, got %r"
+                             % (rotation,))
+        domain, range_, rotation = _reduced(domain, range_, rotation)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "range", range_)
         object.__setattr__(self, "rotation", rotation)
@@ -468,10 +449,10 @@ class TreePair:
 
     @property
     def leaf_count(self) -> int:
-        return _nleaves(self.domain)
+        return len(self.domain)
 
     def is_identity(self) -> bool:
-        return self.domain is None and self.range is None and self.rotation == 0
+        return self.domain == (0,)
 
     def __eq__(self, other):
         if not isinstance(other, TreePair):
@@ -498,125 +479,110 @@ class TreePair:
 
     def to_json(self):
         return {
-            "domain": _tree_to_json(self.domain),
-            "range": _tree_to_json(self.range),
+            "domain": list(self.domain),
+            "range": list(self.range),
             "rotation": self.rotation,
         }
 
     @classmethod
     def from_json(cls, data) -> "TreePair":
-        rotation = data["rotation"]
-        if not isinstance(rotation, int) or isinstance(rotation, bool):
-            raise ValueError("tree-pair rotation must be an integer, got %r"
-                             % (rotation,))
-        return cls(
-            _tree_from_json(data["domain"]),
-            _tree_from_json(data["range"]),
-            rotation,
-        )
-
-
-def _tree_to_json(t):
-    if t is None:
-        return 0
-    return [_tree_to_json(t[0]), _tree_to_json(t[1])]
-
-
-def _tree_from_json(data):
-    if data == 0:
-        return None
-    if isinstance(data, (list, tuple)) and len(data) == 2:
-        return (_tree_from_json(data[0]), _tree_from_json(data[1]))
-    raise ValueError("tree nodes must be 0 or [left, right]")
-
-
-def _reduce_pair(domain, range_, rotation):
-    while True:
-        n = _nleaves(domain)
-        if n == 1:
-            return None, None, 0
-        dcarets = _carets(domain)
-        rcarets = set(_carets(range_))
-        for i in dcarets:
-            j = (rotation + i) % n
-            if j != n - 1 and j in rcarets:
-                domain = _drop_caret(domain, i)
-                range_ = _drop_caret(range_, j)
-                if rotation > j:
-                    rotation -= 1
-                rotation %= n - 1
-                break
-        else:
-            return domain, range_, rotation
+        return cls(data["domain"], data["range"], data["rotation"])
 
 
 def treepair_identity() -> TreePair:
-    return TreePair(None, None, 0)
+    return TreePair((0,), (0,), 0)
+
+
+def _refinement(a, b):
+    """The common refinement Z of trees a and b in one merge of their leaf
+    ends: the depths of Z's leaves, and for each the index of the leaf of a
+    and of the leaf of b that holds it."""
+    exp = max(max(a), max(b))
+    ends_a, ends_b = _leaf_starts(a, exp), _leaf_starts(b, exp)
+    depths, under_a, under_b = [], [], []
+    i = j = 1
+    pos = 0
+    while pos < ends_a[-1]:
+        end = min(ends_a[i], ends_b[j])
+        depths.append(exp + 1 - (end - pos).bit_length())
+        under_a.append(i - 1)
+        under_b.append(j - 1)
+        if end == ends_a[i]:
+            i += 1
+        if end == ends_b[j]:
+            j += 1
+        pos = end
+    return depths, under_a, under_b
 
 
 def treepair_compose(f: TreePair, g: TreePair) -> TreePair:
-    """Composite f(g(t)) via the common refinement of g.range and f.domain."""
-    z = _sup_tree(g.range, f.domain)
-    n = _nleaves(z)
+    """Composite f(g(t)) via the common refinement Z of g.range and f.domain.
 
-    m = g.leaf_count
-    gsubs = _subtrees_over_leaves(z, g.range)
-    gdom = _graft(g.domain, iter(gsubs[(g.rotation + i) % m] for i in range(m)))
-    grot = sum(_nleaves(gsubs[p]) for p in range(g.rotation))
-
-    k = f.leaf_count
-    fsubs = _subtrees_over_leaves(z, f.domain)
-    frange = _graft(f.range, iter(fsubs[(q - f.rotation) % k] for q in range(k)))
-    frot = sum(_nleaves(fsubs[(q - f.rotation) % k]) for q in range(f.rotation))
-
-    return TreePair(gdom, frange, (frot + grot) % n)
+    Each leaf of g.domain is split as Z splits its matched leaf of g.range,
+    and each leaf of f.range as Z splits its matched leaf of f.domain, so
+    both new trees have Z's leaves.  No circle map is built, so the tree
+    model stays an independent check of the dyadic one.
+    """
+    depths, under_g, under_f = _refinement(g.range, f.domain)
+    m, k = len(g.domain), len(f.domain)
+    gshift = [g.domain[(p - g.rotation) % m] - g.range[p] for p in range(m)]
+    fshift = [f.range[(p + f.rotation) % k] - f.domain[p] for p in range(k)]
+    domain = [z + gshift[p] for z, p in zip(depths, under_g)]
+    range_ = [z + fshift[p] for z, p in zip(depths, under_f)]
+    # both are in Z's order; the domain starts under range leaf g.rotation
+    # of g, the range under the domain leaf of f that goes to 0
+    a = under_g.index(g.rotation)
+    b = under_f.index(-f.rotation % k)
+    return TreePair(domain[a:] + domain[:a], range_[b:] + range_[:b], a - b)
 
 
 def treepair_to_dyadic(tp: TreePair) -> DyadicPL:
     """Breakpoints: domain leaf i starts where range leaf (rot+i) mod N starts."""
-    dom = _leaf_intervals(tp.domain)
-    rng = _leaf_intervals(tp.range)
-    n = len(dom)
-    pts = [(dom[i][0], rng[(tp.rotation + i) % n][0]) for i in range(n)]
-    return DyadicPL(pts)
-
-
-def _tree_from_cuts(cuts, lo=_ZERO, hi=_ONE):
-    if not any(lo < c < hi for c in cuts):
-        return None
-    mid = (lo + hi) / 2
-    return (_tree_from_cuts(cuts, lo, mid), _tree_from_cuts(cuts, mid, hi))
+    exp = max(max(tp.domain), max(tp.range))
+    dom = _leaf_starts(tp.domain, exp)
+    rng = _leaf_starts(tp.range, exp)
+    n = len(tp.domain)
+    return DyadicPL._from_ints(
+        exp, [(dom[i], rng[(tp.rotation + i) % n]) for i in range(n)])
 
 
 def dyadic_to_treepair(d: DyadicPL) -> TreePair:
-    """Tree-pair form: refine [0,1) until every piece maps onto a standard
-    dyadic interval, then read both partitions as binary trees."""
-    dinv = ~d
-    cuts = {_ZERO, dinv(_ZERO)} | set(d.breakpoints)
-    for _ in range(_MAX_DEPTH):
-        dom = _leaf_intervals(_tree_from_cuts(cuts))
-        bad = []
-        for lo, hi in dom:
-            length = hi - lo
-            y = d(lo)
-            # image interval [y, y + slope*length) must be standard: its
-            # length is a power of two dividing its left endpoint
-            ylen = _mod1(d(lo + length / 2) - y) * 2
-            if (y / ylen).denominator != 1:
-                bad.append((lo + hi) / 2)
-        if not bad:
-            break
-        cuts.update(bad)
-    else:
-        raise RuntimeError("interval refinement did not terminate")
-    dtree = _tree_from_cuts(cuts)
-    dom = _leaf_intervals(dtree)
-    image_cuts = sorted(d(lo) for lo, _ in dom)
-    rtree = _tree_from_cuts(set(image_cuts))
-    if [lo for lo, _ in _leaf_intervals(rtree)] != image_cuts:
-        raise RuntimeError("image partition is not a tree partition")
-    rotation = image_cuts.index(d(_ZERO))
-    return TreePair(dtree, rtree, rotation)
+    """Reduced tree-pair form, read off the breakpoints in one pass.
+
+    Its leaves are the maximal standard dyadic intervals on which d is
+    affine with a standard image.  Each piece of d, taken from 0, is split
+    from the left into such intervals, largest first; an image aligned to
+    its own length ends by 1, so no leaf straddles d^-1(0).  Points are
+    integers over 2^(exp + S), S the largest |slope exponent|: then every
+    leaf and its image are at least one unit long.
+    """
+    up = max(abs(s) for s in d._shifts)
+    big = d._exp + up
+    one = 1 << big
+    ts = [t << up for t in d._ts]
+    ys = [y << up for y in d._ys]
+    shifts = list(d._shifts)
+    if ts[0]:
+        # the last piece runs across 0: start the domain there
+        s = shifts[-1]
+        dt = one - ts[-1]
+        ts.insert(0, 0)
+        ys.insert(0, (ys[-1] + (dt << s if s >= 0 else dt >> -s)) % one)
+        shifts.insert(0, s)
+    domain, range_ = [], []
+    first = 0
+    for x, end, y, s in zip(ts, ts[1:] + [one], ys, shifts):
+        while x < end:
+            if not y:
+                first = len(domain)
+            # x | one: 0 <= x < one, and 0 is aligned up to the whole circle
+            k = min(_twos(x | one), _twos(y | one) - s,
+                    (end - x).bit_length() - 1)
+            domain.append(big - k)
+            range_.append(big - k - s)
+            x += 1 << k
+            y = (y + (1 << (k + s))) % one
+    return TreePair(domain, range_[first:] + range_[:first], -first)
 
 
 def _required_rays(f: PLAut):
@@ -654,24 +620,34 @@ def _refined_cells(required):
 def plaut_to_dyadic(f: PLAut) -> DyadicPL:
     """Circle form of a plane automorphism via the dyadic/vector walk."""
     rays = _refined_cells(_required_rays(f))
-    pts = [(vector_to_dyadic(r), vector_to_dyadic(f(r))) for r in rays]
-    d = DyadicPL(pts)
+    images = [f(r) for r in rays]
+    ts = [vector_to_dyadic(r) for r in rays]
+    d = DyadicPL(zip(ts, map(vector_to_dyadic, images)))
     n = len(rays)
     for i in range(n):
-        u, v = rays[i], rays[(i + 1) % n]
-        t_mid = _mod1(
-            vector_to_dyadic(u)
-            + _mod1(vector_to_dyadic(v) - vector_to_dyadic(u)) / 2
-        )
-        if d(t_mid) != vector_to_dyadic(primitive(vec_add(f(u), f(v)))):
+        j = (i + 1) % n
+        t_mid = _mod1(ts[i] + _mod1(ts[j] - ts[i]) / 2)
+        if d(t_mid) != vector_to_dyadic(
+                primitive(vec_add(images[i], images[j]))):
             raise RuntimeError("midpoint/mediant certification failed")
     return d
 
 
 def dyadic_to_plaut(d: DyadicPL) -> PLAut:
-    """Plane form of a circle map; fails if the map does not come from one."""
+    """Plane form of a circle map; fails if the map does not come from one.
+
+    Each leaf of the reduced tree pair goes affinely onto a standard
+    interval.  Cut further at the base-cell corners and their preimages, so
+    that a piece and its image each lie in one base cell, every piece is a
+    unimodular cone that the plane map sends linearly.  The breakpoints of
+    d alone do not suffice: the plane map can bend where the slope of d
+    does not change.
+    """
+    tp = dyadic_to_treepair(d)
+    exp = max(tp.domain)
     dinv = ~d
-    required_t = {_ZERO} | set(d.breakpoints) | set(_ANCHOR_T)
+    required_t = {Fraction(x, 1 << exp)
+                  for x in _leaf_starts(tp.domain, exp)[:-1]} | set(_ANCHOR_T)
     for a in _ANCHOR_T:
         required_t.add(dinv(a))
     rays = _refined_cells({dyadic_to_vector(t) for t in required_t})

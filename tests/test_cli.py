@@ -233,6 +233,34 @@ def test_convert_large_power_to_dyadic():
             thompson.vector_to_dyadic(u(v)))
 
 
+def test_convert_via_dyadic_where_the_plane_map_bends_at_no_slope_change():
+    # the circle slope does not change where this element's plane map bends
+    word = "I C^-1 P^-1 P U^-1 P I^-1 I^-1 I^-1 P P U^-1"
+    code, rep = run_json(["convert", "--word", word, "--via", "dyadic",
+                          "--to", "pl"])
+    assert code == 0
+    code, want = run_json(["convert", "--word", word, "--via", "pl",
+                           "--to", "pl"])
+    assert code == 0
+    assert rep["element"] == want["element"]
+
+
+def test_convert_large_power_to_tree():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = {}
+    for form in ("tree", "dyadic"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sympt.cli", "convert", "--word", "U^1000",
+             "--to", form], env=env, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 0, proc.stdout
+        out[form] = json.loads(proc.stdout)["element"]
+    tp = thompson.TreePair.from_json(out["tree"])
+    assert thompson.treepair_to_dyadic(tp) == (
+        thompson.DyadicPL.from_json(out["dyadic"]))
+
+
 def test_integer_past_the_str_digit_limit_prints_in_full(monkeypatch):
     # a 4516-digit numerator, past Python's default int-to-str limit
     num = 2**15000 - 1

@@ -77,6 +77,12 @@ CORPUS = {
     "quantum.flags": ["quantum", "--word", "P^5", "--N", "3", "--p", "7",
                       "--trials", "4", "--seed", "3"],
     "quantum.default": ["quantum", "--word", "P^4"],
+    "convert.PC.tree.pl": ["convert", "--word", "P C", "--via", "tree",
+                           "--to", "pl"],
+    "convert.PC.tree.dyadic": ["convert", "--word", "P C", "--via", "tree",
+                               "--to", "dyadic"],
+    "convert.PC.dyadic.pl": ["convert", "--word", "P C", "--via", "dyadic",
+                             "--to", "pl"],
 }
 
 

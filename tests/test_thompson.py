@@ -23,7 +23,6 @@ from sympt.thompson import (
     treepair_to_plaut,
     vector_to_dyadic,
 )
-from sympt.thompson import _nleaves
 from sympt.words import check_suite, evaluate
 
 GEN_NAMES = ("P", "C", "I", "U", "mu", "L")
@@ -266,6 +265,18 @@ def test_dyadic_round_trips_random_words():
         assert dyadic_to_plaut(d) == g
 
 
+def test_dyadic_to_plane_round_trips_random_words():
+    rng = random.Random(83)
+    letters = ("P", "C", "I", "U", "mu", "L")
+    for _ in range(300):
+        word = " ".join(rng.choice(letters) + rng.choice(("", "^-1"))
+                        for _ in range(rng.randint(1, 12)))
+        d = evaluate(word, "dyadic")
+        f = dyadic_to_plaut(d)
+        assert f == evaluate(word, "pl"), word
+        assert plaut_to_dyadic(f) == d
+
+
 def test_dyadic_conversion_is_homomorphic():
     rng = random.Random(5)
     for _ in range(20):
@@ -308,8 +319,7 @@ def test_arbitrary_circle_element_converts():
 
 
 def test_treepair_halfrotation():
-    caret = (None, None)
-    half = TreePair(caret, caret, 1)
+    half = TreePair((1, 1), (1, 1), 1)
     d = treepair_to_dyadic(half)
     assert d == DyadicPL([(F(0), F(1, 2))])
     assert d(F(1, 4)) == F(3, 4)
@@ -317,47 +327,69 @@ def test_treepair_halfrotation():
 
 def test_treepair_identity_and_reduction():
     assert treepair_identity().is_identity()
-    caret = (None, None)
-    assert TreePair(caret, caret, 0).is_identity()
-    big = ((None, None), (None, (None, None)))
-    assert TreePair(big, big, 0).is_identity()
+    assert TreePair((1, 1), (1, 1), 0).is_identity()
+    assert TreePair((2, 2, 2, 3, 3), (2, 2, 2, 3, 3), 0).is_identity()
+    # domain leaves 0, 1 go to the range caret over leaves 1, 2
+    assert TreePair((2, 2, 1), (1, 2, 2), 1) == TreePair((1, 1), (1, 1), 1)
+    # no caret matches a caret: 0, 1 go to 1, 2 and 3, 4 wrap to 4, 0
+    tp = TreePair((2, 2, 2, 3, 3), (2, 2, 2, 3, 3), 1)
+    assert (tp.domain, tp.range, tp.rotation) == (
+        (2, 2, 2, 3, 3), (2, 2, 2, 3, 3), 1)
 
 
 def test_treepair_validation():
-    with pytest.raises(ValueError):
-        TreePair((None, None), None, 0)
-    with pytest.raises(ValueError):
-        TreePair([None, None], (None, None), 0)
-    # a rotation read from JSON is not truncated or coerced
+    with pytest.raises(ValueError, match="equal leaf counts"):
+        TreePair((1, 1), (0,), 0)
+    for tree in ((1, 2), (1,), (0, 0), (2, 2, 2), (1, 1, 1), (0, 9, 9),
+                 (2, 1, 2), (3, 3, 2, 1, 1), (), 0, None, "11"):
+        with pytest.raises(ValueError):
+            TreePair(tree, tree, 0)
+    for depth in (1.0, True, -1, "1", None, [1]):
+        with pytest.raises(ValueError):
+            TreePair((1, depth), (1, 1), 0)
+    with pytest.raises(ValueError, match="multiple of its length"):
+        TreePair((2, 1, 2), (2, 1, 2), 0)
+    with pytest.raises(ValueError, match="sum"):
+        TreePair((1, 2), (2, 1), 0)
+    # the rotation is not truncated or coerced, read from JSON or not
     for rotation in (1.5, 1.0, True, "1"):
         with pytest.raises(ValueError, match="rotation"):
-            TreePair.from_json({"domain": [0, 0], "range": [0, 0],
+            TreePair((1, 1), (1, 1), rotation)
+        with pytest.raises(ValueError, match="rotation"):
+            TreePair.from_json({"domain": [1, 1], "range": [1, 1],
                                 "rotation": rotation})
-    assert TreePair.from_json({"domain": [0, 0], "range": [0, 0],
+    assert TreePair.from_json({"domain": [1, 1], "range": [1, 1],
                                "rotation": 3}).rotation == 1
+    assert TreePair([1, 1], [1, 1], -1) == TreePair((1, 1), (1, 1), 1)
 
 
-def add_caret(tree, i):
-    def walk(t, base):
-        if t is None:
-            return (None, None)
-        nl = _nleaves(t[0])
-        if i < base + nl:
-            return (walk(t[0], base), t[1])
-        return (t[0], walk(t[1], base + nl))
+def test_treepair_refuses_nested_json():
+    # the nested form [left, right] with 0 for a leaf is not read
+    for old in ({"domain": [0, [0, 0]], "range": [[0, 0], 0], "rotation": 0},
+                {"domain": 0, "range": 0, "rotation": 0},
+                {"domain": [0, 0], "range": [0, 0], "rotation": 1}):
+        with pytest.raises(ValueError):
+            TreePair.from_json(old)
+    with pytest.raises(ValueError,
+                       match=r"list of its leaf depths.*e\.g\. \[2, 2, 1\]"):
+        TreePair.from_json({"domain": [0, [0, 0]], "range": [[0, 0], 0],
+                            "rotation": 0})
 
-    return walk(tree, 0)
+
+def add_caret(depths, i):
+    """Split leaf i into two leaves one level deeper."""
+    return depths[:i] + (depths[i] + 1,) * 2 + depths[i + 1:]
 
 
 def blow_up(tp, rng, times):
     """Insert matched carets; the element is unchanged."""
     dom, rng_tree, rot = tp.domain, tp.range, tp.rotation
     for _ in range(times):
-        n = _nleaves(dom)
+        n = len(dom)
         i = rng.randrange(n)
         j = (rot + i) % n
-        dom = add_caret(dom, i) if dom is not None else (None, None)
-        rng_tree = add_caret(rng_tree, j) if rng_tree is not None else (None, None)
+        dom = add_caret(dom, i)
+        rng_tree = add_caret(rng_tree, j)
         if rot > j:
             rot += 1
     return dom, rng_tree, rot
@@ -365,10 +397,189 @@ def blow_up(tp, rng, times):
 
 def test_reduction_confluence():
     rng = random.Random(41)
-    for _ in range(30):
+    for _ in range(300):
         tp = plaut_to_treepair(random_plaut(rng, rng.randint(1, 5)))
-        dom, rng_tree, rot = blow_up(tp, rng, rng.randint(1, 4))
+        dom, rng_tree, rot = blow_up(tp, rng, rng.randint(1, 8))
         assert TreePair(dom, rng_tree, rot) == tp
+        assert TreePair(dom, rng_tree, rot + 3 * len(dom)) == tp
+
+
+# The nested-tuple tree layer the leaf-depth form replaced, kept as the
+# reference: a tree is None (a leaf) or a pair (left, right).
+
+def ref_nleaves(tree):
+    if tree is None:
+        return 1
+    return ref_nleaves(tree[0]) + ref_nleaves(tree[1])
+
+
+def ref_depths(tree, depth=0):
+    if tree is None:
+        return (depth,)
+    return ref_depths(tree[0], depth + 1) + ref_depths(tree[1], depth + 1)
+
+
+def ref_sup_tree(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return (ref_sup_tree(a[0], b[0]), ref_sup_tree(a[1], b[1]))
+
+
+def ref_subtrees_over_leaves(big, small):
+    if small is None:
+        return [big]
+    return (ref_subtrees_over_leaves(big[0], small[0])
+            + ref_subtrees_over_leaves(big[1], small[1]))
+
+
+def ref_graft(tree, subs_iter):
+    if tree is None:
+        return next(subs_iter)
+    return (ref_graft(tree[0], subs_iter), ref_graft(tree[1], subs_iter))
+
+
+def ref_leaf_intervals(tree, lo=F(0), hi=F(1)):
+    if tree is None:
+        return [(lo, hi)]
+    mid = (lo + hi) / 2
+    return (ref_leaf_intervals(tree[0], lo, mid)
+            + ref_leaf_intervals(tree[1], mid, hi))
+
+
+def ref_carets(tree):
+    out = []
+
+    def walk(t, base):
+        if t is None:
+            return 1
+        nl = walk(t[0], base)
+        nr = walk(t[1], base + nl)
+        if t[0] is None and t[1] is None:
+            out.append(base)
+        return nl + nr
+
+    walk(tree, 0)
+    return out
+
+
+def ref_drop_caret(tree, i):
+    def walk(t, base):
+        if t is None:
+            return None
+        if t[0] is None and t[1] is None and base == i:
+            return None
+        return (walk(t[0], base), walk(t[1], base + ref_nleaves(t[0])))
+
+    return walk(tree, 0)
+
+
+def ref_reduce_pair(domain, range_, rotation):
+    rotation %= ref_nleaves(domain)
+    while True:
+        n = ref_nleaves(domain)
+        if n == 1:
+            return None, None, 0
+        rcarets = set(ref_carets(range_))
+        for i in ref_carets(domain):
+            j = (rotation + i) % n
+            if j != n - 1 and j in rcarets:
+                domain = ref_drop_caret(domain, i)
+                range_ = ref_drop_caret(range_, j)
+                if rotation > j:
+                    rotation -= 1
+                rotation %= n - 1
+                break
+        else:
+            return domain, range_, rotation
+
+
+def ref_compose(f, g):
+    fd, fr, frot = f
+    gd, gr, grot = g
+    z = ref_sup_tree(gr, fd)
+    n = ref_nleaves(z)
+    m = ref_nleaves(gd)
+    gsubs = ref_subtrees_over_leaves(z, gr)
+    dom = ref_graft(gd, iter(gsubs[(grot + i) % m] for i in range(m)))
+    grot = sum(ref_nleaves(gsubs[p]) for p in range(grot))
+    k = ref_nleaves(fd)
+    fsubs = ref_subtrees_over_leaves(z, fd)
+    rng = ref_graft(fr, iter(fsubs[(q - frot) % k] for q in range(k)))
+    frot = sum(ref_nleaves(fsubs[(q - frot) % k]) for q in range(frot))
+    return ref_reduce_pair(dom, rng, (frot + grot) % n)
+
+
+def ref_to_dyadic(pair):
+    dom = ref_leaf_intervals(pair[0])
+    rng = ref_leaf_intervals(pair[1])
+    n = len(dom)
+    return DyadicPL([(dom[i][0], rng[(pair[2] + i) % n][0])
+                     for i in range(n)])
+
+
+def ref_tree_from_cuts(cuts, lo=F(0), hi=F(1)):
+    if not any(lo < c < hi for c in cuts):
+        return None
+    mid = (lo + hi) / 2
+    return (ref_tree_from_cuts(cuts, lo, mid),
+            ref_tree_from_cuts(cuts, mid, hi))
+
+
+def ref_from_dyadic(d):
+    cuts = {F(0), (~d)(F(0))} | set(d.breakpoints)
+    while True:
+        bad = []
+        for lo, hi in ref_leaf_intervals(ref_tree_from_cuts(cuts)):
+            y = d(lo)
+            ylen = (d((lo + hi) / 2) - y) % 1 * 2
+            if (y / ylen).denominator != 1:
+                bad.append((lo + hi) / 2)
+        if not bad:
+            break
+        cuts.update(bad)
+    dtree = ref_tree_from_cuts(cuts)
+    image_cuts = sorted(d(lo) for lo, _ in ref_leaf_intervals(dtree))
+    rtree = ref_tree_from_cuts(set(image_cuts))
+    return ref_reduce_pair(dtree, rtree, image_cuts.index(d(F(0))))
+
+
+def as_depths(pair):
+    return TreePair(ref_depths(pair[0]), ref_depths(pair[1]), pair[2])
+
+
+def test_tree_layer_agrees_with_nested_reference():
+    rng = random.Random(79)
+    letters = ("P", "C", "I", "U", "mu", "L")
+    prev = None
+    for _ in range(300):
+        word = " ".join(rng.choice(letters) + rng.choice(("", "^-1"))
+                        for _ in range(rng.randint(1, 30)))
+        d = evaluate(word, "dyadic")
+        ref = ref_from_dyadic(d)
+        tp = dyadic_to_treepair(d)
+        assert tp == as_depths(ref), word
+        # as_depths reduces again; the reference pair is reduced already
+        assert (tp.domain, tp.range) == (ref_depths(ref[0]),
+                                         ref_depths(ref[1]))
+        assert treepair_to_dyadic(tp) == ref_to_dyadic(ref) == d
+        assert evaluate(word, "tree") == tp
+        if prev is not None:
+            assert treepair_compose(tp, prev[0]) == as_depths(
+                ref_compose(ref, prev[1]))
+            assert treepair_compose(prev[0], tp) == as_depths(
+                ref_compose(prev[1], ref))
+        prev = tp, ref
+
+
+def test_treepair_read_off_of_large_powers():
+    # U^n is n mediant steps deep; no depth cap stands in the way
+    for n in (1000, -1000, 5000):
+        d = plaut_to_dyadic(evaluate("U^%d" % n, "pl"))
+        tp = dyadic_to_treepair(d)
+        assert treepair_to_dyadic(tp) == d
+        assert max(tp.domain) > abs(n)
 
 
 def test_treepair_round_trips_generators():
@@ -423,8 +634,8 @@ def test_treepair_json_format():
     d = DyadicPL([(F(0), F(0)), (F(1, 2), F(1, 4)), (F(3, 4), F(1, 2))])
     tp = dyadic_to_treepair(d)
     assert tp.to_json() == {
-        "domain": [0, [0, 0]],
-        "range": [[0, 0], 0],
+        "domain": [1, 2, 2],
+        "range": [2, 2, 1],
         "rotation": 0,
     }
 
