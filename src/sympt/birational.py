@@ -3,10 +3,11 @@
 Maps are pairs of rational functions with integer-coefficient Laurent
 polynomials for numerator and denominator; nothing is ever reduced to lowest
 terms, so equality tests cross-multiply.  Symbolic composition substitutes
-one map into another, cancels common factors with sympy's polynomial gcd
-(reduce_fraction, the only user of sympy, which it imports on first use) and
-is capped at short words; long words are compared pointwise modulo large
-primes with a Schwartz-Zippel error bound, in plain integer arithmetic.
+one map into another, cancels common factors with a polynomial gcd in
+Z[x, y] (reduce_fraction: the heuristic gcd, checked by exact division, with
+a primitive remainder sequence behind it) and is capped at short words; long
+words are compared pointwise modulo large primes with a Schwartz-Zippel
+error bound.  All arithmetic is plain integer arithmetic.
 
 The symplectic structure is the log form dx∧dy/(xy): a map (f1, f2) preserves
 it exactly when x·y·det J(f1,f2) = f1·f2.  Tropicalization reads off leading
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .plcore import PLAut, from_function, is_prime, primitive
 
@@ -181,29 +182,205 @@ class RationalFn:
         return "(%r)/(%r)" % (self.num, self.den)
 
 
+# ---------------------------------------------------------------------------
+# polynomial gcd in Z[x, y]
+#
+# Dense recursive form: a polynomial in k variables is the list of its
+# coefficients, polynomials in k - 1 variables, lowest degree first and with
+# no trailing zero; in 0 variables it is an int.  Z[x, y] is Z[y][x], so the
+# leading coefficient of a bivariate polynomial is that of its highest power
+# of x, and its ground leading coefficient is that of the lex-largest
+# monomial with x > y.
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a, b, k: int):
+    if not k:
+        return a + b
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    if k == 1:
+        for i, c in enumerate(b):
+            out[i] += c
+    else:
+        for i, c in enumerate(b):
+            out[i] = _add(out[i], c, k - 1)
+    return _trim(out)
+
+
+def _neg(a, k: int):
+    return -a if not k else [_neg(c, k - 1) for c in a]
+
+
+def _mul(a, b, k: int):
+    if not k:
+        return a * b
+    if not a or not b:
+        return []
+    if k == 1:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+        return out
+    out = [[]] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] = _add(out[i + j], _mul(c, d, k - 1), k - 1)
+    return out
+
+
+def _quo(a, b, k: int):
+    """a / b when b divides a exactly; ArithmeticError otherwise."""
+    if not k:
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError("inexact division")
+        return q
+    zero = 0 if k == 1 else []
+    q = [zero] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        n = len(a) - len(b)
+        c = _quo(a[-1], b[-1], k - 1)
+        q[n] = c
+        a = _add(a, [zero] * n + _mul(b, [_neg(c, k - 1)], k), k)
+    if a:
+        raise ArithmeticError("inexact division")
+    return q
+
+
+def _ints(a, k: int):
+    """The integer coefficients of a."""
+    if not k:
+        yield a
+    else:
+        for c in a:
+            yield from _ints(c, k - 1)
+
+
+def _map(a, k: int, fn):
+    """fn applied to every integer coefficient of a."""
+    return fn(a) if not k else _trim([_map(c, k - 1, fn) for c in a])
+
+
+def _gcd(a, b, k: int):
+    """gcd in Z[x_1..x_k] with positive ground leading coefficient."""
+    if not k:
+        return gcd(a, b)
+    g = (_heu_gcd(a, b, k) or _prs_gcd(a, b, k)) if a and b else a or b
+    lead = g
+    for _ in range(k):
+        lead = lead[-1] if lead else 0
+    return _neg(g, k) if lead < 0 else g
+
+
+def _heu_gcd(a, b, k: int):
+    """The heuristic gcd of Char, Geddes and Gonnet (J. Symb. Comp. 7,
+    1989), or None when six evaluation points all fail.
+
+    Evaluate the main variable at a large integer xi, take the gcd of the
+    images one level down, and read its xi-adic digits back as
+    coefficients.  With xi > 2 min(|a|, |b|) + 2 in the max norm, a
+    primitive candidate that divides a and b exactly is the gcd.
+    """
+    c = gcd(*_ints(a, k), *_ints(b, k))
+    a, b = (_map(f, k, lambda v: v // c) for f in (a, b))
+    xi = 2 * min(max(map(abs, _ints(f, k))) for f in (a, b)) + 29
+    for _ in range(6):
+        fa, fb = (_at(f, xi, k) for f in (a, b))
+        if fa and fb:
+            h = _interpolate(_gcd(fa, fb, k - 1), xi, k)
+            hc = gcd(*_ints(h, k))
+            h = _map(h, k, lambda v: v // hc)
+            try:
+                _quo(a, h, k), _quo(b, h, k)
+            except ArithmeticError:
+                pass
+            else:
+                return _map(h, k, lambda v: v * c)
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _at(a, xi: int, k: int):
+    """a with its main variable set to xi, in k - 1 variables."""
+    acc = 0 if k == 1 else []
+    for c in reversed(a):
+        acc = _add(_map(acc, k - 1, lambda v: v * xi), c, k - 1)
+    return acc
+
+
+def _interpolate(h, xi: int, k: int):
+    """The polynomial in k variables whose value at xi is h (in k - 1
+    variables), with coefficients the symmetric xi-adic digits of h's."""
+    def digit(v):
+        v %= xi
+        return v - xi if v > xi // 2 else v
+
+    out = []
+    while h:
+        d = _map(h, k - 1, digit)
+        out.append(d)
+        h = _map(_add(h, _neg(d, k - 1), k - 1), k - 1, lambda v: v // xi)
+    return out
+
+
+def _content(a, k: int):
+    """gcd of the coefficients of a, with positive ground leading coefficient."""
+    g = 0 if k == 1 else []
+    for c in a:
+        g = _gcd(g, c, k - 1)
+    return g
+
+
+def _prs_gcd(a, b, k: int):
+    """gcd of nonzero a, b up to sign, by the primitive polynomial remainder
+    sequence over the coefficient ring (W. S. Brown, JACM 18 (1971))."""
+    ca, cb = _content(a, k), _content(b, k)
+    a = [_quo(c, ca, k - 1) for c in a]
+    b = [_quo(c, cb, k - 1) for c in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        # pseudo-remainder of a by b, up to a factor the content absorbs
+        lb = b[-1]
+        while len(a) >= len(b):
+            la = _neg(a[-1], k - 1)
+            a = _add(_mul(a, [lb], k),
+                     [0 if k == 1 else []] * (len(a) - len(b))
+                     + _mul(b, [la], k), k)
+        if a:
+            cr = _content(a, k)
+            a = [_quo(c, cr, k - 1) for c in a]
+        a, b = b, a
+    return _mul(a, [_gcd(ca, cb, k - 1)], k)
+
+
 def reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Cancel the polynomial gcd and monomial content of num/den.
 
     Composition never reduces on its own; without this the unreduced
-    representations grow exponentially with word length.  The gcd is
-    sympy's, imported on the first call.
+    representations grow exponentially with word length.  The gcd is taken
+    in Z[x, y] after both sides are shifted to nonnegative exponents; it
+    carries the gcd of the integer contents and a positive leading
+    coefficient in lex order with x > y, and both quotients are exact.
     """
-    import sympy
-
     if not num:
         return ZERO, ONE
     shift_n = (min(i for i, _ in num.terms), min(j for _, j in num.terms))
     shift_d = (min(i for i, _ in den.terms), min(j for _, j in den.terms))
-    x, y = sympy.symbols("x y")
-    pn, pd = (sympy.Poly({(i - shift[0], j - shift[1]): c
-                          for (i, j), c in poly.terms.items()},
-                         x, y, domain="ZZ")
-              for poly, shift in ((num, shift_n), (den, shift_d)))
-    g = sympy.gcd(pn, pd)
-    if not g.is_one:
-        pn, pd = pn.exquo(g), pd.exquo(g)
-    num, den = (LaurentPoly({(int(i), int(j)): int(c)
-                             for (i, j), c in poly.terms()})
+    pn, pd = (_dense(poly, shift) for poly, shift in ((num, shift_n),
+                                                      (den, shift_d)))
+    g = _gcd(pn, pd, 2)
+    if g != [[1]]:
+        pn, pd = _quo(pn, g, 2), _quo(pd, g, 2)
+    num, den = (LaurentPoly({(i, j): c for i, row in enumerate(poly)
+                             for j, c in enumerate(row) if c})
                 for poly in (pn, pd))
     # park the net monomial x^i y^j on the numerator
     num = num.shift(shift_n[0] - shift_d[0], shift_n[1] - shift_d[1])
@@ -212,6 +389,16 @@ def reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, La
         if dc in (1, -1):
             return num.shift(-di, -dj) if dc == 1 else (-num).shift(-di, -dj), ONE
     return num, den
+
+
+def _dense(poly: LaurentPoly, shift: Monomial) -> list:
+    """poly / x^shift[0] y^shift[1] in the dense form of Z[y][x]."""
+    rows = [[] for _ in range(1 + max(i for i, _ in poly.terms) - shift[0])]
+    for (i, j), c in poly.terms.items():
+        row = rows[i - shift[0]]
+        row.extend([0] * (j - shift[1] + 1 - len(row)))
+        row[j - shift[1]] = c
+    return _trim(rows)
 
 
 def _subs_poly(poly: LaurentPoly, g1: RationalFn, g2: RationalFn) -> RationalFn:

@@ -15,7 +15,8 @@ wedge((1,0), (0,1)) == 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import cmp_to_key
+from math import gcd, isqrt
 
 Vec = tuple[int, int]
 Mat = tuple[int, int, int, int]
@@ -115,31 +116,86 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Primality of n: deterministic Miller-Rabin, proven exact below
-    3.3*10^24; above that, sympy.isprime (BPSW, imported only then)."""
+    """Primality of n.
+
+    Below 3.3*10^24 a Miller-Rabin test to the first 13 prime bases, which
+    is proven exact there.  Above it, the Baillie-PSW test: Miller-Rabin to
+    base 2 and a strong Lucas test with Selfridge's parameters (Baillie and
+    Wagstaff, "Lucas pseudoprimes", Math. Comp. 35 (1980)).  No composite is
+    known to pass it, but none is proven not to exist.
+    """
     if n < 2:
         return False
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    if n >= _MR_EXACT_BELOW:
-        from sympy import isprime
-        return bool(isprime(n))
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n < _MR_EXACT_BELOW:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin to base a, for odd n > a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test for odd n > 1 with Selfridge's parameters: the
+    first D of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4."""
+    if isqrt(n) ** 2 == n:
+        return False  # no such D exists
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and D % n:
+            return False  # |D| has a proper factor in common with n
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+
+    def half(v):
+        return (v if v & 1 == 0 else v + n) >> 1
+
+    # U_k, V_k, Q^k mod n, climbing k from 1 to d by the bits of d, P = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half((U + V) % n), half((D * U + V) % n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 # Named generators.  C and I generate SL(2,Z) inside the group; U is the
@@ -174,15 +230,13 @@ def dir_less(u: Vec, v: Vec) -> bool:
     return wedge(u, v) > 0
 
 
+def _ccw_cmp(u: Vec, v: Vec) -> int:
+    return -1 if dir_less(u, v) else int(dir_less(v, u))
+
+
 def _sort_ccw(rays):
-    # insertion sort with the exact comparator; ray lists are short
-    out = []
-    for r in set(rays):
-        i = 0
-        while i < len(out) and dir_less(out[i], r):
-            i += 1
-        out.insert(i, r)
-    return out
+    # distinct primitive rays, so the exact order is total
+    return sorted(set(rays), key=cmp_to_key(_ccw_cmp))
 
 
 def in_sector(a: Vec, b: Vec, v: Vec) -> bool:

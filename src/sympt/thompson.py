@@ -25,8 +25,9 @@ the partial quotients of a / b are the run lengths of the binary digits of
 integer operations.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 from .plcore import (
@@ -599,21 +600,31 @@ def _refined_cells(required):
     Rays come out counterclockwise: a cone is split at its mediant while a
     required ray lies strictly inside, and the halves are visited in order
     from an explicit stack, since a descent can be thousands of steps deep.
+    The required rays inside a base cell are sorted counterclockwise, so a
+    cone holds a slice of them and a split bisects the slice at the mediant.
     """
     rays = []
     for _, _, u, v in _BASE_CELLS:
-        # entries: (ray, None) emits a ray, (u, v, inside) splits a cone
-        stack = [(u, v, required), (u, None)]
+        inside = sorted((s for s in required
+                         if wedge(u, s) > 0 and wedge(s, v) > 0),
+                        key=cmp_to_key(lambda s, t: wedge(t, s)))
+        # entries: (ray, None) emits a ray, (u, v, lo, hi) splits a cone
+        # while inside[lo:hi] is not empty
+        stack = [(u, v, 0, len(inside)), (u, None)]
         while stack:
             entry = stack.pop()
             if entry[1] is None:
                 rays.append(entry[0])
                 continue
-            a, b, req = entry
-            inside = [s for s in req if wedge(a, s) > 0 and wedge(s, b) > 0]
-            if inside:
+            a, b, lo, hi = entry
+            if lo < hi:
                 m = vec_add(a, b)
-                stack += [(m, b, inside), (m, None), (a, m, inside)]
+                # rays clockwise of m go left, past m itself they go right
+                i = bisect_left(inside, True, lo, hi,
+                                key=lambda s: wedge(s, m) <= 0)
+                k = bisect_left(inside, True, i, hi,
+                                key=lambda s: wedge(s, m) < 0)
+                stack += [(m, b, k, hi), (m, None), (a, m, lo, i)]
     return rays
 
 

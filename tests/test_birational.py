@@ -12,6 +12,7 @@ from sympt.birational import (
     PRIMES,
     X,
     Y,
+    ZERO,
     BirMap,
     LaurentPoly,
     RationalFn,
@@ -159,6 +160,84 @@ def test_composition_length_cap():
     with pytest.raises(ValueError):
         evaluate("P^9", "bir")
     assert evaluate("P^5", "bir") == identity_bir()
+
+
+# ---------------------------------------------------------------------------
+# reduction to lowest terms
+
+def ref_reduce_fraction(num, den):
+    # the former reduction through sympy's gcd, kept as the reference
+    import sympy
+
+    if not num:
+        return ZERO, ONE
+    shift_n = (min(i for i, _ in num.terms), min(j for _, j in num.terms))
+    shift_d = (min(i for i, _ in den.terms), min(j for _, j in den.terms))
+    x, y = sympy.symbols("x y")
+    pn, pd = (sympy.Poly({(i - shift[0], j - shift[1]): c
+                          for (i, j), c in poly.terms.items()},
+                         x, y, domain="ZZ")
+              for poly, shift in ((num, shift_n), (den, shift_d)))
+    g = sympy.gcd(pn, pd)
+    if not g.is_one:
+        pn, pd = pn.exquo(g), pd.exquo(g)
+    num, den = (LaurentPoly({(int(i), int(j)): int(c)
+                             for (i, j), c in poly.terms()})
+                for poly in (pn, pd))
+    num = num.shift(shift_n[0] - shift_d[0], shift_n[1] - shift_d[1])
+    if len(den.terms) == 1:
+        ((di, dj), dc) = next(iter(den.terms.items()))
+        if dc in (1, -1):
+            return num.shift(-di, -dj) if dc == 1 else (-num).shift(-di, -dj), ONE
+    return num, den
+
+
+def random_laurent(rng, nterms, lo=-3, hi=3, cmax=6):
+    return LaurentPoly({(rng.randint(lo, hi), rng.randint(lo, hi)):
+                        rng.choice((-1, 1)) * rng.randint(1, cmax)
+                        for _ in range(nterms)})
+
+
+def reduction_cases(n):
+    rng = random.Random(17)
+    c = LaurentPoly.const
+    cases = [
+        (ZERO, ONE), (ZERO, X + Y), (c(4) * X, c(6)), (c(-4) * X, c(6)),
+        (c(6), c(-4)), (c(-1), c(-1)), (c(3), c(5)), (ONE, c(-7) * X * Y),
+        (LaurentPoly.monomial(-2, 3, -6), LaurentPoly.monomial(4, -1, 9)),
+        ((X + Y) * (X - Y), (Y - X) * c(2)), (c(-2) * (ONE + Y), c(6) * X),
+        ((ONE + Y) ** 3, (ONE + Y) ** 2 * (ONE + X)),
+    ]
+    for _ in range(n):
+        num = random_laurent(rng, rng.randint(0, 6))
+        den = random_laurent(rng, rng.randint(1, 6))
+        kind = rng.randrange(4)
+        if kind == 0:  # planted common factor
+            common = random_laurent(rng, rng.randint(1, 3), -1, 2)
+        elif kind == 1:  # integer content
+            common = c(rng.choice((-1, 1)) * rng.randint(2, 12))
+        elif kind == 2:  # monomial, possibly with a negative coefficient
+            common = random_laurent(rng, 1)
+        else:
+            common = ONE
+        cases.append((num * common, den * common))
+    return cases
+
+
+def test_reduce_fraction_matches_sympy_reference():
+    for num, den in reduction_cases(400):
+        assert birational.reduce_fraction(num, den) == \
+            ref_reduce_fraction(num, den), (num, den)
+    c = LaurentPoly.const
+    assert birational.reduce_fraction(c(4) * X, c(6)) == (c(2) * X, c(3))
+
+
+def test_remainder_sequence_behind_the_heuristic_gcd(monkeypatch):
+    # the fallback for a heuristic that fails at every evaluation point
+    monkeypatch.setattr(birational, "_heu_gcd", lambda a, b, k: None)
+    for num, den in reduction_cases(150):
+        assert birational.reduce_fraction(num, den) == \
+            ref_reduce_fraction(num, den), (num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,19 @@ CORPUS = {
                                "--to", "dyadic"],
     "convert.PC.dyadic.pl": ["convert", "--word", "P C", "--via", "dyadic",
                              "--to", "pl"],
+    "trop.PCIPU": ["trop", "--word", "P C I P U"],
+    "trop.P5": ["trop", "--word", "P P P P P"],
+    "trop.at_cap": ["trop", "--word", "P P P P P P P P"],
+    "trop.cap": ["trop", "--word", "P^9"],
+    "trop.lambda": ["trop", "--word", "lambda:2,3 P C lambda:1/2,1/3"],
+    "trop.lambda.negative": ["trop", "--word",
+                             "lambda:4,6 P U P^-1 lambda:1/4,-1/6"],
+    "trop.mono": ["trop", "--word", "mono:1,1,0,1 P mono:1,-1,0,1"],
+    "eval.PCI.bir": ["eval", "--word", "P C I", "--backend", "bir"],
+    "eval.PUP.bir": ["eval", "--word", "P U P", "--backend", "bir"],
+    "orbit.P": ["orbit", "--word", "P", "--start", "1,2", "--steps", "5"],
+    "orbit.pole": ["orbit", "--word", "P", "--start", "1,-1", "--steps",
+                   "3"],
 }
 
 

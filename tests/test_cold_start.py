@@ -1,8 +1,9 @@
-"""Cold start: a CLI call loads sympy only for symbolic composition.
+"""Cold start: no CLI call loads sympy, and each loads only its models.
 
 The pytest process has sympy loaded already, so each check runs in a fresh
 interpreter.  The calls are those of the benchmark corpus in
-perfbench/expected/cli.json, whose outputs are compared byte for byte.
+perfbench/expected/cli.json and of the golden corpus in
+tests/data/cli_golden.json, whose outputs are compared byte for byte.
 """
 
 import json
@@ -13,14 +14,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench" / "expected" / "cli.json"
+GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
 
 # Runs argv lists from stdin through cli.main in one interpreter; prints,
 # per call, stdout, exit code and the sympt and sympy modules loaded by then.
+# A blocked module is held as None in sys.modules and is not loaded.
 _SCRIPT = """
 import contextlib, io, json, sys
 def loaded():
-    return sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("sympt", "sympy"))
+    return sorted(m for m, mod in sys.modules.items()
+                  if mod is not None and m.split(".")[0] in ("sympt", "sympy"))
 import sympt.cli
 at_import = loaded()
 calls = []
@@ -35,25 +38,39 @@ print(json.dumps({"loaded": at_import, "calls": calls}))
 CLI_MODULES = ["sympt", "sympt.cli", "sympt.plcore", "sympt.words"]
 
 
-def _fresh_run(argvs):
+def _fresh_run(argvs, prelude=""):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", prelude + _SCRIPT], env=env,
                           input=json.dumps(argvs), capture_output=True,
                           text=True, check=True)
     return json.loads(proc.stdout)
 
 
-def test_only_symbolic_composition_loads_sympy():
-    corpus = json.loads(BENCH.read_text())
-    names = sorted(corpus, key=lambda n: corpus[n]["argv"][0] == "trop")
-    assert corpus[names[-1]]["argv"] == ["trop", "--word", "P"]
-    run = _fresh_run([corpus[n]["argv"] for n in names])
+def _replay_corpus(prelude=""):
+    """Every recorded call in one fresh interpreter, outputs checked."""
+    entries = [entry for path in (BENCH, GOLDEN)
+               for entry in json.loads(path.read_text()).values()]
+    assert {e["argv"][0] for e in entries} == {
+        "relations", "equal", "eval", "trop", "convert", "mutate", "quantum",
+        "orbit"}
+    run = _fresh_run([e["argv"] for e in entries], prelude)
     assert run["loaded"] == CLI_MODULES
-    for name, (out, code, modules) in zip(names, run["calls"]):
-        assert (out, code) == (corpus[name]["stdout"], corpus[name]["exit"])
-        assert ("sympy" in modules) == (name == "trop"), name
+    for entry, (out, code, _) in zip(entries, run["calls"]):
+        assert (out, code) == (entry["stdout"], entry["exit"]), entry["argv"]
+    return entries, run["calls"]
+
+
+def test_no_subcommand_loads_sympy():
+    for entry, (_, _, modules) in zip(*_replay_corpus()):
+        assert not [m for m in modules if m.split(".")[0] == "sympy"], \
+            entry["argv"]
+
+
+def test_every_subcommand_answers_with_sympy_unimportable():
+    # any import of sympy raises ImportError, which cli.main does not catch
+    _replay_corpus('import sys; sys.modules["sympy"] = None\n')
 
 
 def test_dyadic_convert_loads_only_the_circle_models():

@@ -7,12 +7,14 @@ from math import gcd
 import pytest
 
 from sympt.plcore import (
+    _MR_EXACT_BELOW,
     Fan,
     PLAut,
     chain_fan,
     compose_pl,
     cone_parents,
     cone_runs,
+    dir_less,
     from_function,
     generator_pl,
     identity_pl,
@@ -24,6 +26,9 @@ from sympt.plcore import (
     order_pl,
     primitive,
     wedge,
+    _sort_ccw,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
 )
 
 P = generator_pl("P")
@@ -353,6 +358,31 @@ def test_cone_runs_rejects_bad_input():
         cone_runs((1, 0), (0, 1), (2, 4))  # not primitive
 
 
+def ref_sort_ccw(rays):
+    # the former insertion sort, kept as the ordering oracle
+    out = []
+    for r in set(rays):
+        i = 0
+        while i < len(out) and dir_less(out[i], r):
+            i += 1
+        out.insert(i, r)
+    return out
+
+
+def test_sort_ccw_matches_insertion_sort():
+    rng = random.Random(61)
+    axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for _ in range(300):
+        bound = rng.choice((2, 5, 40, 10 ** 6))
+        vecs = [(rng.randint(-bound, bound), rng.randint(-bound, bound))
+                for _ in range(rng.randint(0, 40))]
+        rays = [primitive(v) for v in vecs if v != (0, 0)]
+        rays += rng.sample(rays, len(rays) // 3) + axes[:rng.randint(0, 4)]
+        out = _sort_ccw(rays)
+        assert out == ref_sort_ccw(rays)
+        assert all(dir_less(a, b) for a, b in zip(out, out[1:]))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -417,10 +447,52 @@ def test_is_prime_accepts_primes(n):
     assert is_prime(n)
 
 
-def test_is_prime_defers_to_sympy_past_the_bound(monkeypatch):
-    import sympy
+# Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1), all three factors
+# prime, past the Miller-Rabin bound
+CHERNICK_K = (14000240, 14000461, 14000720, 1000000001121)
 
-    asked = []
-    monkeypatch.setattr(sympy, "isprime", lambda n: asked.append(n) or True)
-    assert is_prime(2 ** 83 - 1) and asked == [2 ** 83 - 1]
-    assert not is_prime(2047) and asked == [2 ** 83 - 1]
+
+def test_is_prime_agrees_with_sympy_past_the_bound():
+    from sympy import isprime, nextprime
+
+    rng = random.Random(41)
+    primes = [nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+              for bits in range(85, 257, 3)]
+    semiprimes = [nextprime(rng.getrandbits(bits)) * nextprime(
+        rng.getrandbits(170 - bits)) for bits in range(43, 128, 4)]
+    carmichael = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+                  for k in CHERNICK_K]
+    for k in CHERNICK_K:
+        assert all(isprime(a * k + 1) for a in (6, 12, 18))
+    # composite 2^p - 1 with p prime pass Miller-Rabin to base 2
+    mersenne = [2 ** p - 1 for p in (83, 97, 101, 103, 109, 113, 131, 137)]
+    odd = [rng.randrange(_MR_EXACT_BELOW, 2 ** 256) | 1 for _ in range(300)]
+    cases = primes + semiprimes + carmichael + mersenne + odd
+    assert min(cases) >= _MR_EXACT_BELOW
+    assert [is_prime(n) for n in cases] == [isprime(n) for n in cases]
+    assert all(map(is_prime, primes))
+    assert not any(map(is_prime, semiprimes + carmichael + mersenne))
+    # the Lucas half of the test is what rejects the base-2 pseudoprimes
+    for n in mersenne:
+        assert _strong_probable_prime(n, 2)
+        assert not _strong_lucas_probable_prime(n)
+
+
+# the odd composites below 10^5 that pass the strong Lucas test with
+# Selfridge's parameters (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569,
+                             25199, 40309, 58519, 75077, 97439]
+
+
+def test_strong_lucas_test_alone():
+    from sympy import isprime
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    passing = [n for n in range(3, 100000, 2)
+               if _strong_lucas_probable_prime(n)]
+    assert [n for n in passing if not isprime(n)] == STRONG_LUCAS_PSEUDOPRIMES
+    assert passing == [n for n in range(3, 100000, 2)
+                       if is_strong_lucas_prp(n)]
+    # none of them is a strong pseudoprime to base 2
+    assert not any(_strong_probable_prime(n, 2)
+                   for n in STRONG_LUCAS_PSEUDOPRIMES)

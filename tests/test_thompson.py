@@ -7,6 +7,7 @@ import pytest
 from sympt.plcore import (generator_pl, identity_pl, inverse_pl, order_pl,
                           primitive, wedge)
 from sympt.thompson import (
+    _BASE_CELLS,
     DyadicPL,
     TreePair,
     cfp_generators,
@@ -22,6 +23,7 @@ from sympt.thompson import (
     treepair_to_dyadic,
     treepair_to_plaut,
     vector_to_dyadic,
+    _refined_cells,
 )
 from sympt.words import check_suite, evaluate
 
@@ -275,6 +277,40 @@ def test_dyadic_to_plane_round_trips_random_words():
         f = dyadic_to_plaut(d)
         assert f == evaluate(word, "pl"), word
         assert plaut_to_dyadic(f) == d
+
+
+def test_dyadic_to_plane_round_trips_large_powers():
+    for n in (1000, -1000):
+        d = evaluate("U^%d" % n, "dyadic")
+        assert dyadic_to_plaut(d) == evaluate("U^%d" % n, "pl")
+
+
+def ref_refined_cells(required):
+    # the former refinement, which filters every required ray at each split
+    rays = []
+    for _, _, u, v in _BASE_CELLS:
+        stack = [(u, v, required), (u, None)]
+        while stack:
+            entry = stack.pop()
+            if entry[1] is None:
+                rays.append(entry[0])
+                continue
+            a, b, req = entry
+            inside = [s for s in req if wedge(a, s) > 0 and wedge(s, b) > 0]
+            if inside:
+                m = (a[0] + b[0], a[1] + b[1])
+                stack += [(m, b, inside), (m, None), (a, m, inside)]
+    return rays
+
+
+def test_refined_cells_match_filtering_reference():
+    rng = random.Random(71)
+    for _ in range(300):
+        bound = rng.choice((3, 30, 300))
+        vecs = [(rng.randint(-bound, bound), rng.randint(-bound, bound))
+                for _ in range(rng.randint(0, 30))]
+        required = {primitive(v) for v in vecs if v != (0, 0)}
+        assert _refined_cells(required) == ref_refined_cells(required)
 
 
 def test_dyadic_conversion_is_homomorphic():
