@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
-from .plcore import PLAut, from_function, is_prime, primitive
+from .plcore import (
+    GEN_MATS, PLAut, from_function, is_prime, mat_inv, primitive)
 
 # primes just above 2^61, 2^61 + 10^6, 2^62, 2^63
 PRIMES = (
@@ -170,11 +172,6 @@ class RationalFn:
 
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(self.num * other.num, self.den * other.den)
-
-    def reciprocal(self) -> "RationalFn":
-        if not self.num:
-            raise ZeroDivisionError("reciprocal of zero")
-        return RationalFn(self.den, self.num)
 
     def __repr__(self):
         if self.den == ONE:
@@ -514,17 +511,14 @@ def scaling_bir(lam1: Fraction, lam2: Fraction) -> BirMap:
 
 
 def generator_bir(name: str) -> BirMap:
-    """P: (x,y) -> (y, (1+y)/x); other letters are monomial matrix maps."""
+    """P: (x,y) -> (y, (1+y)/x); C, I and U are the monomial maps of their
+    plcore.GEN_MATS matrices."""
     if name == "P":
         return BirMap(RationalFn(Y), RationalFn(ONE + Y, X))
     if name == "L":  # P^-1
         return BirMap(RationalFn(ONE + X, Y), RationalFn(X))
-    if name == "C":
-        return monomial_bir(-1, 1, -1, 0)
-    if name == "I":
-        return monomial_bir(0, -1, 1, 0)
-    if name == "U":
-        return monomial_bir(1, 1, 0, 1)
+    if name in GEN_MATS:
+        return monomial_bir(*GEN_MATS[name])
     if name == "mu":  # I∘P: (x, y) -> (x/(1+y), y)
         return BirMap(RationalFn(X, ONE + Y), RationalFn(Y))
     raise ValueError("unknown generator %r" % name)
@@ -536,8 +530,7 @@ def generator_bir_inverse(name: str) -> BirMap:
         return generator_bir("L")
     if name == "L":
         return generator_bir("P")
-    if name in ("C", "I", "U"):
-        from .plcore import GEN_MATS, mat_inv
+    if name in GEN_MATS:
         return monomial_bir(*mat_inv(GEN_MATS[name]))
     if name == "mu":
         return BirMap(RationalFn(X * (ONE + Y)), RationalFn(Y))
@@ -580,27 +573,23 @@ def is_symplectic(f: BirMap) -> bool:
 # ---------------------------------------------------------------------------
 # randomized word equality
 
-def _word_atoms():
-    return {s: generator_bir(s) for s in ("P", "C", "I")}
+@cache
+def _letter_maps() -> dict:
+    """The map of each core letter and of its inverse, keyed by (letter,
+    sign of the exponent)."""
+    maps = {}
+    for s in ("P", "C", "I"):
+        maps[s, 1], maps[s, -1] = generator_bir(s), generator_bir_inverse(s)
+    return maps
 
 
 def _apply_word_mod(word, point, p):
     """Apply a core word to a point mod p, rightmost factor first."""
-    atoms = _word_atoms()
-    atoms["L"] = generator_bir("L")
-    inv_mono = {
-        "C": monomial_bir(0, -1, 1, -1),   # C^-1
-        "I": monomial_bir(0, 1, -1, 0),    # I^-1
-    }
+    maps = _letter_maps()
     x = point
     for sym, exp in reversed(word):
-        if exp >= 0:
-            g, k = atoms[sym], exp
-        elif sym == "P":
-            g, k = atoms["L"], -exp
-        else:
-            g, k = inv_mono[sym], -exp
-        for _ in range(k):
+        g = maps[sym, 1 if exp >= 0 else -1]
+        for _ in range(abs(exp)):
             x = g.apply_mod(x, p)
     return x
 

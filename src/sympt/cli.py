@@ -27,7 +27,6 @@ import sys
 from fractions import Fraction
 
 from . import words
-from .plcore import mat_inv, primitive
 
 TROP_CAP = 8
 
@@ -155,21 +154,6 @@ def cmd_convert(args):
             "element": value.to_json()}, 0
 
 
-def _wq_at(x, v):
-    """The q-mutation along a general primitive direction: move v to the
-    base direction by a fixed unimodular matrix and conjugate."""
-    from . import picard
-
-    if v == (1, 0):
-        return picard.mu_Wq_action(x)
-    if primitive(v) != v:
-        raise ValueError("mutation direction must be primitive; got %r" % (v,))
-    g, s, t = picard.egcd(v[0], v[1])
-    m = (v[0], -t, v[1], s)  # det 1, m(1,0) = v
-    return picard.gamma_action(
-        picard.mu_Wq_action(picard.gamma_action(x, mat_inv(m))), m)
-
-
 def cmd_mutate(args):
     from . import picard
 
@@ -195,7 +179,7 @@ def cmd_mutate(args):
                     "basis p mutates p-family vectors only; found %r" % (key,))
             out = out + coeff * picard.mu_p_action(key[1], v)
     elif args.basis == "wq":
-        out = _wq_at(x, v)
+        out = picard.mu_Wq_at(x, v)
     else:
         raise ValueError("unknown basis %r (expected be, p or wq)" % args.basis)
     return {"basis": args.basis, "at": list(v),

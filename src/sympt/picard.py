@@ -38,21 +38,21 @@ instead of patching either side.
 """
 
 import random
-from functools import cmp_to_key
 from math import gcd
 
 from .plcore import (
+    AXES,
     GEN_MATS,
     MAT_ID,
     Fan,
     Mat,
     PLAut,
     Vec,
+    ccw_key,
+    cone_index,
     cone_parents,
     cone_runs,
-    dir_less,
     generator_pl,
-    in_sector,
     linear_pl,
     mat_apply,
     mat_inv,
@@ -61,9 +61,6 @@ from .plcore import (
     vec_add,
     wedge,
 )
-
-_CCW_KEY = cmp_to_key(
-    lambda u, w: 0 if u == w else (-1 if dir_less(u, w) else 1))
 
 __all__ = [
     "QPoly",
@@ -94,6 +91,7 @@ __all__ = [
     "gamma_action",
     "mu_Wq_action",
     "mu_Wq_inverse",
+    "mu_Wq_at",
     "v_membership",
     "wedge_form",
     "random_v_vector",
@@ -215,9 +213,6 @@ Q_ONE = QPoly((1,))
 # ---------------------------------------------------------------------------
 # piecewise-linear functions modulo linear functions
 
-_AXES = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
 def _content_and_primitive(v: Vec):
     k = gcd(v[0], v[1])
     return k, (v[0] // k, v[1] // k)
@@ -266,7 +261,7 @@ class BreakFn:
         values = [int(x) for x in values]
         if len(rays) != len(values):
             raise ValueError("need one value per ray")
-        pairs = sorted(zip(rays, values), key=lambda p: _CCW_KEY(p[0]))
+        pairs = sorted(zip(rays, values), key=lambda p: ccw_key(p[0]))
         rays = [r for r, _ in pairs]
         vals = [x for _, x in pairs]
         fan = Fan(tuple(rays))
@@ -314,13 +309,9 @@ class BreakFn:
         if v == (0, 0):
             return 0
         k, p = _content_and_primitive(v)
-        n = len(rays)
-        for i in range(n):
-            u, w = rays[i], rays[(i + 1) % n]
-            if in_sector(u, w, p):
-                return k * (wedge(p, w) * vals[i]
-                            + wedge(u, p) * vals[(i + 1) % n])
-        raise AssertionError("no cone contains %r" % (v,))
+        i = cone_index(rays, p)
+        j = (i + 1) % len(rays)
+        return k * (wedge(p, rays[j]) * vals[i] + wedge(rays[i], p) * vals[j])
 
     @staticmethod
     def _index_at(rays, vals, j):
@@ -383,18 +374,18 @@ class BreakFn:
 
 
 def zero_breakfn() -> BreakFn:
-    return BreakFn(_AXES, (0, 0, 0, 0))
+    return BreakFn(AXES, (0, 0, 0, 0))
 
 
 def ample_A() -> BreakFn:
     """The function max(0, -y); not linear only at (1,0) and (-1,0)."""
-    return BreakFn(_AXES, (0, 0, 0, 1))
+    return BreakFn(AXES, (0, 0, 0, 1))
 
 
 def compose_breakfn(F: BreakFn, g: PLAut) -> BreakFn:
     """The function v -> F(g(v))."""
     ginv = ~g
-    rays = set(g.rays) | set(_AXES)
+    rays = set(g.rays) | set(AXES)
     rays.update(ginv(r) for r in F.break_rays)
     rays = sorted(rays)
     return BreakFn(rays, [F(g(r)) for r in rays])
@@ -434,12 +425,9 @@ def _unimodular_companions(F: BreakFn, a: Vec):
     its unimodular cone, so they stay inside the cone, where F is linear.
     """
     rays = F._rays
-    n = len(rays)
-    for i in range(n):
-        u, w = rays[i], rays[(i + 1) % n]
-        if in_sector(u, w, a):
-            return cone_parents(u, w, cone_runs(u, w, a))
-    raise AssertionError("no cone contains %r" % (a,))
+    i = cone_index(rays, a)
+    u, w = rays[i], rays[(i + 1) % len(rays)]
+    return cone_parents(u, w, cone_runs(u, w, a))
 
 
 def pairing(F: BreakFn, G: dict) -> int:
@@ -925,6 +913,17 @@ def mu_Wq_action(x: PicVec) -> PicVec:
 
 def mu_Wq_inverse(x: PicVec) -> PicVec:
     return _picvec(_mutate(_e_terms(x), -1))
+
+
+def mu_Wq_at(x: PicVec, v: Vec) -> PicVec:
+    """The W[q] mutation along the primitive direction v: mu_Wq_action
+    conjugated by a unimodular m with m(1,0) = v."""
+    v = tuple(v)
+    if primitive(v) != v:
+        raise ValueError("mutation direction must be primitive; got %r" % (v,))
+    _, s, t = egcd(v[0], v[1])
+    m = (v[0], -t, v[1], s)
+    return _picvec(_relabel(_mutate(_e_terms(x), 1, mat_inv(m)), m))
 
 
 def _in_v(raw: dict) -> bool:

@@ -10,6 +10,11 @@ plain tuple comparisons.
 Vectors are (a, b) tuples, matrices are row-major 4-tuples
 (m11, m12, m21, m22).  The wedge product is normalized so that
 wedge((1,0), (0,1)) == 1.
+
+This module alone defines the lattice facts the other models share: the
+counterclockwise order of directions (ccw_key), the cone of a fan that
+holds a vector (cone_index) and the matrices of the named generators
+(GEN_MATS).
 """
 
 from __future__ import annotations
@@ -39,10 +44,6 @@ def primitive(v: Vec) -> Vec:
 
 def vec_add(u: Vec, v: Vec) -> Vec:
     return (u[0] + v[0], u[1] + v[1])
-
-
-def vec_neg(v: Vec) -> Vec:
-    return (-v[0], -v[1])
 
 
 def cone_runs(u: Vec, v: Vec, w: Vec) -> list[int]:
@@ -234,9 +235,13 @@ def _ccw_cmp(u: Vec, v: Vec) -> int:
     return -1 if dir_less(u, v) else int(dir_less(v, u))
 
 
+# sort key of the counterclockwise order anchored at (1,0)
+ccw_key = cmp_to_key(_ccw_cmp)
+
+
 def _sort_ccw(rays):
     # distinct primitive rays, so the exact order is total
-    return sorted(set(rays), key=cmp_to_key(_ccw_cmp))
+    return sorted(set(rays), key=ccw_key)
 
 
 def in_sector(a: Vec, b: Vec, v: Vec) -> bool:
@@ -249,6 +254,17 @@ def in_sector(a: Vec, b: Vec, v: Vec) -> bool:
     if dir_less(a, b):
         return not dir_less(v, a) and dir_less(v, b)
     return not dir_less(v, a) or dir_less(v, b)
+
+
+def cone_index(rays, v: Vec) -> int:
+    """Index i of the half-open cone [rays[i], rays[i+1]) that holds the
+    direction of v (nonzero), for rays winding once counterclockwise; the
+    last cone closes back to rays[0]."""
+    n = len(rays)
+    for i in range(n):
+        if in_sector(rays[i], rays[(i + 1) % n], v):
+            return i
+    raise AssertionError("no cone contains %r" % (v,))
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +353,7 @@ class PLAut:
             raise ValueError("the origin lies in every cone")
         if self.is_linear:
             return self.mats[0]
-        n = len(self.rays)
-        for i in range(n):
-            if in_sector(self.rays[i], self.rays[(i + 1) % n], v):
-                return self.mats[i]
-        raise AssertionError("no cone contains %r" % (v,))
+        return self.mats[cone_index(self.rays, v)]
 
     def __call__(self, v: Vec) -> Vec:
         if v == (0, 0):
@@ -495,7 +507,7 @@ def generator_pl(name: str) -> PLAut:
     raise ValueError("unknown generator %r" % name)
 
 
-_AXES: tuple[Vec, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
+AXES: tuple[Vec, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def from_function(fn, hint_rays) -> PLAut:
@@ -506,7 +518,7 @@ def from_function(fn, hint_rays) -> PLAut:
     from the two spanning rays and checked on the mediant, so a hidden
     breakpoint or a non-unimodular piece raises ValueError.
     """
-    rays = _sort_ccw([primitive(r) for r in hint_rays] + list(_AXES))
+    rays = _sort_ccw([primitive(r) for r in hint_rays] + list(AXES))
     mats = []
     n = len(rays)
     for i in range(n):

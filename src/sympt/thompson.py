@@ -649,10 +649,12 @@ def dyadic_to_plaut(d: DyadicPL) -> PLAut:
 
     Each leaf of the reduced tree pair goes affinely onto a standard
     interval.  Cut further at the base-cell corners and their preimages, so
-    that a piece and its image each lie in one base cell, every piece is a
-    unimodular cone that the plane map sends linearly.  The breakpoints of
-    d alone do not suffice: the plane map can bend where the slope of d
-    does not change.
+    that a piece and its image each lie in one base cell, every piece is
+    again a standard interval with a standard image: a unimodular cone that
+    the plane map sends linearly.  The vectors of these cut points are the
+    hint rays of from_function as they are, with no further refinement.
+    The breakpoints of d alone do not suffice: the plane map can bend where
+    the slope of d does not change.
     """
     tp = dyadic_to_treepair(d)
     exp = max(tp.domain)
@@ -661,7 +663,6 @@ def dyadic_to_plaut(d: DyadicPL) -> PLAut:
                   for x in _leaf_starts(tp.domain, exp)[:-1]} | set(_ANCHOR_T)
     for a in _ANCHOR_T:
         required_t.add(dinv(a))
-    rays = _refined_cells({dyadic_to_vector(t) for t in required_t})
 
     def fn(v: Vec) -> Vec:
         k = gcd(v[0], v[1])
@@ -669,7 +670,8 @@ def dyadic_to_plaut(d: DyadicPL) -> PLAut:
         w = dyadic_to_vector(d(vector_to_dyadic(p)))
         return (k * w[0], k * w[1])
 
-    return from_function(fn, hint_rays=rays)
+    return from_function(
+        fn, hint_rays=[dyadic_to_vector(t) for t in required_t])
 
 
 def plaut_to_treepair(f: PLAut) -> TreePair:

@@ -204,6 +204,8 @@ def _dyadic_ring():
 
 @functools.cache
 def _bir_ring():
+    # C and I are the monomial maps of the plcore.GEN_MATS matrices, the
+    # table every model reads its generator matrices from
     bir = _module("birational")
     return ({s: bir.generator_bir(s) for s in ("P", "C", "I")},
             bir.identity_bir(), lambda f, g: bir.compose_bir(f, g),

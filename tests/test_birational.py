@@ -18,6 +18,7 @@ from sympt.birational import (
     RationalFn,
     compose_bir,
     generator_bir,
+    generator_bir_inverse,
     identity_bir,
     is_symplectic,
     kernel_probe,
@@ -99,6 +100,12 @@ def test_generator_formulas():
 def test_p_inverse():
     assert compose_bir(P, L) == identity_bir()
     assert compose_bir(L, P) == identity_bir()
+
+
+def test_generator_inverses():
+    for name in ("P", "L", "C", "I", "U", "mu"):
+        g, h = generator_bir(name), generator_bir_inverse(name)
+        assert compose_bir(g, h) == identity_bir() == compose_bir(h, g)
 
 
 def test_p_squared_formula():
@@ -296,6 +303,29 @@ def test_error_bound_is_reported():
 def test_prime_size_guard():
     with pytest.raises(ValueError):
         word_equals_identity(parse_word("P^5"), primes=(1000003,))
+
+
+def test_apply_word_mod_matches_symbolic_composition():
+    rng = random.Random(37)
+    p = PRIMES[0]
+    checked = 0
+    for _ in range(60):
+        word = [(rng.choice("PCI"), rng.choice((1, -1, 2, -2)))
+                for _ in range(rng.randint(1, 6))]
+        f = identity_bir()
+        for sym, exp in word:
+            g = generator_bir(sym) if exp > 0 else generator_bir_inverse(sym)
+            for _ in range(abs(exp)):
+                f = compose_bir(f, g)
+        for _ in range(3):
+            point = (rng.randrange(2, p - 1), rng.randrange(2, p - 1))
+            try:
+                image = birational._apply_word_mod(word, point, p)
+            except ZeroDivisionError:
+                continue
+            assert image == f.apply_mod(point, p), word
+            checked += 1
+    assert checked > 150
 
 
 def test_determinism():

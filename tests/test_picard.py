@@ -24,6 +24,7 @@ from sympt.picard import (
     is_ample,
     is_effective,
     mu_Wq_action,
+    mu_Wq_at,
     mu_Wq_inverse,
     mu_be_action,
     mu_p_action,
@@ -496,6 +497,33 @@ def test_wq_action_invertible():
         x = random_v_vector(rng)
         assert mu_Wq_inverse(mu_Wq_action(x)) == x
         assert mu_Wq_action(mu_Wq_inverse(x)) == x
+
+
+def ref_wq_at(x, v):
+    # the former conjugation by gamma_action on both sides of mu_Wq_action
+    if v == (1, 0):
+        return mu_Wq_action(x)
+    g, s, t = picard.egcd(v[0], v[1])
+    m = (v[0], -t, v[1], s)
+    return gamma_action(mu_Wq_action(gamma_action(x, mat_inv(m))), m)
+
+
+def test_wq_mutation_along_a_direction_matches_conjugation():
+    rng = random.Random(19)
+    checked = 0
+    while checked < 400:
+        v = (rng.randint(-9, 9), rng.randint(-9, 9))
+        if v == (0, 0) or primitive(v) != v:
+            continue
+        x = random_v_vector(rng, rng.randint(1, 5))
+        assert mu_Wq_at(x, v) == ref_wq_at(x, v), (x, v)
+        checked += 1
+    x = random_v_vector(rng)
+    assert mu_Wq_at(x, (1, 0)) == mu_Wq_action(x)
+    with pytest.raises(ValueError, match="must be primitive"):
+        mu_Wq_at(x, (2, 4))
+    with pytest.raises(ValueError, match="needs e terms"):
+        mu_Wq_at(b_vec((1, 0)), (0, 1))
 
 
 def test_v_membership():

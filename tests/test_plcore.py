@@ -12,12 +12,14 @@ from sympt.plcore import (
     PLAut,
     chain_fan,
     compose_pl,
+    cone_index,
     cone_parents,
     cone_runs,
     dir_less,
     from_function,
     generator_pl,
     identity_pl,
+    in_sector,
     inverse_pl,
     is_prime,
     linear_pl,
@@ -381,6 +383,42 @@ def test_sort_ccw_matches_insertion_sort():
         out = _sort_ccw(rays)
         assert out == ref_sort_ccw(rays)
         assert all(dir_less(a, b) for a, b in zip(out, out[1:]))
+
+
+def ref_cone_index(rays, v):
+    # the former scan of PLAut.matrix_at, kept as the cone-lookup oracle
+    n = len(rays)
+    for i in range(n):
+        if in_sector(rays[i], rays[(i + 1) % n], v):
+            return i
+    raise AssertionError("no cone contains %r" % (v,))
+
+
+def test_cone_index_matches_sector_scan():
+    rng = random.Random(67)
+    fans = [random_word(rng, rng.randint(1, 6)).rays for _ in range(150)]
+    fans = [f for f in fans if f]
+    while len(fans) < 250:
+        # two rays: one convex or half-turn cone and one reflex cone
+        a, b = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in "ab"]
+        if a != (0, 0) and b != (0, 0) and primitive(a) != primitive(b):
+            fans.append(tuple(_sort_ccw([primitive(a), primitive(b)])))
+    fans.append(((1, 0), (-1, 0)))
+    for rays in fans:
+        vecs = [(rng.randint(-20, 20), rng.randint(-20, 20))
+                for _ in range(20)]
+        vecs += list(rays)  # on a ray
+        vecs += [(k * r[0], k * r[1]) for r in rays for k in (2, 7)]
+        for v in vecs:
+            if v == (0, 0):
+                continue
+            i = cone_index(rays, v)
+            assert i == ref_cone_index(rays, v), (rays, v)
+            assert i == cone_index(rays, primitive(v))
+        # a ray opens its own cone
+        assert [cone_index(rays, r) for r in rays] == list(range(len(rays)))
+    assert cone_index(((1, 0), (1, 1)), (1, 0)) == 0
+    assert cone_index(((1, 0), (1, 1)), (0, -3)) == 1  # the reflex cone
 
 
 # ---------------------------------------------------------------------------
