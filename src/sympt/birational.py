@@ -597,8 +597,12 @@ def _apply_word_mod(word, point, p):
 def _sample_images(word, primes, per_prime: int, rng: random.Random):
     """Yield (p, point, image) for per_prime points over each prime, drawn
     from [2, p-2]^2 off the pole locus; ValueError before any draw if a
-    modulus is not prime, RuntimeError after 100 draws per point on one
-    prime."""
+    letter of the word is not P, C or I or a modulus is not prime,
+    RuntimeError after 100 draws per point on one prime."""
+    for sym, _ in word:
+        if sym not in ("P", "C", "I"):
+            raise ValueError("letter %r is not in the core alphabet P, C, I; "
+                             "expand the word first" % (sym,))
     for p in primes:
         # the Schwartz-Zippel bound holds over a field only
         if not is_prime(p):

@@ -370,12 +370,9 @@ class PLAut:
         return inverse_pl(self)
 
     def __pow__(self, k: int) -> "PLAut":
-        if k < 0:
-            return inverse_pl(self) ** (-k)
-        out = identity_pl()
-        for _ in range(k):
-            out = compose_pl(out, self)
-        return out
+        if k == 0:
+            return identity_pl()
+        return power(inverse_pl(self) if k < 0 else self, abs(k), compose_pl)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PLAut):
@@ -519,11 +516,12 @@ def from_function(fn, hint_rays) -> PLAut:
     breakpoint or a non-unimodular piece raises ValueError.
     """
     rays = _sort_ccw([primitive(r) for r in hint_rays] + list(AXES))
+    images = [fn(r) for r in rays]
     mats = []
     n = len(rays)
     for i in range(n):
         a, b = rays[i], rays[(i + 1) % n]
-        wa, wb = fn(a), fn(b)
+        wa, wb = images[i], images[(i + 1) % n]
         d = wedge(a, b)
         if d <= 0:
             raise AssertionError("candidate rays out of order")
@@ -554,6 +552,20 @@ def compose_pl(f: PLAut, g: PLAut) -> PLAut:
     ginv = inverse_pl(g)
     hints = list(g.rays) + [ginv(r) for r in f.rays]
     return from_function(lambda v: f(g(v)), hints)
+
+
+def power(x, n: int, mul):
+    """x^n for n >= 1 by repeated squaring: O(log n) calls of mul, which
+    must be associative; powers of one element commute, so the grouping
+    does not change the value."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else mul(out, x)
+        n >>= 1
+        if not n:
+            return out
+        x = mul(x, x)
 
 
 def inverse_pl(f: PLAut) -> PLAut:

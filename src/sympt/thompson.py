@@ -23,16 +23,23 @@ coordinates of w.  Both directions are computed from continued fractions:
 the partial quotients of a / b are the run lengths of the binary digits of
 ?(x) (``plcore.cone_runs``), so a conversion costs O(#partial quotients)
 integer operations.
+
+Inside the module a circle point is a (numerator, exponent) pair of
+integers, the point n / 2^k: both walks (``_vector_to_pair`` and
+``_pair_to_vector``), evaluation, composition and the conversions to and
+from the plane rescale such pairs by shifts.  ``Fraction`` appears only at
+the API boundary: ``vector_to_dyadic``, ``dyadic_to_vector``, calling a
+``DyadicPL`` on a number, and its ``points``.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 
 from .plcore import (
     PLAut,
     Vec,
+    ccw_key,
     cone_parents,
     cone_runs,
     from_function,
@@ -72,7 +79,6 @@ _BASE_CELLS = (
     (3, 2, (-1, -1), (1, 0)),
 )
 
-_ANCHOR_T = (_ZERO, Fraction(1, 2), Fraction(3, 4))
 _ANCHOR_VECS = ((1, 0), (0, 1), (-1, -1))
 
 
@@ -116,9 +122,8 @@ def _from_dyadic_pair(pair) -> Fraction:
     return Fraction(num, 1 << log2den)
 
 
-def dyadic_to_vector(t) -> Vec:
-    """Primitive integer vector corresponding to a dyadic circle point."""
-    n, k = _dyadic_pair(_mod1(_exact(t)))
+def _pair_to_vector(n: int, k: int) -> Vec:
+    """Primitive integer vector of the dyadic point n / 2^k in [0, 1)."""
     if k < 2:
         n, k = n << (2 - k), 2
     c, e, u, v = _BASE_CELLS[max(0, (n >> (k - 2)) - 1)]
@@ -128,37 +133,54 @@ def dyadic_to_vector(t) -> Vec:
         return u
     z = _twos(rel)
     rel, k = rel >> z, k - z
-    # x = ?(b / (a + b)) has binary digits 0^r0 1^r1 0^r2 ... and then a
-    # final 1, where r0, r1, ... are the runs of the descent to the vector
-    digits = format(rel >> 1, "0%db" % (k - 1)) if k > 1 else ""
+    # x = ?(b / (a + b)) has the k binary digits 0^r0 1^r1 0^r2 ... and
+    # then a final 1, where r0, r1, ... are the runs of the descent to the
+    # vector; they are read off from the lowest digit up
+    x = rel >> 1
     runs = []
-    pos, digit = 0, "1"
-    while pos < len(digits):
-        end = digits.find(digit, pos)
-        if end < 0:
-            end = len(digits)
-        runs.append(end - pos)
-        pos, digit = end, "0" if digit == "1" else "1"
+    while x:
+        zeros = (x & -x).bit_length() - 1
+        x >>= zeros
+        ones = ((x + 1) & ~x).bit_length() - 1
+        x >>= ones
+        runs += (zeros, ones)
+    runs.append(k - 1 - sum(runs))
+    runs.reverse()
     return vec_add(*cone_parents(u, v, runs))
 
 
-def vector_to_dyadic(w: Vec) -> Fraction:
-    """Dyadic circle point corresponding to a primitive integer vector."""
+def _vector_to_pair(w: Vec) -> tuple[int, int]:
+    """(n, k) with n / 2^k in [0, 1) the dyadic point of a primitive
+    integer vector."""
     if primitive(w) != w:
         raise ValueError("vector must be primitive: %s" % (w,))
     for c, e, u, v in _BASE_CELLS:
         if w == u:
-            return Fraction(c, 1 << e)
+            return c, e
         if wedge(u, w) > 0 and wedge(w, v) > 0:
             break
     else:
         raise ValueError("vector not located in any base cell: %s" % (w,))
     # t = lo + (hi - lo) * ?(x); the binary digits of ?(x) are the runs of
     # the descent to w, alternately 0s and 1s, and then a final 1
-    digits = "".join("01"[i % 2] * r
-                     for i, r in enumerate(cone_runs(u, v, w))) + "1"
-    k = len(digits)
-    return Fraction((c << k) + int(digits, 2), 1 << (e + k))
+    x = k = 0
+    for i, r in enumerate(cone_runs(u, v, w)):
+        x <<= r
+        if i % 2:
+            x |= (1 << r) - 1
+        k += r
+    return (c << (k + 1)) + (x << 1 | 1), e + k + 1
+
+
+def dyadic_to_vector(t) -> Vec:
+    """Primitive integer vector corresponding to a dyadic circle point."""
+    return _pair_to_vector(*_dyadic_pair(_mod1(_exact(t))))
+
+
+def vector_to_dyadic(w: Vec) -> Fraction:
+    """Dyadic circle point corresponding to a primitive integer vector."""
+    n, k = _vector_to_pair(w)
+    return Fraction(n, 1 << k)
 
 
 class DyadicPL:
@@ -271,31 +293,38 @@ class DyadicPL:
 
     def __call__(self, t) -> Fraction:
         t = _exact(t)
-        return Fraction(*self._image(t.numerator % t.denominator,
-                                     t.denominator))
+        d = t.denominator
+        z = _twos(d)
+        y, m = self._image(t.numerator % d, z, d >> z)
+        return Fraction(y, d >> z << m)
 
-    def _image(self, n, d):
-        """Image of n/d in [0, 1) as an unreduced fraction (y, den)."""
+    def _image(self, x, m, odd=1):
+        """Image of x / (odd * 2^m) in [0, 1), for odd odd, as the pair
+        (y, m') of the point y / (odd * 2^m'), unreduced.
+
+        The one piece lookup: bisection finds the piece, and its slope is
+        applied as a shift.  A dyadic point has odd = 1, and then every
+        step is a shift of its numerator.
+        """
         exp = self._exp
-        # den is a common denominator of n/d and the points, unit = den/2^exp
-        k = max(0, exp - _twos(d))
-        den, x = d << k, n << k
-        unit = den >> exp
-        i = bisect_right(self._ts, x // unit) - 1
-        dt = x - self._ts[i] * unit
+        if m < exp:
+            x, m = x << (exp - m), exp
+        # over odd * 2^m a point t / 2^exp has numerator t * odd << up
+        up = m - exp
+        i = bisect_right(self._ts, x // odd >> up) - 1
+        dt = x - (self._ts[i] * odd << up)
         if dt < 0:
             # before the first breakpoint: on the last piece, across 0
-            dt += den
-        y = self._ys[i] * unit
+            dt += odd << m
+        y = self._ys[i] * odd << up
         s = self._shifts[i]
         if s >= 0:
             y += dt << s
         else:
-            y = (y << -s) + dt
-            den <<= -s
-        if y >= den:
-            y -= den
-        return y, den
+            y, m = (y << -s) + dt, m - s
+        if y >> m >= odd:
+            y -= odd << m
+        return y, m
 
     def __eq__(self, other):
         if not isinstance(other, DyadicPL):
@@ -320,11 +349,15 @@ class DyadicPL:
         return "DyadicPL(%s)" % body
 
     def to_json(self):
-        return {
-            "breakpoints": [
-                [_dyadic_pair(t), _dyadic_pair(y)] for t, y in self.points
-            ]
-        }
+        exp = self._exp
+
+        def pair(x):
+            # x / 2^exp in lowest terms, as (numerator, log2 of denominator)
+            z = _twos(x) if x else exp
+            return [x >> z, exp - z]
+
+        return {"breakpoints": [[pair(t), pair(y)]
+                                for t, y in zip(self._ts, self._ys)]}
 
     @classmethod
     def from_json(cls, data) -> "DyadicPL":
@@ -340,24 +373,25 @@ def dyadic_identity() -> DyadicPL:
 
 
 def dyadic_compose(f: DyadicPL, g: DyadicPL) -> DyadicPL:
-    """Composite f(g(t)); breakpoints of g joined with g-preimages of f's."""
-    # candidate breakpoints as (numerator, power-of-two denominator)
+    """Composite f(g(t)); breakpoints of g joined with g-preimages of f's.
+
+    Points are (numerator, exponent) pairs over powers of two, brought to
+    a common exponent by shifts.
+    """
     cand = []
     if not g.is_rotation:
-        cand += [(t, 1 << g._exp) for t in g._ts]
+        cand += [(t, g._exp) for t in g._ts]
     if not f.is_rotation:
         ginv = ~g
-        cand += [ginv._image(b, 1 << f._exp) for b in f._ts]
+        cand += [ginv._image(b, f._exp) for b in f._ts]
     if not cand:
-        cand = [(0, 1)]
-    den = max(d for _, d in cand)
-    images = []
-    for t in {n * (den // d) for n, d in cand}:
-        y, dy = f._image(*g._image(t, den))
-        images.append((t, y, dy))
-    top = max(den, max(dy for _, _, dy in images))
-    return DyadicPL._from_ints(top.bit_length() - 1, [
-        (t * (top // den), y * (top // dy)) for t, y, dy in images])
+        cand = [(0, 0)]
+    m = max(k for _, k in cand)
+    images = [(t, *f._image(*g._image(t, m)))
+              for t in {n << (m - k) for n, k in cand}]
+    top = max(m, max(k for _, _, k in images))
+    return DyadicPL._from_ints(top, [
+        (t << (top - m), y << (top - k)) for t, y, k in images])
 
 
 def _leaf_starts(depths, exp):
@@ -605,9 +639,11 @@ def _refined_cells(required):
     """
     rays = []
     for _, _, u, v in _BASE_CELLS:
+        # inside one base cell the order anchored at (1, 0) is the
+        # counterclockwise order from u to v
         inside = sorted((s for s in required
                          if wedge(u, s) > 0 and wedge(s, v) > 0),
-                        key=cmp_to_key(lambda s, t: wedge(t, s)))
+                        key=ccw_key)
         # entries: (ray, None) emits a ray, (u, v, lo, hi) splits a cone
         # while inside[lo:hi] is not empty
         stack = [(u, v, 0, len(inside)), (u, None)]
@@ -629,17 +665,29 @@ def _refined_cells(required):
 
 
 def plaut_to_dyadic(f: PLAut) -> DyadicPL:
-    """Circle form of a plane automorphism via the dyadic/vector walk."""
+    """Circle form of a plane automorphism via the dyadic/vector walk.
+
+    Each ray and its image become a breakpoint pair over 2^exp; then every
+    piece is certified: the midpoint of two adjacent rays must go where the
+    mediant of their images points.
+    """
     rays = _refined_cells(_required_rays(f))
     images = [f(r) for r in rays]
-    ts = [vector_to_dyadic(r) for r in rays]
-    d = DyadicPL(zip(ts, map(vector_to_dyadic, images)))
+    ts = [_vector_to_pair(r) for r in rays]
+    ys = [_vector_to_pair(w) for w in images]
+    exp = max(k for _, k in ts + ys)
+    ts = [t << (exp - k) for t, k in ts]
+    d = DyadicPL._from_ints(exp, [
+        (t, y << (exp - k)) for t, (y, k) in zip(ts, ys)])
+    one = 1 << exp
     n = len(rays)
     for i in range(n):
         j = (i + 1) % n
-        t_mid = _mod1(ts[i] + _mod1(ts[j] - ts[i]) / 2)
-        if d(t_mid) != vector_to_dyadic(
-                primitive(vec_add(images[i], images[j]))):
+        # the midpoint, over 2^(exp + 1)
+        y, m = d._image((2 * ts[i] + (ts[j] - ts[i]) % one) % (2 * one),
+                        exp + 1)
+        w, k = _vector_to_pair(primitive(vec_add(images[i], images[j])))
+        if y << k != w << m:
             raise RuntimeError("midpoint/mediant certification failed")
     return d
 
@@ -659,19 +707,20 @@ def dyadic_to_plaut(d: DyadicPL) -> PLAut:
     tp = dyadic_to_treepair(d)
     exp = max(tp.domain)
     dinv = ~d
-    required_t = {Fraction(x, 1 << exp)
-                  for x in _leaf_starts(tp.domain, exp)[:-1]} | set(_ANCHOR_T)
-    for a in _ANCHOR_T:
-        required_t.add(dinv(a))
+    anchors = [(c, e) for c, e, _, _ in _BASE_CELLS]
+    required = ([(x, exp) for x in _leaf_starts(tp.domain, exp)[:-1]]
+                + anchors + [dinv._image(c, e) for c, e in anchors])
+    top = max(k for _, k in required)
+    required_t = {x << (top - k) for x, k in required}
 
     def fn(v: Vec) -> Vec:
         k = gcd(v[0], v[1])
         p = (v[0] // k, v[1] // k)
-        w = dyadic_to_vector(d(vector_to_dyadic(p)))
+        w = _pair_to_vector(*d._image(*_vector_to_pair(p)))
         return (k * w[0], k * w[1])
 
     return from_function(
-        fn, hint_rays=[dyadic_to_vector(t) for t in required_t])
+        fn, hint_rays=[_pair_to_vector(x, top) for x in required_t])
 
 
 def plaut_to_treepair(f: PLAut) -> TreePair:

@@ -144,19 +144,42 @@ def expand(word: Word, alphabet=("P", "C")) -> Word:
 # ---------------------------------------------------------------------------
 # backends
 
-def _fold(word: Word, atoms: dict, identity, mul, inv_atoms: dict | None = None):
-    # balanced reduction keeps symbolic backends from nesting lopsidedly
-    factors = []
-    for s, e in _expand_to(word, frozenset(atoms)):
-        if e < 0:
-            g, e = inv_atoms[s] if inv_atoms else ~atoms[s], -e
-        else:
-            g = atoms[s]
-        factors.extend([g] * e)
+class _Ring:
+    """What _fold needs of a model: its identity and product, and the value
+    of each symbol and of its inverse, built on first use and kept.
+
+    atom(s, sign) is the model's own value of s^sign (sign 1 or -1), or
+    None where the model builds it: the inverse of s^1, or else the fold of
+    EXPANSIONS[s].  So a call builds only the symbols its word names.
+    """
+
+    def __init__(self, atom, identity, mul):
+        self.identity, self.mul = identity, mul
+        self._atom = atom
+        self._values: dict = {}
+
+    def value(self, s: str, sign: int):
+        key = (s, sign)
+        if key not in self._values:
+            g = self._atom(s, sign)
+            if g is None:
+                g = (~self.value(s, 1) if sign < 0
+                     else _fold(parse_word(EXPANSIONS[s]), self))
+            self._values[key] = g
+        return self._values[key]
+
+
+def _fold(word: Word, ring: _Ring):
+    # each factor s^e is the value of s^±1 raised to |e| by repeated
+    # squaring, O(log |e|) products; the factors are then reduced in a
+    # balanced tree, which keeps symbolic backends from nesting lopsidedly
+    factors = [plcore.power(ring.value(s, 1 if e > 0 else -1), abs(e),
+                            ring.mul)
+               for s, e in word if e]
     if not factors:
-        return identity
+        return ring.identity
     while len(factors) > 1:
-        paired = [mul(factors[i], factors[i + 1])
+        paired = [ring.mul(factors[i], factors[i + 1])
                   for i in range(0, len(factors) - 1, 2)]
         if len(factors) % 2:
             paired.append(factors[-1])
@@ -175,45 +198,59 @@ def _module(name: str):
     return import_module("." + name, __package__)
 
 
-# Generator values are immutable, so each exact model builds its atoms,
-# identity and product once per process.  Model functions are looked up when
-# called, never captured, so that a wrapper set on a module attribute sees
-# every call.
+# Generator values are immutable, so each exact model keeps one ring per
+# process.  Model functions are looked up when called, never captured, so
+# that a wrapper set on a module attribute sees every call.
 
 @functools.cache
 def _pl_ring():
-    return ({s: plcore.generator_pl(s) for s in ("P", "C", "I")},
-            plcore.identity_pl(), lambda a, b: a * b)
+    return _Ring(
+        lambda s, sign: plcore.generator_pl(s)
+        if s in CORE and sign > 0 else None,
+        plcore.identity_pl(), lambda a, b: a * b)
 
 
 @functools.cache
 def _tree_ring():
     th = _module("thompson")
-    return ({s: th.plaut_to_treepair(g) for s, g in _pl_ring()[0].items()},
-            th.treepair_identity(), lambda a, b: th.treepair_compose(a, b))
+    return _Ring(
+        lambda s, sign: th.plaut_to_treepair(_pl_ring().value(s, 1))
+        if s in CORE and sign > 0 else None,
+        th.treepair_identity(), lambda a, b: th.treepair_compose(a, b))
 
 
 @functools.cache
 def _dyadic_ring():
     th = _module("thompson")
-    atoms = {s: th.plaut_to_dyadic(g) for s, g in _pl_ring()[0].items()}
-    # A and B fold as the native CFP elements (equal to their expansions)
-    atoms["A"], atoms["B"], _ = th.cfp_generators()
-    return atoms, th.dyadic_identity(), lambda a, b: th.dyadic_compose(a, b)
+
+    def atom(s, sign):
+        if sign < 0:
+            return None
+        if s in CORE:
+            return th.plaut_to_dyadic(_pl_ring().value(s, 1))
+        # A and B fold as the native CFP elements (equal to their expansions)
+        if s in ("A", "B"):
+            return th.cfp_generators()["AB".index(s)]
+        return None
+
+    return _Ring(atom, th.dyadic_identity(),
+                 lambda a, b: th.dyadic_compose(a, b))
 
 
 @functools.cache
 def _bir_ring():
     # C and I are the monomial maps of the plcore.GEN_MATS matrices, the
-    # table every model reads its generator matrices from
+    # table every model reads its generator matrices from; bir folds core
+    # words only, and its inverses are the exact inverse generators
     bir = _module("birational")
-    return ({s: bir.generator_bir(s) for s in ("P", "C", "I")},
-            bir.identity_bir(), lambda f, g: bir.compose_bir(f, g),
-            {s: bir.generator_bir_inverse(s) for s in ("P", "C", "I")})
+    return _Ring(
+        lambda s, sign: bir.generator_bir(s) if sign > 0
+        else bir.generator_bir_inverse(s),
+        bir.identity_bir(), lambda f, g: bir.compose_bir(f, g))
 
 
 def _exact(ring):
-    return lambda word, params: _fold(word, *ring())
+    return lambda word, params: _fold(word, ring())
 
 
 def _bir_value(word, params):
@@ -224,7 +261,7 @@ def _bir_value(word, params):
             "symbolic composition capped at length %d; expanded word has "
             "length %d (use word_equals for long words)"
             % (cap, word_length(core)))
-    return _fold(core, *_bir_ring())
+    return _fold(core, _bir_ring())
 
 
 def _sampled(module: str, function: str, key: str, *names):

@@ -372,6 +372,15 @@ def test_sampling_rejects_a_composite_modulus():
             check(parse_word("P^5"), primes=(PRIMES[0], composite))
 
 
+def test_sampling_names_a_letter_outside_the_core_alphabet():
+    # a derived letter must be expanded to P, C, I first
+    for check in (word_equals_identity, kernel_probe):
+        with pytest.raises(ValueError, match="letter 'U'"):
+            check((("U", 1),))
+        with pytest.raises(ValueError, match="letter 'mu'"):
+            check(parse_word("P mu^2"))
+
+
 def test_kernel_probe_pic7():
     word = _expand_to(parse_word("P I C"), CORE) * 7
     probe = kernel_probe(word, npoints=30)

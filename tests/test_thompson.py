@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from sympt.plcore import (generator_pl, identity_pl, inverse_pl, order_pl,
+from sympt.plcore import (cone_parents, generator_pl, identity_pl, inverse_pl,
+                          linear_pl, order_pl, vec_add,
                           primitive, wedge)
 from sympt.thompson import (
     _BASE_CELLS,
@@ -23,7 +24,9 @@ from sympt.thompson import (
     treepair_to_dyadic,
     treepair_to_plaut,
     vector_to_dyadic,
+    _pair_to_vector,
     _refined_cells,
+    _vector_to_pair,
 )
 from sympt.words import check_suite, evaluate
 
@@ -155,6 +158,36 @@ def test_walk_round_trips_long_dyadics():
         assert vector_to_dyadic(dyadic_to_vector(t)) == t
         assert dyadic_to_vector(t + rng.randint(-2, 2)) == (
             dyadic_to_vector(t))
+
+
+def test_pair_walks_invert_each_other():
+    rng = random.Random(73)
+    vecs = [u for _, _, u, _ in _BASE_CELLS]
+    vecs += [random_primitive(rng, rng.choice((5, 300, 10**9)))
+             for _ in range(600)]
+    # vectors whose descents have runs over 1000
+    for runs in ([1200], [0, 1500], [1001, 2, 1300], [3, 1999, 1, 1024, 7]):
+        for _, _, u, v in _BASE_CELLS:
+            vecs.append(vec_add(*cone_parents(u, v, runs)))
+    vecs += [(5000, 1), (-4999, 1), (1, -3000)]
+    for w in vecs:
+        n, k = _vector_to_pair(w)
+        assert 0 <= n < 1 << k
+        assert _pair_to_vector(n, k) == w
+    for _ in range(600):
+        k = rng.choice((0, 1, 2, 40, 1100, 3000))
+        n = rng.randrange(1 << k)
+        m, j = _vector_to_pair(_pair_to_vector(n, k))
+        assert m << k == n << j
+
+
+@pytest.mark.parametrize("n", (5000, -5000))
+def test_large_power_round_trips_through_the_circle(n):
+    u = evaluate("U^%d" % n, "pl")
+    assert u == linear_pl((1, n, 0, 1))
+    d = plaut_to_dyadic(u)
+    assert d == evaluate("U^%d" % n, "dyadic")
+    assert dyadic_to_plaut(d) == u
 
 
 def scan_evaluate(d, t):

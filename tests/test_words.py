@@ -1,12 +1,15 @@
 """Word grammar, expansions, and the relation suites on the exact backends."""
 
+import random
+
 import pytest
 
-from sympt import plcore
+from sympt import birational, plcore, thompson
 from sympt.words import (
     ALPHABET,
     EXPANSIONS,
     WordSyntaxError,
+    _core,
     check_suite,
     evaluate,
     expand,
@@ -198,3 +201,70 @@ def test_report_shape():
     assert report["params"]["seed"] == 3
     for res in report["results"]:
         assert set(res) >= {"name", "lhs", "rhs", "verdict"}
+
+
+# ---------------------------------------------------------------------------
+# the fold: powers by repeated squaring, factors in a balanced tree
+
+
+def _pl_atom(s, e):
+    g = plcore.generator_pl(s)
+    return g if e > 0 else plcore.inverse_pl(g)
+
+
+# per model: the value of a core letter to the sign of e, the product and
+# the identity
+FLAT_MODELS = {
+    "pl": (_pl_atom, plcore.compose_pl, plcore.identity_pl()),
+    "tree": (lambda s, e: thompson.plaut_to_treepair(_pl_atom(s, e)),
+             thompson.treepair_compose, thompson.treepair_identity()),
+    "dyadic": (lambda s, e: thompson.plaut_to_dyadic(_pl_atom(s, e)),
+               thompson.dyadic_compose, thompson.dyadic_identity()),
+    "bir": (lambda s, e: birational.generator_bir(s) if e > 0
+            else birational.generator_bir_inverse(s),
+            birational.compose_bir, birational.identity_bir()),
+}
+
+
+def flat_product(word, backend):
+    """The word's value as its core letters multiplied left to right, one
+    letter at a time."""
+    atom, mul, g = FLAT_MODELS[backend]
+    for s, e in _core(word):
+        x = atom(s, e)
+        for _ in range(abs(e)):
+            g = mul(g, x)
+    return g
+
+
+def random_word(rng, factors):
+    return tuple((rng.choice(ALPHABET), rng.choice((-3, -2, -1, 1, 2, 3)))
+                 for _ in range(factors))
+
+
+@pytest.mark.parametrize("backend", ("pl", "tree", "dyadic"))
+def test_fold_equals_flat_product(backend):
+    rng = random.Random(29)
+    for _ in range(25):
+        word = random_word(rng, rng.randint(1, 4))
+        assert evaluate(word, backend) == flat_product(word, backend), word
+
+
+def test_bir_fold_equals_flat_product_within_its_cap():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 30:
+        word = random_word(rng, rng.randint(1, 3))
+        if word_length(_core(word)) > 8:
+            continue
+        assert evaluate(word, "bir") == flat_product(word, "bir"), word
+        checked += 1
+
+
+def test_powers_fold_by_squaring():
+    for n in (1, 2, 3, 7, 64, 100, 1001):
+        assert evaluate("U^%d" % n, "pl") == plcore.linear_pl((1, n, 0, 1))
+        assert evaluate("U^-%d" % n, "pl") == plcore.linear_pl((1, -n, 0, 1))
+    # repeated squaring of the derived symbol R, then a balanced product
+    assert evaluate("R^7 U^3", "tree") == flat_product(
+        parse_word("R^7 U^3"), "tree")
