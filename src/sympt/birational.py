@@ -23,7 +23,8 @@ from functools import cache
 from math import gcd, isqrt
 
 from .plcore import (
-    GEN_MATS, PLAut, from_function, is_prime, mat_inv, primitive)
+    GEN_MATS, PLAut, from_function, is_prime, mat_inv, power, primitive)
+from .words import word_inverse, word_length
 
 # primes just above 2^61, 2^61 + 10^6, 2^62, 2^63
 PRIMES = (
@@ -90,10 +91,7 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = LaurentPoly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, LaurentPoly.__mul__) if k else ONE
 
     def shift(self, i: int, j: int) -> "LaurentPoly":
         """Multiply by the monomial x^i y^j."""
@@ -636,7 +634,7 @@ def word_equals_identity(word, primes=None, trials: int = 20,
     for p in primes:
         if p <= 2 ** 61:
             raise ValueError("prime %d is not above 2^61" % p)
-    length = sum(abs(e) for _, e in word)
+    length = word_length(word)
     samples = 0
     mismatch = None
     for p, point, image in _sample_images(word, primes, trials,
@@ -665,8 +663,8 @@ def word_equals_identity(word, primes=None, trials: int = 20,
 def word_equals(word_a, word_b, primes=None, trials: int = 20,
                 seed: int = 0) -> dict:
     """Randomized equality of two core words: tests a b^-1 = identity."""
-    inv_b = tuple((s, -e) for s, e in reversed(tuple(word_b)))
-    return word_equals_identity(tuple(word_a) + inv_b, primes, trials, seed)
+    return word_equals_identity(tuple(word_a) + word_inverse(tuple(word_b)),
+                                primes, trials, seed)
 
 
 # ---------------------------------------------------------------------------

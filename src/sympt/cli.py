@@ -26,7 +26,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import words
+from . import plcore, words
 
 TROP_CAP = 8
 
@@ -131,9 +131,8 @@ def cmd_trop(args):
             "symbolic composition capped at %d factors; got %d "
             "(tropicalize shorter pieces and compose the PL results instead)"
             % (TROP_CAP, len(factors)))
-    total = birational.identity_bir()
-    for f in factors:
-        total = birational.compose_bir(total, f)
+    total = plcore.product(factors, birational.compose_bir,
+                           birational.identity_bir())
     return birational.tropicalize(total).to_json(), 0
 
 

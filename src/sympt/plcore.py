@@ -568,6 +568,22 @@ def power(x, n: int, mul):
         x = mul(x, x)
 
 
+def product(factors, mul, identity):
+    """The product of the list factors in order, or identity for none,
+    reduced pairwise in a balanced tree: n - 1 calls of mul, which must be
+    associative, in about log2 n rounds.  Symbolic values then grow
+    evenly, not lopsidedly."""
+    if not factors:
+        return identity
+    while len(factors) > 1:
+        paired = [mul(factors[i], factors[i + 1])
+                  for i in range(0, len(factors) - 1, 2)]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0]
+
+
 def inverse_pl(f: PLAut) -> PLAut:
     if f.is_linear:
         return linear_pl(mat_inv(f.mats[0]))

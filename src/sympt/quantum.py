@@ -153,7 +153,6 @@ class QConfig:
     N: int
     p: int
     q: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.N < 1:
@@ -164,7 +163,7 @@ class QConfig:
                 % (self.q, self.N, self.p))
 
 
-def make_config(N: int, p: int | None = None, seed: int = 0) -> QConfig:
+def make_config(N: int, p: int | None = None) -> QConfig:
     """Pick p = 1 mod N (smallest >= 101 when omitted) and the smallest
     element of exact order N in F_p*."""
     if N < 1:
@@ -175,7 +174,7 @@ def make_config(N: int, p: int | None = None, seed: int = 0) -> QConfig:
         raise ValueError("p=%d is not prime" % p)
     if p % N != 1 % N:
         raise ValueError("need p = 1 mod N; got p=%d, N=%d" % (p, N))
-    return QConfig(N, p, _least_root_of_unity(N, p), seed)
+    return QConfig(N, p, _least_root_of_unity(N, p))
 
 
 def _least_root_of_unity(N: int, p: int) -> int:
@@ -324,9 +323,8 @@ def evaluate_word(word, params: dict | None = None) -> dict:
     goes singular.
     """
     params = params or {}
-    cfg = make_config(params.get("N", 5), params.get("p"),
-                      params.get("seed", 0))
-    rng = random.Random(cfg.seed)
+    cfg = make_config(params.get("N", 5), params.get("p"))
+    rng = random.Random(params.get("seed", 0))
     for _ in range(_MAX_RESAMPLES):
         pair = random_pair(cfg, rng)
         try:
@@ -343,13 +341,13 @@ def evaluate_word(word, params: dict | None = None) -> dict:
 
 
 def q_relation_check(word, cfg: QConfig, trials: int = 10,
-                     seed: int | None = None) -> dict:
+                     seed: int = 0) -> dict:
     """Apply the word to `trials` random nonsingular pairs; report whether
     every result equals its input pair entrywise.
 
     verdict: identity | nonidentity | inconclusive (sampling exhausted).
     """
-    rng = random.Random(cfg.seed if seed is None else seed)
+    rng = random.Random(seed)
     completed = 0
     resamples = 0
     witnesses = []
@@ -386,6 +384,6 @@ def word_acts_as_identity(word, N: int = 5, p: int | None = None,
     `word` must already be spelled over {P, C, I}.  An inconclusive sampling
     run counts as not-identity so it can never silently certify a relation.
     """
-    cfg = make_config(N, p, seed)
+    cfg = make_config(N, p)
     report = q_relation_check(word, cfg, trials=trials, seed=seed)
     return {"identity": report["verdict"] == "identity", "evidence": report}

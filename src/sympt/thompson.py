@@ -68,8 +68,6 @@ __all__ = [
     "cfp_generators",
 ]
 
-_ZERO = Fraction(0)
-
 # Base cells of the correspondence: (c, e, left ray, right ray) for the
 # standard dyadic interval [c/2^e, (c+1)/2^e).  Midpoint of a cell
 # corresponds to the mediant of its rays.
@@ -80,10 +78,6 @@ _BASE_CELLS = (
 )
 
 _ANCHOR_VECS = ((1, 0), (0, 1), (-1, -1))
-
-
-def _mod1(t: Fraction) -> Fraction:
-    return t % 1
 
 
 def _exact(t) -> Fraction:
@@ -99,27 +93,24 @@ def _twos(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def _is_dyadic(t: Fraction) -> bool:
+def _dyadic(t) -> tuple[int, int]:
+    """The point t mod 1 as (n, k), t = n / 2^k in lowest terms and
+    0 <= n < 2^k; ValueError for a float or a non-dyadic t."""
+    t = _exact(t)
     d = t.denominator
-    return d & (d - 1) == 0
-
-
-def _dyadic_pair(t: Fraction):
-    """Encode a dyadic fraction as (numerator, log2 of denominator)."""
-    if not _is_dyadic(t):
+    if d & (d - 1):
         raise ValueError("not a dyadic rational: %s" % (t,))
-    return [t.numerator, t.denominator.bit_length() - 1]
+    return t.numerator % d, d.bit_length() - 1
 
 
-def _from_dyadic_pair(pair) -> Fraction:
-    num, log2den = pair
-    for x in (num, log2den):
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError("dyadic pair entries must be integers, got %r"
-                             % (x,))
-    if log2den < 0:
-        raise ValueError("negative denominator exponent")
-    return Fraction(num, 1 << log2den)
+def _common_exponent(pts):
+    """(exp, pairs): the (point, image) pairs of (n, k) points as int
+    pairs over 2^exp, the largest k, each taken mod 1."""
+    if not pts:
+        raise ValueError("need at least one breakpoint")
+    exp = max(k for pt in pts for _, k in pt)
+    mask = (1 << exp) - 1
+    return exp, [tuple(n << (exp - k) & mask for n, k in pt) for pt in pts]
 
 
 def _pair_to_vector(n: int, k: int) -> Vec:
@@ -174,7 +165,7 @@ def _vector_to_pair(w: Vec) -> tuple[int, int]:
 
 def dyadic_to_vector(t) -> Vec:
     """Primitive integer vector corresponding to a dyadic circle point."""
-    return _pair_to_vector(*_dyadic_pair(_mod1(_exact(t))))
+    return _pair_to_vector(*_dyadic(t))
 
 
 def vector_to_dyadic(w: Vec) -> Fraction:
@@ -200,21 +191,8 @@ class DyadicPL:
     __slots__ = ("_exp", "_ts", "_ys", "_shifts")
 
     def __init__(self, points):
-        pts = []
-        for t, y in points:
-            t, y = _exact(t), _exact(y)
-            if not _is_dyadic(t) or not _is_dyadic(y):
-                raise ValueError("breakpoint not dyadic: (%s, %s)"
-                                 % (_mod1(t), _mod1(y)))
-            pts.append((t, y))
-        if not pts:
-            raise ValueError("need at least one breakpoint")
-        exp = max(x.denominator.bit_length() - 1 for pt in pts for x in pt)
-        mask = (1 << exp) - 1
-        self._set(exp, [
-            tuple(x.numerator << (exp + 1 - x.denominator.bit_length()) & mask
-                  for x in pt)
-            for pt in pts])
+        self._set(*_common_exponent(
+            [(_dyadic(t), _dyadic(y)) for t, y in points]))
 
     @classmethod
     def _from_ints(cls, exp, pairs) -> "DyadicPL":
@@ -361,15 +339,21 @@ class DyadicPL:
 
     @classmethod
     def from_json(cls, data) -> "DyadicPL":
-        pts = [
-            (_from_dyadic_pair(px), _from_dyadic_pair(py))
-            for px, py in data["breakpoints"]
-        ]
-        return cls(pts)
+        """The map of to_json's data, read as integers: each point is a
+        [numerator, log2 of denominator] pair of ints."""
+        pts = [(tuple(px), tuple(py)) for px, py in data["breakpoints"]]
+        for n, k in (pair for pt in pts for pair in pt):
+            for x in (n, k):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ValueError(
+                        "dyadic pair entries must be integers, got %r" % (x,))
+            if k < 0:
+                raise ValueError("negative denominator exponent")
+        return cls._from_ints(*_common_exponent(pts))
 
 
 def dyadic_identity() -> DyadicPL:
-    return DyadicPL([(_ZERO, _ZERO)])
+    return DyadicPL._from_ints(0, [(0, 0)])
 
 
 def dyadic_compose(f: DyadicPL, g: DyadicPL) -> DyadicPL:

@@ -13,6 +13,12 @@ beta = R^2 C R^2, and why the corresponding suite files invert each bare C and
 I.  Relation suites live in suites/*.json as data: a list of
 {name, lhs, rhs} with rhs a word, "1", or "probe".
 
+Every reader of EXPANSIONS goes through one fold, _fold, over a _Ring: one
+ring per model, and the free group on the target letters, in which _core
+and expand spell a word over {P, C, I} or {P, C}, freely reduced.  The fold
+raises each factor by repeated squaring (plcore.power) and multiplies the
+factors in a balanced tree (plcore.product).
+
 BACKENDS is the one table of models, keyed by name.  Each entry says how to
 evaluate a word; the randomized models (bir, picard, quantum) also say how to
 test whether a core word is the identity, while the exact ones (pl, tree,
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from importlib import import_module, resources
@@ -97,33 +104,16 @@ def word_length(word: Word) -> int:
     return sum(abs(e) for _, e in word)
 
 
-def _expand_to(word: Word, alphabet: frozenset) -> Word:
-    out = list(word)
-    for _ in range(16):
-        done = all(s in alphabet for s, _ in out)
-        if done:
-            break
-        nxt = []
-        for s, e in out:
-            if s in alphabet:
-                nxt.append((s, e))
-                continue
-            body = parse_word(EXPANSIONS[s])
-            if e < 0:
-                body, e = word_inverse(body), -e
-            nxt.extend(body * e)
-        out = nxt
-    else:
-        raise ValueError("expansion does not terminate in %r" % sorted(alphabet))
-    # merge adjacent equal symbols, dropping cancellations
-    merged: list[tuple[str, int]] = []
-    for s, e in out:
-        if merged and merged[-1][0] == s:
-            e += merged[-1][1]
-            merged.pop()
+def _free_mul(a: Word, b: Word) -> Word:
+    """Product of two freely reduced words, freely reduced: letters that
+    meet at the junction merge, and a merge to exponent 0 cancels."""
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1][0] == b[j][0]:
+        e = a[i - 1][1] + b[j][1]
+        i, j = i - 1, j + 1
         if e:
-            merged.append((s, e))
-    return tuple(merged)
+            return a[:i] + ((b[j - 1][0], e),) + b[j:]
+    return a[:i] + b[j:]
 
 
 def expand(word: Word, alphabet=("P", "C")) -> Word:
@@ -133,28 +123,29 @@ def expand(word: Word, alphabet=("P", "C")) -> Word:
     evaluate(word) == evaluate(expand(word)) in every backend.
     """
     target = frozenset(alphabet)
-    if target == frozenset({"P", "C"}):
-        return _expand_to(word, target)
-    if target == frozenset({"L", "C"}):
-        pc = _expand_to(word, frozenset({"P", "C"}))
+    if target not in ({"P", "C"}, {"L", "C"}):
+        raise ValueError("target alphabet must be {P,C} or {L,C}")
+    pc = _fold(word, _free_ring(frozenset({"P", "C"})))
+    if "L" in target:
         return tuple(("L", -e) if s == "P" else (s, e) for s, e in pc)
-    raise ValueError("target alphabet must be {P,C} or {L,C}")
+    return pc
 
 
 # ---------------------------------------------------------------------------
 # backends
 
 class _Ring:
-    """What _fold needs of a model: its identity and product, and the value
-    of each symbol and of its inverse, built on first use and kept.
+    """What _fold needs of a model: its identity, product and inverse, and
+    the value of each symbol and of its inverse, built on first use and
+    kept.
 
     atom(s, sign) is the model's own value of s^sign (sign 1 or -1), or
-    None where the model builds it: the inverse of s^1, or else the fold of
+    None where the ring builds it: the inverse of s^1, or else the fold of
     EXPANSIONS[s].  So a call builds only the symbols its word names.
     """
 
-    def __init__(self, atom, identity, mul):
-        self.identity, self.mul = identity, mul
+    def __init__(self, atom, identity, mul, inverse=operator.invert):
+        self.identity, self.mul, self.inverse = identity, mul, inverse
         self._atom = atom
         self._values: dict = {}
 
@@ -163,7 +154,7 @@ class _Ring:
         if key not in self._values:
             g = self._atom(s, sign)
             if g is None:
-                g = (~self.value(s, 1) if sign < 0
+                g = (self.inverse(self.value(s, 1)) if sign < 0
                      else _fold(parse_word(EXPANSIONS[s]), self))
             self._values[key] = g
         return self._values[key]
@@ -171,25 +162,25 @@ class _Ring:
 
 def _fold(word: Word, ring: _Ring):
     # each factor s^e is the value of s^±1 raised to |e| by repeated
-    # squaring, O(log |e|) products; the factors are then reduced in a
-    # balanced tree, which keeps symbolic backends from nesting lopsidedly
-    factors = [plcore.power(ring.value(s, 1 if e > 0 else -1), abs(e),
-                            ring.mul)
-               for s, e in word if e]
-    if not factors:
-        return ring.identity
-    while len(factors) > 1:
-        paired = [ring.mul(factors[i], factors[i + 1])
-                  for i in range(0, len(factors) - 1, 2)]
-        if len(factors) % 2:
-            paired.append(factors[-1])
-        factors = paired
-    return factors[0]
+    # squaring, O(log |e|) products; plcore.product then reduces the
+    # factors in a balanced tree
+    return plcore.product(
+        [plcore.power(ring.value(s, 1 if e > 0 else -1), abs(e), ring.mul)
+         for s, e in word if e],
+        ring.mul, ring.identity)
+
+
+@functools.cache
+def _free_ring(target: frozenset) -> _Ring:
+    # the free group on the target letters: a word folds to its expansion,
+    # freely reduced
+    return _Ring(lambda s, sign: ((s, sign),) if s in target else None,
+                 (), _free_mul, word_inverse)
 
 
 def _core(word) -> Word:
-    return _expand_to(parse_word(word) if isinstance(word, str) else word,
-                      CORE)
+    return _fold(parse_word(word) if isinstance(word, str) else word,
+                 _free_ring(CORE))
 
 
 def _module(name: str):

@@ -29,7 +29,7 @@ from sympt.birational import (
     word_equals,
     word_equals_identity,
 )
-from sympt.words import CORE, _expand_to, evaluate, parse_word
+from sympt.words import _core, evaluate, parse_word
 
 P = generator_bir("P")
 L = generator_bir("L")
@@ -50,6 +50,17 @@ def test_laurent_arithmetic():
     assert (p + q) == X * LaurentPoly.const(2)
     assert p ** 2 == X * X + X * Y * LaurentPoly.const(2) + Y * Y
     assert not (p - p)
+
+
+def test_laurent_power_equals_repeated_product():
+    p = X + Y * LaurentPoly.const(-2) + LaurentPoly.monomial(-1, 3, 5)
+    want = ONE
+    for k in range(10):
+        assert p ** k == want, k
+        want = want * p
+    assert ONE ** 0 == ONE and X ** 0 == ONE
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
 
 
 def test_laurent_eval():
@@ -275,7 +286,7 @@ def test_symplectic_counterexamples():
 
 def test_word_equals_identity_accepts_relations():
     for text in ("C^3", "I^4", "P^5", "C^-1 I^-2 C I^2"):
-        word = _expand_to(parse_word(text), CORE)
+        word = _core(text)
         verdict = word_equals_identity(word)
         assert verdict["equal"], text
         assert verdict["evidence"]["samples"] == 40  # 20 per prime
@@ -382,7 +393,7 @@ def test_sampling_names_a_letter_outside_the_core_alphabet():
 
 
 def test_kernel_probe_pic7():
-    word = _expand_to(parse_word("P I C"), CORE) * 7
+    word = _core("P I C") * 7
     probe = kernel_probe(word, npoints=30)
     assert probe["verdict"] in ("identity", "nonidentity", "inconsistent")
     # frozen experimental outcome: every sampled point moves

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -197,6 +198,28 @@ def test_trop_cap_and_grammar_errors():
     assert code == 2 and "spelled over" in rep["error"]
     code, rep = run_json(["trop", "--word", "mono:1,2"])
     assert code == 2 and "four integers" in rep["error"]
+
+
+def test_trop_equals_the_left_to_right_product():
+    # cmd_trop multiplies its factors in a balanced tree; the shadow must
+    # be that of the plain left-to-right composition
+    rng = random.Random(53)
+    tokens = ("P", "C", "I", "U", "P^-1", "C^-1", "I^-1", "U^-1", "P^2",
+              "I^-2", "lambda:2,-3", "lambda:1/2,5", "mono:1,1,0,1",
+              "mono:0,1,-1,0", "mono:2,1,1,1")
+    checked = 0
+    while checked < 40:
+        text = " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 8)))
+        factors = cli._trop_factors(text)
+        if len(factors) > cli.TROP_CAP:
+            continue
+        total = birational.identity_bir()
+        for f in factors:
+            total = birational.compose_bir(total, f)
+        code, rep = run_json(["trop", "--word", text])
+        assert code == 0, (text, rep)
+        assert rep == birational.tropicalize(total).to_json(), text
+        checked += 1
 
 
 # ---------------------------------------------------------------------------

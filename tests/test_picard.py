@@ -82,8 +82,7 @@ def rand_gamma(rng, n=6):
 
 
 def core_word(text):
-    return words._expand_to(words.parse_word(text),
-                            frozenset({"P", "C", "I"}))
+    return words._core(text)
 
 
 # ---------------------------------------------------------------------------

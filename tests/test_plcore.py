@@ -26,7 +26,9 @@ from sympt.plcore import (
     mat_apply,
     mat_mul,
     order_pl,
+    power,
     primitive,
+    product,
     wedge,
     _sort_ccw,
     _strong_lucas_probable_prime,
@@ -222,6 +224,17 @@ def test_pieces_are_unimodular():
         f = random_word(rng, rng.randint(1, 6))
         for m in f.mats:
             assert m[0] * m[3] - m[1] * m[2] == 1
+
+
+def test_power_and_product_keep_the_order_of_factors():
+    # strings multiply by concatenation, which is associative but not
+    # commutative, so a reordered factor would show
+    cat = str.__add__
+    for n in range(1, 40):
+        assert power("ab", n, cat) == "ab" * n
+        factors = [chr(65 + i) for i in range(n)]
+        assert product(factors, cat, "") == "".join(factors)
+    assert product([], cat, "1") == "1"
 
 
 def test_identity_and_powers():

@@ -259,6 +259,25 @@ def test_relation_check_report_shape():
     assert set(w) == {"input", "output"} and w["input"] != w["output"]
 
 
+def test_the_seed_is_the_only_sampling_setting():
+    # the config carries no seed; the callers pass theirs to the RNG
+    assert "seed" not in QConfig.__slots__
+    cfg = make_config(5, 11)
+    word = (("P", 1), ("I", 1), ("C", 1))
+    for seed in (0, 4):
+        report = q_relation_check(word, cfg, trials=4, seed=seed)
+        assert report == quantum.word_acts_as_identity(
+            word, N=5, p=11, trials=4, seed=seed)["evidence"]
+    assert q_relation_check(word, cfg, trials=4) == q_relation_check(
+        word, cfg, trials=4, seed=0)
+    assert (q_relation_check(word, cfg, trials=4, seed=0)["witnesses"]
+            != q_relation_check(word, cfg, trials=4, seed=4)["witnesses"])
+    values = [quantum.evaluate_word(word, {"N": 5, "p": 11, "seed": seed})
+              for seed in (0, 4)]
+    assert values[0]["input"] != values[1]["input"]
+    assert quantum.evaluate_word(word, {"N": 5, "p": 11}) == values[0]
+
+
 def test_relation_check_inconclusive_when_sampling_exhausted():
     # p=2 has a single nonzero scalar and 1+y = 0, so P never applies
     report = q_relation_check((("P", 1),), make_config(1, 2), trials=3)

@@ -721,10 +721,40 @@ def test_dyadic_json_round_trip_and_format():
         ]
     }
     assert DyadicPL.from_json(json.loads(json.dumps(data))) == d
+    # an unreduced pair, or one outside [0, 1), names the same circle point
+    assert DyadicPL.from_json({"breakpoints": [
+        [[0, 0], [-1, 2]], [[3, 1], [0, 0]], [[7, 2], [2, 2]]]}) == d
     rng = random.Random(43)
     for _ in range(10):
         d = plaut_to_dyadic(random_plaut(rng, rng.randint(1, 5)))
         assert DyadicPL.from_json(json.loads(json.dumps(d.to_json()))) == d
+
+
+@pytest.mark.parametrize("n", (5000, -5000))
+def test_json_round_trip_of_a_large_power(n):
+    d = plaut_to_dyadic(linear_pl((1, n, 0, 1)))
+    data = json.loads(json.dumps(d.to_json()))
+    assert DyadicPL.from_json(data) == d
+
+
+def test_json_refuses_malformed_pairs():
+    good = [[0, 0], [3, 2]]
+    for bad, match in (([[1, -1], [3, 2]], "negative denominator"),
+                       ([[1, 2], [3, -4]], "negative denominator"),
+                       ([[1, 2], [None, 2]], "must be integers"),
+                       ([[1, 2], [3, 2.0]], "must be integers"),
+                       ([[False, 2], [3, 2]], "must be integers")):
+        with pytest.raises(ValueError, match=match):
+            DyadicPL.from_json({"breakpoints": [good, bad]})
+    for bad in ([[1, 2, 3], [3, 2]], [[1], [3, 2]], [[1, 2]]):
+        with pytest.raises(ValueError):
+            DyadicPL.from_json({"breakpoints": [bad]})
+    # every _set check still runs: a slope of 3 is refused
+    with pytest.raises(ValueError, match="not a power of two"):
+        DyadicPL.from_json({"breakpoints": [[[0, 0], [0, 0]],
+                                            [[1, 2], [3, 2]]]})
+    with pytest.raises(ValueError, match="at least one"):
+        DyadicPL.from_json({"breakpoints": []})
 
 
 def test_backends_agree_with_plane_model():

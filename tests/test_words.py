@@ -98,6 +98,56 @@ def test_expansion_soundness_on_suite_words():
                 assert evaluate(w, "pl") == evaluate(expand(w, ("L", "C")), "pl")
 
 
+def rewrite(word, target):
+    """The naive reference for _core and expand: replace every letter
+    outside target by its expansion, one letter at a time, until none is
+    left, then cancel x x^-1 pairs with a stack and regroup runs."""
+    def letters(w):
+        return [(s, 1 if e > 0 else -1) for s, e in w for _ in range(abs(e))]
+
+    flat = letters(word)
+    while any(s not in target for s, _ in flat):
+        out = []
+        for s, e in flat:
+            if s in target:
+                out.append((s, e))
+            else:
+                body = letters(parse_word(EXPANSIONS[s]))
+                out += body if e > 0 else [(t, -f) for t, f in reversed(body)]
+        flat = out
+    stack = []
+    for s, e in flat:
+        if stack and stack[-1] == (s, -e):
+            stack.pop()
+        else:
+            stack.append((s, e))
+    runs = []
+    for s, e in stack:
+        if runs and runs[-1][0] == s:
+            runs[-1][1] += e
+        else:
+            runs.append([s, e])
+    return tuple((s, e) for s, e in runs)
+
+
+def test_core_and_expand_equal_naive_rewriting():
+    rng = random.Random(37)
+    cases = [tuple((rng.choice(ALPHABET),
+                    rng.choice((1, 2, 3, 7, 11)) * rng.choice((1, -1)))
+                   for _ in range(rng.randint(0, 6)))
+             for _ in range(400)]
+    cases += [parse_word(text) for name in list_suites()
+              for entry in load_suite(name)
+              for text in (entry["lhs"], entry["rhs"])
+              if text not in ("1", "probe")]
+    for w in cases:
+        assert _core(w) == rewrite(w, {"P", "C", "I"}), w
+        pc = rewrite(w, {"P", "C"})
+        assert expand(w) == pc, w
+        assert expand(w, ("L", "C")) == tuple(
+            ("L", -e) if s == "P" else (s, e) for s, e in pc), w
+
+
 def test_alphabet_is_closed():
     for sym in EXPANSIONS:
         assert sym in ALPHABET
