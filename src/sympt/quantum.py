@@ -24,15 +24,15 @@ applying it to random nonsingular pairs and comparing with the input.
 
 A word is applied by one kernel, `apply_word`, which carries X, X^-1, Y and
 Y^-1 through the word, each as a scalar times a matrix, so every factor q
-or q^-1 costs one modular multiply.  I and I^-1 only relabel the four, C
-and C^-1 take two matrix products, and P (P^-1) takes one product and one
-Gauss-Jordan solve against 1 + y (1 + x).  A missing pivot in that solve
-means det(1 + y) = 0: the substitution is singular, and callers resample
-the scalar factors and retry.  Odd N keeps 1 + shift invertible at the
-start, but after a few steps singularity depends on the scalars, hence the
-retry loop.  The inverses of the input pair are computed only when a letter
-first needs them, so a letter that inverts neither member answers even on
-a singular pair.
+or q^-1 costs one modular multiply.  I and I^-1 only relabel the four; P is
+one product z = x^-1 (1 + y) and one in-place inversion, giving y' = q z
+and y'^-1 = q^-1 z^-1 (P^-1 likewise, with z = (1 + x) y^-1); C and C^-1
+defer their products until a later letter or the output reads them.  z is
+singular exactly when 1 + y is; odd N keeps 1 + shift invertible, but a few
+letters on singularity depends on the scalars, so callers resample them.
+An inverse of the input pair is taken only when a letter needs it, so C^3
+and I^4, though equal to 1, are not skipped: C^2 and I^2 invert both
+members, and the shortened word would answer on pairs where the maps raise.
 
 At q of exact order N with N odd, X^N and Y^N are central, and the
 q-binomial theorem ((u + v)^N = u^N + v^N when v u = q u v) gives
@@ -67,71 +67,88 @@ class SingularSubstitution(ValueError):
 # ---------------------------------------------------------------------------
 # dense matrix arithmetic over F_p (N <= 7, so no need for numpy)
 
-def _mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
+def _mat_mul(a, b, p: int) -> list[list[int]]:
+    """a b mod p, as lists: compare it only with another _mat_mul result."""
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, ra, cb)) % p for cb in bt) for ra in a)
+    return [[sum(map(mul, ra, cb)) % p for cb in bt] for ra in a]
 
 
-def _mat_scale(c: int, a: Matrix, p: int) -> Matrix:
+def _mat_scale(c: int, a, p: int) -> Matrix:
     return tuple(tuple((c * x) % p for x in row) for row in a)
 
 
-def _one_plus(c: int, a: Matrix, p: int) -> Matrix:
-    """1 + c * a mod p."""
-    return tuple(tuple((c * x + (i == j)) % p for j, x in enumerate(row))
-                 for i, row in enumerate(a))
+def _one_plus(c: int, a, p: int) -> list[list[int]]:
+    """1 + c * a mod p, for a matrix or a _Product a."""
+    out = [[c * x % p for x in row] for row in _force(a, p)]
+    for i, row in enumerate(out):
+        row[i] = (row[i] + 1) % p
+    return out
 
 
-def _solve(a: Matrix, b: Matrix, p: int) -> Matrix:
-    """a^-1 b mod p by Gauss-Jordan on [a | b].
-
-    A column with no pivot is the singularity test: it is met exactly when
-    det(a) = 0 mod p, and raises SingularSubstitution.
-    """
+def _mat_inv(a, p: int) -> list[list[int]]:
+    """Inverse mod p by in-place Gauss-Jordan on a copy reduced mod p, n^3
+    multiply-adds.  A column with no pivot, met exactly when det(a) = 0
+    mod p, raises SingularSubstitution."""
     n = len(a)
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    m = [[v % p for v in row] for row in a]
+    swaps = []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if pivot is None:
-            raise SingularSubstitution("singular substitution")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        top = aug[col] = [v * inv % p for v in aug[col]]
-        for r in range(n):
-            f = aug[r][col]
-            if r != col and f:
-                aug[r] = [(v - f * w) % p for v, w in zip(aug[r], top)]
-    return tuple(tuple(row[n:]) for row in aug)
+        if not m[col][col]:
+            pivot = next((r for r in range(col + 1, n) if m[r][col]), None)
+            if pivot is None:
+                raise SingularSubstitution("singular substitution")
+            m[col], m[pivot] = m[pivot], m[col]
+            swaps.append((col, pivot))
+        row = m[col]
+        inv = pow(row[col], -1, p)
+        row[col] = 1
+        top = m[col] = [v * inv % p for v in row]
+        for r, row in enumerate(m):
+            f = row[col]
+            if f and r != col:
+                row[col] = 0
+                m[r] = [(v - f * w) % p for v, w in zip(row, top)]
+    # the rows were inverted in swapped order: undo it on the columns
+    for i, j in reversed(swaps):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+    return m
 
 
-def _mat_inv(a: Matrix, p: int) -> Matrix:
-    """Inverse mod p; SingularSubstitution if det = 0."""
-    n = len(a)
-    return _solve(a, tuple(tuple(int(i == j) for j in range(n))
-                           for i in range(n)), p)
+class _Product:
+    """The matrix a b mod p, multiplied out when first read (see _force)."""
+    __slots__ = ("ops", "m")
+
+    def __init__(self, a, b):
+        self.ops, self.m = (a, b), None
+
+
+def _force(a, p: int):
+    """The matrix a stands for.  A _Product is multiplied out at most once,
+    then drops its operands; its unread operands are forced from a stack,
+    not by recursion, as a word like C^3000 chains thousands of them."""
+    if type(a) is not _Product:
+        return a
+    stack = [a]
+    while stack:
+        top = stack[-1]
+        todo = [o for o in top.ops if type(o) is _Product and o.m is None]
+        if top.m is not None:
+            stack.pop()
+        elif todo:
+            stack += todo
+        else:
+            u, v = (o.m if type(o) is _Product else o for o in top.ops)
+            top.m, top.ops = _mat_mul(u, v, p), ()
+    return a.m
 
 
 # ---------------------------------------------------------------------------
 # configuration: order-N root of unity in F_p
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _mult_order_is(q: int, n: int, p: int) -> bool:
-    if pow(q, n, p) != 1:
-        return False
-    return all(pow(q, n // r, p) != 1 for r in _prime_factors(n))
+    return pow(q, n, p) == 1 and all(
+        pow(q, d, p) != 1 for d in range(1, n) if n % d == 0)
 
 
 def default_prime(N: int) -> int:
@@ -216,9 +233,9 @@ def clock_shift(cfg: QConfig, lx: int, ly: int) -> QPair:
 
 
 def commutes_q(pair: QPair, cfg: QConfig) -> bool:
-    lhs = _mat_mul(pair.X, pair.Y, cfg.p)
-    rhs = _mat_scale(cfg.q, _mat_mul(pair.Y, pair.X, cfg.p), cfg.p)
-    return lhs == rhs
+    p = cfg.p
+    return (_mat_mul(pair.X, pair.Y, p)
+            == _mat_mul(_mat_scale(cfg.q, pair.Y, p), pair.X, p))
 
 
 def pair_valid(pair: QPair, cfg: QConfig) -> bool:
@@ -246,26 +263,28 @@ def q_apply_inverse(name: str, pair: QPair, cfg: QConfig) -> QPair:
 def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
     """Apply a word over {P, C, I}, rightmost factor first.
 
-    X, X^-1, Y and Y^-1 are carried through the word, each as a pair
-    (c, M) standing for c * M mod p, so a factor q or q^-1 costs one
-    modular multiply.  An inverse of the input pair is None until a letter
-    needs it; then it is computed, which raises SingularSubstitution
-    exactly where the letter-by-letter maps would.
+    X, X^-1, Y and Y^-1 are pairs (c, M) standing for c * M mod p, with M
+    a matrix or a _Product of C or C^-1, multiplied out when first read.
+    P and P^-1 take one product z and one inversion of z.  An inverse is
+    None until a letter needs it, so SingularSubstitution is raised exactly
+    where the letter-by-letter maps raise it (hence C^3 is not skipped).
     """
     p, q = cfg.p, cfg.q
     qi = pow(q, -1, p)
 
     def inv(a):
-        return pow(a[0], -1, p), _mat_inv(a[1], p)
+        return pow(a[0], -1, p), _mat_inv(mat(a), p)
 
     def scale(c, a):
         return c * a[0] % p, a[1]
 
     def prod(c, a, b):
-        return c * a[0] * b[0] % p, _mat_mul(a[1], b[1], p)
+        return c * a[0] * b[0] % p, _Product(a[1], b[1])
 
-    x, y = (1, pair.X), (1, pair.Y)
-    xi = yi = None
+    def mat(a):
+        return _force(a[1], p)
+
+    x, xi, y, yi = (1, pair.X), None, (1, pair.Y), None
     for sym, exp in reversed(tuple(word)):
         for _ in range(abs(exp)):
             if sym == "I" and exp > 0:    # (x, y) -> (q y^-1, x)
@@ -283,25 +302,18 @@ def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
                 x, xi, y, yi = (scale(q, yi), scale(qi, y),
                                 prod(1, yi, x), xi and prod(1, xi, y))
             elif sym == "P" and exp > 0:  # (x, y) -> (y, q x^-1 (1 + y))
-                one_y = _one_plus(y[0], y[1], p)
-                # (1 + y)^-1 x; a failed pivot means det(1 + y) = 0
-                solved = _solve(one_y, x[1], p)
                 xi = xi or inv(x)
-                x, xi, y, yi = (y, yi,
-                                (q * xi[0] % p, _mat_mul(xi[1], one_y, p)),
-                                (qi * x[0] % p, solved))
+                z = q * xi[0] % p, _mat_mul(mat(xi), _one_plus(*y, p), p)
+                x, xi, y, yi = y, yi, z, inv(z)
             elif sym == "P":              # (x, y) -> (q (1 + x) y^-1, x)
-                one_x = _one_plus(x[0], x[1], p)
-                # y (1 + x)^-1 = ((1 + x)^T^-1 y^T)^T
-                solved = tuple(zip(*_solve(tuple(zip(*one_x)),
-                                           tuple(zip(*y[1])), p)))
                 yi = yi or inv(y)
-                x, xi, y, yi = ((q * yi[0] % p, _mat_mul(one_x, yi[1], p)),
-                                (qi * y[0] % p, solved), x, xi)
+                z = q * yi[0] % p, _mat_mul(_one_plus(*x, p), mat(yi), p)
+                x, xi, y, yi = z, inv(z), x, xi
             else:
                 raise ValueError(
                     "unknown generator %r (expected P, C or I)" % sym)
-    return QPair(*(m if c == 1 else _mat_scale(c, m, p) for c, m in (x, y)))
+    return QPair(*(tuple(map(tuple, mat(a))) if a[0] == 1
+                   else _mat_scale(a[0], mat(a), p) for a in (x, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +343,8 @@ def evaluate_word(word, params: dict | None = None) -> dict:
             out = apply_word(word, pair, cfg)
         except SingularSubstitution:
             continue
-        return {
-            "N": cfg.N, "p": cfg.p, "q": cfg.q,
-            "input": _pair_json(pair),
-            "output": _pair_json(out),
-        }
+        return {"N": cfg.N, "p": cfg.p, "q": cfg.q,
+                "input": _pair_json(pair), "output": _pair_json(out)}
     raise SingularSubstitution(
         "exhausted nonsingular samples (%d tries)" % _MAX_RESAMPLES)
 
@@ -348,8 +357,7 @@ def q_relation_check(word, cfg: QConfig, trials: int = 10,
     verdict: identity | nonidentity | inconclusive (sampling exhausted).
     """
     rng = random.Random(seed)
-    completed = 0
-    resamples = 0
+    completed = resamples = 0
     witnesses = []
     while completed < trials and resamples < _MAX_RESAMPLES:
         pair = random_pair(cfg, rng)
@@ -362,19 +370,11 @@ def q_relation_check(word, cfg: QConfig, trials: int = 10,
         if out != pair and len(witnesses) < 3:
             witnesses.append({"input": _pair_json(pair),
                               "output": _pair_json(out)})
-    if completed < trials:
-        verdict = "inconclusive"
-    elif witnesses:
-        verdict = "nonidentity"
-    else:
-        verdict = "identity"
-    return {
-        "N": cfg.N, "p": cfg.p, "q": cfg.q,
-        "trials": completed,
-        "singular_resamples": resamples,
-        "verdict": verdict,
-        "witnesses": witnesses,
-    }
+    verdict = ("inconclusive" if completed < trials
+               else "nonidentity" if witnesses else "identity")
+    return {"N": cfg.N, "p": cfg.p, "q": cfg.q, "trials": completed,
+            "singular_resamples": resamples, "verdict": verdict,
+            "witnesses": witnesses}
 
 
 def word_acts_as_identity(word, N: int = 5, p: int | None = None,

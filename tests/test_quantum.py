@@ -489,6 +489,113 @@ def test_letter_needing_no_inverse_of_a_singular_member_answers():
         q_apply("C", pair, cfg)
 
 
+@pytest.mark.parametrize("n,p", [(3, 7), (5, 11)])
+def test_long_words_match_letter_by_letter_maps(n, p):
+    """200-letter words: long chains of deferred C products meet pairs
+    that go singular part of the way through.  At these small p nearly
+    every word with P in it meets a singular 1 + y, so half the words are
+    over C and I only, which never fail on a clock/shift pair."""
+    cfg = make_config(n, p)
+    rng = random.Random(n * p + 200)
+    singular = 0
+    for k in range(16):
+        if k % 4 < 2:
+            pair = random_pair(cfg, rng)
+        else:
+            pair = QPair(_random_matrix(n, p, rng), _random_matrix(n, p, rng))
+        word = tuple((rng.choice("PCI" if k % 2 else "CI"),
+                      rng.choice((-2, -1, 1, 2))) for _ in range(200))
+        want = _outcome(_ref_apply_word, word, pair, cfg)
+        assert _outcome(apply_word, word, pair, cfg) == want, (word, pair)
+        singular += want == "singular"
+    assert 0 < singular < 16
+
+
+@pytest.mark.parametrize("word", [
+    (("C", 3000),), (("C", -3000),),
+    (("C", 1), ("I", 1)) * 2000, (("I", 1), ("C", -1)) * 2000])
+def test_deep_chains_of_deferred_products(word):
+    # thousands of unread products hang off one another; forcing them
+    # must not recurse
+    cfg = make_config(5, 11)
+    pair = clock_shift(cfg, 3, 7)
+    assert apply_word(word, pair, cfg) == pair
+
+
+def test_words_equal_to_one_still_invert_the_pair():
+    # C^3 = I^4 = 1 on q-commuting pairs, but C^2 and I^2 invert both
+    # members: on a singular member the letters raise, so must the kernel
+    cfg = make_config(3, 7)
+    good = clock_shift(cfg, 2, 3)
+    singular = QPair(((1, 2, 3), (2, 4, 6), (0, 0, 1)), good.Y)
+    for word in ((("C", 3),), (("C", -3),), (("I", 4),), (("I", -4),)):
+        assert apply_word(word, good, cfg) == good
+        for pair in (singular, QPair(good.X, singular.X)):
+            assert _outcome(_ref_apply_word, word, pair, cfg) == "singular"
+            with pytest.raises(SingularSubstitution):
+                apply_word(word, pair, cfg)
+
+
+def test_mat_inv_matches_reference_inverse():
+    rng = random.Random(11)
+    for p in (2, 3, 7, 11, 101):
+        for n in range(1, 8):
+            singular = 0
+            for _ in range(40):
+                # small value ranges make singular matrices common; entries
+                # past p and below 0 must be read mod p
+                lo, hi = rng.choice(((0, 2), (-p, 2 * p), (0, p)))
+                a = tuple(tuple(rng.randrange(lo, hi) for _ in range(n))
+                          for _ in range(n))
+                want = _outcome(_ref_inv, tuple(tuple(v % p for v in row)
+                                                for row in a), p)
+                got = _outcome(quantum._mat_inv, a, p)
+                if want == "singular":
+                    singular += 1
+                    assert got == "singular", a
+                else:
+                    assert tuple(map(tuple, got)) == want, a
+            assert singular < 40
+
+
+def test_kernel_operation_counts(monkeypatch):
+    """C^-2 multiplies out only the two products something reads: the Y of
+    its first letter, which the second inverts, and the output Y, not the
+    unread Y^-1.  P takes one product and inverts only N x N matrices: x
+    and z = x^-1 (1 + y)."""
+    cfg = make_config(5, 11)
+    pair = clock_shift(cfg, 7, 3)   # det(1 + y) = 1 + 3^5 != 0 mod 11
+    calls = {"mul": 0, "inv": []}
+    mat_mul, mat_inv = quantum._mat_mul, quantum._mat_inv
+
+    def counted_mul(a, b, p):
+        calls["mul"] += 1
+        return mat_mul(a, b, p)
+
+    def counted_inv(a, p):
+        calls["inv"].append((len(a), {len(row) for row in a}))
+        return mat_inv(a, p)
+
+    monkeypatch.setattr(quantum, "_mat_mul", counted_mul)
+    monkeypatch.setattr(quantum, "_mat_inv", counted_inv)
+    assert apply_word((("C", -2),), pair, cfg) == _ref_apply_word(
+        (("C", -2),), pair, cfg)
+    assert calls["mul"] == 2
+    calls["mul"], calls["inv"] = 0, []
+    assert q_apply("P", pair, cfg) == _ref_apply("P", pair, cfg)
+    assert calls["mul"] == 1
+    assert calls["inv"] == [(5, {5})] * 2
+    assert not hasattr(quantum, "_solve")
+
+
+def test_commutation_check_compares_like_with_like():
+    cfg = make_config(5, 11)
+    pair = clock_shift(cfg, 3, 7)
+    assert commutes_q(pair, cfg) and pair_valid(pair, cfg)
+    swapped = QPair(pair.Y, pair.X)
+    assert not commutes_q(swapped, cfg) and not pair_valid(swapped, cfg)
+
+
 # ---------------------------------------------------------------------------
 # N-th powers move by the commutative maps
 
