@@ -28,6 +28,20 @@ BACKENDS = ("pl", "tree", "dyadic", "bir", "picard", "quantum")
 BIR_PRIMES = ["--prime", "4611686018427388039", "--prime",
               "9223372036854775837"]
 
+
+def _terms(*terms):
+    """PicVec JSON from (family, arg[, level[, coef]]) tuples; coef
+    defaults to [1]."""
+    out = []
+    for fam, arg, *rest in terms:
+        term = {"family": fam, "arg": arg}
+        if rest:
+            term["level"] = rest[0]
+        term["coef"] = rest[1] if len(rest) > 1 else [1]
+        out.append(term)
+    return json.dumps({"terms": out})
+
+
 CORPUS = {
     **{"relations.H.%s" % b: ["relations", "--suite", "H", "--backend", b]
        for b in BACKENDS},
@@ -96,6 +110,18 @@ CORPUS = {
     "orbit.P": ["orbit", "--word", "P", "--start", "1,2", "--steps", "5"],
     "orbit.pole": ["orbit", "--word", "P", "--start", "1,-1", "--steps",
                    "3"],
+    # the images of b(1,0), b(-1,0) and e(1,0)^1 merge at b(-1,0)
+    "mutate.be": ["mutate", "--basis", "be", "--at", "1,0", "--vector",
+                  _terms(("b", [1, 0]), ("b", [-1, 0]), ("e", [1, 0], 1),
+                         ("b", [0, -1]))],
+    # each term adds p(-1,0), which ends with coefficient 3
+    "mutate.p": ["mutate", "--basis", "p", "--at", "1,0", "--vector",
+                 _terms(("p", [0, -1]), ("p", [1, -1]), ("p", [2, -1]))],
+    "mutate.wq.conjugated": [
+        "mutate", "--basis", "wq", "--at", "2,-3", "--vector",
+        _terms(("e", [1, 1], 2, [0, -1, 1]), ("e", [-1, 0], 1, [2, 0, 1]))],
+    "mutate.p.refused": ["mutate", "--basis", "p", "--at", "1,0",
+                         "--vector", _terms(("e", [1, 0], 1))],
 }
 
 
