@@ -630,6 +630,8 @@ def word_equals_identity(word, primes=None, trials: int = 20,
     primes, per-prime sample counts, and the Schwartz-Zippel bound on the
     probability that a nonidentity word passed every sample.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
     primes = tuple(primes or PRIMES[:2])
     for p in primes:
         if p <= 2 ** 61:
@@ -686,6 +688,8 @@ def kernel_probe(word, npoints: int = 100, primes=None, seed: int = 0) -> dict:
     never an assertion about the group.  Raises RuntimeError when the points
     cannot be drawn off the pole locus.
     """
+    if npoints < 1:
+        raise ValueError("npoints must be at least 1, got %d" % npoints)
     primes = tuple(primes or PRIMES[:3])
     per = -(-npoints // len(primes))  # ceil
     agree = 0

@@ -165,22 +165,13 @@ def cmd_mutate(args):
         raise ValueError("mutate needs --vector JSON or --input FILE")
     try:
         x = picard.PicVec.from_json(json.loads(raw))
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError("malformed PicVec JSON (missing %s)" % exc)
+    except TypeError as exc:
+        raise ValueError("malformed PicVec JSON (%s)" % exc)
     v = _parse_vec(args.at)
-    if args.basis == "be":
-        out = picard.mu_be_action(x, v)
-    elif args.basis == "p":
-        out = picard.PicVec()
-        for key, coeff in x.terms.items():
-            if key[0] != "p":
-                raise ValueError(
-                    "basis p mutates p-family vectors only; found %r" % (key,))
-            out = out + coeff * picard.mu_p_action(key[1], v)
-    elif args.basis == "wq":
-        out = picard.mu_Wq_at(x, v)
-    else:
-        raise ValueError("unknown basis %r (expected be, p or wq)" % args.basis)
+    out = {"be": picard.mu_be_action, "p": picard.mu_p_vector,
+           "wq": picard.mu_Wq_at}[args.basis](x, v)
     return {"basis": args.basis, "at": list(v),
             "input": x.to_json(), "output": out.to_json()}, 0
 

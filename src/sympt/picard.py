@@ -39,6 +39,7 @@ instead of patching either side.
 
 import random
 from math import gcd
+from typing import NamedTuple
 
 from .plcore import (
     AXES,
@@ -88,6 +89,7 @@ __all__ = [
     "p_basis",
     "p_expand",
     "mu_p_action",
+    "mu_p_vector",
     "gamma_action",
     "mu_Wq_action",
     "mu_Wq_inverse",
@@ -104,6 +106,15 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # polynomials in q
+
+def _add_scaled(acc: list, n: int, c: tuple, shift: int) -> None:
+    """acc += n q^shift c, on ascending coefficient lists."""
+    grow = len(c) + shift - len(acc)
+    if grow > 0:
+        acc.extend([0] * grow)
+    for i, ci in enumerate(c, shift):
+        acc[i] += n * ci
+
 
 class QPoly:
     """Polynomial in q with integer coefficients, ascending order."""
@@ -145,11 +156,9 @@ class QPoly:
     def __add__(self, other):
         if not isinstance(other, (int, QPoly)):
             return NotImplemented
-        other = QPoly.lift(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return QPoly(x + y for x, y in zip(a, b))
+        acc = list(self.coeffs)
+        _add_scaled(acc, 1, QPoly.lift(other).coeffs, 0)
+        return QPoly(acc)
 
     __radd__ = __add__
 
@@ -169,14 +178,10 @@ class QPoly:
     def __mul__(self, other):
         if not isinstance(other, (int, QPoly)):
             return NotImplemented
-        other = QPoly.lift(other)
-        if not self or not other:
-            return QPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
+        acc = []
+        for i, a in enumerate(QPoly.lift(other).coeffs):
+            _add_scaled(acc, a, self.coeffs, i)
+        return QPoly(acc)
 
     __rmul__ = __mul__
 
@@ -208,6 +213,26 @@ class QPoly:
 
 Q_ZERO = QPoly()
 Q_ONE = QPoly((1,))
+
+
+# ---------------------------------------------------------------------------
+# integers read from JSON
+
+def _json_int(x, what: str) -> int:
+    """x if it is a JSON integer; floats and bools are refused, since
+    int() would truncate 1.7 to 1 and read true as 1."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError("%s must hold integers, got %r" % (what, x))
+    return x
+
+
+def _json_ints(xs, what: str, length=None) -> list:
+    """xs as a list of JSON integers, of the given length if one is set."""
+    if not isinstance(xs, list) or length not in (None, len(xs)):
+        raise ValueError("%s must be a list of %sintegers, got %r"
+                         % (what, "" if length is None else "%d " % length,
+                            xs))
+    return [_json_int(x, what) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +312,18 @@ class BreakFn:
         a = self._raw_eval(rays, vals, (1, 0))
         b = self._raw_eval(rays, vals, (0, 1))
         vals = [x - a * r[0] - b * r[1] for x, r in zip(vals, rays)]
-        key = []
+        at = dict(zip(rays, vals)).__getitem__
         n = len(rays)
-        for j in range(n):
-            d = self._index_at(rays, vals, j)
-            if d:
-                key.append((rays[j], d))
+        key = frozenset(
+            (r, d) for j, r in enumerate(rays)
+            if (d := _nonlinearity(at, rays[j - 1], r, rays[(j + 1) % n])))
         object.__setattr__(self, "fan", fan)
         object.__setattr__(
             self, "values",
             tuple(self._raw_eval(rays, vals, r) for r in fan.rays))
         object.__setattr__(self, "_rays", tuple(rays))
         object.__setattr__(self, "_vals", tuple(vals))
-        object.__setattr__(self, "_key", frozenset(key))
+        object.__setattr__(self, "_key", key)
 
     def __setattr__(self, *a):
         raise AttributeError("BreakFn is immutable")
@@ -313,23 +337,14 @@ class BreakFn:
         j = (i + 1) % len(rays)
         return k * (wedge(p, rays[j]) * vals[i] + wedge(rays[i], p) * vals[j])
 
-    @staticmethod
-    def _index_at(rays, vals, j):
-        n = len(rays)
-        a = rays[j]
-        u, w = rays[(j - 1) % n], rays[(j + 1) % n]
-        s = vec_add(u, w)
-        k = s[0] // a[0] if a[0] else s[1] // a[1]
-        return vals[(j - 1) % n] + vals[(j + 1) % n] - k * vals[j]
-
     def __call__(self, v) -> int:
         return self._raw_eval(self._rays, self._vals, tuple(v))
 
     @property
     def break_rays(self):
         """Rays with nonzero index, counterclockwise."""
-        return tuple(r for r in self._rays
-                     if any(r == a for a, _ in self._key))
+        idx = self.indexes()
+        return tuple(r for r in self._rays if r in idx)
 
     def indexes(self) -> dict:
         return {a: d for a, d in self._key}
@@ -370,7 +385,8 @@ class BreakFn:
 
     @staticmethod
     def from_json(data) -> "BreakFn":
-        return BreakFn([tuple(r) for r in data["rays"]], data["values"])
+        return BreakFn([tuple(_json_ints(r, "ray", 2)) for r in data["rays"]],
+                       _json_ints(data["values"], "values"))
 
 
 def zero_breakfn() -> BreakFn:
@@ -413,9 +429,14 @@ def index(F: BreakFn, a: Vec, shift: int = 0) -> int:
         u, w = rays[(j - 1) % n], rays[(j + 1) % n]
     u = (u[0] + shift * a[0], u[1] + shift * a[1])
     w = (w[0] + shift * a[0], w[1] + shift * a[1])
+    return _nonlinearity(F, u, a, w)
+
+
+def _nonlinearity(f, u: Vec, a: Vec, w: Vec) -> int:
+    """f(u) + f(w) - k f(a), where u + w = k a."""
     s = vec_add(u, w)
     k = s[0] // a[0] if a[0] else s[1] // a[1]
-    return F(u) + F(w) - k * F(a)
+    return f(u) + f(w) - k * f(a)
 
 
 def _unimodular_companions(F: BreakFn, a: Vec):
@@ -449,7 +470,27 @@ def is_effective(G: dict) -> bool:
 # ---------------------------------------------------------------------------
 # sparse vectors over the symbol families
 
-_FAMILIES = ("b", "e", "delta", "p", "chain", "plpart")
+class _Family(NamedTuple):
+    primitive: bool  # the argument is a primitive vector, else nonzero
+    level: bool  # the key carries a level k >= 1 after the argument
+
+
+# The key of a term is (family, argument) or (family, argument, level).
+# plpart is the one family outside the table: its key holds a BreakFn.
+_FAMILIES = {
+    "b": _Family(primitive=True, level=False),
+    "e": _Family(primitive=True, level=True),
+    "delta": _Family(primitive=True, level=True),
+    "p": _Family(primitive=False, level=False),
+    "chain": _Family(primitive=True, level=False),
+}
+
+
+def _family(fam) -> _Family:
+    try:
+        return _FAMILIES[fam]
+    except (KeyError, TypeError):
+        raise ValueError("unknown symbol family %r" % (fam,)) from None
 
 
 def _check_primitive(a):
@@ -496,21 +537,19 @@ class PicVec:
 
     @staticmethod
     def _check_key(fam, key):
-        if fam == "b":
-            return ("b", _check_primitive(key[1]))
-        if fam == "chain":
-            return ("chain", _check_primitive(key[1]))
-        if fam in ("e", "delta"):
-            a, k = _check_primitive(key[1]), int(key[2])
-            if k < 1:
-                raise ValueError("level must be >= 1, got %d" % k)
-            return (fam, a, k)
-        if fam == "p":
-            w = tuple(key[1])
-            if w == (0, 0):
-                raise ValueError("p key cannot be the origin")
-            return ("p", w)
-        raise ValueError("unknown symbol family %r" % (fam,))
+        spec = _family(fam)
+        if spec.primitive:
+            a = _check_primitive(key[1])
+        else:
+            a = tuple(key[1])
+            if a == (0, 0):
+                raise ValueError("%s key cannot be the origin" % fam)
+        if not spec.level:
+            return (fam, a)
+        k = int(key[2])
+        if k < 1:
+            raise ValueError("level must be >= 1, got %d" % k)
+        return (fam, a, k)
 
     def __setattr__(self, *a):
         raise AttributeError("PicVec is immutable")
@@ -557,17 +596,15 @@ class PicVec:
     def to_json(self):
         out = []
         for key in sorted(self.terms, key=repr):
-            coeff = list(self.terms[key].coeffs)
             fam = key[0]
             if fam == "plpart":
-                out.append({"family": "plpart", "fn": key[1].to_json(),
-                            "coef": coeff})
-            elif fam in ("e", "delta"):
-                out.append({"family": fam, "arg": list(key[1]),
-                            "level": key[2], "coef": coeff})
+                term = {"family": fam, "fn": key[1].to_json()}
             else:
-                out.append({"family": fam, "arg": list(key[1]),
-                            "coef": coeff})
+                term = {"family": fam, "arg": list(key[1])}
+                if _FAMILIES[fam].level:
+                    term["level"] = key[2]
+            term["coef"] = list(self.terms[key].coeffs)
+            out.append(term)
         return {"terms": out}
 
     @staticmethod
@@ -575,22 +612,23 @@ class PicVec:
         terms = []
         for t in data["terms"]:
             fam = t["family"]
-            coeff = QPoly(t["coef"])
+            coeff = QPoly(_json_ints(t["coef"], "coef"))
             if fam == "plpart":
-                terms.append((("plpart", BreakFn.from_json(t["fn"])), coeff))
-            elif fam in ("e", "delta"):
-                terms.append(((fam, tuple(t["arg"]), t["level"]), coeff))
+                key = (fam, BreakFn.from_json(t["fn"]))
             else:
-                terms.append(((fam, tuple(t["arg"])), coeff))
+                key = (fam, tuple(_json_ints(t["arg"], "arg", 2)))
+                if _family(fam).level:
+                    key += (_json_int(t["level"], "level"),)
+            terms.append((key, coeff))
         return PicVec(terms)
 
 
 def _key_repr(key):
     if key[0] == "plpart":
         return "plpart[%r]" % (key[1],)
-    if key[0] in ("e", "delta"):
-        return "%s%r^%d" % (key[0], key[1], key[2])
-    return "%s%r" % (key[0], key[1])
+    if _FAMILIES[key[0]].level:
+        return "%s%r^%d" % key
+    return "%s%r" % key
 
 
 ZERO_VEC = PicVec()
@@ -609,8 +647,6 @@ def e_vec(w, level=None) -> PicVec:
     if w == (0, 0):
         return ZERO_VEC
     k, a = _content_and_primitive(w)
-    if k < 0:
-        k, a = -k, (-a[0], -a[1])
     return PicVec([(("e", a, k), Q_ONE)])
 
 
@@ -638,6 +674,13 @@ def _e_key_vector(key) -> Vec:
     return (k * a[0], k * a[1])
 
 
+def _extend(x: PicVec, rule) -> PicVec:
+    """The image of x under the linear extension of rule, a map from one
+    key to the PicVec it goes to."""
+    return PicVec([(k, c * d) for key, c in x.terms.items()
+                   for k, d in rule(key).terms.items()])
+
+
 # ---------------------------------------------------------------------------
 # the L-action on delta towers and PL parts
 
@@ -645,33 +688,28 @@ def delta_L_action(x: PicVec) -> PicVec:
     """One application of L to a vector over delta and plpart symbols."""
     L = generator_pl("L")
     Linv = generator_pl("P")
-    out = ZERO_VEC
-    for key, c in x.terms.items():
-        fam = key[0]
-        if fam == "delta":
+
+    def rule(key):
+        if key[0] == "delta":
             _, s, k = key
             if s == (0, -1):
-                img = delta_vec((1, 0), k + 1)
-            elif s == (0, 1):
-                if k >= 2:
-                    img = delta_vec((-1, 0), k - 1)
-                else:
-                    img = -delta_vec((1, 0), 1) + plpart_vec(ample_A())
-            else:
-                img = delta_vec(L(s), k)
-        elif fam == "plpart":
+                return delta_vec((1, 0), k + 1)
+            if s != (0, 1):
+                return delta_vec(L(s), k)
+            if k >= 2:
+                return delta_vec((-1, 0), k - 1)
+            return -delta_vec((1, 0), 1) + plpart_vec(ample_A())
+        if key[0] == "plpart":
             F = key[1]
-            comp = compose_breakfn(F, Linv)
-            img = (plpart_vec(comp)
-                   - F((0, -1)) * delta_vec((1, 0), 1)
-                   + F((0, 1)) * (-delta_vec((1, 0), 1)
-                                  + plpart_vec(ample_A())))
-        else:
-            raise ValueError(
-                "L-action is defined on delta and plpart terms, got %r"
-                % (fam,))
-        out = out + c * img
-    return out
+            return (plpart_vec(compose_breakfn(F, Linv))
+                    - F((0, -1)) * delta_vec((1, 0), 1)
+                    + F((0, 1)) * (-delta_vec((1, 0), 1)
+                                   + plpart_vec(ample_A())))
+        raise ValueError(
+            "L-action is defined on delta and plpart terms, got %r"
+            % (key[0],))
+
+    return _extend(x, rule)
 
 
 def pic_product(x: PicVec, y: PicVec):
@@ -703,23 +741,18 @@ def pic_product(x: PicVec, y: PicVec):
 
 def f_prime(F: BreakFn) -> PicVec:
     """plpart(F) minus the level-one deltas weighted by the indexes."""
-    out = plpart_vec(F)
-    for a, d in F.indexes().items():
-        out = out - d * delta_vec(a, 1)
-    return out
+    return PicVec([(("plpart", F), Q_ONE)] + [
+        (("delta", a, 1), -d) for a, d in F.indexes().items()])
 
 
 def be_encode(F: BreakFn) -> PicVec:
     """Index encoding in B; lands in the kernel of b_a -> a."""
-    out = ZERO_VEC
-    sx = sy = 0
-    for a, d in F.indexes().items():
-        out = out + d * b_vec(a)
-        sx += d * a[0]
-        sy += d * a[1]
-    if (sx, sy) != (0, 0):
-        raise AssertionError("index checksum %r is nonzero" % ((sx, sy),))
-    return out
+    idx = F.indexes()
+    checksum = (sum(d * a[0] for a, d in idx.items()),
+                sum(d * a[1] for a, d in idx.items()))
+    if checksum != (0, 0):
+        raise AssertionError("index checksum %r is nonzero" % (checksum,))
+    return PicVec([(("b", a), d) for a, d in idx.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -745,32 +778,27 @@ def mu_be_action(x: PicVec, v: Vec) -> PicVec:
     """Mutation at v on b/e terms, by the eight listed rules."""
     v = _check_primitive(v)
     nv = (-v[0], -v[1])
-    out = ZERO_VEC
-    for key, c in x.terms.items():
-        fam = key[0]
-        if fam == "b":
+
+    def rule(key):
+        if key[0] == "b":
             w = key[1]
             if w == v:
-                img = -b_vec(nv)
-            elif w == nv:
-                img = e_vec(nv, 1) + b_vec(nv)
-            elif wedge(w, v) > 0:
-                img = b_vec(sigma_v(w, v))
-            else:
-                img = b_vec(sigma_v(w, v)) + wedge(v, w) * b_vec(nv)
-        elif fam == "e":
+                return -b_vec(nv)
+            if w == nv:
+                return e_vec(nv, 1) + b_vec(nv)
+            if wedge(w, v) > 0:
+                return b_vec(sigma_v(w, v))
+            return b_vec(sigma_v(w, v)) + wedge(v, w) * b_vec(nv)
+        if key[0] == "e":
             _, a, k = key
             if a == v:
-                img = (b_vec(v) + b_vec(nv)) if k == 1 else e_vec(v, k - 1)
-            elif a == nv:
-                img = e_vec(nv, k + 1)
-            else:
-                img = e_vec(sigma_v(a, v), k)
-        else:
-            raise ValueError(
-                "mutation on b/e vectors only, got %r" % (fam,))
-        out = out + c * img
-    return out
+                return (b_vec(v) + b_vec(nv)) if k == 1 else e_vec(v, k - 1)
+            if a == nv:
+                return e_vec(nv, k + 1)
+            return e_vec(sigma_v(a, v), k)
+        raise ValueError("mutation on b/e vectors only, got %r" % (key[0],))
+
+    return _extend(x, rule)
 
 
 def p_basis(k: int, v: Vec) -> PicVec:
@@ -779,10 +807,8 @@ def p_basis(k: int, v: Vec) -> PicVec:
     if k < 1:
         raise ValueError("level must be >= 1")
     v = _check_primitive(v)
-    out = k * b_vec(v)
-    for j in range(1, k):
-        out = out + (k - j) * e_vec(v, j)
-    return out
+    return PicVec([(("b", v), k)] + [(("e", v, j), k - j)
+                                      for j in range(1, k)])
 
 
 def p_expand(w: Vec) -> PicVec:
@@ -790,10 +816,7 @@ def p_expand(w: Vec) -> PicVec:
     w = tuple(w)
     if w == (0, 0):
         return ZERO_VEC
-    k, a = _content_and_primitive(w)
-    if k < 0:
-        k, a = -k, (-a[0], -a[1])
-    return p_basis(k, a)
+    return p_basis(*_content_and_primitive(w))
 
 
 def mu_p_action(w: Vec, v: Vec) -> PicVec:
@@ -810,6 +833,17 @@ def mu_p_action(w: Vec, v: Vec) -> PicVec:
     return out
 
 
+def mu_p_vector(x: PicVec, v: Vec) -> PicVec:
+    """Mutation at v of a vector of p symbols, by mu_p_action."""
+    def rule(key):
+        if key[0] != "p":
+            raise ValueError(
+                "basis p mutates p-family vectors only; found %r" % (key,))
+        return mu_p_action(key[1], v)
+
+    return _extend(x, rule)
+
+
 # ---------------------------------------------------------------------------
 # the W[q] model
 
@@ -817,17 +851,12 @@ def gamma_action(x: PicVec, m: Mat) -> PicVec:
     """Natural index action of a lattice automorphism on symbol families."""
     out = []
     for key, c in x.terms.items():
-        fam = key[0]
-        if fam in ("b", "chain"):
-            out.append(((fam, mat_apply(m, key[1])), c))
-        elif fam in ("e", "delta"):
-            out.append(((fam, mat_apply(m, key[1]), key[2]), c))
-        elif fam == "p":
-            out.append((("p", mat_apply(m, key[1])), c))
+        if key[0] == "plpart":
+            img = compose_breakfn(key[1], linear_pl(mat_inv(m)))
+            out.append((("plpart", img), c))
         else:
-            F = key[1]
-            out.append((("plpart",
-                         compose_breakfn(F, linear_pl(mat_inv(m)))), c))
+            # the level, where the family has one, stays
+            out.append(((key[0], mat_apply(m, key[1])) + key[2:], c))
     return PicVec(out)
 
 
@@ -848,15 +877,6 @@ def _e_terms(x: PicVec, what: str = "W[q] action") -> dict:
 
 def _picvec(raw: dict) -> PicVec:
     return PicVec([(("e", a, k), QPoly(c)) for (a, k), c in raw.items()])
-
-
-def _add_scaled(acc: list, n: int, c: tuple, shift: int) -> None:
-    """acc += n q^shift c, on ascending coefficient lists."""
-    grow = len(c) + shift - len(acc)
-    if grow > 0:
-        acc.extend([0] * grow)
-    for i, ci in enumerate(c, shift):
-        acc[i] += n * ci
 
 
 def _mutate(raw: dict, sign: int, m: Mat = MAT_ID) -> dict:
@@ -1067,6 +1087,8 @@ def _at_one(raw: dict) -> dict:
 def word_acts_as_identity(word, nvectors: int = 20, seed: int = 0) -> dict:
     """Test a word on random V vectors; identity is judged at q = 1 and
     the generic-q outcome is reported alongside."""
+    if nvectors < 1:
+        raise ValueError("nvectors must be at least 1, got %d" % nvectors)
     op = word_operator(word)
     rng = random.Random(seed)
     exact = True
@@ -1118,16 +1140,12 @@ def cross_basis_report(v: Vec = (1, 0), samples: int = 30,
         seen.add(w)
         p_rule = mu_p_action(w, v)
 
-        wq = mu_Wq_action(e_vec(w)).at_one()
-        wq_as_p = ZERO_VEC
-        for key, c in wq.terms.items():
-            wq_as_p = wq_as_p + c * p_vec(_e_key_vector(key))
+        wq_as_p = _extend(mu_Wq_action(e_vec(w)).at_one(),
+                          lambda key: p_vec(_e_key_vector(key)))
         wq_agrees = wq_as_p == p_rule
 
         be = mu_be_action(p_expand(w), v)
-        p_expanded = ZERO_VEC
-        for key, c in p_rule.terms.items():
-            p_expanded = p_expanded + c * p_expand(key[1])
+        p_expanded = _extend(p_rule, lambda key: p_expand(key[1]))
         be_agrees = be == p_expanded
 
         entry = {"w": list(w),

@@ -356,6 +356,8 @@ def q_relation_check(word, cfg: QConfig, trials: int = 10,
 
     verdict: identity | nonidentity | inconclusive (sampling exhausted).
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
     rng = random.Random(seed)
     completed = resamples = 0
     witnesses = []

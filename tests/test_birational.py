@@ -376,6 +376,13 @@ def test_kernel_probe_raises_when_no_point_avoids_the_poles(monkeypatch):
         kernel_probe(parse_word("P^5"), npoints=6)
 
 
+def test_sampling_needs_at_least_one_point():
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        word_equals_identity(parse_word("P^5"), trials=0)
+    with pytest.raises(ValueError, match="npoints must be at least 1"):
+        kernel_probe(parse_word("P^5"), npoints=0)
+
+
 def test_sampling_rejects_a_composite_modulus():
     composite = (2 ** 31 + 11) * 2148483661  # both factors prime, > 2^61
     for check in (word_equals_identity, kernel_probe):

@@ -367,6 +367,38 @@ def test_mutate_usage_errors():
     assert code == 2 and "malformed" in rep["error"]
 
 
+def _mutate_term(**term):
+    return json.dumps({"terms": [{"arg": [1, 0], "coef": [1], **term}]})
+
+
+AMPLE_FN = {"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]], "values": [0, 0, 0, 1]}
+
+
+@pytest.mark.parametrize("vector, text", [
+    (_mutate_term(family="b", coef=[1.7]), "coef must hold integers"),
+    (_mutate_term(family="b", coef=[True]), "coef must hold integers"),
+    (_mutate_term(family="b", coef=1), "coef must be a list"),
+    (_mutate_term(family="e", level=1.9), "level must hold integers"),
+    (_mutate_term(family="e", level=True), "level must hold integers"),
+    (_mutate_term(family="b", arg=[True, 0]), "arg must hold integers"),
+    (_mutate_term(family="b", arg=[1.0, 0]), "arg must hold integers"),
+    (_mutate_term(family="b", arg=[1, 0, 0]), "arg must be a list of 2"),
+    (_mutate_term(family="plpart", fn={**AMPLE_FN,
+                                       "values": [0, 0, 0, 1.5]}),
+     "values must hold integers"),
+    (_mutate_term(family="plpart", fn={**AMPLE_FN, "rays": [
+        [1, 0], [0, 1], [-1, 0], [0, False]]}), "ray must hold integers"),
+    ('{"terms": 5}', "malformed PicVec JSON ('int' object is not iterable)"),
+    ('[1]', "malformed PicVec JSON (list indices"),
+])
+def test_mutate_refuses_what_json_integers_cannot_read(vector, text):
+    # a float would be truncated and a bool read as 0 or 1
+    code, rep = run_json(["mutate", "--basis", "be", "--at", "1,0",
+                          "--vector", vector])
+    assert code == 2
+    assert rep["error"].startswith(text)
+
+
 def test_mutate_reads_input_file(tmp_path):
     path = tmp_path / "vec.json"
     path.write_text(E_VEC)
@@ -378,6 +410,17 @@ def test_mutate_reads_input_file(tmp_path):
 
 # ---------------------------------------------------------------------------
 # quantum and orbit
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("backend, name", [
+    ("bir", "trials"), ("picard", "nvectors"), ("quantum", "trials")])
+def test_sampled_backends_refuse_an_empty_sample(backend, name, trials):
+    # no sample would pass every relation, with a bound of 2^-0 in bir
+    code, rep = run_json(["equal", "--lhs", "P", "--rhs", "C", "--backend",
+                          backend, "--trials", trials])
+    assert code == 2
+    assert rep == {"error": "%s must be at least 1, got %s" % (name, trials)}
+
 
 def test_quantum_identity_report():
     code, rep = run_json(["quantum", "--word", "P^5", "--N", "5", "--p", "11"])

@@ -28,6 +28,7 @@ from sympt.picard import (
     mu_Wq_inverse,
     mu_be_action,
     mu_p_action,
+    mu_p_vector,
     p_basis,
     p_expand,
     p_vec,
@@ -273,6 +274,98 @@ def test_picvec_json_shape_and_roundtrip():
              + p_vec((3, 5)))
     data = json.loads(json.dumps(mixed.to_json()))
     assert PicVec.from_json(data) == mixed
+
+
+@pytest.mark.parametrize("x, term, text", [
+    (b_vec((1, -2)), {"family": "b", "arg": [1, -2], "coef": [1]},
+     "(1)*b(1, -2)"),
+    (Q * e_vec((2, -4)),
+     {"family": "e", "arg": [1, -2], "level": 2, "coef": [0, 1]},
+     "(q)*e(1, -2)^2"),
+    (-3 * delta_vec((0, 1), 2),
+     {"family": "delta", "arg": [0, 1], "level": 2, "coef": [-3]},
+     "(-3)*delta(0, 1)^2"),
+    (p_vec((2, -4)), {"family": "p", "arg": [2, -4], "coef": [1]},
+     "(1)*p(2, -4)"),
+    (chain_vec((1, 1)), {"family": "chain", "arg": [1, 1], "coef": [1]},
+     "(1)*chain(1, 1)"),
+    (2 * plpart_vec(ample_A()),
+     {"family": "plpart", "fn": {"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                 "values": [0, 0, 0, 2]}, "coef": [1]},
+     "(1)*plpart[BreakFn((-1, 0):2, (1, 0):2)]"),
+], ids=["b", "e", "delta", "p", "chain", "plpart"])
+def test_each_family_round_trips_through_json(x, term, text):
+    data = x.to_json()
+    assert data == {"terms": [term]}
+    assert list(data["terms"][0]) == list(term)  # key order
+    assert PicVec.from_json(json.loads(json.dumps(data))) == x
+    assert repr(x) == "PicVec(%s)" % text
+
+
+@pytest.mark.parametrize("term, text", [
+    ({"family": "b", "arg": [2, 4]}, "ray index must be primitive"),
+    ({"family": "chain", "arg": [0, 3]}, "ray index must be primitive"),
+    ({"family": "e", "arg": [2, -2], "level": 1},
+     "ray index must be primitive"),
+    ({"family": "delta", "arg": [0, 0], "level": 1},
+     "ray index must be primitive"),
+    ({"family": "e", "arg": [1, 0], "level": 0}, "level must be >= 1"),
+    ({"family": "p", "arg": [0, 0]}, "p key cannot be the origin"),
+    ({"family": "nope", "arg": [1, 0]}, "unknown symbol family 'nope'"),
+], ids=["b", "chain", "e", "delta", "e-level", "p", "unknown"])
+def test_from_json_refuses_a_malformed_key(term, text):
+    with pytest.raises(ValueError, match=text):
+        PicVec.from_json({"terms": [{**term, "coef": [1]}]})
+
+
+def _combination(rng, keys, coeffs):
+    return PicVec([(rng.choice(keys), rng.choice(coeffs))
+                   for _ in range(rng.randint(1, 4))])
+
+
+# each map with keys whose images overlap, so that terms merge
+QCOEFFS = (1, -2, Q, ONE_MINUS_Q)
+LINEAR_MAPS = {
+    "mu_be_action": (
+        lambda x: mu_be_action(x, (1, 0)),
+        [("b", (1, 0)), ("b", (-1, 0)), ("b", (0, -1)), ("b", (1, -1)),
+         ("b", (0, 1)), ("e", (1, 0), 1), ("e", (1, 0), 2),
+         ("e", (-1, 0), 1)], QCOEFFS),
+    "mu_p_vector": (
+        lambda x: mu_p_vector(x, (1, 0)),
+        [("p", (0, -1)), ("p", (1, -1)), ("p", (2, -1)), ("p", (-2, 0)),
+         ("p", (1, 0)), ("p", (1, 1))], QCOEFFS),
+    "mu_Wq_at": (
+        lambda x: mu_Wq_at(x, (2, -3)),
+        [("e", (2, -3), 1), ("e", (-2, 3), 1), ("e", (1, 1), 2),
+         ("e", (-1, 0), 1), ("e", (1, -1), 1)], QCOEFFS),
+    # plpart coefficients are integers
+    "gamma_action": (
+        lambda x: gamma_action(x, GEN_MATS["C"]),
+        [("b", (1, 0)), ("e", (0, 1), 2), ("delta", (1, 1), 1),
+         ("p", (2, 2)), ("chain", (1, -1)), ("plpart", ample_A()),
+         ("plpart", BreakFn(((1, 0), (0, 1), (-1, 0), (0, -1)),
+                            (1, 1, 0, 0)))], (1, -2, 3)),
+    "delta_L_action": (
+        delta_L_action,
+        [("delta", (0, 1), 1), ("delta", (0, 1), 2), ("delta", (0, -1), 1),
+         ("delta", (1, 1), 1), ("plpart", ample_A())], (1, -2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_MAPS))
+def test_actions_are_linear(name):
+    f, keys, coeffs = LINEAR_MAPS[name]
+    rng = random.Random(11)
+    overlaps = 0
+    for _ in range(40):
+        x = _combination(rng, keys, coeffs)
+        y = _combination(rng, keys, coeffs)
+        c = rng.choice(coeffs)
+        fx, fy = f(x), f(y)
+        assert f(x + c * y) == fx + c * fy
+        overlaps += bool(set(fx.terms) & set(fy.terms))
+    assert overlaps >= 10
 
 
 # ---------------------------------------------------------------------------
