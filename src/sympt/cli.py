@@ -63,18 +63,27 @@ def _params(args, backend: str) -> dict:
             **{k: v for k, v in named.items() if v not in (None, [])}}
 
 
+def _sample_params(args, backend: str) -> dict:
+    """_params for a command that checks a relation, where a sampled
+    backend must be asked for at least one sample."""
+    if (args.trials is not None and args.trials < 1
+            and words.BACKENDS[backend].identity_test is not None):
+        raise ValueError("trials must be at least 1, got %d" % args.trials)
+    return _params(args, backend)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_relations(args):
     run = words.check_suite(args.suite, backend=args.backend,
-                            params=_params(args, args.backend))
+                            params=_sample_params(args, args.backend))
     return run, 0 if run["ok"] else 1
 
 
 def cmd_equal(args):
     equal, evidence = words.check_relation(args.lhs, args.rhs, args.backend,
-                                           _params(args, args.backend))
+                                           _sample_params(args, args.backend))
     payload = {"backend": args.backend, "lhs": args.lhs, "rhs": args.rhs,
                "equal": equal}
     if evidence is not None:
@@ -178,7 +187,7 @@ def cmd_mutate(args):
 
 def cmd_quantum(args):
     identity, report = words.check_relation(args.word, "1", "quantum",
-                                            _params(args, "quantum"))
+                                            _sample_params(args, "quantum"))
     report["word"] = args.word
     return report, 0 if identity else 1
 

@@ -835,6 +835,8 @@ def mu_p_action(w: Vec, v: Vec) -> PicVec:
 
 def mu_p_vector(x: PicVec, v: Vec) -> PicVec:
     """Mutation at v of a vector of p symbols, by mu_p_action."""
+    v = _check_primitive(v)
+
     def rule(key):
         if key[0] != "p":
             raise ValueError(

@@ -11,6 +11,10 @@ Vectors are (a, b) tuples, matrices are row-major 4-tuples
 (m11, m12, m21, m22).  The wedge product is normalized so that
 wedge((1,0), (0,1)) == 1.
 
+Composition is one counterclockwise merge of the first factor's rays with
+the image rays of the second, O(n + m) for n and m rays; the cone that
+holds a vector is found by bisection, O(log n).
+
 This module alone defines the lattice facts the other models share: the
 counterclockwise order of directions (ccw_key), the cone of a fan that
 holds a vector (cone_index) and the matrices of the named generators
@@ -244,27 +248,41 @@ def _sort_ccw(rays):
     return sorted(set(rays), key=ccw_key)
 
 
-def in_sector(a: Vec, b: Vec, v: Vec) -> bool:
-    """Is direction v in the half-open sector [a, b), counterclockwise?
-
-    Handles straight and reflex sectors; v need not be primitive.
-    """
-    if primitive(v) == a:
-        return True
-    if dir_less(a, b):
-        return not dir_less(v, a) and dir_less(v, b)
-    return not dir_less(v, a) or dir_less(v, b)
+def _ccw_start(rays) -> int:
+    """Index of the first ray at or after (1,0), for distinct rays winding
+    once counterclockwise: rays[1:k] follow rays[0] in the order anchored
+    at (1,0) and rays[k:] precede it, so k is found by bisection."""
+    first = rays[0]
+    lo, hi = 1, len(rays)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if dir_less(rays[mid], first):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo % len(rays)
 
 
 def cone_index(rays, v: Vec) -> int:
     """Index i of the half-open cone [rays[i], rays[i+1]) that holds the
     direction of v (nonzero), for rays winding once counterclockwise; the
-    last cone closes back to rays[0]."""
+    last cone closes back to rays[0].
+
+    Two bisections, O(log n) calls of dir_less: one for the ray at or
+    after (1,0) and one, in the order starting there, for the last ray at
+    or before v.  No ray at or before v means v lies in the cone that
+    crosses (1,0).
+    """
     n = len(rays)
-    for i in range(n):
-        if in_sector(rays[i], rays[(i + 1) % n], v):
-            return i
-    raise AssertionError("no cone contains %r" % (v,))
+    start = _ccw_start(rays)
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if dir_less(v, rays[(start + mid) % n]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return (start + lo - 1) % n
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +564,50 @@ def from_function(fn, hint_rays) -> PLAut:
 
 
 def compose_pl(f: PLAut, g: PLAut) -> PLAut:
-    """f after g; the word "FG" acts as compose_pl(F, G)."""
-    if f.is_linear and g.is_linear:
-        return linear_pl(mat_mul(f.mats[0], g.mats[0]))
-    ginv = inverse_pl(g)
-    hints = list(g.rays) + [ginv(r) for r in f.rays]
-    return from_function(lambda v: f(g(v)), hints)
+    """f after g; the word "FG" acts as compose_pl(F, G).
+
+    One counterclockwise merge, O(n + m) for n rays of g and m of f.  g
+    preserves orientation, so its image rays u_i = B_i r_i wind once
+    counterclockwise like f's rays s_j.  Walking both lists from (1,0),
+    each u_i is a breakpoint at r_i and each other s_j one at B_i^-1 s_j,
+    where i is g's image cone holding s_j; the cone after it carries
+    A_j B_i.  PLAut then drops the rays where nothing bends.
+    """
+    if g.is_linear:
+        B = g.mats[0]
+        if f.is_linear:
+            return linear_pl(mat_mul(f.mats[0], B))
+        Binv = mat_inv(B)
+        return PLAut(tuple(mat_apply(Binv, s) for s in f.rays),
+                     tuple(mat_mul(A, B) for A in f.mats))
+    if f.is_linear:
+        A = f.mats[0]
+        return PLAut(g.rays, tuple(mat_mul(A, B) for B in g.mats))
+    us = [mat_apply(B, r) for r, B in zip(g.rays, g.mats)]
+    k, l = _ccw_start(us), _ccw_start(f.rays)
+    # the cones of g by image ray and the cones of f, in the order from (1,0)
+    gs = list(zip(us, g.rays, g.mats))
+    gs = gs[k:] + gs[:k]
+    fs = list(zip(f.rays, f.mats))
+    fs = fs[l:] + fs[:l]
+    # (1,0) lies in the last cone of each
+    B, A = gs[-1][2], fs[-1][1]
+    rays, mats = [], []
+    a = b = 0
+    while a < len(gs) or b < len(fs):
+        if b == len(fs) or (a < len(gs) and not dir_less(fs[b][0], gs[a][0])):
+            u, r, B = gs[a]
+            a += 1
+            if b < len(fs) and fs[b][0] == u:
+                A = fs[b][1]
+                b += 1
+            rays.append(r)
+        else:
+            s, A = fs[b]
+            b += 1
+            rays.append(mat_apply(mat_inv(B), s))
+        mats.append(mat_mul(A, B))
+    return PLAut(rays, mats)
 
 
 def power(x, n: int, mul):

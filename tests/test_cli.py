@@ -360,6 +360,14 @@ def test_mutate_usage_errors():
     code, rep = run_json(["mutate", "--basis", "wq", "--at", "0,2",
                           "--vector", E_VEC])
     assert code == 2 and "primitive" in rep["error"]
+    # the direction is checked even when no term would read it
+    for basis in ("be", "p", "wq"):
+        code, rep = run_json(["mutate", "--basis", basis, "--at", "0,2",
+                              "--vector", '{"terms": []}'])
+        assert code == 2 and "primitive" in rep["error"]
+    code, rep = run_json(["mutate", "--basis", "p", "--at", "0,2",
+                          "--vector", '{"terms": []}'])
+    assert rep == {"error": "ray index must be primitive, got (0, 2)"}
     code, rep = run_json(["mutate", "--basis", "wq", "--at", "1,0"])
     assert code == 2 and "--vector" in rep["error"]
     code, rep = run_json(["mutate", "--basis", "wq", "--at", "1,0",
@@ -413,7 +421,7 @@ def test_mutate_reads_input_file(tmp_path):
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
 @pytest.mark.parametrize("backend, name", [
-    ("bir", "trials"), ("picard", "nvectors"), ("quantum", "trials")])
+    ("bir", "trials"), ("picard", "trials"), ("quantum", "trials")])
 def test_sampled_backends_refuse_an_empty_sample(backend, name, trials):
     # no sample would pass every relation, with a bound of 2^-0 in bir
     code, rep = run_json(["equal", "--lhs", "P", "--rhs", "C", "--backend",

@@ -703,6 +703,9 @@ def test_word_operator_composition_and_failure_witness():
     bad = word_acts_as_identity(core_word("C"), nvectors=8, seed=1)
     assert not bad["identity"]
     assert "witness" in bad["evidence"]
+    # the API names its own parameter; the CLI names the --trials flag
+    with pytest.raises(ValueError, match="nvectors must be at least 1"):
+        word_acts_as_identity(core_word("C"), nvectors=0)
 
 
 def test_seven_power_detects_kernel_element():

@@ -6,9 +6,11 @@ from math import gcd
 
 import pytest
 
+from sympt import plcore
 from sympt.plcore import (
     _MR_EXACT_BELOW,
     Fan,
+    Vec,
     PLAut,
     chain_fan,
     compose_pl,
@@ -19,11 +21,11 @@ from sympt.plcore import (
     from_function,
     generator_pl,
     identity_pl,
-    in_sector,
     inverse_pl,
     is_prime,
     linear_pl,
     mat_apply,
+    mat_inv,
     mat_mul,
     order_pl,
     power,
@@ -398,6 +400,18 @@ def test_sort_ccw_matches_insertion_sort():
         assert all(dir_less(a, b) for a, b in zip(out, out[1:]))
 
 
+def in_sector(a: Vec, b: Vec, v: Vec) -> bool:
+    """Is direction v in the half-open sector [a, b), counterclockwise?
+
+    Handles straight and reflex sectors; v need not be primitive.
+    """
+    if primitive(v) == a:
+        return True
+    if dir_less(a, b):
+        return not dir_less(v, a) and dir_less(v, b)
+    return not dir_less(v, a) or dir_less(v, b)
+
+
 def ref_cone_index(rays, v):
     # the former scan of PLAut.matrix_at, kept as the cone-lookup oracle
     n = len(rays)
@@ -417,6 +431,16 @@ def test_cone_index_matches_sector_scan():
         if a != (0, 0) and b != (0, 0) and primitive(a) != primitive(b):
             fans.append(tuple(_sort_ccw([primitive(a), primitive(b)])))
     fans.append(((1, 0), (-1, 0)))
+    # fans of 100 to 300 rays, rotated to start anywhere
+    for k in (25, 30, 66):
+        fans.append(bump_train(k).rays)
+    for _ in range(6):
+        vecs = [(rng.randint(-999, 999), rng.randint(-999, 999))
+                for _ in range(rng.randint(100, 300))]
+        ray_list = _sort_ccw([primitive(v) for v in vecs if v != (0, 0)])
+        k = rng.randrange(len(ray_list))
+        fans.append(tuple(ray_list[k:] + ray_list[:k]))
+    assert sum(len(f) >= 100 for f in fans) == 9
     for rays in fans:
         vecs = [(rng.randint(-20, 20), rng.randint(-20, 20))
                 for _ in range(20)]
@@ -432,6 +456,134 @@ def test_cone_index_matches_sector_scan():
         assert [cone_index(rays, r) for r in rays] == list(range(len(rays)))
     assert cone_index(((1, 0), (1, 1)), (1, 0)) == 0
     assert cone_index(((1, 0), (1, 1)), (0, -3)) == 1  # the reflex cone
+
+
+def bump_train(k, t0=0):
+    """An element with 4k + 2 rays: in each cone [a, b] = [(1,t), (1,t+1)]
+    for t0 - k <= t < t0 + k, the bump that fixes both walls and sends the
+    rays 2a+b, a+b to a+b, a+2b; identity elsewhere.  Neighbouring bumps
+    agree across their shared wall, except the two outermost walls."""
+    def piece(p, q, p2, q2):
+        # the matrix that sends the unimodular pair p, q to p2, q2
+        return mat_mul((p2[0], q2[0], p2[1], q2[1]),
+                       (q[1], -q[0], -p[1], p[0]))
+
+    rays, mats = [], []
+    for t in range(t0 - k, t0 + k):
+        a, b = (1, t), (1, t + 1)
+        c, d, e = (3, 3 * t + 1), (2, 2 * t + 1), (3, 3 * t + 2)
+        rays += [a, c, d]
+        mats += [piece(a, c, a, d), piece(c, d, d, e), piece(d, b, e, b)]
+    rays.append((1, t0 + k))
+    mats.append((1, 0, 0, 1))
+    return PLAut(rays, mats)
+
+
+def ref_compose_pl(f, g):
+    # the former composition through from_function, kept as the oracle
+    if f.is_linear and g.is_linear:
+        return linear_pl(mat_mul(f.mats[0], g.mats[0]))
+    ginv = inverse_pl(g)
+    hints = list(g.rays) + [ginv(r) for r in f.rays]
+    return from_function(lambda v: f(g(v)), hints)
+
+
+def random_matrix(rng):
+    u, v = random_unimodular_cone(rng)
+    return (u[0], v[0], u[1], v[1])
+
+
+def composition_pairs(rng):
+    """Pairs (f, g) of each shape the merge has to handle."""
+    def conj(m, x):
+        return linear_pl(m) * x * linear_pl(mat_inv(m))
+
+    kind = rng.randrange(8)
+    if kind == 0:  # both linear
+        return linear_pl(random_matrix(rng)), linear_pl(random_matrix(rng))
+    if kind == 1:  # one operand linear
+        f, g = random_word(rng, rng.randint(1, 8)), linear_pl(random_matrix(rng))
+        return (f, g) if rng.random() < 0.5 else (g, f)
+    if kind == 2:  # f's rays are g's image rays: M(+-1, 0) = M L(0, -+1)
+        m = random_matrix(rng)
+        f = linear_pl(random_matrix(rng)) * conj(m, rng.choice((P, MU)))
+        g = linear_pl(m) * L * linear_pl(random_matrix(rng))
+        assert set(f.rays) <= {g(r) for r in g.rays}
+        return f, g
+    if kind == 3:  # two-ray fans, whose two cones are half-planes
+        return (conj(random_matrix(rng), rng.choice((P, L, MU))),
+                conj(random_matrix(rng), rng.choice((P, L, MU))))
+    if kind == 4:  # f = g^-1
+        g = random_word(rng, rng.randint(1, 10))
+        return ~g, g
+    if kind == 5:  # U^k P U^-k, large entries
+        k = rng.randint(0, 200)
+        f = U ** k * P * U ** -k
+        g = random_word(rng, rng.randint(1, 6))
+        return (f, g) if rng.random() < 0.5 else (g, f)
+    if kind == 6:  # many rays
+        f = conj(random_matrix(rng), bump_train(rng.randint(1, 8)))
+        g = rng.choice((~f, random_word(rng, 6), bump_train(3, 1)))
+        return f, g
+    return random_word(rng, rng.randint(0, 8)), random_word(rng, rng.randint(0, 8))
+
+
+def test_compose_matches_from_function_oracle():
+    rng = random.Random(71)
+    for _ in range(2400):
+        f, g = composition_pairs(rng)
+        fg = compose_pl(f, g)
+        assert fg == ref_compose_pl(f, g), (f, g)
+        assert repr(fg) == repr(ref_compose_pl(f, g))
+    k = 200
+    f = U ** k * P * U ** -k
+    assert compose_pl(f, ~f).is_identity()
+    assert compose_pl(f, f) == ref_compose_pl(f, f)
+
+
+def count_dir_less(monkeypatch):
+    calls = [0]
+    inner = plcore.dir_less
+
+    def counted(u, v):
+        calls[0] += 1
+        return inner(u, v)
+
+    monkeypatch.setattr(plcore, "dir_less", counted)
+    return calls
+
+
+@pytest.mark.parametrize("f", [U ** 200 * P * U ** -200, bump_train(50)],
+                         ids=["conjugated_P", "bump_train"])
+def test_compose_is_one_merge(monkeypatch, f):
+    # at most a constant times n + m order tests, where from_function sorted
+    # and looked up cones; the product with its inverse is the identity,
+    # which skips the validation of rays
+    g = ~f
+    n, m = len(g.rays), len(f.rays)
+    calls = count_dir_less(monkeypatch)
+    assert compose_pl(f, g).is_identity()
+    assert calls[0] <= 2 * (n + m)
+    calls[0] = 0
+    ff = compose_pl(f, f)
+    assert calls[0] <= 5 * (n + m)
+    assert ff == ref_compose_pl(f, f)
+
+
+def test_cone_index_is_a_bisection(monkeypatch):
+    rng = random.Random(73)
+    rays = bump_train(256).rays
+    n = len(rays)
+    assert n >= 1000
+    bound = 2 * (n - 1).bit_length() + 2  # 2 ceil(log2 n) + 2
+    calls = count_dir_less(monkeypatch)
+    for v in list(rays) + [(rng.randint(-99, 99), rng.randint(-99, 99))
+                           for _ in range(100)] + [(1, -1), (-1, 1)]:
+        if v == (0, 0):
+            continue
+        calls[0] = 0
+        cone_index(rays, v)
+        assert calls[0] <= bound, v
 
 
 # ---------------------------------------------------------------------------
