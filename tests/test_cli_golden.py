@@ -91,6 +91,18 @@ CORPUS = {
     "quantum.flags": ["quantum", "--word", "P^5", "--N", "3", "--p", "7",
                       "--trials", "4", "--seed", "3"],
     "quantum.default": ["quantum", "--word", "P^4"],
+    # 2^61 - 1 is 1 mod 3, 5 and 7: wide matrix entries at N = 7
+    "quantum.wide_prime": ["quantum", "--word", "P^5", "--N", "7", "--p",
+                           str(2 ** 61 - 1)],
+    "relations.theorem.quantum.wide_prime": [
+        "relations", "--suite", "theorem", "--backend", "quantum", "--N",
+        "7", "--prime", str(2 ** 61 - 1)],
+    # an even order of q, and q = 1
+    "relations.H.quantum.even_N": ["relations", "--suite", "H", "--backend",
+                                   "quantum", "--N", "4", "--prime", "13"],
+    "relations.consequences.quantum.N1": [
+        "relations", "--suite", "consequences", "--backend", "quantum",
+        "--N", "1", "--prime", "101"],
     "convert.PC.tree.pl": ["convert", "--word", "P C", "--via", "tree",
                            "--to", "pl"],
     "convert.PC.tree.dyadic": ["convert", "--word", "P C", "--via", "tree",
