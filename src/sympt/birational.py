@@ -6,8 +6,9 @@ terms, so equality tests cross-multiply.  Symbolic composition substitutes
 one map into another, cancels common factors with a polynomial gcd in
 Z[x, y] (reduce_fraction: the heuristic gcd, checked by exact division, with
 a primitive remainder sequence behind it) and is capped at short words; long
-words are compared pointwise modulo large primes with a Schwartz-Zippel
-error bound.  All arithmetic is plain integer arithmetic.
+words are compared pointwise modulo large primes: a pass carries a
+Schwartz-Zippel error bound, and a moved point is an exact disproof.  All
+arithmetic is plain integer arithmetic.
 
 The symplectic structure is the log form dx∧dy/(xy): a map (f1, f2) preserves
 it exactly when x·y·det J(f1,f2) = f1·f2.  Tropicalization reads off leading
@@ -627,8 +628,14 @@ def word_equals_identity(word, primes=None, trials: int = 20,
 
     Samples points over each prime field and compares the word's action with
     the identity.  Returns the verdict with the evidence needed to replay it:
-    primes, per-prime sample counts, and the Schwartz-Zippel bound on the
-    probability that a nonidentity word passed every sample.
+    primes, per-prime sample counts, and, for a pass, the Schwartz-Zippel
+    bound on the probability that a nonidentity word passed every sample.
+
+    A failing verdict is exact and carries no bound.  P, C, I and their
+    inverses have integer coefficients (P^-1 = ((1 + x)/y, x)), so a word
+    that is the identity over Q reduces to the identity over every F_p.  A
+    sample point that moves, with every letter regular along the way,
+    therefore proves that the word is not 1.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
@@ -655,10 +662,12 @@ def word_equals_identity(word, primes=None, trials: int = 20,
         "trials_per_prime": trials,
         "samples": samples,
         "word_length": length,
-        "error_bound": "2^-%d" % (exponent_per_sample * samples),
     }
     if mismatch:
         evidence["mismatch"] = mismatch
+        evidence["exact"] = True
+    else:
+        evidence["error_bound"] = "2^-%d" % (exponent_per_sample * samples)
     return {"equal": mismatch is None, "evidence": evidence}
 
 

@@ -57,9 +57,19 @@ def _parse_vec(text: str):
 
 def _params(args, backend: str) -> dict:
     """Backend params for the sampling flags the user set; each backend's
-    own functions supply the defaults for the rest."""
+    own functions supply the defaults for the rest.  An exact backend
+    samples nothing, so it refuses every sampling flag."""
+    if words.BACKENDS[backend].identity_test is None:
+        given = [flag for flag, value in (
+            ("--trials", args.trials), ("--prime", args.prime),
+            ("--N", args.N), ("--seed", args.seed))
+            if value not in (None, [])]
+        if given:
+            raise ValueError("backend %s is exact and takes no sampling "
+                             "flag; got %s" % (backend, ", ".join(given)))
+        return {}
     named = words.BACKENDS[backend].flags(args.trials, args.prime, args.N)
-    return {"seed": args.seed,
+    return {"seed": 0 if args.seed is None else args.seed,
             **{k: v for k, v in named.items() if v not in (None, [])}}
 
 
@@ -216,7 +226,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="prime modulus; repeatable (bir needs > 2^61)")
     common.add_argument("--trials", type=int,
                         help="sample count for randomized verdicts")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=int,
                         help="RNG seed (default 0)")
     common.add_argument("--N", type=int, help="quantum order of q")
     common.add_argument("--json", action="store_true",

@@ -24,15 +24,54 @@ applying it to random nonsingular pairs and comparing with the input.
 
 A word is applied by one kernel, `apply_word`, which carries X, X^-1, Y and
 Y^-1 through the word, each as a scalar times a matrix, so every factor q
-or q^-1 costs one modular multiply.  I and I^-1 only relabel the four; P is
-one product z = x^-1 (1 + y) and one in-place inversion, giving y' = q z
-and y'^-1 = q^-1 z^-1 (P^-1 likewise, with z = (1 + x) y^-1); C and C^-1
-defer their products until a later letter or the output reads them.  z is
-singular exactly when 1 + y is; odd N keeps 1 + shift invertible, but a few
-letters on singularity depends on the scalars, so callers resample them.
-An inverse of the input pair is taken only when a letter needs it, so C^3
-and I^4, though equal to 1, are not skipped: C^2 and I^2 invert both
-members, and the shortened word would answer on pairs where the maps raise.
+or q^-1 costs one modular multiply.  I and I^-1 only relabel the four; C
+and C^-1 take one product, or two when both inverses are known; P is one
+product z = x^-1 (1 + y) and one inversion, giving y' = q z and
+y'^-1 = q^-1 z^-1 (P^-1 likewise, with z = (1 + x) y^-1).  z is singular
+exactly when 1 + y is; odd N keeps 1 + shift invertible, but a few letters
+on, singularity depends on the scalars, so callers resample them.  An
+inverse of the input pair is taken only when a letter needs it, so C^3 and
+I^4, though equal to 1, are not skipped: C^2 and I^2 invert both members,
+and the shortened word would answer on pairs where the maps raise.
+
+Inside the kernel each N x N matrix is one Python int (`_Packed`): entry
+(i, j) sits in slot i N + j, s bits wide, counted from the low end, and
+every slot is canonical in [0, p) between operations.  A shifted right by
+s k and masked to the slots (i, 0) is column k of A in column 0; B shifted
+right by s N k and masked to the slots (0, j) is row k of B in row 0.
+Their integer product puts a_ik b_kj in slot (i, j) and nowhere else, so
+the sum over k of N such products holds every entry of A B unreduced, each
+below N (p - 1)^2.  1 + c M is c M + 1 and a scaling is c M, with slot
+values below p^2.  One multiply-and-shift step then reduces every slot at
+once (Granlund and Montgomery, Division by invariant integers using
+multiplication, PLDI 1994).  With V = N (p - 1)^2 + p above every slot
+value the kernel forms, t the bit length of V p, m = ceil(2^t / p) and s
+the bit length of (V - 1) m,
+
+    reduce(v) = v - (((v m) >> t) & LOW) p,
+
+where LOW masks the low s - t bits of each slot.  A slot value v < V times
+m stays inside its s bits, so after the shift the low s - t bits of the
+slot hold floor(v m / 2^t); the low bits of the slot above land in its top
+t bits, which LOW clears.  Write m p = 2^t + e with 0 <= e < p and
+v = a p + r with r < p: then v m / 2^t = a + (r + v e / 2^t) / p, and
+v e < V p < 2^t keeps r + v e / 2^t below p.  So the floor is a, and the
+step leaves r = v mod p in every slot, with no borrow between slots.
+
+A matrix is inverted by its N-th power.  If u v = q v u then
+v u^N = q^-N u^N v = u^N v, so u^N commutes with u and v.  For q of exact
+order N (and p = 1 mod N) an invertible pair that q-commutes generates all
+of M_N(F_p): u^N and v^N act on an irreducible subspace as scalars, which
+makes it a module of the symbol algebra of degree N, whose simple modules
+have dimension N.  So u^N is a scalar c.  Every matrix the kernel inverts is
+a scalar multiple of a member of a q-commuting pair when the input pair is
+one, so the kernel forms u^(N-1) by repeated squaring (`plcore.power`,
+with no product by the identity) and then u u^(N-1).  When that product is
+c times the identity, u^-1 = u^(N-1) / c, checked rather than assumed;
+c = 0 means u^N = 0, and u is singular.  At N = 5 an inversion is three
+products (u^2, u^4, u u^4).  Only when u u^(N-1) is not a scalar, which a
+pair that does not q-commute can give, does the kernel fall back to
+Gauss-Jordan (`_mat_inv`); on clock/shift pairs it never runs.
 
 At q of exact order N with N odd, X^N and Y^N are central, and the
 q-binomial theorem ((u + v)^N = u^N + v^N when v u = q u v) gives
@@ -48,12 +87,13 @@ link between this model and the birational one, checked by the tests.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .plcore import is_prime
+from .plcore import is_prime, power
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -75,14 +115,6 @@ def _mat_mul(a, b, p: int) -> list[list[int]]:
 
 def _mat_scale(c: int, a, p: int) -> Matrix:
     return tuple(tuple((c * x) % p for x in row) for row in a)
-
-
-def _one_plus(c: int, a, p: int) -> list[list[int]]:
-    """1 + c * a mod p, for a matrix or a _Product a."""
-    out = [[c * x % p for x in row] for row in _force(a, p)]
-    for i, row in enumerate(out):
-        row[i] = (row[i] + 1) % p
-    return out
 
 
 def _mat_inv(a, p: int) -> list[list[int]]:
@@ -115,32 +147,73 @@ def _mat_inv(a, p: int) -> list[list[int]]:
     return m
 
 
-class _Product:
-    """The matrix a b mod p, multiplied out when first read (see _force)."""
-    __slots__ = ("ops", "m")
+# ---------------------------------------------------------------------------
+# packed matrices: one int per N x N matrix mod p (see the module docstring)
 
-    def __init__(self, a, b):
-        self.ops, self.m = (a, b), None
+class _Packed:
+    """The packed layout for N x N matrices mod p: entry (i, j) is slot
+    i N + j, s bits wide, canonical in [0, p) between operations."""
 
+    __slots__ = ("n", "p", "s", "t", "m", "slot", "low", "col0", "row0",
+                 "steps", "one")
 
-def _force(a, p: int):
-    """The matrix a stands for.  A _Product is multiplied out at most once,
-    then drops its operands; its unread operands are forced from a stack,
-    not by recursion, as a word like C^3000 chains thousands of them."""
-    if type(a) is not _Product:
-        return a
-    stack = [a]
-    while stack:
-        top = stack[-1]
-        todo = [o for o in top.ops if type(o) is _Product and o.m is None]
-        if top.m is not None:
-            stack.pop()
-        elif todo:
-            stack += todo
+    def __init__(self, n: int, p: int):
+        v = n * (p - 1) ** 2 + p         # every slot value stays below v
+        t = (v * p).bit_length()         # 2^t > v p
+        m = -(-(1 << t) // p)            # ceil(2^t / p)
+        s = ((v - 1) * m).bit_length()   # a slot holds v m
+        every = sum(1 << s * k for k in range(n * n))
+        self.n, self.p, self.s, self.t, self.m = n, p, s, t, m
+        self.slot = (1 << s) - 1
+        self.low = every * ((1 << s - t) - 1)
+        self.col0 = self.slot * sum(1 << s * n * i for i in range(n))
+        self.row0 = (1 << s * n) - 1
+        self.steps = tuple((s * k, s * n * k) for k in range(n))
+        self.one = sum(1 << s * (n + 1) * i for i in range(n))
+
+    def pack(self, a) -> int:
+        s, n, p = self.s, self.n, self.p
+        return sum(v % p << s * (n * i + j)
+                   for i, row in enumerate(a) for j, v in enumerate(row))
+
+    def unpack(self, v: int) -> Matrix:
+        s, n, slot = self.s, self.n, self.slot
+        return tuple(tuple(v >> s * (n * i + j) & slot for j in range(n))
+                     for i in range(n))
+
+    def reduce(self, v: int) -> int:
+        """Every slot mod p, for slot values below N (p - 1)^2 + p."""
+        return v - ((v * self.m >> self.t) & self.low) * self.p
+
+    def mul(self, a: int, b: int) -> int:
+        """a b mod p: column k of a times row k of b puts a_ik b_kj in
+        slot (i, j), for each k."""
+        col0, row0 = self.col0, self.row0
+        return self.reduce(sum([(a >> i & col0) * (b >> j & row0)
+                                for i, j in self.steps]))
+
+    def inv(self, a: int) -> tuple[int, int]:
+        """(c, r) with a r = c 1 and c != 0 mod p, so a^-1 = r / c.
+
+        r = a^(N-1) when a^N is a scalar c, as for a member of a
+        q-commuting pair; any other a goes to Gauss-Jordan (c = 1).
+        SingularSubstitution when a is singular."""
+        if self.n == 1:
+            r, w = self.one, a
         else:
-            u, v = (o.m if type(o) is _Product else o for o in top.ops)
-            top.m, top.ops = _mat_mul(u, v, p), ()
-    return a.m
+            r = power(a, self.n - 1, self.mul)
+            w = self.mul(a, r)
+        c = w & self.slot
+        if w != c * self.one:
+            return 1, self.pack(_mat_inv(self.unpack(a), self.p))
+        if not c:
+            raise SingularSubstitution("singular substitution")
+        return c, r
+
+
+@functools.lru_cache(maxsize=32)
+def _packed(n: int, p: int) -> _Packed:
+    return _Packed(n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -264,27 +337,31 @@ def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
     """Apply a word over {P, C, I}, rightmost factor first.
 
     X, X^-1, Y and Y^-1 are pairs (c, M) standing for c * M mod p, with M
-    a matrix or a _Product of C or C^-1, multiplied out when first read.
-    P and P^-1 take one product z and one inversion of z.  An inverse is
-    None until a letter needs it, so SingularSubstitution is raised exactly
-    where the letter-by-letter maps raise it (hence C^3 is not skipped).
+    a packed matrix.  P and P^-1 take one product z and one inversion of
+    z.  An inverse is None until a letter needs it, so SingularSubstitution
+    is raised exactly where the letter-by-letter maps raise it (hence C^3
+    is not skipped).
     """
     p, q = cfg.p, cfg.q
     qi = pow(q, -1, p)
+    packed = _packed(cfg.N, p)
+    mul, red, one = packed.mul, packed.reduce, packed.one
 
     def inv(a):
-        return pow(a[0], -1, p), _mat_inv(mat(a), p)
+        c, r = packed.inv(a[1])
+        return pow(a[0] * c, -1, p), r
 
     def scale(c, a):
         return c * a[0] % p, a[1]
 
     def prod(c, a, b):
-        return c * a[0] * b[0] % p, _Product(a[1], b[1])
+        return c * a[0] * b[0] % p, mul(a[1], b[1])
 
-    def mat(a):
-        return _force(a[1], p)
+    def one_plus(a):
+        return red(a[0] * a[1] + one)
 
-    x, xi, y, yi = (1, pair.X), None, (1, pair.Y), None
+    x, xi = (1, packed.pack(pair.X)), None
+    y, yi = (1, packed.pack(pair.Y)), None
     for sym, exp in reversed(tuple(word)):
         for _ in range(abs(exp)):
             if sym == "I" and exp > 0:    # (x, y) -> (q y^-1, x)
@@ -303,17 +380,16 @@ def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
                                 prod(1, yi, x), xi and prod(1, xi, y))
             elif sym == "P" and exp > 0:  # (x, y) -> (y, q x^-1 (1 + y))
                 xi = xi or inv(x)
-                z = q * xi[0] % p, _mat_mul(mat(xi), _one_plus(*y, p), p)
+                z = q * xi[0] % p, mul(xi[1], one_plus(y))
                 x, xi, y, yi = y, yi, z, inv(z)
             elif sym == "P":              # (x, y) -> (q (1 + x) y^-1, x)
                 yi = yi or inv(y)
-                z = q * yi[0] % p, _mat_mul(_one_plus(*x, p), mat(yi), p)
+                z = q * yi[0] % p, mul(one_plus(x), yi[1])
                 x, xi, y, yi = z, inv(z), x, xi
             else:
                 raise ValueError(
                     "unknown generator %r (expected P, C or I)" % sym)
-    return QPair(*(tuple(map(tuple, mat(a))) if a[0] == 1
-                   else _mat_scale(a[0], mat(a), p) for a in (x, y)))
+    return QPair(*(packed.unpack(red(c * m)) for c, m in (x, y)))
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def _sampled(module: str, function: str, key: str, *names):
 
 
 def _sample_flags(trials, primes, N):
-    # the exact models ignore these params; a report still echoes them
+    # bir's params; the CLI refuses every sampling flag for an exact model
     return {"trials": trials, "primes": primes}
 
 

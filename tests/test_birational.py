@@ -311,6 +311,19 @@ def test_error_bound_is_reported():
     assert int(bound[3:]) > 40
 
 
+def test_a_failing_verdict_is_exact():
+    # the generators have integer coefficients, so a point that moves
+    # disproves w = 1 over Q: no error bound stands beside the mismatch
+    for text in ("P", " ".join(["P I C"] * 7)):
+        verdict = word_equals_identity(parse_word(text))
+        assert not verdict["equal"]
+        ev = verdict["evidence"]
+        assert ev["exact"] is True and "mismatch" in ev
+        assert "error_bound" not in ev
+    ev = word_equals_identity(parse_word("P^5"))["evidence"]
+    assert "exact" not in ev and "mismatch" not in ev
+
+
 def test_prime_size_guard():
     with pytest.raises(ValueError):
         word_equals_identity(parse_word("P^5"), primes=(1000003,))

@@ -430,6 +430,22 @@ def test_sampled_backends_refuse_an_empty_sample(backend, name, trials):
     assert rep == {"error": "%s must be at least 1, got %s" % (name, trials)}
 
 
+@pytest.mark.parametrize("flag", [["--trials", "3"], ["--prime", "7"],
+                                  ["--N", "3"], ["--seed", "0"]])
+@pytest.mark.parametrize("backend", ["pl", "tree", "dyadic"])
+@pytest.mark.parametrize("command", [
+    ["relations", "--suite", "H"], ["equal", "--lhs", "P C P", "--rhs", "I"],
+    ["eval", "--word", "P C"]], ids=["relations", "equal", "eval"])
+def test_exact_backends_refuse_sampling_flags(command, backend, flag):
+    # nothing is sampled, so a sampling flag would only be echoed
+    code, rep = run_json(command + ["--backend", backend] + flag)
+    assert code == 2
+    assert rep == {"error": "backend %s is exact and takes no sampling "
+                            "flag; got %s" % (backend, flag[0])}
+    code, _ = run_json(command + ["--backend", backend])
+    assert code == 0
+
+
 def test_quantum_identity_report():
     code, rep = run_json(["quantum", "--word", "P^5", "--N", "5", "--p", "11"])
     assert code == 0

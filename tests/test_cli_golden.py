@@ -58,8 +58,14 @@ CORPUS = {
                               "--backend", "bir"],
     "relations.t_rc.bir": ["relations", "--suite", "t_rc", "--backend",
                            "bir"],
+    # an exact backend refuses every sampling flag, naming the ones given
     "relations.H.pl.flags": ["relations", "--suite", "H", "--trials", "3",
                              "--prime", "7", "--seed", "3"],
+    "relations.H.pl.seed": ["relations", "--suite", "H", "--seed", "0"],
+    "equal.PCP.tree.prime": ["equal", "--lhs", "P C P", "--rhs", "I",
+                             "--backend", "tree", "--prime", "7"],
+    "eval.PC.dyadic.N": ["eval", "--word", "P C", "--backend", "dyadic",
+                         "--N", "3"],
     "relations.H.bir.trials": ["relations", "--suite", "H", "--backend",
                                "bir", "--trials", "5", "--seed", "3"],
     "relations.H.bir.prime": ["relations", "--suite", "H", "--backend",

@@ -436,13 +436,27 @@ def _random_matrix(n, p, rng):
     return tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
 
 
+def _count_gauss_jordan(monkeypatch):
+    """A one-element list counting the kernel's calls of _mat_inv."""
+    calls = [0]
+    mat_inv = quantum._mat_inv
+
+    def counted(a, p):
+        calls[0] += 1
+        return mat_inv(a, p)
+
+    monkeypatch.setattr(quantum, "_mat_inv", counted)
+    return calls
+
+
 @pytest.mark.parametrize("n,p", KERNEL_CONFIGS)
-def test_kernel_matches_letter_by_letter_maps(n, p):
+def test_kernel_matches_letter_by_letter_maps(n, p, monkeypatch):
     """Same pair out, or SingularSubstitution in the same cases, on
     clock/shift pairs and on arbitrary matrix pairs (often singular, and
     not q-commuting: the maps need only the inverses they take)."""
     cfg = make_config(n, p)
     rng = random.Random(100 * n + p)
+    fallbacks = _count_gauss_jordan(monkeypatch)
     singular = 0
     for k in range(120):
         if k % 2:
@@ -459,6 +473,9 @@ def test_kernel_matches_letter_by_letter_maps(n, p):
             assert (_outcome(q_apply_inverse, s, pair, cfg)
                     == _outcome(_ref_apply_inverse, s, pair, cfg)), (s, pair)
     assert 0 < singular < 120
+    # the arbitrary pairs do not q-commute: their inverses need Gauss-Jordan
+    # (at N = 1 every 1 x 1 matrix is a scalar)
+    assert (fallbacks[0] > 0) == (n > 1)
 
 
 @pytest.mark.parametrize("suite", words.list_suites())
@@ -469,8 +486,12 @@ def test_relation_reports_match_letter_by_letter_maps(suite, monkeypatch):
         rhs = "1" if entry["rhs"] == "probe" else entry["rhs"]
         cases.append(words._core(entry["lhs"])
                      + words.word_inverse(words._core(rhs)))
+    fallbacks = _count_gauss_jordan(monkeypatch)
     got = [json.dumps(q_relation_check(w, cfg, trials=4, seed=7))
            for w in cases]
+    # clock/shift pairs q-commute: every inverse is a power, none by
+    # Gauss-Jordan
+    assert fallbacks == [0]
     monkeypatch.setattr(quantum, "apply_word", _ref_apply_word)
     assert got == [json.dumps(q_relation_check(w, cfg, trials=4, seed=7))
                    for w in cases]
@@ -559,33 +580,108 @@ def test_mat_inv_matches_reference_inverse():
 
 
 def test_kernel_operation_counts(monkeypatch):
-    """C^-2 multiplies out only the two products something reads: the Y of
-    its first letter, which the second inverts, and the output Y, not the
-    unread Y^-1.  P takes one product and inverts only N x N matrices: x
-    and z = x^-1 (1 + y)."""
-    cfg = make_config(5, 11)
-    pair = clock_shift(cfg, 7, 3)   # det(1 + y) = 1 + 3^5 != 0 mod 11
-    calls = {"mul": 0, "inv": []}
-    mat_mul, mat_inv = quantum._mat_mul, quantum._mat_inv
+    """Each P is one packed product, z = x^-1 (1 + y), and one inversion,
+    of z; the first two P of a word also invert the input x and y, which
+    they read as x.  At N = 5 an inversion of a member of a q-commuting
+    pair is 3 packed products (z^2, z^4, z z^4) and no Gauss-Jordan."""
+    cfg = make_config(5, 101)
+    pair = clock_shift(cfg, 7, 3)
+    calls = {"mul": 0, "inv": 0}
+    mul, inv = quantum._Packed.mul, quantum._Packed.inv
 
-    def counted_mul(a, b, p):
+    def counted_mul(self, a, b):
         calls["mul"] += 1
-        return mat_mul(a, b, p)
+        return mul(self, a, b)
 
-    def counted_inv(a, p):
-        calls["inv"].append((len(a), {len(row) for row in a}))
-        return mat_inv(a, p)
+    def counted_inv(self, a):
+        calls["inv"] += 1
+        return inv(self, a)
 
-    monkeypatch.setattr(quantum, "_mat_mul", counted_mul)
-    monkeypatch.setattr(quantum, "_mat_inv", counted_inv)
-    assert apply_word((("C", -2),), pair, cfg) == _ref_apply_word(
-        (("C", -2),), pair, cfg)
-    assert calls["mul"] == 2
-    calls["mul"], calls["inv"] = 0, []
-    assert q_apply("P", pair, cfg) == _ref_apply("P", pair, cfg)
-    assert calls["mul"] == 1
-    assert calls["inv"] == [(5, {5})] * 2
-    assert not hasattr(quantum, "_solve")
+    monkeypatch.setattr(quantum._Packed, "mul", counted_mul)
+    monkeypatch.setattr(quantum._Packed, "inv", counted_inv)
+    fallbacks = _count_gauss_jordan(monkeypatch)
+    packed = quantum._packed(5, 101)
+    packed.inv(packed.pack(pair.X))
+    assert calls == {"mul": 3, "inv": 1}
+    for k in (1, 2, 5, 9):
+        calls["mul"] = calls["inv"] = 0
+        word = (("P", k),)
+        assert apply_word(word, pair, cfg) == _ref_apply_word(word, pair, cfg)
+        inversions = k + min(k, 2)
+        assert calls == {"mul": k + 3 * inversions, "inv": inversions}
+    assert fallbacks == [0]
+    for name in ("_solve", "_Product", "_force", "_one_plus"):
+        assert not hasattr(quantum, name)
+
+
+# ---------------------------------------------------------------------------
+# packed arithmetic
+
+PACKED_PRIMES = (2, 3, 7, 11, 101, 2 ** 61 - 1)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_reduction_is_exact_up_to_the_largest_slot_value(n, p):
+    """reduce leaves v mod p in every slot for every v below
+    V = N (p - 1)^2 + p: the largest value in every slot, and values on
+    both sides of multiples of p next to slots that hold V - 1."""
+    packed = quantum._Packed(n, p)
+    top = n * (p - 1) ** 2 + p - 1
+    assert 2 ** packed.t > (top + 1) * p
+    assert top * packed.m < 2 ** packed.s
+    near = sorted({v for a in (top // p, top // p - 1, 1, 0)
+                   for v in (a * p - 1, a * p, a * p + 1, a * p + p - 1)
+                   if 0 <= v <= top})
+    rng = random.Random(n * 1000 + p % 1000)
+    layouts = [[top] * (n * n)]
+    for v in near:
+        layouts.append([v if k % 2 else top for k in range(n * n)])
+        layouts.append([top if k % 2 else v for k in range(n * n)])
+    layouts += [[rng.randrange(top + 1) for _ in range(n * n)]
+                for _ in range(20)]
+    for values in layouts:
+        v = sum(x << packed.s * k for k, x in enumerate(values))
+        got = packed.unpack(packed.reduce(v))
+        assert [x for row in got for x in row] == [x % p for x in values]
+
+
+def _ref_outcomes(packed, a, b, p):
+    pa, pb = packed.pack(a), packed.pack(b)
+    assert packed.unpack(pa) == a
+    assert packed.unpack(packed.mul(pa, pb)) == _ref_mul(a, b, p)
+    try:
+        c, r = packed.inv(pa)
+    except SingularSubstitution:
+        return "singular"
+    return _ref_scale(pow(c, -1, p), packed.unpack(r), p)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_packed_products_and_inverses_match_the_reference(n, p):
+    """On all-(p - 1) matrices, the largest sums a product forms, and on
+    matrices reached from clock/shift pairs by random words."""
+    packed = quantum._Packed(n, p)
+    top = tuple(tuple(p - 1 for _ in range(n)) for _ in range(n))
+    assert _ref_outcomes(packed, top, top, p) == _outcome(_ref_inv, top, p)
+    if p % n != 1 % n or (n, p) == (1, 2):
+        return      # no root of unity of order n, or no nonsingular P
+    cfg = make_config(n, p)
+    rng = random.Random(n * 31 + p % 1000)
+    done = 0
+    for _ in range(200):
+        pair = random_pair(cfg, rng)
+        try:
+            pair = apply_word(_random_word(rng, 8), pair, cfg)
+        except SingularSubstitution:
+            continue
+        for a, b in ((pair.X, pair.Y), (pair.Y, pair.X)):
+            assert _ref_outcomes(packed, a, b, p) == _ref_inv(a, p)
+        done += 1
+        if done == 10:
+            break
+    assert done == 10
 
 
 def test_commutation_check_compares_like_with_like():
