@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .plcore import (
@@ -572,25 +572,68 @@ def is_symplectic(f: BirMap) -> bool:
 # ---------------------------------------------------------------------------
 # randomized word equality
 
-@cache
-def _letter_maps() -> dict:
-    """The map of each core letter and of its inverse, keyed by (letter,
-    sign of the exponent)."""
-    maps = {}
-    for s in ("P", "C", "I"):
-        maps[s, 1], maps[s, -1] = generator_bir(s), generator_bir_inverse(s)
-    return maps
-
-
 def _apply_word_mod(word, point, p):
-    """Apply a core word to a point mod p, rightmost factor first."""
-    maps = _letter_maps()
-    x = point
+    """Apply a core word to a point mod p, rightmost factor first.
+
+    point holds two nonzero residues mod p.  The point is carried as
+    (a, b, d) with x = a/d and y = b/d, so a letter costs a few products
+    and a call makes one inversion, at the end.  The letters, as maps and
+    on (a, b, d):
+
+        P     (y, (1 + y)/x)   (ab, d(d + b), ad)
+        P^-1  ((1 + x)/y, x)   (d(d + a), ab, bd)
+        C     (y/x, 1/x)       (b, d, a)
+        C^-1  (1/y, x/y)       (d, a, b)
+        I     (1/y, x)         (d^2, ab, bd)
+        I^-1  (y, 1/x)         (ab, d^2, ad)
+
+    ZeroDivisionError is raised at exactly the points where applying
+    BirMap.apply_mod letter by letter raises.  By induction a, b and d
+    stay nonzero: each new entry is a product of nonzero ones, save d + b
+    and d + a, which are checked.  So x and y stay nonzero.  On such a
+    point the monomial letters have no denominator and nonzero images, so
+    apply_mod never raises there.  P has denominators 1 and x and images
+    y and (1 + y)/x, so it raises iff y = -1, i.e. d + b = 0; P^-1 has
+    denominators y and 1 and images (1 + x)/y and x, so it raises iff
+    x = -1, i.e. d + a = 0.  With d nonzero the final inversion cannot
+    fail, and the image is (a/d, b/d), as apply_mod computes it.
+    """
+    a, b = point
+    d = 1
     for sym, exp in reversed(word):
-        g = maps[sym, 1 if exp >= 0 else -1]
-        for _ in range(abs(exp)):
-            x = g.apply_mod(x, p)
-    return x
+        n = exp if exp > 0 else -exp
+        if sym == "P":
+            if exp > 0:
+                for _ in range(n):
+                    s = (d + b) % p
+                    if not s:
+                        raise ZeroDivisionError("image on a coordinate axis")
+                    a, b, d = a * b % p, d * s % p, a * d % p
+            else:
+                for _ in range(n):
+                    s = (d + a) % p
+                    if not s:
+                        raise ZeroDivisionError("image on a coordinate axis")
+                    a, b, d = d * s % p, a * b % p, b * d % p
+        elif sym == "C":
+            for _ in range(n):
+                a, b, d = (b, d, a) if exp > 0 else (d, a, b)
+        elif sym == "I":
+            for _ in range(n):
+                if exp > 0:
+                    a, b, d = d * d % p, a * b % p, b * d % p
+                else:
+                    a, b, d = a * b % p, d * d % p, a * d % p
+        else:
+            raise ValueError("letter %r is not in the core alphabet P, C, I"
+                             % (sym,))
+    inv = pow(d, -1, p)
+    return (a * inv % p, b * inv % p)
+
+
+# A prime is checked once per process, by the bounded memo; the built-in
+# ones and a few given with --prime fit in it.
+_is_prime = lru_cache(maxsize=32)(is_prime)
 
 
 def _sample_images(word, primes, per_prime: int, rng: random.Random):
@@ -604,7 +647,7 @@ def _sample_images(word, primes, per_prime: int, rng: random.Random):
                              "expand the word first" % (sym,))
     for p in primes:
         # the Schwartz-Zippel bound holds over a field only
-        if not is_prime(p):
+        if not _is_prime(p):
             raise ValueError("p=%d is not prime" % p)
     for p in primes:
         done = 0
@@ -635,7 +678,9 @@ def word_equals_identity(word, primes=None, trials: int = 20,
     inverses have integer coefficients (P^-1 = ((1 + x)/y, x)), so a word
     that is the identity over Q reduces to the identity over every F_p.  A
     sample point that moves, with every letter regular along the way,
-    therefore proves that the word is not 1.
+    therefore proves that the word is not 1.  Only a pass needs the bound,
+    so only a pass of a word too long for one at 2^61 primes is refused,
+    with a ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
@@ -652,11 +697,6 @@ def word_equals_identity(word, primes=None, trials: int = 20,
         if image != point and mismatch is None:
             mismatch = {"prime": p, "point": list(point),
                         "image": list(image)}
-    # deg(components) <= 2^(length+1); each sample misleads with
-    # probability <= deg/(p-1) <= 2^(length+1-61)
-    exponent_per_sample = 61 - (length + 1)
-    if exponent_per_sample <= 0:
-        raise ValueError("word too long for a meaningful bound at 2^61 primes")
     evidence = {
         "primes": list(primes),
         "trials_per_prime": trials,
@@ -667,6 +707,12 @@ def word_equals_identity(word, primes=None, trials: int = 20,
         evidence["mismatch"] = mismatch
         evidence["exact"] = True
     else:
+        # deg(components) <= 2^(length+1); each sample misleads with
+        # probability <= deg/(p-1) <= 2^(length+1-61)
+        exponent_per_sample = 61 - (length + 1)
+        if exponent_per_sample <= 0:
+            raise ValueError(
+                "word too long for a meaningful bound at 2^61 primes")
         evidence["error_bound"] = "2^-%d" % (exponent_per_sample * samples)
     return {"equal": mismatch is None, "evidence": evidence}
 

@@ -57,18 +57,23 @@ def _parse_vec(text: str):
 
 def _params(args, backend: str) -> dict:
     """Backend params for the sampling flags the user set; each backend's
-    own functions supply the defaults for the rest.  An exact backend
-    samples nothing, so it refuses every sampling flag."""
-    if words.BACKENDS[backend].identity_test is None:
-        given = [flag for flag, value in (
-            ("--trials", args.trials), ("--prime", args.prime),
-            ("--N", args.N), ("--seed", args.seed))
-            if value not in (None, [])]
-        if given:
-            raise ValueError("backend %s is exact and takes no sampling "
-                             "flag; got %s" % (backend, ", ".join(given)))
+    own functions supply the defaults for the rest.  A flag the backend
+    does not read is refused, so an exact backend, which samples nothing,
+    refuses every one."""
+    entry = words.BACKENDS[backend]
+    refused = [flag for flag, value in (
+        ("--trials", args.trials), ("--prime", args.prime),
+        ("--N", args.N), ("--seed", args.seed))
+        if value not in (None, []) and flag not in entry.takes]
+    if refused and entry.identity_test is None:
+        raise ValueError("backend %s is exact and takes no sampling "
+                         "flag; got %s" % (backend, ", ".join(refused)))
+    if refused:
+        raise ValueError("backend %s takes no %s flag"
+                         % (backend, " or ".join(refused)))
+    if entry.identity_test is None:
         return {}
-    named = words.BACKENDS[backend].flags(args.trials, args.prime, args.N)
+    named = entry.flags(args.trials, args.prime, args.N)
     return {"seed": 0 if args.seed is None else args.seed,
             **{k: v for k, v in named.items() if v not in (None, [])}}
 

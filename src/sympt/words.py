@@ -275,12 +275,14 @@ def _sample_flags(trials, primes, N):
 class Backend:
     """evaluate(word, params) -> value; identity_test(core_word, params) ->
     (identity, evidence) for a randomized model, None for an exact one;
-    flags(trials, primes, N) -> the params that --trials, every --prime and
-    --N set, where None or [] stands for a flag not given."""
+    takes: the CLI sampling flags the model reads, the others being
+    refused; flags(trials, primes, N) -> the params that --trials, every
+    --prime and --N set, where None or [] stands for a flag not given."""
 
     evaluate: Callable[[Word, dict], object]
     identity_test: Callable[[Word, dict], tuple] | None = None
     flags: Callable[..., dict] = _sample_flags
+    takes: tuple[str, ...] = ()
 
 
 BACKENDS = {
@@ -289,19 +291,22 @@ BACKENDS = {
     "dyadic": Backend(_exact(_dyadic_ring)),
     "bir": Backend(_bir_value, _sampled(
         "birational", "word_equals_identity", "equal",
-        "primes", "trials", "seed")),
+        "primes", "trials", "seed"),
+        takes=("--trials", "--prime", "--seed")),
     "picard": Backend(
         lambda word, params: _module("picard").word_operator(_core(word)),
         _sampled("picard", "word_acts_as_identity", "identity",
                  "nvectors", "seed"),
-        lambda trials, primes, N: {"nvectors": trials, "primes": primes}),
+        lambda trials, primes, N: {"nvectors": trials},
+        takes=("--trials", "--seed")),
     "quantum": Backend(
         lambda word, params: _module("quantum").evaluate_word(_core(word),
                                                               params),
         _sampled("quantum", "word_acts_as_identity", "identity",
                  "N", "p", "trials", "seed"),
         lambda trials, primes, N: {"trials": trials, "N": N,
-                                   "p": primes[-1] if primes else None}),
+                                   "p": primes[-1] if primes else None},
+        takes=("--trials", "--prime", "--N", "--seed")),
 }
 
 

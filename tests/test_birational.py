@@ -352,6 +352,59 @@ def test_apply_word_mod_matches_symbolic_composition():
     assert checked > 150
 
 
+def _letter_by_letter(word, point, p):
+    """The word's image of point through BirMap.apply_mod, one letter at a
+    time, or None where a letter raises ZeroDivisionError."""
+    try:
+        for sym, exp in reversed(word):
+            g = generator_bir(sym) if exp > 0 else generator_bir_inverse(sym)
+            for _ in range(abs(exp)):
+                point = g.apply_mod(point, p)
+    except ZeroDivisionError:
+        return None
+    return point
+
+
+def test_apply_word_mod_matches_letter_by_letter_maps():
+    # at p = 101 the lines x = -1 and y = -1 are hit often
+    rng = random.Random(59)
+    p = 101
+    raised = moved = 0
+    for _ in range(3000):
+        word = [(rng.choice("PCI"), rng.choice((1, -1, 2, -2, 3, -3)))
+                for _ in range(rng.randint(0, 10))]
+        point = (rng.randrange(1, p), rng.randrange(1, p))
+        want = _letter_by_letter(word, point, p)
+        try:
+            got = birational._apply_word_mod(word, point, p)
+        except ZeroDivisionError:
+            got = None
+        assert got == want, (word, point)
+        raised += want is None
+        moved += want is not None
+    assert raised > 50 and moved > 2000
+
+
+def test_each_prime_is_checked_once():
+    birational._is_prime.cache_clear()
+    for seed in range(3):
+        word_equals_identity(parse_word("P^5"), seed=seed)
+    info = birational._is_prime.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+
+
+def test_only_an_unbounded_pass_is_refused():
+    # the t_rc commutator has 60 core letters and moves a point
+    comm = _core("alpha^-1 beta^-1 alpha^-1 beta alpha beta^-1 alpha beta")
+    assert sum(abs(e) for _, e in comm) >= 60
+    verdict = word_equals_identity(comm)
+    assert verdict["equal"] is False
+    assert verdict["evidence"]["exact"] is True
+    # a pass of the same length has no bound at 2^61 primes
+    with pytest.raises(ValueError, match="word too long"):
+        word_equals_identity(parse_word("P^30 P^-30"))
+
+
 def test_determinism():
     a = word_equals_identity(parse_word("P C P I^-1"), seed=7)
     b = word_equals_identity(parse_word("P C P I^-1"), seed=7)

@@ -446,6 +446,22 @@ def test_exact_backends_refuse_sampling_flags(command, backend, flag):
     assert code == 0
 
 
+@pytest.mark.parametrize("backend, flags, refused", [
+    ("picard", ["--prime", "7"], "--prime"),
+    ("picard", ["--N", "3"], "--N"),
+    ("picard", ["--N", "3", "--prime", "7", "--trials", "2"],
+     "--prime or --N"),
+    ("bir", ["--N", "3", "--trials", "2"], "--N")])
+@pytest.mark.parametrize("command", [
+    ["relations", "--suite", "H"], ["equal", "--lhs", "P C P", "--rhs", "I"],
+    ["eval", "--word", "P C"]], ids=["relations", "equal", "eval"])
+def test_sampled_backends_refuse_flags_they_do_not_read(command, backend,
+                                                        flags, refused):
+    code, rep = run_json(command + ["--backend", backend] + flags)
+    assert code == 2
+    assert rep == {"error": "backend %s takes no %s flag" % (backend, refused)}
+
+
 def test_quantum_identity_report():
     code, rep = run_json(["quantum", "--word", "P^5", "--N", "5", "--p", "11"])
     assert code == 0

@@ -72,6 +72,11 @@ CORPUS = {
                               "bir", "--trials", "4"] + BIR_PRIMES,
     "relations.H.picard.trials": ["relations", "--suite", "H", "--backend",
                                   "picard", "--trials", "3"],
+    # a sampled backend refuses the sampling flags it does not read
+    "relations.H.picard.prime_N": ["relations", "--suite", "H", "--backend",
+                                   "picard", "--prime", "7", "--N", "3"],
+    "relations.H.bir.N": ["relations", "--suite", "H", "--backend", "bir",
+                          "--N", "3"],
     "relations.H.quantum.flags": ["relations", "--suite", "H", "--backend",
                                   "quantum", "--N", "3", "--prime", "7",
                                   "--trials", "5", "--seed", "3"],

@@ -794,6 +794,95 @@ def test_compiled_operator_matches_letter_by_letter_action():
         assert word_operator(word)(x) == _reference_apply(word, x), word
 
 
+def _qpoly_mutate(raw, sign, m):
+    """The mutation kernel on {(a, k): coefficient tuple} with one Z[q]
+    list per e_t coefficient, as it stood before the kernel moved to
+    integer layers; the oracle for _mutate and its layered driver."""
+    m0, m1, m2, m3 = m
+    out = {}
+    acc = []
+    for (a, k), c in raw.items():
+        ax = m0 * a[0] + m1 * a[1]
+        ay = m2 * a[0] + m3 * a[1]
+        if ay > 0:
+            out[(ax, ay), k] = c
+            picard._add_scaled(acc, k * ay, c, 0)
+            picard._add_scaled(acc, -k * ay, c, 1)
+        elif ay < 0:
+            out[(ax - sign * ay, ay), k] = c
+            picard._add_scaled(acc, -k * ay, c, 1)
+        else:
+            wx = k * ax - sign
+            if wx:
+                out[(1 if wx > 0 else -1, 0), abs(wx)] = c
+            picard._add_scaled(acc, -1, c, 0)
+    while acc and not acc[-1]:
+        acc.pop()
+    if acc:
+        out[(-sign, 0), 1] = tuple(acc)
+    return out
+
+
+def _coefficient_tuples(layers):
+    """{(a, k): coefficient tuple} of a vector given by q-degree layers."""
+    return {key[1:]: c.coeffs
+            for key, c in picard._picvec(layers).terms.items()}
+
+
+def _random_relabel(rng):
+    m = picard.MAT_ID
+    for _ in range(rng.randint(0, 4)):
+        g = GEN_MATS[rng.choice("CI")]
+        m = mat_mul(g if rng.random() < 0.5 else mat_inv(g), m)
+    return m
+
+
+def test_integer_kernel_matches_the_qpoly_kernel():
+    rng = random.Random(53)
+    carried = 0
+    for trial in range(400):
+        sign = rng.choice((1, -1))
+        m = _random_relabel(rng)
+        if trial % 2:
+            # an integer vector of V: no carry, and the same image
+            raw = picard._random_v_terms(rng, 4)
+            image, carry = picard._mutate(raw, sign, m)
+            assert carry == 0
+            assert picard._in_v(image)
+            layers = [raw]
+        else:
+            # q-coefficients, in V or not
+            x = _random_q_vector(rng) + (
+                QPoly((rng.randint(-3, 3), rng.randint(-3, 3)))
+                * e_vec((rng.randint(-3, 3), rng.randint(1, 3))))
+            layers = picard._e_layers(x)
+            carried += any(picard._mutate(layer, sign, m)[1]
+                           for layer in layers)
+        want = _qpoly_mutate(_coefficient_tuples(layers), sign, m)
+        got = _coefficient_tuples(picard._mutate_layers(layers, sign, m))
+        assert got == want
+    # the layered driver's carries were exercised
+    assert carried > 50
+
+
+def test_integer_word_action_refuses_a_vector_that_carries():
+    # e_(0,1) is not in V: the first mutation carries -q e_(-1,0)
+    op = word_operator(words.parse_word("I P"))
+    with pytest.raises(AssertionError, match="left the V subspace"):
+        op._apply({((0, 1), 1): 1})
+    assert op(e_vec((0, 1))) != op(e_vec((0, 1))).at_one()
+
+
+def test_identity_in_zq_agrees_with_identity_at_q1():
+    for name in words.list_suites():
+        for entry in words.load_suite(name):
+            rhs = "1" if entry["rhs"] == "probe" else entry["rhs"]
+            word = (words._core(entry["lhs"])
+                    + words.word_inverse(words._core(rhs)))
+            ev = word_acts_as_identity(word, nvectors=5)["evidence"]
+            assert ev["identity_in_Zq"] == ev["identity_at_q1"], entry
+
+
 def test_suite_evidence_matches_letter_by_letter_action(monkeypatch):
     compiled = picard.word_acts_as_identity
     checked = []
