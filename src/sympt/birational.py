@@ -496,6 +496,16 @@ def monomial_bir(a: int, b: int, c: int, d: int) -> BirMap:
                   RationalFn(LaurentPoly.monomial(c, d)))
 
 
+def parse_rational(token: str) -> Fraction:
+    """The rational spelled by token, such as "3" or "-2/5".  A zero
+    denominator is refused as input (ValueError naming the token), so it is
+    not mistaken for a pole met on the way."""
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % token) from None
+
+
 def scaling_bir(lam1: Fraction, lam2: Fraction) -> BirMap:
     """(x, y) -> (lam1 x, lam2 y) with nonzero rational constants."""
     lam1, lam2 = Fraction(lam1), Fraction(lam2)

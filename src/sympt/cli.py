@@ -4,8 +4,9 @@ Every subcommand prints exactly one JSON document with sorted keys, so the
 output is byte-identical across runs for the same inputs and seed.  Exit
 status: 0 when the command succeeds (and any checked relation holds), 1 when
 a checked relation or equality fails or an orbit hits a pole, 2 on usage or
-domain errors (unknown suite or backend, malformed words, composition cap,
-recursion depth, sampling that cannot avoid the poles).
+domain errors (unknown suite or backend, malformed words or rationals, a
+zero denominator, a sampling flag the command does not read, composition
+cap, recursion depth, sampling that cannot avoid the poles).
 
 Subcommands
 -----------
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import plcore, words
 
@@ -55,23 +55,27 @@ def _parse_vec(text: str):
     return (a, b)
 
 
-def _params(args, backend: str) -> dict:
+def _params(args, backend: str, samples: bool = True) -> dict:
     """Backend params for the sampling flags the user set; each backend's
     own functions supply the defaults for the rest.  A flag the backend
     does not read is refused, so an exact backend, which samples nothing,
-    refuses every one."""
+    refuses every one.  samples is false for a command that samples nothing
+    in this backend (eval in bir and picard), which refuses every flag."""
     entry = words.BACKENDS[backend]
-    refused = [flag for flag, value in (
+    given = [flag for flag, value in (
         ("--trials", args.trials), ("--prime", args.prime),
-        ("--N", args.N), ("--seed", args.seed))
-        if value not in (None, []) and flag not in entry.takes]
+        ("--N", args.N), ("--seed", args.seed)) if value not in (None, [])]
+    refused = [flag for flag in given if flag not in entry.takes]
     if refused and entry.identity_test is None:
         raise ValueError("backend %s is exact and takes no sampling "
                          "flag; got %s" % (backend, ", ".join(refused)))
     if refused:
         raise ValueError("backend %s takes no %s flag"
                          % (backend, " or ".join(refused)))
-    if entry.identity_test is None:
+    if given and not samples:
+        raise ValueError("backend %s samples nothing in eval and takes no "
+                         "sampling flag; got %s" % (backend, ", ".join(given)))
+    if entry.identity_test is None or not samples:
         return {}
     named = entry.flags(args.trials, args.prime, args.N)
     return {"seed": 0 if args.seed is None else args.seed,
@@ -107,8 +111,8 @@ def cmd_equal(args):
 
 
 def cmd_eval(args):
-    value = words.evaluate(args.word, args.backend,
-                           _params(args, args.backend))
+    value = words.evaluate(args.word, args.backend, _params(
+        args, args.backend, words.BACKENDS[args.backend].eval_samples))
     # quantum values are plain JSON data already
     rep = value.to_json() if hasattr(value, "to_json") else value
     return {"backend": args.backend, "word": args.word, "value": rep}, 0
@@ -125,8 +129,8 @@ def _trop_factors(text: str):
             parts = chunk[len("lambda:"):].split(",")
             if len(parts) != 2:
                 raise ValueError("lambda token needs two rationals: %r" % chunk)
-            factors.append(birational.scaling_bir(Fraction(parts[0]),
-                                                  Fraction(parts[1])))
+            factors.append(birational.scaling_bir(
+                *(birational.parse_rational(t) for t in parts)))
             continue
         if chunk.startswith("mono:"):
             parts = chunk[len("mono:"):].split(",")
@@ -211,7 +215,8 @@ def cmd_orbit(args):
     from . import birational
 
     f = words.evaluate(args.word, "bir")
-    start = tuple(Fraction(t) for t in args.start.split(","))
+    start = tuple(birational.parse_rational(t)
+                  for t in args.start.split(","))
     if len(start) != 2:
         raise ValueError("expected a start point as 'x,y'; got %r" % args.start)
     points = birational.orbit_exact(f, start, args.steps)

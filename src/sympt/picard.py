@@ -40,8 +40,8 @@ instead of patching either side.
 """
 
 import random
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .plcore import (
     AXES,
@@ -472,9 +472,9 @@ def is_effective(G: dict) -> bool:
 # ---------------------------------------------------------------------------
 # sparse vectors over the symbol families
 
-class _Family(NamedTuple):
-    primitive: bool  # the argument is a primitive vector, else nonzero
-    level: bool  # the key carries a level k >= 1 after the argument
+# primitive: the argument is a primitive vector, else nonzero; level: the
+# key carries a level k >= 1 after the argument
+_Family = namedtuple("_Family", "primitive level")
 
 
 # The key of a term is (family, argument) or (family, argument, level).

@@ -23,7 +23,6 @@ holds a vector (cone_index) and the matrices of the named generators
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd, isqrt
 
@@ -286,20 +285,63 @@ def cone_index(rays, v: Vec) -> int:
 
 
 # ---------------------------------------------------------------------------
+# immutable records
+
+class Frozen:
+    """Immutable record over the fields its subclass names in __slots__.
+
+    Two records are equal when they have the same class and equal fields,
+    and hash like the tuple of their fields; the repr is
+    Name(field=value, ...).  Assigning or deleting any attribute raises
+    AttributeError.  A subclass sets its fields in __init__ through
+    _init.  (The standard library's record decorator would do the same,
+    but its import loads inspect, ast and dis on every CLI call.)
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+# ---------------------------------------------------------------------------
 # fans
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Frozen):
     """Complete cyclic fan of primitive rays, counterclockwise.
 
     Consecutive rays must span a positively oriented cone (wedge >= 1) and
     the list must turn exactly once around the origin.
     """
 
-    rays: tuple[Vec, ...]
+    __slots__ = ("rays",)
 
-    def __post_init__(self):
-        rays = self.rays
+    def __init__(self, rays: tuple[Vec, ...]):
+        self._init(rays)
         if len(rays) < 3:
             raise ValueError("a fan needs at least 3 rays")
         wraps = 0

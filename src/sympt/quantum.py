@@ -89,11 +89,10 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .plcore import is_prime, power
+from .plcore import Frozen, is_prime, power
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -236,15 +235,13 @@ def default_prime(N: int) -> int:
     return k
 
 
-@dataclass(frozen=True, slots=True)
-class QConfig:
+class QConfig(Frozen):
     """Order N of q, the prime p, and the chosen root of unity q in F_p."""
 
-    N: int
-    p: int
-    q: int
+    __slots__ = ("N", "p", "q")
 
-    def __post_init__(self):
+    def __init__(self, N: int, p: int, q: int):
+        self._init(N, p, q)
         if self.N < 1:
             raise ValueError("N must be a positive integer")
         if not _mult_order_is(self.q, self.N, self.p):
@@ -283,12 +280,13 @@ def _least_root_of_unity(N: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # q-commuting pairs
 
-@dataclass(frozen=True, slots=True)
-class QPair:
+class QPair(Frozen):
     """Invertible matrices with X Y = q Y X."""
 
-    X: Matrix
-    Y: Matrix
+    __slots__ = ("X", "Y")
+
+    def __init__(self, X: Matrix, Y: Matrix):
+        self._init(X, Y)
 
 
 def clock_shift(cfg: QConfig, lx: int, ly: int) -> QPair:

@@ -11,7 +11,11 @@ inverse generators (their words multiply in the opposite order), which is why
 their expansions read R = P^2 C, A = C R^2, B = C^-1 R^-1, alpha = C^-1 R C^-1,
 beta = R^2 C R^2, and why the corresponding suite files invert each bare C and
 I.  Relation suites live in suites/*.json as data: a list of
-{name, lhs, rhs} with rhs a word, "1", or "probe".
+{name, lhs, rhs} with rhs a word, "1", or "probe".  They are read from the
+directory next to this file, not through the resource API of importlib,
+whose import alone can cost a CLI call more than the rest of sympt.  The
+trade: the package must be installed as files (package-data
+suites/*.json), never zipped.
 
 Every reader of EXPANSIONS goes through one fold, _fold, over a _Ring: one
 ring per model, and the free group on the target letters, in which _core
@@ -31,10 +35,10 @@ from __future__ import annotations
 import functools
 import json
 import operator
+import os
 import re
-from dataclasses import dataclass
-from importlib import import_module, resources
-from typing import Callable
+from collections import namedtuple
+from importlib import import_module
 
 from . import plcore
 
@@ -271,18 +275,17 @@ def _sample_flags(trials, primes, N):
     return {"trials": trials, "primes": primes}
 
 
-@dataclass(frozen=True)
-class Backend:
+class Backend(namedtuple("Backend",
+                         "evaluate identity_test flags takes eval_samples",
+                         defaults=(None, _sample_flags, (), False))):
     """evaluate(word, params) -> value; identity_test(core_word, params) ->
     (identity, evidence) for a randomized model, None for an exact one;
     takes: the CLI sampling flags the model reads, the others being
-    refused; flags(trials, primes, N) -> the params that --trials, every
-    --prime and --N set, where None or [] stands for a flag not given."""
+    refused; eval_samples: whether evaluate samples too, and so reads them;
+    flags(trials, primes, N) -> the params that --trials, every --prime
+    and --N set, where None or [] stands for a flag not given."""
 
-    evaluate: Callable[[Word, dict], object]
-    identity_test: Callable[[Word, dict], tuple] | None = None
-    flags: Callable[..., dict] = _sample_flags
-    takes: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 BACKENDS = {
@@ -306,7 +309,7 @@ BACKENDS = {
                  "N", "p", "trials", "seed"),
         lambda trials, primes, N: {"trials": trials, "N": N,
                                    "p": primes[-1] if primes else None},
-        takes=("--trials", "--prime", "--N", "--seed")),
+        takes=("--trials", "--prime", "--N", "--seed"), eval_samples=True),
 }
 
 
@@ -334,16 +337,18 @@ def evaluate(word, backend: str = "pl", params: dict | None = None):
 # ---------------------------------------------------------------------------
 # relation suites
 
+_SUITES = os.path.join(os.path.dirname(__file__), "suites")
+
+
 def list_suites() -> list[str]:
-    root = resources.files("sympt").joinpath("suites")
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(n[:-5] for n in os.listdir(_SUITES) if n.endswith(".json"))
 
 
 def load_suite(name: str) -> list[dict]:
-    root = resources.files("sympt").joinpath("suites")
-    path = root.joinpath(name + ".json")
     try:
-        data = json.loads(path.read_text())
+        with open(os.path.join(_SUITES, name + ".json"),
+                  encoding="utf-8") as fh:
+            data = json.load(fh)
     except FileNotFoundError:
         raise ValueError("unknown suite %r (have: %s)"
                          % (name, ", ".join(list_suites())))

@@ -462,6 +462,33 @@ def test_sampled_backends_refuse_flags_they_do_not_read(command, backend,
     assert rep == {"error": "backend %s takes no %s flag" % (backend, refused)}
 
 
+@pytest.mark.parametrize("backend, flags", [
+    ("bir", ["--trials", "3", "--prime", "7", "--seed", "4"]),
+    ("bir", ["--prime", str(2**61 - 1)]),
+    ("picard", ["--trials", "3", "--seed", "4"]),
+    ("picard", ["--seed", "4"])])
+def test_eval_refuses_flags_where_it_samples_nothing(backend, flags):
+    # eval in bir and picard builds a value and samples nothing, so the
+    # flags the backend reads for relations are refused too
+    code, rep = run_json(["eval", "--word", "P C", "--backend", backend]
+                         + flags)
+    assert code == 2
+    assert rep == {"error": "backend %s samples nothing in eval and takes no "
+                            "sampling flag; got %s"
+                   % (backend, ", ".join(flags[::2]))}
+
+
+def test_eval_quantum_reads_its_sampling_flags():
+    argv = ["eval", "--word", "P C", "--backend", "quantum"]
+    code, default = run_json(argv)
+    assert code == 0 and (default["value"]["N"], default["value"]["p"]) == (
+        5, 101)
+    code, rep = run_json(argv + ["--N", "3", "--prime", "7", "--seed", "4"])
+    assert code == 0 and (rep["value"]["N"], rep["value"]["p"]) == (3, 7)
+    code, other = run_json(argv + ["--seed", "5"])
+    assert code == 0 and other["value"]["input"] != default["value"]["input"]
+
+
 def test_quantum_identity_report():
     code, rep = run_json(["quantum", "--word", "P^5", "--N", "5", "--p", "11"])
     assert code == 0
@@ -511,6 +538,26 @@ def test_orbit_pole_is_runtime_failure():
     code, rep = run_json(["orbit", "--word", "P", "--start", "1,-1",
                           "--steps", "1"])
     assert code == 1 and "error" in rep
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["orbit", "--start", "1/0,2"], "1/0"),
+    (["orbit", "--start", "2,-3/0"], "-3/0"),
+    (["trop", "--word", "lambda:1/0,2"], "1/0"),
+    (["trop", "--word", "P lambda:3,0/0"], "0/0")])
+def test_zero_denominator_is_a_usage_error(argv, token):
+    # exit 1 is kept for a pole met by the orbit, not for bad input
+    code, rep = run_json(argv)
+    assert code == 2
+    assert rep == {"error": "zero denominator in %r" % token}
+
+
+def test_malformed_rationals_keep_their_message():
+    for argv, token in ((["orbit", "--start", "x,2"], "x"),
+                        (["trop", "--word", "lambda:1/2,a"], "a")):
+        code, rep = run_json(argv)
+        assert code == 2
+        assert rep == {"error": "Invalid literal for Fraction: %r" % token}
 
 
 # ---------------------------------------------------------------------------

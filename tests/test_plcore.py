@@ -1,6 +1,8 @@
 """Exact tests for the piecewise-linear layer: generators, group laws,
 canonical forms, fans and serialization."""
 
+import copy
+import pickle
 import random
 from math import gcd
 
@@ -320,6 +322,27 @@ def test_fan_validation():
         Fan(((1, 0), (0, 1), (1, 1)))  # does not wind once
     with pytest.raises(ValueError):
         Fan(((2, 0), (0, 1), (-1, -1)))  # non-primitive ray
+
+
+def test_fan_is_an_immutable_value():
+    # equal, hashed and printed by its rays, like a frozen record; copies
+    # and pickles come back equal
+    fan = chain_fan()
+    same = Fan(rays=((1, 0), (0, 1), (-1, -1)))
+    other = fan.subdivide(0)
+    assert fan == same and hash(fan) == hash(same)
+    assert fan != other and fan != fan.rays and len({fan, same, other}) == 2
+    assert repr(fan) == "Fan(rays=((1, 0), (0, 1), (-1, -1)))"
+    for obj in (copy.copy(fan), copy.deepcopy(fan),
+                pickle.loads(pickle.dumps(fan))):
+        assert type(obj) is Fan and obj == fan
+    with pytest.raises(AttributeError):
+        fan.rays = other.rays
+    with pytest.raises(AttributeError):
+        del fan.rays
+    with pytest.raises(AttributeError):
+        fan.extra = 1
+    assert fan.rays == ((1, 0), (0, 1), (-1, -1))
 
 
 def test_subdivide_requires_transversal_cone():

@@ -1,6 +1,8 @@
 """Clock/shift matrix model of the q-commuting substitution maps."""
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -106,6 +108,32 @@ def test_clock_shift_rejects_zero_scalars():
         clock_shift(cfg, 7, 1)
     with pytest.raises(ValueError, match="nonzero"):
         clock_shift(cfg, 1, 0)
+
+
+def test_config_and_pair_are_immutable_values():
+    # equal, hashed and printed by their fields, like frozen records;
+    # copies and pickles come back equal
+    cfg = make_config(5, 11)
+    assert cfg == QConfig(N=5, p=11, q=3) and hash(cfg) == hash(QConfig(5, 11, 3))
+    assert cfg != make_config(5, 31) and cfg != (5, 11, 3)
+    assert repr(cfg) == "QConfig(N=5, p=11, q=3)"
+    pair = clock_shift(make_config(1, 101), 2, 3)
+    same = QPair(X=((2,),), Y=((3,),))
+    assert pair == same and hash(pair) == hash(same)
+    assert pair != QPair(((3,),), ((2,),)) and pair != (((2,),), ((3,),))
+    assert len({pair, same, QPair(((3,),), ((2,),))}) == 2
+    assert repr(pair) == "QPair(X=((2,),), Y=((3,),))"
+    for value, field in ((cfg, "q"), (pair, "X")):
+        for obj in (copy.copy(value), copy.deepcopy(value),
+                    pickle.loads(pickle.dumps(value))):
+            assert type(obj) is type(value) and obj == value
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    assert cfg.q == 3 and pair.X == ((2,),)
 
 
 def test_random_pairs_satisfy_invariant():
