@@ -24,7 +24,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .plcore import (
-    GEN_MATS, PLAut, from_function, is_prime, mat_inv, power, primitive)
+    GEN_MATS, Frozen, PLAut, from_function, is_prime, mat_inv, power,
+    primitive)
 from .words import word_inverse, word_length
 
 # primes just above 2^61, 2^61 + 10^6, 2^62, 2^63
@@ -38,17 +39,13 @@ PRIMES = (
 Monomial = tuple[int, int]
 
 
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Integer-coefficient Laurent polynomial in x, y (sparse dict)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, int] | None = None):
-        clean = {m: c for m, c in (terms or {}).items() if c}
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPoly is immutable")
+        self._init({m: c for m, c in (terms or {}).items() if c})
 
     @staticmethod
     def const(c: int) -> "LaurentPoly":
@@ -60,11 +57,6 @@ class LaurentPoly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -143,7 +135,7 @@ X = LaurentPoly.monomial(1, 0)
 Y = LaurentPoly.monomial(0, 1)
 
 
-class RationalFn:
+class RationalFn(Frozen):
     """Quotient of Laurent polynomials, never reduced."""
 
     __slots__ = ("num", "den")
@@ -151,11 +143,7 @@ class RationalFn:
     def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
         if not den:
             raise ZeroDivisionError("zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalFn is immutable")
+        self._init(num, den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
@@ -413,7 +401,7 @@ def _subs_poly(poly: LaurentPoly, g1: RationalFn, g2: RationalFn) -> RationalFn:
     return RationalFn(num, den)
 
 
-class BirMap:
+class BirMap(Frozen):
     """Birational map (x, y) -> (f1, f2)."""
 
     __slots__ = ("f1", "f2")
@@ -421,16 +409,7 @@ class BirMap:
     def __init__(self, f1: RationalFn, f2: RationalFn):
         if not f1.num or not f2.num:
             raise ValueError("component of a birational map cannot be zero")
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BirMap is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, BirMap):
-            return NotImplemented
-        return self.f1 == other.f1 and self.f2 == other.f2
+        self._init(f1, f2)
 
     def __mul__(self, other: "BirMap") -> "BirMap":
         return compose_bir(self, other)

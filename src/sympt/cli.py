@@ -10,14 +10,27 @@ cap, recursion depth, sampling that cannot avoid the poles).
 
 Subcommands
 -----------
+Each line under a subcommand lists the flags it takes; every subcommand
+also takes --json and --output, and any other flag is a usage error.
+SAMPLING stands for --trials, --prime (repeatable), --seed and --N, of
+which a backend refuses those it does not read.
+
 relations   run a named relation suite in a backend
+            --suite NAME [--backend B] [SAMPLING]
 equal       compare two words in a backend
+            --lhs W --rhs W [--backend B] [SAMPLING]
 eval        evaluate a word and print its backend representation
+            --word W [--backend B] [SAMPLING]
 trop        compose rational factors symbolically and print the PL shadow
+            --word W
 convert     move a circle-model element between pl, tree and dyadic forms
+            --word W --to MODEL [--via MODEL]
 mutate      apply a lattice mutation to a Picard vector (bases be, p, wq)
+            --basis BASIS --at a,b (--vector JSON | --input FILE)
 quantum     probe a word on random clock/shift matrix pairs
+            --word W [SAMPLING], with --p an alias of --prime
 orbit       exact rational orbit of a point under a word
+            [--word W] [--start x,y] [--steps K]
 """
 
 from __future__ import annotations
@@ -55,13 +68,15 @@ def _parse_vec(text: str):
     return (a, b)
 
 
-def _params(args, backend: str, samples: bool = True) -> dict:
+def _params(args, backend: str, reads=None) -> dict:
     """Backend params for the sampling flags the user set; each backend's
-    own functions supply the defaults for the rest.  A flag the backend
-    does not read is refused, so an exact backend, which samples nothing,
-    refuses every one.  samples is false for a command that samples nothing
-    in this backend (eval in bir and picard), which refuses every flag."""
+    own functions supply the defaults for the rest.  reads: the flags the
+    command reads in this backend, by default all that the backend takes.
+    A flag outside it is refused, so an exact backend, which samples
+    nothing, refuses every one, and so does eval where it samples nothing
+    (bir and picard)."""
     entry = words.BACKENDS[backend]
+    reads = entry.takes if reads is None else reads
     given = [flag for flag, value in (
         ("--trials", args.trials), ("--prime", args.prime),
         ("--N", args.N), ("--seed", args.seed)) if value not in (None, [])]
@@ -69,13 +84,14 @@ def _params(args, backend: str, samples: bool = True) -> dict:
     if refused and entry.identity_test is None:
         raise ValueError("backend %s is exact and takes no sampling "
                          "flag; got %s" % (backend, ", ".join(refused)))
+    if given and not refused and not reads:
+        raise ValueError("backend %s samples nothing in eval and takes no "
+                         "sampling flag; got %s" % (backend, ", ".join(given)))
+    refused = refused or [flag for flag in given if flag not in reads]
     if refused:
         raise ValueError("backend %s takes no %s flag"
                          % (backend, " or ".join(refused)))
-    if given and not samples:
-        raise ValueError("backend %s samples nothing in eval and takes no "
-                         "sampling flag; got %s" % (backend, ", ".join(given)))
-    if entry.identity_test is None or not samples:
+    if not reads:
         return {}
     named = entry.flags(args.trials, args.prime, args.N)
     return {"seed": 0 if args.seed is None else args.seed,
@@ -112,7 +128,7 @@ def cmd_equal(args):
 
 def cmd_eval(args):
     value = words.evaluate(args.word, args.backend, _params(
-        args, args.backend, words.BACKENDS[args.backend].eval_samples))
+        args, args.backend, words.BACKENDS[args.backend].eval_takes))
     # quantum values are plain JSON data already
     rep = value.to_json() if hasattr(value, "to_json") else value
     return {"backend": args.backend, "word": args.word, "value": rep}, 0
@@ -229,20 +245,24 @@ def cmd_orbit(args):
 # parser
 
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--backend", choices=words.BACKENDS, default="pl",
-                        help="computational model (default pl)")
-    common.add_argument("--prime", action="append", type=int, default=[],
-                        help="prime modulus; repeatable (bir needs > 2^61)")
-    common.add_argument("--trials", type=int,
-                        help="sample count for randomized verdicts")
-    common.add_argument("--seed", type=int,
-                        help="RNG seed (default 0)")
-    common.add_argument("--N", type=int, help="quantum order of q")
-    common.add_argument("--json", action="store_true",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true",
                         help="compact single-line JSON output")
-    common.add_argument("--output", metavar="FILE",
+    output.add_argument("--output", metavar="FILE",
                         help="write the JSON report to FILE instead of stdout")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--prime", action="append", type=int, default=[],
+                          help="prime modulus; repeatable (bir needs > 2^61)")
+    sampling.add_argument("--trials", type=int,
+                          help="sample count for randomized verdicts")
+    sampling.add_argument("--seed", type=int,
+                          help="RNG seed (default 0)")
+    sampling.add_argument("--N", type=int, help="quantum order of q")
+    # relations, equal and eval; the other subcommands fix their model
+    backend = argparse.ArgumentParser(add_help=False)
+    backend.add_argument("--backend", choices=words.BACKENDS, default="pl",
+                         help="computational model (default pl)")
+    in_backend = [backend, sampling, output]
 
     top = argparse.ArgumentParser(
         prog="sympt",
@@ -250,30 +270,30 @@ def _parser() -> argparse.ArgumentParser:
                     "pentagon map and the unimodular matrices")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("relations", parents=[common],
+    p = sub.add_parser("relations", parents=in_backend,
                        help="run a relation suite")
     p.add_argument("--suite", required=True,
                    help="one of: %s" % ", ".join(words.list_suites()))
     p.set_defaults(func=cmd_relations)
 
-    p = sub.add_parser("equal", parents=[common],
+    p = sub.add_parser("equal", parents=in_backend,
                        help="compare two words in a backend")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.set_defaults(func=cmd_equal)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=in_backend,
                        help="evaluate a word and print its representation")
     p.add_argument("--word", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("trop", parents=[common],
+    p = sub.add_parser("trop", parents=[output],
                        help="tropicalize a symbolic composition")
     p.add_argument("--word", required=True,
                    help="tokens over P,C,I,U plus lambda:r1,r2 and mono:a,b,c,d")
     p.set_defaults(func=cmd_trop)
 
-    p = sub.add_parser("convert", parents=[common],
+    p = sub.add_parser("convert", parents=[output],
                        help="convert between circle models")
     p.add_argument("--word", required=True)
     p.add_argument("--to", required=True, choices=("pl", "tree", "dyadic"))
@@ -281,7 +301,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="model in which the word is evaluated first")
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("mutate", parents=[common],
+    p = sub.add_parser("mutate", parents=[output],
                        help="apply a lattice mutation to a Picard vector")
     p.add_argument("--basis", required=True, choices=("be", "p", "wq"))
     p.add_argument("--at", required=True, help="mutation direction 'a,b'")
@@ -289,14 +309,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--input", metavar="FILE", help="read PicVec JSON from FILE")
     p.set_defaults(func=cmd_mutate)
 
-    p = sub.add_parser("quantum", parents=[common],
+    p = sub.add_parser("quantum", parents=[sampling, output],
                        help="probe a word on clock/shift matrix pairs")
     p.add_argument("--word", required=True)
     p.add_argument("--p", dest="prime", action="append", type=int,
                    help="prime with p = 1 mod N (alias of --prime)")
     p.set_defaults(func=cmd_quantum)
 
-    p = sub.add_parser("orbit", parents=[common],
+    p = sub.add_parser("orbit", parents=[output],
                        help="exact rational orbit of a point under a word")
     p.add_argument("--word", default="P")
     p.add_argument("--start", default="2,3", help="start point 'x,y'")

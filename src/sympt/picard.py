@@ -48,6 +48,7 @@ from .plcore import (
     GEN_MATS,
     MAT_ID,
     Fan,
+    Frozen,
     Mat,
     PLAut,
     Vec,
@@ -118,7 +119,7 @@ def _add_scaled(acc: list, n: int, c: tuple, shift: int) -> None:
         acc[i] += n * ci
 
 
-class QPoly:
+class QPoly(Frozen):
     """Polynomial in q with integer coefficients, ascending order."""
 
     __slots__ = ("coeffs",)
@@ -127,10 +128,7 @@ class QPoly:
         coeffs = tuple(int(c) for c in coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QPoly is immutable")
+        self._init(coeffs)
 
     @staticmethod
     def const(n) -> "QPoly":
@@ -271,7 +269,7 @@ def _next_boundary_ray(u: Vec, w: Vec, d: int) -> Vec:
     return (m0[0] + shift * u[0], m0[1] + shift * u[1])
 
 
-class BreakFn:
+class BreakFn(Frozen):
     """Integer PL function on the plane, canonical modulo linear functions.
 
     Built from a fan and one integer value per fan ray; internally refined
@@ -319,16 +317,12 @@ class BreakFn:
         key = frozenset(
             (r, d) for j, r in enumerate(rays)
             if (d := _nonlinearity(at, rays[j - 1], r, rays[(j + 1) % n])))
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(
-            self, "values",
-            tuple(self._raw_eval(rays, vals, r) for r in fan.rays))
-        object.__setattr__(self, "_rays", tuple(rays))
-        object.__setattr__(self, "_vals", tuple(vals))
-        object.__setattr__(self, "_key", key)
+        self._init(fan,
+                   tuple(self._raw_eval(rays, vals, r) for r in fan.rays),
+                   tuple(rays), tuple(vals), key)
 
-    def __setattr__(self, *a):
-        raise AttributeError("BreakFn is immutable")
+    def __reduce__(self):
+        return BreakFn, (self._rays, self._vals)
 
     @staticmethod
     def _raw_eval(rays, vals, v):
@@ -502,7 +496,7 @@ def _check_primitive(a):
     return a
 
 
-class PicVec:
+class PicVec(Frozen):
     """Finite Z[q]-combination of symbols; plpart terms are merged."""
 
     __slots__ = ("terms",)
@@ -534,8 +528,7 @@ class PicVec:
                 merged[key] = coeff
         if plsum is not None and not plsum.is_linear():
             merged[("plpart", plsum)] = Q_ONE
-        object.__setattr__(
-            self, "terms", {k: c for k, c in merged.items() if c})
+        self._init({k: c for k, c in merged.items() if c})
 
     @staticmethod
     def _check_key(fam, key):
@@ -553,19 +546,11 @@ class PicVec:
             raise ValueError("level must be >= 1, got %d" % k)
         return (fam, a, k)
 
-    def __setattr__(self, *a):
-        raise AttributeError("PicVec is immutable")
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, key) -> QPoly:
         return self.terms.get(key, Q_ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, PicVec):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __add__(self, other):
         if not isinstance(other, PicVec):
@@ -1081,24 +1066,22 @@ def _compile(word):
     return tuple(steps), m
 
 
-class PicOperator:
+class PicOperator(Frozen):
     """Word in P, C, I acting on W[q] vectors, rightmost letter first.
 
     The word is compiled once into mutation steps and relabels; calls
-    accept vectors of e terms only.
+    accept vectors of e terms only.  Two operators are equal when they
+    come from the same word.
     """
 
     __slots__ = ("word", "_steps", "_last")
 
     def __init__(self, word):
         word = tuple(word)
-        steps, last = _compile(word)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "_steps", steps)
-        object.__setattr__(self, "_last", last)
+        self._init(word, *_compile(word))
 
-    def __setattr__(self, *a):
-        raise AttributeError("PicOperator is immutable")
+    def __reduce__(self):
+        return PicOperator, (self.word,)
 
     def __call__(self, x: PicVec) -> PicVec:
         layers = _e_layers(x)

@@ -288,14 +288,19 @@ def cone_index(rays, v: Vec) -> int:
 # immutable records
 
 class Frozen:
-    """Immutable record over the fields its subclass names in __slots__.
+    """The one immutable base of every sympt value, over the fields its
+    subclass names in __slots__.
 
-    Two records are equal when they have the same class and equal fields,
+    Two values are equal when they have the same class and equal fields,
     and hash like the tuple of their fields; the repr is
-    Name(field=value, ...).  Assigning or deleting any attribute raises
-    AttributeError.  A subclass sets its fields in __init__ through
-    _init.  (The standard library's record decorator would do the same,
-    but its import loads inspect, ast and dis on every CLI call.)
+    Name(field=value, ...).  A subclass may override any of these where
+    its meaning differs.  Assigning or deleting any attribute raises
+    AttributeError.  A subclass sets its fields in __init__ with one
+    _init call.  __reduce__ passes the fields to the constructor, so copy,
+    deepcopy and pickle rebuild a value through its validation; a
+    subclass whose constructor takes other arguments overrides __reduce__
+    with them.  (The standard library's record decorator would do the
+    same, but its import loads inspect, ast and dis on every CLI call.)
     """
 
     __slots__ = ()
@@ -376,7 +381,7 @@ def chain_fan() -> Fan:
 # ---------------------------------------------------------------------------
 # piecewise-linear automorphisms
 
-class PLAut:
+class PLAut(Frozen):
     """Orientation-preserving piecewise-linear automorphism of Z^2.
 
     rays and mats have equal length n >= 2 and mats[i] acts on the cone
@@ -392,11 +397,7 @@ class PLAut:
         mats = tuple(mats)
         rays, mats = _canonicalize(rays, mats)
         _validate(rays, mats)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "mats", mats)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PLAut is immutable")
+        self._init(rays, mats)
 
     @property
     def is_linear(self) -> bool:
@@ -433,14 +434,6 @@ class PLAut:
         if k == 0:
             return identity_pl()
         return power(inverse_pl(self) if k < 0 else self, abs(k), compose_pl)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PLAut):
-            return NotImplemented
-        return self.rays == other.rays and self.mats == other.mats
-
-    def __hash__(self):
-        return hash((self.rays, self.mats))
 
     def is_identity(self) -> bool:
         return self.is_linear and self.mats[0] == MAT_ID

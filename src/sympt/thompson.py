@@ -37,6 +37,7 @@ from fractions import Fraction
 from math import gcd
 
 from .plcore import (
+    Frozen,
     PLAut,
     Vec,
     ccw_key,
@@ -174,7 +175,7 @@ def vector_to_dyadic(w: Vec) -> Fraction:
     return Fraction(n, 1 << k)
 
 
-class DyadicPL:
+class DyadicPL(Frozen):
     """Orientation-preserving circle map, affine between dyadic breakpoints.
 
     Given by ``points``, a tuple of (t, f(t)) pairs with strictly increasing
@@ -239,14 +240,12 @@ class DyadicPL:
             keep = [(0, (y0 - t0) % one, 0)]
         low = max([exp - _twos(x) for t, y, _ in keep for x in (t, y) if x],
                   default=0)
-        set_ = object.__setattr__
-        set_(self, "_exp", low)
-        set_(self, "_ts", tuple(t >> (exp - low) for t, _, _ in keep))
-        set_(self, "_ys", tuple(y >> (exp - low) for _, y, _ in keep))
-        set_(self, "_shifts", tuple(s for _, _, s in keep))
+        self._init(low, tuple(t >> (exp - low) for t, _, _ in keep),
+                   tuple(y >> (exp - low) for _, y, _ in keep),
+                   tuple(s for _, _, s in keep))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DyadicPL is immutable")
+    def __reduce__(self):
+        return DyadicPL._from_ints, (self._exp, list(zip(self._ts, self._ys)))
 
     @property
     def points(self):
@@ -303,15 +302,6 @@ class DyadicPL:
         if y >> m >= odd:
             y -= odd << m
         return y, m
-
-    def __eq__(self, other):
-        if not isinstance(other, DyadicPL):
-            return NotImplemented
-        return (self._exp, self._ts, self._ys) == (
-            other._exp, other._ts, other._ys)
-
-    def __hash__(self):
-        return hash(("DyadicPL", self._exp, self._ts, self._ys))
 
     def __invert__(self) -> "DyadicPL":
         return DyadicPL._from_ints(
@@ -440,7 +430,7 @@ def _reduced(domain, range_, rotation):
     return tuple(dd_), tuple(rd_[first:] + rd_[:first]), -first % len(dd_)
 
 
-class TreePair:
+class TreePair(Frozen):
     """Reduced tree-pair form of a dyadic circle map.
 
     ``domain`` and ``range`` are binary trees with N leaves each, stored as
@@ -458,13 +448,7 @@ class TreePair:
         if not isinstance(rotation, int) or isinstance(rotation, bool):
             raise ValueError("tree-pair rotation must be an integer, got %r"
                              % (rotation,))
-        domain, range_, rotation = _reduced(domain, range_, rotation)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "range", range_)
-        object.__setattr__(self, "rotation", rotation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TreePair is immutable")
+        self._init(*_reduced(domain, range_, rotation))
 
     @property
     def leaf_count(self) -> int:
@@ -472,18 +456,6 @@ class TreePair:
 
     def is_identity(self) -> bool:
         return self.domain == (0,)
-
-    def __eq__(self, other):
-        if not isinstance(other, TreePair):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.range == other.range
-            and self.rotation == other.rotation
-        )
-
-    def __hash__(self):
-        return hash(("TreePair", self.domain, self.range, self.rotation))
 
     def __invert__(self) -> "TreePair":
         return TreePair(self.range, self.domain, -self.rotation)

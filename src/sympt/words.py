@@ -276,14 +276,15 @@ def _sample_flags(trials, primes, N):
 
 
 class Backend(namedtuple("Backend",
-                         "evaluate identity_test flags takes eval_samples",
-                         defaults=(None, _sample_flags, (), False))):
+                         "evaluate identity_test flags takes eval_takes",
+                         defaults=(None, _sample_flags, (), ()))):
     """evaluate(word, params) -> value; identity_test(core_word, params) ->
     (identity, evidence) for a randomized model, None for an exact one;
     takes: the CLI sampling flags the model reads, the others being
-    refused; eval_samples: whether evaluate samples too, and so reads them;
-    flags(trials, primes, N) -> the params that --trials, every --prime
-    and --N set, where None or [] stands for a flag not given."""
+    refused; eval_takes: those of them that evaluate reads, empty where it
+    samples nothing; flags(trials, primes, N) -> the params that --trials,
+    every --prime and --N set, where None or [] stands for a flag not
+    given."""
 
     __slots__ = ()
 
@@ -309,7 +310,8 @@ BACKENDS = {
                  "N", "p", "trials", "seed"),
         lambda trials, primes, N: {"trials": trials, "N": N,
                                    "p": primes[-1] if primes else None},
-        takes=("--trials", "--prime", "--N", "--seed"), eval_samples=True),
+        takes=("--trials", "--prime", "--N", "--seed"),
+        eval_takes=("--prime", "--N", "--seed")),
 }
 
 

@@ -478,6 +478,32 @@ def test_eval_refuses_flags_where_it_samples_nothing(backend, flags):
                    % (backend, ", ".join(flags[::2]))}
 
 
+# the subcommands without --backend, each on an argv it answers
+FIXED_MODEL = {
+    "trop": ["trop", "--word", "P"],
+    "convert": ["convert", "--word", "P C", "--to", "dyadic"],
+    "mutate": ["mutate", "--basis", "wq", "--at", "1,0", "--vector", E_VEC],
+    "orbit": ["orbit", "--word", "P", "--start", "2,3", "--steps", "5"],
+    "quantum": ["quantum", "--word", "P^5", "--N", "5", "--p", "11"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command in ("trop", "convert", "mutate", "orbit")
+      for flag in (["--backend", "pl"], ["--prime", "7"], ["--trials", "3"],
+                   ["--seed", "1"], ["--N", "3"])),
+    ("quantum", ["--backend", "pl"])])
+def test_subcommands_refuse_flags_they_do_not_take(command, flag, capsys):
+    # a flag that a subcommand would ignore is a usage error
+    argv = FIXED_MODEL[command]
+    assert run(argv)[0] == 0
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + flag)
+    assert err.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(flag) in (
+        capsys.readouterr().err)
+
+
 def test_eval_quantum_reads_its_sampling_flags():
     argv = ["eval", "--word", "P C", "--backend", "quantum"]
     code, default = run_json(argv)
@@ -487,6 +513,10 @@ def test_eval_quantum_reads_its_sampling_flags():
     assert code == 0 and (rep["value"]["N"], rep["value"]["p"]) == (3, 7)
     code, other = run_json(argv + ["--seed", "5"])
     assert code == 0 and other["value"]["input"] != default["value"]["input"]
+    # it draws one clock/shift pair, so a sample count would be ignored
+    code, rep = run_json(argv + ["--trials", "7"])
+    assert code == 2
+    assert rep == {"error": "backend quantum takes no --trials flag"}
 
 
 def test_quantum_identity_report():

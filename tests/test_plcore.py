@@ -345,6 +345,89 @@ def test_fan_is_an_immutable_value():
     assert fan.rays == ((1, 0), (0, 1), (-1, -1))
 
 
+def _one_value_of_each_class():
+    from sympt import birational, picard, quantum, thompson, words
+
+    word = words.parse_word("P C I P^-1")
+    return [
+        chain_fan(),
+        words.evaluate(word, "pl"),
+        birational.X * birational.Y - birational.ONE,
+        birational.RationalFn(birational.X, birational.X + birational.Y),
+        words.evaluate(word, "bir"),
+        picard.QPoly((1, -2, 3)),
+        picard.ample_A(),
+        picard.random_v_vector(random.Random(4)),
+        picard.PicOperator(word),
+        words.evaluate(word, "dyadic"),
+        words.evaluate(word, "tree"),
+        quantum.make_config(5, 11),
+        quantum.clock_shift(quantum.make_config(3, 7), 2, 3),
+    ]
+
+
+def _sympt_classes():
+    """Every class defined at the top level of a sympt module."""
+    import importlib
+    import pkgutil
+
+    import sympt
+
+    for info in pkgutil.iter_modules(sympt.__path__, "sympt."):
+        module = importlib.import_module(info.name)
+        yield from (cls for cls in vars(module).values()
+                    if isinstance(cls, type)
+                    and cls.__module__ == module.__name__)
+
+
+@pytest.mark.parametrize("value", _one_value_of_each_class(),
+                         ids=lambda value: type(value).__name__)
+def test_every_value_copies_pickles_and_refuses_mutation(value):
+    # each value class derives from Frozen: a copy or an unpickled value is
+    # rebuilt through the constructor, and no attribute can be set, deleted
+    # or added
+    for obj in (copy.copy(value), copy.deepcopy(value),
+                pickle.loads(pickle.dumps(value))):
+        assert type(obj) is type(value) and obj == value
+    fields = value._fields()
+    slot = type(value).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, slot, None)
+    with pytest.raises(AttributeError):
+        delattr(value, slot)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value._fields() == fields
+
+
+def test_the_values_cover_every_frozen_class():
+    frozen = {cls for cls in _sympt_classes()
+              if issubclass(cls, plcore.Frozen)} - {plcore.Frozen}
+    assert {type(value) for value in _one_value_of_each_class()} == frozen
+    assert len(frozen) == 13
+
+
+def test_only_frozen_defines_setattr_or_delattr():
+    # an immutable class derives from Frozen instead of hand-rolling the
+    # rules; Frozen is the one place that writes a slot
+    defining = sorted(
+        cls.__qualname__ for cls in _sympt_classes()
+        if {"__setattr__", "__delattr__"} & set(vars(cls)))
+    assert defining == ["Frozen"]
+
+
+def test_an_unpickled_operator_acts_like_the_original():
+    from sympt import picard, words
+
+    op = picard.PicOperator(words.parse_word("P C P I^-1 P^2"))
+    back = pickle.loads(pickle.dumps(op))
+    assert back == op and back != picard.PicOperator(op.word[1:])
+    rng = random.Random(9)
+    for _ in range(5):
+        x = picard.random_v_vector(rng)
+        assert back(x) == op(x)
+
+
 def test_subdivide_requires_transversal_cone():
     fan = Fan(((1, 0), (-1, 2), (-1, -2)))
     with pytest.raises(ValueError):
