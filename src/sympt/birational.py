@@ -36,6 +36,10 @@ PRIMES = (
     9223372036854775837,
 )
 
+# the longest product that the CLI composes symbolically, in core letters
+# (eval --backend bir) or factors (trop); a longer one is refused
+COMPOSE_CAP = 8
+
 Monomial = tuple[int, int]
 
 
@@ -439,10 +443,6 @@ class BirMap(Frozen):
             raise ZeroDivisionError("image on a coordinate axis")
         return (out[0], out[1])
 
-    def size(self) -> int:
-        return sum(len(f.num.terms) + len(f.den.terms)
-                   for f in (self.f1, self.f2))
-
     def __repr__(self):
         return "BirMap(%r, %r)" % (self.f1, self.f2)
 
@@ -773,8 +773,6 @@ def _edge_normals(poly: LaurentPoly):
         for b in range(a + 1, len(pts)):
             di = pts[b][0] - pts[a][0]
             dj = pts[b][1] - pts[a][1]
-            if di == 0 and dj == 0:
-                continue
             g = gcd(di, dj)
             rays.add((dj // g, -di // g))
             rays.add((-dj // g, di // g))

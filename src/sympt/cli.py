@@ -12,8 +12,10 @@ Subcommands
 -----------
 Each line under a subcommand lists the flags it takes; every subcommand
 also takes --json and --output, and any other flag is a usage error.
-SAMPLING stands for --trials, --prime (repeatable), --seed and --N, of
-which a backend refuses those it does not read.
+Flags are taken only as spelled, never from a prefix such as --tri, and
+--p is an alias of --prime on quantum only.  SAMPLING stands for --trials,
+--prime (repeatable), --seed and --N, of which a backend refuses those it
+does not read; words.BACKENDS maps each one it reads to the param it sets.
 
 relations   run a named relation suite in a backend
             --suite NAME [--backend B] [SAMPLING]
@@ -41,9 +43,6 @@ import sys
 
 from . import plcore, words
 
-TROP_CAP = 8
-
-
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -69,19 +68,21 @@ def _parse_vec(text: str):
 
 
 def _params(args, backend: str, reads=None) -> dict:
-    """Backend params for the sampling flags the user set; each backend's
-    own functions supply the defaults for the rest.  reads: the flags the
-    command reads in this backend, by default all that the backend takes.
-    A flag outside it is refused, so an exact backend, which samples
-    nothing, refuses every one, and so does eval where it samples nothing
-    (bir and picard)."""
-    entry = words.BACKENDS[backend]
-    reads = entry.takes if reads is None else reads
-    given = [flag for flag, value in (
-        ("--trials", args.trials), ("--prime", args.prime),
-        ("--N", args.N), ("--seed", args.seed)) if value not in (None, [])]
-    refused = [flag for flag in given if flag not in entry.takes]
-    if refused and entry.identity_test is None:
+    """Backend params for the sampling flags the user set, named by the
+    backend's sampling map; each backend's own functions supply the
+    defaults for the rest.  reads: the flags the command reads in this
+    backend, by default all that the backend takes.  A flag outside it is
+    refused, so an exact backend, which samples nothing, refuses every
+    one, and so does eval where it samples nothing (bir and picard).  A
+    command that reads --trials must be asked for at least one sample."""
+    takes = words.BACKENDS[backend].sampling
+    reads = takes if reads is None else reads
+    if args.trials is not None and args.trials < 1 and "--trials" in reads:
+        raise ValueError("trials must be at least 1, got %d" % args.trials)
+    given = {flag: v for flag in ("--trials", "--prime", "--N", "--seed")
+             if (v := getattr(args, flag[2:])) not in (None, [])}
+    refused = [flag for flag in given if flag not in takes]
+    if refused and not takes:
         raise ValueError("backend %s is exact and takes no sampling "
                          "flag; got %s" % (backend, ", ".join(refused)))
     if given and not refused and not reads:
@@ -91,20 +92,10 @@ def _params(args, backend: str, reads=None) -> dict:
     if refused:
         raise ValueError("backend %s takes no %s flag"
                          % (backend, " or ".join(refused)))
-    if not reads:
-        return {}
-    named = entry.flags(args.trials, args.prime, args.N)
-    return {"seed": 0 if args.seed is None else args.seed,
-            **{k: v for k, v in named.items() if v not in (None, [])}}
-
-
-def _sample_params(args, backend: str) -> dict:
-    """_params for a command that checks a relation, where a sampled
-    backend must be asked for at least one sample."""
-    if (args.trials is not None and args.trials < 1
-            and words.BACKENDS[backend].identity_test is not None):
-        raise ValueError("trials must be at least 1, got %d" % args.trials)
-    return _params(args, backend)
+    # --prime is repeatable; a model whose param is one prime, p, reads
+    # the last one given
+    return {takes[flag]: v[-1] if takes[flag] == "p" else v
+            for flag, v in given.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +103,13 @@ def _sample_params(args, backend: str) -> dict:
 
 def cmd_relations(args):
     run = words.check_suite(args.suite, backend=args.backend,
-                            params=_sample_params(args, args.backend))
+                            params=_params(args, args.backend))
     return run, 0 if run["ok"] else 1
 
 
 def cmd_equal(args):
     equal, evidence = words.check_relation(args.lhs, args.rhs, args.backend,
-                                           _sample_params(args, args.backend))
+                                           _params(args, args.backend))
     payload = {"backend": args.backend, "lhs": args.lhs, "rhs": args.rhs,
                "equal": equal}
     if evidence is not None:
@@ -170,11 +161,11 @@ def cmd_trop(args):
     from . import birational
 
     factors = _trop_factors(args.word)
-    if len(factors) > TROP_CAP:
+    if len(factors) > birational.COMPOSE_CAP:
         raise ValueError(
             "symbolic composition capped at %d factors; got %d "
             "(tropicalize shorter pieces and compose the PL results instead)"
-            % (TROP_CAP, len(factors)))
+            % (birational.COMPOSE_CAP, len(factors)))
     total = plcore.product(factors, birational.compose_bir,
                            birational.identity_bir())
     return birational.tropicalize(total).to_json(), 0
@@ -222,7 +213,7 @@ def cmd_mutate(args):
 
 def cmd_quantum(args):
     identity, report = words.check_relation(args.word, "1", "quantum",
-                                            _sample_params(args, "quantum"))
+                                            _params(args, "quantum"))
     report["word"] = args.word
     return report, 0 if identity else 1
 
@@ -264,36 +255,38 @@ def _parser() -> argparse.ArgumentParser:
                          help="computational model (default pl)")
     in_backend = [backend, sampling, output]
 
+    # allow_abbrev=False on every parser that parses: a flag is taken only
+    # as spelled, never from a prefix of it
     top = argparse.ArgumentParser(
-        prog="sympt",
+        prog="sympt", allow_abbrev=False,
         description="exact models of the group generated by the lattice "
                     "pentagon map and the unimodular matrices")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("relations", parents=in_backend,
+    p = sub.add_parser("relations", allow_abbrev=False, parents=in_backend,
                        help="run a relation suite")
     p.add_argument("--suite", required=True,
                    help="one of: %s" % ", ".join(words.list_suites()))
     p.set_defaults(func=cmd_relations)
 
-    p = sub.add_parser("equal", parents=in_backend,
+    p = sub.add_parser("equal", allow_abbrev=False, parents=in_backend,
                        help="compare two words in a backend")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.set_defaults(func=cmd_equal)
 
-    p = sub.add_parser("eval", parents=in_backend,
+    p = sub.add_parser("eval", allow_abbrev=False, parents=in_backend,
                        help="evaluate a word and print its representation")
     p.add_argument("--word", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("trop", parents=[output],
+    p = sub.add_parser("trop", allow_abbrev=False, parents=[output],
                        help="tropicalize a symbolic composition")
     p.add_argument("--word", required=True,
                    help="tokens over P,C,I,U plus lambda:r1,r2 and mono:a,b,c,d")
     p.set_defaults(func=cmd_trop)
 
-    p = sub.add_parser("convert", parents=[output],
+    p = sub.add_parser("convert", allow_abbrev=False, parents=[output],
                        help="convert between circle models")
     p.add_argument("--word", required=True)
     p.add_argument("--to", required=True, choices=("pl", "tree", "dyadic"))
@@ -301,7 +294,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="model in which the word is evaluated first")
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("mutate", parents=[output],
+    p = sub.add_parser("mutate", allow_abbrev=False, parents=[output],
                        help="apply a lattice mutation to a Picard vector")
     p.add_argument("--basis", required=True, choices=("be", "p", "wq"))
     p.add_argument("--at", required=True, help="mutation direction 'a,b'")
@@ -309,14 +302,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--input", metavar="FILE", help="read PicVec JSON from FILE")
     p.set_defaults(func=cmd_mutate)
 
-    p = sub.add_parser("quantum", parents=[sampling, output],
+    p = sub.add_parser("quantum", allow_abbrev=False,
+                       parents=[sampling, output],
                        help="probe a word on clock/shift matrix pairs")
     p.add_argument("--word", required=True)
     p.add_argument("--p", dest="prime", action="append", type=int,
                    help="prime with p = 1 mod N (alias of --prime)")
     p.set_defaults(func=cmd_quantum)
 
-    p = sub.add_parser("orbit", parents=[output],
+    p = sub.add_parser("orbit", allow_abbrev=False, parents=[output],
                        help="exact rational orbit of a point under a word")
     p.add_argument("--word", default="P")
     p.add_argument("--start", default="2,3", help="start point 'x,y'")

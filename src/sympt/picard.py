@@ -151,7 +151,9 @@ class QPoly(Frozen):
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant, zero included, equals its int and so hashes like it
+        c = self.coeffs
+        return hash(c if len(c) > 1 else sum(c))
 
     def __add__(self, other):
         if not isinstance(other, (int, QPoly)):
@@ -279,7 +281,7 @@ class BreakFn(Frozen):
     determines the function up to a linear summand.
     """
 
-    __slots__ = ("fan", "values", "_rays", "_vals", "_key")
+    __slots__ = ("_rays", "_vals", "_key")
 
     def __init__(self, rays, values):
         rays = [tuple(r) for r in rays]
@@ -289,7 +291,7 @@ class BreakFn(Frozen):
         pairs = sorted(zip(rays, values), key=lambda p: ccw_key(p[0]))
         rays = [r for r, _ in pairs]
         vals = [x for _, x in pairs]
-        fan = Fan(tuple(rays))
+        Fan(tuple(rays))  # raises unless the rays form a complete fan
         # refine to a unimodular fan; linear interpolation must be integral
         i = 0
         while i < len(rays):
@@ -317,9 +319,7 @@ class BreakFn(Frozen):
         key = frozenset(
             (r, d) for j, r in enumerate(rays)
             if (d := _nonlinearity(at, rays[j - 1], r, rays[(j + 1) % n])))
-        self._init(fan,
-                   tuple(self._raw_eval(rays, vals, r) for r in fan.rays),
-                   tuple(rays), tuple(vals), key)
+        self._init(tuple(rays), tuple(vals), key)
 
     def __reduce__(self):
         return BreakFn, (self._rays, self._vals)

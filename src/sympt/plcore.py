@@ -421,9 +421,6 @@ class PLAut(Frozen):
             return (0, 0)
         return mat_apply(self.matrix_at(v), v)
 
-    def apply(self, v: Vec) -> Vec:
-        return self(v)
-
     def __mul__(self, other: "PLAut") -> "PLAut":
         return compose_pl(self, other)
 

@@ -25,8 +25,9 @@ factors in a balanced tree (plcore.product).
 
 BACKENDS is the one table of models, keyed by name.  Each entry says how to
 evaluate a word; the randomized models (bir, picard, quantum) also say how to
-test whether a core word is the identity, while the exact ones (pl, tree,
-dyadic) compare values; and each names the params the CLI sampling flags set.
+test whether a core word is the identity, and map each CLI sampling flag
+they read to the param it sets, while the exact ones (pl, tree, dyadic)
+compare values.
 evaluate, check_relation and check_suite reach the models only through it.
 """
 
@@ -249,7 +250,7 @@ def _exact(ring):
 
 
 def _bir_value(word, params):
-    cap = params.get("max_length", 8)
+    cap = _module("birational").COMPOSE_CAP
     core = _core(word)
     if word_length(core) > cap:
         raise ValueError(
@@ -259,32 +260,23 @@ def _bir_value(word, params):
     return _fold(core, _bir_ring())
 
 
-def _sampled(module: str, function: str, key: str, *names):
+def _sampled(module: str, function: str, key: str):
     """identity_test over module.function(core_word, **params), which
-    takes the params called names and returns {key: bool, "evidence": ...}.
-    """
+    returns {key: bool, "evidence": ...}."""
     def identity_test(word, params):
-        verdict = getattr(_module(module), function)(
-            word, **{k: params[k] for k in names if k in params})
+        verdict = getattr(_module(module), function)(word, **params)
         return verdict[key], verdict["evidence"]
     return identity_test
 
 
-def _sample_flags(trials, primes, N):
-    # bir's params; the CLI refuses every sampling flag for an exact model
-    return {"trials": trials, "primes": primes}
-
-
 class Backend(namedtuple("Backend",
-                         "evaluate identity_test flags takes eval_takes",
-                         defaults=(None, _sample_flags, (), ()))):
+                         "evaluate identity_test sampling eval_takes",
+                         defaults=(None, {}, ()))):
     """evaluate(word, params) -> value; identity_test(core_word, params) ->
     (identity, evidence) for a randomized model, None for an exact one;
-    takes: the CLI sampling flags the model reads, the others being
-    refused; eval_takes: those of them that evaluate reads, empty where it
-    samples nothing; flags(trials, primes, N) -> the params that --trials,
-    every --prime and --N set, where None or [] stands for a flag not
-    given."""
+    sampling: each CLI sampling flag the model reads -> the param it sets,
+    the other flags being refused; eval_takes: those flags that evaluate
+    reads, empty where it samples nothing."""
 
     __slots__ = ()
 
@@ -293,24 +285,19 @@ BACKENDS = {
     "pl": Backend(_exact(_pl_ring)),
     "tree": Backend(_exact(_tree_ring)),
     "dyadic": Backend(_exact(_dyadic_ring)),
-    "bir": Backend(_bir_value, _sampled(
-        "birational", "word_equals_identity", "equal",
-        "primes", "trials", "seed"),
-        takes=("--trials", "--prime", "--seed")),
+    "bir": Backend(
+        _bir_value,
+        _sampled("birational", "word_equals_identity", "equal"),
+        {"--trials": "trials", "--prime": "primes", "--seed": "seed"}),
     "picard": Backend(
         lambda word, params: _module("picard").word_operator(_core(word)),
-        _sampled("picard", "word_acts_as_identity", "identity",
-                 "nvectors", "seed"),
-        lambda trials, primes, N: {"nvectors": trials},
-        takes=("--trials", "--seed")),
+        _sampled("picard", "word_acts_as_identity", "identity"),
+        {"--trials": "nvectors", "--seed": "seed"}),
     "quantum": Backend(
         lambda word, params: _module("quantum").evaluate_word(_core(word),
                                                               params),
-        _sampled("quantum", "word_acts_as_identity", "identity",
-                 "N", "p", "trials", "seed"),
-        lambda trials, primes, N: {"trials": trials, "N": N,
-                                   "p": primes[-1] if primes else None},
-        takes=("--trials", "--prime", "--N", "--seed"),
+        _sampled("quantum", "word_acts_as_identity", "identity"),
+        {"--trials": "trials", "--prime": "p", "--N": "N", "--seed": "seed"},
         eval_takes=("--prime", "--N", "--seed")),
 }
 
@@ -385,8 +372,10 @@ def check_relation(lhs, rhs, backend: str = "pl", params: dict | None = None,
     """
     entry = _backend(backend)
     if entry.identity_test is not None:
-        return entry.identity_test(_core(lhs) + word_inverse(_core(rhs)),
-                                   params or {})
+        names = entry.sampling.values()
+        return entry.identity_test(
+            _core(lhs) + word_inverse(_core(rhs)),
+            {k: v for k, v in (params or {}).items() if k in names})
     lv = evaluate(lhs, backend)
     rv = evaluate(rhs, backend)
     if lv == rv:

@@ -211,7 +211,7 @@ def test_trop_equals_the_left_to_right_product():
     while checked < 40:
         text = " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 8)))
         factors = cli._trop_factors(text)
-        if len(factors) > cli.TROP_CAP:
+        if len(factors) > birational.COMPOSE_CAP:
             continue
         total = birational.identity_bir()
         for f in factors:
@@ -502,6 +502,27 @@ def test_subcommands_refuse_flags_they_do_not_take(command, flag, capsys):
     assert err.value.code == 2
     assert "unrecognized arguments: %s" % " ".join(flag) in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["relations", "--suite", "H", "--backend", "picard", "--tri", "2"],
+    ["eval", "--word", "P C", "--backend", "quantum", "--p", "11"]],
+    ids=["prefix-of-trials", "quantum-alias-outside-quantum"])
+def test_flags_are_taken_only_as_spelled(argv, capsys):
+    # argparse would otherwise read --tri as --trials and --p as --prime
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(argv[-2:]) in (
+        capsys.readouterr().err)
+
+
+def test_quantum_takes_p_as_an_alias_of_prime():
+    code, rep = run_json(["quantum", "--word", "P^5", "--p", "11"])
+    assert code == 0 and rep["p"] == 11
+    # P is not the identity, so it exits 1, with a report, not a usage error
+    code, rep = run_json(["quantum", "--word", "P", "--p", "11"])
+    assert code == 1 and rep["p"] == 11 and rep["verdict"] == "nonidentity"
 
 
 def test_eval_quantum_reads_its_sampling_flags():

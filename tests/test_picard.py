@@ -99,6 +99,16 @@ def test_qpoly_arithmetic():
         q.constant_value()
 
 
+@pytest.mark.parametrize("n", [0, 3, -2])
+def test_constant_qpoly_hashes_like_its_int(n):
+    # equal values must hash alike, so a set or dict holds them once
+    assert QPoly.const(n) == n and hash(QPoly.const(n)) == hash(n)
+    assert len({n, QPoly.const(n)}) == 1
+    assert {n: "int", QPoly.const(n): "poly"} == {n: "poly"}
+    assert n in {QPoly.const(n)} and QPoly.const(n) in {n}
+    assert QPoly((n, 1)) not in {n}
+
+
 # ---------------------------------------------------------------------------
 # BreakFn and the index
 

@@ -11,6 +11,7 @@ import pytest
 from sympt import plcore
 from sympt.plcore import (
     _MR_EXACT_BELOW,
+    MAT_ID,
     Fan,
     Vec,
     PLAut,
@@ -282,7 +283,7 @@ def test_equality_is_extensional():
     rng = random.Random(19)
     for _ in range(20):
         f = random_word(rng, 4)
-        g = from_function(f.apply, f.rays)
+        g = from_function(f, f.rays)
         assert f == g
 
 
@@ -294,12 +295,47 @@ def test_validation_rejects_bad_pieces():
         PLAut(((1, 0), (-1, 0)), ((1, 0, 0, 1), (0, -1, 1, 0)))
 
 
+# eight unimodular cones around the origin, and the images of their rays
+# going round twice: each piece has det 1 and neighbours agree on their
+# shared ray, but the map is not a bijection
+_OCTANTS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
+            (1, -1))
+_TWICE_ROUND = ((1, -1, 0, 1), (1, -1, 1, 0), (-1, -1, 1, 0), (-1, -1, 0, -1),
+                (-1, 1, 0, -1), (-1, 1, -1, 0), (1, 1, -1, 0), (1, 1, 0, 1))
+_SHEAR = (1, 1, 0, 1)  # fixes the x axis
+
+
+@pytest.mark.parametrize("rays, mats, message", [
+    (((2, 0), (-1, 0)), (MAT_ID, _SHEAR), "ray (2, 0) is not primitive"),
+    (((1, 0), (1, 0)), (MAT_ID, _SHEAR), "repeated ray (1, 0)"),
+    (generator_pl("P").rays * 2, generator_pl("P").mats * 2,
+     "breakpoint rays do not wind once counterclockwise"),
+    (_OCTANTS, _TWICE_ROUND,
+     "image rays do not wind once; map is not bijective"),
+    (((1, 0), (-1, 0)), (MAT_ID,), "rays and mats must have equal length"),
+    ((), (MAT_ID, MAT_ID), "linear element must carry exactly one matrix"),
+], ids=["non-primitive", "repeated", "winds-twice", "images-wind-twice",
+        "unequal-lengths", "linear-two-matrices"])
+def test_constructor_refuses_each_malformed_element(rays, mats, message):
+    with pytest.raises(ValueError) as exc:
+        PLAut(rays, mats)
+    assert str(exc.value) == message
+
+
+def test_from_json_refuses_an_unknown_orientation():
+    data = identity_pl().to_json()
+    data["orientation"] = "counterclockwise"
+    with pytest.raises(ValueError) as exc:
+        PLAut.from_json(data)
+    assert str(exc.value) == "unknown orientation 'counterclockwise'"
+
+
 def test_from_function_detects_hidden_break():
     f = P * I * U  # breakpoints off the coordinate axes
     assert f.breakpoints() == ((-1, 1), (1, -1))
-    assert from_function(f.apply, f.breakpoints()) == f
+    assert from_function(f, f.breakpoints()) == f
     with pytest.raises(ValueError):
-        from_function(f.apply, [])  # axes alone miss the wall at (1,-1)
+        from_function(f, [])  # axes alone miss the wall at (1,-1)
 
 
 # ---------------------------------------------------------------------------

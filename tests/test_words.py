@@ -7,6 +7,7 @@ import pytest
 from sympt import birational, plcore, thompson
 from sympt.words import (
     ALPHABET,
+    BACKENDS,
     EXPANSIONS,
     WordSyntaxError,
     _core,
@@ -242,6 +243,37 @@ def test_failing_relation_reports_witness():
     v = tuple(w["point"])
     assert evaluate("P^2", "pl")(v) == tuple(w["lhs_image"])
     assert tuple(w["lhs_image"]) != tuple(w["rhs_image"])
+
+
+@pytest.mark.parametrize("backend, lhs_value, rhs_value", [
+    ("tree", "TreePair((1, 3, 3, 3, 3), (1, 3, 3, 3, 3), 4)",
+     "TreePair((1, 2, 2), (1, 2, 2), 2)"),
+    ("dyadic", "DyadicPL(0:7/8, 1/2:0, 5/8:1/2)",
+     "DyadicPL(0:3/4, 1/2:0, 3/4:1/2)"),
+])
+def test_failing_circle_relation_reports_both_values(backend, lhs_value,
+                                                     rhs_value):
+    # a circle model has no lattice point to move, so its witness is the
+    # repr of each side
+    report = check_suite([{"name": "P = C", "lhs": "P", "rhs": "C"}],
+                         backend)
+    assert not report["ok"]
+    [res] = report["results"]
+    assert res["verdict"] == "fail"
+    assert res["witness"] == {"lhs_value": lhs_value, "rhs_value": rhs_value}
+    assert res["witness"]["lhs_value"] == repr(evaluate("P", backend))
+
+
+@pytest.mark.parametrize("backend", ["bir", "picard", "quantum"])
+def test_a_sampled_model_sees_only_the_params_it_names(backend):
+    # one params dict names every sampled model's params; check_relation
+    # passes each model only those in its sampling map, so none fails on
+    # a keyword it does not take, and the report echoes the dict
+    params = {"trials": 2, "primes": [birational.PRIMES[2]], "nvectors": 2,
+              "N": 3, "p": 7, "seed": 1}
+    report = check_suite([{"lhs": "C^3", "rhs": "1"}], backend, params)
+    assert report["ok"] and report["params"] == params
+    assert set(BACKENDS[backend].sampling.values()) < set(params)
 
 
 def test_report_shape():
