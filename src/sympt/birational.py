@@ -433,6 +433,10 @@ class BirMap(Frozen):
 
     def apply_exact(self, point) -> tuple[Fraction, Fraction]:
         x, y = Fraction(point[0]), Fraction(point[1])
+        # the maps act on the torus, off the axes, where every Laurent
+        # monomial has a value
+        if x == 0 or y == 0:
+            raise ZeroDivisionError("point on a coordinate axis")
         out = []
         for f in (self.f1, self.f2):
             d = f.den.eval_exact(x, y)

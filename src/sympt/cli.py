@@ -221,6 +221,8 @@ def cmd_quantum(args):
 def cmd_orbit(args):
     from . import birational
 
+    if args.steps < 0:
+        raise ValueError("steps must be at least 0, got %d" % args.steps)
     f = words.evaluate(args.word, "bir")
     start = tuple(birational.parse_rational(t)
                   for t in args.start.split(","))

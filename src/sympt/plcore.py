@@ -561,12 +561,27 @@ def from_function(fn, hint_rays) -> PLAut:
     """Build the PLAut equal to fn, given rays subordinating its linearity.
 
     fn maps Z^2 -> Z^2 and must be linear on every cone of the fan spanned
-    by hint_rays plus the coordinate axes.  Every cone's matrix is solved
-    from the two spanning rays and checked on the mediant, so a hidden
-    breakpoint or a non-unimodular piece raises ValueError.
+    by hint_rays plus the coordinate axes.  The rays are sorted, fn is
+    probed on each ray and on each mediant of two adjacent rays, and
+    from_cones solves and checks the cones.
     """
     rays = _sort_ccw([primitive(r) for r in hint_rays] + list(AXES))
-    images = [fn(r) for r in rays]
+    n = len(rays)
+    return from_cones(rays, [fn(r) for r in rays],
+                      [fn(vec_add(r, rays[(i + 1) % n]))
+                       for i, r in enumerate(rays)])
+
+
+def from_cones(rays, images, mediant_images) -> PLAut:
+    """The PLAut linear on each cone between adjacent rays, from the image
+    of each ray and of each cone's mediant.
+
+    rays wind once counterclockwise, and cone i runs from rays[i] to
+    rays[i+1], the last one back to rays[0]; images[i] is the image of
+    rays[i] and mediant_images[i] that of rays[i] + rays[i+1].  Each cone's
+    matrix is solved from its two rays and checked on the mediant, so a
+    hidden breakpoint or a non-unimodular piece raises ValueError.
+    """
     mats = []
     n = len(rays)
     for i in range(n):
@@ -588,8 +603,7 @@ def from_function(fn, hint_rays) -> PLAut:
             raise ValueError(
                 "piece on cone %r,%r has det %d, not 1" % (a, b, mat_det(m))
             )
-        mid = vec_add(a, b)
-        if fn(mid) != mat_apply(m, mid):
+        if mediant_images[i] != mat_apply(m, vec_add(a, b)):
             raise ValueError("hidden breakpoint inside cone %r,%r" % (a, b))
         mats.append(m)
     return PLAut(tuple(rays), tuple(mats))

@@ -34,7 +34,6 @@ the API boundary: ``vector_to_dyadic``, ``dyadic_to_vector``, calling a
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import gcd
 
 from .plcore import (
     Frozen,
@@ -43,7 +42,7 @@ from .plcore import (
     ccw_key,
     cone_parents,
     cone_runs,
-    from_function,
+    from_cones,
     generator_pl,
     inverse_pl,
     primitive,
@@ -215,15 +214,16 @@ class DyadicPL(Frozen):
         if n > 1:
             shifts = []
             total = 0
-            for i in range(n):
-                t1, y1 = pairs[i]
-                t2, y2 = pairs[(i + 1) % n]
+            for (t1, y1), (t2, y2) in zip(pairs, pairs[1:] + pairs[:1]):
                 dt = (t2 - t1) % one
                 dy = (y2 - y1) % one
                 if dy == 0:
                     raise ValueError("map is not injective near t=%s"
                                      % (Fraction(t1, one),))
-                zt, zy = _twos(dt), _twos(dy)
+                # the slope dy / dt is a power of two when both have the
+                # same odd part, and then it is 2^(zy - zt); shifting out
+                # one bit past the twos leaves (odd part - 1) / 2
+                zt, zy = (dt & -dt).bit_length(), (dy & -dy).bit_length()
                 if dt >> zt != dy >> zy:
                     raise ValueError("slope %s is not a power of two"
                                      % (Fraction(dy, dt),))
@@ -238,11 +238,15 @@ class DyadicPL(Frozen):
         if not keep:
             t0, y0 = pairs[0]
             keep = [(0, (y0 - t0) % one, 0)]
-        low = max([exp - _twos(x) for t, y, _ in keep for x in (t, y) if x],
-                  default=0)
-        self._init(low, tuple(t >> (exp - low) for t, _, _ in keep),
-                   tuple(y >> (exp - low) for _, y, _ in keep),
-                   tuple(s for _, _, s in keep))
+        # the fewest bits that hold every kept point: the lowest set bit of
+        # any point is the lowest set bit of their OR
+        bits = 0
+        for t, y, _ in keep:
+            bits |= t | y
+        cut = _twos(bits) if bits else exp
+        ts, ys, shifts = zip(*keep)
+        self._init(exp - cut, tuple([t >> cut for t in ts]),
+                   tuple([y >> cut for y in ys]), shifts)
 
     def __reduce__(self):
         return DyadicPL._from_ints, (self._exp, list(zip(self._ts, self._ys)))
@@ -347,25 +351,47 @@ def dyadic_identity() -> DyadicPL:
 
 
 def dyadic_compose(f: DyadicPL, g: DyadicPL) -> DyadicPL:
-    """Composite f(g(t)); breakpoints of g joined with g-preimages of f's.
+    """Composite f(g(t)), in one walk around the circle.
 
-    Points are (numerator, exponent) pairs over powers of two, brought to
-    a common exponent by shifts.
+    The breakpoints of f(g(t)) lie among g's breakpoints and the
+    g-preimages of f's.  g's pieces, taken by image from the lowest, and
+    f's pieces both come in circle order, so one merge of the two from 0
+    meets each point y with the piece of g that reaches it and the piece
+    of f that holds it, and (g^-1(y), f(y)) is a point of the composite.
+    Points are integers over one power of two, fine enough that g^-1 and
+    f are exact shifts on them.
     """
-    cand = []
-    if not g.is_rotation:
-        cand += [(t, g._exp) for t in g._ts]
-    if not f.is_rotation:
-        ginv = ~g
-        cand += [ginv._image(b, f._exp) for b in f._ts]
-    if not cand:
-        cand = [(0, 0)]
-    m = max(k for _, k in cand)
-    images = [(t, *f._image(*g._image(t, m)))
-              for t in {n << (m - k) for n, k in cand}]
-    top = max(m, max(k for _, _, k in images))
-    return DyadicPL._from_ints(top, [
-        (t << (top - m), y << (top - k)) for t, y, k in images])
+    up = max(0, max(g._shifts), -min(f._shifts))
+    top = max(g._exp, f._exp) + up
+    one = 1 << top
+    gu, fu = top - g._exp, top - f._exp
+    k = g._ys.index(min(g._ys))
+    gs = [(y << gu, t << gu, s) for y, t, s in zip(g._ys, g._ts, g._shifts)]
+    gs = gs[k:] + gs[:k]
+    fs = [(t << fu, y << fu, s) for t, y, s in zip(f._ts, f._ys, f._shifts)]
+    # before the first point of each list, its last piece runs across 0
+    gy, gt, gsh = gs[-1]
+    fx, fy, fsh = fs[-1]
+    pairs = []
+    i = j = 0
+    n, m = len(gs), len(fs)
+    while i < n or j < m:
+        if j == m or (i < n and gs[i][0] <= fs[j][0]):
+            gy, gt, gsh = gs[i]
+            i += 1
+            y = gy
+            if j < m and fs[j][0] == y:
+                fx, fy, fsh = fs[j]
+                j += 1
+        else:
+            fx, fy, fsh = fs[j]
+            j += 1
+            y = fx
+        dt = (y - gy) % one
+        dz = (y - fx) % one
+        pairs.append(((gt + (dt >> gsh if gsh >= 0 else dt << -gsh)) % one,
+                      (fy + (dz << fsh if fsh >= 0 else dz >> -fsh)) % one))
+    return DyadicPL._from_ints(top, pairs)
 
 
 def _leaf_starts(depths, exp):
@@ -587,49 +613,55 @@ def _required_rays(f: PLAut):
 def _refined_cells(required):
     """Mediant-refine the base cells until required rays are endpoints.
 
-    Rays come out counterclockwise: a cone is split at its mediant while a
+    Returns the rays counterclockwise and, for each, its dyadic point
+    (n, k), the point n / 2^k.  A cone is split at its mediant while a
     required ray lies strictly inside, and the halves are visited in order
     from an explicit stack, since a descent can be thousands of steps deep.
     The required rays inside a base cell are sorted counterclockwise, so a
-    cone holds a slice of them and a split bisects the slice at the mediant.
+    cone holds a slice of them and a split bisects the slice at the
+    mediant.  The cone of the interval [x, x + 1) / 2^k splits at the ray
+    of (2x + 1) / 2^(k + 1), so each point comes with its ray, no walk.
     """
-    rays = []
-    for _, _, u, v in _BASE_CELLS:
+    rays, points = [], []
+    for c, e, u, v in _BASE_CELLS:
         # inside one base cell the order anchored at (1, 0) is the
         # counterclockwise order from u to v
         inside = sorted((s for s in required
                          if wedge(u, s) > 0 and wedge(s, v) > 0),
                         key=ccw_key)
-        # entries: (ray, None) emits a ray, (u, v, lo, hi) splits a cone
-        # while inside[lo:hi] is not empty
-        stack = [(u, v, 0, len(inside)), (u, None)]
+        # entries: (ray, point) emits a ray, (u, v, x, k, lo, hi) splits
+        # the cone of [x, x + 1) / 2^k while inside[lo:hi] is not empty
+        stack = [(u, v, c, e, 0, len(inside)), (u, (c, e))]
         while stack:
             entry = stack.pop()
-            if entry[1] is None:
+            if len(entry) == 2:
                 rays.append(entry[0])
+                points.append(entry[1])
                 continue
-            a, b, lo, hi = entry
+            a, b, x, k, lo, hi = entry
             if lo < hi:
                 m = vec_add(a, b)
+                x, k = 2 * x, k + 1
                 # rays clockwise of m go left, past m itself they go right
                 i = bisect_left(inside, True, lo, hi,
                                 key=lambda s: wedge(s, m) <= 0)
-                k = bisect_left(inside, True, i, hi,
+                j = bisect_left(inside, True, i, hi,
                                 key=lambda s: wedge(s, m) < 0)
-                stack += [(m, b, k, hi), (m, None), (a, m, lo, i)]
-    return rays
+                stack += [(m, b, x + 1, k, j, hi), (m, (x + 1, k)),
+                          (a, m, x, k, lo, i)]
+    return rays, points
 
 
 def plaut_to_dyadic(f: PLAut) -> DyadicPL:
     """Circle form of a plane automorphism via the dyadic/vector walk.
 
-    Each ray and its image become a breakpoint pair over 2^exp; then every
-    piece is certified: the midpoint of two adjacent rays must go where the
-    mediant of their images points.
+    Each ray and its image become a breakpoint pair over 2^exp; the rays'
+    points come from the refinement, the images' from the walk.  Then
+    every piece is certified: the midpoint of two adjacent rays must go
+    where the mediant of their images points.
     """
-    rays = _refined_cells(_required_rays(f))
+    rays, ts = _refined_cells(_required_rays(f))
     images = [f(r) for r in rays]
-    ts = [_vector_to_pair(r) for r in rays]
     ys = [_vector_to_pair(w) for w in images]
     exp = max(k for _, k in ts + ys)
     ts = [t << (exp - k) for t, k in ts]
@@ -649,34 +681,38 @@ def plaut_to_dyadic(f: PLAut) -> DyadicPL:
 
 
 def dyadic_to_plaut(d: DyadicPL) -> PLAut:
-    """Plane form of a circle map; fails if the map does not come from one.
+    """Plane form of a circle map.
 
     Each leaf of the reduced tree pair goes affinely onto a standard
-    interval.  Cut further at the base-cell corners and their preimages, so
-    that a piece and its image each lie in one base cell, every piece is
-    again a standard interval with a standard image: a unimodular cone that
-    the plane map sends linearly.  The vectors of these cut points are the
-    hint rays of from_function as they are, with no further refinement.
-    The breakpoints of d alone do not suffice: the plane map can bend where
-    the slope of d does not change.
+    interval.  A leaf is cut into halves or quarters until it and its
+    image have depth at least 2, which puts each in one base cell: every
+    piece is then a standard interval with a standard image, a unimodular
+    cone that the plane map sends linearly.  The cut points come in
+    increasing order, which is the counterclockwise order of their rays.
+    Each ray is one walk, its image and the image of its cone's mediant
+    are read through d, and plcore.from_cones solves each cone and checks
+    it on the mediant.  The breakpoints of d alone do not suffice: the
+    plane map can bend where the slope of d does not change.
+
+    Every DyadicPL converts, since its breakpoints are dyadic and its
+    slopes powers of two, so nothing is refused here: d's constructor has
+    already refused a map that is not a dyadic circle bijection.  A
+    failing cone check (ValueError) would be a fault of this conversion.
     """
     tp = dyadic_to_treepair(d)
-    exp = max(tp.domain)
-    dinv = ~d
-    anchors = [(c, e) for c, e, _, _ in _BASE_CELLS]
-    required = ([(x, exp) for x in _leaf_starts(tp.domain, exp)[:-1]]
-                + anchors + [dinv._image(c, e) for c, e in anchors])
-    top = max(k for _, k in required)
-    required_t = {x << (top - k) for x, k in required}
-
-    def fn(v: Vec) -> Vec:
-        k = gcd(v[0], v[1])
-        p = (v[0] // k, v[1] // k)
-        w = _pair_to_vector(*d._image(*_vector_to_pair(p)))
-        return (k * w[0], k * w[1])
-
-    return from_function(
-        fn, hint_rays=[_pair_to_vector(x, top) for x in required_t])
+    n = len(tp.domain)
+    exp = max(tp.domain) + 2
+    cuts = []
+    for i, (depth, x) in enumerate(zip(tp.domain,
+                                       _leaf_starts(tp.domain, exp))):
+        split = max(0, 2 - min(depth, tp.range[(tp.rotation + i) % n]))
+        step = 1 << (exp - depth - split)
+        cuts += range(x, x + (step << split), step)
+    # each mediant is the midpoint of its cone, over 2^(exp + 1)
+    mids = [x + y for x, y in zip(cuts, cuts[1:] + [1 << exp])]
+    return from_cones([_pair_to_vector(x, exp) for x in cuts],
+                      [_pair_to_vector(*d._image(x, exp)) for x in cuts],
+                      [_pair_to_vector(*d._image(x, exp + 1)) for x in mids])
 
 
 def plaut_to_treepair(f: PLAut) -> TreePair:

@@ -591,6 +591,24 @@ def test_orbit_pole_is_runtime_failure():
     assert code == 1 and "error" in rep
 
 
+def test_orbit_refuses_negative_steps():
+    code, rep = run_json(["orbit", "--word", "P", "--start", "2,3",
+                          "--steps", "-3"])
+    assert code == 2
+    assert rep == {"error": "steps must be at least 0, got -3"}
+    code, rep = run_json(["orbit", "--word", "P", "--start", "2,3",
+                          "--steps", "0"])
+    assert code == 0 and rep["points"] == [["2", "3"]]
+
+
+@pytest.mark.parametrize("word, start", [("C", "0,2"), ("I", "2,0")])
+def test_orbit_start_on_an_axis_is_refused(word, start):
+    # refused before the Laurent polynomials are evaluated at 0
+    code, rep = run_json(["orbit", "--word", word, "--start", start])
+    assert code == 1
+    assert rep == {"error": "point on a coordinate axis"}
+
+
 @pytest.mark.parametrize("argv, token", [
     (["orbit", "--start", "1/0,2"], "1/0"),
     (["orbit", "--start", "2,-3/0"], "-3/0"),

@@ -21,6 +21,7 @@ from sympt.plcore import (
     cone_parents,
     cone_runs,
     dir_less,
+    from_cones,
     from_function,
     generator_pl,
     identity_pl,
@@ -336,6 +337,23 @@ def test_from_function_detects_hidden_break():
     assert from_function(f, f.breakpoints()) == f
     with pytest.raises(ValueError):
         from_function(f, [])  # axes alone miss the wall at (1,-1)
+
+
+def test_from_cones_checks_each_cone():
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    mediants = [(1, 1), (-1, 0), (0, -1)]
+    assert from_cones(rays, rays, mediants) == identity_pl()
+    with pytest.raises(ValueError) as exc:
+        from_cones(rays, rays, [(1, 1), (-1, 0), (1, -1)])
+    assert str(exc.value) == "hidden breakpoint inside cone (-1, -1),(1, 0)"
+    with pytest.raises(ValueError) as exc:
+        from_cones(rays, [(2, 0), (0, 1), (-1, -1)], mediants)
+    assert str(exc.value) == "piece on cone (1, 0),(0, 1) has det 2, not 1"
+    wide = [(1, 0), (1, 2), (-1, -1)]
+    with pytest.raises(ValueError) as exc:
+        from_cones(wide, [(1, 0), (0, 1), (-1, -1)], [(2, 2), (0, 1), (0, -1)])
+    assert str(exc.value) == (
+        "map is not integrally linear on cone (1, 0),(1, 2)")
 
 
 # ---------------------------------------------------------------------------

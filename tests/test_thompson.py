@@ -1,12 +1,15 @@
 import json
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from sympt.plcore import (cone_parents, generator_pl, identity_pl, inverse_pl,
-                          linear_pl, order_pl, vec_add,
-                          primitive, wedge)
+from sympt import plcore, thompson
+from sympt.plcore import (ccw_key, cone_parents, from_function, generator_pl,
+                          identity_pl, inverse_pl, linear_pl, order_pl,
+                          vec_add, primitive, wedge)
 from sympt.thompson import (
     _BASE_CELLS,
     DyadicPL,
@@ -24,8 +27,10 @@ from sympt.thompson import (
     treepair_to_dyadic,
     treepair_to_plaut,
     vector_to_dyadic,
+    _leaf_starts,
     _pair_to_vector,
     _refined_cells,
+    _required_rays,
     _vector_to_pair,
 )
 from sympt.words import check_suite, evaluate
@@ -254,6 +259,18 @@ def test_dyadic_validation():
         DyadicPL([])
 
 
+@pytest.mark.parametrize("points, message", [
+    ([(0, 0), (0, F(1, 2))], "repeated breakpoint at t=0"),
+    ([(0, 0), (F(1, 4), 0)], "map is not injective near t=0"),
+    ([(0, 0), (F(1, 4), F(3, 4))], "slope 3 is not a power of two"),
+    ([(0, 0), (F(1, 4), F(1, 2)), (F(1, 2), 0), (F(3, 4), F(1, 2))],
+     "total winding is 2, expected 1")])
+def test_each_dyadic_refusal_is_reached(points, message):
+    with pytest.raises(ValueError) as exc:
+        DyadicPL(points)
+    assert str(exc.value) == message
+
+
 def test_rotation_canonical_form():
     r = DyadicPL([(F(1, 4), F(3, 4))])
     assert r.points == ((F(0), F(1, 2)),)
@@ -343,7 +360,198 @@ def test_refined_cells_match_filtering_reference():
         vecs = [(rng.randint(-bound, bound), rng.randint(-bound, bound))
                 for _ in range(rng.randint(0, 30))]
         required = {primitive(v) for v in vecs if v != (0, 0)}
-        assert _refined_cells(required) == ref_refined_cells(required)
+        rays, points = _refined_cells(required)
+        assert rays == ref_refined_cells(required)
+        # each ray carries its dyadic point down the descent
+        assert points == [_vector_to_pair(r) for r in rays]
+
+
+# The circle kernels before they walked in circle order, kept as oracles:
+# compose through the inverse of g and bisection, the refinement that
+# returns rays alone, and pl from dyadic through from_function.
+
+def ref_dyadic_compose(f, g):
+    cand = []
+    if not g.is_rotation:
+        cand += [(t, g._exp) for t in g._ts]
+    if not f.is_rotation:
+        ginv = ~g
+        cand += [ginv._image(b, f._exp) for b in f._ts]
+    if not cand:
+        cand = [(0, 0)]
+    m = max(k for _, k in cand)
+    images = [(t, *f._image(*g._image(t, m)))
+              for t in {n << (m - k) for n, k in cand}]
+    top = max(m, max(k for _, _, k in images))
+    return DyadicPL._from_ints(top, [
+        (t << (top - m), y << (top - k)) for t, y, k in images])
+
+
+def ref_sorted_refined_cells(required):
+    rays = []
+    for _, _, u, v in _BASE_CELLS:
+        inside = sorted((s for s in required
+                         if wedge(u, s) > 0 and wedge(s, v) > 0),
+                        key=ccw_key)
+        stack = [(u, v, 0, len(inside)), (u, None)]
+        while stack:
+            entry = stack.pop()
+            if entry[1] is None:
+                rays.append(entry[0])
+                continue
+            a, b, lo, hi = entry
+            if lo < hi:
+                m = vec_add(a, b)
+                i = bisect_left(inside, True, lo, hi,
+                                key=lambda s: wedge(s, m) <= 0)
+                k = bisect_left(inside, True, i, hi,
+                                key=lambda s: wedge(s, m) < 0)
+                stack += [(m, b, k, hi), (m, None), (a, m, lo, i)]
+    return rays
+
+
+def ref_dyadic_to_plaut(d):
+    tp = dyadic_to_treepair(d)
+    exp = max(tp.domain)
+    dinv = ~d
+    anchors = [(c, e) for c, e, _, _ in _BASE_CELLS]
+    required = ([(x, exp) for x in _leaf_starts(tp.domain, exp)[:-1]]
+                + anchors + [dinv._image(c, e) for c, e in anchors])
+    top = max(k for _, k in required)
+    required_t = {x << (top - k) for x, k in required}
+
+    def fn(v):
+        k = gcd(v[0], v[1])
+        p = (v[0] // k, v[1] // k)
+        w = _pair_to_vector(*d._image(*_vector_to_pair(p)))
+        return (k * w[0], k * w[1])
+
+    return from_function(
+        fn, hint_rays=[_pair_to_vector(x, top) for x in required_t])
+
+
+def assert_kernels_match_oracles(f, g):
+    """The circle kernels equal their oracles on pl elements f, g."""
+    for h in (f, g):
+        rays, _ = _refined_cells(_required_rays(h))
+        assert rays == ref_sorted_refined_cells(_required_rays(h))
+    df, dg = plaut_to_dyadic(f), plaut_to_dyadic(g)
+    fg = dyadic_compose(df, dg)
+    assert fg == ref_dyadic_compose(df, dg)
+    assert fg == plaut_to_dyadic(f * g)
+    for d in (df, dg, fg):
+        assert dyadic_to_plaut(d) == ref_dyadic_to_plaut(d)
+
+
+def random_word(rng, length):
+    return " ".join(rng.choice(GEN_NAMES) + rng.choice(("", "^-1"))
+                    for _ in range(length))
+
+
+def test_circle_kernels_match_oracles_on_random_words():
+    rng = random.Random(211)
+    for _ in range(500):
+        word = random_word(rng, rng.randint(2, 14))
+        cut = rng.randint(1, word.count(" "))
+        letters = word.split()
+        f = evaluate(" ".join(letters[:cut]), "pl")
+        g = evaluate(" ".join(letters[cut:]), "pl")
+        assert_kernels_match_oracles(f, g)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 12, 25, 64, 100, 255, 1000))
+def test_circle_kernels_match_oracles_on_powers(n):
+    u, p = evaluate("U^%d" % n, "pl"), generator_pl("P")
+    conj = evaluate("U^%d P U^-%d" % (n, n), "pl")
+    assert_kernels_match_oracles(u, inverse_pl(u))
+    assert_kernels_match_oracles(u * p, inverse_pl(u))
+    assert_kernels_match_oracles(conj, u)
+    assert evaluate("U^%d" % n, "dyadic") == plaut_to_dyadic(u)
+    assert evaluate("U^-%d" % n, "dyadic") == plaut_to_dyadic(inverse_pl(u))
+    assert evaluate("U^%d P U^-%d" % (n, n), "dyadic") == plaut_to_dyadic(conj)
+
+
+def test_compose_builds_one_map(monkeypatch):
+    # no inverse of g is built: _set runs once, for the output
+    calls = []
+    set_ = DyadicPL._set
+
+    def counted(self, exp, pairs):
+        calls.append(len(pairs))
+        set_(self, exp, pairs)
+
+    rng = random.Random(13)
+    ds = [plaut_to_dyadic(random_plaut(rng, rng.randint(0, 6)))
+          for _ in range(30)]
+    ds += [DyadicPL([(F(0), F(c, 8))]) for c in (0, 3)]
+    monkeypatch.setattr(DyadicPL, "_set", counted)
+    for f in ds:
+        for g in ds[::3]:
+            calls.clear()
+            dyadic_compose(f, g)
+            assert len(calls) == 1
+
+
+def test_plane_form_is_solved_from_ordered_cuts(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dyadic_to_plaut re-probed or re-sorted")
+
+    monkeypatch.setattr(plcore, "from_function", refuse)
+    monkeypatch.setattr(plcore, "_sort_ccw", refuse)
+    monkeypatch.setattr(thompson, "from_function", refuse, raising=False)
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_plaut(rng, rng.randint(0, 8))
+        assert dyadic_to_plaut(plaut_to_dyadic(g)) == g
+
+
+def test_plane_form_reads_rays_and_mediants_through_the_map(monkeypatch):
+    # each cut point and then each midpoint of two adjacent cuts is read
+    # through d once; from_cones checks each cone on its midpoint's image
+    read = []
+    image = DyadicPL._image
+
+    def counted(self, x, m, odd=1):
+        read.append((x, m))
+        return image(self, x, m, odd)
+
+    rng = random.Random(37)
+    for _ in range(40):
+        d = plaut_to_dyadic(random_plaut(rng, rng.randint(0, 8)))
+        read.clear()
+        with monkeypatch.context() as m:
+            m.setattr(DyadicPL, "_image", counted)
+            dyadic_to_plaut(d)
+        n = len(read) // 2
+        cuts, mids = read[:n], read[n:]
+        exp = cuts[0][1]
+        assert {k for _, k in cuts} == {exp}
+        assert {k for _, k in mids} == {exp + 1}
+        xs = [x for x, _ in cuts]
+        assert xs == sorted(xs) and xs[0] == 0
+        assert [x for x, _ in mids] == [
+            a + b for a, b in zip(xs, xs[1:] + [1 << exp])]
+
+
+def test_circle_form_walks_only_images_and_mediants(monkeypatch):
+    walked = []
+
+    def counted(w):
+        walked.append(w)
+        return _vector_to_pair(w)
+
+    rng = random.Random(31)
+    for _ in range(40):
+        g = random_plaut(rng, rng.randint(0, 8))
+        rays, _ = _refined_cells(_required_rays(g))
+        images = [g(r) for r in rays]
+        mediants = [primitive(vec_add(w, images[(i + 1) % len(images)]))
+                    for i, w in enumerate(images)]
+        walked.clear()
+        with monkeypatch.context() as m:
+            m.setattr(thompson, "_vector_to_pair", counted)
+            plaut_to_dyadic(g)
+        assert walked == images + mediants
 
 
 def test_dyadic_conversion_is_homomorphic():
@@ -462,6 +670,25 @@ def blow_up(tp, rng, times):
         if rot > j:
             rot += 1
     return dom, rng_tree, rot
+
+
+def random_tree(rng, leaves):
+    depths = (0,)
+    while len(depths) < leaves:
+        depths = add_caret(depths, rng.randrange(len(depths)))
+    return depths
+
+
+def test_every_thompson_element_tried_round_trips_through_the_plane():
+    ds = [DyadicPL([(F(0), F(c, 16))]) for c in range(1, 16)]
+    rng = random.Random(97)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        tp = TreePair(random_tree(rng, n), random_tree(rng, n),
+                      rng.randrange(n))
+        ds.append(treepair_to_dyadic(tp))
+    for d in ds:
+        assert plaut_to_dyadic(dyadic_to_plaut(d)) == d, d
 
 
 def test_reduction_confluence():
