@@ -6,7 +6,9 @@ status: 0 when the command succeeds (and any checked relation holds), 1 when
 a checked relation or equality fails or an orbit hits a pole, 2 on usage or
 domain errors (unknown suite or backend, malformed words or rationals, a
 zero denominator, a sampling flag the command does not read, composition
-cap, recursion depth, sampling that cannot avoid the poles).
+cap, recursion depth, sampling that cannot avoid the poles) and when a file
+cannot be read or written.  Every error is one {"error": ...} document; if
+the --output file cannot be written, that document goes to stdout.
 
 Subcommands
 -----------
@@ -53,7 +55,7 @@ def _emit(payload, args) -> None:
         text = json.dumps(payload, sort_keys=True, indent=2)
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -194,7 +196,7 @@ def cmd_mutate(args):
     if args.vector is not None:
         raw = args.vector
     elif args.input:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             raw = fh.read()
     else:
         raise ValueError("mutate needs --vector JSON or --input FILE")
@@ -330,14 +332,17 @@ def main(argv=None) -> int:
         payload, code = args.func(args)
     # ValueError: word syntax and domain errors; RuntimeError: recursion
     # depth, sampling that cannot get off the pole locus and a failed
-    # midpoint certification in thompson.plaut_to_dyadic
-    except (ValueError, RuntimeError) as exc:
+    # midpoint certification in thompson.plaut_to_dyadic; OSError: --input
+    except (ValueError, RuntimeError, OSError) as exc:
+        payload, code = {"error": str(exc)}, 2
+    except ZeroDivisionError as exc:
+        payload, code = {"error": str(exc)}, 1
+    try:
+        _emit(payload, args)
+    except OSError as exc:
+        args.output = None
         _emit({"error": str(exc)}, args)
         return 2
-    except ZeroDivisionError as exc:
-        _emit({"error": str(exc)}, args)
-        return 1
-    _emit(payload, args)
     return code
 
 

@@ -52,6 +52,8 @@ from .plcore import (
     Mat,
     PLAut,
     Vec,
+    _json_int,
+    _json_ints,
     ccw_key,
     cone_index,
     cone_parents,
@@ -215,26 +217,6 @@ class QPoly(Frozen):
 
 Q_ZERO = QPoly()
 Q_ONE = QPoly((1,))
-
-
-# ---------------------------------------------------------------------------
-# integers read from JSON
-
-def _json_int(x, what: str) -> int:
-    """x if it is a JSON integer; floats and bools are refused, since
-    int() would truncate 1.7 to 1 and read true as 1."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError("%s must hold integers, got %r" % (what, x))
-    return x
-
-
-def _json_ints(xs, what: str, length=None) -> list:
-    """xs as a list of JSON integers, of the given length if one is set."""
-    if not isinstance(xs, list) or length not in (None, len(xs)):
-        raise ValueError("%s must be a list of %sintegers, got %r"
-                         % (what, "" if length is None else "%d " % length,
-                            xs))
-    return [_json_int(x, what) for x in xs]
 
 
 # ---------------------------------------------------------------------------

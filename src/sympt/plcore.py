@@ -464,9 +464,8 @@ class PLAut(Frozen):
             raise ValueError("unknown orientation %r" % data.get("orientation"))
         if "linear" in data:
             return PLAut((), (_mat_flat(data["linear"]),))
-        pairs = [
-            (tuple(p["ray"]), _mat_flat(p["matrix"])) for p in data["pieces"]
-        ]
+        pairs = [(tuple(_json_ints(p["ray"], "ray", 2)), _mat_flat(p["matrix"]))
+                 for p in data["pieces"]]
         pairs = [pairs[0]] + pairs[:0:-1]
         return PLAut(tuple(r for r, _ in pairs), tuple(m for _, m in pairs))
 
@@ -476,7 +475,31 @@ def _mat_rows(m: Mat):
 
 
 def _mat_flat(rows) -> Mat:
-    return (rows[0][0], rows[0][1], rows[1][0], rows[1][1])
+    """The 4-tuple of a JSON matrix, a list of two rows of two integers."""
+    if not isinstance(rows, list) or len(rows) != 2:
+        raise ValueError("matrix must be a list of 2 rows, got %r" % (rows,))
+    return tuple(_json_ints(rows[0], "matrix row", 2)
+                 + _json_ints(rows[1], "matrix row", 2))
+
+
+# ---------------------------------------------------------------------------
+# integers read from JSON
+
+def _json_int(x, what: str) -> int:
+    """x if it is a JSON integer; floats and bools are refused, since
+    int() would truncate 1.7 to 1 and read true as 1."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError("%s must hold integers, got %r" % (what, x))
+    return x
+
+
+def _json_ints(xs, what: str, length=None) -> list:
+    """xs as a list of JSON integers, of the given length if one is set."""
+    if not isinstance(xs, list) or length not in (None, len(xs)):
+        raise ValueError("%s must be a list of %sintegers, got %r"
+                         % (what, "" if length is None else "%d " % length,
+                            xs))
+    return [_json_int(x, what) for x in xs]
 
 
 def _canonicalize(rays, mats):

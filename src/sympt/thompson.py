@@ -13,7 +13,8 @@ of those circle maps and the conversions between all three pictures:
   rotation offset matching domain leaves to range leaves.  A tree is the
   flat tuple of its leaf depths, so no step recurses: a pair is reduced in
   one stack pass, composed through a two-pointer common refinement and
-  read off a ``DyadicPL``'s integer breakpoints in one pass.
+  read off a ``DyadicPL``'s breakpoints by ``_leaves``, the one walk that
+  also cuts the circle into the cones of the plane form.
 
 The correspondence sends 0, 1/2, 3/4 to the vectors (1,0), (0,1), (-1,-1)
 and interval midpoints to vector mediants.  On each base cell [lo, hi) with
@@ -563,17 +564,19 @@ def treepair_to_dyadic(tp: TreePair) -> DyadicPL:
         exp, [(dom[i], rng[(tp.rotation + i) % n]) for i in range(n)])
 
 
-def dyadic_to_treepair(d: DyadicPL) -> TreePair:
-    """Reduced tree-pair form, read off the breakpoints in one pass.
+def _leaves(d: DyadicPL, floor=0):
+    """(big, leaves): the maximal standard dyadic intervals of depth at
+    least floor that d sends affinely onto standard intervals of depth at
+    least floor, from 0.  A leaf (x, k, y, s) is [x, x + 2^k) / 2^big
+    going onto [y, y + 2^(k+s)) / 2^big.
 
-    Its leaves are the maximal standard dyadic intervals on which d is
-    affine with a standard image.  Each piece of d, taken from 0, is split
-    from the left into such intervals, largest first; an image aligned to
-    its own length ends by 1, so no leaf straddles d^-1(0).  Points are
-    integers over 2^(exp + S), S the largest |slope exponent|: then every
-    leaf and its image are at least one unit long.
+    Each piece of d, taken from 0, is split from the left into such
+    intervals, largest first; an image aligned to its own length ends by
+    1, so no leaf straddles d^-1(0).  Points are integers over 2^big, big =
+    exp + S + floor with S the largest |slope exponent|: then every leaf
+    and its image are at least one unit long.
     """
-    up = max(abs(s) for s in d._shifts)
+    up = max(abs(s) for s in d._shifts) + floor
     big = d._exp + up
     one = 1 << big
     ts = [t << up for t in d._ts]
@@ -586,20 +589,27 @@ def dyadic_to_treepair(d: DyadicPL) -> TreePair:
         ts.insert(0, 0)
         ys.insert(0, (ys[-1] + (dt << s if s >= 0 else dt >> -s)) % one)
         shifts.insert(0, s)
-    domain, range_ = [], []
-    first = 0
+    leaves = []
     for x, end, y, s in zip(ts, ts[1:] + [one], ys, shifts):
         while x < end:
-            if not y:
-                first = len(domain)
             # x | one: 0 <= x < one, and 0 is aligned up to the whole circle
             k = min(_twos(x | one), _twos(y | one) - s,
-                    (end - x).bit_length() - 1)
-            domain.append(big - k)
-            range_.append(big - k - s)
+                    (end - x).bit_length() - 1, big - floor, big - floor - s)
+            leaves.append((x, k, y, s))
             x += 1 << k
             y = (y + (1 << (k + s))) % one
-    return TreePair(domain, range_[first:] + range_[:first], -first)
+    return big, leaves
+
+
+def dyadic_to_treepair(d: DyadicPL) -> TreePair:
+    """Reduced tree-pair form: the leaves of _leaves(d), which are already
+    the reduced pair's.  The range is turned to start at the leaf going
+    onto 0, and TreePair still checks both trees."""
+    big, leaves = _leaves(d)
+    first = [y for _, _, y, _ in leaves].index(0)
+    range_ = [big - k - s for _, k, _, s in leaves]
+    return TreePair([big - k for _, k, _, _ in leaves],
+                    range_[first:] + range_[:first], -first)
 
 
 def _required_rays(f: PLAut):
@@ -683,36 +693,26 @@ def plaut_to_dyadic(f: PLAut) -> DyadicPL:
 def dyadic_to_plaut(d: DyadicPL) -> PLAut:
     """Plane form of a circle map.
 
-    Each leaf of the reduced tree pair goes affinely onto a standard
-    interval.  A leaf is cut into halves or quarters until it and its
-    image have depth at least 2, which puts each in one base cell: every
-    piece is then a standard interval with a standard image, a unimodular
-    cone that the plane map sends linearly.  The cut points come in
-    increasing order, which is the counterclockwise order of their rays.
-    Each ray is one walk, its image and the image of its cone's mediant
-    are read through d, and plcore.from_cones solves each cone and checks
-    it on the mediant.  The breakpoints of d alone do not suffice: the
-    plane map can bend where the slope of d does not change.
+    The leaves of _leaves(d, 2) have depth at least 2 on both sides, so
+    each is a unimodular cone in one base cell that the plane map sends
+    linearly onto another.  Their starts increase, which is the
+    counterclockwise order of their rays.  Each ray, its image and the
+    image of its cone's mediant (the midpoint of the leaf's image) is one
+    walk, and plcore.from_cones solves each cone and checks it on the
+    mediant.  The breakpoints of d alone do not suffice: the plane map can
+    bend where the slope of d does not change.
 
     Every DyadicPL converts, since its breakpoints are dyadic and its
     slopes powers of two, so nothing is refused here: d's constructor has
     already refused a map that is not a dyadic circle bijection.  A
     failing cone check (ValueError) would be a fault of this conversion.
     """
-    tp = dyadic_to_treepair(d)
-    n = len(tp.domain)
-    exp = max(tp.domain) + 2
-    cuts = []
-    for i, (depth, x) in enumerate(zip(tp.domain,
-                                       _leaf_starts(tp.domain, exp))):
-        split = max(0, 2 - min(depth, tp.range[(tp.rotation + i) % n]))
-        step = 1 << (exp - depth - split)
-        cuts += range(x, x + (step << split), step)
-    # each mediant is the midpoint of its cone, over 2^(exp + 1)
-    mids = [x + y for x, y in zip(cuts, cuts[1:] + [1 << exp])]
-    return from_cones([_pair_to_vector(x, exp) for x in cuts],
-                      [_pair_to_vector(*d._image(x, exp)) for x in cuts],
-                      [_pair_to_vector(*d._image(x, exp + 1)) for x in mids])
+    big, leaves = _leaves(d, 2)
+    return from_cones(
+        [_pair_to_vector(x, big) for x, _, _, _ in leaves],
+        [_pair_to_vector(y, big) for _, _, y, _ in leaves],
+        [_pair_to_vector(2 * y + (1 << (k + s)), big + 1)
+         for _, k, y, s in leaves])
 
 
 def plaut_to_treepair(f: PLAut) -> TreePair:

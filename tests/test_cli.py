@@ -416,6 +416,26 @@ def test_mutate_reads_input_file(tmp_path):
     assert rep["input"] == json.loads(E_VEC)
 
 
+@pytest.mark.parametrize("argv", [
+    ["mutate", "--basis", "wq", "--at", "1,0", "--input", "{tmp}/missing"],
+    ["mutate", "--basis", "wq", "--at", "1,0", "--input", "{tmp}"],
+    ["eval", "--word", "P", "--output", "{tmp}/missing/x.json"],
+    ["mutate", "--basis", "wq", "--at", "1,0", "--vector", '{"terms": [1]}'],
+    ["orbit", "--start", "1/0,2"],
+    ["trop", "--word", "mono:a,1,1,1"],
+    ["quantum", "--word", "P", "--N", "-3"],
+    ["equal", "--lhs", "P", "--rhs", "P", "--backend", "bir",
+     "--prime", "2305843009213693953"],
+])
+def test_malformed_calls_print_one_json_error(argv, tmp_path, capsys):
+    # the only thing that may leave the CLI is one {"error": ...} document
+    code = cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # quantum and orbit
 

@@ -331,6 +331,33 @@ def test_from_json_refuses_an_unknown_orientation():
     assert str(exc.value) == "unknown orientation 'counterclockwise'"
 
 
+def with_piece(key, value):
+    # P's JSON with its first piece's ray or matrix replaced
+    data = P.to_json()
+    data["pieces"][0][key] = value
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"linear": [[1.0, 0], [0, 1]]}, "matrix row must hold integers, got 1.0"),
+    ({"linear": [[1, 0], [0, True]]},
+     "matrix row must hold integers, got True"),
+    ({"linear": [[1, 0, 0], [0, 1]]},
+     "matrix row must be a list of 2 integers, got [1, 0, 0]"),
+    ({"linear": [[1, 0]]}, "matrix must be a list of 2 rows, got [[1, 0]]"),
+    (with_piece("ray", [-1.0, 0]), "ray must hold integers, got -1.0"),
+    (with_piece("ray", [-1, False]), "ray must hold integers, got False"),
+    (with_piece("ray", [-1, 0, 0]),
+     "ray must be a list of 2 integers, got [-1, 0, 0]"),
+    (with_piece("matrix", [[1, 0], [0.5, 1]]),
+     "matrix row must hold integers, got 0.5"),
+])
+def test_from_json_refuses_each_non_integer_shape(data, message):
+    with pytest.raises(ValueError) as exc:
+        PLAut.from_json(data)
+    assert str(exc.value) == message
+
+
 def test_from_function_detects_hidden_break():
     f = P * I * U  # breakpoints off the coordinate axes
     assert f.breakpoints() == ((-1, 1), (1, -1))

@@ -7,9 +7,9 @@ from math import gcd
 import pytest
 
 from sympt import plcore, thompson
-from sympt.plcore import (ccw_key, cone_parents, from_function, generator_pl,
-                          identity_pl, inverse_pl, linear_pl, order_pl,
-                          vec_add, primitive, wedge)
+from sympt.plcore import (ccw_key, cone_parents, from_cones, from_function,
+                          generator_pl, identity_pl, inverse_pl, linear_pl,
+                          order_pl, vec_add, primitive, wedge)
 from sympt.thompson import (
     _BASE_CELLS,
     DyadicPL,
@@ -28,6 +28,7 @@ from sympt.thompson import (
     treepair_to_plaut,
     vector_to_dyadic,
     _leaf_starts,
+    _leaves,
     _pair_to_vector,
     _refined_cells,
     _required_rays,
@@ -506,31 +507,86 @@ def test_plane_form_is_solved_from_ordered_cuts(monkeypatch):
 
 
 def test_plane_form_reads_rays_and_mediants_through_the_map(monkeypatch):
-    # each cut point and then each midpoint of two adjacent cuts is read
-    # through d once; from_cones checks each cone on its midpoint's image
-    read = []
-    image = DyadicPL._image
+    # rays, images and mediant images all come off d's own leaves: no
+    # tree pair is built, no leaf starts are summed and nothing is read
+    # through d; the rays reach from_cones from (1, 0) by increasing cut
+    def refuse(*args, **kwargs):
+        raise AssertionError("dyadic_to_plaut left the leaf walk")
 
-    def counted(self, x, m, odd=1):
-        read.append((x, m))
-        return image(self, x, m, odd)
+    rays = []
+
+    def recorded(rs, images, mediant_images):
+        rays[:] = rs
+        return from_cones(rs, images, mediant_images)
 
     rng = random.Random(37)
     for _ in range(40):
-        d = plaut_to_dyadic(random_plaut(rng, rng.randint(0, 8)))
-        read.clear()
+        g = random_plaut(rng, rng.randint(0, 8))
+        d = plaut_to_dyadic(g)
         with monkeypatch.context() as m:
-            m.setattr(DyadicPL, "_image", counted)
-            dyadic_to_plaut(d)
-        n = len(read) // 2
-        cuts, mids = read[:n], read[n:]
-        exp = cuts[0][1]
-        assert {k for _, k in cuts} == {exp}
-        assert {k for _, k in mids} == {exp + 1}
-        xs = [x for x, _ in cuts]
-        assert xs == sorted(xs) and xs[0] == 0
-        assert [x for x, _ in mids] == [
-            a + b for a, b in zip(xs, xs[1:] + [1 << exp])]
+            m.setattr(TreePair, "__init__", refuse)
+            m.setattr(DyadicPL, "_image", refuse)
+            m.setattr(thompson, "dyadic_to_treepair", refuse)
+            m.setattr(thompson, "_leaf_starts", refuse)
+            m.setattr(thompson, "from_cones", recorded)
+            assert dyadic_to_plaut(d) == g
+        assert rays[0] == (1, 0)
+        cuts = [vector_to_dyadic(r) for r in rays]
+        assert cuts == sorted(set(cuts))
+
+
+def ref_cuts(d):
+    # the former cut rule: the reduced tree pair's leaves, each halved
+    # until it and its image have depth at least 2
+    tp = dyadic_to_treepair(d)
+    n = len(tp.domain)
+    exp = max(tp.domain) + 2
+    cuts = []
+    for i, (depth, x) in enumerate(zip(tp.domain,
+                                       _leaf_starts(tp.domain, exp))):
+        split = max(0, 2 - min(depth, tp.range[(tp.rotation + i) % n]))
+        step = 1 << (exp - depth - split)
+        cuts += range(x, x + (step << split), step)
+    return [F(x, 1 << exp) for x in cuts]
+
+
+def assert_leaves_match_references(f, g):
+    """On the circle forms of f, g and f g, the walk cuts where the former
+    rule cut, and its leaves at floor 0 are a reduced tree pair."""
+    df, dg = plaut_to_dyadic(f), plaut_to_dyadic(g)
+    for d in (df, dg, dyadic_compose(df, dg)):
+        big, leaves = _leaves(d, 2)
+        assert [F(x, 1 << big) for x, _, _, _ in leaves] == ref_cuts(d)
+        big, leaves = _leaves(d)
+        first = [y for _, _, y, _ in leaves].index(0)
+        domain = tuple(big - k for _, k, _, _ in leaves)
+        range_ = tuple(big - k - s for _, k, _, s in leaves)
+        range_ = range_[first:] + range_[:first]
+        tp = TreePair(domain, range_, -first)
+        assert (tp.domain, tp.range, tp.rotation) == (
+            domain, range_, -first % len(domain))
+
+
+def test_leaves_match_references_on_random_words():
+    # the inputs of test_circle_kernels_match_oracles_on_random_words
+    rng = random.Random(211)
+    for _ in range(500):
+        word = random_word(rng, rng.randint(2, 14))
+        cut = rng.randint(1, word.count(" "))
+        letters = word.split()
+        f = evaluate(" ".join(letters[:cut]), "pl")
+        g = evaluate(" ".join(letters[cut:]), "pl")
+        assert_leaves_match_references(f, g)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 12, 25, 64, 100, 255, 1000))
+def test_leaves_match_references_on_powers(n):
+    # the inputs of test_circle_kernels_match_oracles_on_powers
+    u, p = evaluate("U^%d" % n, "pl"), generator_pl("P")
+    conj = evaluate("U^%d P U^-%d" % (n, n), "pl")
+    assert_leaves_match_references(u, inverse_pl(u))
+    assert_leaves_match_references(u * p, inverse_pl(u))
+    assert_leaves_match_references(conj, u)
 
 
 def test_circle_form_walks_only_images_and_mediants(monkeypatch):
