@@ -24,8 +24,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .plcore import (
-    GEN_MATS, Frozen, PLAut, from_function, is_prime, mat_inv, power,
-    primitive)
+    GEN_MATS, Frozen, PLAut, _json_ints, from_function, is_prime, mat_inv,
+    power, primitive)
 from .words import word_inverse, word_length
 
 # primes just above 2^61, 2^61 + 10^6, 2^62, 2^63
@@ -460,7 +460,8 @@ class BirMap(Frozen):
     @staticmethod
     def from_json(data: dict) -> "BirMap":
         def poly(terms) -> LaurentPoly:
-            return LaurentPoly({(int(i), int(j)): int(c) for i, j, c in terms})
+            return LaurentPoly({(i, j): c for i, j, c in (
+                _json_ints(t, "polynomial term", 3) for t in terms)})
 
         return BirMap(
             RationalFn(poly(data["f1"]["num"]), poly(data["f1"]["den"])),

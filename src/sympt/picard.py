@@ -34,9 +34,9 @@ Sign convention: the mutation rule on e_(x,y) with y < 0 carries the
 coefficient -q*y.  That sign is forced by exactness: it is the unique
 choice under which V is invariant and the wedge form is preserved
 exactly in Z[q], and at q = 1 it coincides with the p-basis action.
-The b/e rule list attaches its correction term on the opposite wedge
-sector; cross_basis_report surfaces that mismatch with witnesses
-instead of patching either side.
+The b/e and the p rules agree on the kernel of pi: b_a, p_w -> a, w,
+where be_encode lands, and differ by -wedge(w, v) b_(-v) on one p_w (see
+mu_be_action); cross_basis_report shows that difference with witnesses.
 """
 
 import random
@@ -744,7 +744,9 @@ def sigma_v(w: Vec, v: Vec) -> Vec:
 
 
 def mu_be_action(x: PicVec, v: Vec) -> PicVec:
-    """Mutation at v on b/e terms, by the eight listed rules."""
+    """Mutation at v on b/e terms, by the eight listed rules.  On p
+    symbols, mu_be_action(p_expand(w), v) - p_expand(mu_p_action(w, v)) =
+    -wedge(w, v) b_(-v), so it agrees with the p rule on the kernel of pi."""
     v = _check_primitive(v)
     nv = (-v[0], -v[1])
 
@@ -1133,9 +1135,9 @@ def cross_basis_report(v: Vec = (1, 0), samples: int = 30,
 
     For sampled lattice vectors w the report checks whether the W[q]
     action at q = 1 (read through e_w <-> p_w) and the b/e rule list
-    (through the p-basis expansion) give the p-rule value.  Sign or
-    orientation discrepancies are recorded with witnesses; nothing is
-    patched.
+    (through the p-basis expansion) give the p-rule value.  On one p_w the
+    b/e value is off by -wedge(w, v) b_(-v) (see mu_be_action), so
+    be_matches_p_rule fails exactly off the v-line; nothing is patched.
     """
     if tuple(v) != (1, 0):
         raise ValueError("the W[q] rules are stated at v = (1,0)")

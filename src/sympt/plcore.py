@@ -234,6 +234,18 @@ def dir_less(u: Vec, v: Vec) -> bool:
     return wedge(u, v) > 0
 
 
+def _winds_once(rays) -> bool:
+    """Whether the cyclic list of directions turns once counterclockwise:
+    exactly one step does not advance in the order anchored at (1,0)."""
+    wraps = 0
+    r = rays[-1]
+    for s in rays:
+        if not dir_less(r, s):
+            wraps += 1
+        r = s
+    return wraps == 1
+
+
 def _ccw_cmp(u: Vec, v: Vec) -> int:
     return -1 if dir_less(u, v) else int(dir_less(v, u))
 
@@ -349,16 +361,13 @@ class Fan(Frozen):
         self._init(rays)
         if len(rays) < 3:
             raise ValueError("a fan needs at least 3 rays")
-        wraps = 0
         for i, r in enumerate(rays):
             if primitive(r) != r:
                 raise ValueError("ray %r is not primitive" % (r,))
             s = rays[(i + 1) % len(rays)]
             if wedge(r, s) < 1:
                 raise ValueError("rays %r, %r do not span a positive cone" % (r, s))
-            if not dir_less(r, s):
-                wraps += 1
-        if wraps != 1:
+        if not _winds_once(rays):
             raise ValueError("rays do not wind once counterclockwise")
 
     def subdivide(self, i: int) -> "Fan":
@@ -460,12 +469,20 @@ class PLAut(Frozen):
 
     @staticmethod
     def from_json(data: dict) -> "PLAut":
+        if not isinstance(data, dict):
+            raise ValueError("a PLAut document is a JSON object, got %r" % (data,))
         if data.get("orientation", "clockwise") != "clockwise":
             raise ValueError("unknown orientation %r" % data.get("orientation"))
         if "linear" in data:
             return PLAut((), (_mat_flat(data["linear"]),))
+        pieces = data.get("pieces")
+        if not (isinstance(pieces, list) and pieces and all(
+                isinstance(p, dict) and {"ray", "matrix"} <= p.keys()
+                for p in pieces)):
+            raise ValueError('a PLAut document holds "linear" or non-empty '
+                             '"pieces" with "ray" and "matrix", got %r' % (data,))
         pairs = [(tuple(_json_ints(p["ray"], "ray", 2)), _mat_flat(p["matrix"]))
-                 for p in data["pieces"]]
+                 for p in pieces]
         pairs = [pairs[0]] + pairs[:0:-1]
         return PLAut(tuple(r for r, _ in pairs), tuple(m for _, m in pairs))
 
@@ -530,27 +547,19 @@ def _validate(rays, mats):
     n = len(rays)
     if n == 1:
         raise AssertionError("one breakpoint cannot survive canonicalization")
-    wraps = 0
     for i in range(n):
         r, s = rays[i], rays[(i + 1) % n]
         if primitive(r) != r:
             raise ValueError("ray %r is not primitive" % (r,))
         if r == s:
             raise ValueError("repeated ray %r" % (r,))
-        if not dir_less(r, s):
-            wraps += 1
         # adjacent pieces must agree on the shared ray s
         if mat_apply(mats[i], s) != mat_apply(mats[(i + 1) % n], s):
             raise ValueError("pieces disagree on shared ray %r" % (s,))
-    if wraps != 1:
+    if not _winds_once(rays):
         raise ValueError("breakpoint rays do not wind once counterclockwise")
     # the image rays must again wind once, which makes the map bijective
-    images = [mat_apply(m, r) for r, m in zip(rays, mats)]
-    wraps = 0
-    for i in range(n):
-        if not dir_less(images[i], images[(i + 1) % n]):
-            wraps += 1
-    if wraps != 1:
+    if not _winds_once([mat_apply(m, r) for r, m in zip(rays, mats)]):
         raise ValueError("image rays do not wind once; map is not bijective")
 
 
@@ -710,11 +719,8 @@ def product(factors, mul, identity):
 
 
 def inverse_pl(f: PLAut) -> PLAut:
-    if f.is_linear:
-        return linear_pl(mat_inv(f.mats[0]))
-    rays = tuple(mat_apply(m, r) for r, m in zip(f.rays, f.mats))
-    mats = tuple(mat_inv(m) for m in f.mats)
-    return PLAut(rays, mats)
+    return PLAut([mat_apply(m, r) for r, m in zip(f.rays, f.mats)],
+                 [mat_inv(m) for m in f.mats])
 
 
 def order_pl(f: PLAut, bound: int = 64):

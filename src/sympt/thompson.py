@@ -28,19 +28,20 @@ integer operations.
 Inside the module a circle point is a (numerator, exponent) pair of
 integers, the point n / 2^k: both walks (``_vector_to_pair`` and
 ``_pair_to_vector``), evaluation, composition and the conversions to and
-from the plane rescale such pairs by shifts.  ``Fraction`` appears only at
-the API boundary: ``vector_to_dyadic``, ``dyadic_to_vector``, calling a
-``DyadicPL`` on a number, and its ``points``.
+from the plane rescale such pairs by shifts; the circle is ordered by
+numerators over one power of two, never by plane angle.  ``Fraction`` is
+only at the API boundary: ``vector_to_dyadic``, ``dyadic_to_vector``,
+calling a ``DyadicPL`` on a number, and its ``points``.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 
 from .plcore import (
     Frozen,
     PLAut,
     Vec,
-    ccw_key,
+    _json_ints,
     cone_parents,
     cone_runs,
     from_cones,
@@ -334,16 +335,13 @@ class DyadicPL(Frozen):
 
     @classmethod
     def from_json(cls, data) -> "DyadicPL":
-        """The map of to_json's data, read as integers: each point is a
-        [numerator, log2 of denominator] pair of ints."""
-        pts = [(tuple(px), tuple(py)) for px, py in data["breakpoints"]]
-        for n, k in (pair for pt in pts for pair in pt):
-            for x in (n, k):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(
-                        "dyadic pair entries must be integers, got %r" % (x,))
-            if k < 0:
-                raise ValueError("negative denominator exponent")
+        """The map of to_json's data: each point is a [numerator, log2 of
+        denominator] pair of JSON integers."""
+        pts = [(tuple(_json_ints(px, "dyadic pair", 2)),
+                tuple(_json_ints(py, "dyadic pair", 2)))
+               for px, py in data["breakpoints"]]
+        if any(k < 0 for pt in pts for _, k in pt):
+            raise ValueError("negative denominator exponent")
         return cls._from_ints(*_common_exponent(pts))
 
 
@@ -624,41 +622,29 @@ def _refined_cells(required):
     """Mediant-refine the base cells until required rays are endpoints.
 
     Returns the rays counterclockwise and, for each, its dyadic point
-    (n, k), the point n / 2^k.  A cone is split at its mediant while a
-    required ray lies strictly inside, and the halves are visited in order
-    from an explicit stack, since a descent can be thousands of steps deep.
-    The required rays inside a base cell are sorted counterclockwise, so a
-    cone holds a slice of them and a split bisects the slice at the
-    mediant.  The cone of the interval [x, x + 1) / 2^k splits at the ray
-    of (2x + 1) / 2^(k + 1), so each point comes with its ray, no walk.
+    (n, k), the point n / 2^k, not always in lowest terms.  The circle is
+    ordered by numerators, so the required rays are walked once and sorted
+    as numerators over 2^big.  The cone a, b of [x, x + 1) / 2^k splits at
+    the mediant, the ray of (2x + 1) / 2^(k + 1), while a required point
+    lies strictly inside; a cone left whole emits a and (x, k).  An
+    explicit stack keeps the order, since a descent can be very deep.
     """
+    pairs = [_vector_to_pair(s) for s in required]
+    big = max([2] + [k for _, k in pairs])  # no less than the base cells
+    # 2^big closes the list: no point lies past it
+    nums = sorted(n << (big - k) for n, k in pairs) + [1 << big]
     rays, points = [], []
     for c, e, u, v in _BASE_CELLS:
-        # inside one base cell the order anchored at (1, 0) is the
-        # counterclockwise order from u to v
-        inside = sorted((s for s in required
-                         if wedge(u, s) > 0 and wedge(s, v) > 0),
-                        key=ccw_key)
-        # entries: (ray, point) emits a ray, (u, v, x, k, lo, hi) splits
-        # the cone of [x, x + 1) / 2^k while inside[lo:hi] is not empty
-        stack = [(u, v, c, e, 0, len(inside)), (u, (c, e))]
+        stack = [(u, v, c, e)]
         while stack:
-            entry = stack.pop()
-            if len(entry) == 2:
-                rays.append(entry[0])
-                points.append(entry[1])
-                continue
-            a, b, x, k, lo, hi = entry
-            if lo < hi:
+            a, b, x, k = stack.pop()
+            lo = x << (big - k)
+            if nums[bisect_right(nums, lo)] < lo + (1 << (big - k)):
                 m = vec_add(a, b)
-                x, k = 2 * x, k + 1
-                # rays clockwise of m go left, past m itself they go right
-                i = bisect_left(inside, True, lo, hi,
-                                key=lambda s: wedge(s, m) <= 0)
-                j = bisect_left(inside, True, i, hi,
-                                key=lambda s: wedge(s, m) < 0)
-                stack += [(m, b, x + 1, k, j, hi), (m, (x + 1, k)),
-                          (a, m, x, k, lo, i)]
+                stack += [(m, b, 2 * x + 1, k + 1), (a, m, 2 * x, k + 1)]
+            else:
+                rays.append(a)
+                points.append((x, k))
     return rays, points
 
 

@@ -1,6 +1,7 @@
 """Birational layer: exact composition, the symplectic form, randomized word
 equality, orbits, and tropicalization."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -477,6 +478,24 @@ def test_kernel_probe_pic7():
 
 # ---------------------------------------------------------------------------
 # tropicalization
+
+
+def test_json_refuses_non_integer_terms():
+    g = generator_bir("P")
+    assert BirMap.from_json(json.loads(json.dumps(g.to_json()))) == g
+    # int() would read 1.7 as 1 and true as 1
+    for bad in (1.7, True):
+        for slot in (0, 2):  # an exponent and a coefficient
+            data = g.to_json()
+            data["f1"]["num"][0][slot] = bad
+            with pytest.raises(ValueError) as exc:
+                BirMap.from_json(data)
+            assert str(exc.value) == (
+                "polynomial term must hold integers, got %r" % (bad,))
+    data = g.to_json()
+    data["f2"]["den"][0].append(0)
+    with pytest.raises(ValueError, match="must be a list of 3 integers"):
+        BirMap.from_json(data)
 
 
 def test_tropicalize_generators():

@@ -43,7 +43,8 @@ from sympt.picard import (
     word_operator,
     zero_breakfn,
 )
-from sympt.plcore import GEN_MATS, mat_apply, mat_inv, mat_mul, primitive, wedge
+from sympt.plcore import (GEN_MATS, generator_pl, inverse_pl, mat_apply,
+                          mat_inv, mat_mul, primitive, wedge)
 
 Q = QPoly((0, 1))
 ONE_MINUS_Q = QPoly((1, -1))
@@ -556,6 +557,45 @@ def test_mu_be_matches_p_rule_on_collinear_vectors():
             for key, c in mu_p_action(w, v).terms.items():
                 expected = expected + c * p_expand(key[1])
             assert via_be == expected
+
+
+def expand_p_symbols(x):
+    # a vector of p symbols in the b/e basis, by p_expand
+    out = PicVec()
+    for key, c in x.terms.items():
+        out = out + c * p_expand(key[1])
+    return out
+
+
+def test_be_and_p_rules_differ_by_the_wedge_term():
+    # on one p symbol the b/e rules and the p rule differ by
+    # -wedge(w, v) b_{-v}; on x that is -wedge(pi(x), v) b_{-v}, which
+    # vanishes on the kernel of pi, where be_encode lands
+    v, nv = (1, 0), (-1, 0)
+    ws = [(a, b) for a in range(-9, 10) for b in range(-9, 10)
+          if (a, b) != (0, 0)]
+    assert len(ws) == 360
+    for w in ws:
+        diff = (mu_be_action(p_expand(w), v)
+                - expand_p_symbols(mu_p_action(w, v)))
+        assert diff == -wedge(w, v) * b_vec(nv), w
+
+
+def test_be_encode_intertwines_mu_on_functions_linear_at_v():
+    # be_encode(F o mu^-1) = mu_be_action(be_encode(F), v) for F that do
+    # not break at +-v, with mu the PL map of the b/e rules
+    v, nv = (1, 0), (-1, 0)
+    mu_inv = inverse_pl(generator_pl("mu"))
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(400):
+        F = rand_breakfn(rng)
+        if F.indexes().get(v) or F.indexes().get(nv):
+            continue
+        checked += 1
+        assert (be_encode(compose_breakfn(F, mu_inv))
+                == mu_be_action(be_encode(F), v)), F
+    assert checked >= 150
 
 
 def test_cross_basis_report_structure():

@@ -338,6 +338,17 @@ def with_piece(key, value):
     return data
 
 
+def without_key(key):
+    # P's JSON with its first piece's ray or matrix left out
+    data = P.to_json()
+    del data["pieces"][0][key]
+    return data
+
+
+SHAPE = ('a PLAut document holds "linear" or non-empty "pieces" with "ray" '
+         'and "matrix", got %r')
+
+
 @pytest.mark.parametrize("data, message", [
     ({"linear": [[1.0, 0], [0, 1]]}, "matrix row must hold integers, got 1.0"),
     ({"linear": [[1, 0], [0, True]]},
@@ -351,6 +362,13 @@ def with_piece(key, value):
      "ray must be a list of 2 integers, got [-1, 0, 0]"),
     (with_piece("matrix", [[1, 0], [0.5, 1]]),
      "matrix row must hold integers, got 0.5"),
+    # malformed documents
+    ({}, SHAPE % ({},)),
+    ({"pieces": []}, SHAPE % ({"pieces": []},)),
+    (without_key("ray"), SHAPE % (without_key("ray"),)),
+    (without_key("matrix"), SHAPE % (without_key("matrix"),)),
+    ([], "a PLAut document is a JSON object, got []"),
+    ("P", "a PLAut document is a JSON object, got 'P'"),
 ])
 def test_from_json_refuses_each_non_integer_shape(data, message):
     with pytest.raises(ValueError) as exc:

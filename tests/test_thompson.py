@@ -363,8 +363,10 @@ def test_refined_cells_match_filtering_reference():
         required = {primitive(v) for v in vecs if v != (0, 0)}
         rays, points = _refined_cells(required)
         assert rays == ref_refined_cells(required)
-        # each ray carries its dyadic point down the descent
-        assert points == [_vector_to_pair(r) for r in rays]
+        # each ray carries its dyadic point down the descent; the points
+        # may be unreduced, so they are compared by value
+        assert ([F(n, 2 ** k) for n, k in points]
+                == [vector_to_dyadic(r) for r in rays])
 
 
 # The circle kernels before they walked in circle order, kept as oracles:
@@ -596,10 +598,13 @@ def test_circle_form_walks_only_images_and_mediants(monkeypatch):
         walked.append(w)
         return _vector_to_pair(w)
 
+    # the refinement walks each required ray once to order the circle by
+    # numerators; after it only images and mediants are walked
     rng = random.Random(31)
     for _ in range(40):
         g = random_plaut(rng, rng.randint(0, 8))
-        rays, _ = _refined_cells(_required_rays(g))
+        required = _required_rays(g)
+        rays, _ = _refined_cells(required)
         images = [g(r) for r in rays]
         mediants = [primitive(vec_add(w, images[(i + 1) % len(images)]))
                     for i, w in enumerate(images)]
@@ -607,7 +612,9 @@ def test_circle_form_walks_only_images_and_mediants(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(thompson, "_vector_to_pair", counted)
             plaut_to_dyadic(g)
-        assert walked == images + mediants
+        n = len(required)
+        assert len(walked[:n]) == n and set(walked[:n]) == required
+        assert walked[n:] == images + mediants
 
 
 def test_dyadic_conversion_is_homomorphic():
@@ -1024,9 +1031,9 @@ def test_json_refuses_malformed_pairs():
     good = [[0, 0], [3, 2]]
     for bad, match in (([[1, -1], [3, 2]], "negative denominator"),
                        ([[1, 2], [3, -4]], "negative denominator"),
-                       ([[1, 2], [None, 2]], "must be integers"),
-                       ([[1, 2], [3, 2.0]], "must be integers"),
-                       ([[False, 2], [3, 2]], "must be integers")):
+                       ([[1, 2], [None, 2]], "dyadic pair must hold integers"),
+                       ([[1, 2], [3, 2.0]], "dyadic pair must hold integers"),
+                       ([[False, 2], [3, 2]], "dyadic pair must hold integers")):
         with pytest.raises(ValueError, match=match):
             DyadicPL.from_json({"breakpoints": [good, bad]})
     for bad in ([[1, 2, 3], [3, 2]], [[1], [3, 2]], [[1, 2]]):
