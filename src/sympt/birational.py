@@ -24,8 +24,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .plcore import (
-    GEN_MATS, Frozen, PLAut, _json_ints, from_function, is_prime, mat_inv,
-    power, primitive)
+    GEN_MATS, Frozen, PLAut, _json_ints, _json_list, _json_object,
+    from_function, is_prime, mat_inv, power, primitive)
 from .words import word_inverse, word_length
 
 # primes just above 2^61, 2^61 + 10^6, 2^62, 2^63
@@ -153,16 +153,6 @@ class RationalFn(Frozen):
         if not isinstance(other, RationalFn):
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return self + RationalFn(-other.num, other.den)
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.num, self.den * other.den)
 
     def __repr__(self):
         if self.den == ONE:
@@ -461,11 +451,15 @@ class BirMap(Frozen):
     def from_json(data: dict) -> "BirMap":
         def poly(terms) -> LaurentPoly:
             return LaurentPoly({(i, j): c for i, j, c in (
-                _json_ints(t, "polynomial term", 3) for t in terms)})
+                _json_ints(t, "polynomial term", 3)
+                for t in _json_list(terms, "polynomial", of="terms"))})
 
-        return BirMap(
-            RationalFn(poly(data["f1"]["num"]), poly(data["f1"]["den"])),
-            RationalFn(poly(data["f2"]["num"]), poly(data["f2"]["den"])))
+        def fraction(part) -> RationalFn:
+            return RationalFn(*map(poly, _json_object(
+                part, "rational function", ("num", "den"))))
+
+        return BirMap(*map(fraction, _json_object(data, "BirMap",
+                                                  ("f1", "f2"))))
 
 
 def identity_bir() -> BirMap:
@@ -541,26 +535,20 @@ def compose_bir(f: BirMap, g: BirMap) -> BirMap:
 
 
 def is_symplectic(f: BirMap) -> bool:
-    """Does f preserve dx∧dy/(xy)?  Exact: checks x y det J = f1 f2."""
-    f1, f2 = f.f1, f.f2
-    d1, d2 = f1.den, f2.den
+    """Does f preserve dx∧dy/(xy)?  Exact: f does when x y det J = f1 f2.
 
-    def partial(num, den, ddx):
-        if ddx:
-            n, d = num.dx() * den - num * den.dx(), den * den
-        else:
-            n, d = num.dy() * den - num * den.dy(), den * den
-        if not n:
-            return RationalFn(ZERO)
-        return RationalFn(*reduce_fraction(n, d))
-
-    f1x = partial(f1.num, d1, True)
-    f1y = partial(f1.num, d1, False)
-    f2x = partial(f2.num, d2, True)
-    f2y = partial(f2.num, d2, False)
-    det = f1x * f2y - f1y * f2x
-    lhs = RationalFn(X * Y) * det
-    return lhs == f1 * f2
+    With fi = ni / di the quotient rule gives the partials of f1 as a / d1^2
+    and b / d1^2, a = n1_x d1 - n1 d1_x and b = n1_y d1 - n1 d1_y, and those
+    of f2 as c / d2^2 and e / d2^2 likewise.  So det J = (a e - b c) /
+    (d1 d2)^2, and clearing the nonzero (d1 d2)^2 leaves one identity of
+    Laurent polynomials, x y (a e - b c) = n1 n2 d1 d2: no division, no gcd.
+    """
+    (n1, d1), (n2, d2) = (f.f1.num, f.f1.den), (f.f2.num, f.f2.den)
+    a = n1.dx() * d1 - n1 * d1.dx()
+    b = n1.dy() * d1 - n1 * d1.dy()
+    c = n2.dx() * d2 - n2 * d2.dx()
+    e = n2.dy() * d2 - n2 * d2.dy()
+    return (a * e - b * c).shift(1, 1) == n1 * n2 * d1 * d2
 
 
 # ---------------------------------------------------------------------------

@@ -173,19 +173,14 @@ def cmd_trop(args):
     return birational.tropicalize(total).to_json(), 0
 
 
-# circle model -> the name of its form in the thompson converters
-_FORMS = {"pl": "plaut", "tree": "treepair", "dyadic": "dyadic"}
-
-
 def cmd_convert(args):
     from . import thompson
 
-    src = args.via
-    dst = args.to
+    src, dst = args.via, args.to
     value = words.evaluate(args.word, src)
     if src != dst:
-        value = getattr(thompson, "%s_to_%s" % (_FORMS[src], _FORMS[dst]))(
-            value)
+        forms = words.FORMS
+        value = getattr(thompson, "%s_to_%s" % (forms[src], forms[dst]))(value)
     return {"word": args.word, "from": src, "to": dst,
             "element": value.to_json()}, 0
 

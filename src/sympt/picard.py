@@ -1129,9 +1129,9 @@ def word_acts_as_identity(word, nvectors: int = 20, seed: int = 0) -> dict:
     }
 
 
-def cross_basis_report(v: Vec = (1, 0), samples: int = 30,
-                       seed: int = 0) -> dict:
-    """Compare the three mutation pictures on p symbols.
+def cross_basis_report(samples: int = 30, seed: int = 0) -> dict:
+    """Compare the three mutation pictures on p symbols at v = (1, 0),
+    the one direction at which the W[q] rules are stated.
 
     For sampled lattice vectors w the report checks whether the W[q]
     action at q = 1 (read through e_w <-> p_w) and the b/e rule list
@@ -1139,8 +1139,7 @@ def cross_basis_report(v: Vec = (1, 0), samples: int = 30,
     b/e value is off by -wedge(w, v) b_(-v) (see mu_be_action), so
     be_matches_p_rule fails exactly off the v-line; nothing is patched.
     """
-    if tuple(v) != (1, 0):
-        raise ValueError("the W[q] rules are stated at v = (1,0)")
+    v = (1, 0)
     rng = random.Random(seed)
     entries = []
     mismatches = 0

@@ -469,8 +469,7 @@ class PLAut(Frozen):
 
     @staticmethod
     def from_json(data: dict) -> "PLAut":
-        if not isinstance(data, dict):
-            raise ValueError("a PLAut document is a JSON object, got %r" % (data,))
+        _json_object(data, "PLAut")
         if data.get("orientation", "clockwise") != "clockwise":
             raise ValueError("unknown orientation %r" % data.get("orientation"))
         if "linear" in data:
@@ -493,14 +492,25 @@ def _mat_rows(m: Mat):
 
 def _mat_flat(rows) -> Mat:
     """The 4-tuple of a JSON matrix, a list of two rows of two integers."""
-    if not isinstance(rows, list) or len(rows) != 2:
-        raise ValueError("matrix must be a list of 2 rows, got %r" % (rows,))
-    return tuple(_json_ints(rows[0], "matrix row", 2)
-                 + _json_ints(rows[1], "matrix row", 2))
+    top, bottom = _json_list(rows, "matrix", 2, "rows")
+    return tuple(_json_ints(top, "matrix row", 2)
+                 + _json_ints(bottom, "matrix row", 2))
 
 
 # ---------------------------------------------------------------------------
-# integers read from JSON
+# values read from JSON
+
+def _json_object(data, what: str, keys=()) -> list:
+    """The values of keys in data, which must be a JSON object that holds
+    every one of them."""
+    if not isinstance(data, dict):
+        raise ValueError("a %s document is a JSON object, got %r"
+                         % (what, data))
+    if not all(k in data for k in keys):
+        raise ValueError("a %s document holds the keys %s, got %r"
+                         % (what, ", ".join(keys), data))
+    return [data[k] for k in keys]
+
 
 def _json_int(x, what: str) -> int:
     """x if it is a JSON integer; floats and bools are refused, since
@@ -510,13 +520,19 @@ def _json_int(x, what: str) -> int:
     return x
 
 
+def _json_list(xs, what: str, length=None, of="entries") -> list:
+    """xs if it is a JSON list, of the given length if one is set."""
+    if not isinstance(xs, list) or length not in (None, len(xs)):
+        raise ValueError("%s must be a list of %s%s, got %r"
+                         % (what, "" if length is None else "%d " % length,
+                            of, xs))
+    return xs
+
+
 def _json_ints(xs, what: str, length=None) -> list:
     """xs as a list of JSON integers, of the given length if one is set."""
-    if not isinstance(xs, list) or length not in (None, len(xs)):
-        raise ValueError("%s must be a list of %sintegers, got %r"
-                         % (what, "" if length is None else "%d " % length,
-                            xs))
-    return [_json_int(x, what) for x in xs]
+    return [_json_int(x, what)
+            for x in _json_list(xs, what, length, "integers")]
 
 
 def _canonicalize(rays, mats):
@@ -527,6 +543,8 @@ def _canonicalize(rays, mats):
     if len(rays) != len(mats):
         raise ValueError("rays and mats must have equal length")
     n = len(rays)
+    if n == 1:
+        raise ValueError("one breakpoint ray %r bounds no cone" % (rays[0],))
     keep_r, keep_m = [], []
     for i in range(n):
         if mats[i] != mats[i - 1]:
@@ -545,8 +563,6 @@ def _validate(rays, mats):
     if not rays:
         return
     n = len(rays)
-    if n == 1:
-        raise AssertionError("one breakpoint cannot survive canonicalization")
     for i in range(n):
         r, s = rays[i], rays[(i + 1) % n]
         if primitive(r) != r:

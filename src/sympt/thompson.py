@@ -42,6 +42,8 @@ from .plcore import (
     PLAut,
     Vec,
     _json_ints,
+    _json_list,
+    _json_object,
     cone_parents,
     cone_runs,
     from_cones,
@@ -337,9 +339,10 @@ class DyadicPL(Frozen):
     def from_json(cls, data) -> "DyadicPL":
         """The map of to_json's data: each point is a [numerator, log2 of
         denominator] pair of JSON integers."""
-        pts = [(tuple(_json_ints(px, "dyadic pair", 2)),
-                tuple(_json_ints(py, "dyadic pair", 2)))
-               for px, py in data["breakpoints"]]
+        (breakpoints,) = _json_object(data, "DyadicPL", ("breakpoints",))
+        pts = [tuple(tuple(_json_ints(p, "dyadic pair", 2))
+                     for p in _json_list(bp, "breakpoint", 2, "points"))
+               for bp in _json_list(breakpoints, "breakpoints", of="pairs")]
         if any(k < 0 for pt in pts for _, k in pt):
             raise ValueError("negative denominator exponent")
         return cls._from_ints(*_common_exponent(pts))
@@ -502,7 +505,8 @@ class TreePair(Frozen):
 
     @classmethod
     def from_json(cls, data) -> "TreePair":
-        return cls(data["domain"], data["range"], data["rotation"])
+        return cls(*_json_object(data, "TreePair",
+                                 ("domain", "range", "rotation")))
 
 
 def treepair_identity() -> TreePair:

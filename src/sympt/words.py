@@ -21,7 +21,10 @@ Every reader of EXPANSIONS goes through one fold, _fold, over a _Ring: one
 ring per model, and the free group on the target letters, in which _core
 and expand spell a word over {P, C, I} or {P, C}, freely reduced.  The fold
 raises each factor by repeated squaring (plcore.power) and multiplies the
-factors in a balanced tree (plcore.product).
+factors in a balanced tree (plcore.product).  A ring's atoms are its model's
+values of the core letters alone, so every derived symbol, A and B included,
+folds from EXPANSIONS.  tree and dyadic share _circle_ring, whose atoms are
+the circle forms of P, C and I; FORMS names each model's form in thompson.
 
 BACKENDS is the one table of models, keyed by name.  Each entry says how to
 evaluate a word; the randomized models (bir, picard, quantum) also say how to
@@ -206,31 +209,20 @@ def _pl_ring():
         plcore.identity_pl(), lambda a, b: a * b)
 
 
+# circle model -> its form in thompson, as named in the converters
+# <form>_to_<form> and, for tree and dyadic, <form>_identity and _compose
+FORMS = {"pl": "plaut", "tree": "treepair", "dyadic": "dyadic"}
+
+
 @functools.cache
-def _tree_ring():
+def _circle_ring(model: str):
     th = _module("thompson")
+    form = FORMS[model]
     return _Ring(
-        lambda s, sign: th.plaut_to_treepair(_pl_ring().value(s, 1))
+        lambda s, sign: getattr(th, "plaut_to_" + form)(_pl_ring().value(s, 1))
         if s in CORE and sign > 0 else None,
-        th.treepair_identity(), lambda a, b: th.treepair_compose(a, b))
-
-
-@functools.cache
-def _dyadic_ring():
-    th = _module("thompson")
-
-    def atom(s, sign):
-        if sign < 0:
-            return None
-        if s in CORE:
-            return th.plaut_to_dyadic(_pl_ring().value(s, 1))
-        # A and B fold as the native CFP elements (equal to their expansions)
-        if s in ("A", "B"):
-            return th.cfp_generators()["AB".index(s)]
-        return None
-
-    return _Ring(atom, th.dyadic_identity(),
-                 lambda a, b: th.dyadic_compose(a, b))
+        getattr(th, form + "_identity")(),
+        lambda a, b: getattr(th, form + "_compose")(a, b))
 
 
 @functools.cache
@@ -245,8 +237,8 @@ def _bir_ring():
         bir.identity_bir(), lambda f, g: bir.compose_bir(f, g))
 
 
-def _exact(ring):
-    return lambda word, params: _fold(word, ring())
+def _exact(ring, *args):
+    return lambda word, params: _fold(word, ring(*args))
 
 
 def _bir_value(word, params):
@@ -283,8 +275,8 @@ class Backend(namedtuple("Backend",
 
 BACKENDS = {
     "pl": Backend(_exact(_pl_ring)),
-    "tree": Backend(_exact(_tree_ring)),
-    "dyadic": Backend(_exact(_dyadic_ring)),
+    "tree": Backend(_exact(_circle_ring, "tree")),
+    "dyadic": Backend(_exact(_circle_ring, "dyadic")),
     "bir": Backend(
         _bir_value,
         _sampled("birational", "word_equals_identity", "equal"),

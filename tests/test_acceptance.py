@@ -106,7 +106,9 @@ def test_criterion_03_alternative_presentations():
             assert run["ok"], run
         run = words.check_suite("consequences", backend="dyadic")
         assert run["ok"], run
-        # the dyadic backend folds A and B as native circle maps
+        # two independent routes to A and B: the dyadic backend folds
+        # their expansions from the circle forms of P, C and I, while
+        # cfp_generators multiplies them in the plane and converts
         a, b, _ = thompson.cfp_generators()
         assert a == words.evaluate("A", "dyadic")
         assert b == words.evaluate("B", "dyadic")

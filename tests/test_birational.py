@@ -279,6 +279,13 @@ def test_random_words_are_symplectic():
 def test_symplectic_counterexamples():
     assert not is_symplectic(BirMap(RationalFn(X), RationalFn(Y * Y)))
     assert not is_symplectic(BirMap(RationalFn(X), RationalFn(ONE + Y)))
+    # with denominators, which the check clears rather than cancels
+    assert not is_symplectic(BirMap(RationalFn(X, ONE + Y),
+                                    RationalFn(Y * Y)))
+    assert not is_symplectic(BirMap(RationalFn(X * (ONE + X), ONE + Y),
+                                    RationalFn(Y, ONE + X)))
+    assert not is_symplectic(BirMap(RationalFn(Y, ONE + X),
+                                    RationalFn(X, ONE + Y)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +503,20 @@ def test_json_refuses_non_integer_terms():
     data["f2"]["den"][0].append(0)
     with pytest.raises(ValueError, match="must be a list of 3 integers"):
         BirMap.from_json(data)
+
+
+@pytest.mark.parametrize("data, message", [
+    ("P", "a BirMap document is a JSON object, got 'P'"),
+    ({"f1": P.to_json()["f1"]},
+     "a BirMap document holds the keys f1, f2, got %r"
+     % ({"f1": P.to_json()["f1"]},)),
+    ({**P.to_json(), "f2": {"num": 5, "den": [[0, 0, 1]]}},
+     "polynomial must be a list of terms, got 5"),
+], ids=["not-object", "missing-key", "non-list"])
+def test_from_json_refuses_a_malformed_document(data, message):
+    with pytest.raises(ValueError) as exc:
+        BirMap.from_json(data)
+    assert str(exc.value) == message
 
 
 def test_tropicalize_generators():

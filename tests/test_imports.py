@@ -1,7 +1,8 @@
 """Every name a sympt module imports is read in that module, so an import
 left behind when the code that used it is deleted fails here.  A name the
 module lists in __all__ is a re-export and counts as read; __future__
-imports bind no name."""
+imports bind no name.  Likewise every private function or class defined at
+the top of a module is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,37 @@ def test_the_check_sees_an_unread_import():
               "__all__ = ['wedge']\n"
               "print(gcd(4, 6))\n")
     assert unread_imports(source) == [(2, "os"), (3, "root")]
+
+
+def unread_private_defs(sources: dict) -> list:
+    """(module, name) of each module-level private function or class that
+    no module of sources (name -> text) reads, as a name or an attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return [(name, node.name) for name, tree in sorted(trees.items())
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and node.name not in read]
+
+
+def test_every_private_def_is_read():
+    assert unread_private_defs({p.name: p.read_text(encoding="utf-8")
+                                for p in SRC.glob("*.py")}) == []
+
+
+def test_the_check_sees_an_unread_private_def():
+    sources = {"a.py": ("import functools\n"
+                        "def _used(): pass\n"
+                        "@functools.cache\n"
+                        "def _stale_ring(): pass\n"
+                        "class _Kept: pass\n"
+                        "def __getattr__(name): pass\n"),
+               "b.py": "from .a import _Kept\nprint(_Kept, a._used)\n"}
+    assert unread_private_defs(sources) == [("a.py", "_stale_ring")]

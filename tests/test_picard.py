@@ -615,8 +615,6 @@ def test_cross_basis_report_structure():
             assert "witness" in s
     assert rep["mismatches"] == sum(
         1 for s in rep["samples"] if not s["be_matches_p_rule"])
-    with pytest.raises(ValueError):
-        cross_basis_report(v=(0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -315,8 +315,9 @@ _SHEAR = (1, 1, 0, 1)  # fixes the x axis
      "image rays do not wind once; map is not bijective"),
     (((1, 0), (-1, 0)), (MAT_ID,), "rays and mats must have equal length"),
     ((), (MAT_ID, MAT_ID), "linear element must carry exactly one matrix"),
+    (((1, 0),), (_SHEAR,), "one breakpoint ray (1, 0) bounds no cone"),
 ], ids=["non-primitive", "repeated", "winds-twice", "images-wind-twice",
-        "unequal-lengths", "linear-two-matrices"])
+        "unequal-lengths", "linear-two-matrices", "one-ray"])
 def test_constructor_refuses_each_malformed_element(rays, mats, message):
     with pytest.raises(ValueError) as exc:
         PLAut(rays, mats)
@@ -345,6 +346,13 @@ def without_key(key):
     return data
 
 
+def first_piece_only():
+    # P's JSON cut down to its first piece, one ray and one matrix
+    data = P.to_json()
+    del data["pieces"][1:]
+    return data
+
+
 SHAPE = ('a PLAut document holds "linear" or non-empty "pieces" with "ray" '
          'and "matrix", got %r')
 
@@ -369,6 +377,7 @@ SHAPE = ('a PLAut document holds "linear" or non-empty "pieces" with "ray" '
     (without_key("matrix"), SHAPE % (without_key("matrix"),)),
     ([], "a PLAut document is a JSON object, got []"),
     ("P", "a PLAut document is a JSON object, got 'P'"),
+    (first_piece_only(), "one breakpoint ray (-1, 0) bounds no cone"),
 ])
 def test_from_json_refuses_each_non_integer_shape(data, message):
     with pytest.raises(ValueError) as exc:

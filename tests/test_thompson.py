@@ -1047,6 +1047,26 @@ def test_json_refuses_malformed_pairs():
         DyadicPL.from_json({"breakpoints": []})
 
 
+@pytest.mark.parametrize("cls, data, message", [
+    (DyadicPL, [], "a DyadicPL document is a JSON object, got []"),
+    (DyadicPL, {}, "a DyadicPL document holds the keys breakpoints, got {}"),
+    (DyadicPL, {"breakpoints": [5]},
+     "breakpoint must be a list of 2 points, got 5"),
+    (TreePair, 3, "a TreePair document is a JSON object, got 3"),
+    (TreePair, {"domain": [0], "range": [0]},
+     "a TreePair document holds the keys domain, range, rotation, got "
+     "{'domain': [0], 'range': [0]}"),
+    (TreePair, {"domain": 0, "range": [0], "rotation": 0},
+     "a tree is a non-empty list of its leaf depths, non-negative "
+     "integers, e.g. [2, 2, 1]"),
+], ids=["dyadic-not-object", "dyadic-missing-key", "dyadic-non-list",
+        "tree-not-object", "tree-missing-key", "tree-non-list"])
+def test_from_json_refuses_a_malformed_document(cls, data, message):
+    with pytest.raises(ValueError) as exc:
+        cls.from_json(data)
+    assert str(exc.value) == message
+
+
 def test_backends_agree_with_plane_model():
     rng = random.Random(47)
     letters = ("P", "C", "I", "U", "mu", "L", "R")

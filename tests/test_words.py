@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sympt import birational, plcore, thompson
+from sympt import birational, plcore, thompson, words
 from sympt.words import (
     ALPHABET,
     BACKENDS,
@@ -350,3 +350,22 @@ def test_powers_fold_by_squaring():
     # repeated squaring of the derived symbol R, then a balanced product
     assert evaluate("R^7 U^3", "tree") == flat_product(
         parse_word("R^7 U^3"), "tree")
+
+
+def test_circle_models_fold_without_the_plane_product(monkeypatch):
+    # a tree or dyadic value is a product of circle forms of P, C and I,
+    # so no suite word, A and B included, goes through compose_pl
+    def refuse(f, g):
+        raise AssertionError("compose_pl reached")
+
+    rings = (words._circle_ring, words._pl_ring)
+    for ring in rings:
+        ring.cache_clear()
+    monkeypatch.setattr(plcore, "compose_pl", refuse)
+    try:
+        for suite in list_suites():
+            for backend in ("tree", "dyadic"):
+                assert check_suite(suite, backend)["ok"], (suite, backend)
+    finally:
+        for ring in rings:
+            ring.cache_clear()
