@@ -450,9 +450,13 @@ class BirMap(Frozen):
     @staticmethod
     def from_json(data: dict) -> "BirMap":
         def poly(terms) -> LaurentPoly:
-            return LaurentPoly({(i, j): c for i, j, c in (
-                _json_ints(t, "polynomial term", 3)
-                for t in _json_list(terms, "polynomial", of="terms"))})
+            rows = [_json_ints(t, "polynomial term", 3)
+                    for t in _json_list(terms, "polynomial", of="terms")]
+            coeffs = {(i, j): c for i, j, c in rows}
+            if len(coeffs) < len(rows):
+                raise ValueError("polynomial repeats an exponent pair, got %r"
+                                 % (terms,))
+            return LaurentPoly(coeffs)
 
         def fraction(part) -> RationalFn:
             return RationalFn(*map(poly, _json_object(

@@ -22,11 +22,13 @@ Each substitution preserves the commutation rule exactly (an algebraic
 identity, re-checked by the tests), so a relation word can be probed by
 applying it to random nonsingular pairs and comparing with the input.
 
-A word is applied by one kernel, `apply_word`, which carries X, X^-1, Y and
-Y^-1 through the word, each as a scalar times a matrix, so every factor q
-or q^-1 costs one modular multiply.  I and I^-1 only relabel the four; C
-and C^-1 take one product, or two when both inverses are known; P is one
-product z = x^-1 (1 + y) and one inversion, giving y' = q z and
+A word is applied by one kernel, `_apply_packed`, which takes and returns a
+pair of packed matrices (below); `apply_word` packs a `QPair` for it and
+unpacks the result.  The kernel carries X, X^-1, Y and Y^-1 through the
+word, each as a scalar times a matrix, so every factor q or q^-1 costs one
+modular multiply.  I and I^-1 only relabel the four; C and C^-1 take one
+product, or two when both inverses are known; P is one product
+z = x^-1 (1 + y) and one inversion, giving y' = q z and
 y'^-1 = q^-1 z^-1 (P^-1 likewise, with z = (1 + x) y^-1).  z is singular
 exactly when 1 + y is; odd N keeps 1 + shift invertible, but a few letters
 on, singularity depends on the scalars, so callers resample them.  An
@@ -57,6 +59,14 @@ t bits, which LOW clears.  Write m p = 2^t + e with 0 <= e < p and
 v = a p + r with r < p: then v m / 2^t = a + (r + v e / 2^t) / p, and
 v e < V p < 2^t keeps r + v e / 2^t below p.  So the floor is a, and the
 step leaves r = v mod p in every slot, with no borrow between slots.
+
+A sampled check stays packed from the draw to the verdict (`_trials`).  The
+packed clock and shift are built once per configuration.  Each trial draws
+lx, then ly, from [1, p), and its pair is reduce(lx clock) and
+reduce(ly shift), the slots of `clock_shift(cfg, lx, ly)`.  Input and
+output are compared as packed ints, which is exact because both have
+canonical slots.  Only a witness and the value `evaluate_word` reports are
+unpacked into JSON.
 
 A matrix is inverted by its N-th power.  If u v = q v u then
 v u^N = q^-N u^N v = u^N v, so u^N commutes with u and v.  For q of exact
@@ -186,10 +196,12 @@ class _Packed:
 
     def mul(self, a: int, b: int) -> int:
         """a b mod p: column k of a times row k of b puts a_ik b_kj in
-        slot (i, j), for each k."""
+        slot (i, j), for each k; then `reduce`, inlined."""
         col0, row0 = self.col0, self.row0
-        return self.reduce(sum([(a >> i & col0) * (b >> j & row0)
-                                for i, j in self.steps]))
+        v = 0
+        for i, j in self.steps:
+            v += (a >> i & col0) * (b >> j & row0)
+        return v - ((v * self.m >> self.t) & self.low) * self.p
 
     def inv(self, a: int) -> tuple[int, int]:
         """(c, r) with a r = c 1 and c != 0 mod p, so a^-1 = r / c.
@@ -332,7 +344,16 @@ def q_apply_inverse(name: str, pair: QPair, cfg: QConfig) -> QPair:
 
 
 def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
-    """Apply a word over {P, C, I}, rightmost factor first.
+    """Apply a word over {P, C, I}, rightmost factor first: `_apply_packed`
+    on the packed pair, unpacked."""
+    packed = _packed(cfg.N, cfg.p)
+    x, y = _apply_packed(word, packed.pack(pair.X), packed.pack(pair.Y), cfg)
+    return QPair(packed.unpack(x), packed.unpack(y))
+
+
+def _apply_packed(word, x: int, y: int, cfg: QConfig) -> tuple[int, int]:
+    """The word applied to the packed pair (x, y), rightmost factor first,
+    as a packed pair with canonical slots.
 
     X, X^-1, Y and Y^-1 are pairs (c, M) standing for c * M mod p, with M
     a packed matrix.  P and P^-1 take one product z and one inversion of
@@ -358,8 +379,8 @@ def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
     def one_plus(a):
         return red(a[0] * a[1] + one)
 
-    x, xi = (1, packed.pack(pair.X)), None
-    y, yi = (1, packed.pack(pair.Y)), None
+    x, xi = (1, x), None
+    y, yi = (1, y), None
     for sym, exp in reversed(tuple(word)):
         for _ in range(abs(exp)):
             if sym == "I" and exp > 0:    # (x, y) -> (q y^-1, x)
@@ -387,7 +408,7 @@ def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
             else:
                 raise ValueError(
                     "unknown generator %r (expected P, C or I)" % sym)
-    return QPair(*(packed.unpack(red(c * m)) for c, m in (x, y)))
+    return red(x[0] * x[1]), red(y[0] * y[1])
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +418,38 @@ def random_pair(cfg: QConfig, rng: random.Random) -> QPair:
     return clock_shift(cfg, rng.randrange(1, cfg.p), rng.randrange(1, cfg.p))
 
 
-def _pair_json(pair: QPair) -> dict:
-    return {"X": [list(r) for r in pair.X], "Y": [list(r) for r in pair.Y]}
+@functools.lru_cache(maxsize=32)
+def _base(cfg: QConfig) -> tuple[int, int]:
+    """The packed clock and shift of cfg, clock_shift(cfg, 1, 1)."""
+    packed = _packed(cfg.N, cfg.p)
+    pair = clock_shift(cfg, 1, 1)
+    return packed.pack(pair.X), packed.pack(pair.Y)
+
+
+def _trials(word, cfg: QConfig, rng: random.Random):
+    """Yield (x, y, out) for one draw after another: x and y pack the pair
+    random_pair draws, lx clock and ly shift, and out is the word's packed
+    output on it, or None where a letter goes singular.  Stops after
+    _MAX_RESAMPLES singular draws."""
+    p = cfg.p
+    red = _packed(cfg.N, p).reduce
+    clock, shift = _base(cfg)
+    singular = 0
+    while singular < _MAX_RESAMPLES:
+        x = red(rng.randrange(1, p) * clock)
+        y = red(rng.randrange(1, p) * shift)
+        try:
+            out = _apply_packed(word, x, y, cfg)
+        except SingularSubstitution:
+            singular += 1
+            out = None
+        yield x, y, out
+
+
+def _pair_json(cfg: QConfig, x: int, y: int) -> dict:
+    unpack = _packed(cfg.N, cfg.p).unpack
+    return {"X": [list(r) for r in unpack(x)],
+            "Y": [list(r) for r in unpack(y)]}
 
 
 def evaluate_word(word, params: dict | None = None) -> dict:
@@ -410,15 +461,11 @@ def evaluate_word(word, params: dict | None = None) -> dict:
     """
     params = params or {}
     cfg = make_config(params.get("N", 5), params.get("p"))
-    rng = random.Random(params.get("seed", 0))
-    for _ in range(_MAX_RESAMPLES):
-        pair = random_pair(cfg, rng)
-        try:
-            out = apply_word(word, pair, cfg)
-        except SingularSubstitution:
-            continue
-        return {"N": cfg.N, "p": cfg.p, "q": cfg.q,
-                "input": _pair_json(pair), "output": _pair_json(out)}
+    for x, y, out in _trials(word, cfg, random.Random(params.get("seed", 0))):
+        if out is not None:
+            return {"N": cfg.N, "p": cfg.p, "q": cfg.q,
+                    "input": _pair_json(cfg, x, y),
+                    "output": _pair_json(cfg, *out)}
     raise SingularSubstitution(
         "exhausted nonsingular samples (%d tries)" % _MAX_RESAMPLES)
 
@@ -432,20 +479,18 @@ def q_relation_check(word, cfg: QConfig, trials: int = 10,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
-    rng = random.Random(seed)
     completed = resamples = 0
     witnesses = []
-    while completed < trials and resamples < _MAX_RESAMPLES:
-        pair = random_pair(cfg, rng)
-        try:
-            out = apply_word(word, pair, cfg)
-        except SingularSubstitution:
+    for x, y, out in _trials(word, cfg, random.Random(seed)):
+        if out is None:
             resamples += 1
             continue
         completed += 1
-        if out != pair and len(witnesses) < 3:
-            witnesses.append({"input": _pair_json(pair),
-                              "output": _pair_json(out)})
+        if out != (x, y) and len(witnesses) < 3:
+            witnesses.append({"input": _pair_json(cfg, x, y),
+                              "output": _pair_json(cfg, *out)})
+        if completed == trials:
+            break
     verdict = ("inconclusive" if completed < trials
                else "nonidentity" if witnesses else "identity")
     return {"N": cfg.N, "p": cfg.p, "q": cfg.q, "trials": completed,

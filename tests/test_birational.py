@@ -512,7 +512,11 @@ def test_json_refuses_non_integer_terms():
      % ({"f1": P.to_json()["f1"]},)),
     ({**P.to_json(), "f2": {"num": 5, "den": [[0, 0, 1]]}},
      "polynomial must be a list of terms, got 5"),
-], ids=["not-object", "missing-key", "non-list"])
+    # 2x written as two terms x + x would otherwise read as the last alone
+    ({**P.to_json(),
+      "f1": {"num": [[1, 0, 1], [1, 0, 2]], "den": [[0, 0, 1]]}},
+     "polynomial repeats an exponent pair, got [[1, 0, 1], [1, 0, 2]]"),
+], ids=["not-object", "missing-key", "non-list", "repeated-exponents"])
 def test_from_json_refuses_a_malformed_document(data, message):
     with pytest.raises(ValueError) as exc:
         BirMap.from_json(data)

@@ -1,5 +1,6 @@
 """Clock/shift matrix model of the q-commuting substitution maps."""
 
+import collections
 import copy
 import json
 import pickle
@@ -308,11 +309,16 @@ def test_the_seed_is_the_only_sampling_setting():
 
 def test_relation_check_inconclusive_when_sampling_exhausted():
     # p=2 has a single nonzero scalar and 1+y = 0, so P never applies
-    report = q_relation_check((("P", 1),), make_config(1, 2), trials=3)
+    cfg = make_config(1, 2)
+    report = q_relation_check((("P", 1),), cfg, trials=3)
     assert report["verdict"] == "inconclusive"
     assert report["trials"] < 3
+    assert report["singular_resamples"] == quantum._MAX_RESAMPLES
+    assert (report, "singular") == _ref_reports((("P", 1),), cfg, 3, 0)
     assert not quantum.word_acts_as_identity((("P", 1),), N=1, p=2,
                                              trials=3)["identity"]
+    with pytest.raises(SingularSubstitution, match="exhausted"):
+        quantum.evaluate_word((("P", 1),), {"N": 1, "p": 2})
 
 
 def test_evaluate_word_report():
@@ -506,23 +512,65 @@ def test_kernel_matches_letter_by_letter_maps(n, p, monkeypatch):
     assert (fallbacks[0] > 0) == (n > 1)
 
 
+def _ref_pair_json(pair):
+    return {"X": [list(r) for r in pair.X], "Y": [list(r) for r in pair.Y]}
+
+
+def _ref_reports(word, cfg, trials, seed):
+    """What q_relation_check and evaluate_word report, rebuilt as a loop
+    over QPair values: random_pair draws each pair and the letter-by-letter
+    maps apply the word.  evaluate_word reports the first draw on which no
+    letter goes singular, so one run of draws gives both."""
+    rng = random.Random(seed)
+    completed = resamples = 0
+    witnesses = []
+    value = "singular"
+    while completed < trials and resamples < quantum._MAX_RESAMPLES:
+        pair = random_pair(cfg, rng)
+        out = _outcome(_ref_apply_word, word, pair, cfg)
+        if out == "singular":
+            resamples += 1
+            continue
+        if not completed:
+            value = {"N": cfg.N, "p": cfg.p, "q": cfg.q,
+                     "input": _ref_pair_json(pair),
+                     "output": _ref_pair_json(out)}
+        completed += 1
+        if out != pair and len(witnesses) < 3:
+            witnesses.append({"input": _ref_pair_json(pair),
+                              "output": _ref_pair_json(out)})
+    verdict = ("inconclusive" if completed < trials
+               else "nonidentity" if witnesses else "identity")
+    return {"N": cfg.N, "p": cfg.p, "q": cfg.q, "trials": completed,
+            "singular_resamples": resamples, "verdict": verdict,
+            "witnesses": witnesses}, value
+
+
+REPORT_CONFIGS = [(1, 101), (4, 101), (5, 101), (7, 29), (5, 2 ** 61 - 1)]
+
+
 @pytest.mark.parametrize("suite", words.list_suites())
 def test_relation_reports_match_letter_by_letter_maps(suite, monkeypatch):
-    cfg = make_config(5, 101)
+    """The packed sampler reports what random_pair and the letter-by-letter
+    maps give: the same draws, resamples and witnesses, byte for byte."""
     cases = []
     for entry in words.load_suite(suite):
         rhs = "1" if entry["rhs"] == "probe" else entry["rhs"]
         cases.append(words._core(entry["lhs"])
                      + words.word_inverse(words._core(rhs)))
     fallbacks = _count_gauss_jordan(monkeypatch)
-    got = [json.dumps(q_relation_check(w, cfg, trials=4, seed=7))
-           for w in cases]
+    for n, p in REPORT_CONFIGS:
+        cfg = make_config(n, p)
+        params = {"N": n, "p": p, "seed": 7}
+        for w in cases:
+            report, value = map(json.dumps, _ref_reports(w, cfg, 4, 7))
+            got = q_relation_check(w, cfg, 4, 7)
+            assert json.dumps(got) == report, (n, p, w)
+            got = _outcome(quantum.evaluate_word, w, params)
+            assert json.dumps(got) == value, (n, p, w)
     # clock/shift pairs q-commute: every inverse is a power, none by
     # Gauss-Jordan
     assert fallbacks == [0]
-    monkeypatch.setattr(quantum, "apply_word", _ref_apply_word)
-    assert got == [json.dumps(q_relation_check(w, cfg, trials=4, seed=7))
-                   for w in cases]
 
 
 def test_letter_needing_no_inverse_of_a_singular_member_answers():
@@ -640,6 +688,40 @@ def test_kernel_operation_counts(monkeypatch):
     assert fallbacks == [0]
     for name in ("_solve", "_Product", "_force", "_one_plus"):
         assert not hasattr(quantum, name)
+
+
+def test_sampling_stays_packed(monkeypatch):
+    """A check packs the clock and shift once per configuration.  No trial
+    builds a clock/shift pair or unpacks a matrix; only a witness does."""
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(quantum._Packed, "pack")
+    counted(quantum._Packed, "unpack")
+    counted(quantum, "clock_shift")
+    cfg = make_config(5, 101)
+    for trials in (1, 12):
+        quantum._base.cache_clear()
+        calls.clear()
+        report = q_relation_check(H_RELATIONS["PCP I^-1"], cfg, trials, 1)
+        assert report["verdict"] == "identity"
+        assert report["trials"] == trials
+        assert calls == {"pack": 2, "clock_shift": 1}
+        calls.clear()
+        q_relation_check(H_RELATIONS["P^5"], cfg, trials, 2)
+        assert calls == {}
+    # P moves every pair: three witnesses, each an input and an output
+    report = q_relation_check((("P", 1),), cfg, 12, 3)
+    assert report["verdict"] == "nonidentity"
+    assert len(report["witnesses"]) == 3
+    assert calls == {"unpack": 12}
 
 
 # ---------------------------------------------------------------------------

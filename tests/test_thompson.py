@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from bisect import bisect_left
@@ -37,6 +38,19 @@ from sympt.thompson import (
 from sympt.words import check_suite, evaluate
 
 GEN_NAMES = ("P", "C", "I", "U", "mu", "L")
+
+# Several tests convert the same powers of U, up to U^5000, between the plane
+# and the circle, and those conversions are among the slowest steps of the
+# suite.  These memos build each such value once per session; every value
+# is immutable, so the tests share it.
+circle_form = functools.cache(plaut_to_dyadic)
+plane_form = functools.cache(dyadic_to_plaut)
+
+
+@functools.cache
+def u_power(n, model):
+    """U^n evaluated in one model."""
+    return evaluate("U^%d" % n, model)
 
 
 def random_plaut(rng, length):
@@ -189,11 +203,11 @@ def test_pair_walks_invert_each_other():
 
 @pytest.mark.parametrize("n", (5000, -5000))
 def test_large_power_round_trips_through_the_circle(n):
-    u = evaluate("U^%d" % n, "pl")
+    u = u_power(n, "pl")
     assert u == linear_pl((1, n, 0, 1))
-    d = plaut_to_dyadic(u)
-    assert d == evaluate("U^%d" % n, "dyadic")
-    assert dyadic_to_plaut(d) == u
+    d = circle_form(u)
+    assert d == u_power(n, "dyadic")
+    assert plane_form(d) == u
 
 
 def scan_evaluate(d, t):
@@ -332,8 +346,8 @@ def test_dyadic_to_plane_round_trips_random_words():
 
 def test_dyadic_to_plane_round_trips_large_powers():
     for n in (1000, -1000):
-        d = evaluate("U^%d" % n, "dyadic")
-        assert dyadic_to_plaut(d) == evaluate("U^%d" % n, "pl")
+        d = u_power(n, "dyadic")
+        assert plane_form(d) == u_power(n, "pl")
 
 
 def ref_refined_cells(required):
@@ -413,6 +427,7 @@ def ref_sorted_refined_cells(required):
     return rays
 
 
+@functools.cache    # the powers tests pass it the same elements again
 def ref_dyadic_to_plaut(d):
     tp = dyadic_to_treepair(d)
     exp = max(tp.domain)
@@ -438,12 +453,12 @@ def assert_kernels_match_oracles(f, g):
     for h in (f, g):
         rays, _ = _refined_cells(_required_rays(h))
         assert rays == ref_sorted_refined_cells(_required_rays(h))
-    df, dg = plaut_to_dyadic(f), plaut_to_dyadic(g)
+    df, dg = circle_form(f), circle_form(g)
     fg = dyadic_compose(df, dg)
     assert fg == ref_dyadic_compose(df, dg)
-    assert fg == plaut_to_dyadic(f * g)
+    assert fg == circle_form(f * g)
     for d in (df, dg, fg):
-        assert dyadic_to_plaut(d) == ref_dyadic_to_plaut(d)
+        assert plane_form(d) == ref_dyadic_to_plaut(d)
 
 
 def random_word(rng, length):
@@ -464,14 +479,14 @@ def test_circle_kernels_match_oracles_on_random_words():
 
 @pytest.mark.parametrize("n", (1, 2, 3, 7, 12, 25, 64, 100, 255, 1000))
 def test_circle_kernels_match_oracles_on_powers(n):
-    u, p = evaluate("U^%d" % n, "pl"), generator_pl("P")
+    u, p = u_power(n, "pl"), generator_pl("P")
     conj = evaluate("U^%d P U^-%d" % (n, n), "pl")
     assert_kernels_match_oracles(u, inverse_pl(u))
     assert_kernels_match_oracles(u * p, inverse_pl(u))
     assert_kernels_match_oracles(conj, u)
-    assert evaluate("U^%d" % n, "dyadic") == plaut_to_dyadic(u)
-    assert evaluate("U^-%d" % n, "dyadic") == plaut_to_dyadic(inverse_pl(u))
-    assert evaluate("U^%d P U^-%d" % (n, n), "dyadic") == plaut_to_dyadic(conj)
+    assert u_power(n, "dyadic") == circle_form(u)
+    assert u_power(-n, "dyadic") == circle_form(inverse_pl(u))
+    assert evaluate("U^%d P U^-%d" % (n, n), "dyadic") == circle_form(conj)
 
 
 def test_compose_builds_one_map(monkeypatch):
@@ -555,7 +570,7 @@ def ref_cuts(d):
 def assert_leaves_match_references(f, g):
     """On the circle forms of f, g and f g, the walk cuts where the former
     rule cut, and its leaves at floor 0 are a reduced tree pair."""
-    df, dg = plaut_to_dyadic(f), plaut_to_dyadic(g)
+    df, dg = circle_form(f), circle_form(g)
     for d in (df, dg, dyadic_compose(df, dg)):
         big, leaves = _leaves(d, 2)
         assert [F(x, 1 << big) for x, _, _, _ in leaves] == ref_cuts(d)
@@ -584,7 +599,7 @@ def test_leaves_match_references_on_random_words():
 @pytest.mark.parametrize("n", (1, 2, 3, 7, 12, 25, 64, 100, 255, 1000))
 def test_leaves_match_references_on_powers(n):
     # the inputs of test_circle_kernels_match_oracles_on_powers
-    u, p = evaluate("U^%d" % n, "pl"), generator_pl("P")
+    u, p = u_power(n, "pl"), generator_pl("P")
     conj = evaluate("U^%d P U^-%d" % (n, n), "pl")
     assert_leaves_match_references(u, inverse_pl(u))
     assert_leaves_match_references(u * p, inverse_pl(u))
@@ -935,7 +950,7 @@ def test_tree_layer_agrees_with_nested_reference():
 def test_treepair_read_off_of_large_powers():
     # U^n is n mediant steps deep; no depth cap stands in the way
     for n in (1000, -1000, 5000):
-        d = plaut_to_dyadic(evaluate("U^%d" % n, "pl"))
+        d = circle_form(u_power(n, "pl"))
         tp = dyadic_to_treepair(d)
         assert treepair_to_dyadic(tp) == d
         assert max(tp.domain) > abs(n)
@@ -1022,7 +1037,7 @@ def test_dyadic_json_round_trip_and_format():
 
 @pytest.mark.parametrize("n", (5000, -5000))
 def test_json_round_trip_of_a_large_power(n):
-    d = plaut_to_dyadic(linear_pl((1, n, 0, 1)))
+    d = circle_form(linear_pl((1, n, 0, 1)))
     data = json.loads(json.dumps(d.to_json()))
     assert DyadicPL.from_json(data) == d
 
