@@ -195,12 +195,7 @@ def cmd_mutate(args):
             raw = fh.read()
     else:
         raise ValueError("mutate needs --vector JSON or --input FILE")
-    try:
-        x = picard.PicVec.from_json(json.loads(raw))
-    except KeyError as exc:
-        raise ValueError("malformed PicVec JSON (missing %s)" % exc)
-    except TypeError as exc:
-        raise ValueError("malformed PicVec JSON (%s)" % exc)
+    x = picard.PicVec.from_json(json.loads(raw))
     v = _parse_vec(args.at)
     out = {"be": picard.mu_be_action, "p": picard.mu_p_vector,
            "wq": picard.mu_Wq_at}[args.basis](x, v)

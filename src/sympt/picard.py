@@ -3,9 +3,10 @@
 The lattice is spanned by several families of symbols:
 
 * ``plpart(F)``: an integer piecewise-linear function on the plane, taken
-  modulo globally linear functions.  Every F carries an integer index of
-  non-linearity d(F, a) at each primitive ray a, and indexes define a
-  pairing with finitely supported functions on rays.
+  modulo globally linear functions, held as one integral covector per cone
+  of a fan.  Its index of non-linearity d(F, a) at a primitive ray a is the
+  c with L_after - L_before = c (a ^ .) (derived at BreakFn), and indexes
+  define a pairing with finitely supported functions on rays.
 * ``delta(s, k)``: an infinite tower of classes over each primitive ray s,
   with a self-product of -1 and orthogonal to everything else.  The group
   acts on plpart + delta by the five L-rules, with correction terms mixing
@@ -54,10 +55,11 @@ from .plcore import (
     Vec,
     _json_int,
     _json_ints,
+    _json_list,
+    _json_object,
     ccw_key,
+    cone_covector,
     cone_index,
-    cone_parents,
-    cone_runs,
     generator_pl,
     linear_pl,
     mat_apply,
@@ -241,29 +243,28 @@ def egcd(a, b):
     return old_r, old_s, old_t
 
 
-def _next_boundary_ray(u: Vec, w: Vec, d: int) -> Vec:
-    """Primitive m strictly inside cone(u, w) with u ^ m = 1 and m ^ w
-    as small as possible; splitting at it drops the wedge below d."""
-    g, s, t = egcd(u[0], u[1])
-    m0 = (-t, s)
-    r = wedge(m0, w) % d
-    if r == 0:
-        raise AssertionError("no transverse ray inside cone %r %r" % (u, w))
-    shift = (r - wedge(m0, w)) // d
-    return (m0[0] + shift * u[0], m0[1] + shift * u[1])
+def _jump(a: Vec, before, after) -> int:
+    """The c with after - before = c (a ^ .), for covectors equal at a."""
+    if a[0]:
+        return (after[1] - before[1]) // a[0]
+    return (before[0] - after[0]) // a[1]
 
 
 class BreakFn(Frozen):
     """Integer PL function on the plane, canonical modulo linear functions.
 
-    Built from a fan and one integer value per fan ray; internally refined
-    to a unimodular fan (mediant values interpolate linearly and must stay
-    integral).  The stored values are normalized to vanish at (1,0) and
-    (0,1).  Equality and hashing use the multiset of nonzero indexes, which
-    determines the function up to a linear summand.
+    Built from a complete fan and one integer value per ray, and held as
+    the rays and one integral covector per cone (plcore.cone_covector),
+    normalized to vanish at (1,0) and (0,1).  The index at a primitive ray
+    a is the jump there: the covector L_a after a less the one L_b before
+    it vanishes at a, so it is c (a ^ .) for an integer c.  For u in the
+    cone before a and w in the one after, with u ^ a = a ^ w = 1 and
+    u + w = k a, F(u) + F(w) - k F(a) = -(L_a - L_b)(u) = c (u ^ a) = c.
+    Equality and hashing use the set of nonzero indexes, which determines
+    the function up to a linear summand.
     """
 
-    __slots__ = ("_rays", "_vals", "_key")
+    __slots__ = ("_rays", "_covs", "_key")
 
     def __init__(self, rays, values):
         rays = [tuple(r) for r in rays]
@@ -271,52 +272,37 @@ class BreakFn(Frozen):
         if len(rays) != len(values):
             raise ValueError("need one value per ray")
         pairs = sorted(zip(rays, values), key=lambda p: ccw_key(p[0]))
-        rays = [r for r, _ in pairs]
-        vals = [x for _, x in pairs]
-        Fan(tuple(rays))  # raises unless the rays form a complete fan
-        # refine to a unimodular fan; linear interpolation must be integral
-        i = 0
-        while i < len(rays):
-            u, fu = rays[i], vals[i]
-            w, fw = rays[(i + 1) % len(rays)], vals[(i + 1) % len(rays)]
-            d = wedge(u, w)
-            if d == 1:
-                i += 1
-                continue
-            m = _next_boundary_ray(u, w, d)
-            # m = (r*u + w)/d with r = m ^ w, so interpolation forces
-            num = fu * wedge(m, w) + fw
-            if num % d:
+        rays = tuple(r for r, _ in pairs)
+        Fan(rays)  # raises unless the rays form a complete fan
+        covs = []
+        for i, (a, fa) in enumerate(pairs):
+            b, fb = pairs[(i + 1) % len(pairs)]
+            L = cone_covector(a, b, fa, fb)
+            if L is None:
                 raise ValueError(
-                    "function is not integer-valued at %s" % (m,))
-            rays.insert(i + 1, m)
-            vals.insert(i + 1, num // d)
-            i += 1
+                    "function is not integer-valued on cone %r,%r" % (a, b))
+            covs.append(L)
         # normalize away the linear part
-        a = self._raw_eval(rays, vals, (1, 0))
-        b = self._raw_eval(rays, vals, (0, 1))
-        vals = [x - a * r[0] - b * r[1] for x, r in zip(vals, rays)]
-        at = dict(zip(rays, vals)).__getitem__
-        n = len(rays)
-        key = frozenset(
-            (r, d) for j, r in enumerate(rays)
-            if (d := _nonlinearity(at, rays[j - 1], r, rays[(j + 1) % n])))
-        self._init(tuple(rays), tuple(vals), key)
+        x = covs[cone_index(rays, (1, 0))][0]
+        y = covs[cone_index(rays, (0, 1))][1]
+        covs = tuple((l0 - x, l1 - y) for l0, l1 in covs)
+        key = frozenset((a, c) for j, a in enumerate(rays)
+                        if (c := _jump(a, covs[j - 1], covs[j])))
+        self._init(rays, covs, key)
 
     def __reduce__(self):
-        return BreakFn, (self._rays, self._vals)
+        return BreakFn, (self._rays, self._values())
 
-    @staticmethod
-    def _raw_eval(rays, vals, v):
-        if v == (0, 0):
-            return 0
-        k, p = _content_and_primitive(v)
-        i = cone_index(rays, p)
-        j = (i + 1) % len(rays)
-        return k * (wedge(p, rays[j]) * vals[i] + wedge(rays[i], p) * vals[j])
+    def _values(self) -> list:
+        return [L[0] * r[0] + L[1] * r[1]
+                for L, r in zip(self._covs, self._rays)]
 
     def __call__(self, v) -> int:
-        return self._raw_eval(self._rays, self._vals, tuple(v))
+        v = tuple(v)
+        if v == (0, 0):
+            return 0
+        L = self._covs[cone_index(self._rays, v)]
+        return L[0] * v[0] + L[1] * v[1]
 
     @property
     def break_rays(self):
@@ -349,7 +335,7 @@ class BreakFn(Frozen):
 
     def __rmul__(self, c):
         c = int(c)
-        return BreakFn(self._rays, [c * x for x in self._vals])
+        return BreakFn(self._rays, [c * x for x in self._values()])
 
     def __repr__(self):
         if self.is_linear():
@@ -359,12 +345,14 @@ class BreakFn(Frozen):
 
     def to_json(self):
         return {"rays": [list(r) for r in self._rays],
-                "values": list(self._vals)}
+                "values": self._values()}
 
     @staticmethod
     def from_json(data) -> "BreakFn":
-        return BreakFn([tuple(_json_ints(r, "ray", 2)) for r in data["rays"]],
-                       _json_ints(data["values"], "values"))
+        rays, values = _json_object(data, "BreakFn", ("rays", "values"))
+        return BreakFn([tuple(_json_ints(r, "ray", 2))
+                        for r in _json_list(rays, "rays", of="rays")],
+                       _json_ints(values, "values"))
 
 
 def zero_breakfn() -> BreakFn:
@@ -388,45 +376,43 @@ def compose_breakfn(F: BreakFn, g: PLAut) -> BreakFn:
 def index(F: BreakFn, a: Vec, shift: int = 0) -> int:
     """Index of non-linearity d(F, a) at a primitive ray.
 
-    With u, w adjacent to a and u ^ a = a ^ w = 1, the index is
-    F(u) + F(w) - k F(a) where u + w = k a.  The optional shift replaces
-    u, w by u + shift*a, w + shift*a; the result does not depend on it.
+    At shift 0 it is read off the jumps of F's covectors (see BreakFn).
+    Otherwise it is F(u) + F(w) - k F(a), where u + w = k a, for the
+    companions of a (see _companions) moved by shift*a; a shift >= 0 keeps
+    them in their cones, so the result does not depend on it.  A negative
+    shift can move them out, and is refused.
     """
     a = tuple(a)
     if primitive(a) != a:
         raise ValueError("index is defined at primitive rays only")
-    rays = F._rays
-    n = len(rays)
-    if a not in rays:
-        if shift == 0:
-            return 0
-        # manufacture unimodular companions around a linear point
-        u, w = _unimodular_companions(F, a)
-    else:
-        j = rays.index(a)
-        u, w = rays[(j - 1) % n], rays[(j + 1) % n]
+    if shift < 0:
+        raise ValueError("shift must be at least 0, got %d" % shift)
+    if shift == 0:
+        return F.indexes().get(a, 0)
+    u, w = _companions(F, a)
     u = (u[0] + shift * a[0], u[1] + shift * a[1])
     w = (w[0] + shift * a[0], w[1] + shift * a[1])
-    return _nonlinearity(F, u, a, w)
-
-
-def _nonlinearity(f, u: Vec, a: Vec, w: Vec) -> int:
-    """f(u) + f(w) - k f(a), where u + w = k a."""
     s = vec_add(u, w)
     k = s[0] // a[0] if a[0] else s[1] // a[1]
-    return f(u) + f(w) - k * f(a)
+    return F(u) + F(w) - k * F(a)
 
 
-def _unimodular_companions(F: BreakFn, a: Vec):
-    """Neighbors u, w with u ^ a = a ^ w = 1 inside the cone holding a.
-
-    They are the parents of a in the mediant descent from the corners of
-    its unimodular cone, so they stay inside the cone, where F is linear.
+def _companions(F: BreakFn, a: Vec):
+    """u, w with u ^ a = a ^ w = 1 in the cones of F just before and just
+    after a.  With u0 = (t, -s) from s a_x + t a_y = 1, u = u0 + m a and
+    w = n a - u0 for the least m with p ^ u >= 0 and the least n with
+    w ^ q >= 0, where p and q are the far rays of those cones.
     """
     rays = F._rays
     i = cone_index(rays, a)
-    u, w = rays[i], rays[(i + 1) % len(rays)]
-    return cone_parents(u, w, cone_runs(u, w, a))
+    # the cone before a is cone i - 1 if a is ray i, else cone i itself
+    p, q = rays[i - (rays[i] == a)], rays[(i + 1) % len(rays)]
+    _, s, t = egcd(a[0], a[1])
+    u0 = (t, -s)
+    m = -(wedge(p, u0) // wedge(p, a))
+    n = -(-wedge(u0, q) // wedge(a, q))
+    return ((u0[0] + m * a[0], u0[1] + m * a[1]),
+            (n * a[0] - u0[0], n * a[1] - u0[1]))
 
 
 def pairing(F: BreakFn, G: dict) -> int:
@@ -578,16 +564,21 @@ class PicVec(Frozen):
 
     @staticmethod
     def from_json(data) -> "PicVec":
+        (raw,) = _json_object(data, "PicVec", ("terms",))
         terms = []
-        for t in data["terms"]:
-            fam = t["family"]
-            coeff = QPoly(_json_ints(t["coef"], "coef"))
+        for t in _json_list(raw, "terms", of="term objects"):
+            fam, coef = _json_object(t, "PicVec term", ("family", "coef"))
+            coeff = QPoly(_json_ints(coef, "coef"))
             if fam == "plpart":
-                key = (fam, BreakFn.from_json(t["fn"]))
+                (fn,) = _json_object(t, "PicVec term", ("fn",))
+                key = (fam, BreakFn.from_json(fn))
+            elif _family(fam).level:
+                arg, level = _json_object(t, "PicVec term", ("arg", "level"))
+                key = (fam, tuple(_json_ints(arg, "arg", 2)),
+                       _json_int(level, "level"))
             else:
-                key = (fam, tuple(_json_ints(t["arg"], "arg", 2)))
-                if _family(fam).level:
-                    key += (_json_int(t["level"], "level"),)
+                (arg,) = _json_object(t, "PicVec term", ("arg",))
+                key = (fam, tuple(_json_ints(arg, "arg", 2)))
             terms.append((key, coeff))
         return PicVec(terms)
 
@@ -1139,6 +1130,9 @@ def cross_basis_report(samples: int = 30, seed: int = 0) -> dict:
     b/e value is off by -wedge(w, v) b_(-v) (see mu_be_action), so
     be_matches_p_rule fails exactly off the v-line; nothing is patched.
     """
+    if not 1 <= samples <= 80:
+        raise ValueError("samples must be between 1 and 80, the number of "
+                         "w != 0 with |w_x|, |w_y| <= 4; got %r" % (samples,))
     v = (1, 0)
     rng = random.Random(seed)
     entries = []

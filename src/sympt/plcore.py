@@ -17,8 +17,9 @@ holds a vector is found by bisection, O(log n).
 
 This module alone defines the lattice facts the other models share: the
 counterclockwise order of directions (ccw_key), the cone of a fan that
-holds a vector (cone_index) and the matrices of the named generators
-(GEN_MATS).
+holds a vector (cone_index), the integral linear form of a cone with given
+values on its rays (cone_covector) and the matrices of the named
+generators (GEN_MATS).
 """
 
 from __future__ import annotations
@@ -84,6 +85,17 @@ def cone_parents(u: Vec, v: Vec, runs) -> tuple[Vec, Vec]:
         else:
             v = (v[0] + c * u[0], v[1] + c * u[1])
     return u, v
+
+
+def cone_covector(a: Vec, b: Vec, fa: int, fb: int):
+    """The covector L = (L(1,0), L(0,1)) with L(a) = fa and L(b) = fb,
+    for independent a and b, or None when it is not integral, that is,
+    when a ^ b does not divide both of Cramer's numerators."""
+    d = wedge(a, b)
+    x, y = fa * b[1] - fb * a[1], fb * a[0] - fa * b[0]
+    if x % d or y % d:
+        return None
+    return (x // d, y // d)
 
 
 def mat_apply(m: Mat, v: Vec) -> Vec:
@@ -635,18 +647,13 @@ def from_cones(rays, images, mediant_images) -> PLAut:
     for i in range(n):
         a, b = rays[i], rays[(i + 1) % n]
         wa, wb = images[i], images[(i + 1) % n]
-        d = wedge(a, b)
-        if d <= 0:
+        if wedge(a, b) <= 0:
             raise AssertionError("candidate rays out of order")
-        num = (
-            wa[0] * b[1] - wb[0] * a[1],
-            -wa[0] * b[0] + wb[0] * a[0],
-            wa[1] * b[1] - wb[1] * a[1],
-            -wa[1] * b[0] + wb[1] * a[0],
-        )
-        if any(x % d for x in num):
+        top = cone_covector(a, b, wa[0], wb[0])
+        bottom = cone_covector(a, b, wa[1], wb[1])
+        if top is None or bottom is None:
             raise ValueError("map is not integrally linear on cone %r,%r" % (a, b))
-        m: Mat = tuple(x // d for x in num)  # type: ignore[assignment]
+        m: Mat = top + bottom
         if mat_det(m) != 1:
             raise ValueError(
                 "piece on cone %r,%r has det %d, not 1" % (a, b, mat_det(m))

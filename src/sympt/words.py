@@ -326,13 +326,14 @@ def list_suites() -> list[str]:
 
 
 def load_suite(name: str) -> list[dict]:
-    try:
-        with open(os.path.join(_SUITES, name + ".json"),
-                  encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
+    """The entries of the shipped suite name; any name list_suites()
+    does not return, a path included, is refused."""
+    names = list_suites()
+    if name not in names:
         raise ValueError("unknown suite %r (have: %s)"
-                         % (name, ", ".join(list_suites())))
+                         % (name, ", ".join(names)))
+    with open(os.path.join(_SUITES, name + ".json"), encoding="utf-8") as fh:
+        data = json.load(fh)
     for entry in data:
         parse_word(entry["lhs"])
         if entry["rhs"] not in ("1", "probe"):

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -47,6 +48,18 @@ def test_relations_unknown_suite_is_usage_error():
     code, rep = run_json(["relations", "--suite", "bogus"])
     assert code == 2
     assert "unknown suite" in rep["error"]
+
+
+def test_relations_refuses_a_path_as_suite(tmp_path, capsys):
+    # a malformed file reached through a relative path let a traceback out
+    (tmp_path / "x.json").write_text("[1]")
+    suites = os.path.join(os.path.dirname(words.__file__), "suites")
+    name = os.path.relpath(tmp_path / "x", suites)
+    assert ".." in name and "/" in name
+    code = cli.main(["relations", "--suite", name, "--backend", "pl"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"].startswith("unknown suite %r" % name)
 
 
 def test_relations_quantum_backend():
@@ -372,7 +385,9 @@ def test_mutate_usage_errors():
     assert code == 2 and "--vector" in rep["error"]
     code, rep = run_json(["mutate", "--basis", "wq", "--at", "1,0",
                           "--vector", '{"terms": [{"family": "e"}]}'])
-    assert code == 2 and "malformed" in rep["error"]
+    assert code == 2 and rep["error"] == (
+        "a PicVec term document holds the keys family, coef, "
+        "got {'family': 'e'}")
 
 
 def _mutate_term(**term):
@@ -396,8 +411,8 @@ AMPLE_FN = {"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]], "values": [0, 0, 0, 1]}
      "values must hold integers"),
     (_mutate_term(family="plpart", fn={**AMPLE_FN, "rays": [
         [1, 0], [0, 1], [-1, 0], [0, False]]}), "ray must hold integers"),
-    ('{"terms": 5}', "malformed PicVec JSON ('int' object is not iterable)"),
-    ('[1]', "malformed PicVec JSON (list indices"),
+    ('{"terms": 5}', "terms must be a list of term objects, got 5"),
+    ('[1]', "a PicVec document is a JSON object, got [1]"),
 ])
 def test_mutate_refuses_what_json_integers_cannot_read(vector, text):
     # a float would be truncated and a bool read as 0 or 1
@@ -680,3 +695,29 @@ def test_missing_subcommand_is_usage_error(capsys):
         cli.main([])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# README
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """The sympt calls of README's CLI block, continued lines joined."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("sympt ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    commands = readme_commands()
+    assert len(commands) == 12
+    for argv in commands:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1), argv
+        json.loads(out)  # exactly one JSON document, or this raises
+        assert err == ""

@@ -1,5 +1,6 @@
 import json
 import random
+from math import gcd, lcm
 
 import pytest
 
@@ -43,8 +44,9 @@ from sympt.picard import (
     word_operator,
     zero_breakfn,
 )
-from sympt.plcore import (GEN_MATS, generator_pl, inverse_pl, mat_apply,
-                          mat_inv, mat_mul, primitive, wedge)
+from sympt.plcore import (GEN_MATS, Fan, ccw_key, cone_index, generator_pl,
+                          inverse_pl, mat_apply, mat_inv, mat_mul, primitive,
+                          wedge)
 
 Q = QPoly((0, 1))
 ONE_MINUS_Q = QPoly((1, -1))
@@ -71,6 +73,86 @@ def rand_convex(rng):
 def rand_breakfn(rng):
     # general PL function: difference of two convex ones
     return rand_convex(rng) - rand_convex(rng)
+
+
+# the fan of test_breakfn_wide_cone_construction_terminates, four of whose
+# cones have wedge 7
+WIDE_RAYS = [(-5, 3), (-4, 1), (-1, -1), (-1, 0), (-1, 2), (0, -1),
+             (0, 1), (1, -2), (1, 0), (1, 1), (4, -1), (5, -3)]
+
+
+def rand_fan(rng):
+    """Rays of a random complete fan, most of whose cones are not
+    unimodular."""
+    while True:
+        vs = [(rng.randint(-4, 4), rng.randint(-4, 4))
+              for _ in range(rng.randint(3, 7))]
+        rays = sorted({primitive(v) for v in vs if v != (0, 0)}, key=ccw_key)
+        try:
+            Fan(tuple(rays))
+        except ValueError:
+            continue
+        return rays
+
+
+def ref_refine(rays, values):
+    """The former BreakFn constructor, kept as an oracle: refine the fan to
+    a unimodular one by Hirzebruch-Jung rays, interpolating each new value,
+    which must be an integer.  Returns the refined rays and the values less
+    the linear part that makes them vanish at (1,0) and (0,1)."""
+    pairs = sorted(zip(rays, values), key=lambda p: ccw_key(p[0]))
+    rays = [r for r, _ in pairs]
+    vals = [x for _, x in pairs]
+    Fan(tuple(rays))
+    i = 0
+    while i < len(rays):
+        u, fu = rays[i], vals[i]
+        w, fw = rays[(i + 1) % len(rays)], vals[(i + 1) % len(rays)]
+        d = wedge(u, w)
+        if d == 1:
+            i += 1
+            continue
+        # the primitive m inside cone(u, w) with u ^ m = 1 and m ^ w least
+        _, s, t = picard.egcd(u[0], u[1])
+        m0 = (-t, s)
+        shift = (wedge(m0, w) % d - wedge(m0, w)) // d
+        m = (m0[0] + shift * u[0], m0[1] + shift * u[1])
+        # m = (r*u + w)/d with r = m ^ w, so interpolation forces
+        num = fu * wedge(m, w) + fw
+        if num % d:
+            raise ValueError("function is not integer-valued at %s" % (m,))
+        rays.insert(i + 1, m)
+        vals.insert(i + 1, num // d)
+        i += 1
+    a = ref_eval(rays, vals, (1, 0))
+    b = ref_eval(rays, vals, (0, 1))
+    return rays, [x - a * r[0] - b * r[1] for x, r in zip(vals, rays)]
+
+
+def ref_eval(rays, vals, v):
+    """Linear interpolation on the unimodular fan rays."""
+    if v == (0, 0):
+        return 0
+    k = gcd(*v)
+    p = (v[0] // k, v[1] // k)
+    i = cone_index(rays, p)
+    j = (i + 1) % len(rays)
+    return k * (wedge(p, rays[j]) * vals[i] + wedge(rays[i], p) * vals[j])
+
+
+def ref_indexes(rays, vals):
+    """F(u) + F(w) - k F(a) at each ray a of a unimodular fan, from its
+    neighbours u + w = k a."""
+    out = {}
+    n = len(rays)
+    for j, a in enumerate(rays):
+        u, w = rays[j - 1], rays[(j + 1) % n]
+        s = (u[0] + w[0], u[1] + w[1])
+        k = s[0] // a[0] if a[0] else s[1] // a[1]
+        d = vals[j - 1] + vals[(j + 1) % n] - k * vals[j]
+        if d:
+            out[a] = d
+    return out
 
 
 def rand_gamma(rng, n=6):
@@ -150,22 +232,81 @@ def test_index_shift_independence():
         a = primitive(a)
         vals = {index(F, a, shift=s) for s in (0, 1, 2, 5)}
         assert len(vals) == 1
+    # at shift -1 the companions (1, 0), (-1, 0) of a = (0, 1) move across
+    # the bends of ample_A, and F(u) + F(w) - k F(a) read 2, not 0
+    with pytest.raises(ValueError, match="shift must be at least 0, got -1"):
+        index(ample_A(), (0, 1), shift=-1)
+
+
+def integral_values(rays, rng):
+    """Random values on the rays of a fan, each a multiple of every cone's
+    wedge, so that every cone's linear form is integral."""
+    ccw = sorted(rays, key=ccw_key)
+    d = lcm(*(wedge(r, s) for r, s in zip(ccw, ccw[1:] + ccw[:1])))
+    return [d * rng.randint(-3, 3) for _ in rays]
 
 
 def test_unimodular_companions_stay_in_the_cone():
     rng = random.Random(59)
-    for _ in range(40):
-        F = rand_breakfn(rng)
-        for _ in range(10):
-            a = primitive((rng.randint(-10**6, 10**6),
-                           rng.randint(-10**6, 10**6) or 1))
-            if a in F._rays:
-                continue
-            u, w = picard._unimodular_companions(F, a)
-            assert (u[0] + w[0], u[1] + w[1]) == a
+    wide = 0
+    for n in range(80):
+        if n < 40:
+            F = rand_breakfn(rng)
+        else:
+            rays = rand_fan(rng) if n % 4 else WIDE_RAYS
+            F = BreakFn(rays, integral_values(rays, rng))
+        picks = [primitive((rng.randint(-10**6, 10**6),
+                            rng.randint(-10**6, 10**6) or 1))
+                 for _ in range(10)]
+        for a in picks + list(F._rays):
+            u, w = picard._companions(F, a)
             assert wedge(u, a) == wedge(a, w) == 1
-            # u and w lie in the cone of a, where F is linear
-            assert F(u) + F(w) == F(a)
+            s = (u[0] + w[0], u[1] + w[1])
+            k = s[0] // a[0] if a[0] else s[1] // a[1]
+            assert s == (k * a[0], k * a[1])
+            # no ray of F lies strictly between u and a or between a and w,
+            # so each lies in a cone next to a, where F is linear
+            assert not any(wedge(u, r) > 0 and wedge(r, a) > 0
+                           for r in F._rays)
+            assert not any(wedge(a, r) > 0 and wedge(r, w) > 0
+                           for r in F._rays)
+            assert F(u) + F(w) - k * F(a) == F.indexes().get(a, 0)
+            i = cone_index(F._rays, u)
+            wide += wedge(F._rays[i], F._rays[(i + 1) % len(F._rays)]) > 1
+    # u lies in a cone of wedge > 1 in 852 of the 1619 cases
+    assert wide >= 500
+
+
+def test_breakfn_matches_the_refinement_oracle():
+    rng = random.Random(2027)
+    cases = [(WIDE_RAYS, [24, 15, 5, 3, 9, 2, 3, 1, 0, 3, -3, -9])]
+    for n in range(100):
+        rays = rand_fan(rng) if n % 5 else WIDE_RAYS
+        G = rand_breakfn(rng)
+        table = G.to_json()
+        cases += [(rays, [rng.randint(-6, 6) for _ in rays]),
+                  (rays, integral_values(rays, rng)),
+                  (rays, [G(r) for r in rays]),
+                  ([tuple(r) for r in table["rays"]], table["values"])]
+    grid = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    accepted = wide = 0
+    for rays, values in cases:
+        try:
+            ref_rays, ref_vals = ref_refine(rays, values)
+        except ValueError:
+            with pytest.raises(ValueError, match="not integer-valued"):
+                BreakFn(rays, values)
+            continue
+        F = BreakFn(rays, values)
+        assert F.indexes() == ref_indexes(ref_rays, ref_vals)
+        assert [F(v) for v in grid] == [ref_eval(ref_rays, ref_vals, v)
+                                        for v in grid]
+        accepted += 1
+        wide += len(ref_rays) > len(set(rays))
+    # most accepted fans are not unimodular, and about half the cases are
+    # refused
+    assert len(cases) == 401
+    assert accepted >= 200 and wide >= 200 and len(cases) - accepted >= 150
 
 
 def test_breakfn_equality_mod_linear():
@@ -191,8 +332,7 @@ def test_breakfn_refinement_and_integrality():
 
 def test_breakfn_wide_cone_construction_terminates():
     # this fan drove a naive mediant refinement into an infinite loop
-    rays = [(-5, 3), (-4, 1), (-1, -1), (-1, 0), (-1, 2), (0, -1),
-            (0, 1), (1, -2), (1, 0), (1, 1), (4, -1), (5, -3)]
+    rays = WIDE_RAYS
     vals = [24, 15, 5, 3, 9, 2, 3, 1, 0, 3, -3, -9]
     F = BreakFn(rays, vals)
     assert is_ample(F)
@@ -212,6 +352,36 @@ def test_breakfn_json_shape_and_roundtrip():
     for _ in range(20):
         F = rand_breakfn(rng)
         assert BreakFn.from_json(F.to_json()) == F
+
+
+AMPLE_TABLE = {"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+               "values": [0, 0, 0, 1]}
+
+
+@pytest.mark.parametrize("cls, data, message", [
+    (BreakFn, [1], "a BreakFn document is a JSON object, got [1]"),
+    (BreakFn, {"rays": AMPLE_TABLE["rays"]},
+     "a BreakFn document holds the keys rays, values, got %r"
+     % ({"rays": AMPLE_TABLE["rays"]},)),
+    (BreakFn, {**AMPLE_TABLE, "rays": 4}, "rays must be a list of rays, got 4"),
+    (PicVec, "e", "a PicVec document is a JSON object, got 'e'"),
+    (PicVec, {"terms": {}}, "terms must be a list of term objects, got {}"),
+    (PicVec, {"terms": [5]}, "a PicVec term document is a JSON object, got 5"),
+    (PicVec, {"terms": [{"family": "e", "arg": [1, 0], "coef": [1]}]},
+     "a PicVec term document holds the keys arg, level, got "
+     "{'family': 'e', 'arg': [1, 0], 'coef': [1]}"),
+    (PicVec, {"terms": [{"family": "plpart", "coef": [1]}]},
+     "a PicVec term document holds the keys fn, got "
+     "{'family': 'plpart', 'coef': [1]}"),
+    (PicVec, {"terms": [{"family": "plpart", "coef": [1], "fn": [1]}]},
+     "a BreakFn document is a JSON object, got [1]"),
+], ids=["fn-not-object", "fn-missing-key", "fn-non-list", "vec-not-object",
+        "vec-non-list", "term-not-object", "term-missing-level",
+        "term-missing-fn", "term-fn-not-object"])
+def test_from_json_refuses_a_malformed_document(cls, data, message):
+    with pytest.raises(ValueError) as exc:
+        cls.from_json(data)
+    assert str(exc.value) == message
 
 
 def test_pairing_examples():
@@ -596,6 +766,15 @@ def test_be_encode_intertwines_mu_on_functions_linear_at_v():
         assert (be_encode(compose_breakfn(F, mu_inv))
                 == mu_be_action(be_encode(F), v)), F
     assert checked >= 150
+
+
+def test_cross_basis_report_refuses_more_samples_than_vectors():
+    # 80 vectors w != 0 have |w_x|, |w_y| <= 4, and no w is drawn twice
+    rep = cross_basis_report(samples=80, seed=3)
+    assert len({tuple(e["w"]) for e in rep["samples"]}) == 80
+    for samples in (0, 81, 10**6):
+        with pytest.raises(ValueError, match="between 1 and 80,"):
+            cross_basis_report(samples=samples)
 
 
 def test_cross_basis_report_structure():

@@ -17,6 +17,7 @@ from sympt.plcore import (
     PLAut,
     chain_fan,
     compose_pl,
+    cone_covector,
     cone_index,
     cone_parents,
     cone_runs,
@@ -391,6 +392,16 @@ def test_from_function_detects_hidden_break():
     assert from_function(f, f.breakpoints()) == f
     with pytest.raises(ValueError):
         from_function(f, [])  # axes alone miss the wall at (1,-1)
+
+
+def test_cone_covector_solves_integral_cones_only():
+    # L(1,0) = 0 and L(1,2) = 2 give L = (0, 1); L(1,2) = 1 needs L_y = 1/2
+    assert cone_covector((1, 0), (1, 2), 0, 2) == (0, 1)
+    assert cone_covector((1, 0), (1, 2), 0, 1) is None
+    # L = (3, -2) on the cone of (2,-1) and (1,3), whose wedge is 7
+    assert cone_covector((2, -1), (1, 3), 8, -3) == (3, -2)
+    assert cone_covector((2, -1), (1, 3), 8, -2) is None
+    assert cone_covector((0, 1), (-1, 0), 5, -4) == (4, 5)
 
 
 def test_from_cones_checks_each_cone():

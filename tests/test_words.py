@@ -200,6 +200,15 @@ def test_unknown_suite():
         load_suite("bogus")
 
 
+@pytest.mark.parametrize("name", ["../suites/H", "./H", "H.json", "H/..",
+                                  "../../../../x"])
+def test_load_suite_reads_only_shipped_names(name):
+    # a relative path could otherwise reach any .json file, H's included
+    with pytest.raises(ValueError) as exc:
+        load_suite(name)
+    assert str(exc.value).startswith("unknown suite %r (have: " % name)
+
+
 def test_h_suite_passes_pl():
     report = check_suite("H", "pl")
     assert report["ok"]
