@@ -498,6 +498,9 @@ class PicVec(Frozen):
             merged[("plpart", plsum)] = Q_ONE
         self._init({k: c for k, c in merged.items() if c})
 
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
     @staticmethod
     def _check_key(fam, key):
         spec = _family(fam)

@@ -318,12 +318,14 @@ class Frozen:
     Two values are equal when they have the same class and equal fields,
     and hash like the tuple of their fields; the repr is
     Name(field=value, ...).  A subclass may override any of these where
-    its meaning differs.  Assigning or deleting any attribute raises
-    AttributeError.  A subclass sets its fields in __init__ with one
-    _init call.  __reduce__ passes the fields to the constructor, so copy,
-    deepcopy and pickle rebuild a value through its validation; a
-    subclass whose constructor takes other arguments overrides __reduce__
-    with them.  (The standard library's record decorator would do the
+    its meaning differs.  One with an unhashable field, such as a dict,
+    defines __hash__ over a hashable form of it; one whose __eq__ has no
+    cheap canonical form to hash sets __hash__ = None.  Assigning or
+    deleting any attribute raises AttributeError.  A subclass sets its
+    fields in __init__ with one _init call.  __reduce__ passes the fields
+    to the constructor, so copy, deepcopy and pickle rebuild a value
+    through its validation; a subclass whose constructor takes other
+    arguments overrides __reduce__ with them.  (The standard library's record decorator would do the
     same, but its import loads inspect, ast and dis on every CLI call.)
     """
 

@@ -170,7 +170,8 @@ def test_criterion_06_kernel_probe():
         word = (("P", 1), ("I", 1), ("C", 1)) * 7
         rep = birational.kernel_probe(word, npoints=100,
                                       primes=birational.PRIMES[:3], seed=0)
-        # experimental data: demand consistency across points/primes only
+        # a moved point is an exact disproof; a sample of fixed points is
+        # experimental data about the candidate kernel element
         assert rep["verdict"] in ("identity", "nonidentity")
         assert rep["points_identity"] + rep["points_moved"] >= 100
         assert len(rep["primes"]) >= 3

@@ -1,13 +1,18 @@
 """Birational layer: exact composition, the symplectic form, randomized word
 equality, orbits, and tropicalization."""
 
+import contextlib
+import io
+import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from sympt import birational, plcore
+from sympt import birational, cli, plcore
 from sympt.birational import (
     ONE,
     PRIMES,
@@ -217,6 +222,38 @@ def random_laurent(rng, nterms, lo=-3, hi=3, cmax=6):
                         for _ in range(nterms)})
 
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+
+def compose_traffic():
+    """The distinct (num, den) pairs that compose_bir passes to
+    reduce_fraction while folding every reduced core word of length <= 3 in
+    bir and while the CLI replays the trop and bir eval goldens: sparse,
+    structured inputs, unlike the dense random ones."""
+    seen = []
+    reduce_fraction = birational.reduce_fraction
+
+    def record(num, den):
+        seen.append((num, den))
+        return reduce_fraction(num, den)
+
+    letters = [(s, e) for s in "PCI" for e in (1, -1)]
+    core_words = [w for n in (1, 2, 3)
+                  for w in itertools.product(letters, repeat=n)
+                  if all(a != (b[0], -b[1]) for a, b in zip(w, w[1:]))]
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    argvs = [golden[name]["argv"] for name in golden
+             if name.startswith("trop.")
+             or name in ("eval.PCI.bir", "eval.PUP.bir")]
+    with mock.patch.object(birational, "reduce_fraction", record):
+        for word in core_words:
+            evaluate(word, "bir")
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+    return list(dict.fromkeys(seen))
+
+
 def reduction_cases(n):
     rng = random.Random(17)
     c = LaurentPoly.const
@@ -240,7 +277,7 @@ def reduction_cases(n):
         else:
             common = ONE
         cases.append((num * common, den * common))
-    return cases
+    return cases + compose_traffic()
 
 
 def test_reduce_fraction_matches_sympy_reference():
@@ -251,12 +288,25 @@ def test_reduce_fraction_matches_sympy_reference():
     assert birational.reduce_fraction(c(4) * X, c(6)) == (c(2) * X, c(3))
 
 
-def test_remainder_sequence_behind_the_heuristic_gcd(monkeypatch):
-    # the fallback for a heuristic that fails at every evaluation point
-    monkeypatch.setattr(birational, "_heu_gcd", lambda a, b, k: None)
-    for num, den in reduction_cases(150):
+def test_remainder_sequence_runs_in_the_variable_of_lower_degree(monkeypatch):
+    # a side free of the main variable ends the sequence at once; in x, the
+    # coprime pair of one 8-factor trop word, whose denominator is free of
+    # y, took 7000 times longer than in y
+    lengths = []
+    gcd = birational._gcd
+
+    def spy(a, b, k):
+        if k == 2:
+            lengths.append((len(a), len(b)))
+        return gcd(a, b, k)
+
+    monkeypatch.setattr(birational, "_gcd", spy)
+    c = LaurentPoly.const
+    for z in (X, Y):
+        num, den = (X + Y) * (ONE + z) ** 3, c(2) * (ONE + z) ** 2
         assert birational.reduce_fraction(num, den) == \
-            ref_reduce_fraction(num, den), (num, den)
+            ref_reduce_fraction(num, den)
+    assert lengths == [(2, 1), (2, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +488,21 @@ def test_lyness_orbit_generic_period_five():
 def test_kernel_probe_identity_word():
     probe = kernel_probe(parse_word("P^5"), npoints=12)
     assert probe["verdict"] == "identity"
-    assert probe["points_moved"] == 0
+    assert probe["points_moved"] == 0 and "exact" not in probe
+
+
+def test_kernel_probe_reads_one_moved_point_as_a_disproof(monkeypatch):
+    # a word that fixes every other sampled point is still not 1
+    calls = itertools.count()
+
+    def half_fixed(word, point, p):
+        return point if next(calls) % 2 else (point[1], point[0])
+
+    monkeypatch.setattr(birational, "_apply_word_mod", half_fixed)
+    probe = kernel_probe(parse_word("P^5"), npoints=6)
+    assert probe["verdict"] == "nonidentity" and probe["exact"] is True
+    assert (probe["points_identity"], probe["points_moved"]) == (3, 3)
+    assert probe["witness"]["image"] == probe["witness"]["point"][::-1]
 
 
 def test_kernel_probe_raises_when_no_point_avoids_the_poles(monkeypatch):
@@ -476,11 +540,11 @@ def test_sampling_names_a_letter_outside_the_core_alphabet():
 def test_kernel_probe_pic7():
     word = _core("P I C") * 7
     probe = kernel_probe(word, npoints=30)
-    assert probe["verdict"] in ("identity", "nonidentity", "inconsistent")
+    assert probe["verdict"] in ("identity", "nonidentity")
     # frozen experimental outcome: every sampled point moves
     assert probe["verdict"] == "nonidentity"
     assert probe["points_identity"] == 0
-    assert "witness" in probe
+    assert "witness" in probe and probe["exact"] is True
 
 
 # ---------------------------------------------------------------------------

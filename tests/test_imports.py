@@ -51,20 +51,25 @@ def test_the_check_sees_an_unread_import():
 
 def unread_private_defs(sources: dict) -> list:
     """(module, name) of each module-level private function or class that
-    no module of sources (name -> text) reads, as a name or an attribute."""
+    no module of sources (name -> text) reads, as a name or an attribute,
+    outside the def itself: a helper that only calls itself is unread."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    read = set()
+    reads = []  # (top-level statement, the names it reads)
     for tree in trees.values():
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                read.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
+        for stmt in tree.body:
+            read = set()
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    read.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    read.add(n.attr)
+            reads.append((stmt, read))
     return [(name, node.name) for name, tree in sorted(trees.items())
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name.startswith("_") and not node.name.endswith("__")
-            and node.name not in read]
+            and not any(node.name in read for stmt, read in reads
+                        if stmt is not node)]
 
 
 def test_every_private_def_is_read():
@@ -78,6 +83,8 @@ def test_the_check_sees_an_unread_private_def():
                         "@functools.cache\n"
                         "def _stale_ring(): pass\n"
                         "class _Kept: pass\n"
+                        "def _walk(t): return [_walk(c) for c in t]\n"
                         "def __getattr__(name): pass\n"),
                "b.py": "from .a import _Kept\nprint(_Kept, a._used)\n"}
-    assert unread_private_defs(sources) == [("a.py", "_stale_ring")]
+    assert unread_private_defs(sources) == [("a.py", "_stale_ring"),
+                                            ("a.py", "_walk")]

@@ -519,6 +519,23 @@ def test_every_value_copies_pickles_and_refuses_mutation(value):
     assert value._fields() == fields
 
 
+@pytest.mark.parametrize("value", _one_value_of_each_class(),
+                         ids=lambda value: type(value).__name__)
+def test_every_value_hashes_like_its_copies_or_refuses_by_name(value):
+    # a copy or an unpickled twin hashes equal to the value; a class with no
+    # cheap canonical hash refuses under its own name, not a field's
+    twins = (copy.copy(value), pickle.loads(pickle.dumps(value)))
+    try:
+        h = hash(value)
+    except TypeError as err:
+        assert str(err) == "unhashable type: '%s'" % type(value).__name__
+        for twin in twins:
+            with pytest.raises(TypeError):
+                hash(twin)
+    else:
+        assert [hash(twin) for twin in twins] == [h, h]
+
+
 def test_the_values_cover_every_frozen_class():
     frozen = {cls for cls in _sympt_classes()
               if issubclass(cls, plcore.Frozen)} - {plcore.Frozen}
