@@ -1,13 +1,16 @@
 """Exact birational self-maps of the plane in two variables.
 
 Maps are pairs of rational functions with integer-coefficient Laurent
-polynomials for numerator and denominator; nothing is ever reduced to lowest
-terms, so equality tests cross-multiply.  Symbolic composition substitutes
-one map into another, cancels common factors with a polynomial gcd in
-Z[x, y] (reduce_fraction: a primitive remainder sequence) and is capped at
-short words; long words are compared pointwise modulo large primes: a pass
-carries a Schwartz-Zippel error bound, and a moved point is an exact
-disproof.  All arithmetic is plain integer arithmetic.
+polynomials for numerator and denominator; a RationalFn is never reduced on
+its own, so equality tests cross-multiply.  Symbolic composition multiplies
+a word one letter at a time (compose_letters), substituting each letter into
+the product so far.  A letter can create only a few common factors in a
+product that was in lowest terms: integer content, powers of 1 + x or
+1 + y, and monomials; reduce_fraction cancels exactly those, with no
+polynomial gcd.  Composition is capped at short words; long words are
+compared pointwise modulo large primes: a pass carries a Schwartz-Zippel
+error bound, and a moved point is an exact disproof.  All arithmetic is
+plain integer arithmetic.
 
 The symplectic structure is the log form dx∧dy/(xy): a map (f1, f2) preserves
 it exactly when x·y·det J(f1,f2) = f1·f2.  Tropicalization reads off leading
@@ -153,8 +156,9 @@ class RationalFn(Frozen):
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    # equal fractions need not be reduced alike, and reducing one to hash
-    # it costs a gcd, so there is no cheap canonical hash
+    # equal fractions need not be reduced alike, and reducing an arbitrary
+    # one to hash it needs a polynomial gcd, so there is no cheap canonical
+    # hash
     __hash__ = None
 
     def __repr__(self):
@@ -164,168 +168,75 @@ class RationalFn(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd in Z[x, y]
-#
-# Dense recursive form: a polynomial in k variables is the list of its
-# coefficients, polynomials in k - 1 variables, lowest degree first and with
-# no trailing zero; in 0 variables it is an int.  Z[x, y] is Z[y][x], so the
-# leading coefficient of a bivariate polynomial is that of its highest power
-# of x, and its ground leading coefficient is that of the lex-largest
-# monomial with x > y.
-
-def _trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _add(a, b, k: int):
-    if not k:
-        return a + b
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    if k == 1:
-        for i, c in enumerate(b):
-            out[i] += c
-    else:
-        for i, c in enumerate(b):
-            out[i] = _add(out[i], c, k - 1)
-    return _trim(out)
-
-
-def _neg(a, k: int):
-    return -a if not k else [_neg(c, k - 1) for c in a]
-
-
-def _mul(a, b, k: int):
-    if not a or not b:
-        return []
-    if k == 1:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-        return out
-    out = [[]] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] = _add(out[i + j], _mul(c, d, k - 1), k - 1)
-    return out
-
-
-def _quo(a, b, k: int):
-    """a / b when b divides a exactly; ArithmeticError otherwise."""
-    if not k:
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact division")
-        return q
-    zero = 0 if k == 1 else []
-    q = [zero] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        n = len(a) - len(b)
-        c = _quo(a[-1], b[-1], k - 1)
-        q[n] = c
-        a = _add(a, [zero] * n + _mul(b, [_neg(c, k - 1)], k), k)
-    if a:
-        raise ArithmeticError("inexact division")
-    return q
-
-
-def _gcd(a, b, k: int):
-    """gcd in Z[x_1..x_k], up to sign.
-
-    For nonzero a, b it is the gcd of their contents times the last nonzero
-    term of the primitive polynomial remainder sequence of their primitive
-    parts over the coefficient ring (W. S. Brown, JACM 18 (1971)).
-    """
-    if not k:
-        return gcd(a, b)
-    if not a or not b:
-        return a or b
-    ca, cb = _content(a, k), _content(b, k)
-    a = [_quo(c, ca, k - 1) for c in a]
-    b = [_quo(c, cb, k - 1) for c in b]
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        # pseudo-remainder of a by b, up to a factor the content absorbs
-        lb = b[-1]
-        while len(a) >= len(b):
-            la = _neg(a[-1], k - 1)
-            a = _add(_mul(a, [lb], k),
-                     [0 if k == 1 else []] * (len(a) - len(b))
-                     + _mul(b, [la], k), k)
-        if a:
-            cr = _content(a, k)
-            a = [_quo(c, cr, k - 1) for c in a]
-        a, b = b, a
-    return _mul(a, [_gcd(ca, cb, k - 1)], k)
-
-
-def _content(a, k: int):
-    """gcd of the coefficients of a, up to sign."""
-    g = 0 if k == 1 else []
-    for c in a:
-        g = _gcd(g, c, k - 1)
-    return g
-
+# reduction to lowest terms
 
 def reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Cancel the polynomial gcd and monomial content of num/den.
+    """Cancel from num/den their integer content, their common powers of
+    1 + x and of 1 + y, and their monomial content.
 
     Composition never reduces on its own; without this the unreduced
-    representations grow exponentially with word length.  The gcd is taken
-    in Z[x, y], by the primitive remainder sequence of _gcd, after both
-    sides are shifted to nonnegative exponents; it carries the gcd of the
-    integer contents and a positive leading coefficient in lex order with
-    x > y, and both quotients are exact.
+    representations grow exponentially with word length.  The cancelled
+    factors have positive leading coefficients, and the net monomial is
+    parked on the numerator, so that den has lowest exponents 0; a
+    denominator left at +-1 becomes 1.
+
+    That is the whole gcd in Z[x^+-1, y^+-1] when num/den is a component of
+    compose_bir(f, g) with f in lowest terms and g one letter: P or P^-1, a
+    monomial map or a torus scaling.  Write A for that ring, a UFD whose
+    units are the signed monomials, and n/d for the component of f.
+    compose_bir returns num = n(g) u and den = d(g) v, where u and v clear
+    the denominators of g: products of monomials, and of powers of 1 + y
+    for P, of 1 + x for P^-1 and of integers for a scaling.
+    - P: the substitution h -> h(y, (1 + y)/x) is a ring isomorphism from
+      A[1/(1+x)] onto A[1/(1+y)], whose inverse substitutes P^-1 =
+      ((1 + x)/y, x).  Coprime n and d stay coprime in the localization
+      A[1/(1+x)], so n(g) and d(g) are coprime in A[1/(1+y)], where u and v
+      are units.  A common factor of num and den in A is then a unit of
+      A[1/(1+y)]: a signed monomial times a power of the prime 1 + y.
+    - P^-1: the same with x and y exchanged.
+    - a monomial map: the substitution is an automorphism of A itself, and
+      u, v are monomials, so only a monomial is shared.
+    - a scaling: the substitution is an automorphism of Q[x^+-1, y^+-1],
+      where n and d stay coprime (Gauss's lemma), so only a monomial times
+      an integer is shared.
+    For any other input the result is correct but may be unreduced.
     """
     if not num:
         return ZERO, ONE
-    shift_n = (min(i for i, _ in num.terms), min(j for _, j in num.terms))
-    shift_d = (min(i for i, _ in den.terms), min(j for _, j in den.terms))
-    pn, pd = (_dense(poly, shift) for poly, shift in ((num, shift_n),
-                                                      (den, shift_d)))
-    # The remainder sequence runs in the variable in which the lower of the
-    # two degrees is smaller: it takes at most that many steps, and a side
-    # free of the variable ends it at once.  A coprime pair from an 8-factor
-    # trop word, whose denominator is free of y, took 7000 times longer in x.
-    if min(max(map(len, p)) for p in (pn, pd)) < min(len(pn), len(pd)):
-        g = _transpose(_gcd(_transpose(pn), _transpose(pd), 2))
-    else:
-        g = _gcd(pn, pd, 2)
-    if g[-1][-1] < 0:
-        g = _neg(g, 2)
-    if g != [[1]]:
-        pn, pd = _quo(pn, g, 2), _quo(pd, g, 2)
-    num, den = (LaurentPoly({(i, j): c for i, row in enumerate(poly)
-                             for j, c in enumerate(row) if c})
-                for poly in (pn, pd))
-    # park the net monomial x^i y^j on the numerator
-    num = num.shift(shift_n[0] - shift_d[0], shift_n[1] - shift_d[1])
-    if len(den.terms) == 1:
-        ((di, dj), dc) = next(iter(den.terms.items()))
-        if dc in (1, -1):
-            return num.shift(-di, -dj) if dc == 1 else (-num).shift(-di, -dj), ONE
+    g = 0
+    for c in (*num.terms.values(), *den.terms.values()):
+        g = gcd(g, c)
+    if g > 1:
+        num, den = (LaurentPoly({m: c // g for m, c in poly.terms.items()})
+                    for poly in (num, den))
+    for axis in (0, 1):
+        while (qn := _over_one_plus(num, axis)) and \
+                (qd := _over_one_plus(den, axis)):
+            num, den = qn, qd
+    di, dj = min(i for i, _ in den.terms), min(j for _, j in den.terms)
+    num, den = num.shift(-di, -dj), den.shift(-di, -dj)
+    if den in (ONE, -ONE):
+        return (num if den == ONE else -num), ONE
     return num, den
 
 
-def _dense(poly: LaurentPoly, shift: Monomial) -> list:
-    """poly / x^shift[0] y^shift[1] in the dense form of Z[y][x]."""
-    rows = [[] for _ in range(1 + max(i for i, _ in poly.terms) - shift[0])]
-    for (i, j), c in poly.terms.items():
-        row = rows[i - shift[0]]
-        row.extend([0] * (j - shift[1] + 1 - len(row)))
-        row[j - shift[1]] = c
-    return _trim(rows)
-
-
-def _transpose(a: list) -> list:
-    """a in the dense form of Z[y][x] as one of Z[x][y], and back."""
-    return _trim([_trim([row[j] if j < len(row) else 0 for row in a])
-                  for j in range(max(map(len, a)))])
+def _over_one_plus(poly: LaurentPoly, axis: int) -> LaurentPoly | None:
+    """poly / (1 + x) for axis 0, poly / (1 + y) for axis 1, or None when
+    the division is not exact.  Along the axis each line of poly is divided
+    on its own, from its lowest power up."""
+    lines: dict[int, dict[int, int]] = {}
+    for m, c in poly.terms.items():
+        lines.setdefault(m[1 - axis], {})[m[axis]] = c
+    out = {}
+    for k, line in lines.items():
+        q = 0
+        top = max(line)
+        for e in range(min(line), top):
+            q = line.get(e, 0) - q
+            out[(e, k) if axis == 0 else (k, e)] = q
+        if q != line[top]:
+            return None
+    return LaurentPoly(out)
 
 
 def _subs_poly(poly: LaurentPoly, g1: RationalFn, g2: RationalFn) -> RationalFn:
@@ -481,13 +392,38 @@ def generator_bir_inverse(name: str) -> BirMap:
 
 
 def compose_bir(f: BirMap, g: BirMap) -> BirMap:
-    """f after g, by substitution; the result is reduced to lowest terms."""
+    """f after g, by substitution, each component through reduce_fraction.
+
+    The result is in lowest terms when f is and g is one letter: P, P^-1,
+    a monomial map or a torus scaling.  Otherwise it is correct but may be
+    unreduced.
+    """
     parts = []
     for comp in (f.f1, f.f2):
         n = _subs_poly(comp.num, g.f1, g.f2)
         d = _subs_poly(comp.den, g.f1, g.f2)
         parts.append(RationalFn(*reduce_fraction(n.num * d.den, n.den * d.num)))
     return BirMap(parts[0], parts[1])
+
+
+def word_letters(word) -> list:
+    """The maps of the letters of a word over generator names, each factor
+    s^e as |e| copies of s or of its inverse, leftmost first."""
+    return [(generator_bir if e > 0 else generator_bir_inverse)(s)
+            for s, e in word for _ in range(abs(e))]
+
+
+def compose_letters(letters: list) -> BirMap:
+    """The product of a list of letters, leftmost first, or the identity
+    for none.  It folds from the leftmost letter, keeping the product on the
+    left, acc <- compose_bir(acc, letter), so that every product is in
+    lowest terms."""
+    if not letters:
+        return identity_bir()
+    acc = letters[0]
+    for g in letters[1:]:
+        acc = compose_bir(acc, g)
+    return acc
 
 
 def is_symplectic(f: BirMap) -> bool:

@@ -43,7 +43,7 @@ import argparse
 import json
 import sys
 
-from . import plcore, words
+from . import words
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -153,9 +153,7 @@ def _trop_factors(text: str):
                 raise ValueError(
                     "trop words are spelled over P, C, I, U plus lambda:/mono:"
                     " tokens; got %r" % sym)
-            gen = (birational.generator_bir if exp > 0
-                   else birational.generator_bir_inverse)(sym)
-            factors.extend([gen] * abs(exp))
+        factors.extend(birational.word_letters(parsed))
     return factors
 
 
@@ -168,8 +166,7 @@ def cmd_trop(args):
             "symbolic composition capped at %d factors; got %d "
             "(tropicalize shorter pieces and compose the PL results instead)"
             % (birational.COMPOSE_CAP, len(factors)))
-    total = plcore.product(factors, birational.compose_bir,
-                           birational.identity_bir())
+    total = birational.compose_letters(factors)
     return birational.tropicalize(total).to_json(), 0
 
 

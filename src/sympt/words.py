@@ -18,13 +18,16 @@ trade: the package must be installed as files (package-data
 suites/*.json), never zipped.
 
 Every reader of EXPANSIONS goes through one fold, _fold, over a _Ring: one
-ring per model, and the free group on the target letters, in which _core
-and expand spell a word over {P, C, I} or {P, C}, freely reduced.  The fold
-raises each factor by repeated squaring (plcore.power) and multiplies the
-factors in a balanced tree (plcore.product).  A ring's atoms are its model's
-values of the core letters alone, so every derived symbol, A and B included,
-folds from EXPANSIONS.  tree and dyadic share _circle_ring, whose atoms are
-the circle forms of P, C and I; FORMS names each model's form in thompson.
+ring per exact model, and the free group on the target letters, in which
+_core and expand spell a word over {P, C, I} or {P, C}, freely reduced.
+The fold raises each factor by repeated squaring (plcore.power) and
+multiplies the factors in a balanced tree (plcore.product).  A ring's atoms
+are its model's values of the core letters alone, so every derived symbol,
+A and B included, folds from EXPANSIONS.  tree and dyadic share
+_circle_ring, whose atoms are the circle forms of P, C and I; FORMS names
+each model's form in thompson.  bir composes the core spelling one letter
+at a time instead (birational.compose_letters), the order in which its
+products stay in lowest terms.
 
 BACKENDS is the one table of models, keyed by name.  Each entry says how to
 evaluate a word; the randomized models (bir, picard, quantum) also say how to
@@ -225,31 +228,23 @@ def _circle_ring(model: str):
         lambda a, b: getattr(th, form + "_compose")(a, b))
 
 
-@functools.cache
-def _bir_ring():
-    # C and I are the monomial maps of the plcore.GEN_MATS matrices, the
-    # table every model reads its generator matrices from; bir folds core
-    # words only, and its inverses are the exact inverse generators
-    bir = _module("birational")
-    return _Ring(
-        lambda s, sign: bir.generator_bir(s) if sign > 0
-        else bir.generator_bir_inverse(s),
-        bir.identity_bir(), lambda f, g: bir.compose_bir(f, g))
-
-
 def _exact(ring, *args):
     return lambda word, params: _fold(word, ring(*args))
 
 
 def _bir_value(word, params):
-    cap = _module("birational").COMPOSE_CAP
+    # one letter at a time, from the left, so that reduce_fraction cancels
+    # every common factor; C and I are the monomial maps of the
+    # plcore.GEN_MATS matrices, the table every model reads its generator
+    # matrices from
+    bir = _module("birational")
     core = _core(word)
-    if word_length(core) > cap:
+    if word_length(core) > bir.COMPOSE_CAP:
         raise ValueError(
             "symbolic composition capped at length %d; expanded word has "
             "length %d (use word_equals for long words)"
-            % (cap, word_length(core)))
-    return _fold(core, _bir_ring())
+            % (bir.COMPOSE_CAP, word_length(core)))
+    return bir.compose_letters(bir.word_letters(core))
 
 
 def _sampled(module: str, function: str, key: str):

@@ -225,11 +225,25 @@ def random_laurent(rng, nterms, lo=-3, hi=3, cmax=6):
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
 
+def trop_words(n, seed):
+    """n seeded trop words of COMPOSE_CAP factors over P, C, I, U and
+    their inverses, unimodular mono: maps and torus scalings."""
+    rng = random.Random(seed)
+    tokens = ["P", "C", "I", "U", "P^-1", "C^-1", "I^-1", "U^-1",
+              "mono:0,1,-1,0", "mono:2,1,1,1", "lambda:2,-3", "lambda:3/4,2/3"]
+    tokens += ["mono:1,%d,0,1" % k for k in (-4, -2, 3, 5)]
+    tokens += ["mono:1,0,%d,1" % k for k in (-5, -3, 2, 4)]
+    return [" ".join(rng.choice(tokens)
+                     for _ in range(birational.COMPOSE_CAP))
+            for _ in range(n)]
+
+
 def compose_traffic():
     """The distinct (num, den) pairs that compose_bir passes to
-    reduce_fraction while folding every reduced core word of length <= 3 in
-    bir and while the CLI replays the trop and bir eval goldens: sparse,
-    structured inputs, unlike the dense random ones."""
+    reduce_fraction while bir folds every reduced core word of length <= 5,
+    and while the CLI replays 30 seeded trop words of COMPOSE_CAP factors
+    and the trop and bir eval goldens: sparse, structured inputs, unlike
+    the random ones."""
     seen = []
     reduce_fraction = birational.reduce_fraction
 
@@ -237,17 +251,26 @@ def compose_traffic():
         seen.append((num, den))
         return reduce_fraction(num, den)
 
-    letters = [(s, e) for s in "PCI" for e in (1, -1)]
-    core_words = [w for n in (1, 2, 3)
-                  for w in itertools.product(letters, repeat=n)
-                  if all(a != (b[0], -b[1]) for a, b in zip(w, w[1:]))]
+    # the fold composes a word's value as its prefix's value after its last
+    # letter, so the words of length n + 1 need one composition for each
+    # distinct value and last letter of length n
+    letters = {(s, e): birational.word_letters([(s, e)])[0]
+               for s in "PCI" for e in (1, -1)}
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     argvs = [golden[name]["argv"] for name in golden
              if name.startswith("trop.")
              or name in ("eval.PCI.bir", "eval.PUP.bir")]
+    argvs += [["trop", "--word", text] for text in trop_words(30, 61)]
     with mock.patch.object(birational, "reduce_fraction", record):
-        for word in core_words:
-            evaluate(word, "bir")
+        values = {(json.dumps(g.to_json()), a): g for a, g in letters.items()}
+        for _ in range(4):
+            longer = {}
+            for (_, last), f in values.items():
+                for a, g in letters.items():
+                    if a != (last[0], -last[1]):
+                        h = compose_bir(f, g)
+                        longer[json.dumps(h.to_json()), a] = h
+            values = longer
         for argv in argvs:
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(argv)
@@ -261,15 +284,17 @@ def reduction_cases(n):
         (ZERO, ONE), (ZERO, X + Y), (c(4) * X, c(6)), (c(-4) * X, c(6)),
         (c(6), c(-4)), (c(-1), c(-1)), (c(3), c(5)), (ONE, c(-7) * X * Y),
         (LaurentPoly.monomial(-2, 3, -6), LaurentPoly.monomial(4, -1, 9)),
-        ((X + Y) * (X - Y), (Y - X) * c(2)), (c(-2) * (ONE + Y), c(6) * X),
+        ((X + Y) * (ONE + X), (Y - X) * (ONE + X) * c(2)),
+        (c(-2) * (ONE + Y), c(6) * X),
         ((ONE + Y) ** 3, (ONE + Y) ** 2 * (ONE + X)),
     ]
     for _ in range(n):
         num = random_laurent(rng, rng.randint(0, 6))
         den = random_laurent(rng, rng.randint(1, 6))
         kind = rng.randrange(4)
-        if kind == 0:  # planted common factor
-            common = random_laurent(rng, rng.randint(1, 3), -1, 2)
+        if kind == 0:  # planted powers of 1 + x and 1 + y
+            common = (ONE + X) ** rng.randint(0, 3) * \
+                (ONE + Y) ** rng.randint(0, 3)
         elif kind == 1:  # integer content
             common = c(rng.choice((-1, 1)) * rng.randint(2, 12))
         elif kind == 2:  # monomial, possibly with a negative coefficient
@@ -281,6 +306,8 @@ def reduction_cases(n):
 
 
 def test_reduce_fraction_matches_sympy_reference():
+    # reduce_fraction cancels only what a letter can create, so no planted
+    # common factor is of any other kind
     for num, den in reduction_cases(400):
         assert birational.reduce_fraction(num, den) == \
             ref_reduce_fraction(num, den), (num, den)
@@ -288,25 +315,14 @@ def test_reduce_fraction_matches_sympy_reference():
     assert birational.reduce_fraction(c(4) * X, c(6)) == (c(2) * X, c(3))
 
 
-def test_remainder_sequence_runs_in_the_variable_of_lower_degree(monkeypatch):
-    # a side free of the main variable ends the sequence at once; in x, the
-    # coprime pair of one 8-factor trop word, whose denominator is free of
-    # y, took 7000 times longer than in y
-    lengths = []
-    gcd = birational._gcd
-
-    def spy(a, b, k):
-        if k == 2:
-            lengths.append((len(a), len(b)))
-        return gcd(a, b, k)
-
-    monkeypatch.setattr(birational, "_gcd", spy)
-    c = LaurentPoly.const
-    for z in (X, Y):
-        num, den = (X + Y) * (ONE + z) ** 3, c(2) * (ONE + z) ** 2
-        assert birational.reduce_fraction(num, den) == \
-            ref_reduce_fraction(num, den)
-    assert lengths == [(2, 1), (2, 1)]
+def test_a_one_letter_word_is_its_generator():
+    # the fold starts at the leftmost letter, not at the identity, so a lone
+    # letter keeps its generator's spelling: P stays (y, (1 + y)/x)
+    for s in "PCI":
+        for text, g in ((s, generator_bir(s)),
+                        (s + "^-1", generator_bir_inverse(s))):
+            assert json.dumps(evaluate(text, "bir").to_json()) == \
+                json.dumps(g.to_json()), text
 
 
 # ---------------------------------------------------------------------------

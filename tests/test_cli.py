@@ -214,8 +214,8 @@ def test_trop_cap_and_grammar_errors():
 
 
 def test_trop_equals_the_left_to_right_product():
-    # cmd_trop multiplies its factors in a balanced tree; the shadow must
-    # be that of the plain left-to-right composition
+    # cmd_trop folds its factors from the leftmost one; the shadow must be
+    # that of the same product folded from the identity
     rng = random.Random(53)
     tokens = ("P", "C", "I", "U", "P^-1", "C^-1", "I^-1", "U^-1", "P^2",
               "I^-2", "lambda:2,-3", "lambda:1/2,5", "mono:1,1,0,1",
@@ -233,6 +233,35 @@ def test_trop_equals_the_left_to_right_product():
         assert code == 0, (text, rep)
         assert rep == birational.tropicalize(total).to_json(), text
         checked += 1
+
+
+def test_trop_is_a_morphism_to_pl():
+    # over positive scalings every factor is subtraction-free, so trop of
+    # the product is the pl product of the letters' shadows: mono: is its
+    # linear map and lambda: the identity
+    rng = random.Random(59)
+    gens = ["P", "C", "I", "U", "P^-1", "C^-1", "I^-1", "U^-1"]
+    monos = [(1, k, 0, 1) for k in (-3, -2, 2, 3)] + \
+        [(1, 0, k, 1) for k in (-3, -1, 1, 2)] + \
+        [(0, 1, -1, 0), (2, 1, 1, 1), (1, -1, 1, 0), (-1, 0, 0, -1)]
+    for _ in range(200):
+        tokens, want = [], plcore.identity_pl()
+        for _ in range(rng.randint(1, birational.COMPOSE_CAP)):
+            kind = rng.random()
+            if kind < 0.2:
+                m = rng.choice(monos)
+                tokens.append("mono:%d,%d,%d,%d" % m)
+                want = want * plcore.linear_pl(m)
+            elif kind < 0.3:
+                tokens.append("lambda:%d/%d,%d/%d" % tuple(
+                    rng.randint(1, 5) for _ in range(4)))
+            else:
+                tokens.append(rng.choice(gens))
+                want = want * words.evaluate(tokens[-1], "pl")
+        text = " ".join(tokens)
+        code, rep = run_json(["trop", "--word", text])
+        assert code == 0, (text, rep)
+        assert plcore.PLAut.from_json(rep) == want, text
 
 
 # ---------------------------------------------------------------------------

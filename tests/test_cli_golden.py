@@ -128,6 +128,13 @@ CORPUS = {
     "trop.lambda.negative": ["trop", "--word",
                              "lambda:4,6 P U P^-1 lambda:1/4,-1/6"],
     "trop.mono": ["trop", "--word", "mono:1,1,0,1 P mono:1,-1,0,1"],
+    # two 8-factor words whose products once reduced slowly
+    "trop.mono.shears": ["trop", "--word",
+                         "mono:1,0,4,1 P^-1 mono:1,3,0,1 lambda:3/4,2/3 I "
+                         "mono:1,2,0,1 P^-1 mono:1,5,0,1"],
+    "trop.lambda.shear": ["trop", "--word",
+                          "P^-1 U^-1 lambda:-5/4,4/4 mono:1,0,6,1 U^-1 "
+                          "P^-1 P^-1 U^-1"],
     "eval.PCI.bir": ["eval", "--word", "P C I", "--backend", "bir"],
     "eval.PUP.bir": ["eval", "--word", "P U P", "--backend", "bir"],
     "orbit.P": ["orbit", "--word", "P", "--start", "1,2", "--steps", "5"],

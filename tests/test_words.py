@@ -304,7 +304,8 @@ def _pl_atom(s, e):
 
 
 # per model: the value of a core letter to the sign of e, the product and
-# the identity
+# the identity.  bir evaluates letter by letter already, from the leftmost
+# letter; flat_product starts from the identity instead
 FLAT_MODELS = {
     "pl": (_pl_atom, plcore.compose_pl, plcore.identity_pl()),
     "tree": (lambda s, e: thompson.plaut_to_treepair(_pl_atom(s, e)),
