@@ -4,10 +4,10 @@ Maps are pairs of rational functions with integer-coefficient Laurent
 polynomials for numerator and denominator; a RationalFn is never reduced on
 its own, so equality tests cross-multiply.  Symbolic composition multiplies
 a word one letter at a time (compose_letters), substituting each letter into
-the product so far.  A letter can create only a few common factors in a
-product that was in lowest terms: integer content, powers of 1 + x or
-1 + y, and monomials; reduce_fraction cancels exactly those, with no
-polynomial gcd.  Composition is capped at short words; long words are
+the product so far, each component over one denominator.  A letter can
+create only a few common factors in a product that was in lowest terms:
+integer content, powers of 1 + x or 1 + y, and monomials; reduce_fraction
+cancels exactly those, with no polynomial gcd.  Composition is capped at short words; long words are
 compared pointwise modulo large primes: a pass carries a Schwartz-Zippel
 error bound, and a moved point is an exact disproof.  All arithmetic is
 plain integer arithmetic.
@@ -15,7 +15,8 @@ plain integer arithmetic.
 The symplectic structure is the log form dx∧dy/(xy): a map (f1, f2) preserves
 it exactly when x·y·det J(f1,f2) = f1·f2.  Tropicalization reads off leading
 exponents along x = t^a, y = t^b as t -> 0+, where the smallest exponent
-dominates, and returns the exact piecewise-linear shadow.
+dominates, from the corners and edge normals of the four Newton polygons,
+and returns the exact piecewise-linear shadow.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import gcd
 
 from .plcore import (
     GEN_MATS, Frozen, PLAut, _json_ints, _json_list, _json_object,
-    from_function, is_prime, mat_inv, power, primitive)
+    from_function, is_prime, mat_inv, power, wedge)
 from .words import word_inverse, word_length
 
 # primes just above 2^61, 2^61 + 10^6, 2^62, 2^63
@@ -118,9 +119,6 @@ class LaurentPoly(Frozen):
             acc += c * x ** i * y ** j
         return acc
 
-    def support(self) -> list[Monomial]:
-        return sorted(self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -184,18 +182,18 @@ def reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, La
     compose_bir(f, g) with f in lowest terms and g one letter: P or P^-1, a
     monomial map or a torus scaling.  Write A for that ring, a UFD whose
     units are the signed monomials, and n/d for the component of f.
-    compose_bir returns num = n(g) u and den = d(g) v, where u and v clear
-    the denominators of g: products of monomials, and of powers of 1 + y
-    for P, of 1 + x for P^-1 and of integers for a scaling.
+    compose_bir returns num = n(g) M and den = d(g) M, where M, which
+    clears the denominators of g, is a product of powers of monomials, and
+    of 1 + y for P, of 1 + x for P^-1 and of integers for a scaling.
     - P: the substitution h -> h(y, (1 + y)/x) is a ring isomorphism from
       A[1/(1+x)] onto A[1/(1+y)], whose inverse substitutes P^-1 =
       ((1 + x)/y, x).  Coprime n and d stay coprime in the localization
-      A[1/(1+x)], so n(g) and d(g) are coprime in A[1/(1+y)], where u and v
-      are units.  A common factor of num and den in A is then a unit of
+      A[1/(1+x)], so n(g) and d(g) are coprime in A[1/(1+y)], where M is a
+      unit.  A common factor of num and den in A is then a unit of
       A[1/(1+y)]: a signed monomial times a power of the prime 1 + y.
     - P^-1: the same with x and y exchanged.
     - a monomial map: the substitution is an automorphism of A itself, and
-      u, v are monomials, so only a monomial is shared.
+      M is a monomial, so only a monomial is shared.
     - a scaling: the substitution is an automorphism of Q[x^+-1, y^+-1],
       where n and d stay coprime (Gauss's lemma), so only a monomial times
       an integer is shared.
@@ -237,22 +235,6 @@ def _over_one_plus(poly: LaurentPoly, axis: int) -> LaurentPoly | None:
         if q != line[top]:
             return None
     return LaurentPoly(out)
-
-
-def _subs_poly(poly: LaurentPoly, g1: RationalFn, g2: RationalFn) -> RationalFn:
-    """poly(g1, g2) over the common denominator (n1 d1)^A (n2 d2)^B."""
-    if not poly.terms:
-        return RationalFn(ZERO)
-    A = max(abs(i) for i, _ in poly.terms)
-    B = max(abs(j) for _, j in poly.terms)
-    num = ZERO
-    for (i, j), c in poly.terms.items():
-        term = LaurentPoly.const(c)
-        term = term * g1.num ** (A + i) * g1.den ** (A - i)
-        term = term * g2.num ** (B + j) * g2.den ** (B - j)
-        num = num + term
-    den = (g1.num * g1.den) ** A * (g2.num * g2.den) ** B
-    return RationalFn(num, den)
 
 
 class BirMap(Frozen):
@@ -394,16 +376,35 @@ def generator_bir_inverse(name: str) -> BirMap:
 def compose_bir(f: BirMap, g: BirMap) -> BirMap:
     """f after g, by substitution, each component through reduce_fraction.
 
-    The result is in lowest terms when f is and g is one letter: P, P^-1,
-    a monomial map or a torus scaling.  Otherwise it is correct but may be
-    unreduced.
+    For g = (a1/b1, a2/b2) and a component n/d of f whose exponents, n's
+    and d's together, span [lo0, hi0] x [lo1, hi1], n(g) and d(g) are both
+    multiplied by a1^-lo0 b1^hi0 a2^-lo1 b2^hi1, so that x^i y^j becomes
+    a1^(i - lo0) b1^(hi0 - i) a2^(j - lo1) b2^(hi1 - j); each power of a1,
+    b1, a2 and b2 is formed once per call.  The result is in lowest terms
+    when f is and g is one letter: P, P^-1, a monomial map or a torus
+    scaling.  Otherwise it is correct but may be unreduced.
     """
+    gens = (g.f1.num, g.f1.den, g.f2.num, g.f2.den)
+    power_of = lru_cache(maxsize=None)(lambda k, e: gens[k] ** e)
+    # a1^e b1^h for k = 0, a2^e b2^h for k = 1
+    factor = lru_cache(maxsize=None)(
+        lambda k, e, h: power_of(2 * k, e) * power_of(2 * k + 1, h))
+
+    def image(poly, lo0, hi0, lo1, hi1):
+        out = {}
+        for (i, j), c in poly.terms.items():
+            term = factor(0, i - lo0, hi0 - i) * factor(1, j - lo1, hi1 - j)
+            for m, v in term.terms.items():
+                out[m] = out.get(m, 0) + c * v
+        return LaurentPoly(out)
+
     parts = []
     for comp in (f.f1, f.f2):
-        n = _subs_poly(comp.num, g.f1, g.f2)
-        d = _subs_poly(comp.den, g.f1, g.f2)
-        parts.append(RationalFn(*reduce_fraction(n.num * d.den, n.den * d.num)))
-    return BirMap(parts[0], parts[1])
+        box = [e(col) for col in zip(*comp.num.terms, *comp.den.terms)
+               for e in (min, max)]
+        parts.append(RationalFn(*reduce_fraction(
+            image(comp.num, *box), image(comp.den, *box))))
+    return BirMap(*parts)
 
 
 def word_letters(word) -> list:
@@ -492,15 +493,12 @@ def _apply_word_mod(word, point, p):
         elif sym == "C":
             for _ in range(n):
                 a, b, d = (b, d, a) if exp > 0 else (d, a, b)
-        elif sym == "I":
+        else:  # I
             for _ in range(n):
                 if exp > 0:
                     a, b, d = d * d % p, a * b % p, b * d % p
                 else:
                     a, b, d = a * b % p, d * d % p, a * d % p
-        else:
-            raise ValueError("letter %r is not in the core alphabet P, C, I"
-                             % (sym,))
     inv = pow(d, -1, p)
     return (a * inv % p, b * inv % p)
 
@@ -510,10 +508,11 @@ def _apply_word_mod(word, point, p):
 _is_prime = lru_cache(maxsize=32)(is_prime)
 
 
-def _sample_images(word, primes, per_prime: int, rng: random.Random):
-    """Yield (p, point, image) for per_prime points over each prime, drawn
-    from [2, p-2]^2 off the pole locus; ValueError before any draw if a
-    letter of the word is not P, C or I or a modulus is not prime,
+def _sample_moved(word, primes, per_prime: int, seed: int):
+    """(samples, moved, witness) for per_prime points over each prime,
+    drawn from [2, p-2]^2 off the pole locus: how many, how many the word
+    moved, and the first moved one, or None.  ValueError before any draw if
+    a letter of the word is not P, C or I or a modulus is not prime,
     RuntimeError after 100 draws per point on one prime."""
     for sym, _ in word:
         if sym not in ("P", "C", "I"):
@@ -523,6 +522,9 @@ def _sample_images(word, primes, per_prime: int, rng: random.Random):
         # the Schwartz-Zippel bound holds over a field only
         if not _is_prime(p):
             raise ValueError("p=%d is not prime" % p)
+    rng = random.Random(seed)
+    moved = 0
+    witness = None
     for p in primes:
         done = 0
         attempts = 0
@@ -536,7 +538,12 @@ def _sample_images(word, primes, per_prime: int, rng: random.Random):
             except ZeroDivisionError:
                 continue
             done += 1
-            yield p, point, image
+            if image != point:
+                moved += 1
+                if witness is None:
+                    witness = {"prime": p, "point": list(point),
+                               "image": list(image)}
+    return per_prime * len(primes), moved, witness
 
 
 def word_equals_identity(word, primes=None, trials: int = 20,
@@ -563,14 +570,7 @@ def word_equals_identity(word, primes=None, trials: int = 20,
         if p <= 2 ** 61:
             raise ValueError("prime %d is not above 2^61" % p)
     length = word_length(word)
-    samples = 0
-    mismatch = None
-    for p, point, image in _sample_images(word, primes, trials,
-                                          random.Random(seed)):
-        samples += 1
-        if image != point and mismatch is None:
-            mismatch = {"prime": p, "point": list(point),
-                        "image": list(image)}
+    samples, _, mismatch = _sample_moved(word, primes, trials, seed)
     evidence = {
         "primes": list(primes),
         "trials_per_prime": trials,
@@ -622,26 +622,15 @@ def kernel_probe(word, npoints: int = 100, primes=None, seed: int = 0) -> dict:
         raise ValueError("npoints must be at least 1, got %d" % npoints)
     primes = tuple(primes or PRIMES[:3])
     per = -(-npoints // len(primes))  # ceil
-    agree = 0
-    disagree = 0
-    first = None
-    for p, point, image in _sample_images(word, primes, per,
-                                          random.Random(seed)):
-        if image == point:
-            agree += 1
-        else:
-            disagree += 1
-            if first is None:
-                first = {"prime": p, "point": list(point),
-                         "image": list(image)}
+    samples, moved, witness = _sample_moved(word, primes, per, seed)
     out = {
-        "verdict": "nonidentity" if disagree else "identity",
-        "points_identity": agree,
-        "points_moved": disagree,
+        "verdict": "nonidentity" if moved else "identity",
+        "points_identity": samples - moved,
+        "points_moved": moved,
         "primes": list(primes),
     }
-    if first:
-        out["witness"] = first
+    if witness:
+        out["witness"] = witness
         out["exact"] = True
     return out
 
@@ -649,38 +638,46 @@ def kernel_probe(word, npoints: int = 100, primes=None, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 # tropicalization
 
-def _edge_normals(poly: LaurentPoly):
-    """Directions along which two support monomials tie for the minimum."""
-    rays = set()
-    pts = poly.support()
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            di = pts[b][0] - pts[a][0]
-            dj = pts[b][1] - pts[a][1]
-            g = gcd(di, dj)
-            rays.add((dj // g, -di // g))
-            rays.add((-dj // g, di // g))
-    return rays
-
-
-def _trop_exponent(poly: LaurentPoly, v) -> int:
-    # as t -> 0+, the monomial with the smallest exponent dominates
-    return min(i * v[0] + j * v[1] for i, j in poly.terms)
+def newton_polygon(poly: LaurentPoly) -> list[Monomial]:
+    """The corners of the convex hull of poly's exponents, counterclockwise
+    from the least, by Andrew's monotone chain: the lower and the upper
+    chain drop each point where they do not turn counterclockwise."""
+    pts = sorted(poly.terms)
+    if len(pts) < 3:
+        return pts
+    hull = []
+    for run in (pts, pts[::-1]):
+        chain = []
+        for q in run:
+            while len(chain) > 1 and wedge(
+                    (chain[-1][0] - chain[-2][0], chain[-1][1] - chain[-2][1]),
+                    (q[0] - chain[-1][0], q[1] - chain[-1][1])) <= 0:
+                chain.pop()
+            chain.append(q)
+        hull += chain[:-1]
+    return hull
 
 
 def tropicalize(f: BirMap) -> PLAut:
     """Exact piecewise-linear shadow of f along x = t^a, y = t^b, t -> 0+.
 
+    A Laurent polynomial is then dominated by its terms of least exponent
+    a i + b j, among which is a corner of its Newton polygon, so each of the
+    four shadows is a minimum over corners.  That minimum is linear on each
+    cone of the polygon's normal fan, whose rays are edge normals; the edge
+    normals of both signs of the four polygons refine all four fans.
+
     Raises ValueError if the shadow is not an integral piecewise-linear
     automorphism (non-unimodular piece or hidden breakpoint).
     """
-    polys = (f.f1.num, f.f1.den, f.f2.num, f.f2.den)
+    corners = [newton_polygon(poly)
+               for poly in (f.f1.num, f.f1.den, f.f2.num, f.f2.den)]
 
     def shadow(v):
-        return (_trop_exponent(polys[0], v) - _trop_exponent(polys[1], v),
-                _trop_exponent(polys[2], v) - _trop_exponent(polys[3], v))
+        low = [min(i * v[0] + j * v[1] for i, j in pts) for pts in corners]
+        return (low[0] - low[1], low[2] - low[3])
 
-    hints = set()
-    for poly in polys:
-        hints |= _edge_normals(poly)
-    return from_function(shadow, [primitive(r) for r in hints])
+    return from_function(shadow, [
+        (s * (j1 - j0), s * (i0 - i1)) for pts in corners if len(pts) > 1
+        for (i0, j0), (i1, j1) in zip(pts, pts[1:] + pts[:1])
+        for s in (1, -1)])

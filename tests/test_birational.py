@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from sympt import birational, cli, plcore
+from sympt import birational, cli, plcore, words
 from sympt.birational import (
     ONE,
     PRIMES,
@@ -23,19 +23,23 @@ from sympt.birational import (
     LaurentPoly,
     RationalFn,
     compose_bir,
+    compose_letters,
     generator_bir,
     generator_bir_inverse,
     identity_bir,
     is_symplectic,
     kernel_probe,
     monomial_bir,
+    newton_polygon,
     orbit_exact,
     scaling_bir,
     tropicalize,
     word_equals,
     word_equals_identity,
+    word_letters,
 )
-from sympt.words import _core, evaluate, parse_word
+from sympt.words import (
+    _core, evaluate, list_suites, load_suite, parse_word, word_inverse)
 
 P = generator_bir("P")
 L = generator_bir("L")
@@ -632,3 +636,143 @@ def test_tropicalize_rejects_non_pl_shadow():
     f = BirMap(RationalFn(X * (ONE + Y)), RationalFn(Y * (ONE + X)))
     with pytest.raises(ValueError):
         tropicalize(f)
+
+
+
+# ---------------------------------------------------------------------------
+# Newton polygons
+
+
+def cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def brute_corners(points):
+    """The points on no closed segment between two others and in no
+    nondegenerate closed triangle of three others: the corners of their
+    convex hull."""
+    def on_segment(p, a, b):
+        return cross(a, b, p) == 0 and \
+            (p[0] - a[0]) * (p[0] - b[0]) + (p[1] - a[1]) * (p[1] - b[1]) <= 0
+
+    def in_triangle(p, a, b, c):
+        signs = {(w > 0) - (w < 0)
+                 for w in (cross(a, b, p), cross(b, c, p), cross(c, a, p))}
+        return cross(a, b, c) != 0 and not {1, -1} <= signs
+
+    return {p for p in points
+            if not any(on_segment(p, a, b) for a, b in
+                       itertools.combinations(set(points) - {p}, 2))
+            and not any(in_triangle(p, a, b, c) for a, b, c in
+                        itertools.combinations(set(points) - {p}, 3))}
+
+
+def newton_cases():
+    line = [(k, 2 * k - 1) for k in range(-2, 3)]
+    cases = [[(3, -1)], [(0, 0), (2, 1)], line, line[::-1],
+             [(1, j) for j in (-3, 0, 4, 5)], [(i, 2) for i in range(4)],
+             [(0, 0), (2, 0), (0, 2), (1, 1), (2, 2), (1, 0)]]
+    rng = random.Random(43)
+    for _ in range(300):
+        cases.append([(rng.randint(-3, 3), rng.randint(-3, 3))
+                      for _ in range(rng.randint(1, 9))])
+    return [LaurentPoly({m: k + 1 for k, m in enumerate(pts)})
+            for pts in cases]
+
+
+def test_newton_polygon_matches_brute_force_hull():
+    for poly in newton_cases():
+        corners = newton_polygon(poly)
+        assert set(corners) == brute_corners(list(poly.terms)), poly
+        assert len(set(corners)) == len(corners)
+        assert corners[0] == min(poly.terms)
+        if len(corners) > 2:  # a strictly convex counterclockwise polygon
+            for k in range(len(corners)):
+                assert cross(corners[k - 2], corners[k - 1], corners[k]) > 0
+    # one exponent, two, and three or more on a line
+    assert newton_polygon(LaurentPoly.monomial(3, -1)) == [(3, -1)]
+    assert newton_polygon(X + Y) == [(0, 1), (1, 0)]
+    assert newton_polygon(ONE + X + X * X + X ** 3) == [(0, 0), (3, 0)]
+
+
+def ref_tropicalize(f):
+    # the former route, kept as the reference: the normals of every pair of
+    # exponents, and each minimum over every term
+    polys = (f.f1.num, f.f1.den, f.f2.num, f.f2.den)
+
+    def shadow(v):
+        low = [min(i * v[0] + j * v[1] for i, j in p.terms) for p in polys]
+        return (low[0] - low[1], low[2] - low[3])
+
+    return plcore.from_function(shadow, [
+        (s * (b[1] - a[1]), s * (a[0] - b[0])) for p in polys
+        for a, b in itertools.combinations(p.terms, 2) for s in (1, -1)])
+
+
+def trop_or_refusal(trop, f):
+    try:
+        return trop(f)
+    except ValueError:
+        return ValueError
+
+
+def test_tropicalize_matches_all_pairs_reference():
+    # random small supports, mostly refused, and composed trop words, whose
+    # shadows are PL automorphisms unless a factor reverses orientation
+    rng = random.Random(47)
+    maps = [BirMap(*(RationalFn(random_laurent(rng, rng.randint(1, 4), -2, 2),
+                                random_laurent(rng, rng.randint(1, 4), -2, 2))
+                     for _ in range(2)))
+            for _ in range(200)]
+    maps += [compose_letters(cli._trop_factors(text))
+             for text in trop_words(30, 53)]
+    accepted = 0
+    for f in maps:
+        want = trop_or_refusal(ref_tropicalize, f)
+        assert trop_or_refusal(tropicalize, f) == want, f
+        accepted += want is not ValueError
+    assert accepted >= 30
+
+
+# ---------------------------------------------------------------------------
+# certificates: every suite relator split at its middle
+
+# the relations that pl, tree and dyadic prove and bir, picard and quantum
+# refute
+KERNEL_OF_TROP = {
+    ("theorem", "(I mu)^7 = 1"),
+    ("t_lc", "(C I L)^7 = 1"),
+    ("t_rc", "alpha commutes with beta^-1 alpha beta"),
+    ("t_abc", "B A^-1 commutes with A^-1 X2 A"),
+    ("probe", "(P I C)^7 kernel probe"),
+    ("probe", "(I mu)^7 tropical companion"),
+}
+
+
+def test_every_suite_relator_has_a_trop_certificate():
+    # write each core relator r = lhs rhs^-1 as u v, split at its middle.
+    # trop(u) = trop(v^-1) proves trop(r) = 1 without a PL fold, and the
+    # exact comparison of u and v^-1, which cross-multiplies, decides r in
+    # bir: each relator of KERNEL_OF_TROP is a nontrivial element of the
+    # kernel of trop
+    refuse = mock.Mock(side_effect=AssertionError("PL composition"))
+    unequal = set()
+    count = 0
+    with mock.patch.object(plcore, "compose_pl", refuse), \
+            mock.patch.object(words, "_pl_ring", refuse):
+        for suite in list_suites():
+            for entry in load_suite(suite):
+                rhs = "1" if entry["rhs"] == "probe" else entry["rhs"]
+                letters = [(s, 1 if e > 0 else -1) for s, e in
+                           _core(entry["lhs"]) + word_inverse(_core(rhs))
+                           for _ in range(abs(e))]
+                mid = len(letters) // 2
+                u = compose_letters(word_letters(letters[:mid]))
+                v_inv = compose_letters(
+                    word_letters(word_inverse(letters[mid:])))
+                assert tropicalize(u) == tropicalize(v_inv), entry["name"]
+                if u != v_inv:
+                    unequal.add((suite, entry["name"]))
+                count += 1
+    assert count == 35
+    assert unequal == KERNEL_OF_TROP

@@ -135,6 +135,10 @@ CORPUS = {
     "trop.lambda.shear": ["trop", "--word",
                           "P^-1 U^-1 lambda:-5/4,4/4 mono:1,0,6,1 U^-1 "
                           "P^-1 P^-1 U^-1"],
+    # wide supports: the Newton polygons have few corners but many terms
+    "trop.mono.wide": ["trop", "--word",
+                       "mono:1,0,5,1 mono:2,1,1,1 mono:2,1,1,1 P I "
+                       "mono:2,1,1,1 P^-1 I^-1"],
     "eval.PCI.bir": ["eval", "--word", "P C I", "--backend", "bir"],
     "eval.PUP.bir": ["eval", "--word", "P U P", "--backend", "bir"],
     "orbit.P": ["orbit", "--word", "P", "--start", "1,2", "--steps", "5"],
