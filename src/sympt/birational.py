@@ -7,10 +7,10 @@ a word one letter at a time (compose_letters), substituting each letter into
 the product so far, each component over one denominator.  A letter can
 create only a few common factors in a product that was in lowest terms:
 integer content, powers of 1 + x or 1 + y, and monomials; reduce_fraction
-cancels exactly those, with no polynomial gcd.  Composition is capped at short words; long words are
-compared pointwise modulo large primes: a pass carries a Schwartz-Zippel
-error bound, and a moved point is an exact disproof.  All arithmetic is
-plain integer arithmetic.
+cancels exactly those, with no polynomial gcd.  Composition is capped at
+short words; long words are compared pointwise modulo large primes: a pass
+carries a Schwartz-Zippel error bound, and a moved point is an exact
+disproof.  All arithmetic is plain integer arithmetic.
 
 The symplectic structure is the log form dx∧dy/(xy): a map (f1, f2) preserves
 it exactly when x·y·det J(f1,f2) = f1·f2.  Tropicalization reads off leading
@@ -663,9 +663,9 @@ def tropicalize(f: BirMap) -> PLAut:
 
     A Laurent polynomial is then dominated by its terms of least exponent
     a i + b j, among which is a corner of its Newton polygon, so each of the
-    four shadows is a minimum over corners.  That minimum is linear on each
-    cone of the polygon's normal fan, whose rays are edge normals; the edge
-    normals of both signs of the four polygons refine all four fans.
+    four shadows is a minimum over corners, linear on each cone of the
+    polygon's normal fan.  Its rays are edge normals, so the edge normals
+    of both signs of the four polygons bound cones where f's shadow is linear.
 
     Raises ValueError if the shadow is not an integral piecewise-linear
     automorphism (non-unimodular piece or hidden breakpoint).

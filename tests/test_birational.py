@@ -638,7 +638,6 @@ def test_tropicalize_rejects_non_pl_shadow():
         tropicalize(f)
 
 
-
 # ---------------------------------------------------------------------------
 # Newton polygons
 
