@@ -175,7 +175,8 @@ def reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, La
     Composition never reduces on its own; without this the unreduced
     representations grow exponentially with word length.  The cancelled
     factors have positive leading coefficients, and the net monomial is
-    parked on the numerator, so that den has lowest exponents 0; a
+    parked on the numerator, so that den has lowest exponents 0.  The sign
+    makes the coefficient of den's least exponent pair positive, so a
     denominator left at +-1 becomes 1.
 
     That is the whole gcd in Z[x^+-1, y^+-1] when num/den is a component of
@@ -213,8 +214,8 @@ def reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, La
             num, den = qn, qd
     di, dj = min(i for i, _ in den.terms), min(j for _, j in den.terms)
     num, den = num.shift(-di, -dj), den.shift(-di, -dj)
-    if den in (ONE, -ONE):
-        return (num if den == ONE else -num), ONE
+    if den.terms[min(den.terms)] < 0:
+        num, den = -num, -den
     return num, den
 
 

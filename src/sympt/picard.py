@@ -25,11 +25,13 @@ Word action: a word in P, C, I acts on W[q] vectors only (PicOperator
 refuses any other family with a ValueError).  C and I relabel the e
 symbols by a matrix, and P^(+-1) is the canonical mutation or its inverse
 next to I^(-+1), so the word is compiled once into mutation steps, each
-preceded by one fused relabel matrix.  The steps run on plain dicts
-{(direction, level): integer}, one per power of q; a PicVec is built only
-at the boundary, where its keys are validated.  On V with integer
-coefficients the action never leaves the integers (the carry lemma at
-_mutate), so the sampled identity test runs on one such dict.
+preceded by one fused relabel matrix.  One loop, _run, runs such steps on
+plain dicts {(direction, level): integer}, one per power of q, for the
+operator, the sampled identity test and the three mutations, each of
+which is a one-step program; a PicVec is built only at the boundary,
+where its keys are validated.  On V with integer coefficients no step
+carries (the carry lemma at _mutate), so the sampled identity test runs
+on one such dict and refuses an image that grows a second.
 
 Sign convention: the mutation rule on e_(x,y) with y < 0 carries the
 coefficient -q*y.  That sign is forced by exactness: it is the unique
@@ -898,23 +900,29 @@ def _mutate(raw: dict, sign: int, m: Mat = MAT_ID) -> tuple:
     return out, carry
 
 
-def _mutate_layers(layers: list, sign: int, m: Mat = MAT_ID) -> list:
-    """_mutate of a Z[q] vector: each q-degree layer mutates on its own,
-    and its carry is added to e_t in the next layer up."""
-    t = (-sign, 0), 1
-    out = []
-    carry = 0
-    for layer in layers:
-        image, next_carry = _mutate(layer, sign, m)
+def _run(layers: list, steps: tuple, last: Mat = MAT_ID) -> list:
+    """The q-degree layers of a vector after the mutation steps (m, sign),
+    each a _mutate, and then the relabel by last.  Each layer mutates on
+    its own, and its carry is added to e_t in the next layer up, so a
+    second layer appears exactly when some step carries."""
+    for m, sign in steps:
+        out = []
+        carry = 0
+        for layer in layers:
+            image, next_carry = _mutate(layer, sign, m)
+            if carry:
+                t = (-sign, 0), 1
+                n = image.pop(t, 0) + carry
+                if n:
+                    image[t] = n
+            out.append(image)
+            carry = next_carry
         if carry:
-            n = image.pop(t, 0) + carry
-            if n:
-                image[t] = n
-        out.append(image)
-        carry = next_carry
-    if carry:
-        out.append({t: carry})
-    return out
+            out.append({((-sign, 0), 1): carry})
+        layers = out
+    if last != MAT_ID:
+        layers = [_relabel(layer, last) for layer in layers]
+    return layers
 
 
 def _relabel(raw: dict, m: Mat) -> dict:
@@ -924,17 +932,13 @@ def _relabel(raw: dict, m: Mat) -> dict:
 
 
 def mu_Wq_action(x: PicVec) -> PicVec:
-    """Canonical mutation on W[q] vectors (e symbols, Z[q] coefficients).
-
-    For w = (x, y): y > 0 keeps the index and adds (1-q) y e_(-1,0);
-    y < 0 sends it to (x-y, y) and adds -q y e_(-1,0); y = 0 shifts to
-    (x-1, 0) minus e_(-1,0), with e at the origin equal to zero.
-    """
-    return _picvec(_mutate_layers(_e_layers(x), 1))
+    """Canonical mutation on W[q] vectors (e symbols, Z[q] coefficients),
+    by the rule stated at _mutate."""
+    return _picvec(_run(_e_layers(x), ((MAT_ID, 1),)))
 
 
 def mu_Wq_inverse(x: PicVec) -> PicVec:
-    return _picvec(_mutate_layers(_e_layers(x), -1))
+    return _picvec(_run(_e_layers(x), ((MAT_ID, -1),)))
 
 
 def mu_Wq_at(x: PicVec, v: Vec) -> PicVec:
@@ -945,8 +949,7 @@ def mu_Wq_at(x: PicVec, v: Vec) -> PicVec:
         raise ValueError("mutation direction must be primitive; got %r" % (v,))
     _, s, t = egcd(v[0], v[1])
     m = (v[0], -t, v[1], s)
-    return _picvec([_relabel(layer, m) for layer in
-                    _mutate_layers(_e_layers(x), 1, mat_inv(m))])
+    return _picvec(_run(_e_layers(x), ((mat_inv(m), 1),), m))
 
 
 def _in_v(raw: dict) -> bool:
@@ -1062,21 +1065,7 @@ class PicOperator(Frozen):
         return PicOperator, (self.word,)
 
     def __call__(self, x: PicVec) -> PicVec:
-        layers = _e_layers(x)
-        for m, sign in self._steps:
-            layers = _mutate_layers(layers, sign, m)
-        if self._last != MAT_ID:
-            layers = [_relabel(layer, self._last) for layer in layers]
-        return _picvec(layers)
-
-    def _apply(self, raw: dict) -> dict:
-        """The word on an integer vector of V, which the carry lemma of
-        _mutate keeps integer; AssertionError if a step carries into q."""
-        for m, sign in self._steps:
-            raw, carry = _mutate(raw, sign, m)
-            if carry:
-                raise AssertionError("image left the V subspace")
-        return raw if self._last == MAT_ID else _relabel(raw, self._last)
+        return _picvec(_run(_e_layers(x), self._steps, self._last))
 
     def __repr__(self):
         from .words import format_word
@@ -1105,7 +1094,10 @@ def word_acts_as_identity(word, nvectors: int = 20, seed: int = 0) -> dict:
     witness = None
     for _ in range(nvectors):
         rx = _random_v_terms(rng, 3)
-        ry = op._apply(rx)
+        layers = _run([rx], op._steps, op._last)
+        if len(layers) > 1:
+            raise AssertionError("image left the V subspace")
+        ry = layers[0]
         if ry != rx and witness is None:
             identity = False
             witness = {"vector": _picvec([rx]).to_json(),

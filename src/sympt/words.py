@@ -337,16 +337,17 @@ def load_suite(name: str) -> list[dict]:
 
 
 def _witness(lv, rv) -> dict:
-    """Why two exact values differ: a moved lattice point for PL maps."""
+    """Why two exact values differ: for PL maps, the first ray,
+    counterclockwise from (1,0), of their rays and the axes on which they
+    differ.  Both maps are linear on every cone between two adjacent such
+    rays, so two different maps differ on one of them."""
     if isinstance(lv, plcore.PLAut):
-        for n in range(1, 12):
-            for a in range(-n, n + 1):
-                for b in (-n, n):
-                    for v in ((a, b), (b, a)):
-                        if lv(v) != rv(v):
-                            return {"point": list(v),
-                                    "lhs_image": list(lv(v)),
-                                    "rhs_image": list(rv(v))}
+        for v in sorted({*lv.rays, *rv.rays, *plcore.AXES},
+                        key=plcore.ccw_key):
+            if lv(v) != rv(v):
+                return {"point": list(v),
+                        "lhs_image": list(lv(v)),
+                        "rhs_image": list(rv(v))}
     return {"lhs_value": repr(lv), "rhs_value": repr(rv)}
 
 

@@ -217,6 +217,9 @@ def ref_reduce_fraction(num, den):
         ((di, dj), dc) = next(iter(den.terms.items()))
         if dc in (1, -1):
             return num.shift(-di, -dj) if dc == 1 else (-num).shift(-di, -dj), ONE
+    # sympy leaves the sign free; fix it as reduce_fraction does
+    if den.terms[min(den.terms)] < 0:
+        num, den = -num, -den
     return num, den
 
 
@@ -317,6 +320,13 @@ def test_reduce_fraction_matches_sympy_reference():
             ref_reduce_fraction(num, den), (num, den)
     c = LaurentPoly.const
     assert birational.reduce_fraction(c(4) * X, c(6)) == (c(2) * X, c(3))
+
+
+def test_reduced_fraction_has_one_sign():
+    # the coefficient of the denominator's least exponent pair is positive
+    c = LaurentPoly.const
+    assert birational.reduce_fraction(c(-3) * Y, c(-1) + c(2) * X) == \
+        (c(3) * Y, ONE - c(2) * X)
 
 
 def test_a_one_letter_word_is_its_generator():

@@ -1011,6 +1011,23 @@ def test_wq_action_matches_picvec_arithmetic():
         assert mu_Wq_inverse(x) == _reference_mu(x, -1)
 
 
+def test_mu_mutation_is_the_word_action_of_mu():
+    # mu = I P compiles to the one step mu_Wq_action runs, and mu^-1 to
+    # mu_Wq_inverse's; vectors off V make the steps carry
+    rng = random.Random(61)
+    mu = word_operator(words._core("mu"))
+    mu_inv = word_operator(words.word_inverse(words._core("mu")))
+    outside = 0
+    for _ in range(200):
+        x = _random_q_vector(rng) + (
+            QPoly((rng.randint(-3, 3), rng.randint(-3, 3)))
+            * e_vec((rng.randint(-3, 3), rng.randint(1, 3))))
+        outside += not v_membership(x)
+        assert mu_Wq_action(x) == mu(x)
+        assert mu_Wq_inverse(x) == mu_inv(x)
+    assert outside > 150
+
+
 def test_compiled_operator_matches_letter_by_letter_action():
     rng = random.Random(29)
     for _ in range(100):
@@ -1024,7 +1041,7 @@ def test_compiled_operator_matches_letter_by_letter_action():
 def _qpoly_mutate(raw, sign, m):
     """The mutation kernel on {(a, k): coefficient tuple} with one Z[q]
     list per e_t coefficient, as it stood before the kernel moved to
-    integer layers; the oracle for _mutate and its layered driver."""
+    integer layers; the oracle for _mutate and the loop _run."""
     m0, m1, m2, m3 = m
     out = {}
     acc = []
@@ -1086,17 +1103,20 @@ def test_integer_kernel_matches_the_qpoly_kernel():
             carried += any(picard._mutate(layer, sign, m)[1]
                            for layer in layers)
         want = _qpoly_mutate(_coefficient_tuples(layers), sign, m)
-        got = _coefficient_tuples(picard._mutate_layers(layers, sign, m))
+        got = _coefficient_tuples(picard._run(layers, ((m, sign),)))
         assert got == want
-    # the layered driver's carries were exercised
+    # the carries between layers were exercised
     assert carried > 50
 
 
-def test_integer_word_action_refuses_a_vector_that_carries():
+def test_integer_word_action_refuses_a_vector_that_carries(monkeypatch):
     # e_(0,1) is not in V: the first mutation carries -q e_(-1,0)
-    op = word_operator(words.parse_word("I P"))
+    monkeypatch.setattr(picard, "_random_v_terms",
+                        lambda rng, size: {((0, 1), 1): 1})
+    word = words.parse_word("I P")
     with pytest.raises(AssertionError, match="left the V subspace"):
-        op._apply({((0, 1), 1): 1})
+        word_acts_as_identity(word)
+    op = word_operator(word)
     assert op(e_vec((0, 1))) != op(e_vec((0, 1))).at_one()
 
 

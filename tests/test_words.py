@@ -1,6 +1,7 @@
 """Word grammar, expansions, and the relation suites on the exact backends."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -252,6 +253,19 @@ def test_failing_relation_reports_witness():
     v = tuple(w["point"])
     assert evaluate("P^2", "pl")(v) == tuple(w["lhs_image"])
     assert tuple(w["lhs_image"]) != tuple(w["rhs_image"])
+
+
+def test_pl_witness_finds_a_thin_cone_far_from_the_origin():
+    # the map moves only the cone between (999, 1) and (1000, 1), whose
+    # lattice points all have max-norm at least 999; its mediant ray moves
+    a = Fraction(1, 2 ** 1001)
+    d = thompson.DyadicPL([(a, a), (3 * a / 2, 5 * a / 4),
+                           (7 * a / 4, 3 * a / 2), (2 * a, 2 * a)])
+    f = thompson.dyadic_to_plaut(d)
+    assert words._witness(f, plcore.identity_pl()) == {
+        "point": [1999, 2], "lhs_image": [2999, 3], "rhs_image": [1999, 2]}
+    assert words._witness(plcore.identity_pl(), f) == {
+        "point": [1999, 2], "lhs_image": [1999, 2], "rhs_image": [2999, 3]}
 
 
 @pytest.mark.parametrize("backend, lhs_value, rhs_value", [
