@@ -449,12 +449,13 @@ def is_symplectic(f: BirMap) -> bool:
 # randomized word equality
 
 def _apply_word_mod(word, point, p):
-    """Apply a core word to a point mod p, rightmost factor first.
+    """Apply a core word to a point mod p, rightmost factor first, and
+    return the image as a projective triple (a, b, d): x = a/d, y = b/d.
 
     point holds two nonzero residues mod p.  The point is carried as
-    (a, b, d) with x = a/d and y = b/d, so a letter costs a few products
-    and a call makes one inversion, at the end.  The letters, as maps and
-    on (a, b, d):
+    (a, b, d) from (x, y, 1), so a letter costs a few products and a call
+    makes no inversion; a caller divides by d only where it needs the
+    image itself.  The letters, as maps and on (a, b, d):
 
         P     (y, (1 + y)/x)   (ab, d(d + b), ad)
         P^-1  ((1 + x)/y, x)   (d(d + a), ab, bd)
@@ -471,8 +472,8 @@ def _apply_word_mod(word, point, p):
     apply_mod never raises there.  P has denominators 1 and x and images
     y and (1 + y)/x, so it raises iff y = -1, i.e. d + b = 0; P^-1 has
     denominators y and 1 and images (1 + x)/y and x, so it raises iff
-    x = -1, i.e. d + a = 0.  With d nonzero the final inversion cannot
-    fail, and the image is (a/d, b/d), as apply_mod computes it.
+    x = -1, i.e. d + a = 0.  So d is nonzero, and (a/d, b/d) is the
+    image that apply_mod computes.
     """
     a, b = point
     d = 1
@@ -500,8 +501,7 @@ def _apply_word_mod(word, point, p):
                     a, b, d = d * d % p, a * b % p, b * d % p
                 else:
                     a, b, d = a * b % p, d * d % p, a * d % p
-    inv = pow(d, -1, p)
-    return (a * inv % p, b * inv % p)
+    return a, b, d
 
 
 # A prime is checked once per process, by the bounded memo; the built-in
@@ -533,17 +533,20 @@ def _sample_moved(word, primes, per_prime: int, seed: int):
             attempts += 1
             if attempts > 100 * per_prime:
                 raise RuntimeError("could not sample off the pole locus")
-            point = (rng.randrange(2, p - 1), rng.randrange(2, p - 1))
+            x, y = point = (rng.randrange(2, p - 1), rng.randrange(2, p - 1))
             try:
-                image = _apply_word_mod(word, point, p)
+                a, b, d = _apply_word_mod(word, point, p)
             except ZeroDivisionError:
                 continue
             done += 1
-            if image != point:
+            # d is nonzero, so the image (a/d, b/d) is the point iff
+            # a = x d and b = y d
+            if (a - x * d) % p or (b - y * d) % p:
                 moved += 1
                 if witness is None:
-                    witness = {"prime": p, "point": list(point),
-                               "image": list(image)}
+                    inv = pow(d, -1, p)
+                    witness = {"prime": p, "point": [x, y],
+                               "image": [a * inv % p, b * inv % p]}
     return per_prime * len(primes), moved, witness
 
 

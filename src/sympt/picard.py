@@ -42,9 +42,11 @@ where be_encode lands, and differ by -wedge(w, v) b_(-v) on one p_w (see
 mu_be_action); cross_basis_report shows that difference with witnesses.
 """
 
+import functools
 import random
 from collections import namedtuple
 from math import gcd
+from types import MappingProxyType
 
 from .plcore import (
     AXES,
@@ -1079,21 +1081,50 @@ def word_operator(word) -> PicOperator:
     return PicOperator(word)
 
 
+# Every relation of a suite draws the same seeded V vectors, so the draws
+# of the last 32 seeds are kept, each as a read-only prefix of at most
+# _V_KEPT vectors and the generator that goes on from its end.
+_V_KEPT = 64
+
+
+@functools.lru_cache(maxsize=32)
+def _v_draws(seed) -> tuple:
+    return random.Random(seed), []
+
+
+def _v_vectors(seed, n: int):
+    """The first n vectors _random_v_terms(Random(seed), 3) draws, the
+    kept ones as read-only mappings.  Each is drawn when it is first read,
+    and those past the first _V_KEPT from a copy of the kept generator, so
+    the memo never holds more than _V_KEPT vectors a seed."""
+    rng, kept = _v_draws(seed)
+    for i in range(min(n, _V_KEPT)):
+        if i == len(kept):
+            kept.append(MappingProxyType(_random_v_terms(rng, 3)))
+        yield kept[i]
+    if n > _V_KEPT:
+        rest = random.Random()
+        rest.setstate(rng.getstate())
+        for _ in range(n - _V_KEPT):
+            yield _random_v_terms(rest, 3)
+
+
 def word_acts_as_identity(word, nvectors: int = 20, seed: int = 0) -> dict:
-    """Test a word on random V vectors with integer coefficients.
+    """Test a word on nvectors random V vectors with integer coefficients,
+    the ones random_v_vector draws from Random(seed); calls with the same
+    seed share the draws (_v_vectors).
 
     By the carry lemma of _mutate the W[q] action on such a vector equals
     its q = 1 specialization, so identity_in_Zq and identity_at_q1, both
-    reported, agree on every sample.
+    reported, agree on every sample.  A failure is exact: its witness is
+    an integer vector of V that the word moves.
     """
     if nvectors < 1:
         raise ValueError("nvectors must be at least 1, got %d" % nvectors)
     op = word_operator(word)
-    rng = random.Random(seed)
     identity = True
     witness = None
-    for _ in range(nvectors):
-        rx = _random_v_terms(rng, 3)
+    for rx in _v_vectors(seed, nvectors):
         layers = _run([rx], op._steps, op._last)
         if len(layers) > 1:
             raise AssertionError("image left the V subspace")
@@ -1110,7 +1141,7 @@ def word_acts_as_identity(word, nvectors: int = 20, seed: int = 0) -> dict:
             "vectors": nvectors,
             "identity_at_q1": identity,
             "identity_in_Zq": identity,
-            **({"witness": witness} if witness else {}),
+            **({"witness": witness, "exact": True} if witness else {}),
         },
     }
 

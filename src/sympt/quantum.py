@@ -262,9 +262,11 @@ class QConfig(Frozen):
                 % (self.q, self.N, self.p))
 
 
+@functools.lru_cache(maxsize=32, typed=True)
 def make_config(N: int, p: int | None = None) -> QConfig:
     """Pick p = 1 mod N (smallest >= 101 when omitted) and the smallest
-    element of exact order N in F_p*."""
+    element of exact order N in F_p*.  QConfig is immutable, so the last
+    32 configurations are kept and each prime and root search runs once."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if p is None:
@@ -476,6 +478,8 @@ def q_relation_check(word, cfg: QConfig, trials: int = 10,
     every result equals its input pair entrywise.
 
     verdict: identity | nonidentity | inconclusive (sampling exhausted).
+    A nonidentity verdict is exact: each witness is a pair of matrices
+    mod p that the word moves.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
@@ -495,7 +499,8 @@ def q_relation_check(word, cfg: QConfig, trials: int = 10,
                else "nonidentity" if witnesses else "identity")
     return {"N": cfg.N, "p": cfg.p, "q": cfg.q, "trials": completed,
             "singular_resamples": resamples, "verdict": verdict,
-            "witnesses": witnesses}
+            "witnesses": witnesses,
+            **({"exact": True} if verdict == "nonidentity" else {})}
 
 
 def word_acts_as_identity(word, N: int = 5, p: int | None = None,

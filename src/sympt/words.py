@@ -79,8 +79,11 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
+@functools.lru_cache(maxsize=256)
 def parse_word(text: str) -> Word:
-    """Parse "P C^-1 I^2" into ((P,1),(C,-1),(I,2)); "1" is the empty word."""
+    """Parse "P C^-1 I^2" into ((P,1),(C,-1),(I,2)); "1" is the empty word.
+
+    A word is a tuple, so the last 256 texts parsed are kept."""
     text = text.strip()
     if text in ("", "1"):
         return ()

@@ -432,12 +432,19 @@ def test_apply_word_mod_matches_symbolic_composition():
         for _ in range(3):
             point = (rng.randrange(2, p - 1), rng.randrange(2, p - 1))
             try:
-                image = birational._apply_word_mod(word, point, p)
+                image = _affine(birational._apply_word_mod(word, point, p), p)
             except ZeroDivisionError:
                 continue
             assert image == f.apply_mod(point, p), word
             checked += 1
     assert checked > 150
+
+
+def _affine(triple, p):
+    """The point (a/d, b/d) mod p of a projective triple (a, b, d)."""
+    a, b, d = triple
+    inv = pow(d, -1, p)
+    return a * inv % p, b * inv % p
 
 
 def _letter_by_letter(word, point, p):
@@ -464,13 +471,54 @@ def test_apply_word_mod_matches_letter_by_letter_maps():
         point = (rng.randrange(1, p), rng.randrange(1, p))
         want = _letter_by_letter(word, point, p)
         try:
-            got = birational._apply_word_mod(word, point, p)
+            got = _affine(birational._apply_word_mod(word, point, p), p)
         except ZeroDivisionError:
             got = None
         assert got == want, (word, point)
         raised += want is None
         moved += want is not None
     assert raised > 50 and moved > 2000
+
+
+def _sample_moved_by_inverse(word, primes, per_prime, seed):
+    """_sample_moved as it was first written: each image is divided out
+    to an affine point and compared with the point it came from."""
+    rng = random.Random(seed)
+    moved = 0
+    witness = None
+    for p in primes:
+        done = 0
+        while done < per_prime:
+            point = (rng.randrange(2, p - 1), rng.randrange(2, p - 1))
+            try:
+                image = _affine(birational._apply_word_mod(word, point, p), p)
+            except ZeroDivisionError:
+                continue
+            done += 1
+            if image != point:
+                moved += 1
+                if witness is None:
+                    witness = {"prime": p, "point": list(point),
+                               "image": list(image)}
+    return per_prime * len(primes), moved, witness
+
+
+def test_sample_moved_matches_inverse_then_compare():
+    # at 101 and 103 poles and fixed points are common; half the words are
+    # w w^-1, which fixes every point it reaches
+    rng = random.Random(71)
+    fixed = moved = 0
+    for i in range(300):
+        word = tuple((rng.choice("PCI"), rng.choice((1, -1, 2, -2)))
+                     for _ in range(rng.randint(0, 8)))
+        if i % 2:
+            word += word_inverse(word)
+        primes = (101, 103) if i % 3 else PRIMES[:2]
+        got = birational._sample_moved(word, primes, 6, i)
+        assert got == _sample_moved_by_inverse(word, primes, 6, i), word
+        fixed += got[1] == 0
+        moved += got[1] > 0
+    assert fixed > 100 and moved > 100
 
 
 def test_each_prime_is_checked_once():
@@ -526,7 +574,8 @@ def test_kernel_probe_reads_one_moved_point_as_a_disproof(monkeypatch):
     calls = itertools.count()
 
     def half_fixed(word, point, p):
-        return point if next(calls) % 2 else (point[1], point[0])
+        x, y = point
+        return (x, y, 1) if next(calls) % 2 else (y, x, 1)
 
     monkeypatch.setattr(birational, "_apply_word_mod", half_fixed)
     probe = kernel_probe(parse_word("P^5"), npoints=6)

@@ -995,6 +995,7 @@ def _reference_identity(word, nvectors=20, seed=0):
                 "identity_in_Zq": exact}
     if witness:
         evidence["witness"] = witness
+        evidence["exact"] = True
     return {"identity": at_one, "evidence": evidence}
 
 
@@ -1110,7 +1111,12 @@ def test_integer_kernel_matches_the_qpoly_kernel():
 
 
 def test_integer_word_action_refuses_a_vector_that_carries(monkeypatch):
-    # e_(0,1) is not in V: the first mutation carries -q e_(-1,0)
+    # e_(0,1) is not in V: the first mutation carries -q e_(-1,0).  The
+    # seed's draws are kept by now; a memo that keeps nothing makes the call
+    # draw again, and leaves the kept draws as they were
+    word_acts_as_identity(words.parse_word("P^5"))
+    monkeypatch.setattr(picard, "_v_draws",
+                        lambda seed: (random.Random(seed), []))
     monkeypatch.setattr(picard, "_random_v_terms",
                         lambda rng, size: {((0, 1), 1): 1})
     word = words.parse_word("I P")
@@ -1148,6 +1154,42 @@ def test_suite_evidence_matches_letter_by_letter_action(monkeypatch):
     for name in suites:
         words.check_suite(name, backend="picard")
     assert len(checked) == sum(len(words.load_suite(n)) for n in suites)
+
+
+def test_kept_v_vectors_are_a_fresh_draw_and_read_only():
+    picard._v_draws.cache_clear()
+    for name in words.list_suites():
+        words.check_suite(name, backend="picard")
+        words.check_suite(name, backend="picard", params={"trials": 3})
+    _, kept = picard._v_draws(0)
+    # the default 20 vectors a relation, none drawn past them
+    assert len(kept) == 20
+    rng = random.Random(0)
+    assert kept == [picard._random_v_terms(rng, 3) for _ in kept]
+    with pytest.raises(TypeError):
+        kept[0][(1, 0), 1] = 1
+
+
+def test_v_memo_stays_bounded():
+    word = words._core("P C P I^-1")
+    big = 200
+    assert picard._V_KEPT < big
+    seeds = range(1000, 1040)
+    for seed in seeds:
+        got = word_acts_as_identity(word, nvectors=big, seed=seed)
+        assert len(picard._v_draws(seed)[1]) == picard._V_KEPT
+    assert picard._v_draws.cache_info().currsize <= 32
+    # past the kept prefix the draws go on as Random(seed) gives them
+    assert got == _reference_identity(word, big, seeds[-1])
+    rng = random.Random(seeds[-1])
+    assert list(picard._v_vectors(seeds[-1], big)) == [
+        picard._random_v_terms(rng, 3) for _ in range(big)]
+    loop = words._core("P I C") * 7
+    assert (word_acts_as_identity(loop, nvectors=100, seed=3)
+            == _reference_identity(loop, 100, 3))
+    # a call draws no more vectors than it reads
+    word_acts_as_identity(word, nvectors=5, seed=2000)
+    assert len(picard._v_draws(2000)[1]) == 5
 
 
 @pytest.mark.parametrize("term", [

@@ -77,6 +77,23 @@ def test_make_config_validation():
         QConfig(3, 13, 5)
 
 
+def test_make_config_keeps_recent_configs_only():
+    make_config.cache_clear()
+    assert make_config(5) is make_config(5)
+    for n in range(1, 80):
+        assert make_config(n) == QConfig(n, *_search(n))
+    assert make_config.cache_info().currsize == 32
+    # a refusal is raised again, never kept
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not prime"):
+            make_config(3, 8)
+
+
+def _search(n):
+    p = quantum.default_prime(n)
+    return p, quantum._least_root_of_unity(n, p)
+
+
 def test_default_prime_congruent_one():
     for n in (1, 2, 3, 5, 7):
         p = default_prime(n)
@@ -541,9 +558,12 @@ def _ref_reports(word, cfg, trials, seed):
                               "output": _ref_pair_json(out)})
     verdict = ("inconclusive" if completed < trials
                else "nonidentity" if witnesses else "identity")
-    return {"N": cfg.N, "p": cfg.p, "q": cfg.q, "trials": completed,
-            "singular_resamples": resamples, "verdict": verdict,
-            "witnesses": witnesses}, value
+    report = {"N": cfg.N, "p": cfg.p, "q": cfg.q, "trials": completed,
+              "singular_resamples": resamples, "verdict": verdict,
+              "witnesses": witnesses}
+    if verdict == "nonidentity":
+        report["exact"] = True
+    return report, value
 
 
 REPORT_CONFIGS = [(1, 101), (4, 101), (5, 101), (7, 29), (5, 2 ** 61 - 1)]

@@ -1,11 +1,12 @@
 """Word grammar, expansions, and the relation suites on the exact backends."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from sympt import birational, plcore, thompson, words
+from sympt import birational, picard, plcore, quantum, thompson, words
 from sympt.words import (
     ALPHABET,
     BACKENDS,
@@ -306,6 +307,29 @@ def test_report_shape():
     assert report["params"]["seed"] == 3
     for res in report["results"]:
         assert set(res) >= {"name", "lhs", "rhs", "verdict"}
+
+
+def _report_json(name, backend, params):
+    try:
+        return json.dumps(check_suite(name, backend, params))
+    except ValueError as exc:  # bir refuses consequences
+        return str(exc)
+
+
+@pytest.mark.parametrize("backend", ["bir", "picard", "quantum"])
+def test_sampled_reports_do_not_depend_on_the_memos(backend):
+    # the memos keep parsed words, quantum configurations and picard's
+    # seeded V vectors; a report is the same with all of them cleared
+    # and with all of them kept from the calls before
+    for params in ({"seed": 0}, {"seed": 1, "trials": 3, "nvectors": 3}):
+        cold = {}
+        for name in list_suites():
+            for memo in (words.parse_word, quantum.make_config,
+                         picard._v_draws):
+                memo.cache_clear()
+            cold[name] = _report_json(name, backend, params)
+        for name in list_suites():
+            assert _report_json(name, backend, params) == cold[name], name
 
 
 # ---------------------------------------------------------------------------
