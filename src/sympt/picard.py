@@ -31,7 +31,7 @@ operator, the sampled identity test and the three mutations, each of
 which is a one-step program; a PicVec is built only at the boundary,
 where its keys are validated.  On V with integer coefficients no step
 carries (the carry lemma at _mutate), so the sampled identity test runs
-on one such dict and refuses an image that grows a second.
+on one such dict and refuses an image outside V.
 
 Sign convention: the mutation rule on e_(x,y) with y < 0 carries the
 coefficient -q*y.  That sign is forced by exactness: it is the unique
@@ -111,7 +111,6 @@ __all__ = [
     "word_operator",
     "word_acts_as_identity",
     "cross_basis_report",
-    "cluster_mutation",
 ]
 
 
@@ -428,10 +427,14 @@ def pairing(F: BreakFn, G: dict) -> int:
 
 
 def is_ample(F: BreakFn) -> bool:
+    """Every index of F is non-negative, as for a convex F.  An ample F
+    pairs non-negatively with an effective G, since each term of the
+    pairing is a product of two non-negative numbers."""
     return all(d >= 0 for _, d in F._key)
 
 
 def is_effective(G: dict) -> bool:
+    """Every coefficient of the finitely supported G is non-negative."""
     return all(int(c) >= 0 for c in G.values())
 
 
@@ -652,7 +655,8 @@ def _extend(x: PicVec, rule) -> PicVec:
 # the L-action on delta towers and PL parts
 
 def delta_L_action(x: PicVec) -> PicVec:
-    """One application of L to a vector over delta and plpart symbols."""
+    """One application of L to a vector over delta and plpart symbols.
+    L has order five here, the lattice image of P^5 = 1."""
     L = generator_pl("L")
     Linv = generator_pl("P")
 
@@ -707,7 +711,9 @@ def pic_product(x: PicVec, y: PicVec):
 
 
 def f_prime(F: BreakFn) -> PicVec:
-    """plpart(F) minus the level-one deltas weighted by the indexes."""
+    """plpart(F) minus the level-one deltas weighted by the indexes.  It
+    is additive in F and zero on a linear F, so it is defined on the
+    classes of PL functions modulo linear ones."""
     return PicVec([(("plpart", F), Q_ONE)] + [
         (("delta", a, 1), -d) for a, d in F.indexes().items()])
 
@@ -858,10 +864,11 @@ def _picvec(layers: list) -> PicVec:
     return PicVec([(("e", a, k), QPoly(c)) for (a, k), c in coeffs.items()])
 
 
-def _mutate(raw: dict, sign: int, m: Mat = MAT_ID) -> tuple:
+def _mutate(raw: dict, sign: int, m: Mat = MAT_ID, at_t: int = 0) -> tuple:
     """The canonical mutation (sign 1) or its inverse (sign -1) of the
     integer vector relabelled by m: (image, carry), where the image holds
-    the q^0 part and the carry is the coefficient of q e_t.
+    the q^0 part plus at_t e_t, at_t being the carry of the layer below,
+    and the carry is the coefficient of q e_t.
 
     With s = sign and t = (-s, 0), e_w for w = (x, y) goes to
     e_w + (1-q) y e_t when y > 0, to e_(x-s*y, y) - q y e_t when y < 0,
@@ -874,11 +881,11 @@ def _mutate(raw: dict, sign: int, m: Mat = MAT_ID) -> tuple:
     minus the y part of m applied to the weighted index sum sum n w.  On V
     that sum vanishes, so an integer vector of V has carry 0: its image is
     an integer vector, again in V, and the W[q] word action on it equals
-    its q = 1 specialization.
+    its q = 1 specialization.  Off V the sum stays nonzero: the q^0 part's
+    index sum is (X - s Y, Y), for (X, Y) the relabelled one.
     """
     m0, m1, m2, m3 = m
     out = {}
-    at_t = 0
     carry = 0
     for ((a0, a1), k), n in raw.items():
         ax = m0 * a0 + m1 * a1
@@ -905,20 +912,14 @@ def _mutate(raw: dict, sign: int, m: Mat = MAT_ID) -> tuple:
 def _run(layers: list, steps: tuple, last: Mat = MAT_ID) -> list:
     """The q-degree layers of a vector after the mutation steps (m, sign),
     each a _mutate, and then the relabel by last.  Each layer mutates on
-    its own, and its carry is added to e_t in the next layer up, so a
-    second layer appears exactly when some step carries."""
+    its own, starting its e_t coefficient from the carry of the layer
+    below, so a second layer appears exactly when some step carries."""
     for m, sign in steps:
         out = []
         carry = 0
         for layer in layers:
-            image, next_carry = _mutate(layer, sign, m)
-            if carry:
-                t = (-sign, 0), 1
-                n = image.pop(t, 0) + carry
-                if n:
-                    image[t] = n
+            image, carry = _mutate(layer, sign, m, carry)
             out.append(image)
-            carry = next_carry
         if carry:
             out.append({((-sign, 0), 1): carry})
         layers = out
@@ -1081,60 +1082,45 @@ def word_operator(word) -> PicOperator:
     return PicOperator(word)
 
 
-# Every relation of a suite draws the same seeded V vectors, so the draws
-# of the last 32 seeds are kept, each as a read-only prefix of at most
-# _V_KEPT vectors and the generator that goes on from its end.
+# Every relation of a suite draws the same seeded V vectors, so the last
+# 32 draws of at most _V_KEPT vectors are kept, keyed by (seed, n), as
+# read-only mappings; a longer draw is made afresh and not kept.
 _V_KEPT = 64
 
 
 @functools.lru_cache(maxsize=32)
-def _v_draws(seed) -> tuple:
-    return random.Random(seed), []
-
-
-def _v_vectors(seed, n: int):
-    """The first n vectors _random_v_terms(Random(seed), 3) draws, the
-    kept ones as read-only mappings.  Each is drawn when it is first read,
-    and those past the first _V_KEPT from a copy of the kept generator, so
-    the memo never holds more than _V_KEPT vectors a seed."""
-    rng, kept = _v_draws(seed)
-    for i in range(min(n, _V_KEPT)):
-        if i == len(kept):
-            kept.append(MappingProxyType(_random_v_terms(rng, 3)))
-        yield kept[i]
-    if n > _V_KEPT:
-        rest = random.Random()
-        rest.setstate(rng.getstate())
-        for _ in range(n - _V_KEPT):
-            yield _random_v_terms(rest, 3)
+def _v_vectors(seed, n: int) -> tuple:
+    """The first n vectors _random_v_terms(Random(seed), 3) draws."""
+    rng = random.Random(seed)
+    return tuple(MappingProxyType(_random_v_terms(rng, 3)) for _ in range(n))
 
 
 def word_acts_as_identity(word, nvectors: int = 20, seed: int = 0) -> dict:
     """Test a word on nvectors random V vectors with integer coefficients,
     the ones random_v_vector draws from Random(seed); calls with the same
-    seed share the draws (_v_vectors).
+    seed and nvectors share the draws (_v_vectors).
 
     By the carry lemma of _mutate the W[q] action on such a vector equals
     its q = 1 specialization, so identity_in_Zq and identity_at_q1, both
     reported, agree on every sample.  A failure is exact: its witness is
-    an integer vector of V that the word moves.
+    an integer vector of V that the word moves.  An image outside V is
+    refused; that covers every vector that carries, since a step carries
+    only when the q^0 index sum is nonzero, and each step keeps it so.
     """
     if nvectors < 1:
         raise ValueError("nvectors must be at least 1, got %d" % nvectors)
     op = word_operator(word)
     identity = True
     witness = None
-    for rx in _v_vectors(seed, nvectors):
-        layers = _run([rx], op._steps, op._last)
-        if len(layers) > 1:
+    draw = _v_vectors if nvectors <= _V_KEPT else _v_vectors.__wrapped__
+    for rx in draw(seed, nvectors):
+        ry = _run([rx], op._steps, op._last)[0]
+        if not _in_v(ry):
             raise AssertionError("image left the V subspace")
-        ry = layers[0]
         if ry != rx and witness is None:
             identity = False
             witness = {"vector": _picvec([rx]).to_json(),
                        "image": _picvec([ry]).to_json()}
-        if not _in_v(ry):
-            raise AssertionError("image left the V subspace")
     return {
         "identity": identity,
         "evidence": {
@@ -1203,50 +1189,3 @@ def cross_basis_report(samples: int = 30, seed: int = 0) -> dict:
         },
         "note": "discrepancies are reported with witnesses, not patched",
     }
-
-
-# ---------------------------------------------------------------------------
-# cluster mutation
-
-def cluster_mutation(indices, bmat: dict, i):
-    """Seed mutation at index i.
-
-    indices is a finite list of labels, bmat an antisymmetric integer
-    matrix as a dict over index pairs (missing entries are zero).  Returns
-    the basis substitution {k: {label: coeff}} and the mutated matrix.
-    """
-    indices = list(indices)
-    if i not in indices:
-        raise ValueError("mutation index %r is not in the seed" % (i,))
-
-    def b(j, k):
-        return int(bmat.get((j, k), 0))
-
-    for j in indices:
-        for k in indices:
-            if b(j, k) != -b(k, j):
-                raise ValueError("matrix is not antisymmetric at %r"
-                                 % ((j, k),))
-    basis_map = {}
-    for k in indices:
-        if k == i:
-            basis_map[k] = {i: -1}
-        else:
-            img = {k: 1}
-            c = max(b(i, k), 0)
-            if c:
-                img[i] = c
-            basis_map[k] = img
-    mutated = {}
-    for j in indices:
-        for k in indices:
-            if j == k:
-                continue
-            if i in (j, k):
-                val = -b(j, k)
-            else:
-                val = b(j, k) + (abs(b(j, i)) * b(i, k)
-                                 + b(j, i) * abs(b(i, k))) // 2
-            if val:
-                mutated[(j, k)] = val
-    return basis_map, mutated

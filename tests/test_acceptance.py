@@ -313,7 +313,7 @@ def test_criterion_11_pairing():
             a, b = rng.randint(-4, 4), rng.randint(-4, 4)
             lin = BreakFn(((1, 0), (0, 1), (-1, 0), (0, -1)),
                           (a, b, -a, -b))
-            assert lin.is_linear
+            assert lin.is_linear()
             G = {}
             while len(G) < 4:
                 v = (rng.randint(-5, 5), rng.randint(-5, 5))

@@ -2,9 +2,12 @@
 left behind when the code that used it is deleted fails here.  A name the
 module lists in __all__ is a re-export and counts as read; __future__
 imports bind no name.  Likewise every private function or class defined at
-the top of a module is read somewhere in the package."""
+the top of a module is read somewhere in the package, and every __all__
+entry names an attribute of its module."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -88,3 +91,21 @@ def test_the_check_sees_an_unread_private_def():
                "b.py": "from .a import _Kept\nprint(_Kept, a._used)\n"}
     assert unread_private_defs(sources) == [("a.py", "_stale_ring"),
                                             ("a.py", "_walk")]
+
+
+def stale_exports(module) -> list:
+    """Each __all__ entry of module that names no attribute of it."""
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("name", ["sympt", "sympt.picard", "sympt.thompson"])
+def test_every_all_entry_names_an_attribute(name):
+    assert stale_exports(importlib.import_module(name)) == []
+
+
+def test_the_check_sees_a_stale_all_entry():
+    module = types.ModuleType("stale")
+    exec("from math import gcd\n"
+         "__all__ = ['gcd', 'kept', 'gone']\n"
+         "def kept(): pass\n", module.__dict__)
+    assert stale_exports(module) == ["gone"]

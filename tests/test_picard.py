@@ -13,7 +13,6 @@ from sympt.picard import (
     b_vec,
     be_encode,
     chain_vec,
-    cluster_mutation,
     compose_breakfn,
     cross_basis_report,
     delta_L_action,
@@ -1111,17 +1110,18 @@ def test_integer_kernel_matches_the_qpoly_kernel():
 
 
 def test_integer_word_action_refuses_a_vector_that_carries(monkeypatch):
-    # e_(0,1) is not in V: the first mutation carries -q e_(-1,0).  The
-    # seed's draws are kept by now; a memo that keeps nothing makes the call
-    # draw again, and leaves the kept draws as they were
+    # e_(0,1) is not in V: the first mutation carries -q e_(-1,0), and the
+    # image's q^0 part stays outside V.  The patched draw passes the memo
+    # by, so the kept draws stay as they were
     word_acts_as_identity(words.parse_word("P^5"))
-    monkeypatch.setattr(picard, "_v_draws",
-                        lambda seed: (random.Random(seed), []))
-    monkeypatch.setattr(picard, "_random_v_terms",
-                        lambda rng, size: {((0, 1), 1): 1})
+    kept = picard._v_vectors(0, 20)
+    monkeypatch.setattr(picard, "_v_vectors",
+                        lambda seed, n: ({((0, 1), 1): 1},) * n)
     word = words.parse_word("I P")
     with pytest.raises(AssertionError, match="left the V subspace"):
         word_acts_as_identity(word)
+    monkeypatch.undo()
+    assert picard._v_vectors(0, 20) is kept
     op = word_operator(word)
     assert op(e_vec((0, 1))) != op(e_vec((0, 1))).at_one()
 
@@ -1156,40 +1156,63 @@ def test_suite_evidence_matches_letter_by_letter_action(monkeypatch):
     assert len(checked) == sum(len(words.load_suite(n)) for n in suites)
 
 
+def _fresh_v_draw(seed, n):
+    rng = random.Random(seed)
+    return tuple(picard._random_v_terms(rng, 3) for _ in range(n))
+
+
 def test_kept_v_vectors_are_a_fresh_draw_and_read_only():
-    picard._v_draws.cache_clear()
+    picard._v_vectors.cache_clear()
     for name in words.list_suites():
         words.check_suite(name, backend="picard")
         words.check_suite(name, backend="picard", params={"trials": 3})
-    _, kept = picard._v_draws(0)
-    # the default 20 vectors a relation, none drawn past them
-    assert len(kept) == 20
-    rng = random.Random(0)
-    assert kept == [picard._random_v_terms(rng, 3) for _ in kept]
+    # every relation reads the default 20 vectors of seed 0, drawn once
+    info = picard._v_vectors.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    kept = picard._v_vectors(0, 20)
+    assert kept == _fresh_v_draw(0, 20)
     with pytest.raises(TypeError):
         kept[0][(1, 0), 1] = 1
+    # each seed keeps its own draw
+    for seed in (1, 2, 3):
+        assert picard._v_vectors(seed, 5) == _fresh_v_draw(seed, 5)
 
 
-def test_v_memo_stays_bounded():
+def test_v_memo_stays_bounded(monkeypatch):
     word = words._core("P C P I^-1")
     big = 200
     assert picard._V_KEPT < big
+    picard._v_vectors.cache_clear()
     seeds = range(1000, 1040)
+    # a draw of more than _V_KEPT vectors is made afresh and not kept
     for seed in seeds:
         got = word_acts_as_identity(word, nvectors=big, seed=seed)
-        assert len(picard._v_draws(seed)[1]) == picard._V_KEPT
-    assert picard._v_draws.cache_info().currsize <= 32
-    # past the kept prefix the draws go on as Random(seed) gives them
+    assert picard._v_vectors.cache_info().currsize == 0
     assert got == _reference_identity(word, big, seeds[-1])
-    rng = random.Random(seeds[-1])
-    assert list(picard._v_vectors(seeds[-1], big)) == [
-        picard._random_v_terms(rng, 3) for _ in range(big)]
+    # shorter draws are kept for the last 32 (seed, n) pairs only
+    for seed in seeds:
+        word_acts_as_identity(word, nvectors=picard._V_KEPT, seed=seed)
+    assert picard._v_vectors.cache_info().currsize == 32
     loop = words._core("P I C") * 7
     assert (word_acts_as_identity(loop, nvectors=100, seed=3)
             == _reference_identity(loop, 100, 3))
+    # P moves the first vector, so its witness tells the seeds apart
+    p = words._core("P")
+    for seed in range(3):
+        for n in (5, big):
+            assert (word_acts_as_identity(p, nvectors=n, seed=seed)
+                    == _reference_identity(p, n, seed))
     # a call draws no more vectors than it reads
+    drawn = []
+    draw = picard._random_v_terms
+
+    def counted(rng, size):
+        drawn.append(size)
+        return draw(rng, size)
+
+    monkeypatch.setattr(picard, "_random_v_terms", counted)
     word_acts_as_identity(word, nvectors=5, seed=2000)
-    assert len(picard._v_draws(2000)[1]) == 5
+    assert len(drawn) == 5
 
 
 @pytest.mark.parametrize("term", [
@@ -1216,50 +1239,19 @@ def test_operator_preserves_v_subspace():
 # ---------------------------------------------------------------------------
 # cluster mutation
 
-def test_cluster_basis_map_rules():
-    labels = [1, 2, 3]
-    b = {(1, 2): 2, (2, 1): -2, (2, 3): 1, (3, 2): -1, (1, 3): -1, (3, 1): 1}
-    bm, mutated = cluster_mutation(labels, b, 1)
-    assert bm[1] == {1: -1}
-    assert bm[2] == {2: 1, 1: 2}      # b_12 = 2 > 0
-    assert bm[3] == {3: 1}            # b_13 = -1, clipped to zero
-    assert mutated == {(1, 2): -2, (2, 1): 2, (1, 3): 1, (3, 1): -1,
-                       (2, 3): -1, (3, 2): 1}
-    # mutation at the same index is an involution on the matrix
-    _, back = cluster_mutation(labels, mutated, 1)
-    assert back == b
-
-
-def test_cluster_mutation_validation():
-    with pytest.raises(ValueError):
-        cluster_mutation([1, 2], {(1, 2): 1, (2, 1): 1}, 1)
-    with pytest.raises(ValueError):
-        cluster_mutation([1, 2], {(1, 2): 1, (2, 1): -1}, 3)
-
-
 def test_cluster_mutation_matches_lattice_action():
-    """With wedge b-matrix and mutation at -v, expanding the basis map at
-    sigma_v(w) reproduces the q=1 action of the canonical mutation."""
+    """At q = 1 the canonical mutation is the cluster mutation at -v of
+    the wedge B-matrix: e_w goes to e_s + max(wedge(-v, s), 0) e_(-v) with
+    s = sigma_v(w, v), and e_v to -e_(-v)."""
     v = (1, 0)
-    i = (-1, 0)
+    nv = (-1, 0)
     ws = [(0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1),
           (2, 1), (1, 2), (-2, 3), (3, -2), (0, 2), (2, -3)]
-    labels = sorted({i, v} | set(ws) | {sigma_v(w, v) for w in ws})
-    b = {(a, c): wedge(a, c) for a in labels for c in labels
-         if a != c and wedge(a, c)}
-    bm, _ = cluster_mutation(labels, b, i)
     for w in ws:
-        image = mu_Wq_action(e_vec(w)).at_one()
-        expected = PicVec()
-        for label, c in bm[sigma_v(w, v)].items():
-            expected = expected + c * e_vec(label)
-        assert image == expected
-    # the special index: image of e_v is the signed basis vector at i
-    image_v = mu_Wq_action(e_vec(v)).at_one()
-    expected_v = PicVec()
-    for label, c in bm[i].items():
-        expected_v = expected_v + c * e_vec(label)
-    assert image_v == expected_v == -e_vec((-1, 0))
+        s = sigma_v(w, v)
+        assert mu_Wq_action(e_vec(w)).at_one() == (
+            e_vec(s) + max(wedge(nv, s), 0) * e_vec(nv))
+    assert mu_Wq_action(e_vec(v)).at_one() == -e_vec(nv)
 
 
 # ---------------------------------------------------------------------------

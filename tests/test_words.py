@@ -325,7 +325,7 @@ def test_sampled_reports_do_not_depend_on_the_memos(backend):
         cold = {}
         for name in list_suites():
             for memo in (words.parse_word, quantum.make_config,
-                         picard._v_draws):
+                         picard._v_vectors):
                 memo.cache_clear()
             cold[name] = _report_json(name, backend, params)
         for name in list_suites():
