@@ -26,12 +26,14 @@ refuses any other family with a ValueError).  C and I relabel the e
 symbols by a matrix, and P^(+-1) is the canonical mutation or its inverse
 next to I^(-+1), so the word is compiled once into mutation steps, each
 preceded by one fused relabel matrix.  One loop, _run, runs such steps on
-plain dicts {(direction, level): integer}, one per power of q, for the
-operator, the sampled identity test and the three mutations, each of
-which is a one-step program; a PicVec is built only at the boundary,
+plain dicts {(x, y, level): (coefficient, bound)}, one per power of q,
+for the operator, the sampled identity test and the three mutations, each
+of which is a one-step program; a PicVec is built only at the boundary,
 where its keys are validated.  On V with integer coefficients no step
-carries (the carry lemma at _mutate), so the sampled identity test runs
-on one such dict and refuses an image outside V.
+carries (the carry lemma at _mutate, by which _run computes carries), so
+the sampled identity test packs all its vectors into one such dict, the
+coefficient of vector r being digit r of one integer in base 2^w, and
+refuses an image outside V.
 
 Sign convention: the mutation rule on e_(x,y) with y < 0 carries the
 coefficient -q*y.  That sign is forced by exactness: it is the unique
@@ -837,12 +839,16 @@ def gamma_action(x: PicVec, m: Mat) -> PicVec:
     return PicVec(out)
 
 
-# Inside the word action a W[q] vector with integer coefficients is a
-# plain dict {(a, k): n}: the e symbol at primitive direction a and level
-# k, with its nonzero integer coefficient.  A vector over Z[q] is the list
-# of its q-degree layers, layer j holding the coefficients of q^j.  PicVec
-# validates every key it is built from, so vectors cross into this form
-# once on the way in and once on the way out.
+# Inside the word action a W[q] layer is a plain dict {(x, y, k): (c, b)}:
+# the e symbol at primitive direction (x, y) and level k, its coefficient c
+# and a bound b on c's digits.  One layer holds n integer vectors at once,
+# by Kronecker substitution: vector r's coefficient of a symbol is digit r
+# of c in balanced base 2^w (_pack, _digits), and b is at least the
+# magnitude of every digit.  A single vector is the case n = 1, with c its
+# coefficient and b = |c|.  A vector over Z[q] is the list of its q-degree
+# layers, layer j holding the coefficients of q^j.  PicVec validates every
+# key it is built from, so vectors cross into this form once on the way
+# in and once on the way out.
 
 def _e_layers(x: PicVec, what: str = "W[q] action") -> list:
     layers = []
@@ -850,25 +856,72 @@ def _e_layers(x: PicVec, what: str = "W[q] action") -> list:
         if key[0] != "e":
             raise ValueError("%s needs e terms, got %r" % (what, key[0]))
         layers.extend({} for _ in range(len(c.coeffs) - len(layers)))
+        (a0, a1), k = key[1], key[2]
         for layer, n in zip(layers, c.coeffs):
             if n:
-                layer[key[1], key[2]] = n
+                layer[a0, a1, k] = (n, abs(n))
     return layers
 
 
 def _picvec(layers: list) -> PicVec:
     coeffs = {}
     for j, layer in enumerate(layers):
-        for key, n in layer.items():
+        for key, (n, _) in layer.items():
             coeffs.setdefault(key, [0] * len(layers))[j] = n
-    return PicVec([(("e", a, k), QPoly(c)) for (a, k), c in coeffs.items()])
+    return PicVec([(("e", (x, y), k), QPoly(c))
+                   for (x, y, k), c in coeffs.items()])
 
 
-def _mutate(raw: dict, sign: int, m: Mat = MAT_ID, at_t: int = 0) -> tuple:
-    """The canonical mutation (sign 1) or its inverse (sign -1) of the
-    integer vector relabelled by m: (image, carry), where the image holds
-    the q^0 part plus at_t e_t, at_t being the carry of the layer below,
-    and the carry is the coefficient of q e_t.
+def _pack(vectors, w: int) -> dict:
+    """One layer holding the integer vectors {(x, y, k): n}: vector r's
+    coefficient is digit r, of weight 2^(w r), and each bound is the
+    largest magnitude among a symbol's digits."""
+    layer = {}
+    for r, raw in enumerate(vectors):
+        for key, n in raw.items():
+            c, b = layer.get(key, (0, 0))
+            layer[key] = (c + (n << w * r), max(b, abs(n)))
+    return layer
+
+
+def _digits(layer: dict, r: int, w: int) -> dict:
+    """Vector r of a layer packed at width w, {(x, y, k): n} with n != 0;
+    exact while every digit lies strictly between -2^(w-1) and 2^(w-1).
+    The digits below r sum to less than 2^(w r - 1) in magnitude, so
+    adding that much and shifting drops them."""
+    half = 1 << (w - 1)
+    raw = {}
+    for key, (c, _) in layer.items():
+        if r:
+            c = (c + (half << w * (r - 1))) >> w * r
+        n = ((c + half) & (2 * half - 1)) - half
+        if n:
+            raw[key] = n
+    return raw
+
+
+def _index_sum(layer: dict) -> tuple:
+    """The weighted index sum (X, Y) = sum c k (x, y) over a layer's terms,
+    packed like the coefficients."""
+    sx = sy = 0
+    for (x, y, k), (c, _) in layer.items():
+        sx += k * x * c
+        sy += k * y * c
+    return sx, sy
+
+
+def _sum_bound(layer: dict) -> int:
+    """sum b k (|x| + |y|) over a layer's terms: a bound on every digit of
+    its index sums X and Y and, since k (|x| + |y|) >= 1, on every digit
+    of the layer."""
+    return sum(k * (abs(x) + abs(y)) * b
+               for (x, y, k), (_, b) in layer.items())
+
+
+def _mutate(raw: dict, sign: int, m: Mat = MAT_ID, at_t=(0, 0)) -> dict:
+    """The q^0 part of the canonical mutation (sign 1) or its inverse
+    (sign -1) of the layer relabelled by m, plus at_t e_t, at_t being the
+    carry of the layer below as a (coefficient, bound) pair.
 
     With s = sign and t = (-s, 0), e_w for w = (x, y) goes to
     e_w + (1-q) y e_t when y > 0, to e_(x-s*y, y) - q y e_t when y < 0,
@@ -876,53 +929,79 @@ def _mutate(raw: dict, sign: int, m: Mat = MAT_ID, at_t: int = 0) -> tuple:
     index map is injective and never hits e_t (y is kept, and x-s = -s
     would need w = 0), so only the e_t coefficient sums several terms.
 
-    Carry lemma.  The carry is -sum n y over the terms n e_w of the
-    relabelled vector, since a term with y = 0 adds nothing to it.  That is
-    minus the y part of m applied to the weighted index sum sum n w.  On V
-    that sum vanishes, so an integer vector of V has carry 0: its image is
-    an integer vector, again in V, and the W[q] word action on it equals
-    its q = 1 specialization.  Off V the sum stays nonzero: the q^0 part's
-    index sum is (X - s Y, Y), for (X, Y) the relabelled one.
+    Packed digits.  Each coefficient moves to one key and may also enter
+    the e_t sum, with the integer factor k y or -1, so the step is
+    Z-linear: a packed coefficient sum_r 2^(w r) d_r goes to sum_r 2^(w r)
+    times the image of d_r, exactly, whatever the digits.  A bound moves
+    with its coefficient, and e_t's grows by |factor| times the bound of
+    each coefficient that enters it, so every bound stays at least the
+    magnitude of its digits, and every bound reaches the image with a
+    factor of at least 1.  A packed e_t sum of 0 can hide digits of 2^w or
+    more that cancel, so e_t is left out only when nothing entered it.
+
+    Carry lemma.  The coefficient of q e_t, the carry, is -sum n k y over
+    the terms n e_(x,y)^k of the relabelled layer, since a term with y = 0
+    adds nothing to it: minus the y part of m applied to the layer's
+    weighted index sum sum n k (x, y).  _run computes every carry so.  On
+    V that sum vanishes, so an integer vector of V has carry 0: its image
+    is an integer vector, again in V, and the W[q] word action on it
+    equals its q = 1 specialization.  Off V the sum stays nonzero: the q^0
+    part's index sum is (X - s Y, Y), for (X, Y) the relabelled one.
     """
     m0, m1, m2, m3 = m
+    t, bt = at_t
     out = {}
-    carry = 0
-    for ((a0, a1), k), n in raw.items():
-        ax = m0 * a0 + m1 * a1
-        ay = m2 * a0 + m3 * a1
+    for (x, y, k), v in raw.items():
+        ax = m0 * x + m1 * y
+        ay = m2 * x + m3 * y
         if ay > 0:
-            out[(ax, ay), k] = n
-            ny = k * ay * n
-            at_t += ny
-            carry -= ny
+            out[ax, ay, k] = v
+            f = k * ay
+            t += f * v[0]
+            bt += f * v[1]
         elif ay < 0:
             # the shear keeps the content, so the level stays k
-            out[(ax - sign * ay, ay), k] = n
-            carry -= k * ay * n
+            out[ax - sign * ay, ay, k] = v
         else:
             wx = k * ax - sign
             if wx:
-                out[(1 if wx > 0 else -1, 0), abs(wx)] = n
-            at_t -= n
-    if at_t:
-        out[(-sign, 0), 1] = at_t
-    return out, carry
+                out[1 if wx > 0 else -1, 0, abs(wx)] = v
+            t -= v[0]
+            bt += v[1]
+    if bt:
+        out[-sign, 0, 1] = (t, bt)
+    return out
 
 
-def _run(layers: list, steps: tuple, last: Mat = MAT_ID) -> list:
+def _run(layers: list, steps: tuple, last: Mat = MAT_ID, sums=None) -> list:
     """The q-degree layers of a vector after the mutation steps (m, sign),
-    each a _mutate, and then the relabel by last.  Each layer mutates on
-    its own, starting its e_t coefficient from the carry of the layer
-    below, so a second layer appears exactly when some step carries."""
+    each a _mutate, and then the relabel by last.
+
+    Each layer mutates on its own and starts its e_t coefficient from the
+    carry of the layer below, so a layer is added exactly when the top one
+    carries.  The carries come from the carry lemma at _mutate: a step
+    maps a layer's index sum (X, Y), relabelled by m, to (X - s (Y + carry
+    in), Y) and carries -Y.  sums, the layers' index sums (X, Y), are
+    computed here unless given.  A carry's bound is its magnitude, the
+    bound of its one digit in a one-vector run; a packed run of V vectors
+    never carries, and word_acts_as_identity reads layer 0 alone, which no
+    carry enters.
+    """
+    if sums is None:
+        sums = list(map(_index_sum, layers))
     for m, sign in steps:
-        out = []
+        m0, m1, m2, m3 = m
+        out, out_sums = [], []
         carry = 0
-        for layer in layers:
-            image, carry = _mutate(layer, sign, m, carry)
-            out.append(image)
+        for layer, (sx, sy) in zip(layers, sums):
+            out.append(_mutate(layer, sign, m, (carry, abs(carry))))
+            x, y = m0 * sx + m1 * sy, m2 * sx + m3 * sy
+            out_sums.append((x - sign * (y + carry), y))
+            carry = -y
         if carry:
-            out.append({((-sign, 0), 1): carry})
-        layers = out
+            out.append({(-sign, 0, 1): (carry, abs(carry))})
+            out_sums.append((-sign * carry, 0))
+        layers, sums = out, out_sums
     if last != MAT_ID:
         layers = [_relabel(layer, last) for layer in layers]
     return layers
@@ -930,8 +1009,8 @@ def _run(layers: list, steps: tuple, last: Mat = MAT_ID) -> list:
 
 def _relabel(raw: dict, m: Mat) -> dict:
     m0, m1, m2, m3 = m
-    return {((m0 * a[0] + m1 * a[1], m2 * a[0] + m3 * a[1]), k): n
-            for (a, k), n in raw.items()}
+    return {(m0 * x + m1 * y, m2 * x + m3 * y, k): v
+            for (x, y, k), v in raw.items()}
 
 
 def mu_Wq_action(x: PicVec) -> PicVec:
@@ -955,17 +1034,10 @@ def mu_Wq_at(x: PicVec, v: Vec) -> PicVec:
     return _picvec(_run(_e_layers(x), ((mat_inv(m), 1),), m))
 
 
-def _in_v(raw: dict) -> bool:
-    sx = sy = 0
-    for (a, k), n in raw.items():
-        sx += k * a[0] * n
-        sy += k * a[1] * n
-    return not sx and not sy
-
-
 def v_membership(x: PicVec) -> bool:
     """Whether the Z[q]-weighted sum of the e indices vanishes."""
-    return all(map(_in_v, _e_layers(x, "V membership")))
+    return all(_index_sum(layer) == (0, 0)
+               for layer in _e_layers(x, "V membership"))
 
 
 def wedge_form(x: PicVec, y: PicVec) -> QPoly:
@@ -1001,8 +1073,8 @@ def _random_v_terms(rng: random.Random, size: int) -> dict:
                 a = primitive(a)
                 parts = ((a, k * c), ((k * a[0], k * a[1]), -c))
             for v, n in parts:
-                k, a = _content_and_primitive(v)
-                acc[a, k] = acc.get((a, k), 0) + n
+                k, (x, y) = _content_and_primitive(v)
+                acc[x, y, k] = acc.get((x, y, k), 0) + n
         raw = {key: n for key, n in acc.items() if n}
         if raw:
             return raw
@@ -1010,7 +1082,7 @@ def _random_v_terms(rng: random.Random, size: int) -> dict:
 
 def random_v_vector(rng: random.Random, size: int = 3) -> PicVec:
     """Random nonzero member of V with small integer data."""
-    return _picvec([_random_v_terms(rng, size)])
+    return _picvec([_pack([_random_v_terms(rng, size)], _WIDTH)])
 
 
 # ---------------------------------------------------------------------------
@@ -1083,44 +1155,71 @@ def word_operator(word) -> PicOperator:
 
 
 # Every relation of a suite draws the same seeded V vectors, so the last
-# 32 draws of at most _V_KEPT vectors are kept, keyed by (seed, n), as
-# read-only mappings; a longer draw is made afresh and not kept.
+# 32 draws of at most _V_KEPT vectors are kept, packed and keyed by (seed,
+# n, width), as read-only mappings; a longer draw is made afresh and not
+# kept.  Packing starts at _WIDTH bits a digit: on the shipped suites the
+# largest image bound that word_acts_as_identity tests is below 2^66.
 _V_KEPT = 64
+_WIDTH = 96
 
 
 @functools.lru_cache(maxsize=32)
-def _v_vectors(seed, n: int) -> tuple:
-    """The first n vectors _random_v_terms(Random(seed), 3) draws."""
+def _v_layer(seed, n: int, w: int) -> tuple:
+    """The first n vectors _random_v_terms(Random(seed), 3) draws, packed
+    at width w, and their index sums."""
     rng = random.Random(seed)
-    return tuple(MappingProxyType(_random_v_terms(rng, 3)) for _ in range(n))
+    layer = _pack([_random_v_terms(rng, 3) for _ in range(n)], w)
+    return MappingProxyType(layer), _index_sum(layer)
 
 
 def word_acts_as_identity(word, nvectors: int = 20, seed: int = 0) -> dict:
     """Test a word on nvectors random V vectors with integer coefficients,
     the ones random_v_vector draws from Random(seed); calls with the same
-    seed and nvectors share the draws (_v_vectors).
+    seed and nvectors share the draws (_v_layer).
+
+    The vectors run as one packed layer, each step once over the union of
+    their symbols (see _mutate).  Digits are compared or read only when
+    the image's _sum_bound, which bounds every digit of the image and so
+    of the draw, is below 2^(w-1); otherwise the draw is packed again at
+    the width doubled until it is, and runs again.  The memo keeps each
+    draw's index sums, which are also those of an image equal to it.
 
     By the carry lemma of _mutate the W[q] action on such a vector equals
     its q = 1 specialization, so identity_in_Zq and identity_at_q1, both
     reported, agree on every sample.  A failure is exact: its witness is
-    an integer vector of V that the word moves.  An image outside V is
+    the first vector the word moves, an integer vector of V, read at the
+    lowest nonzero digit of any symbol's change.  An image outside V is
     refused; that covers every vector that carries, since a step carries
     only when the q^0 index sum is nonzero, and each step keeps it so.
     """
     if nvectors < 1:
         raise ValueError("nvectors must be at least 1, got %d" % nvectors)
     op = word_operator(word)
-    identity = True
+    draw = _v_layer if nvectors <= _V_KEPT else _v_layer.__wrapped__
+    w = _WIDTH
+    while True:
+        layer, sums = draw(seed, nvectors, w)
+        image = _run([layer], op._steps, op._last, [sums])[0]
+        bound = _sum_bound(image)
+        if bound < 1 << (w - 1):
+            break
+        while bound >= 1 << (w - 1):
+            w *= 2
+    coeffs = {key: c for key, (c, _) in image.items() if c}
+    identity = coeffs == {key: c for key, (c, _) in layer.items()}
+    # an image equal to its draw has the draw's index sums
+    if (sums if identity else _index_sum(image)) != (0, 0):
+        raise AssertionError("image left the V subspace")
     witness = None
-    draw = _v_vectors if nvectors <= _V_KEPT else _v_vectors.__wrapped__
-    for rx in draw(seed, nvectors):
-        ry = _run([rx], op._steps, op._last)[0]
-        if not _in_v(ry):
-            raise AssertionError("image left the V subspace")
-        if ry != rx and witness is None:
-            identity = False
-            witness = {"vector": _picvec([rx]).to_json(),
-                       "image": _picvec([ry]).to_json()}
+    if not identity:
+        # digit r of a change is vector r's; the lowest set bit of a
+        # change lies in its lowest nonzero digit, since each digit is
+        # below 2^w
+        changes = [c - layer.get(key, (0, 0))[0] for key, c in coeffs.items()]
+        changes += [-c for key, (c, _) in layer.items() if key not in coeffs]
+        r = (min((d & -d).bit_length() for d in changes if d) - 1) // w
+        witness = {name: _picvec([_pack([_digits(lay, r, w)], w)]).to_json()
+                   for name, lay in (("vector", layer), ("image", image))}
     return {
         "identity": identity,
         "evidence": {

@@ -381,14 +381,17 @@ def check_suite(suite, backend: str = "pl", params: dict | None = None) -> dict:
     Entries with rhs "1" or a word get verdict "pass"/"fail"; entries with
     rhs "probe" get "identity"/"nonidentity" and never fail the suite.  The
     report carries the backend, parameters and witnesses needed to replay
-    any failure.
+    any failure.  The report's params are the seed and those the model
+    reads, the ones check_relation passes it.
     """
-    params = dict(params or {})
-    params.setdefault("seed", 0)
     if isinstance(suite, str):
         name, entries = suite, load_suite(suite)
     else:
         name, entries = "<inline>", suite
+    names = _backend(backend).sampling.values()
+    params = {k: v for k, v in (params or {}).items()
+              if k == "seed" or k in names}
+    params.setdefault("seed", 0)
     results = []
     for entry in entries:
         lhs, rhs = entry["lhs"], entry["rhs"]

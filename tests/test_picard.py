@@ -1088,20 +1088,21 @@ def test_integer_kernel_matches_the_qpoly_kernel():
         sign = rng.choice((1, -1))
         m = _random_relabel(rng)
         if trial % 2:
-            # an integer vector of V: no carry, and the same image
-            raw = picard._random_v_terms(rng, 4)
-            image, carry = picard._mutate(raw, sign, m)
-            assert carry == 0
-            assert picard._in_v(image)
-            layers = [raw]
+            # an integer vector of V: no carry, and the image is in V
+            layers = [picard._pack([picard._random_v_terms(rng, 4)],
+                                   picard._WIDTH)]
+            (image,) = picard._run(layers, ((m, sign),))
+            assert picard._index_sum(image) == (0, 0)
         else:
             # q-coefficients, in V or not
             x = _random_q_vector(rng) + (
                 QPoly((rng.randint(-3, 3), rng.randint(-3, 3)))
                 * e_vec((rng.randint(-3, 3), rng.randint(1, 3))))
             layers = picard._e_layers(x)
-            carried += any(picard._mutate(layer, sign, m)[1]
-                           for layer in layers)
+            # a layer carries when the y part of its relabelled index sum
+            # is nonzero
+            carried += any(m[2] * sx + m[3] * sy for sx, sy in
+                           map(picard._index_sum, layers))
         want = _qpoly_mutate(_coefficient_tuples(layers), sign, m)
         got = _coefficient_tuples(picard._run(layers, ((m, sign),)))
         assert got == want
@@ -1109,19 +1110,44 @@ def test_integer_kernel_matches_the_qpoly_kernel():
     assert carried > 50
 
 
+def _v_patch(vectors):
+    """A stand-in for picard._v_layer that packs the given vectors."""
+    def draw(seed, n, w):
+        layer = picard._pack(vectors[:n], w)
+        return layer, picard._index_sum(layer)
+    return draw
+
+
 def test_integer_word_action_refuses_a_vector_that_carries(monkeypatch):
     # e_(0,1) is not in V: the first mutation carries -q e_(-1,0), and the
-    # image's q^0 part stays outside V.  The patched draw passes the memo
+    # image's q^0 part stays outside V.  The patched draws pass the memo
     # by, so the kept draws stay as they were
     word_acts_as_identity(words.parse_word("P^5"))
-    kept = picard._v_vectors(0, 20)
-    monkeypatch.setattr(picard, "_v_vectors",
-                        lambda seed, n: ({((0, 1), 1): 1},) * n)
+    kept = picard._v_layer(0, 20, picard._WIDTH)
     word = words.parse_word("I P")
+    draw = list(_fresh_v_draw(0, 20))
+    for r in (0, 7, 19):
+        # one vector of twenty off V is enough, wherever it is packed
+        outside = draw[:r] + [{(0, 1, 1): 1}] + draw[r + 1:]
+        monkeypatch.setattr(picard, "_v_layer", _v_patch(outside))
+        with pytest.raises(AssertionError, match="left the V subspace"):
+            word_acts_as_identity(word)
+    monkeypatch.undo()
+    # the check reads the image: one that leaves V is refused even when
+    # the draw is in V, here with e_(0,1) added to vector 7
+    run = picard._run
+
+    def off_v(layers, steps, last, sums):
+        image, *rest = run(layers, steps, last, sums)
+        c, b = image.get((0, 1, 1), (0, 0))
+        image[0, 1, 1] = (c + (1 << 7 * picard._WIDTH), max(b, 1))
+        return [image, *rest]
+
+    monkeypatch.setattr(picard, "_run", off_v)
     with pytest.raises(AssertionError, match="left the V subspace"):
         word_acts_as_identity(word)
     monkeypatch.undo()
-    assert picard._v_vectors(0, 20) is kept
+    assert picard._v_layer(0, 20, picard._WIDTH) is kept
     op = word_operator(word)
     assert op(e_vec((0, 1))) != op(e_vec((0, 1))).at_one()
 
@@ -1161,38 +1187,49 @@ def _fresh_v_draw(seed, n):
     return tuple(picard._random_v_terms(rng, 3) for _ in range(n))
 
 
+def _unpacked(layer, n):
+    return tuple(picard._digits(layer, r, picard._WIDTH) for r in range(n))
+
+
 def test_kept_v_vectors_are_a_fresh_draw_and_read_only():
-    picard._v_vectors.cache_clear()
+    picard._v_layer.cache_clear()
     for name in words.list_suites():
         words.check_suite(name, backend="picard")
-        words.check_suite(name, backend="picard", params={"trials": 3})
-    # every relation reads the default 20 vectors of seed 0, drawn once
-    info = picard._v_vectors.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    kept = picard._v_vectors(0, 20)
-    assert kept == _fresh_v_draw(0, 20)
-    with pytest.raises(TypeError):
-        kept[0][(1, 0), 1] = 1
+        words.check_suite(name, backend="picard", params={"nvectors": 3})
+    # every relation reads the 20 or 3 vectors of seed 0, each drawn once
+    info = picard._v_layer.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    for n in (20, 3):
+        kept, sums = picard._v_layer(0, n, picard._WIDTH)
+        assert _unpacked(kept, n) == _fresh_v_draw(0, n)
+        assert sums == (0, 0)
+        # each bound is the largest magnitude among its symbol's digits
+        assert {key: b for key, (_, b) in kept.items()} == {
+            key: max(abs(v.get(key, 0)) for v in _fresh_v_draw(0, n))
+            for key in kept}
+        with pytest.raises(TypeError):
+            kept[1, 0, 1] = (1, 1)
     # each seed keeps its own draw
     for seed in (1, 2, 3):
-        assert picard._v_vectors(seed, 5) == _fresh_v_draw(seed, 5)
+        assert _unpacked(picard._v_layer(seed, 5, picard._WIDTH)[0], 5) == (
+            _fresh_v_draw(seed, 5))
 
 
 def test_v_memo_stays_bounded(monkeypatch):
     word = words._core("P C P I^-1")
     big = 200
     assert picard._V_KEPT < big
-    picard._v_vectors.cache_clear()
+    picard._v_layer.cache_clear()
     seeds = range(1000, 1040)
     # a draw of more than _V_KEPT vectors is made afresh and not kept
     for seed in seeds:
         got = word_acts_as_identity(word, nvectors=big, seed=seed)
-    assert picard._v_vectors.cache_info().currsize == 0
+    assert picard._v_layer.cache_info().currsize == 0
     assert got == _reference_identity(word, big, seeds[-1])
     # shorter draws are kept for the last 32 (seed, n) pairs only
     for seed in seeds:
         word_acts_as_identity(word, nvectors=picard._V_KEPT, seed=seed)
-    assert picard._v_vectors.cache_info().currsize == 32
+    assert picard._v_layer.cache_info().currsize == 32
     loop = words._core("P I C") * 7
     assert (word_acts_as_identity(loop, nvectors=100, seed=3)
             == _reference_identity(loop, 100, 3))
@@ -1202,7 +1239,7 @@ def test_v_memo_stays_bounded(monkeypatch):
         for n in (5, big):
             assert (word_acts_as_identity(p, nvectors=n, seed=seed)
                     == _reference_identity(p, n, seed))
-    # a call draws no more vectors than it reads
+    # a call draws and packs no more vectors than it reads
     drawn = []
     draw = picard._random_v_terms
 
@@ -1210,9 +1247,64 @@ def test_v_memo_stays_bounded(monkeypatch):
         drawn.append(size)
         return draw(rng, size)
 
+    packed = []
+    pack = picard._pack
+
+    def counted_pack(vectors, w):
+        packed.append(len(vectors))
+        return pack(vectors, w)
+
     monkeypatch.setattr(picard, "_random_v_terms", counted)
+    monkeypatch.setattr(picard, "_pack", counted_pack)
     word_acts_as_identity(word, nvectors=5, seed=2000)
-    assert len(drawn) == 5
+    assert len(drawn) == 5 and packed == [5]
+
+
+def test_digits_past_the_width_are_read_after_widening(monkeypatch):
+    # V vectors scaled by 2^120 have digits past 2^95, so the first run,
+    # packed at _WIDTH, cannot be read; the call packs again wider and
+    # reads the same witness as the letter-by-letter action
+    draw = picard._random_v_terms
+    monkeypatch.setattr(picard, "_random_v_terms", lambda rng, size: {
+        key: n << 120 for key, n in draw(rng, size).items()})
+    runs = []
+    run = picard._run
+    monkeypatch.setattr(picard, "_run",
+                        lambda *args: runs.append(args) or run(*args))
+    picard._v_layer.cache_clear()
+    try:
+        for text in ("P", "P I C P", "P^5"):
+            word = words._core(text)
+            runs.clear()
+            got = word_acts_as_identity(word, nvectors=7, seed=3)
+            assert len(runs) == 2, text
+            assert json.dumps(got) == json.dumps(
+                _reference_identity(word, 7, 3)), text
+            assert got["identity"] == (text == "P^5")
+    finally:
+        picard._v_layer.cache_clear()
+
+
+def _reduced_word(rng, length):
+    word = []
+    while len(word) < length:
+        letter = (rng.choice("PCI"), rng.choice((1, -1)))
+        if not word or word[-1] != (letter[0], -letter[1]):
+            word.append(letter)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("length", [80, 160])
+def test_long_words_match_the_letter_by_letter_action(length):
+    # packed runs of 5, 20 and 65 vectors, the last one not kept, on w and
+    # on w w^-1, byte for byte against the reference
+    w = _reduced_word(random.Random(length), length)
+    for word in (w + words.word_inverse(w), w):
+        for n in (5, 20, 65):
+            got = word_acts_as_identity(word, nvectors=n, seed=n)
+            assert json.dumps(got) == json.dumps(
+                _reference_identity(word, n, n)), (n, word)
+            assert got["identity"] == (word != w)
 
 
 @pytest.mark.parametrize("term", [

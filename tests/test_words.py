@@ -292,12 +292,24 @@ def test_failing_circle_relation_reports_both_values(backend, lhs_value,
 def test_a_sampled_model_sees_only_the_params_it_names(backend):
     # one params dict names every sampled model's params; check_relation
     # passes each model only those in its sampling map, so none fails on
-    # a keyword it does not take, and the report echoes the dict
+    # a keyword it does not take, and the report lists just those
     params = {"trials": 2, "primes": [birational.PRIMES[2]], "nvectors": 2,
               "N": 3, "p": 7, "seed": 1}
+    names = set(BACKENDS[backend].sampling.values())
     report = check_suite([{"lhs": "C^3", "rhs": "1"}], backend, params)
-    assert report["ok"] and report["params"] == params
-    assert set(BACKENDS[backend].sampling.values()) < set(params)
+    assert report["ok"]
+    assert report["params"] == {k: v for k, v in params.items() if k in names}
+    assert names < set(params)
+
+
+def test_a_report_lists_the_params_its_model_read():
+    # picard's count is nvectors, so trials and bogus go unread; an exact
+    # model reads the seed alone
+    report = check_suite("H", "picard", {"trials": 3, "bogus": 1})
+    assert report["params"] == {"seed": 0}
+    assert {r["witness"]["vectors"] for r in report["results"]} == {20}
+    assert check_suite("H", "pl", {"trials": 3})["params"] == {"seed": 0}
+    assert check_suite("H", "pl", {"seed": 3})["params"] == {"seed": 3}
 
 
 def test_report_shape():
@@ -325,7 +337,7 @@ def test_sampled_reports_do_not_depend_on_the_memos(backend):
         cold = {}
         for name in list_suites():
             for memo in (words.parse_word, quantum.make_config,
-                         picard._v_vectors):
+                         picard._v_layer):
                 memo.cache_clear()
             cold[name] = _report_json(name, backend, params)
         for name in list_suites():
