@@ -348,29 +348,21 @@ def scaling_bir(lam1: Fraction, lam2: Fraction) -> BirMap:
 
 
 def generator_bir(name: str) -> BirMap:
-    """P: (x,y) -> (y, (1+y)/x); C, I and U are the monomial maps of their
-    plcore.GEN_MATS matrices."""
+    """P: (x,y) -> (y, (1+y)/x); C and I are the monomial maps of their
+    plcore.GEN_MATS matrices; other letters fold from words.EXPANSIONS."""
     if name == "P":
         return BirMap(RationalFn(Y), RationalFn(ONE + Y, X))
-    if name == "L":  # P^-1
-        return BirMap(RationalFn(ONE + X, Y), RationalFn(X))
     if name in GEN_MATS:
         return monomial_bir(*GEN_MATS[name])
-    if name == "mu":  # I∘P: (x, y) -> (x/(1+y), y)
-        return BirMap(RationalFn(X, ONE + Y), RationalFn(Y))
     raise ValueError("unknown generator %r" % name)
 
 
 def generator_bir_inverse(name: str) -> BirMap:
-    """Exact inverse of a named generator."""
+    """Exact inverse of a core generator; P^-1 is (x,y) -> ((1+x)/y, x)."""
     if name == "P":
-        return generator_bir("L")
-    if name == "L":
-        return generator_bir("P")
+        return BirMap(RationalFn(ONE + X, Y), RationalFn(X))
     if name in GEN_MATS:
         return monomial_bir(*mat_inv(GEN_MATS[name]))
-    if name == "mu":
-        return BirMap(RationalFn(X * (ONE + Y)), RationalFn(Y))
     raise ValueError("unknown generator %r" % name)
 
 
@@ -409,8 +401,8 @@ def compose_bir(f: BirMap, g: BirMap) -> BirMap:
 
 
 def word_letters(word) -> list:
-    """The maps of the letters of a word over generator names, each factor
-    s^e as |e| copies of s or of its inverse, leftmost first."""
+    """The maps of the letters of a word over P, C and I, each factor s^e
+    as |e| copies of s or of its inverse, leftmost first."""
     return [(generator_bir if e > 0 else generator_bir_inverse)(s)
             for s, e in word for _ in range(abs(e))]
 

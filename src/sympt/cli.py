@@ -129,44 +129,46 @@ def cmd_eval(args):
 
 def _trop_factors(text: str):
     """Parse the trop grammar: generator tokens over {P,C,I,U} plus
-    'lambda:r1,r2' torus scalings and 'mono:a,b,c,d' monomial maps."""
+    'lambda:r1,r2' torus scalings and 'mono:a,b,c,d' monomial maps; a word
+    of more than COMPOSE_CAP factors is refused before any is built."""
     from . import birational
 
-    factors = []
+    tokens = []  # (factor count, builder, its arguments)
     for chunk in text.split():
         if chunk.startswith("lambda:"):
             parts = chunk[len("lambda:"):].split(",")
             if len(parts) != 2:
                 raise ValueError("lambda token needs two rationals: %r" % chunk)
-            factors.append(birational.scaling_bir(
-                *(birational.parse_rational(t) for t in parts)))
+            tokens.append((1, birational.scaling_bir,
+                           [birational.parse_rational(t) for t in parts]))
             continue
         if chunk.startswith("mono:"):
             parts = chunk[len("mono:"):].split(",")
             if len(parts) != 4:
                 raise ValueError("mono token needs four integers: %r" % chunk)
-            factors.append(birational.monomial_bir(*(int(t) for t in parts)))
+            tokens.append((1, birational.monomial_bir,
+                           [int(t) for t in parts]))
             continue
-        parsed = words.parse_word(chunk)
-        for sym, exp in parsed:
+        for sym, exp in words.parse_word(chunk):
             if sym not in ("P", "C", "I", "U"):
                 raise ValueError(
                     "trop words are spelled over P, C, I, U plus lambda:/mono:"
                     " tokens; got %r" % sym)
-        factors.extend(birational.word_letters(parsed))
-    return factors
+            tokens.append((abs(exp), words.evaluate,
+                           [((sym, 1 if exp > 0 else -1),), "bir"]))
+    count = sum(n for n, _, _ in tokens)
+    if count > birational.COMPOSE_CAP:
+        raise ValueError(
+            "symbolic composition capped at %d factors; got %d "
+            "(tropicalize shorter pieces and compose the PL results instead)"
+            % (birational.COMPOSE_CAP, count))
+    return [f for n, build, args in tokens for f in [build(*args)] * n]
 
 
 def cmd_trop(args):
     from . import birational
 
-    factors = _trop_factors(args.word)
-    if len(factors) > birational.COMPOSE_CAP:
-        raise ValueError(
-            "symbolic composition capped at %d factors; got %d "
-            "(tropicalize shorter pieces and compose the PL results instead)"
-            % (birational.COMPOSE_CAP, len(factors)))
-    total = birational.compose_letters(factors)
+    total = birational.compose_letters(_trop_factors(args.word))
     return birational.tropicalize(total).to_json(), 0
 
 

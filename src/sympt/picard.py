@@ -71,6 +71,7 @@ from .plcore import (
     mat_apply,
     mat_inv,
     mat_mul,
+    power,
     primitive,
     vec_add,
     wedge,
@@ -659,8 +660,8 @@ def _extend(x: PicVec, rule) -> PicVec:
 def delta_L_action(x: PicVec) -> PicVec:
     """One application of L to a vector over delta and plpart symbols.
     L has order five here, the lattice image of P^5 = 1."""
-    L = generator_pl("L")
     Linv = generator_pl("P")
+    L = ~Linv
 
     def rule(key):
         if key[0] == "delta":
@@ -1105,9 +1106,9 @@ def _compile(word):
     for sym, exp in reversed(word):
         sign = 1 if exp > 0 else -1
         if sym in ("C", "I"):
-            g = GEN_MATS[sym] if sign > 0 else mat_inv(GEN_MATS[sym])
-            for _ in range(abs(exp)):
-                m = mat_mul(g, m)
+            if exp:
+                g = GEN_MATS[sym] if sign > 0 else mat_inv(GEN_MATS[sym])
+                m = mat_mul(power(g, abs(exp), mat_mul), m)
         elif sym == "P":
             for _ in range(abs(exp)):
                 if sign > 0:

@@ -214,13 +214,11 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-# Named generators.  C and I generate SL(2,Z) inside the group; U is the
-# standard unipotent; P is the tropical Lyness map and mu the x-shear that
-# equals I*P.
+# The linear core generators C and I, which generate SL(2,Z) inside the
+# group; every other letter is a word in P, C and I (words.EXPANSIONS).
 GEN_MATS: dict[str, Mat] = {
     "C": (-1, 1, -1, 0),
     "I": (0, -1, 1, 0),
-    "U": (1, 1, 0, 1),
 }
 
 
@@ -602,17 +600,13 @@ def linear_pl(m: Mat) -> PLAut:
 
 
 def generator_pl(name: str) -> PLAut:
-    """Named generators: P, L = P^-1, mu = I*P, and the matrices C, I, U."""
+    """The core generators: P, the tropical Lyness map, and the matrices C
+    and I of GEN_MATS; every other letter folds from words.EXPANSIONS."""
     if name in GEN_MATS:
         return linear_pl(GEN_MATS[name])
     if name == "P":
         # (a,b) -> (b, min(0,b) - a): one matrix above the x-axis, one below
         return PLAut(((1, 0), (-1, 0)), ((0, 1, -1, 0), (0, 1, -1, 1)))
-    if name == "L":
-        return inverse_pl(generator_pl("P"))
-    if name == "mu":
-        # (a,b) -> (a - min(0,b), b)
-        return PLAut(((1, 0), (-1, 0)), (MAT_ID, (1, -1, 0, 1)))
     raise ValueError("unknown generator %r" % name)
 
 

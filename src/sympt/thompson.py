@@ -717,7 +717,9 @@ def cfp_generators():
     """Standard generating triple (A, B, C) of the circle group, realized as
     DyadicPL maps through the plane model.  A and B generate the stabilizer
     side, C is the order-three piece permutation; the triple satisfies the
-    classical circle-group presentation relations."""
+    classical circle-group presentation relations.  Kept on purpose as the
+    second route to A and B, products in the plane then converted, which
+    acceptance check 3 compares with the fold of words.EXPANSIONS."""
     P = generator_pl("P")
     C = generator_pl("C")
     Cinv = inverse_pl(C)

@@ -1,9 +1,9 @@
 """Shared word language over the named generators.
 
-A word is a sequence of (symbol, exponent) factors over the closed alphabet
-P, L, C, I, U, mu, V, R, A, B, X2, alpha, beta, written "P C^-1 I^2" with the
-rightmost factor acting first.  Derived symbols carry definitional expansions
-into the core letters P, C, I; the expansions are identities of the group, so
+A word is a sequence of (symbol, exponent) factors over ALPHABET, written
+"P C^-1 I^2" with the rightmost factor acting first.  A model defines only
+the core letters P, C, I; every other letter is defined once, by its
+expansion in EXPANSIONS.  The expansions are identities of the group, so
 evaluating a word and evaluating its expansion agree in every backend.
 
 The second and third circle-group presentations are stated here for the
@@ -51,8 +51,6 @@ from . import plcore
 
 Word = tuple[tuple[str, int], ...]
 
-ALPHABET = ("P", "L", "C", "I", "U", "mu", "V", "R", "A", "B", "X2", "alpha", "beta")
-
 # Derived symbols as words in earlier ones; every chain ends in {P, C, I}.
 EXPANSIONS = {
     "L": "P^-1",
@@ -69,6 +67,7 @@ EXPANSIONS = {
 }
 
 CORE = frozenset({"P", "C", "I"})
+ALPHABET = tuple(sorted(CORE | EXPANSIONS.keys()))
 
 _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
 

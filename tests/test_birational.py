@@ -42,11 +42,13 @@ from sympt.words import (
     _core, evaluate, list_suites, load_suite, parse_word, word_inverse)
 
 P = generator_bir("P")
-L = generator_bir("L")
 C = generator_bir("C")
 I = generator_bir("I")
-U = generator_bir("U")
-MU = generator_bir("mu")
+# the derived letters written out; words.evaluate folds them from P, C, I
+L = BirMap(RationalFn(ONE + X, Y), RationalFn(X))  # P^-1
+U = BirMap(RationalFn(X * Y), RationalFn(Y))  # (x, y) -> (xy, y)
+MU = BirMap(RationalFn(X, ONE + Y), RationalFn(Y))  # (x, y) -> (x/(1+y), y)
+DERIVED = {"L": L, "U": U, "mu": MU}
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +98,8 @@ def test_rationalfn_equality_cross_multiplies():
     assert RationalFn(ONE + X, Y) != RationalFn(ONE + X, X)
     with pytest.raises(ZeroDivisionError):
         RationalFn(X, LaurentPoly())
+    with pytest.raises(ValueError, match="cannot be zero"):
+        BirMap(RationalFn(X), RationalFn(LaurentPoly(), Y))
 
 
 def test_immutability():
@@ -121,16 +125,23 @@ def test_generator_formulas():
 def test_p_inverse():
     assert compose_bir(P, L) == identity_bir()
     assert compose_bir(L, P) == identity_bir()
+    assert generator_bir_inverse("P") == L
+
+
+def test_derived_letters_fold_to_their_formulas():
+    for name, g in DERIVED.items():
+        assert evaluate(name, "bir") == g, name
 
 
 def test_generator_inverses():
     for name in ("P", "L", "C", "I", "U", "mu"):
-        g, h = generator_bir(name), generator_bir_inverse(name)
+        g, h = evaluate(name, "bir"), evaluate(name + "^-1", "bir")
         assert compose_bir(g, h) == identity_bir() == compose_bir(h, g)
 
 
 def test_p_squared_formula():
     pp = compose_bir(P, P)
+    assert P * P == pp
     assert pp.f1 == RationalFn(ONE + Y, X)
     assert pp.f2 == RationalFn(ONE + X + Y, X * Y)
 
@@ -180,6 +191,8 @@ def test_apply_mod_pole_locus():
     p = PRIMES[0]
     with pytest.raises(ZeroDivisionError):
         P.apply_mod((3, p - 1), p)  # 1 + y = 0: image hits the axis
+    with pytest.raises(ZeroDivisionError, match="pole locus"):
+        MU.apply_mod((3, p - 1), p)  # 1 + y = 0: a pole of x/(1 + y)
     img = P.apply_mod((2, 3), p)
     assert img == (3, (4 * pow(2, -1, p)) % p)
 
@@ -344,8 +357,8 @@ def test_a_one_letter_word_is_its_generator():
 
 
 def test_generators_are_symplectic():
-    for name in ("P", "L", "C", "I", "U", "mu"):
-        assert is_symplectic(generator_bir(name)), name
+    for g in (P, C, I, *DERIVED.values()):
+        assert is_symplectic(g), g
 
 
 def test_random_words_are_symplectic():
@@ -668,7 +681,7 @@ def test_from_json_refuses_a_malformed_document(data, message):
 
 def test_tropicalize_generators():
     for name in ("P", "L", "C", "I", "U", "mu"):
-        assert tropicalize(generator_bir(name)) == plcore.generator_pl(name)
+        assert tropicalize(evaluate(name, "bir")) == evaluate(name, "pl")
 
 
 def test_tropicalize_p_squared():

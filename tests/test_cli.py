@@ -213,6 +213,19 @@ def test_trop_cap_and_grammar_errors():
     assert code == 2 and "four integers" in rep["error"]
 
 
+def test_trop_counts_its_factors_before_it_builds_them(monkeypatch):
+    built = []
+    for name in ("generator_bir", "generator_bir_inverse"):
+        real = getattr(birational, name)
+        monkeypatch.setattr(birational, name,
+                            lambda s, real=real: built.append(s) or real(s))
+    code, rep = run_json(["trop", "--word", "P^20000"])
+    assert code == 2
+    assert rep["error"].startswith(
+        "symbolic composition capped at 8 factors; got 20000 ")
+    assert len(built) <= 8
+
+
 def test_trop_equals_the_left_to_right_product():
     # cmd_trop folds its factors from the leftmost one; the shadow must be
     # that of the same product folded from the identity
@@ -223,8 +236,10 @@ def test_trop_equals_the_left_to_right_product():
     checked = 0
     while checked < 40:
         text = " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 8)))
-        factors = cli._trop_factors(text)
-        if len(factors) > birational.COMPOSE_CAP:
+        try:
+            factors = cli._trop_factors(text)
+        except ValueError as exc:  # more than COMPOSE_CAP factors
+            assert "capped at %d factors" % birational.COMPOSE_CAP in str(exc)
             continue
         total = birational.identity_bir()
         for f in factors:

@@ -144,6 +144,12 @@ CORPUS = {
     "orbit.P": ["orbit", "--word", "P", "--start", "1,2", "--steps", "5"],
     "orbit.pole": ["orbit", "--word", "P", "--start", "1,-1", "--steps",
                    "3"],
+    # mu = x/(1+y): y = -1 is a pole of the first step
+    "orbit.mu.pole": ["orbit", "--word", "mu", "--start", "2,-1", "--steps",
+                      "2"],
+    "orbit.start.three": ["orbit", "--word", "P", "--start", "1,2,3"],
+    "trop.lambda.one": ["trop", "--word", "lambda:2"],
+    "eval.empty.bir": ["eval", "--word", "1", "--backend", "bir"],
     # the images of b(1,0), b(-1,0) and e(1,0)^1 merge at b(-1,0)
     "mutate.be": ["mutate", "--basis", "be", "--at", "1,0", "--vector",
                   _terms(("b", [1, 0]), ("b", [-1, 0]), ("e", [1, 0], 1),
@@ -156,6 +162,8 @@ CORPUS = {
         _terms(("e", [1, 1], 2, [0, -1, 1]), ("e", [-1, 0], 1, [2, 0, 1]))],
     "mutate.p.refused": ["mutate", "--basis", "p", "--at", "1,0",
                          "--vector", _terms(("e", [1, 0], 1))],
+    "mutate.wq.bad_point": ["mutate", "--basis", "wq", "--at", "1",
+                            "--vector", _terms()],
 }
 
 

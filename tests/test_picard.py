@@ -174,6 +174,7 @@ def core_word(text):
 def test_qpoly_arithmetic():
     q = QPoly((0, 1))
     assert q * q + 1 - q == QPoly((1, -1, 1))
+    assert 1 - q == QPoly((1, -1)) == -(q - 1)
     assert QPoly((1, 2)).at_one() == 3
     assert (q - q) == 0 and not (q - q)
     assert QPoly((3,)).constant_value() == 3
@@ -327,6 +328,8 @@ def test_breakfn_refinement_and_integrality():
     assert F((1, 1)) == F((1, 1))  # evaluation defined everywhere
     with pytest.raises(ValueError):
         BreakFn(((1, 0), (1, 2), (-1, 0), (0, -1)), (0, 1, 0, 1))
+    with pytest.raises(ValueError, match="one value per ray"):
+        BreakFn(((1, 0), (0, 1), (-1, -1)), (0, 1))
 
 
 def test_breakfn_wide_cone_construction_terminates():
@@ -423,6 +426,8 @@ def test_picvec_validation():
         PicVec([(("p", (0, 0)), 1)])
     with pytest.raises(ValueError):
         PicVec([(("nope", (1, 0)), 1)])
+    with pytest.raises(ValueError, match="must hold a BreakFn"):
+        PicVec([(("plpart", (1, 0)), 1)])
     assert e_vec((0, 0)).is_zero()
     assert p_vec((0, 0)).is_zero()
 
@@ -714,6 +719,8 @@ def test_mu_p_values():
     img = mu_p_action((0, 1), v)
     assert img == p_vec((0, 1))
     assert img.coefficient(("p", (-1, 0))) == 0
+    with pytest.raises(ValueError, match="nonzero vector"):
+        mu_p_action((0, 0), v)
 
 
 def test_mu_be_matches_p_rule_on_collinear_vectors():
@@ -754,7 +761,7 @@ def test_be_encode_intertwines_mu_on_functions_linear_at_v():
     # be_encode(F o mu^-1) = mu_be_action(be_encode(F), v) for F that do
     # not break at +-v, with mu the PL map of the b/e rules
     v, nv = (1, 0), (-1, 0)
-    mu_inv = inverse_pl(generator_pl("mu"))
+    mu_inv = inverse_pl(words.evaluate("mu", "pl"))
     rng = random.Random(3)
     checked = 0
     for _ in range(400):
@@ -1036,6 +1043,29 @@ def test_compiled_operator_matches_letter_by_letter_action():
         x = _random_q_vector(rng)
         # exact equality in Z[q], not only at q = 1
         assert word_operator(word)(x) == _reference_apply(word, x), word
+
+
+def test_compile_raises_relabels_by_squaring(monkeypatch):
+    calls = []
+    mat_mul = picard.mat_mul
+    monkeypatch.setattr(picard, "mat_mul",
+                        lambda a, b: calls.append(1) or mat_mul(a, b))
+    # C has order 3 and 10^6 = 1 mod 3
+    assert picard._compile((("C", 10 ** 6),)) == ((), GEN_MATS["C"])
+    assert len(calls) <= 45
+    assert picard._compile((("C", 0), ("I", 0))) == ((), picard.MAT_ID)
+
+
+def test_compiled_powers_equal_their_letters():
+    # a factor s^e compiles as |e| factors s^(+-1)
+    for name in words.list_suites():
+        for entry in words.load_suite(name):
+            rhs = "1" if entry["rhs"] == "probe" else entry["rhs"]
+            word = words._core(entry["lhs"]) + words.word_inverse(
+                words._core(rhs))
+            letters = tuple((s, 1 if e > 0 else -1)
+                            for s, e in word for _ in range(abs(e)))
+            assert picard._compile(word) == picard._compile(letters), word
 
 
 def _qpoly_mutate(raw, sign, m):

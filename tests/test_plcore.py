@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from sympt import plcore
+from sympt import plcore, words
 from sympt.plcore import (
     _MR_EXACT_BELOW,
     MAT_ID,
@@ -43,11 +43,12 @@ from sympt.plcore import (
 )
 
 P = generator_pl("P")
-L = generator_pl("L")
 C = generator_pl("C")
 I = generator_pl("I")
-U = generator_pl("U")
-MU = generator_pl("mu")
+# the derived letters, folded from their words.EXPANSIONS entries
+L = words.evaluate("L", "pl")
+U = words.evaluate("U", "pl")
+MU = words.evaluate("mu", "pl")
 
 GENS = [P, L, C, I, U, MU]
 
@@ -107,6 +108,8 @@ def test_mu_pointwise():
         assert MU(v) == ref_mu(v)
     assert MU((2, -3)) == (5, -3)
     assert MU((2, 3)) == (2, 3)
+    # the identity above the x-axis, (a, b) -> (a - b, b) below
+    assert MU == PLAut(((1, 0), (-1, 0)), (MAT_ID, (1, -1, 0, 1)))
 
 
 def test_l_is_inverse_of_p():
@@ -131,6 +134,11 @@ def test_linear_generators_are_linear():
     assert U.matrix() == (1, 1, 0, 1)
     assert not P.is_linear
     assert P.breakpoints() == ((-1, 0), (1, 0))
+    with pytest.raises(ValueError, match="not globally linear"):
+        P.matrix()
+    with pytest.raises(ValueError, match="origin"):
+        P.matrix_at((0, 0))
+    assert P((0, 0)) == (0, 0)
 
 
 def test_unknown_generator():
@@ -441,6 +449,9 @@ def test_fan_validation():
         Fan(((1, 0), (0, 1), (1, 1)))  # does not wind once
     with pytest.raises(ValueError):
         Fan(((2, 0), (0, 1), (-1, -1)))  # non-primitive ray
+    # every cone is positive, but the rays go round twice
+    with pytest.raises(ValueError, match="wind once"):
+        Fan(plcore.AXES * 2)
 
 
 def test_fan_is_an_immutable_value():

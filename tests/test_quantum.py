@@ -75,6 +75,8 @@ def test_make_config_validation():
         make_config(3, 11)
     with pytest.raises(ValueError, match="exact order"):
         QConfig(3, 13, 5)
+    with pytest.raises(ValueError, match="positive"):
+        QConfig(0, 13, 1)
 
 
 def test_make_config_keeps_recent_configs_only():
@@ -303,6 +305,8 @@ def test_relation_check_report_shape():
     assert 1 <= len(report["witnesses"]) <= 3
     w = report["witnesses"][0]
     assert set(w) == {"input", "output"} and w["input"] != w["output"]
+    with pytest.raises(ValueError, match="at least 1"):
+        q_relation_check((("P", 5),), cfg, trials=0)
 
 
 def test_the_seed_is_the_only_sampling_setting():
@@ -820,6 +824,8 @@ def test_commutation_check_compares_like_with_like():
     assert commutes_q(pair, cfg) and pair_valid(pair, cfg)
     swapped = QPair(pair.Y, pair.X)
     assert not commutes_q(swapped, cfg) and not pair_valid(swapped, cfg)
+    zero = tuple((0,) * cfg.N for _ in range(cfg.N))
+    assert not pair_valid(QPair(zero, pair.Y), cfg)  # X is singular
 
 
 # ---------------------------------------------------------------------------

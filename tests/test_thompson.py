@@ -56,7 +56,7 @@ def u_power(n, model):
 def random_plaut(rng, length):
     g = identity_pl()
     for _ in range(length):
-        g = g * generator_pl(rng.choice(GEN_NAMES))
+        g = g * evaluate(rng.choice(GEN_NAMES), "pl")
     return g
 
 
@@ -310,7 +310,7 @@ def test_dyadic_evaluation_wraps():
 def test_circle_form_of_generators_matches_plane_action():
     rng = random.Random(11)
     for name in GEN_NAMES:
-        g = generator_pl(name)
+        g = evaluate(name, "pl")
         d = plaut_to_dyadic(g)
         for _ in range(25):
             k = rng.randint(0, 7)
@@ -320,7 +320,7 @@ def test_circle_form_of_generators_matches_plane_action():
 
 def test_dyadic_round_trips_generators():
     for name in GEN_NAMES:
-        g = generator_pl(name)
+        g = evaluate(name, "pl")
         assert dyadic_to_plaut(plaut_to_dyadic(g)) == g
 
 
@@ -639,7 +639,7 @@ def test_dyadic_conversion_is_homomorphic():
         b = random_plaut(rng, rng.randint(1, 4))
         assert plaut_to_dyadic(a * b) == dyadic_compose(
             plaut_to_dyadic(a), plaut_to_dyadic(b)
-        )
+        ) == plaut_to_dyadic(a) * plaut_to_dyadic(b)
         assert plaut_to_dyadic(inverse_pl(a)) == ~plaut_to_dyadic(a)
     assert plaut_to_dyadic(identity_pl()).is_identity()
 
@@ -958,7 +958,7 @@ def test_treepair_read_off_of_large_powers():
 
 def test_treepair_round_trips_generators():
     for name in GEN_NAMES:
-        g = generator_pl(name)
+        g = evaluate(name, "pl")
         tp = plaut_to_treepair(g)
         assert treepair_to_plaut(tp) == g
         d = plaut_to_dyadic(g)
@@ -979,7 +979,7 @@ def test_treepair_composition_is_homomorphic():
         b = random_plaut(rng, rng.randint(1, 4))
         assert plaut_to_treepair(a * b) == treepair_compose(
             plaut_to_treepair(a), plaut_to_treepair(b)
-        )
+        ) == plaut_to_treepair(a) * plaut_to_treepair(b)
         assert plaut_to_treepair(inverse_pl(a)) == ~plaut_to_treepair(a)
 
 
@@ -994,7 +994,7 @@ def test_treepair_order_of_p():
 
 def test_treepair_json_round_trip():
     rng = random.Random(37)
-    elems = [plaut_to_treepair(generator_pl(n)) for n in GEN_NAMES]
+    elems = [plaut_to_treepair(evaluate(n, "pl")) for n in GEN_NAMES]
     elems += [
         plaut_to_treepair(random_plaut(rng, rng.randint(1, 5)))
         for _ in range(10)

@@ -10,6 +10,7 @@ from sympt import birational, picard, plcore, quantum, thompson, words
 from sympt.words import (
     ALPHABET,
     BACKENDS,
+    CORE,
     EXPANSIONS,
     WordSyntaxError,
     _core,
@@ -152,11 +153,39 @@ def test_core_and_expand_equal_naive_rewriting():
 
 
 def test_alphabet_is_closed():
-    for sym in EXPANSIONS:
-        assert sym in ALPHABET
+    assert sorted(ALPHABET) == sorted(CORE | EXPANSIONS.keys())
     for sym, body in EXPANSIONS.items():
         for s, _ in parse_word(body):
             assert s in ALPHABET
+
+
+def test_models_define_the_core_letters_only():
+    # every other letter reaches a model as the fold of its expansion
+    cfg = quantum.make_config(3, 13)
+    pair = quantum.clock_shift(cfg, 2, 3)
+    letter_maps = (
+        plcore.generator_pl, birational.generator_bir,
+        birational.generator_bir_inverse,
+        lambda s: quantum.q_apply(s, pair, cfg),
+        lambda s: quantum.q_apply_inverse(s, pair, cfg),
+        lambda s: picard.word_operator(((s, 1),)))
+    for s in ALPHABET:
+        for letter_map in letter_maps:
+            if s in CORE:
+                letter_map(s)
+            else:
+                with pytest.raises(ValueError, match=repr(s)):
+                    letter_map(s)
+    for s in EXPANSIONS.keys() - CORE:
+        g = evaluate(s, "pl")
+        assert g == evaluate(EXPANSIONS[s], "pl"), s
+        if word_length(_core(s)) > birational.COMPOSE_CAP:
+            with pytest.raises(ValueError, match="capped"):
+                evaluate(s, "bir")
+            continue
+        f = evaluate(s, "bir")
+        assert f == evaluate(EXPANSIONS[s], "bir"), s
+        assert birational.tropicalize(f) == g, s
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +196,10 @@ def test_evaluate_pl():
     assert evaluate("P^5", "pl").is_identity()
     assert evaluate("I mu I mu I mu I mu I mu I mu I mu", "pl").is_identity()
     assert evaluate("P C P", "pl") == plcore.generator_pl("I")
-    assert evaluate("mu", "pl") == plcore.generator_pl("mu")
-    assert evaluate("L", "pl") == plcore.generator_pl("L")
+    # mu: (a, b) -> (a - min(0, b), b), the identity above the x-axis
+    assert evaluate("mu", "pl") == plcore.PLAut(
+        ((1, 0), (-1, 0)), (plcore.MAT_ID, (1, -1, 0, 1)))
+    assert evaluate("L", "pl") == ~plcore.generator_pl("P")
     assert evaluate("V", "pl") == evaluate("C^-1 I^2", "pl")
 
 
