@@ -25,11 +25,12 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 
 from .plcore import (
-    GEN_MATS, Frozen, PLAut, _json_ints, _json_list, _json_object,
+    GEN_MATS, MAT_ID, Frozen, PLAut, _json_ints, _json_list, _json_object,
     from_function, is_prime, mat_inv, power, wedge)
-from .words import word_inverse, word_length
+from .words import MATRICES, compile_word, word_inverse, word_length
 
 # primes just above 2^61, 2^61 + 10^6, 2^62, 2^63
 PRIMES = (
@@ -440,14 +441,50 @@ def is_symplectic(f: BirMap) -> bool:
 # ---------------------------------------------------------------------------
 # randomized word equality
 
+def _relabel_mod(m):
+    """The relabel by the matrix m on a projective triple (a, b, d), as
+    (degree, rows), or None for the identity.
+
+    (x, y) -> (x^m0 y^m1, x^m2 y^m3) with x = a/d and y = b/d sends a, b
+    and d to the monomials in (a, b, d) with exponent rows (m0, m1,
+    -m0 - m1), (m2, m3, -m2 - m3) and (0, 0, 0).  Adding to every row the
+    least shift (s_a, s_b, s_d) that makes them all nonnegative multiplies
+    the triple by one monomial, which leaves the point as it is.  Each
+    unshifted row sums to 0, so each shifted row has the degree D = s_a +
+    s_b + s_d.  For D = 1 the relabel permutes (a, b, d), and for D = 2 it
+    multiplies pairs of them; rows is then an itemgetter of the entries
+    each new row multiplies, in order.  A larger D keeps the exponent rows,
+    raised by pow.  The lone letters give D = 1 for C^+-1 and D = 2 for
+    I^+-1: the maps in the table at _apply_word_mod.
+    """
+    if m == MAT_ID:
+        return None
+    rows = ((m[0], m[1], -m[0] - m[1]), (m[2], m[3], -m[2] - m[3]), (0, 0, 0))
+    shift = [-min(col) for col in zip(*rows)]
+    rows = tuple(tuple(map(sum, zip(row, shift))) for row in rows)
+    degree = sum(shift)
+    if degree > 2:
+        return degree, rows
+    return degree, itemgetter(*(k for row in rows for k, e in enumerate(row)
+                                for _ in range(e)))
+
+
+def _projective(steps, last):
+    # the walk of a word on (a, b, d): each step's relabel, then its P
+    # step, and the last relabel as a step of sign 0
+    return tuple((_relabel_mod(m), sign) for m, sign in (*steps, (last, 0)))
+
+
 def _apply_word_mod(word, point, p):
     """Apply a core word to a point mod p, rightmost factor first, and
     return the image as a projective triple (a, b, d): x = a/d, y = b/d.
 
     point holds two nonzero residues mod p.  The point is carried as
-    (a, b, d) from (x, y, 1), so a letter costs a few products and a call
+    (a, b, d) from (x, y, 1), so a step costs a few products and a call
     makes no inversion; a caller divides by d only where it needs the
-    image itself.  The letters, as maps and on (a, b, d):
+    image itself.  The word's walk (words.compile_word) relabels by each
+    run of C and I at once (_relabel_mod) and takes P^+-1 one at a time.
+    The letters, as maps and on (a, b, d):
 
         P     (y, (1 + y)/x)   (ab, d(d + b), ad)
         P^-1  ((1 + x)/y, x)   (d(d + a), ab, bd)
@@ -461,38 +498,35 @@ def _apply_word_mod(word, point, p):
     stay nonzero: each new entry is a product of nonzero ones, save d + b
     and d + a, which are checked.  So x and y stay nonzero.  On such a
     point the monomial letters have no denominator and nonzero images, so
-    apply_mod never raises there.  P has denominators 1 and x and images
-    y and (1 + y)/x, so it raises iff y = -1, i.e. d + b = 0; P^-1 has
-    denominators y and 1 and images (1 + x)/y and x, so it raises iff
-    x = -1, i.e. d + a = 0.  So d is nonzero, and (a/d, b/d) is the
-    image that apply_mod computes.
+    apply_mod never raises there, and a run of them may be applied at
+    once.  P has denominators 1 and x and images y and (1 + y)/x, so it
+    raises iff y = -1, i.e. d + b = 0; P^-1 has denominators y and 1 and
+    images (1 + x)/y and x, so it raises iff x = -1, i.e. d + a = 0.  So
+    d is nonzero, and (a/d, b/d) is the image that apply_mod computes.
     """
     a, b = point
     d = 1
-    for sym, exp in reversed(word):
-        n = exp if exp > 0 else -exp
-        if sym == "P":
-            if exp > 0:
-                for _ in range(n):
-                    s = (d + b) % p
-                    if not s:
-                        raise ZeroDivisionError("image on a coordinate axis")
-                    a, b, d = a * b % p, d * s % p, a * d % p
+    for relabel, sign in compile_word(tuple(word), MATRICES, _projective):
+        if relabel:
+            degree, rows = relabel
+            if degree == 1:
+                a, b, d = rows((a, b, d))
+            elif degree == 2:
+                a0, a1, b0, b1, d0, d1 = rows((a, b, d))
+                a, b, d = a0 * a1 % p, b0 * b1 % p, d0 * d1 % p
             else:
-                for _ in range(n):
-                    s = (d + a) % p
-                    if not s:
-                        raise ZeroDivisionError("image on a coordinate axis")
-                    a, b, d = d * s % p, a * b % p, b * d % p
-        elif sym == "C":
-            for _ in range(n):
-                a, b, d = (b, d, a) if exp > 0 else (d, a, b)
-        else:  # I
-            for _ in range(n):
-                if exp > 0:
-                    a, b, d = d * d % p, a * b % p, b * d % p
-                else:
-                    a, b, d = a * b % p, d * d % p, a * d % p
+                a, b, d = [pow(a, i, p) * pow(b, j, p) * pow(d, k, p) % p
+                           for i, j, k in rows]
+        if sign > 0:
+            s = (d + b) % p
+            if not s:
+                raise ZeroDivisionError("image on a coordinate axis")
+            a, b, d = a * b % p, d * s % p, a * d % p
+        elif sign < 0:
+            s = (d + a) % p
+            if not s:
+                raise ZeroDivisionError("image on a coordinate axis")
+            a, b, d = d * s % p, a * b % p, b * d % p
     return a, b, d
 
 
@@ -504,13 +538,11 @@ _is_prime = lru_cache(maxsize=32)(is_prime)
 def _sample_moved(word, primes, per_prime: int, seed: int):
     """(samples, moved, witness) for per_prime points over each prime,
     drawn from [2, p-2]^2 off the pole locus: how many, how many the word
-    moved, and the first moved one, or None.  ValueError before any draw if
-    a letter of the word is not P, C or I or a modulus is not prime,
-    RuntimeError after 100 draws per point on one prime."""
-    for sym, _ in word:
-        if sym not in ("P", "C", "I"):
-            raise ValueError("letter %r is not in the core alphabet P, C, I; "
-                             "expand the word first" % (sym,))
+    moved, and the first moved one, or None.  ValueError before any draw
+    if the word does not compile (a letter other than P, C or I, or more P
+    steps than words.STEP_BUDGET) or a modulus is not prime, RuntimeError
+    after 100 draws per point on one prime."""
+    compile_word(tuple(word), MATRICES, _projective)
     for p in primes:
         # the Schwartz-Zippel bound holds over a field only
         if not _is_prime(p):

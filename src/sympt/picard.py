@@ -22,18 +22,19 @@ The lattice is spanned by several families of symbols:
 Coefficients are polynomials in q; the commutative picture is q = 1.
 
 Word action: a word in P, C, I acts on W[q] vectors only (PicOperator
-refuses any other family with a ValueError).  C and I relabel the e
-symbols by a matrix, and P^(+-1) is the canonical mutation or its inverse
-next to I^(-+1), so the word is compiled once into mutation steps, each
+refuses any other family with a ValueError).  C and I relabel the e symbols
+by a matrix, and P^(+-1) is the canonical mutation or its inverse next to
+I^(-+1), so words.compile_word folds each run of C and I into one matrix,
+once per word, and _program turns its walk into mutation steps, each
 preceded by one fused relabel matrix.  One loop, _run, runs such steps on
-plain dicts {(x, y, level): (coefficient, bound)}, one per power of q,
-for the operator, the sampled identity test and the three mutations, each
-of which is a one-step program; a PicVec is built only at the boundary,
-where its keys are validated.  On V with integer coefficients no step
-carries (the carry lemma at _mutate, by which _run computes carries), so
-the sampled identity test packs all its vectors into one such dict, the
-coefficient of vector r being digit r of one integer in base 2^w, and
-refuses an image outside V.
+plain dicts {(x, y, level): (coefficient, bound)}, one per power of q, for
+the operator, the sampled identity test and the three mutations, each of
+which is a one-step program; a PicVec is built only at the boundary, where
+its keys are validated.  On V with integer coefficients no step carries (the
+carry lemma at _mutate, by which _run computes carries), so the sampled
+identity test packs all its vectors into one such dict, the coefficient of
+vector r being digit r of one integer in base 2^w, and refuses an image
+outside V.
 
 Sign convention: the mutation rule on e_(x,y) with y < 0 carries the
 coefficient -q*y.  That sign is forced by exactness: it is the unique
@@ -50,6 +51,7 @@ from collections import namedtuple
 from math import gcd
 from types import MappingProxyType
 
+from . import words
 from .plcore import (
     AXES,
     GEN_MATS,
@@ -71,7 +73,6 @@ from .plcore import (
     mat_apply,
     mat_inv,
     mat_mul,
-    power,
     primitive,
     vec_add,
     wedge,
@@ -1093,49 +1094,37 @@ _I_MAT = GEN_MATS["I"]
 _I_INV = mat_inv(_I_MAT)
 
 
-def _compile(word):
-    """Mutation steps (m, sign), each relabelling by m before it mutates,
-    and the relabel that ends the word; rightmost letter first.
+def _program(steps, last):
+    """The walk of a word (words.compile_word) as mutation steps (m, sign),
+    each relabelling by m before it mutates, and the relabel that ends the
+    word.
 
-    C and I only relabel, and P = I^-1 mu, P^-1 = mu^-1 I with mu = I P
-    the canonical mutation, so every run of relabels between two
-    mutations fuses into one matrix.
+    P = I^-1 mu and P^-1 = mu^-1 I, with mu = I P the canonical mutation.
+    So a step (r, 1) mutates after r and carries I^-1 into the next
+    relabel, and a step (r, -1) mutates after I r.
     """
-    steps = []
-    m = MAT_ID
-    for sym, exp in reversed(word):
-        sign = 1 if exp > 0 else -1
-        if sym in ("C", "I"):
-            if exp:
-                g = GEN_MATS[sym] if sign > 0 else mat_inv(GEN_MATS[sym])
-                m = mat_mul(power(g, abs(exp), mat_mul), m)
-        elif sym == "P":
-            for _ in range(abs(exp)):
-                if sign > 0:
-                    steps.append((m, 1))
-                    m = _I_INV
-                else:
-                    steps.append((mat_mul(_I_MAT, m), -1))
-                    m = MAT_ID
-        else:
-            raise ValueError(
-                "unsupported letter %r in the lattice action" % (sym,))
-    return tuple(steps), m
+    out, carry = [], MAT_ID
+    for r, sign in steps:
+        m = mat_mul(r, carry)
+        out.append((m, 1) if sign > 0 else (mat_mul(_I_MAT, m), -1))
+        carry = _I_INV if sign > 0 else MAT_ID
+    return tuple(out), mat_mul(last, carry)
 
 
 class PicOperator(Frozen):
     """Word in P, C, I acting on W[q] vectors, rightmost letter first.
 
-    The word is compiled once into mutation steps and relabels; calls
-    accept vectors of e terms only.  Two operators are equal when they
-    come from the same word.
+    The word's program of mutation steps and relabels is compiled once
+    per word (_program, behind words.compile_word's memo); calls accept
+    vectors of e terms only.  Two operators are equal when they come from
+    the same word.
     """
 
     __slots__ = ("word", "_steps", "_last")
 
     def __init__(self, word):
         word = tuple(word)
-        self._init(word, *_compile(word))
+        self._init(word, *words.compile_word(word, words.MATRICES, _program))
 
     def __reduce__(self):
         return PicOperator, (self.word,)
@@ -1144,8 +1133,7 @@ class PicOperator(Frozen):
         return _picvec(_run(_e_layers(x), self._steps, self._last))
 
     def __repr__(self):
-        from .words import format_word
-        return "PicOperator(%s)" % format_word(self.word)
+        return "PicOperator(%s)" % words.format_word(self.word)
 
     def to_json(self):
         return {"operator": [[s, e] for s, e in self.word]}

@@ -22,19 +22,46 @@ Each substitution preserves the commutation rule exactly (an algebraic
 identity, re-checked by the tests), so a relation word can be probed by
 applying it to random nonsingular pairs and comparing with the input.
 
-A word is applied by one kernel, `_apply_packed`, which takes and returns a
-pair of packed matrices (below); `apply_word` packs a `QPair` for it and
-unpacks the result.  The kernel carries X, X^-1, Y and Y^-1 through the
-word, each as a scalar times a matrix, so every factor q or q^-1 costs one
-modular multiply.  I and I^-1 only relabel the four; C and C^-1 take one
-product, or two when both inverses are known; P is one product
-z = x^-1 (1 + y) and one inversion, giving y' = q z and
-y'^-1 = q^-1 z^-1 (P^-1 likewise, with z = (1 + x) y^-1).  z is singular
-exactly when 1 + y is; odd N keeps 1 + shift invertible, but a few letters
-on, singularity depends on the scalars, so callers resample them.  An
-inverse of the input pair is taken only when a letter needs it, so C^3 and
-I^4, though equal to 1, are not skipped: C^2 and I^2 invert both members,
-and the shortened word would answer on pairs where the maps raise.
+A word is applied by one kernel, `_apply_packed`, to the walk that
+`words.compile_word` folds from it: relabels by runs of C and I, each but
+the last followed by one P^(+-1) step.  The kernel carries X, X^-1, Y and
+Y^-1, each as a scalar times a packed matrix (below), so every factor q^g
+costs one modular multiply.  P is one product z = x^-1 (1 + y) and one
+inversion, giving y' = q z and y'^-1 = q^-1 z^-1 (P^-1 likewise, with
+z = (1 + x) y^-1).  z is singular exactly when 1 + y is; odd N keeps
+1 + shift invertible, but a few letters on, singularity depends on the
+scalars, so callers resample them.  `apply_word` refuses a singular pair
+(SingularSubstitution) and one that does not q-commute (ValueError), and
+inverts the pair it takes; a sampled check draws clock/shift pairs, whose
+inverses come with the draw.
+
+A relabel r = (a, b, c, d; g1, g2) sends (X, Y) to (q^g1 X^a Y^b,
+q^g2 X^c Y^d).  Read off the maps above, C is (-1, 1, -1, 0; 1, 1), C^-1
+is (0, -1, 1, -1; 1, 1), I is (0, -1, 1, 0; 1, 0) and I^-1 is
+(0, 1, -1, 0; 0, 1).  Relabels compose by one rule.  Y X = q^-1 X Y moves
+one Y past one X; conjugating it gives Y^-1 X = q X Y^-1 and
+Y X^-1 = q X^-1 Y, so each of the |b| |c| swaps in Y^b X^c contributes
+q^(-sign(b) sign(c)), and Y^b X^c = q^(-bc) X^c Y^b for all integers b, c.
+Hence
+
+    (X^a Y^b)(X^c Y^d) = q^(-bc) X^(a+c) Y^(b+d),
+
+and by induction on n, up and down, (X^a Y^b)^n = q^(-ab n(n-1)/2)
+X^(na) Y^(nb).  So if s sends X to q^h1 X^a' Y^b' and Y to
+q^h2 X^c' Y^d', then r after s sends X to q^g X^(a a' + b c')
+Y^(a b' + b d') with
+
+    g = g1 + a h1 + b h2 - a' b' a(a-1)/2 - c' d' b(b-1)/2 - a b b' c',
+
+and Y likewise (`_then`): a relabel whose matrix is the product of the
+two.  Substitutions compose associatively, so a run folds by repeated
+squaring.  The rule holds for q an indeterminate, so each g is an exact
+integer of the run, 0 for C^3 or I^4.  The kernel forms q^g X^a Y^b from
+the carried four by repeated squaring, and its inverse as
+q^(-g-ab) X^-a Y^-b, since (X^a Y^b)^-1 = Y^-b X^-a.  A lone C or C^-1
+costs two products, and I or I^-1 none.  No relabel can raise: the input
+pair is nonsingular, and each P step inverts the member it creates, so the
+four carried matrices exist from the first step on.
 
 Inside the kernel each N x N matrix is one Python int (`_Packed`): entry
 (i, j) sits in slot i N + j, s bits wide, counted from the low end, and
@@ -61,7 +88,8 @@ v e < V p < 2^t keeps r + v e / 2^t below p.  So the floor is a, and the
 step leaves r = v mod p in every slot, with no borrow between slots.
 
 A sampled check stays packed from the draw to the verdict (`_trials`).  The
-packed clock and shift are built once per configuration.  Each trial draws
+packed clock and shift and their inverses are built once per
+configuration, so no draw inverts a matrix.  Each trial draws
 lx, then ly, from [1, p), and its pair is reduce(lx clock) and
 reduce(ly shift), the slots of `clock_shift(cfg, lx, ly)`.  Input and
 output are compared as packed ints, which is exact because both have
@@ -74,14 +102,15 @@ order N (and p = 1 mod N) an invertible pair that q-commutes generates all
 of M_N(F_p): u^N and v^N act on an irreducible subspace as scalars, which
 makes it a module of the symbol algebra of degree N, whose simple modules
 have dimension N.  So u^N is a scalar c.  Every matrix the kernel inverts is
-a scalar multiple of a member of a q-commuting pair when the input pair is
-one, so the kernel forms u^(N-1) by repeated squaring (`plcore.power`,
-with no product by the identity) and then u u^(N-1).  When that product is
-c times the identity, u^-1 = u^(N-1) / c, checked rather than assumed;
-c = 0 means u^N = 0, and u is singular.  At N = 5 an inversion is three
-products (u^2, u^4, u u^4).  Only when u u^(N-1) is not a scalar, which a
-pair that does not q-commute can give, does the kernel fall back to
-Gauss-Jordan (`_mat_inv`); on clock/shift pairs it never runs.
+a scalar multiple of a member of a q-commuting pair, so the kernel forms
+u^(N-1) by repeated squaring (`plcore.power`, with no product by the
+identity) and then u u^(N-1).  When that product is c times the identity,
+u^-1 = u^(N-1) / c, checked rather than assumed; c = 0 means u^N = 0, and
+u is singular.  At N = 5 an inversion is three products (u^2, u^4, u u^4).
+Only when u u^(N-1) is not a scalar, which a pair that does not q-commute
+can give, does `_Packed.inv` fall back to Gauss-Jordan (`_mat_inv`); the
+kernel never reaches it, and `apply_word` reaches it only for a pair that
+it then refuses.
 
 At q of exact order N with N odd, X^N and Y^N are central, and the
 q-binomial theorem ((u + v)^N = u^N + v^N when v u = q u v) gives
@@ -102,6 +131,7 @@ import random
 from math import gcd
 from operator import mul
 
+from . import words
 from .plcore import Frozen, is_prime, power
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -347,70 +377,94 @@ def q_apply_inverse(name: str, pair: QPair, cfg: QConfig) -> QPair:
 
 def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
     """Apply a word over {P, C, I}, rightmost factor first: `_apply_packed`
-    on the packed pair, unpacked."""
+    on the packed pair and its inverses, unpacked.  A singular pair raises
+    SingularSubstitution, and one that does not q-commute ValueError."""
+    walk = words.compile_word(tuple(word), _RELABELS)
     packed = _packed(cfg.N, cfg.p)
-    x, y = _apply_packed(word, packed.pack(pair.X), packed.pack(pair.Y), cfg)
-    return QPair(packed.unpack(x), packed.unpack(y))
+    x, y = (1, packed.pack(pair.X)), (1, packed.pack(pair.Y))
+    x, y = (x, _inverse(packed, x)), (y, _inverse(packed, y))
+    if not commutes_q(pair, cfg):
+        raise ValueError("the pair does not q-commute: X Y != q Y X")
+    return QPair(*map(packed.unpack, _apply_packed(walk, x, y, cfg)))
 
 
-def _apply_packed(word, x: int, y: int, cfg: QConfig) -> tuple[int, int]:
-    """The word applied to the packed pair (x, y), rightmost factor first,
-    as a packed pair with canonical slots.
+# C^+-1 and I^+-1 as relabels (a, b, c, d, g1, g2), which send (X, Y) to
+# (q^g1 X^a Y^b, q^g2 X^c Y^d); see the module docstring
+_ATOMS = {("C", 1): (-1, 1, -1, 0, 1, 1), ("C", -1): (0, -1, 1, -1, 1, 1),
+          ("I", 1): (0, -1, 1, 0, 1, 0), ("I", -1): (0, 1, -1, 0, 0, 1)}
 
-    X, X^-1, Y and Y^-1 are pairs (c, M) standing for c * M mod p, with M
-    a packed matrix.  P and P^-1 take one product z and one inversion of
-    z.  An inverse is None until a letter needs it, so SingularSubstitution
-    is raised exactly where the letter-by-letter maps raise it (hence C^3
-    is not skipped).
+
+def _then(r, s):
+    """The relabel r after s, by the rule in the module docstring."""
+    a, b, c, d, h1, h2 = s
+
+    def image(e, f, g):
+        # q^g X'^e Y'^f, for X' = q^h1 X^a Y^b and Y' = q^h2 X^c Y^d
+        return (e * a + f * c, e * b + f * d,
+                g + e * h1 + f * h2 - a * b * e * (e - 1) // 2
+                - c * d * f * (f - 1) // 2 - e * f * b * c)
+
+    (a, b, g1), (c, d, g2) = image(r[0], r[1], r[4]), image(r[2], r[3], r[5])
+    return a, b, c, d, g1, g2
+
+
+_RELABELS = words._Ring(lambda s, sign: _ATOMS.get((s, sign)),
+                        (1, 0, 0, 1, 0, 0), _then)
+
+
+def _inverse(packed: _Packed, a) -> tuple[int, int]:
+    """The inverse of a = (c, M), standing for c M, as such a pair;
+    SingularSubstitution when M is singular."""
+    c, r = packed.inv(a[1])
+    return pow(a[0] * c, -1, packed.p), r
+
+
+def _apply_packed(walk, x, y, cfg: QConfig) -> tuple[int, int]:
+    """A compiled walk applied to x = (X, X^-1) and y = (Y, Y^-1), each
+    matrix a pair (c, M) standing for c M mod p, with M packed: the output
+    pair, packed with canonical slots.
+
+    A relabel forms both members and their inverses from the carried
+    ones; P and P^-1 take one product z and one inversion of z (see the
+    module docstring).
     """
-    p, q = cfg.p, cfg.q
-    qi = pow(q, -1, p)
-    packed = _packed(cfg.N, p)
+    steps, last = walk
+    identity = _RELABELS.identity
+    p, n, q = cfg.p, cfg.N, cfg.q
+    q_to = [pow(q, k, p) for k in range(n)]
+    packed = _packed(n, p)
     mul, red, one = packed.mul, packed.reduce, packed.one
 
-    def inv(a):
-        c, r = packed.inv(a[1])
-        return pow(a[0] * c, -1, p), r
+    def monomial(e, f, g):
+        # q^g X^e Y^f; (e, f) is a row of an invertible matrix, so not 0
+        c, m = q_to[g % n], None
+        for k, u in ((e, x), (f, y)):
+            if k:
+                b, u = u[k < 0]
+                if k not in (1, -1):
+                    b, u = pow(b, abs(k), p), power(u, abs(k), mul)
+                c = c * b % p
+                m = u if m is None else mul(m, u)
+        return c, m
 
-    def scale(c, a):
-        return c * a[0] % p, a[1]
-
-    def prod(c, a, b):
-        return c * a[0] * b[0] % p, mul(a[1], b[1])
-
-    def one_plus(a):
-        return red(a[0] * a[1] + one)
-
-    x, xi = (1, x), None
-    y, yi = (1, y), None
-    for sym, exp in reversed(tuple(word)):
-        for _ in range(abs(exp)):
-            if sym == "I" and exp > 0:    # (x, y) -> (q y^-1, x)
-                yi = yi or inv(y)
-                x, xi, y, yi = scale(q, yi), scale(qi, y), x, xi
-            elif sym == "I":              # (x, y) -> (y, q x^-1)
-                xi = xi or inv(x)
-                x, xi, y, yi = y, yi, scale(q, xi), scale(qi, x)
-            elif sym == "C" and exp > 0:  # (x, y) -> (q x^-1 y, q x^-1)
-                xi = xi or inv(x)
-                x, xi, y, yi = (prod(q, xi, y), yi and prod(qi, yi, x),
-                                scale(q, xi), scale(qi, x))
-            elif sym == "C":              # (x, y) -> (q y^-1, y^-1 x)
-                yi = yi or inv(y)
-                x, xi, y, yi = (scale(q, yi), scale(qi, y),
-                                prod(1, yi, x), xi and prod(1, xi, y))
-            elif sym == "P" and exp > 0:  # (x, y) -> (y, q x^-1 (1 + y))
-                xi = xi or inv(x)
-                z = q * xi[0] % p, mul(xi[1], one_plus(y))
-                x, xi, y, yi = y, yi, z, inv(z)
-            elif sym == "P":              # (x, y) -> (q (1 + x) y^-1, x)
-                yi = yi or inv(y)
-                z = q * yi[0] % p, mul(one_plus(x), yi[1])
-                x, xi, y, yi = z, inv(z), x, xi
-            else:
-                raise ValueError(
-                    "unknown generator %r (expected P, C or I)" % sym)
-    return red(x[0] * x[1]), red(y[0] * y[1])
+    for r, sign in steps:
+        if r != identity:
+            # each member and its inverse:
+            # (q^g X^a Y^b)^-1 = q^(-g-ab) X^-a Y^-b
+            a, b, c, d, g1, g2 = r
+            x, y = ((monomial(a, b, g1), monomial(-a, -b, -g1 - a * b)),
+                    (monomial(c, d, g2), monomial(-c, -d, -g2 - c * d)))
+        if sign > 0:    # (x, y) -> (y, q x^-1 (1 + y))
+            z = q * x[1][0] % p, mul(x[1][1], red(y[0][0] * y[0][1] + one))
+            x, y = y, (z, _inverse(packed, z))
+        else:           # (x, y) -> (q (1 + x) y^-1, x)
+            z = q * y[1][0] % p, mul(red(x[0][0] * x[0][1] + one), y[1][1])
+            x, y = (z, _inverse(packed, z)), x
+    out = x[0], y[0]
+    if last != identity:
+        a, b, c, d, g1, g2 = last
+        out = monomial(a, b, g1), monomial(c, d, g2)
+    return tuple(red(c * m) for c, m in out)
 
 
 # ---------------------------------------------------------------------------
@@ -421,31 +475,39 @@ def random_pair(cfg: QConfig, rng: random.Random) -> QPair:
 
 
 @functools.lru_cache(maxsize=32)
-def _base(cfg: QConfig) -> tuple[int, int]:
-    """The packed clock and shift of cfg, clock_shift(cfg, 1, 1)."""
+def _base(cfg: QConfig) -> tuple[int, int, int, int]:
+    """The packed clock and shift of cfg, clock_shift(cfg, 1, 1), each
+    followed by its inverse."""
     packed = _packed(cfg.N, cfg.p)
-    pair = clock_shift(cfg, 1, 1)
-    return packed.pack(pair.X), packed.pack(pair.Y)
+    out = []
+    for m in clock_shift(cfg, 1, 1)._fields():
+        m = packed.pack(m)
+        c, r = _inverse(packed, (1, m))
+        out += [m, packed.reduce(c * r)]
+    return tuple(out)
 
 
 def _trials(word, cfg: QConfig, rng: random.Random):
     """Yield (x, y, out) for one draw after another: x and y pack the pair
     random_pair draws, lx clock and ly shift, and out is the word's packed
-    output on it, or None where a letter goes singular.  Stops after
+    output on it, or None where a step goes singular.  Stops after
     _MAX_RESAMPLES singular draws."""
+    walk = words.compile_word(tuple(word), _RELABELS)
     p = cfg.p
     red = _packed(cfg.N, p).reduce
-    clock, shift = _base(cfg)
+    clock, clock_inv, shift, shift_inv = _base(cfg)
     singular = 0
     while singular < _MAX_RESAMPLES:
-        x = red(rng.randrange(1, p) * clock)
-        y = red(rng.randrange(1, p) * shift)
+        lx = rng.randrange(1, p)
+        ly = rng.randrange(1, p)
         try:
-            out = _apply_packed(word, x, y, cfg)
+            out = _apply_packed(
+                walk, ((lx, clock), (pow(lx, -1, p), clock_inv)),
+                ((ly, shift), (pow(ly, -1, p), shift_inv)), cfg)
         except SingularSubstitution:
             singular += 1
             out = None
-        yield x, y, out
+        yield red(lx * clock), red(ly * shift), out
 
 
 def _pair_json(cfg: QConfig, x: int, y: int) -> dict:

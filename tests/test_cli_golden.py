@@ -150,6 +150,15 @@ CORPUS = {
     "orbit.start.three": ["orbit", "--word", "P", "--start", "1,2,3"],
     "trop.lambda.one": ["trop", "--word", "lambda:2"],
     "eval.empty.bir": ["eval", "--word", "1", "--backend", "bir"],
+    # a huge exponent: 3 divides the first, and C^3 = 1, so it answers at
+    # once; the other two pass the step budget and are refused before
+    # any step runs
+    "equal.huge.C.quantum": ["equal", "--lhs", "C^99999999999", "--rhs",
+                             "1", "--backend", "quantum"],
+    "equal.huge.P.picard": ["equal", "--lhs", "P^99999999999", "--rhs",
+                            "1", "--backend", "picard"],
+    "equal.huge.U.bir": ["equal", "--lhs", "U^99999999999", "--rhs", "1",
+                         "--backend", "bir"],
     # the images of b(1,0), b(-1,0) and e(1,0)^1 merge at b(-1,0)
     "mutate.be": ["mutate", "--basis", "be", "--at", "1,0", "--vector",
                   _terms(("b", [1, 0]), ("b", [-1, 0]), ("e", [1, 0], 1),

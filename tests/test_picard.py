@@ -1045,29 +1045,6 @@ def test_compiled_operator_matches_letter_by_letter_action():
         assert word_operator(word)(x) == _reference_apply(word, x), word
 
 
-def test_compile_raises_relabels_by_squaring(monkeypatch):
-    calls = []
-    mat_mul = picard.mat_mul
-    monkeypatch.setattr(picard, "mat_mul",
-                        lambda a, b: calls.append(1) or mat_mul(a, b))
-    # C has order 3 and 10^6 = 1 mod 3
-    assert picard._compile((("C", 10 ** 6),)) == ((), GEN_MATS["C"])
-    assert len(calls) <= 45
-    assert picard._compile((("C", 0), ("I", 0))) == ((), picard.MAT_ID)
-
-
-def test_compiled_powers_equal_their_letters():
-    # a factor s^e compiles as |e| factors s^(+-1)
-    for name in words.list_suites():
-        for entry in words.load_suite(name):
-            rhs = "1" if entry["rhs"] == "probe" else entry["rhs"]
-            word = words._core(entry["lhs"]) + words.word_inverse(
-                words._core(rhs))
-            letters = tuple((s, 1 if e > 0 else -1)
-                            for s, e in word for _ in range(abs(e)))
-            assert picard._compile(word) == picard._compile(letters), word
-
-
 def _qpoly_mutate(raw, sign, m):
     """The mutation kernel on {(a, k): coefficient tuple} with one Z[q]
     list per e_t coefficient, as it stood before the kernel moved to

@@ -504,21 +504,50 @@ def _count_gauss_jordan(monkeypatch):
     return calls
 
 
+def _refusal(pair, cfg):
+    """What apply_word raises on an arbitrary pair at entry: a singular
+    member raises SingularSubstitution, and a pair that does not q-commute
+    ValueError; None for a pair it takes."""
+    if _ref_det(pair.X, cfg.p) == 0 or _ref_det(pair.Y, cfg.p) == 0:
+        return SingularSubstitution
+    return None if quantum.commutes_q(pair, cfg) else ValueError
+
+
+def _check_refused(word, pair, cfg):
+    """Every entry refuses the arbitrary pair as _refusal says; returns
+    False when the pair is taken after all."""
+    want = _refusal(pair, cfg)
+    if want is None:
+        return False
+    calls = [lambda: apply_word(word, pair, cfg)]
+    for s in "PCI":
+        calls += [lambda s=s: q_apply(s, pair, cfg),
+                  lambda s=s: q_apply_inverse(s, pair, cfg)]
+    for call in calls:
+        with pytest.raises(want):
+            call()
+    return True
+
+
 @pytest.mark.parametrize("n,p", KERNEL_CONFIGS)
 def test_kernel_matches_letter_by_letter_maps(n, p, monkeypatch):
     """Same pair out, or SingularSubstitution in the same cases, on
-    clock/shift pairs and on arbitrary matrix pairs (often singular, and
-    not q-commuting: the maps need only the inverses they take)."""
+    clock/shift pairs, with no Gauss-Jordan.  An arbitrary matrix pair,
+    often singular and not q-commuting, is refused at entry."""
     cfg = make_config(n, p)
     rng = random.Random(100 * n + p)
     fallbacks = _count_gauss_jordan(monkeypatch)
-    singular = 0
+    singular = refused = 0
     for k in range(120):
         if k % 2:
             pair = random_pair(cfg, rng)
         else:
             pair = QPair(_random_matrix(n, p, rng), _random_matrix(n, p, rng))
         word = _random_word(rng, 40)
+        if _check_refused(word, pair, cfg):
+            refused += 1
+            continue
+        before = fallbacks[0]
         want = _outcome(_ref_apply_word, word, pair, cfg)
         assert _outcome(apply_word, word, pair, cfg) == want, (word, pair)
         singular += want == "singular"
@@ -527,10 +556,10 @@ def test_kernel_matches_letter_by_letter_maps(n, p, monkeypatch):
                     == _outcome(_ref_apply, s, pair, cfg)), (s, pair)
             assert (_outcome(q_apply_inverse, s, pair, cfg)
                     == _outcome(_ref_apply_inverse, s, pair, cfg)), (s, pair)
-    assert 0 < singular < 120
-    # the arbitrary pairs do not q-commute: their inverses need Gauss-Jordan
-    # (at N = 1 every 1 x 1 matrix is a scalar)
-    assert (fallbacks[0] > 0) == (n > 1)
+        assert fallbacks[0] == before
+    assert 0 < singular < 60
+    # at N = 1 every pair q-commutes, and only a zero member is refused
+    assert (refused > 30) == (n > 1)
 
 
 def _ref_pair_json(pair):
@@ -597,25 +626,29 @@ def test_relation_reports_match_letter_by_letter_maps(suite, monkeypatch):
     assert fallbacks == [0]
 
 
-def test_letter_needing_no_inverse_of_a_singular_member_answers():
-    # I inverts only y; P after it needs 1 + x and the new x, not x^-1
+def test_letter_needing_no_inverse_of_a_singular_member_is_refused():
+    # I inverts only y, and P after it needs 1 + x and the new x, not x^-1;
+    # the letter-by-letter maps answer, but the kernel carries both
+    # inverses from the first step, so it refuses the pair at entry
     cfg = make_config(3, 7)
     pair = QPair(((1, 2, 3), (2, 4, 6), (0, 0, 1)), clock_shift(cfg, 1, 2).Y)
     assert _ref_det(pair.X, 7) == 0
     for word in ((("I", 1),), (("P", 1), ("I", 1)), (("I", -1), ("C", -1))):
-        out = apply_word(word, pair, cfg)
-        assert out == _ref_apply_word(word, pair, cfg)
-    assert q_apply("I", pair, cfg).Y == pair.X
-    with pytest.raises(SingularSubstitution):
-        q_apply("C", pair, cfg)
+        assert _outcome(_ref_apply_word, word, pair, cfg) != "singular"
+        with pytest.raises(SingularSubstitution):
+            apply_word(word, pair, cfg)
+    for name in "PCI":
+        for step in (q_apply, q_apply_inverse):
+            with pytest.raises(SingularSubstitution):
+                step(name, pair, cfg)
 
 
 @pytest.mark.parametrize("n,p", [(3, 7), (5, 11)])
 def test_long_words_match_letter_by_letter_maps(n, p):
-    """200-letter words: long chains of deferred C products meet pairs
-    that go singular part of the way through.  At these small p nearly
-    every word with P in it meets a singular 1 + y, so half the words are
-    over C and I only, which never fail on a clock/shift pair."""
+    """200-letter words on clock/shift pairs that go singular part of the
+    way through.  At these small p nearly every word with P in it meets a
+    singular 1 + y, so half the words are over C and I only, which never
+    fail on a clock/shift pair.  Arbitrary pairs are refused at entry."""
     cfg = make_config(n, p)
     rng = random.Random(n * p + 200)
     singular = 0
@@ -626,10 +659,36 @@ def test_long_words_match_letter_by_letter_maps(n, p):
             pair = QPair(_random_matrix(n, p, rng), _random_matrix(n, p, rng))
         word = tuple((rng.choice("PCI" if k % 2 else "CI"),
                       rng.choice((-2, -1, 1, 2))) for _ in range(200))
+        if k % 4 >= 2:
+            assert _check_refused(word, pair, cfg), pair
+            continue
         want = _outcome(_ref_apply_word, word, pair, cfg)
         assert _outcome(apply_word, word, pair, cfg) == want, (word, pair)
         singular += want == "singular"
-    assert 0 < singular < 16
+    assert 0 < singular < 8
+
+
+def test_relabels_fold_exactly():
+    # the q exponents are exact integers of the run: the relations of C
+    # and I hold with g = 0, whatever N and p
+    def fold(text):
+        return words._fold(words.parse_word(text), quantum._RELABELS)
+
+    assert fold("C^3") == fold("C^-3") == fold("I^4") == fold("I^-4") \
+        == quantum._RELABELS.identity
+    assert fold("C^2") == quantum._ATOMS["C", -1]
+    assert fold("I^3") == quantum._ATOMS["I", -1]
+    # U = C I sends (X, Y) to (q^g X Y^n, Y) for n = 1, 2, ...
+    cfg = make_config(5, 11)
+    pair = clock_shift(cfg, 3, 7)
+    for n in (1, 2, 5):
+        a, b, c, d, g1, g2 = fold("U^%d" % n)
+        assert (a, b, c, d, g2) == (1, n, 0, 1, 0)
+        yn = pair.Y
+        for _ in range(n - 1):
+            yn = _ref_mul(yn, pair.Y, 11)
+        want = _ref_scale(pow(cfg.q, g1, 11), _ref_mul(pair.X, yn, 11), 11)
+        assert apply_word(words._core("U^%d" % n), pair, cfg).X == want
 
 
 @pytest.mark.parametrize("word", [
@@ -681,9 +740,9 @@ def test_mat_inv_matches_reference_inverse():
 
 def test_kernel_operation_counts(monkeypatch):
     """Each P is one packed product, z = x^-1 (1 + y), and one inversion,
-    of z; the first two P of a word also invert the input x and y, which
-    they read as x.  At N = 5 an inversion of a member of a q-commuting
-    pair is 3 packed products (z^2, z^4, z z^4) and no Gauss-Jordan."""
+    of z; apply_word inverts the input x and y at entry.  At N = 5 an
+    inversion of a member of a q-commuting pair is 3 packed products
+    (z^2, z^4, z z^4) and no Gauss-Jordan."""
     cfg = make_config(5, 101)
     pair = clock_shift(cfg, 7, 3)
     calls = {"mul": 0, "inv": 0}
@@ -707,7 +766,7 @@ def test_kernel_operation_counts(monkeypatch):
         calls["mul"] = calls["inv"] = 0
         word = (("P", k),)
         assert apply_word(word, pair, cfg) == _ref_apply_word(word, pair, cfg)
-        inversions = k + min(k, 2)
+        inversions = k + 2
         assert calls == {"mul": k + 3 * inversions, "inv": inversions}
     assert fallbacks == [0]
     for name in ("_solve", "_Product", "_force", "_one_plus"):

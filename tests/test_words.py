@@ -12,9 +12,13 @@ from sympt.words import (
     BACKENDS,
     CORE,
     EXPANSIONS,
+    MATRICES,
+    STEP_BUDGET,
     WordSyntaxError,
     _core,
+    check_relation,
     check_suite,
+    compile_word,
     evaluate,
     expand,
     format_word,
@@ -168,13 +172,15 @@ def test_models_define_the_core_letters_only():
         birational.generator_bir_inverse,
         lambda s: quantum.q_apply(s, pair, cfg),
         lambda s: quantum.q_apply_inverse(s, pair, cfg),
-        lambda s: picard.word_operator(((s, 1),)))
+        lambda s: picard.word_operator(((s, 1),)),
+        lambda s: birational.word_equals_identity(((s, 1),)))
     for s in ALPHABET:
         for letter_map in letter_maps:
             if s in CORE:
                 letter_map(s)
             else:
-                with pytest.raises(ValueError, match=repr(s)):
+                with pytest.raises(ValueError,
+                                   match="unknown generator.*" + repr(s)):
                     letter_map(s)
     for s in EXPANSIONS.keys() - CORE:
         g = evaluate(s, "pl")
@@ -367,8 +373,8 @@ def test_sampled_reports_do_not_depend_on_the_memos(backend):
     for params in ({"seed": 0}, {"seed": 1, "trials": 3, "nvectors": 3}):
         cold = {}
         for name in list_suites():
-            for memo in (words.parse_word, quantum.make_config,
-                         picard._v_layer):
+            for memo in (words.parse_word, words.compile_word,
+                         quantum.make_config, picard._v_layer):
                 memo.cache_clear()
             cold[name] = _report_json(name, backend, params)
         for name in list_suites():
@@ -460,3 +466,102 @@ def test_circle_models_fold_without_the_plane_product(monkeypatch):
     finally:
         for ring in rings:
             ring.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the compiled walk: C and I runs folded once, P steps one at a time
+
+
+def _count_mat_mul(monkeypatch):
+    """A one-element list counting the calls of plcore.mat_mul."""
+    calls = [0]
+    mat_mul = plcore.mat_mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(plcore, "mat_mul", counted)
+    return calls
+
+
+def test_compiled_walk_is_rightmost_first():
+    C, I = plcore.GEN_MATS["C"], plcore.GEN_MATS["I"]
+    word = parse_word("C P^2 I^-1 P^-1 C I")
+    assert compile_word(word, MATRICES) == (
+        ((plcore.mat_mul(C, I), -1), (plcore.mat_inv(I), 1),
+         (plcore.MAT_ID, 1)), C)
+    assert compile_word((), MATRICES) == ((), plcore.MAT_ID)
+    assert compile_word((("C", 0), ("I", 0)), MATRICES) == ((), plcore.MAT_ID)
+
+
+def test_compile_raises_relabels_by_squaring(monkeypatch):
+    calls = _count_mat_mul(monkeypatch)
+    words.compile_word.cache_clear()
+    # C has order 3, and 3 * 10^10 + 1 = 1 mod 3
+    huge = (("C", 3 * 10 ** 10 + 1),)
+    assert compile_word(huge, MATRICES) == ((), plcore.GEN_MATS["C"])
+    assert calls[0] <= 2 * 35
+    assert (compile_word(huge, quantum._RELABELS)
+            == compile_word((("C", 1),), quantum._RELABELS))
+    calls[0] = 0
+    # the relabel ring folds U = C I, (1, 1, 0, 1), to a power by squaring
+    assert words._fold(parse_word("U^1000000000"), MATRICES) == (
+        1, 10 ** 9, 0, 1)
+    assert calls[0] <= 2 * 30 + 1
+
+
+def test_compiled_powers_equal_their_letters():
+    # a factor s^e compiles as |e| factors s^(+-1), in every relabel ring
+    # and in picard's program
+    rings = ((MATRICES, None), (quantum._RELABELS, None),
+             (MATRICES, picard._program))
+    for name in list_suites():
+        for entry in load_suite(name):
+            rhs = "1" if entry["rhs"] == "probe" else entry["rhs"]
+            word = _core(entry["lhs"]) + word_inverse(_core(rhs))
+            letters = tuple((s, 1 if e > 0 else -1)
+                            for s, e in word for _ in range(abs(e)))
+            for ring, finish in rings:
+                assert (compile_word(word, ring, finish)
+                        == compile_word(letters, ring, finish)), word
+
+
+def test_picard_compiles_a_word_once(monkeypatch):
+    # the second check of a word reuses its compiled program
+    word = parse_word("P C I P^-1 I^-1 C^-1")
+    words.compile_word.cache_clear()
+    calls = _count_mat_mul(monkeypatch)
+    first = picard.word_acts_as_identity(word, nvectors=3)
+    assert calls[0] > 0
+    calls[0] = 0
+    assert picard.word_acts_as_identity(word, nvectors=3) == first
+    assert calls[0] == 0
+
+
+def test_the_step_budget_refuses_before_any_step():
+    at_budget = (("P", 2000), ("C", 1), ("P", STEP_BUDGET - 2000))
+    steps, _ = compile_word(at_budget, MATRICES)
+    assert len(steps) == STEP_BUDGET
+    with pytest.raises(ValueError, match="budget of %d steps: it takes %d P "
+                       "steps" % (STEP_BUDGET, STEP_BUDGET + 1)):
+        compile_word(at_budget + (("P", -1),), MATRICES)
+    with pytest.raises(ValueError, match="unknown generator: letter 'U'"):
+        compile_word((("U", 1),), MATRICES)
+    for backend in ("bir", "picard", "quantum"):
+        with pytest.raises(ValueError, match="it takes 99999999999 P steps"):
+            check_relation("P^99999999999", "1", backend)
+    for backend in ("picard", "quantum"):
+        assert check_relation("C^99999999999", "1", backend)[0]
+
+
+def test_a_spelling_past_the_budget_is_refused_as_it_grows():
+    # U^n spells as (C I)^n: 2 * 10^11 factors, were it built
+    message = "budget of %d steps: its spelling reaches" % STEP_BUDGET
+    for spell in (_core, lambda w: expand(parse_word(w))):
+        with pytest.raises(ValueError, match=message):
+            spell("U^99999999999")
+    for backend in ("bir", "picard", "quantum"):
+        with pytest.raises(ValueError, match=message):
+            check_relation("U^99999999999", "1", backend)
+    assert len(_core("U^%d" % (STEP_BUDGET // 2))) == STEP_BUDGET
