@@ -27,7 +27,8 @@ from sympt.quantum import (
 )
 
 CONFIGS = [(1, 101), (3, 7), (5, 11), (7, 29)]
-KERNEL_CONFIGS = [(1, 101), (3, 7), (5, 11), (5, 101), (7, 29), (3, 31)]
+KERNEL_CONFIGS = [(1, 101), (2, 7), (3, 7), (4, 13), (5, 11), (5, 101),
+                  (7, 29), (3, 31)]
 
 H_RELATIONS = {
     "C^3": (("C", 3),),
@@ -897,6 +898,12 @@ def _mat_pow(a, n, p):
     return out
 
 
+def _ref_power(a, k, p):
+    """a^k for any integer k, a invertible."""
+    return _mat_pow(a if k > 0 else _ref_inv(a, p), abs(k), p) if k \
+        else _ref_eye(len(a))
+
+
 def _scalar_of(a, p):
     """c when a = c * identity, else None."""
     c = a[0][0]
@@ -912,29 +919,39 @@ def _classical(word, point, p):
     return point
 
 
-@pytest.mark.parametrize("n,p", [(3, 7), (5, 11), (5, 101), (7, 29), (3, 31)])
+@pytest.mark.parametrize("n,p", [(2, 7), (3, 7), (4, 13), (5, 11),
+                                 (5, 101), (6, 13), (7, 29), (3, 31)])
 def test_nth_powers_move_by_the_classical_maps(n, p):
-    """For q of exact order N, N odd, X^N and Y^N are central, and by the
-    q-binomial theorem P sends (X^N, Y^N) to (Y^N, X^-N (1 + Y^N)) and P^-1
-    sends it to ((1 + X^N) Y^-N, X^N): the q = 1 maps.  C and I do so too,
-    hence every word does."""
+    """For q of exact order N, X^N and Y^N are central scalars; with
+    eps = (-1)^(N+1), (q^g X^a Y^b)^N = eps^(ab) X^(Na) Y^(Nb), P sends
+    (X^N, Y^N) to (Y^N, X^-N (1 + eps Y^N)) and P^-1 sends it to
+    ((1 + eps X^N) Y^-N, X^N).  So (eps X^N, eps Y^N) moves by the q = 1
+    maps, under every word."""
     cfg = make_config(n, p)
+    eps = (-1) ** (n + 1)
     rng = random.Random(n * p)
     done = 0
     while done < 120:
         pair = random_pair(cfg, rng)
         a, b = (_scalar_of(_mat_pow(m, n, p), p) for m in (pair.X, pair.Y))
         assert a and b
-        cases = [((("P", 1),), (b, (1 + b) * pow(a, -1, p) % p)),
-                 ((("P", -1),), ((1 + a) * pow(b, -1, p) % p, a))]
-        word = _random_word(rng, 12)
-        cases.append((word, None))
+        e, f, g = rng.randint(-3, 3), rng.randint(-3, 3), rng.randrange(n)
+        member = _ref_scale(pow(cfg.q, g, p), _ref_mul(
+            _ref_power(pair.X, e, p), _ref_power(pair.Y, f, p), p), p)
+        assert (_scalar_of(_mat_pow(member, n, p), p)
+                == eps ** (e * f) * pow(a, e, p) * pow(b, f, p) % p)
+        cases = [((("P", 1),), (b, (1 + eps * b) * pow(a, -1, p) % p)),
+                 ((("P", -1),), ((1 + eps * a) * pow(b, -1, p) % p, a))]
+        cases.append((_random_word(rng, 12), None))
         for w, want in cases:
             try:
                 out = apply_word(w, pair, cfg)
             except SingularSubstitution:
                 continue
+            if want is None:
+                point = _classical(w, (eps * a % p, eps * b % p), p)
+                want = tuple(eps * v % p for v in point)
             got = tuple(_scalar_of(_mat_pow(m, n, p), p)
                         for m in (out.X, out.Y))
-            assert got == (want or _classical(w, (a, b), p)), (w, pair)
+            assert got == want, (w, pair)
             done += 1
