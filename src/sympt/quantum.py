@@ -22,18 +22,20 @@ Each substitution preserves the commutation rule exactly (an algebraic
 identity, re-checked by the tests), so a relation word can be probed by
 applying it to random nonsingular pairs and comparing with the input.
 
-A word is applied by one kernel, `_apply_packed`, to the walk that
-`words.compile_word` folds from it: relabels by runs of C and I, each but
-the last followed by one P^(+-1) step.  The kernel carries X, X^-1, Y and
-Y^-1, each as a scalar times a packed matrix (below), so every factor q^g
-costs one modular multiply.  P is one product z = x^-1 (1 + y) and one
-inversion, giving y' = q z and y'^-1 = q^-1 z^-1 (P^-1 likewise, with
-z = (1 + x) y^-1).  z is singular exactly when 1 + y is; odd N keeps
-1 + shift invertible, but a few letters on, singularity depends on the
-scalars, so callers resample them.  `apply_word` refuses a singular pair
-(SingularSubstitution) and one that does not q-commute (ValueError), and
-inverts the pair it takes; a sampled check draws clock/shift pairs, whose
-inverses come with the draw.
+A word is applied by one kernel, `_apply_packed`, to the program that
+`_program` compiles from the walk `words.compile_word` folds (relabels by
+runs of C and I, each but the last followed by one P^(+-1) step), kept in
+the same memo entry as the walk.  The kernel carries X, X^-1, Y and Y^-1,
+each as a scalar times a packed matrix (below), so every factor q^g costs
+one modular multiply.  Beside them it carries their N-th powers, which
+are scalars (below): each new member's N-th power is known before the
+member is formed.  So a singular step is refused before any product of
+the draw (SingularSubstitution; callers resample), and an invertible
+member is inverted as a power, u^-1 = u^(N-1) / u^N.  `apply_word` refuses
+a singular pair (SingularSubstitution) and one that does not q-commute
+(ValueError), and reads the pair's inverses and N-th powers off
+`_Packed.inv`; a sampled check draws clock/shift pairs, whose inverses and
+N-th powers come with the draw.
 
 A relabel r = (a, b, c, d; g1, g2) sends (X, Y) to (q^g1 X^a Y^b,
 q^g2 X^c Y^d).  Read off the maps above, C is (-1, 1, -1, 0; 1, 1), C^-1
@@ -56,12 +58,29 @@ Y^(a b' + b d') with
 and Y likewise (`_then`): a relabel whose matrix is the product of the
 two.  Substitutions compose associatively, so a run folds by repeated
 squaring.  The rule holds for q an indeterminate, so each g is an exact
-integer of the run, 0 for C^3 or I^4.  The kernel forms q^g X^a Y^b from
-the carried four by repeated squaring, and its inverse as
-q^(-g-ab) X^-a Y^-b, since (X^a Y^b)^-1 = Y^-b X^-a.  A lone C or C^-1
-costs two products, and I or I^-1 none.  No relabel can raise: the input
-pair is nonsingular, and each P step inverts the member it creates, so the
-four carried matrices exist from the first step on.
+integer of the run, 0 for C^3 or I^4.  By the same rule
+(q^g X^a Y^b)^-1 = q^(-g-ab) X^-a Y^-b, and with X' = q^g1 X^a Y^b and
+Y' = q^g2 X^c Y^d,
+
+    X'^-1 Y' = q^(g2 - g1 - ab + bc) X^(c-a) Y^(d-b),
+    X' Y'^-1 = q^(g1 - g2 - cd + bc) X^(a-c) Y^(b-d).
+
+So a step, r and then P, keeps Y' as its X and makes its Y as
+q (X'^-1 + X'^-1 Y'); r and then P^-1 keeps X' as its Y and makes its X
+as q (Y'^-1 + X' Y'^-1).  Every member a step forms, kept or made, is a
+monomial of the members before r, or a sum of two: r's other members are
+never formed.  A monomial q^g X^e Y^f costs a product when e and f are
+both nonzero, and repeated squaring of a carried member for |e| or |f|
+above 1.  At N = 5, a P step after the identity costs one product, and
+two more where a later step reads the inverse of its new member.
+
+The program forms only what is read.  Reading the walk from its end: the
+end reads X^(sign a) and Y^(sign b) for each monomial q^g X^a Y^b it
+forms; a step forms its kept member, the kept member's inverse and its
+new member only where a later step reads them, and inverts the new member
+only where a later step reads the inverse.  The singular test needs only
+the scalars, so the last step's new member is still refused when singular
+though nothing inverts it.
 
 Inside the kernel each N x N matrix is one Python int (`_Packed`): entry
 (i, j) sits in slot i N + j, s bits wide, counted from the low end, and
@@ -70,12 +89,12 @@ s k and masked to the slots (i, 0) is column k of A in column 0; B shifted
 right by s N k and masked to the slots (0, j) is row k of B in row 0.
 Their integer product puts a_ik b_kj in slot (i, j) and nowhere else, so
 the sum over k of N such products holds every entry of A B unreduced, each
-below N (p - 1)^2.  1 + c M is c M + 1 and a scaling is c M, with slot
-values below p^2.  One multiply-and-shift step then reduces every slot at
+below N (p - 1)^2.  A sum c1 M1 + c2 M2 of two scaled matrices stays below
+2 (p - 1)^2.  One multiply-and-shift step then reduces every slot at
 once (Granlund and Montgomery, Division by invariant integers using
-multiplication, PLDI 1994).  With V = N (p - 1)^2 + p above every slot
-value the kernel forms, t the bit length of V p, m = ceil(2^t / p) and s
-the bit length of (V - 1) m,
+multiplication, PLDI 1994).  With V = max(N, 2) (p - 1)^2 + p above every
+slot value the kernel forms, t the bit length of V p, m = ceil(2^t / p)
+and s the bit length of (V - 1) m,
 
     reduce(v) = v - (((v m) >> t) & LOW) p,
 
@@ -96,32 +115,50 @@ output are compared as packed ints, which is exact because both have
 canonical slots.  Only a witness and the value `evaluate_word` reports are
 unpacked into JSON.
 
-A matrix is inverted by its N-th power.  If u v = q v u then
-v u^N = q^-N u^N v = u^N v, so u^N commutes with u and v.  For q of exact
-order N (and p = 1 mod N) an invertible pair that q-commutes generates all
-of M_N(F_p): u^N and v^N act on an irreducible subspace as scalars, which
-makes it a module of the symbol algebra of degree N, whose simple modules
-have dimension N.  So u^N is a scalar c.  Every matrix the kernel inverts is
-a scalar multiple of a member of a q-commuting pair, so the kernel forms
-u^(N-1) by repeated squaring (`plcore.power`, with no product by the
-identity) and then u u^(N-1).  When that product is c times the identity,
-u^-1 = u^(N-1) / c, checked rather than assumed; c = 0 means u^N = 0, and
-u is singular.  At N = 5 an inversion is three products (u^2, u^4, u u^4).
-Only when u u^(N-1) is not a scalar, which a pair that does not q-commute
-can give, does `_Packed.inv` fall back to Gauss-Jordan (`_mat_inv`); the
-kernel never reaches it, and `apply_word` reaches it only for a pair that
-it then refuses.
+N-th powers are scalars, and move by the commutative maps.  Let u and v be
+invertible with u v = q v u, q of exact order N, and lambda an eigenvalue
+of u over the algebraic closure; lambda != 0.  (u - q lambda)^k v =
+q^k v (u - lambda)^k, and v^-1 maps back likewise, so v carries the
+generalized lambda-eigenspace of u onto the q lambda one.  The N
+generalized eigenspaces for lambda q^i, 0 <= i < N, are thus distinct and
+of one dimension, and their dimensions sum to at most N.  So each is a line
+and there are no others: u has the N eigenvalues lambda q^i, each once,
+and u^N = lambda^N, a scalar, in F_p as u^N has its entries there.  On a
+clock/shift pair, X^N = lx^N and Y^N = ly^N.
 
-At q of exact order N with N odd, X^N and Y^N are central, and the
-q-binomial theorem ((u + v)^N = u^N + v^N when v u = q u v) gives
+Write xi = X^N, eta = Y^N and epsilon = (-1)^(N+1).  q^(N(N-1)/2) is
+epsilon: N divides N(N-1)/2 when N is odd, and q^(N/2) = -1 when N is
+even.  So the power rule gives
 
-    P:    (X^N, Y^N) -> (Y^N, X^{-N} (1 + Y^N))
-    P^-1: (X^N, Y^N) -> ((1 + X^N) Y^{-N}, X^N)
+    (q^g X^a Y^b)^N = epsilon^(ab) xi^a eta^b.
 
-and C, I likewise move (X^N, Y^N) by their commutative maps.  On a
-clock/shift pair X^N and Y^N are scalars, so the N-th powers of a word's
-output are the commutative word applied to (lx^N, ly^N) mod p: an exact
-link between this model and the birational one, checked by the tests.
+P's new member is u + v with u = q X^-1 and v = q X^-1 Y.  From
+X Y = q Y X, Y X^-1 = q X^-1 Y, so v u = q u v, and the q-binomial theorem
+((u + v)^N = u^N + v^N when v u = q u v: each q-binomial coefficient
+[N, k]_q, 0 < k < N, has the factor q^N - 1 = 0 above and none below)
+gives it the N-th power xi^-1 + epsilon xi^-1 eta.  P^-1's new member is
+q Y^-1 + q X Y^-1, whose terms q-commute the other way round.  So
+
+    P:    (xi, eta) -> (eta, (1 + epsilon eta) / xi)
+    P^-1: (xi, eta) -> ((1 + epsilon xi) / eta, xi).
+
+The signed point (A, B) = (epsilon xi, epsilon eta) therefore moves by the
+commutative maps: P sends it to (B, (1 + B) / A), P^-1 to
+((1 + A) / B, A), and a relabel to (A^a B^b, A^c B^d), as
+epsilon^(1 + ab + a + b) = epsilon^((a+1)(b+1)) = 1 when a or b is odd,
+which a row of an invertible integer matrix has.  On a clock/shift pair it
+is epsilon (lx^N, ly^N): the N-th powers of a word's output are the
+commutative word applied to it, an exact link between this model and the
+birational one, checked by the tests.  A member u with u^N = zeta is
+invertible exactly when zeta != 0, as u^-1 = u^(N-1) / zeta; zeta = 0
+makes u nilpotent.  So P's new member, with N-th power epsilon (1 + B) / A,
+is singular exactly when 1 + B = 0 mod p, and P^-1's when 1 + A = 0.
+`_inverse_powers` walks the point with A^-1 and B^-1 beside it, so a
+relabel needs no modular inverse, and u^(N-1) at N = 5 is two products
+(u^2, u^4).  `_Packed.inv` keeps the checked inverse, u^(N-1) with
+u u^(N-1) compared with the identity and a fall-back to Gauss-Jordan
+(`_mat_inv`) when it is not a scalar, for `apply_word`'s entry and
+`_base`; the kernel never calls it.
 """
 
 from __future__ import annotations
@@ -193,11 +230,10 @@ class _Packed:
     """The packed layout for N x N matrices mod p: entry (i, j) is slot
     i N + j, s bits wide, canonical in [0, p) between operations."""
 
-    __slots__ = ("n", "p", "s", "t", "m", "slot", "low", "col0", "row0",
-                 "steps", "one")
+    __slots__ = ("n", "p", "s", "t", "m", "slot", "low", "one", "_product")
 
     def __init__(self, n: int, p: int):
-        v = n * (p - 1) ** 2 + p         # every slot value stays below v
+        v = max(n, 2) * (p - 1) ** 2 + p  # every slot value stays below v
         t = (v * p).bit_length()         # 2^t > v p
         m = -(-(1 << t) // p)            # ceil(2^t / p)
         s = ((v - 1) * m).bit_length()   # a slot holds v m
@@ -205,10 +241,14 @@ class _Packed:
         self.n, self.p, self.s, self.t, self.m = n, p, s, t, m
         self.slot = (1 << s) - 1
         self.low = every * ((1 << s - t) - 1)
-        self.col0 = self.slot * sum(1 << s * n * i for i in range(n))
-        self.row0 = (1 << s * n) - 1
-        self.steps = tuple((s * k, s * n * k) for k in range(n))
         self.one = sum(1 << s * (n + 1) * i for i in range(n))
+        # mul's constants, read in one step: the masks of column 0 and of
+        # row 0, the shifts that bring column k and row k there, k >= 1,
+        # and reduce's
+        self._product = (self.slot * sum(1 << s * n * i for i in range(n)),
+                         (1 << s * n) - 1,
+                         tuple((s * k, s * n * k) for k in range(1, n)),
+                         m, t, self.low, p)
 
     def pack(self, a) -> int:
         s, n, p = self.s, self.n, self.p
@@ -221,17 +261,18 @@ class _Packed:
                      for i in range(n))
 
     def reduce(self, v: int) -> int:
-        """Every slot mod p, for slot values below N (p - 1)^2 + p."""
+        """Every slot mod p, for slot values below
+        max(N, 2) (p - 1)^2 + p."""
         return v - ((v * self.m >> self.t) & self.low) * self.p
 
     def mul(self, a: int, b: int) -> int:
         """a b mod p: column k of a times row k of b puts a_ik b_kj in
         slot (i, j), for each k; then `reduce`, inlined."""
-        col0, row0 = self.col0, self.row0
-        v = 0
-        for i, j in self.steps:
+        col0, row0, shifts, m, t, low, p = self._product
+        v = (a & col0) * (b & row0)
+        for i, j in shifts:
             v += (a >> i & col0) * (b >> j & row0)
-        return v - ((v * self.m >> self.t) & self.low) * self.p
+        return v - ((v * m >> t) & low) * p
 
     def inv(self, a: int) -> tuple[int, int]:
         """(c, r) with a r = c 1 and c != 0 mod p, so a^-1 = r / c.
@@ -377,15 +418,22 @@ def q_apply_inverse(name: str, pair: QPair, cfg: QConfig) -> QPair:
 
 def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
     """Apply a word over {P, C, I}, rightmost factor first: `_apply_packed`
-    on the packed pair and its inverses, unpacked.  A singular pair raises
-    SingularSubstitution, and one that does not q-commute ValueError."""
-    walk = words.compile_word(tuple(word), _RELABELS)
-    packed = _packed(cfg.N, cfg.p)
-    x, y = (1, packed.pack(pair.X)), (1, packed.pack(pair.Y))
-    x, y = (x, _inverse(packed, x)), (y, _inverse(packed, y))
+    on the packed pair, its inverses and its N-th powers, unpacked.  A
+    singular pair raises SingularSubstitution, and one that does not
+    q-commute ValueError."""
+    program = words.compile_word(tuple(word), _RELABELS, _program)
+    p, eps = cfg.p, _sign(cfg.N)
+    packed = _packed(cfg.N, p)
+    members, point = [], []
+    for m in map(packed.pack, pair._fields()):
+        c, r = packed.inv(m)    # m r = c, and c = m^N once the pair passes
+        ci = pow(c, -1, p)
+        members += [(1, m), (ci, r)]
+        point += [eps * c % p, eps * ci % p]
     if not commutes_q(pair, cfg):
         raise ValueError("the pair does not q-commute: X Y != q Y X")
-    return QPair(*map(packed.unpack, _apply_packed(walk, x, y, cfg)))
+    return QPair(*map(packed.unpack,
+                      _apply_packed(program, members, point, cfg)))
 
 
 # C^+-1 and I^+-1 as relabels (a, b, c, d, g1, g2), which send (X, Y) to
@@ -412,59 +460,153 @@ _RELABELS = words._Ring(lambda s, sign: _ATOMS.get((s, sign)),
                         (1, 0, 0, 1, 0, 0), _then)
 
 
-def _inverse(packed: _Packed, a) -> tuple[int, int]:
-    """The inverse of a = (c, M), standing for c M, as such a pair;
-    SingularSubstitution when M is singular."""
-    c, r = packed.inv(a[1])
-    return pow(a[0] * c, -1, packed.p), r
+def _sign(n: int) -> int:
+    """epsilon = (-1)^(N+1), the sign in (q^g X^a Y^b)^N = epsilon^(ab)
+    X^(Na) Y^(Nb)."""
+    return 1 if n % 2 else -1
 
 
-def _apply_packed(walk, x, y, cfg: QConfig) -> tuple[int, int]:
-    """A compiled walk applied to x = (X, X^-1) and y = (Y, Y^-1), each
-    matrix a pair (c, M) standing for c M mod p, with M packed: the output
-    pair, packed with canonical slots.
+def _monomial(g, e, f):
+    """q^g X^e Y^f, (e, f) != (0, 0), as (g, i, k, j, l): q^g times
+    carried member i to the k > 0 times member j to the l >= 0, where the
+    carried members 0 to 3 are X, X^-1, Y and Y^-1."""
+    x, y = (0 if e > 0 else 1, abs(e)), (2 if f > 0 else 3, abs(f))
+    (i, k), (j, l) = (x, y) if e else (y, (3, 0))
+    return g, i, k, j, l
 
-    A relabel forms both members and their inverses from the carried
-    ones; P and P^-1 take one product z and one inversion of z (see the
-    module docstring).
+
+def _reads(forms) -> int:
+    """The carried members that the monomials forms read, bit i for
+    member i; None forms none."""
+    bits = 0
+    for form in forms:
+        if form:
+            _, i, _, j, l = form
+            bits |= 1 << i | (1 << j if l else 0)
+    return bits
+
+
+def _program(steps, last):
+    """The walk of a word (words.compile_word) as kernel steps, each
+    forming only the members that a later step reads.
+
+    A kernel step is (rule, kept, terms, sign, invert) for a walk step,
+    relabel r and then P^sign (module docstring): rule is the (i, k, j, l)
+    of X' and then of Y', which move the point (`_inverse_powers`), or
+    None when r is the identity; kept is the monomials of the member the
+    step keeps and of its inverse, each None where nothing reads it; terms
+    is the two monomials that the new member is q times the sum of, or
+    None where nothing reads it; invert says whether a later step reads
+    the new member's inverse.  The end is the monomials of the output X
+    and Y.
     """
-    steps, last = walk
-    identity = _RELABELS.identity
+    a, b, c, d, g1, g2 = last
+    end = _monomial(g1, a, b), _monomial(g2, c, d)
+    need = _reads(end)      # what the steps after this one read
+    out = []
+    for r, sign in reversed(steps):
+        a, b, c, d, g1, g2 = r
+        x, y = (g1, a, b), (g2, c, d)
+        if sign > 0:    # X'' = Y', Y'' = q (X'^-1 + X'^-1 Y')
+            (g, e, f), keep, new = y, need & 3, need >> 2
+            terms = ((-g1 - a * b, -a, -b),
+                     (g2 - g1 - a * b + b * c, c - a, d - b))
+        else:           # X'' = q (Y'^-1 + X' Y'^-1), Y'' = X'
+            (g, e, f), keep, new = x, need >> 2, need & 3
+            terms = ((-g2 - c * d, -c, -d),
+                     (g1 - g2 - c * d + b * c, a - c, b - d))
+        kept = (_monomial(g, e, f) if keep & 1 else None,
+                _monomial(-g - e * f, -e, -f) if keep & 2 else None)
+        terms = tuple(_monomial(*t) for t in terms) if new else None
+        need = _reads(kept + (terms or ()))
+        rule = (None if r == _RELABELS.identity
+                else _monomial(*x)[1:] + _monomial(*y)[1:])
+        out.append((rule, kept, terms, sign, new > 1))
+    return tuple(reversed(out)), end
+
+
+def _inverse_powers(steps, point, n: int, p: int) -> list[int]:
+    """Walk the point (A, A^-1, B, B^-1), with A = epsilon X^N and
+    B = epsilon Y^N, along the program's steps by the commutative maps:
+    the inverse of the N-th power of each new member the steps invert, in
+    order.  SingularSubstitution where a P step's new member is singular,
+    before any product."""
+    eps = _sign(n)
+    a, ai, b, bi = point
+    out = []
+    for rule, _, _, sign, invert in steps:
+        if rule:
+            v = a, ai, b, bi
+            i, k, j, l, i2, k2, j2, l2 = rule
+            a, ai, b, bi = (
+                pow(v[i], k, p) * pow(v[j], l, p) % p,
+                pow(v[i ^ 1], k, p) * pow(v[j ^ 1], l, p) % p,
+                pow(v[i2], k2, p) * pow(v[j2], l2, p) % p,
+                pow(v[i2 ^ 1], k2, p) * pow(v[j2 ^ 1], l2, p) % p)
+        if sign > 0:    # (A, B) -> (B, (1 + B) / A)
+            t = (1 + b) % p
+            if not t:
+                raise SingularSubstitution("singular substitution")
+            a, ai, b, bi = b, bi, t * ai % p, a * pow(t, -1, p) % p
+            if invert:
+                out.append(eps * bi % p)
+        else:           # (A, B) -> ((1 + A) / B, A)
+            t = (1 + a) % p
+            if not t:
+                raise SingularSubstitution("singular substitution")
+            a, ai, b, bi = t * bi % p, b * pow(t, -1, p) % p, a, ai
+            if invert:
+                out.append(eps * ai % p)
+    return out
+
+
+def _power_inverse(packed: _Packed, u, inverse_power: int) -> tuple[int, int]:
+    """u^-1 = c^(N-1) M^(N-1) / u^N for u = (c, M), standing for c M,
+    given 1 / u^N; M^(N-1) by repeated squaring."""
+    c, m = u
+    n, p = packed.n, packed.p
+    return (pow(c, n - 1, p) * inverse_power % p,
+            power(m, n - 1, packed.mul) if n > 1 else packed.one)
+
+
+def _apply_packed(program, members, point, cfg: QConfig) -> tuple[int, int]:
+    """A compiled program applied to members = (X, X^-1, Y, Y^-1), each a
+    pair (c, M) standing for c M mod p with M packed, and to the point
+    (A, A^-1, B, B^-1) of `_inverse_powers`: the output pair, packed with
+    canonical slots.  SingularSubstitution, before any product, where a P
+    step's new member is singular."""
+    steps, end = program
     p, n, q = cfg.p, cfg.N, cfg.q
+    inverse_powers = iter(_inverse_powers(steps, point, n, p))
     q_to = [pow(q, k, p) for k in range(n)]
     packed = _packed(n, p)
-    mul, red, one = packed.mul, packed.reduce, packed.one
+    mul, red = packed.mul, packed.reduce
 
-    def monomial(e, f, g):
-        # q^g X^e Y^f; (e, f) is a row of an invertible matrix, so not 0
-        c, m = q_to[g % n], None
-        for k, u in ((e, x), (f, y)):
-            if k:
-                b, u = u[k < 0]
-                if k not in (1, -1):
-                    b, u = pow(b, abs(k), p), power(u, abs(k), mul)
-                c = c * b % p
-                m = u if m is None else mul(m, u)
-        return c, m
+    def monomial(form, m):
+        g, i, k, j, l = form
+        c, u = m[i]
+        if k > 1:
+            c, u = pow(c, k, p), power(u, k, mul)
+        c = c * q_to[g % n] % p
+        if l:
+            b, w = m[j]
+            if l > 1:
+                b, w = pow(b, l, p), power(w, l, mul)
+            c, u = c * b % p, mul(u, w)
+        return c, u
 
-    for r, sign in steps:
-        if r != identity:
-            # each member and its inverse:
-            # (q^g X^a Y^b)^-1 = q^(-g-ab) X^-a Y^-b
-            a, b, c, d, g1, g2 = r
-            x, y = ((monomial(a, b, g1), monomial(-a, -b, -g1 - a * b)),
-                    (monomial(c, d, g2), monomial(-c, -d, -g2 - c * d)))
-        if sign > 0:    # (x, y) -> (y, q x^-1 (1 + y))
-            z = q * x[1][0] % p, mul(x[1][1], red(y[0][0] * y[0][1] + one))
-            x, y = y, (z, _inverse(packed, z))
-        else:           # (x, y) -> (q (1 + x) y^-1, x)
-            z = q * y[1][0] % p, mul(red(x[0][0] * x[0][1] + one), y[1][1])
-            x, y = (z, _inverse(packed, z)), x
-    out = x[0], y[0]
-    if last != identity:
-        a, b, c, d, g1, g2 = last
-        out = monomial(a, b, g1), monomial(c, d, g2)
-    return tuple(red(c * m) for c, m in out)
+    m = members
+    for _, (w, wi), terms, sign, invert in steps:
+        w, wi = w and monomial(w, m), wi and monomial(wi, m)
+        z = zi = None
+        if terms:
+            (c1, u1), (c2, u2) = monomial(terms[0], m), monomial(terms[1], m)
+            z = q, red(c1 * u1 + c2 * u2)
+            if invert:
+                zi = _power_inverse(packed, z, next(inverse_powers))
+        m = (w, wi, z, zi) if sign > 0 else (z, zi, w, wi)
+    out = (monomial(f, m) for f in end)
+    return tuple(red(c * u) for c, u in out)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +624,8 @@ def _base(cfg: QConfig) -> tuple[int, int, int, int]:
     out = []
     for m in clock_shift(cfg, 1, 1)._fields():
         m = packed.pack(m)
-        c, r = _inverse(packed, (1, m))
-        out += [m, packed.reduce(c * r)]
+        c, r = packed.inv(m)
+        out += [m, packed.reduce(pow(c, -1, cfg.p) * r)]
     return tuple(out)
 
 
@@ -492,18 +634,22 @@ def _trials(word, cfg: QConfig, rng: random.Random):
     random_pair draws, lx clock and ly shift, and out is the word's packed
     output on it, or None where a step goes singular.  Stops after
     _MAX_RESAMPLES singular draws."""
-    walk = words.compile_word(tuple(word), _RELABELS)
-    p = cfg.p
-    red = _packed(cfg.N, p).reduce
+    program = words.compile_word(tuple(word), _RELABELS, _program)
+    p, n = cfg.p, cfg.N
+    red = _packed(n, p).reduce
     clock, clock_inv, shift, shift_inv = _base(cfg)
+    eps = _sign(n)
     singular = 0
     while singular < _MAX_RESAMPLES:
         lx = rng.randrange(1, p)
         ly = rng.randrange(1, p)
+        lxi, lyi = pow(lx, -1, p), pow(ly, -1, p)
         try:
             out = _apply_packed(
-                walk, ((lx, clock), (pow(lx, -1, p), clock_inv)),
-                ((ly, shift), (pow(ly, -1, p), shift_inv)), cfg)
+                program, ((lx, clock), (lxi, clock_inv),
+                          (ly, shift), (lyi, shift_inv)),
+                tuple(eps * pow(v, n, p) % p for v in (lx, lxi, ly, lyi)),
+                cfg)
         except SingularSubstitution:
             singular += 1
             out = None

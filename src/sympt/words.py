@@ -132,10 +132,9 @@ def word_length(word: Word) -> int:
 STEP_BUDGET = 2 ** 12
 
 
-def _within_budget(n: int, what: str) -> None:
-    if n > STEP_BUDGET:
-        raise ValueError("word past the budget of %d steps: %s"
-                         % (STEP_BUDGET, what % n))
+def _past_budget(what: str) -> ValueError:
+    return ValueError("word past the budget of %d steps: %s"
+                      % (STEP_BUDGET, what))
 
 
 def _free_mul(a: Word, b: Word) -> Word:
@@ -151,8 +150,11 @@ def _free_mul(a: Word, b: Word) -> Word:
         if e:
             merged = ((b[j - 1][0], e),)
             break
-    _within_budget(i + len(merged) + len(b) - j,
-                   "its spelling reaches %d factors")
+    if i + len(merged) + len(b) - j > STEP_BUDGET:
+        # the first product past the budget, not the whole spelling,
+        # whose size is never counted
+        raise _past_budget("its spelling holds more than %d factors"
+                           % STEP_BUDGET)
     return a[:i] + merged + b[j:]
 
 
@@ -253,8 +255,9 @@ def compile_word(word: Word, ring: _Ring, finish=None):
         if s not in CORE:
             raise ValueError("unknown generator: letter %r is not P, C or I"
                              % (s,))
-    _within_budget(sum(abs(e) for s, e in word if s == "P"),
-                   "it takes %d P steps")
+    steps = sum(abs(e) for s, e in word if s == "P")
+    if steps > STEP_BUDGET:
+        raise _past_budget("it takes %d P steps" % steps)
     out, run = [], []
     for s, e in reversed(word):
         if s != "P":

@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import itertools
 import json
 import pickle
 import random
@@ -9,7 +10,7 @@ import random
 import pytest
 
 from sympt import birational, quantum, words
-from sympt.plcore import is_prime
+from sympt.plcore import is_prime, power
 from sympt.quantum import (
     QConfig,
     QPair,
@@ -739,14 +740,10 @@ def test_mat_inv_matches_reference_inverse():
             assert singular < 40
 
 
-def test_kernel_operation_counts(monkeypatch):
-    """Each P is one packed product, z = x^-1 (1 + y), and one inversion,
-    of z; apply_word inverts the input x and y at entry.  At N = 5 an
-    inversion of a member of a q-commuting pair is 3 packed products
-    (z^2, z^4, z z^4) and no Gauss-Jordan."""
-    cfg = make_config(5, 101)
-    pair = clock_shift(cfg, 7, 3)
-    calls = {"mul": 0, "inv": 0}
+def _count_products(monkeypatch):
+    """A counter of the packed products (_Packed.mul) and checked
+    inversions (_Packed.inv) made while it is in place."""
+    calls = collections.Counter()
     mul, inv = quantum._Packed.mul, quantum._Packed.inv
 
     def counted_mul(self, a, b):
@@ -759,19 +756,161 @@ def test_kernel_operation_counts(monkeypatch):
 
     monkeypatch.setattr(quantum._Packed, "mul", counted_mul)
     monkeypatch.setattr(quantum._Packed, "inv", counted_inv)
+    return calls
+
+
+def test_kernel_operation_counts(monkeypatch):
+    """apply_word inverts the input X and Y at entry by the checked
+    _Packed.inv, 3 packed products each at N = 5 (u^2, u^4, u u^4); the
+    kernel never calls it.  A P step after the identity relabel makes
+    q (X^-1 + X^-1 Y), one product, and in P^k the inverse of a step's
+    new member is read two steps on, so k - 2 members are inverted, each
+    as u^4 / u^N: two products.  In P C^-1 the step's two terms are lone
+    members, Y and X, and only the kept member X Y^-1 costs a product."""
+    cfg = make_config(5, 101)
+    pair = clock_shift(cfg, 7, 3)
+    calls = _count_products(monkeypatch)
     fallbacks = _count_gauss_jordan(monkeypatch)
     packed = quantum._packed(5, 101)
     packed.inv(packed.pack(pair.X))
     assert calls == {"mul": 3, "inv": 1}
-    for k in (1, 2, 5, 9):
-        calls["mul"] = calls["inv"] = 0
-        word = (("P", k),)
+    for word, products in [((("P", k),), k + 2 * max(k - 2, 0))
+                           for k in (1, 2, 5, 9)] + [
+                          ((("P", 1), ("C", -1)), 1)]:
+        calls.clear()
         assert apply_word(word, pair, cfg) == _ref_apply_word(word, pair, cfg)
-        inversions = k + 2
-        assert calls == {"mul": k + 3 * inversions, "inv": inversions}
+        assert calls == {"mul": 6 + products, "inv": 2}, word
+    quantum._base(cfg)
+    calls.clear()
+    report = q_relation_check(H_RELATIONS["P^5"], cfg, 12, 1)
+    assert report["verdict"] == "identity" and calls["inv"] == 0
     assert fallbacks == [0]
-    for name in ("_solve", "_Product", "_force", "_one_plus"):
+    for name in ("_solve", "_Product", "_force", "_one_plus", "_inverse"):
         assert not hasattr(quantum, name)
+
+
+def _suite_words():
+    """Each relation of each shipped suite as one core word, lhs rhs^-1."""
+    for suite in words.list_suites():
+        for entry in words.load_suite(suite):
+            rhs = "1" if entry["rhs"] == "probe" else entry["rhs"]
+            yield (words._core(entry["lhs"])
+                   + words.word_inverse(words._core(rhs)))
+
+
+def test_suite_product_count_is_pinned(monkeypatch):
+    """The packed products of every shipped suite at seeds 0-2 and the
+    default configuration, past the clock and shift that _base packs: a
+    product added back to the kernel shows here.  The kernel before this
+    count, which checked u u^(N-1) on every inversion and formed every
+    member, made 75 952."""
+    cfg = make_config(5)
+    quantum._base(cfg)
+    calls = _count_products(monkeypatch)
+    for suite in words.list_suites():
+        for seed in range(3):
+            words.check_suite(suite, "quantum", {"seed": seed})
+    assert calls == {"mul": 33600}
+
+
+def _checked_walk(word, x, y, cfg):
+    """The word on the packed pair (x, y), letter by letter by the maps of
+    the module docstring, every member packed with canonical slots.  Each
+    inverse comes from the checked _Packed.inv, which must find
+    u u^(N-1) = c 1 and raises SingularSubstitution where u is singular."""
+    packed = quantum._packed(cfg.N, cfg.p)
+    p, q, one = cfg.p, cfg.q, packed.one
+    mul, red = packed.mul, packed.reduce
+
+    def inverse(u):
+        c, r = packed.inv(u)
+        assert mul(u, r) == c * one
+        return red(pow(c, -1, p) * r)
+
+    def times(c, u):
+        return red(c * u)
+
+    qi = pow(q, -1, p)
+    X, XI, Y, YI = x, inverse(x), y, inverse(y)
+    for sym, exp in reversed(word):
+        for _ in range(abs(exp)):
+            if (sym, exp > 0) == ("P", True):
+                z = times(q, mul(XI, red(Y + one)))
+                X, XI, Y, YI = Y, YI, z, inverse(z)
+            elif sym == "P":
+                z = times(q, mul(red(X + one), YI))
+                X, XI, Y, YI = z, inverse(z), X, XI
+            elif (sym, exp > 0) == ("C", True):
+                X, XI, Y, YI = (times(q, mul(XI, Y)), times(qi, mul(YI, X)),
+                                times(q, XI), times(qi, X))
+            elif sym == "C":
+                X, XI, Y, YI = (times(q, YI), times(qi, Y), mul(YI, X),
+                                mul(XI, Y))
+            elif exp > 0:
+                X, XI, Y, YI = times(q, YI), times(qi, Y), X, XI
+            else:
+                X, XI, Y, YI = Y, YI, times(q, XI), times(qi, X)
+    return X, Y
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CONFIGS)
+def test_kernel_inversions_and_refusals_agree_with_the_checked_inverse(
+        n, p, monkeypatch):
+    """Over every shipped suite, each inversion the kernel makes is the
+    checked _Packed.inv's: u u^(N-1) = c 1, found without Gauss-Jordan,
+    and 1 / c is the scalar the kernel tracked.  Each draw the kernel
+    refuses as singular is one on which a checked inversion, letter by
+    letter, raises; on every other draw the two walks agree."""
+    cfg = make_config(n, p)
+    packed = quantum._packed(n, p)
+    power_inverse = quantum._power_inverse
+    inversions = []
+
+    def checked(packed_, u, inverse_power):
+        c, m = u
+        cm, r = packed.inv(m)
+        assert r == (power(m, n - 1, packed.mul) if n > 1 else packed.one)
+        assert pow(c, n, p) * cm * inverse_power % p == 1
+        got = power_inverse(packed_, u, inverse_power)
+        assert got == (pow(c * cm, -1, p), r)
+        inversions.append(got)
+        return got
+
+    monkeypatch.setattr(quantum, "_power_inverse", checked)
+    fallbacks = _count_gauss_jordan(monkeypatch)
+    refused = 0
+    for word in _suite_words():
+        for x, y, out in itertools.islice(
+                quantum._trials(word, cfg, random.Random(n * p)), 6):
+            want = _outcome(_checked_walk, word, x, y, cfg)
+            assert out == (None if want == "singular" else want), word
+            refused += out is None
+    assert inversions and fallbacks == [0]
+    assert refused, "no draw refused"
+
+
+def test_a_singular_new_member_that_nothing_inverts_is_still_refused():
+    """The last P step's new member is an output: no step inverts it, and
+    no product makes its singularity show.  Where it alone is singular,
+    the kernel refuses the draw as the letter-by-letter maps do."""
+    cfg = make_config(5, 11)
+    rng = random.Random(43)
+    found = 0
+    for _ in range(2000):
+        pair = random_pair(cfg, rng)
+        rest = _random_word(rng, 6)
+        last = (("P", rng.choice((1, -1))),)
+        if (_outcome(_ref_apply_word, rest, pair, cfg) == "singular"
+                or _outcome(_ref_apply_word, last + rest, pair, cfg)
+                != "singular"):
+            continue
+        steps, _ = words.compile_word(
+            last + rest, quantum._RELABELS, quantum._program)
+        assert steps[-1][-1] is False       # nothing inverts it
+        with pytest.raises(SingularSubstitution):
+            apply_word(last + rest, pair, cfg)
+        found += 1
+    assert found > 10
 
 
 def test_sampling_stays_packed(monkeypatch):
@@ -818,10 +957,10 @@ PACKED_PRIMES = (2, 3, 7, 11, 101, 2 ** 61 - 1)
 @pytest.mark.parametrize("n", range(1, 8))
 def test_reduction_is_exact_up_to_the_largest_slot_value(n, p):
     """reduce leaves v mod p in every slot for every v below
-    V = N (p - 1)^2 + p: the largest value in every slot, and values on
-    both sides of multiples of p next to slots that hold V - 1."""
+    V = max(N, 2) (p - 1)^2 + p: the largest value in every slot, and
+    values on both sides of multiples of p next to slots that hold V - 1."""
     packed = quantum._Packed(n, p)
-    top = n * (p - 1) ** 2 + p - 1
+    top = max(n, 2) * (p - 1) ** 2 + p - 1
     assert 2 ** packed.t > (top + 1) * p
     assert top * packed.m < 2 ** packed.s
     near = sorted({v for a in (top // p, top // p - 1, 1, 0)

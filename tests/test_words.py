@@ -556,8 +556,12 @@ def test_the_step_budget_refuses_before_any_step():
 
 
 def test_a_spelling_past_the_budget_is_refused_as_it_grows():
-    # U^n spells as (C I)^n: 2 * 10^11 factors, were it built
-    message = "budget of %d steps: its spelling reaches" % STEP_BUDGET
+    # U^n spells as (C I)^n: 2 * 10^11 factors, were it built.  The
+    # spelling is refused at the first product of the fold past the
+    # budget, which can hold up to twice the budget, so the message names
+    # the budget rather than that product's size
+    message = ("budget of %d steps: its spelling holds more than %d "
+               "factors" % (STEP_BUDGET, STEP_BUDGET))
     for spell in (_core, lambda w: expand(parse_word(w))):
         with pytest.raises(ValueError, match=message):
             spell("U^99999999999")
