@@ -801,9 +801,7 @@ def _suite_words():
 def test_suite_product_count_is_pinned(monkeypatch):
     """The packed products of every shipped suite at seeds 0-2 and the
     default configuration, past the clock and shift that _base packs: a
-    product added back to the kernel shows here.  The kernel before this
-    count, which checked u u^(N-1) on every inversion and formed every
-    member, made 75 952."""
+    product added back to the kernel shows here."""
     cfg = make_config(5)
     quantum._base(cfg)
     calls = _count_products(monkeypatch)
