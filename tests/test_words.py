@@ -407,9 +407,10 @@ FLAT_MODELS = {
 
 def flat_product(word, backend):
     """The word's value as its core letters multiplied left to right, one
-    letter at a time."""
+    letter at a time.  The core spelling is the naive rewrite, not _core,
+    so no step of the fold under test is read."""
     atom, mul, g = FLAT_MODELS[backend]
-    for s, e in _core(word):
+    for s, e in rewrite(word, CORE):
         x = atom(s, e)
         for _ in range(abs(e)):
             g = mul(g, x)
@@ -426,6 +427,19 @@ def test_fold_equals_flat_product(backend):
     rng = random.Random(29)
     for _ in range(25):
         word = random_word(rng, rng.randint(1, 4))
+        assert evaluate(word, backend) == flat_product(word, backend), word
+    # words of unit core letters, odd and even lengths, whose letters the
+    # fold multiplies in pairs
+    for length in (2, 3, 4, 5, 8, 17, 32, 63, 64):
+        word = tuple((rng.choice(sorted(CORE)), rng.choice((-1, 1)))
+                     for _ in range(length))
+        assert evaluate(word, backend) == flat_product(word, backend), word
+    # unit letters of the whole alphabet beside powers, so that a pair can
+    # hold a power, a derived letter or both
+    for _ in range(12):
+        word = tuple((rng.choice(ALPHABET),
+                      rng.choice((-3, -2, -1, -1, 1, 1, 2, 3)))
+                     for _ in range(rng.randint(2, 12)))
         assert evaluate(word, backend) == flat_product(word, backend), word
 
 
