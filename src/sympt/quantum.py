@@ -113,7 +113,11 @@ lx, then ly, from [1, p), and its pair is reduce(lx clock) and
 reduce(ly shift), the slots of `clock_shift(cfg, lx, ly)`.  Input and
 output are compared as packed ints, which is exact because both have
 canonical slots.  Only a witness and the value `evaluate_word` reports are
-unpacked into JSON.
+unpacked into JSON.  A draw is refused as singular by its N-th powers
+alone (below), before any product, so a trial walks its word only when
+the output is read.  A check keeps three witnesses; past the third, the
+verdict is nonidentity whatever a trial's output, and a trial changes only
+the counts of completed and resampled draws, so its word is not walked.
 
 N-th powers are scalars, and move by the commutative maps.  Let u and v be
 invertible with u v = q v u, q of exact order N, and lambda an eigenvalue
@@ -432,8 +436,9 @@ def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
         point += [eps * c % p, eps * ci % p]
     if not commutes_q(pair, cfg):
         raise ValueError("the pair does not q-commute: X Y != q Y X")
-    return QPair(*map(packed.unpack,
-                      _apply_packed(program, members, point, cfg)))
+    inverse_powers = _inverse_powers(program[0], point, cfg.N, p)
+    return QPair(*map(packed.unpack, _apply_packed(program, members,
+                                                   inverse_powers, cfg)))
 
 
 # C^+-1 and I^+-1 as relabels (a, b, c, d, g1, g2), which send (X, Y) to
@@ -569,15 +574,16 @@ def _power_inverse(packed: _Packed, u, inverse_power: int) -> tuple[int, int]:
             power(m, n - 1, packed.mul) if n > 1 else packed.one)
 
 
-def _apply_packed(program, members, point, cfg: QConfig) -> tuple[int, int]:
+def _apply_packed(program, members, inverse_powers,
+                  cfg: QConfig) -> tuple[int, int]:
     """A compiled program applied to members = (X, X^-1, Y, Y^-1), each a
-    pair (c, M) standing for c M mod p with M packed, and to the point
-    (A, A^-1, B, B^-1) of `_inverse_powers`: the output pair, packed with
-    canonical slots.  SingularSubstitution, before any product, where a P
-    step's new member is singular."""
+    pair (c, M) standing for c M mod p with M packed: the output pair,
+    packed with canonical slots.  inverse_powers is what `_inverse_powers`
+    returns for the members' point, which has refused a singular step
+    before any product."""
     steps, end = program
     p, n, q = cfg.p, cfg.N, cfg.q
-    inverse_powers = iter(_inverse_powers(steps, point, n, p))
+    inverse_powers = iter(inverse_powers)
     q_to = [pow(q, k, p) for k in range(n)]
     packed = _packed(n, p)
     mul, red = packed.mul, packed.reduce
@@ -630,10 +636,12 @@ def _base(cfg: QConfig) -> tuple[int, int, int, int]:
 
 
 def _trials(word, cfg: QConfig, rng: random.Random):
-    """Yield (x, y, out) for one draw after another: x and y pack the pair
-    random_pair draws, lx clock and ly shift, and out is the word's packed
-    output on it, or None where a step goes singular.  Stops after
-    _MAX_RESAMPLES singular draws."""
+    """Yield (x, y, walk) for one draw after another: x and y pack the
+    pair random_pair draws, lx clock and ly shift, and walk is None where a
+    step goes singular, which the draw's N-th powers decide before any
+    product, and otherwise a function of no arguments that returns the
+    word's packed output on the pair.  Stops after _MAX_RESAMPLES singular
+    draws."""
     program = words.compile_word(tuple(word), _RELABELS, _program)
     p, n = cfg.p, cfg.N
     red = _packed(n, p).reduce
@@ -645,15 +653,19 @@ def _trials(word, cfg: QConfig, rng: random.Random):
         ly = rng.randrange(1, p)
         lxi, lyi = pow(lx, -1, p), pow(ly, -1, p)
         try:
-            out = _apply_packed(
-                program, ((lx, clock), (lxi, clock_inv),
-                          (ly, shift), (lyi, shift_inv)),
+            inverse_powers = _inverse_powers(
+                program[0],
                 tuple(eps * pow(v, n, p) % p for v in (lx, lxi, ly, lyi)),
-                cfg)
+                n, p)
         except SingularSubstitution:
             singular += 1
-            out = None
-        yield red(lx * clock), red(ly * shift), out
+            walk = None
+        else:
+            walk = functools.partial(
+                _apply_packed, program, ((lx, clock), (lxi, clock_inv),
+                                         (ly, shift), (lyi, shift_inv)),
+                inverse_powers, cfg)
+        yield red(lx * clock), red(ly * shift), walk
 
 
 def _pair_json(cfg: QConfig, x: int, y: int) -> dict:
@@ -671,11 +683,11 @@ def evaluate_word(word, params: dict | None = None) -> dict:
     """
     params = params or {}
     cfg = make_config(params.get("N", 5), params.get("p"))
-    for x, y, out in _trials(word, cfg, random.Random(params.get("seed", 0))):
-        if out is not None:
+    for x, y, walk in _trials(word, cfg, random.Random(params.get("seed", 0))):
+        if walk is not None:
             return {"N": cfg.N, "p": cfg.p, "q": cfg.q,
                     "input": _pair_json(cfg, x, y),
-                    "output": _pair_json(cfg, *out)}
+                    "output": _pair_json(cfg, *walk())}
     raise SingularSubstitution(
         "exhausted nonsingular samples (%d tries)" % _MAX_RESAMPLES)
 
@@ -687,20 +699,23 @@ def q_relation_check(word, cfg: QConfig, trials: int = 10,
 
     verdict: identity | nonidentity | inconclusive (sampling exhausted).
     A nonidentity verdict is exact: each witness is a pair of matrices
-    mod p that the word moves.
+    mod p that the word moves.  At most three are kept; past the third, a
+    trial changes only the counts, so its word is not walked.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
     completed = resamples = 0
     witnesses = []
-    for x, y, out in _trials(word, cfg, random.Random(seed)):
-        if out is None:
+    for x, y, walk in _trials(word, cfg, random.Random(seed)):
+        if walk is None:
             resamples += 1
             continue
         completed += 1
-        if out != (x, y) and len(witnesses) < 3:
-            witnesses.append({"input": _pair_json(cfg, x, y),
-                              "output": _pair_json(cfg, *out)})
+        if len(witnesses) < 3:
+            out = walk()
+            if out != (x, y):
+                witnesses.append({"input": _pair_json(cfg, x, y),
+                                  "output": _pair_json(cfg, *out)})
         if completed == trials:
             break
     verdict = ("inconclusive" if completed < trials

@@ -70,6 +70,8 @@ __all__ = [
     "plaut_to_treepair",
     "treepair_to_plaut",
     "cfp_generators",
+    "POINT_BUDGET",
+    "within_budget",
 ]
 
 # Base cells of the correspondence: (c, e, left ray, right ray) for the
@@ -82,6 +84,34 @@ _BASE_CELLS = (
 )
 
 _ANCHOR_VECS = ((1, 0), (0, 1), (-1, -1))
+
+# The most points a circle form may hold: the leaves of each tree of a
+# TreePair, the breakpoints of a DyadicPL, and the binary digits of each
+# point.  U^5000's forms hold about 10^4 points; U^n doubles them with n,
+# so a power like U^99999999999 is refused after a dozen squarings rather
+# than run without bound.
+POINT_BUDGET = 2 ** 14
+
+
+def _past_budget(what: str) -> ValueError:
+    return ValueError("circle form past the budget of %d points: %s"
+                      % (POINT_BUDGET, what))
+
+
+def within_budget(g):
+    """g, a TreePair or a DyadicPL, when it holds at most POINT_BUDGET
+    points of at most POINT_BUDGET binary digits; ValueError otherwise.  A
+    tree of n leaves is less than n deep, so a TreePair is measured by its
+    leaves alone."""
+    if isinstance(g, TreePair):
+        points, digits = g.leaf_count, 0
+    else:
+        points, digits = len(g._ts), g._exp
+    if points > POINT_BUDGET:
+        raise _past_budget("it holds %d" % points)
+    if digits > POINT_BUDGET:
+        raise _past_budget("a point needs %d binary digits" % digits)
+    return g
 
 
 def _exact(t) -> Fraction:
@@ -144,9 +174,10 @@ def _pair_to_vector(n: int, k: int) -> Vec:
     return vec_add(*cone_parents(u, v, runs))
 
 
-def _vector_to_pair(w: Vec) -> tuple[int, int]:
+def _vector_to_pair(w: Vec, budget: bool = False) -> tuple[int, int]:
     """(n, k) with n / 2^k in [0, 1) the dyadic point of a primitive
-    integer vector."""
+    integer vector; with budget, ValueError for a point of more than
+    POINT_BUDGET binary digits, before any digit is built."""
     if primitive(w) != w:
         raise ValueError("vector must be primitive: %s" % (w,))
     for c, e, u, v in _BASE_CELLS:
@@ -158,8 +189,12 @@ def _vector_to_pair(w: Vec) -> tuple[int, int]:
         raise ValueError("vector not located in any base cell: %s" % (w,))
     # t = lo + (hi - lo) * ?(x); the binary digits of ?(x) are the runs of
     # the descent to w, alternately 0s and 1s, and then a final 1
+    runs = cone_runs(u, v, w)
+    if budget and e + sum(runs) + 1 > POINT_BUDGET:
+        raise _past_budget("a ray's point needs %d binary digits"
+                           % (e + sum(runs) + 1))
     x = k = 0
-    for i, r in enumerate(cone_runs(u, v, w)):
+    for i, r in enumerate(runs):
         x <<= r
         if i % 2:
             x |= (1 << r) - 1
@@ -631,9 +666,11 @@ def _refined_cells(required):
     as numerators over 2^big.  The cone a, b of [x, x + 1) / 2^k splits at
     the mediant, the ray of (2x + 1) / 2^(k + 1), while a required point
     lies strictly inside; a cone left whole emits a and (x, k).  An
-    explicit stack keeps the order, since a descent can be very deep.
+    explicit stack keeps the order, since a descent can be very deep; a
+    ray whose point needs more than POINT_BUDGET binary digits is refused
+    before the walk.
     """
-    pairs = [_vector_to_pair(s) for s in required]
+    pairs = [_vector_to_pair(s, budget=True) for s in required]
     big = max([2] + [k for _, k in pairs])  # no less than the base cells
     # 2^big closes the list: no point lies past it
     nums = sorted(n << (big - k) for n, k in pairs) + [1 << big]
@@ -658,7 +695,8 @@ def plaut_to_dyadic(f: PLAut) -> DyadicPL:
     Each ray and its image become a breakpoint pair over 2^exp; the rays'
     points come from the refinement, the images' from the walk.  Then
     every piece is certified: the midpoint of two adjacent rays must go
-    where the mediant of their images points.
+    where the mediant of their images points.  A form past POINT_BUDGET is
+    refused, as the circle folds refuse it.
     """
     rays, ts = _refined_cells(_required_rays(f))
     images = [f(r) for r in rays]
@@ -677,7 +715,7 @@ def plaut_to_dyadic(f: PLAut) -> DyadicPL:
         w, k = _vector_to_pair(primitive(vec_add(images[i], images[j])))
         if y << k != w << m:
             raise RuntimeError("midpoint/mediant certification failed")
-    return d
+    return within_budget(d)
 
 
 def dyadic_to_plaut(d: DyadicPL) -> PLAut:

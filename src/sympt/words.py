@@ -21,12 +21,16 @@ Every reader of EXPANSIONS goes through one fold, _fold, over a _Ring: one
 ring per exact model, and the free group on the target letters, in which
 _core and expand spell a word over {P, C, I} or {P, C}, freely reduced.
 The fold raises each factor by repeated squaring (plcore.power) and
-multiplies the factors in a balanced tree (plcore.product).  A ring's atoms
-are its model's values of the core letters alone, so every derived symbol,
-A and B included, folds from EXPANSIONS.  tree and dyadic share
-_circle_ring, whose atoms are the circle forms of P, C and I; FORMS names
-each model's form in thompson.  bir composes the core spelling one letter
-at a time instead (birational.compose_letters), the order in which its
+multiplies the factors in a balanced tree (plcore.product).  It cuts the
+word into chunks of two factors, the operand pairs of the tree's first
+round, and an exact ring keeps the product of each pair of unit letters
+it meets, so a word of L unit letters costs about L / 2 products.  A
+ring's atoms are its model's values of the core letters alone, so every
+derived symbol, A and B included, folds from EXPANSIONS.  tree and dyadic
+share _circle_ring, whose atoms are the circle forms of P, C and I and
+whose every product is held to thompson.POINT_BUDGET; FORMS names each
+model's form in thompson.  bir composes the core spelling one letter at a
+time instead (birational.compose_letters), the order in which its
 products stay in lowest terms.
 
 The sampled models walk a core word rather than fold it.  compile_word
@@ -178,18 +182,23 @@ def expand(word: Word, alphabet=("P", "C")) -> Word:
 
 class _Ring:
     """What _fold needs of a model: its identity, product and inverse, and
-    the value of each symbol and of its inverse, built on first use and
-    kept.
+    the value of each symbol, of its inverse and of each product of two
+    unit letters, built on first use and kept.
 
     atom(s, sign) is the model's own value of s^sign (sign 1 or -1), or
     None where the ring builds it: the inverse of s^1, or else the fold of
     EXPANSIONS[s].  So a call builds only the symbols its word names.
+    With keep_pairs, each product s^e t^f of two unit letters is kept
+    too, at most (2 |ALPHABET|)^2 = 676 values, 36 over CORE.  The
+    relabel rings keep none: compile_word folds them under its own memo.
     """
 
-    def __init__(self, atom, identity, mul, inverse=operator.invert):
+    def __init__(self, atom, identity, mul, inverse=operator.invert,
+                 keep_pairs=False):
         self.identity, self.mul, self.inverse = identity, mul, inverse
         self._atom = atom
         self._values: dict = {}
+        self._pairs = {} if keep_pairs else None
 
     def value(self, s: str, sign: int):
         key = (s, sign)
@@ -201,15 +210,36 @@ class _Ring:
             self._values[key] = g
         return self._values[key]
 
+    def raised(self, s: str, e: int):
+        """s^e, e != 0: the value of s^+-1 by repeated squaring, O(log |e|)
+        products."""
+        return plcore.power(self.value(s, 1 if e > 0 else -1), abs(e),
+                            self.mul)
+
+    def pair(self, s: str, e: int, t: str, f: int):
+        """s^e t^f, e and f != 0: kept when both are +-1 and the ring
+        keeps pairs."""
+        if self._pairs is None or e * e != 1 or f * f != 1:
+            return self.mul(self.raised(s, e), self.raised(t, f))
+        key = s, e, t, f
+        g = self._pairs.get(key)
+        if g is None:
+            g = self._pairs[key] = self.mul(self.value(s, e),
+                                            self.value(t, f))
+        return g
+
 
 def _fold(word: Word, ring: _Ring):
-    # each factor s^e is the value of s^±1 raised to |e| by repeated
-    # squaring, O(log |e|) products; plcore.product then reduces the
-    # factors in a balanced tree
-    return plcore.product(
-        [plcore.power(ring.value(s, 1 if e > 0 else -1), abs(e), ring.mul)
-         for s, e in word if e],
-        ring.mul, ring.identity)
+    # the factors in chunks of two, the operand pairs of plcore.product's
+    # first round, each a ring.pair; plcore.product then reduces the
+    # chunks in the same balanced tree, so a word of L unit letters costs
+    # about L / 2 products once its pairs are kept
+    factors = [f for f in word if f[1]]
+    chunks = [ring.pair(*factors[i], *factors[i + 1])
+              for i in range(0, len(factors) - 1, 2)]
+    if len(factors) % 2:
+        chunks.append(ring.raised(*factors[-1]))
+    return plcore.product(chunks, ring.mul, ring.identity)
 
 
 @functools.cache
@@ -217,7 +247,7 @@ def _free_ring(target: frozenset) -> _Ring:
     # the free group on the target letters: a word folds to its expansion,
     # freely reduced
     return _Ring(lambda s, sign: ((s, sign),) if s in target else None,
-                 (), _free_mul, word_inverse)
+                 (), _free_mul, word_inverse, keep_pairs=True)
 
 
 def _core(word) -> Word:
@@ -285,7 +315,7 @@ def _pl_ring():
     return _Ring(
         lambda s, sign: plcore.generator_pl(s)
         if s in CORE and sign > 0 else None,
-        plcore.identity_pl(), lambda a, b: a * b)
+        plcore.identity_pl(), lambda a, b: a * b, keep_pairs=True)
 
 
 # circle model -> its form in thompson, as named in the converters
@@ -295,13 +325,16 @@ FORMS = {"pl": "plaut", "tree": "treepair", "dyadic": "dyadic"}
 
 @functools.cache
 def _circle_ring(model: str):
+    # every product is checked against thompson.POINT_BUDGET, so no
+    # exponent makes a circle fold run without bound
     th = _module("thompson")
     form = FORMS[model]
     return _Ring(
         lambda s, sign: getattr(th, "plaut_to_" + form)(_pl_ring().value(s, 1))
         if s in CORE and sign > 0 else None,
         getattr(th, form + "_identity")(),
-        lambda a, b: getattr(th, form + "_compose")(a, b))
+        lambda a, b: th.within_budget(getattr(th, form + "_compose")(a, b)),
+        keep_pairs=True)
 
 
 def _exact(ring, *args):

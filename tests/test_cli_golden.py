@@ -159,6 +159,16 @@ CORPUS = {
                             "1", "--backend", "picard"],
     "equal.huge.U.bir": ["equal", "--lhs", "U^99999999999", "--rhs", "1",
                          "--backend", "bir"],
+    # a circle form past the point budget: U^n's plane form has a ray
+    # whose point needs n + 1 binary digits, refused before it is walked,
+    # and the circle folds of U^n and A^n are refused at the first product
+    # past the budget
+    "convert.huge.U.tree": ["convert", "--word", "U^99999999999", "--to",
+                            "tree"],
+    "eval.huge.U.tree": ["eval", "--word", "U^99999999999", "--backend",
+                         "tree"],
+    "eval.huge.A.dyadic": ["eval", "--word", "A^99999999999", "--backend",
+                           "dyadic"],
     # the images of b(1,0), b(-1,0) and e(1,0)^1 merge at b(-1,0)
     "mutate.be": ["mutate", "--basis", "be", "--at", "1,0", "--vector",
                   _terms(("b", [1, 0]), ("b", [-1, 0]), ("e", [1, 0], 1),

@@ -801,14 +801,53 @@ def _suite_words():
 def test_suite_product_count_is_pinned(monkeypatch):
     """The packed products of every shipped suite at seeds 0-2 and the
     default configuration, past the clock and shift that _base packs: a
-    product added back to the kernel shows here."""
+    product added back to the kernel, or a walk past a check's third
+    witness, shows here."""
     cfg = make_config(5)
     quantum._base(cfg)
     calls = _count_products(monkeypatch)
     for suite in words.list_suites():
         for seed in range(3):
             words.check_suite(suite, "quantum", {"seed": seed})
-    assert calls == {"mul": 33600}
+    assert calls == {"mul": 27615}
+
+
+def test_trials_past_the_third_witness_are_not_walked(monkeypatch):
+    """Past a check's third witness a trial changes only the counts, and
+    the N-th powers alone say whether its draw is singular; the report is
+    the one a check that walks every trial gives."""
+    walks = []
+    apply_packed = quantum._apply_packed
+
+    def counted(*args):
+        walks.append(args)
+        return apply_packed(*args)
+
+    monkeypatch.setattr(quantum, "_apply_packed", counted)
+    # at p = 11, a fifth of the draws or so is singular
+    cfg = make_config(5, 11)
+    for word in (words._core("P C"), words._core("P^2 I^-1 C P")):
+        walks.clear()
+        report = q_relation_check(word, cfg, trials=30, seed=7)
+        walked, witnesses = len(walks), []
+        completed = resamples = 0
+        for x, y, walk in quantum._trials(word, cfg, random.Random(7)):
+            if walk is None:
+                resamples += 1
+                continue
+            completed += 1
+            out = walk()
+            if out != (x, y) and len(witnesses) < 3:
+                witnesses.append(quantum._pair_json(cfg, x, y))
+                moving = completed
+            if completed == 30:
+                break
+        assert resamples and len(witnesses) == 3 and moving < 30
+        assert walked == moving
+        assert report["verdict"] == "nonidentity"
+        assert (report["trials"], report["singular_resamples"]) == (
+            completed, resamples)
+        assert [w["input"] for w in report["witnesses"]] == witnesses
 
 
 def _checked_walk(word, x, y, cfg):
@@ -878,8 +917,9 @@ def test_kernel_inversions_and_refusals_agree_with_the_checked_inverse(
     fallbacks = _count_gauss_jordan(monkeypatch)
     refused = 0
     for word in _suite_words():
-        for x, y, out in itertools.islice(
+        for x, y, walk in itertools.islice(
                 quantum._trials(word, cfg, random.Random(n * p)), 6):
+            out = walk and walk()
             want = _outcome(_checked_walk, word, x, y, cfg)
             assert out == (None if want == "singular" else want), word
             refused += out is None

@@ -609,9 +609,9 @@ def test_leaves_match_references_on_powers(n):
 def test_circle_form_walks_only_images_and_mediants(monkeypatch):
     walked = []
 
-    def counted(w):
+    def counted(w, **budget):
         walked.append(w)
-        return _vector_to_pair(w)
+        return _vector_to_pair(w, **budget)
 
     # the refinement walks each required ray once to order the circle by
     # numerators; after it only images and mediants are walked
@@ -630,6 +630,31 @@ def test_circle_form_walks_only_images_and_mediants(monkeypatch):
         n = len(required)
         assert len(walked[:n]) == n and set(walked[:n]) == required
         assert walked[n:] == images + mediants
+
+
+def test_plane_to_circle_conversion_holds_to_the_point_budget():
+    # U^n's plane form has a ray whose point needs n + 1 binary digits;
+    # the refinement measures it from its runs before building a digit
+    assert thompson.POINT_BUDGET == 2 ** 14
+    huge = evaluate("U^99999999999")
+    for convert in (plaut_to_dyadic, plaut_to_treepair):
+        with pytest.raises(ValueError, match="circle form past the budget "
+                           "of 16384 points: a ray's point needs "
+                           "100000000001 binary digits"):
+            convert(huge)
+    # U^8192's rays fit, but its form does not, as in the dyadic fold
+    message = "budget of 16384 points: it holds 16387"
+    with pytest.raises(ValueError, match=message):
+        plaut_to_dyadic(evaluate("U^8192"))
+    with pytest.raises(ValueError, match=message):
+        evaluate("U^8192", "dyadic")
+    # U^5000's forms, about 10^4 points, fold and convert within it
+    tree = evaluate("U^5000", "tree")
+    assert tree.leaf_count == 10004
+    assert plaut_to_treepair(evaluate("U^5000")) == tree
+    # the walk alone answers past the budget
+    assert vector_to_dyadic((100000, 1)).denominator == 2 ** 100001
+    assert dyadic_to_vector(vector_to_dyadic((100000, 1))) == (100000, 1)
 
 
 def test_dyadic_conversion_is_homomorphic():

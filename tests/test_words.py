@@ -454,6 +454,71 @@ def test_bir_fold_equals_flat_product_within_its_cap():
         checked += 1
 
 
+EXACT_PRODUCTS = {"pl": (plcore, "compose_pl"),
+                  "tree": (thompson, "treepair_compose"),
+                  "dyadic": (thompson, "dyadic_compose")}
+
+
+@pytest.mark.parametrize("backend", sorted(EXACT_PRODUCTS))
+def test_a_warm_fold_of_unit_letters_takes_half_the_products(
+        backend, monkeypatch):
+    # the fold reads each pair of unit letters from the ring, so a word of
+    # 2k of them is k kept pairs and k - 1 products of the balanced tree
+    owner, name = EXACT_PRODUCTS[backend]
+    compose, calls = getattr(owner, name), [0]
+
+    def counted(f, g):
+        calls[0] += 1
+        return compose(f, g)
+
+    monkeypatch.setattr(owner, name, counted)
+    rng = random.Random(47)
+    for k in (1, 2, 3, 8, 21, 32):
+        word = tuple((rng.choice(sorted(CORE)), rng.choice((-1, 1)))
+                     for _ in range(2 * k))
+        value = evaluate(word, backend)
+        calls[0] = 0
+        assert evaluate(word, backend) == value
+        assert calls[0] == k - 1, (word, calls[0])
+
+
+@pytest.mark.parametrize("backend", sorted(EXACT_PRODUCTS))
+def test_the_ring_keeps_only_pairs_of_unit_letters(backend):
+    ring = (words._pl_ring() if backend == "pl"
+            else words._circle_ring(backend))
+    rng = random.Random(53)
+    for _ in range(40):
+        evaluate(random_word(rng, rng.randint(2, 8)), backend)
+    kept = ring._pairs
+    assert kept and len(kept) <= (2 * len(ALPHABET)) ** 2 == 676
+    assert all(e * e == f * f == 1 and {s, t} <= set(ALPHABET)
+               for s, e, t, f in kept)
+    # a power is raised by squaring and never kept; the letters' own
+    # expansions are folded first
+    for s in ("X2", "beta", "A", "R"):
+        evaluate(s, backend)
+    before = dict(kept)
+    evaluate("X2^5 beta^-2 A^3 R^-7", backend)
+    assert kept == before
+    # the relabel rings fold under compile_word's memo and keep none
+    assert MATRICES._pairs is None and quantum._RELABELS._pairs is None
+
+
+def test_a_circle_fold_past_the_point_budget_is_refused():
+    # U^n holds about 2n points in either circle form, and A^n about n:
+    # each is refused at the first product past the budget, a dozen or so
+    # squarings in, rather than run without bound
+    message = ("circle form past the budget of %d points: it holds"
+               % thompson.POINT_BUDGET)
+    for backend in ("tree", "dyadic"):
+        with pytest.raises(ValueError, match=message):
+            evaluate("A^-99999999999", backend)
+        with pytest.raises(ValueError, match=message):
+            check_relation("U^99999999999", "1", backend)
+    assert evaluate("U^99999999999") == plcore.linear_pl(
+        (1, 99999999999, 0, 1))
+
+
 def test_powers_fold_by_squaring():
     for n in (1, 2, 3, 7, 64, 100, 1001):
         assert evaluate("U^%d" % n, "pl") == plcore.linear_pl((1, n, 0, 1))
