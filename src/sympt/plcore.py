@@ -725,8 +725,8 @@ def product(factors, mul, identity):
     """The product of the list factors in order, or identity for none,
     reduced pairwise in a balanced tree: n - 1 calls of mul, which must be
     associative, in about log2 n rounds.  words._fold hands it chunks of
-    two factors, the first round's operands, most of them read from a
-    ring's kept pairs, so a core word of L letters costs it about L / 2
+    four factors, the second round's operands, most of them read from a
+    ring's kept chunks, so a core word of L letters costs it about L / 4
     calls rather than L - 1."""
     if not factors:
         return identity

@@ -22,9 +22,11 @@ ring per exact model, and the free group on the target letters, in which
 _core and expand spell a word over {P, C, I} or {P, C}, freely reduced.
 The fold raises each factor by repeated squaring (plcore.power) and
 multiplies the factors in a balanced tree (plcore.product).  It cuts the
-word into chunks of two factors, the operand pairs of the tree's first
-round, and an exact ring keeps the product of each pair of unit letters
-it meets, so a word of L unit letters costs about L / 2 products.  A
+word into chunks of four factors, the operands of the tree's second
+round, each the product of two pairs, the first round's operands.  An
+exact ring keeps the product of each pair of unit letters it meets, and
+of each chunk of four unit core letters, so a word of L unit core
+letters costs about L / 4 products.  A
 ring's atoms are its model's values of the core letters alone, so every
 derived symbol, A and B included, folds from EXPANSIONS.  tree and dyadic
 share _circle_ring, whose atoms are the circle forms of P, C and I and
@@ -182,15 +184,18 @@ def expand(word: Word, alphabet=("P", "C")) -> Word:
 
 class _Ring:
     """What _fold needs of a model: its identity, product and inverse, and
-    the value of each symbol, of its inverse and of each product of two
-    unit letters, built on first use and kept.
+    the value of each symbol, of its inverse, of each product of two unit
+    letters and of each product of four unit core letters, built on first
+    use and kept.
 
     atom(s, sign) is the model's own value of s^sign (sign 1 or -1), or
     None where the ring builds it: the inverse of s^1, or else the fold of
     EXPANSIONS[s].  So a call builds only the symbols its word names.
     With keep_pairs, each product s^e t^f of two unit letters is kept
-    too, at most (2 |ALPHABET|)^2 = 676 values, 36 over CORE.  The
-    relabel rings keep none: compile_word folds them under its own memo.
+    too, at most (2 |ALPHABET|)^2 = 676 values, 36 over CORE, and so is
+    each product s^e t^f u^g v^h of four unit core letters, at most
+    6^4 = 1296 values.  The relabel rings keep none: compile_word folds
+    them under its own memo.
     """
 
     def __init__(self, atom, identity, mul, inverse=operator.invert,
@@ -199,6 +204,7 @@ class _Ring:
         self._atom = atom
         self._values: dict = {}
         self._pairs = {} if keep_pairs else None
+        self._quads = {} if keep_pairs else None
 
     def value(self, s: str, sign: int):
         key = (s, sign)
@@ -228,18 +234,35 @@ class _Ring:
                                             self.value(t, f))
         return g
 
+    def chunk(self, factors: Word):
+        """The product of one to four factors as the first two rounds of
+        plcore.product form it, (f0 f1)(f2 f3), each pair a ring.pair:
+        kept when they are four unit core letters and the ring keeps
+        pairs."""
+        if len(factors) < 4:
+            g = (self.pair(*factors[0], *factors[1]) if len(factors) > 1
+                 else self.raised(*factors[0]))
+            return (self.mul(g, self.raised(*factors[2]))
+                    if len(factors) == 3 else g)
+        g = self._quads.get(factors) if self._quads is not None else None
+        if g is None:
+            g = self.mul(self.pair(*factors[0], *factors[1]),
+                         self.pair(*factors[2], *factors[3]))
+            if self._quads is not None and all(
+                    s in CORE and e * e == 1 for s, e in factors):
+                self._quads[factors] = g
+        return g
+
 
 def _fold(word: Word, ring: _Ring):
-    # the factors in chunks of two, the operand pairs of plcore.product's
-    # first round, each a ring.pair; plcore.product then reduces the
-    # chunks in the same balanced tree, so a word of L unit letters costs
-    # about L / 2 products once its pairs are kept
-    factors = [f for f in word if f[1]]
-    chunks = [ring.pair(*factors[i], *factors[i + 1])
-              for i in range(0, len(factors) - 1, 2)]
-    if len(factors) % 2:
-        chunks.append(ring.raised(*factors[-1]))
-    return plcore.product(chunks, ring.mul, ring.identity)
+    # the factors in chunks of four, the operands of plcore.product's
+    # second round, each a ring.chunk; plcore.product then reduces the
+    # chunks in the same balanced tree, so a word of L unit core letters
+    # costs about L / 4 products once its chunks are kept
+    factors = tuple([f for f in word if f[1]])
+    return plcore.product([ring.chunk(factors[i:i + 4])
+                           for i in range(0, len(factors), 4)],
+                          ring.mul, ring.identity)
 
 
 @functools.cache
@@ -250,7 +273,10 @@ def _free_ring(target: frozenset) -> _Ring:
                  (), _free_mul, word_inverse, keep_pairs=True)
 
 
+@functools.lru_cache(maxsize=256)
 def _core(word) -> Word:
+    """The spelling of a word, text or tuple, over CORE, freely reduced.
+    The last 256 words spelled are kept."""
     return _fold(parse_word(word) if isinstance(word, str) else word,
                  _free_ring(CORE))
 

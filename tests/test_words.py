@@ -373,7 +373,7 @@ def test_sampled_reports_do_not_depend_on_the_memos(backend):
     for params in ({"seed": 0}, {"seed": 1, "trials": 3, "nvectors": 3}):
         cold = {}
         for name in list_suites():
-            for memo in (words.parse_word, words.compile_word,
+            for memo in (words.parse_word, words._core, words.compile_word,
                          quantum.make_config, picard._v_layer):
                 memo.cache_clear()
             cold[name] = _report_json(name, backend, params)
@@ -428,11 +428,21 @@ def test_fold_equals_flat_product(backend):
     for _ in range(25):
         word = random_word(rng, rng.randint(1, 4))
         assert evaluate(word, backend) == flat_product(word, backend), word
-    # words of unit core letters, odd and even lengths, whose letters the
-    # fold multiplies in pairs
-    for length in (2, 3, 4, 5, 8, 17, 32, 63, 64):
+    # words of unit core letters, of every length modulo 4, whose letters
+    # the fold multiplies in chunks of four, each a product of two pairs
+    for length in (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 17, 32, 63, 64):
         word = tuple((rng.choice(sorted(CORE)), rng.choice((-1, 1)))
                      for _ in range(length))
+        assert evaluate(word, backend) == flat_product(word, backend), word
+    # unit core words with one factor replaced by a power or a derived
+    # letter, so that a chunk of four holds it beside three unit letters
+    for _ in range(12):
+        word = [(rng.choice(sorted(CORE)), rng.choice((-1, 1)))
+                for _ in range(rng.randint(4, 12))]
+        word[rng.randrange(len(word))] = rng.choice(
+            ((rng.choice(sorted(CORE)), rng.choice((-3, -2, 2, 3))),
+             (rng.choice(sorted(EXPANSIONS)), rng.choice((-1, 1)))))
+        word = tuple(word)
         assert evaluate(word, backend) == flat_product(word, backend), word
     # unit letters of the whole alphabet beside powers, so that a pair can
     # hold a power, a derived letter or both
@@ -459,11 +469,22 @@ EXACT_PRODUCTS = {"pl": (plcore, "compose_pl"),
                   "dyadic": (thompson, "dyadic_compose")}
 
 
+def _exact_ring(backend):
+    return (words._pl_ring() if backend == "pl"
+            else words._circle_ring(backend))
+
+
+def _unit_core_word(rng, length):
+    return tuple((rng.choice(sorted(CORE)), rng.choice((-1, 1)))
+                 for _ in range(length))
+
+
 @pytest.mark.parametrize("backend", sorted(EXACT_PRODUCTS))
-def test_a_warm_fold_of_unit_letters_takes_half_the_products(
+def test_a_warm_fold_of_unit_letters_takes_a_quarter_of_the_products(
         backend, monkeypatch):
-    # the fold reads each pair of unit letters from the ring, so a word of
-    # 2k of them is k kept pairs and k - 1 products of the balanced tree
+    # the fold reads each chunk of four unit core letters from the ring,
+    # so a word of 4k of them is k kept chunks and k - 1 products of the
+    # balanced tree
     owner, name = EXACT_PRODUCTS[backend]
     compose, calls = getattr(owner, name), [0]
 
@@ -474,8 +495,7 @@ def test_a_warm_fold_of_unit_letters_takes_half_the_products(
     monkeypatch.setattr(owner, name, counted)
     rng = random.Random(47)
     for k in (1, 2, 3, 8, 21, 32):
-        word = tuple((rng.choice(sorted(CORE)), rng.choice((-1, 1)))
-                     for _ in range(2 * k))
+        word = _unit_core_word(rng, 4 * k)
         value = evaluate(word, backend)
         calls[0] = 0
         assert evaluate(word, backend) == value
@@ -483,25 +503,66 @@ def test_a_warm_fold_of_unit_letters_takes_half_the_products(
 
 
 @pytest.mark.parametrize("backend", sorted(EXACT_PRODUCTS))
+def test_a_cold_fold_takes_no_more_products_than_letters(backend):
+    # a miss in either table costs the product the balanced tree makes
+    # anyway, so a fold into empty tables makes L - 1 products for a word
+    # of L unit core letters whose pairs all differ, and never more
+    ring, calls = _exact_ring(backend), [0]
+
+    def counted(f, g):
+        calls[0] += 1
+        return ring.mul(f, g)
+
+    def cold_fold(word):
+        cold = words._Ring(ring._atom, ring.identity, counted, ring.inverse,
+                           keep_pairs=True)
+        calls[0] = 0
+        value = words._fold(word, cold)
+        assert value == evaluate(word, backend), word
+        return calls[0]
+
+    rng = random.Random(59)
+    pairs = [(s, e, t, f) for s in sorted(CORE) for e in (-1, 1)
+             for t in sorted(CORE) for f in (-1, 1)]
+    rng.shuffle(pairs)
+    letters = tuple(x for s, e, t, f in pairs for x in ((s, e), (t, f)))
+    for length in (*range(1, 14), 17, 31, 32, 33, 64, 72):
+        assert cold_fold(letters[:length]) == length - 1, length
+    for length in (4, 9, 16, 40, 64):
+        assert cold_fold(_unit_core_word(rng, length)) <= length - 1
+
+
+@pytest.mark.parametrize("backend", sorted(EXACT_PRODUCTS))
 def test_the_ring_keeps_only_pairs_of_unit_letters(backend):
-    ring = (words._pl_ring() if backend == "pl"
-            else words._circle_ring(backend))
+    ring = _exact_ring(backend)
     rng = random.Random(53)
     for _ in range(40):
         evaluate(random_word(rng, rng.randint(2, 8)), backend)
-    kept = ring._pairs
+        evaluate(_unit_core_word(rng, rng.randint(4, 12)), backend)
+    kept, quads = ring._pairs, ring._quads
     assert kept and len(kept) <= (2 * len(ALPHABET)) ** 2 == 676
     assert all(e * e == f * f == 1 and {s, t} <= set(ALPHABET)
                for s, e, t, f in kept)
+    # the chunks of four unit letters kept are over CORE alone, at most
+    # 6^4 of them whatever the words, in each ring that keeps pairs
+    free = words._free_ring(CORE)
+    for _ in range(10):
+        _core(random_word(rng, rng.randint(4, 12)))
+        _core(_unit_core_word(rng, rng.randint(4, 12)))
+    for table in (quads, free._quads):
+        assert table and len(table) <= 6 ** 4 == 1296
+        assert all(len(key) == 4 and all(s in CORE and e * e == 1
+                                         for s, e in key) for key in table)
     # a power is raised by squaring and never kept; the letters' own
     # expansions are folded first
     for s in ("X2", "beta", "A", "R"):
         evaluate(s, backend)
-    before = dict(kept)
+    before, before_quads = dict(kept), dict(quads)
     evaluate("X2^5 beta^-2 A^3 R^-7", backend)
-    assert kept == before
+    assert kept == before and quads == before_quads
     # the relabel rings fold under compile_word's memo and keep none
-    assert MATRICES._pairs is None and quantum._RELABELS._pairs is None
+    for relabels in (MATRICES, quantum._RELABELS):
+        assert relabels._pairs is None and relabels._quads is None
 
 
 def test_a_circle_fold_past_the_point_budget_is_refused():
@@ -604,6 +665,32 @@ def test_compiled_powers_equal_their_letters():
             for ring, finish in rings:
                 assert (compile_word(word, ring, finish)
                         == compile_word(letters, ring, finish)), word
+
+
+def test_a_sampled_check_spells_a_relation_once(monkeypatch):
+    # _core keeps the last 256 spellings, so a second check of a relation
+    # in a sampled model spells neither side in the free group again
+    free_mul, calls = words._free_mul, [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return free_mul(a, b)
+
+    monkeypatch.setattr(words, "_free_mul", counted)
+    try:
+        for backend in ("bir", "picard", "quantum"):
+            words._free_ring.cache_clear()
+            words._core.cache_clear()
+            calls[0] = 0
+            first = check_relation("U^3 R", "C I C I C I P^2 C", backend)
+            assert calls[0] > 0
+            calls[0] = 0
+            assert check_relation("U^3 R", "C I C I C I P^2 C",
+                                  backend) == first
+            assert calls[0] == 0, backend
+    finally:
+        words._free_ring.cache_clear()
+        words._core.cache_clear()
 
 
 def test_picard_compiles_a_word_once(monkeypatch):
