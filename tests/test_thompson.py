@@ -448,8 +448,33 @@ def ref_dyadic_to_plaut(d):
         fn, hint_rays=[_pair_to_vector(x, top) for x in required_t])
 
 
+@functools.cache    # the powers tests pass it the same elements again
+def ref_plaut_to_dyadic(f):
+    # one walk per ray image, then every piece certified: the midpoint of
+    # two adjacent rays must go where the mediant of their images points
+    rays = ref_sorted_refined_cells(_required_rays(f))
+    images = [f(r) for r in rays]
+    ts = [_vector_to_pair(r) for r in rays]
+    ys = [_vector_to_pair(w) for w in images]
+    exp = max(k for _, k in ts + ys)
+    ts = [t << (exp - k) for t, k in ts]
+    d = DyadicPL._from_ints(exp, [
+        (t, y << (exp - k)) for t, (y, k) in zip(ts, ys)])
+    one = 1 << exp
+    n = len(rays)
+    for i in range(n):
+        j = (i + 1) % n
+        y, m = d._image((2 * ts[i] + (ts[j] - ts[i]) % one) % (2 * one),
+                        exp + 1)
+        w, k = _vector_to_pair(primitive(vec_add(images[i], images[j])))
+        if y << k != w << m:
+            raise RuntimeError("midpoint/mediant certification failed")
+    return thompson.within_budget(d)
+
+
 def assert_kernels_match_oracles(f, g):
-    """The circle kernels equal their oracles on pl elements f, g."""
+    """The circle kernels equal their oracles on pl elements f, g, in both
+    directions between the plane and the circle."""
     for h in (f, g):
         rays, _ = _refined_cells(_required_rays(h))
         assert rays == ref_sorted_refined_cells(_required_rays(h))
@@ -457,7 +482,8 @@ def assert_kernels_match_oracles(f, g):
     fg = dyadic_compose(df, dg)
     assert fg == ref_dyadic_compose(df, dg)
     assert fg == circle_form(f * g)
-    for d in (df, dg, fg):
+    for h, d in ((f, df), (g, dg), (f * g, fg)):
+        assert d == ref_plaut_to_dyadic(h)
         assert plane_form(d) == ref_dyadic_to_plaut(d)
 
 
@@ -477,7 +503,7 @@ def test_circle_kernels_match_oracles_on_random_words():
         assert_kernels_match_oracles(f, g)
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 7, 12, 25, 64, 100, 255, 1000))
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 12, 25, 64, 100, 255, 1000, 4000))
 def test_circle_kernels_match_oracles_on_powers(n):
     u, p = u_power(n, "pl"), generator_pl("P")
     conj = evaluate("U^%d P U^-%d" % (n, n), "pl")
