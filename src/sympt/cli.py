@@ -15,7 +15,9 @@ Subcommands
 Each line under a subcommand lists the flags it takes; every subcommand
 also takes --json and --output, and any other flag is a usage error.
 Flags are taken only as spelled, never from a prefix such as --tri, and
---p is an alias of --prime on quantum only.  SAMPLING stands for --trials,
+--p is an alias of --prime on quantum only.  A point given to --at or
+--start may start with a minus sign, spaced as --at -1,0 or joined as
+--at=-1,0.  SAMPLING stands for --trials,
 --prime (repeatable), --seed and --N, of which a backend refuses those it
 does not read; words.BACKENDS maps each one it reads to the param it sets.
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import words
@@ -313,10 +316,24 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _joined_points(argv):
+    """argv with each "--at P" and "--start P" whose point P starts with a
+    minus sign joined into "--at=P": argparse reads such a P as a flag
+    unless it is one number, as -1 is and -1,0 is not."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--at", "--start") and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     # results are exact, so an integer of any length is printed in full
     sys.set_int_max_str_digits(0)
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(
+        _joined_points(sys.argv[1:] if argv is None else argv))
     try:
         payload, code = args.func(args)
     # ValueError: word syntax and domain errors; RuntimeError: recursion

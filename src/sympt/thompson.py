@@ -20,16 +20,20 @@ The correspondence sends 0, 1/2, 3/4 to the vectors (1,0), (0,1), (-1,-1)
 and interval midpoints to vector mediants.  On each base cell [lo, hi) with
 corner rays u, v it is Minkowski's question-mark function: w goes to
 lo + (hi - lo) * ?(b / (a + b)), where (a, b) = (w ^ v, u ^ w) are the cone
-coordinates of w.  Both directions are computed from continued fractions:
-the partial quotients of a / b are the run lengths of the binary digits of
-?(x) (``plcore.cone_runs``), so a conversion costs O(#partial quotients)
-integer operations.
+coordinates of w.  One point or vector is converted from continued
+fractions: the partial quotients of a / b are the run lengths of the binary
+digits of ?(x) (``plcore.cone_runs``), so it costs O(#partial quotients)
+integer operations.  A whole map walks no point but its required rays: its
+breakpoints come in circle order and cut the circle into cells, so each
+side of ``plaut_to_dyadic`` and ``dyadic_to_plaut`` is one descent of the
+mediant tree, one vector addition per cell.
 
 Inside the module a circle point is a (numerator, exponent) pair of
 integers, the point n / 2^k: both walks (``_vector_to_pair`` and
 ``_pair_to_vector``), evaluation, composition and the conversions to and
 from the plane rescale such pairs by shifts; the circle is ordered by
-numerators over one power of two, never by plane angle.  ``Fraction`` is
+numerators over one power of two, never by plane angle, and a descent only
+asks whether a ray lies inside a cell's cone.  ``Fraction`` is
 only at the API boundary: ``vector_to_dyadic``, ``dyadic_to_vector``,
 calling a ``DyadicPL`` on a number, and its ``points``.
 """
@@ -49,6 +53,7 @@ from .plcore import (
     from_cones,
     generator_pl,
     inverse_pl,
+    mat_apply,
     primitive,
     vec_add,
     wedge,
@@ -657,65 +662,115 @@ def _required_rays(f: PLAut):
     return rays
 
 
+def _descend(targets, exact=False):
+    """Rays and points of the cells of the mediant tree cut at targets.
+
+    targets are primitive vectors in circle order after (1, 0), which
+    closes them.  From 0, a cell with corner rays a, b and point x / 2^k
+    splits at its mediant a + b, the ray of (2x + 1) / 2^(k + 1), while the
+    next target t lies strictly inside its cone, wedge(a, t) > 0 <
+    wedge(t, b); a cell left whole emits a and (x, k).  A cell lies in one
+    base cell, less than a half-turn, so the two wedges decide.  Each cell
+    costs one vector addition, and no point is walked.  With exact, every
+    cell must end at the next target, so that the cells are the arcs
+    between targets and their points those of (1, 0) and the targets;
+    RuntimeError at the first cell that does not.
+    """
+    targets = list(targets) + [(1, 0)]
+    rays, points = [], []
+    j = 0
+    stack = [(u, v, c, e) for c, e, u, v in reversed(_BASE_CELLS)]
+    while stack:
+        a, b, x, k = stack.pop()
+        t = targets[j]
+        while a[0] * t[1] > a[1] * t[0] and t[0] * b[1] > t[1] * b[0]:
+            m = (a[0] + b[0], a[1] + b[1])
+            stack.append((m, b, 2 * x + 1, k + 1))
+            b, x, k = m, 2 * x, k + 1
+        rays.append(a)
+        points.append((x, k))
+        if t == b:
+            j += 1
+        elif exact:
+            raise RuntimeError("midpoint/mediant certification failed")
+    return rays, points
+
+
 def _refined_cells(required):
     """Mediant-refine the base cells until required rays are endpoints.
 
     Returns the rays counterclockwise and, for each, its dyadic point
     (n, k), the point n / 2^k, not always in lowest terms.  The circle is
     ordered by numerators, so the required rays are walked once and sorted
-    as numerators over 2^big.  The cone a, b of [x, x + 1) / 2^k splits at
-    the mediant, the ray of (2x + 1) / 2^(k + 1), while a required point
-    lies strictly inside; a cone left whole emits a and (x, k).  An
-    explicit stack keeps the order, since a descent can be very deep; a
+    as numerators over 2^big, and then _descend cuts the cells at them.  A
     ray whose point needs more than POINT_BUDGET binary digits is refused
-    before the walk.
+    before the descent, from its Stern-Brocot runs.
     """
-    pairs = [_vector_to_pair(s, budget=True) for s in required]
-    big = max([2] + [k for _, k in pairs])  # no less than the base cells
-    # 2^big closes the list: no point lies past it
-    nums = sorted(n << (big - k) for n, k in pairs) + [1 << big]
-    rays, points = [], []
-    for c, e, u, v in _BASE_CELLS:
-        stack = [(u, v, c, e)]
-        while stack:
-            a, b, x, k = stack.pop()
-            lo = x << (big - k)
-            if nums[bisect_right(nums, lo)] < lo + (1 << (big - k)):
-                m = vec_add(a, b)
-                stack += [(m, b, 2 * x + 1, k + 1), (a, m, 2 * x, k + 1)]
-            else:
-                rays.append(a)
-                points.append((x, k))
-    return rays, points
+    pairs = [(_vector_to_pair(s, budget=True), s) for s in required]
+    big = max([0] + [k for (_, k), _ in pairs])
+    pairs.sort(key=lambda p: p[0][0] << (big - p[0][1]))
+    return _descend([s for _, s in pairs if s != (1, 0)])
 
 
 def plaut_to_dyadic(f: PLAut) -> DyadicPL:
-    """Circle form of a plane automorphism via the dyadic/vector walk.
+    """Circle form of a plane automorphism, in one descent of the mediant
+    tree per side.
 
-    Each ray and its image become a breakpoint pair over 2^exp; the rays'
-    points come from the refinement, the images' from the walk.  Then
-    every piece is certified: the midpoint of two adjacent rays must go
-    where the mediant of their images points.  A form past POINT_BUDGET is
+    The rays' points come from the refinement.  f sends the rays, taken
+    counterclockwise, to images in circle order, and the images hold the
+    base rays, since the required rays hold their preimages; so one
+    descent from the image (1, 0) gives every image's point, each cell of
+    it the arc from one image to the next.  A form past POINT_BUDGET is
     refused, as the circle folds refuse it.
+
+    The descent also certifies that each piece sends the midpoint of its
+    cell to the point of w + w', the mediant of the images w, w' of the
+    cell's corners.  The circle form is affine on the piece, so this says
+    that the midpoint of the image arc J from w to w' is the point of
+    w + w', which holds exactly when J is one cell.  If it is, its corners
+    are w, w' and its midpoint the point of their mediant, by the
+    correspondence.
+    Conversely, the base rays are images, so J lies in one base cell and
+    its midpoint is the midpoint of one cell K, with corners a, b.  The
+    corners of a cell are a unimodular pair and f has determinant 1 on it,
+    so wedge(w, w') = 1; if w + w' = a + b = m, then w = a + tm and w' =
+    b - tm for an integer t, since wedge(x, m) = 1 holds exactly on
+    a + Zm.  For t > 0, w lies strictly between a and m, so J, centred on
+    the midpoint of K, lies inside K, yet w' = -ta + (1 - t)b lies outside
+    its cone; t < 0 fails alike.  So t = 0 and J = K.
     """
     rays, ts = _refined_cells(_required_rays(f))
-    images = [f(r) for r in rays]
-    ys = [_vector_to_pair(w) for w in images]
+    # f bends only at required rays, so each cell takes the matrix of the
+    # last of f's rays at or before it
+    bends = dict(zip(f.rays, f.mats))
+    m = f.matrix_at((1, 0))
+    images = []
+    for r in rays:
+        m = bends.get(r, m)
+        images.append(mat_apply(m, r))
+    first = images.index((1, 0))
+    _, ys = _descend(images[first + 1:] + images[:first], exact=True)
+    ys = ys[-first:] + ys[:-first]
     exp = max(k for _, k in ts + ys)
-    ts = [t << (exp - k) for t, k in ts]
-    d = DyadicPL._from_ints(exp, [
-        (t, y << (exp - k)) for t, (y, k) in zip(ts, ys)])
-    one = 1 << exp
-    n = len(rays)
-    for i in range(n):
-        j = (i + 1) % n
-        # the midpoint, over 2^(exp + 1)
-        y, m = d._image((2 * ts[i] + (ts[j] - ts[i]) % one) % (2 * one),
-                        exp + 1)
-        w, k = _vector_to_pair(primitive(vec_add(images[i], images[j])))
-        if y << k != w << m:
-            raise RuntimeError("midpoint/mediant certification failed")
-    return within_budget(d)
+    return within_budget(DyadicPL._from_ints(exp, [
+        (t << (exp - k), y << (exp - j)) for (t, k), (y, j) in zip(ts, ys)]))
+
+
+def _corners(depths):
+    """The corner rays (left, right) of each leaf of a tiling of [0, 1) by
+    standard intervals of these depths, each at least 2, from 0: one
+    descent of the mediant tree, one vector addition a split."""
+    stack = [(u, v, e) for _, e, u, v in reversed(_BASE_CELLS)]
+    corners = []
+    for depth in depths:
+        a, b, e = stack.pop()
+        while e < depth:
+            m = (a[0] + b[0], a[1] + b[1])
+            e += 1
+            stack.append((m, b, e))
+            b = m
+        corners.append((a, b))
+    return corners
 
 
 def dyadic_to_plaut(d: DyadicPL) -> PLAut:
@@ -724,9 +779,12 @@ def dyadic_to_plaut(d: DyadicPL) -> PLAut:
     The leaves of _leaves(d, 2) have depth at least 2 on both sides, so
     each is a unimodular cone in one base cell that the plane map sends
     linearly onto another.  Their starts increase, which is the
-    counterclockwise order of their rays.  Each ray, its image and the
-    image of its cone's mediant (the midpoint of the leaf's image) is one
-    walk, and plcore.from_cones solves each cone and checks it on the
+    counterclockwise order of their rays, and their images, from the one
+    at 0, tile [0, 1) as well.  So one descent by depth per side gives
+    each leaf's corner rays: a domain leaf's left corner is its ray, an
+    image leaf's left corner the ray's image and the sum of its corners
+    the image of the cone's mediant, the midpoint of the leaf.  No point
+    is walked.  plcore.from_cones solves each cone and checks it on the
     mediant.  The breakpoints of d alone do not suffice: the plane map can
     bend where the slope of d does not change.
 
@@ -736,11 +794,13 @@ def dyadic_to_plaut(d: DyadicPL) -> PLAut:
     failing cone check (ValueError) would be a fault of this conversion.
     """
     big, leaves = _leaves(d, 2)
-    return from_cones(
-        [_pair_to_vector(x, big) for x, _, _, _ in leaves],
-        [_pair_to_vector(y, big) for _, _, y, _ in leaves],
-        [_pair_to_vector(2 * y + (1 << (k + s)), big + 1)
-         for _, k, y, s in leaves])
+    first = [y for _, _, y, _ in leaves].index(0)
+    depths = [big - k - s for _, k, _, s in leaves]
+    images = _corners(depths[first:] + depths[:first])
+    images = images[-first:] + images[:-first]
+    rays = _corners([big - k for _, k, _, _ in leaves])
+    return from_cones([a for a, _ in rays], [a for a, _ in images],
+                      [vec_add(a, b) for a, b in images])
 
 
 def plaut_to_treepair(f: PLAut) -> TreePair:

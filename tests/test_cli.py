@@ -680,6 +680,30 @@ def test_orbit_refuses_negative_steps():
     assert code == 0 and rep["points"] == [["2", "3"]]
 
 
+@pytest.mark.parametrize("argv", [
+    ["mutate", "--basis", "wq", "--at", "-1,0", "--vector", E_VEC],
+    ["mutate", "--basis", "be", "--at", "-2,-1", "--vector", '{"terms": []}'],
+    ["orbit", "--start", "-2,3", "--steps", "3"],
+    ["orbit", "--word", "C", "--start", "-1/2,-3", "--steps", "2"],
+    ["orbit", "--start", "-.5,2", "--steps", "1"]],
+    ids=["at-wq", "at-both-negative", "start", "start-rational",
+         "start-decimal"])
+def test_a_negative_point_may_follow_its_flag_spaced(argv):
+    # argparse reads a value such as -1,0 as a flag unless it is joined to
+    # its flag; both spellings answer alike
+    i = argv.index("--at" if "--at" in argv else "--start")
+    joined = argv[:i] + ["%s=%s" % tuple(argv[i:i + 2])] + argv[i + 2:]
+    code, out = run(argv)
+    assert code == 0 and (code, out) == run(joined)
+
+
+def test_a_flag_after_start_is_still_a_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["orbit", "--start", "--json"])
+    assert err.value.code == 2
+    assert "--start: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("word, start", [("C", "0,2"), ("I", "2,0")])
 def test_orbit_start_on_an_axis_is_refused(word, start):
     # refused before the Laurent polynomials are evaluated at 0

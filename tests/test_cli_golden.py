@@ -148,6 +148,9 @@ CORPUS = {
     "orbit.mu.pole": ["orbit", "--word", "mu", "--start", "2,-1", "--steps",
                       "2"],
     "orbit.start.three": ["orbit", "--word", "P", "--start", "1,2,3"],
+    # a negative point spaced from its flag, not read as a flag
+    "orbit.start.negative": ["orbit", "--word", "P", "--start", "-2,3",
+                             "--steps", "3"],
     "trop.lambda.one": ["trop", "--word", "lambda:2"],
     "eval.empty.bir": ["eval", "--word", "1", "--backend", "bir"],
     # a huge exponent: 3 divides the first, and C^3 = 1, so it answers at
@@ -183,6 +186,8 @@ CORPUS = {
                          "--vector", _terms(("e", [1, 0], 1))],
     "mutate.wq.bad_point": ["mutate", "--basis", "wq", "--at", "1",
                             "--vector", _terms()],
+    "mutate.wq.negative": ["mutate", "--basis", "wq", "--at", "-1,0",
+                           "--vector", _terms(("e", [1, -1], 1))],
 }
 
 

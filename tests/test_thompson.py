@@ -28,6 +28,7 @@ from sympt.thompson import (
     treepair_to_dyadic,
     treepair_to_plaut,
     vector_to_dyadic,
+    _descend,
     _leaf_starts,
     _leaves,
     _pair_to_vector,
@@ -632,30 +633,58 @@ def test_leaves_match_references_on_powers(n):
     assert_leaves_match_references(conj, u)
 
 
-def test_circle_form_walks_only_images_and_mediants(monkeypatch):
+def test_circle_forms_walk_only_the_required_rays(monkeypatch):
+    # each side of a conversion is one descent of the mediant tree: no
+    # point is walked to its vector, and only the required rays are walked
+    # to points, once each, to measure them and order them by numerator
     walked = []
 
     def counted(w, **budget):
         walked.append(w)
         return _vector_to_pair(w, **budget)
 
-    # the refinement walks each required ray once to order the circle by
-    # numerators; after it only images and mediants are walked
+    def refuse(*args):
+        raise AssertionError("a point was walked to its vector")
+
     rng = random.Random(31)
-    for _ in range(40):
-        g = random_plaut(rng, rng.randint(0, 8))
+    elements = [random_plaut(rng, rng.randint(0, 8)) for _ in range(40)]
+    elements += [evaluate(w) for w in ("U^100", "U^-25 P U^25")]
+    for g in elements:
         required = _required_rays(g)
-        rays, _ = _refined_cells(required)
-        images = [g(r) for r in rays]
-        mediants = [primitive(vec_add(w, images[(i + 1) % len(images)]))
-                    for i, w in enumerate(images)]
         walked.clear()
         with monkeypatch.context() as m:
             m.setattr(thompson, "_vector_to_pair", counted)
-            plaut_to_dyadic(g)
-        n = len(required)
-        assert len(walked[:n]) == n and set(walked[:n]) == required
-        assert walked[n:] == images + mediants
+            m.setattr(thompson, "_pair_to_vector", refuse)
+            d = plaut_to_dyadic(g)
+            assert len(walked) == len(required) and set(walked) == required
+            walked.clear()
+            assert dyadic_to_plaut(d) == g
+            assert walked == []
+
+
+def test_an_image_arc_past_one_cell_fails_the_certification(monkeypatch):
+    # every piece must send its cell onto one cell.  Without the preimages
+    # of the base rays, U^-1 sends (0, 1) to (-1, 1), and the first image
+    # arc, from (1, 0), runs past (0, 1)
+    anchors = {u for _, _, u, _ in _BASE_CELLS}
+    with monkeypatch.context() as m:
+        m.setattr(thompson, "_required_rays", lambda f: anchors)
+        with pytest.raises(RuntimeError,
+                           match="midpoint/mediant certification failed"):
+            plaut_to_dyadic(evaluate("U^-1"))
+    # fed images after (1, 0) whose arcs are cells give their points; with
+    # (1, 2) at 3/8 in place of (1, 1), the second arc, from (2, 1) at 1/8,
+    # is two cells and is refused, though a midpoint check alone passes it,
+    # since (2, 1) + (1, 2) points where the midpoint of the arc goes
+    images = [(2, 1), (1, 1), (0, 1), (-1, -1)]
+    rays, points = _descend(images, exact=True)
+    assert rays == [(1, 0)] + images
+    assert [F(n, 2 ** k) for n, k in points] == [0, F(1, 8), F(1, 4),
+                                                  F(1, 2), F(3, 4)]
+    images[1] = (1, 2)
+    with pytest.raises(RuntimeError,
+                       match="midpoint/mediant certification failed"):
+        _descend(images, exact=True)
 
 
 def test_plane_to_circle_conversion_holds_to_the_point_budget():
