@@ -564,6 +564,56 @@ def test_kernel_matches_letter_by_letter_maps(n, p, monkeypatch):
     assert (refused > 30) == (n > 1)
 
 
+def _random_invertible(n, p, rng):
+    while True:
+        t = _random_matrix(n, p, rng)
+        if _ref_det(t, p):
+            return t
+
+
+@pytest.mark.parametrize("n,p", KERNEL_CONFIGS)
+def test_conjugated_clock_shift_pairs_match_letter_by_letter_maps(
+        n, p, monkeypatch):
+    """A pair T (lx clock, ly shift) T^-1, T random and invertible,
+    q-commutes but is no clock/shift pair: every member is still inverted
+    as a power, with no Gauss-Jordan, and the kernel gives what the
+    letter-by-letter maps give.  A q-commuting pair with a zero member is
+    refused as singular."""
+    cfg = make_config(n, p)
+    rng = random.Random(300 * n + p)
+    fallbacks = _count_gauss_jordan(monkeypatch)
+    answered = 0
+    for _ in range(20):
+        t = _random_invertible(n, p, rng)
+        ti = _ref_inv(t, p)
+        base = random_pair(cfg, rng)
+        pair = QPair(*(_ref_mul(_ref_mul(t, m, p), ti, p)
+                       for m in base._fields()))
+        assert commutes_q(pair, cfg)
+        for word in [_random_word(rng, 12) for _ in range(3)]:
+            want = _outcome(_ref_apply_word, word, pair, cfg)
+            assert _outcome(apply_word, word, pair, cfg) == want, (word, pair)
+            answered += want != "singular"
+        for s in "PCI":
+            assert (_outcome(q_apply, s, pair, cfg)
+                    == _outcome(_ref_apply, s, pair, cfg)), (s, pair)
+            assert (_outcome(q_apply_inverse, s, pair, cfg)
+                    == _outcome(_ref_apply_inverse, s, pair, cfg)), (s, pair)
+    assert answered and fallbacks == [0]
+    clock, shift = clock_shift(cfg, 1, 1)._fields()
+    zero = tuple((0,) * n for _ in range(n))
+    # J, all ones, and n 1 - J multiply to 0 both ways; their N-th powers
+    # are n^(N-1) times themselves, singular but with a nonzero corner
+    ones = tuple((1,) * n for _ in range(n))
+    rest = _ref_add(_ref_scale(n, _ref_eye(n), p), _ref_scale(-1, ones, p), p)
+    for pair in (QPair(zero, shift), QPair(clock, zero), QPair(zero, zero),
+                 QPair(ones, rest)):
+        assert commutes_q(pair, cfg)
+        for word in ((), (("P", 1),), (("C", 3),), (("I", -1),)):
+            with pytest.raises(SingularSubstitution):
+                apply_word(word, pair, cfg)
+
+
 def _ref_pair_json(pair):
     return {"X": [list(r) for r in pair.X], "Y": [list(r) for r in pair.Y]}
 
