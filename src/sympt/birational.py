@@ -30,7 +30,7 @@ from operator import itemgetter
 from .plcore import (
     GEN_MATS, MAT_ID, Frozen, PLAut, _json_ints, _json_list, _json_object,
     from_function, is_prime, mat_inv, power, wedge)
-from .words import MATRICES, compile_word, word_inverse, word_length
+from .words import MATRICES, compile_word, word_length
 
 # primes just above 2^61, 2^61 + 10^6, 2^62, 2^63
 PRIMES = (
@@ -617,13 +617,6 @@ def word_equals_identity(word, primes=None, trials: int = 20,
                 "word too long for a meaningful bound at 2^61 primes")
         evidence["error_bound"] = "2^-%d" % (exponent_per_sample * samples)
     return {"equal": mismatch is None, "evidence": evidence}
-
-
-def word_equals(word_a, word_b, primes=None, trials: int = 20,
-                seed: int = 0) -> dict:
-    """Randomized equality of two core words: tests a b^-1 = identity."""
-    return word_equals_identity(tuple(word_a) + word_inverse(tuple(word_b)),
-                                primes, trials, seed)
 
 
 # ---------------------------------------------------------------------------

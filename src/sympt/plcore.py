@@ -382,22 +382,6 @@ class Fan(Frozen):
         if not _winds_once(rays):
             raise ValueError("rays do not wind once counterclockwise")
 
-    def subdivide(self, i: int) -> "Fan":
-        """Insert the mediant of rays i and i+1 (blow-up of the chain)."""
-        rays = list(self.rays)
-        a = rays[i % len(rays)]
-        b = rays[(i + 1) % len(rays)]
-        m = vec_add(a, b)
-        if primitive(m) != m:
-            raise ValueError("mediant %r is not primitive" % (m,))
-        rays.insert(i % len(rays) + 1, m)
-        return Fan(tuple(rays))
-
-
-def chain_fan() -> Fan:
-    """Initial coordinate-triangle fan; mediants of it give all blow-ups."""
-    return Fan(((1, 0), (0, 1), (-1, -1)))
-
 
 # ---------------------------------------------------------------------------
 # piecewise-linear automorphisms

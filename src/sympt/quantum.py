@@ -31,11 +31,12 @@ one modular multiply.  Beside them it carries their N-th powers, which
 are scalars (below): each new member's N-th power is known before the
 member is formed.  So a singular step is refused before any product of
 the draw (SingularSubstitution; callers resample), and an invertible
-member is inverted as a power, u^-1 = u^(N-1) / u^N.  `apply_word` refuses
-a singular pair (SingularSubstitution) and one that does not q-commute
-(ValueError), and reads the pair's inverses and N-th powers off
-`_Packed.inv`; a sampled check draws clock/shift pairs, whose inverses and
-N-th powers come with the draw.
+member is inverted as a power, u^-1 = u^(N-1) / u^N.  `apply_word` first
+refuses a pair that is not two N x N matrices or does not q-commute
+(ValueError), then a singular one (SingularSubstitution), and reads the
+pair's inverses and N-th powers off `_Packed.inv`; so a pair that is both
+singular and not q-commuting raises ValueError.  A sampled check draws
+clock/shift pairs, whose inverses and N-th powers come with the draw.
 
 A relabel r = (a, b, c, d; g1, g2) sends (X, Y) to (q^g1 X^a Y^b,
 q^g2 X^c Y^d).  Read off the maps above, C is (-1, 1, -1, 0; 1, 1), C^-1
@@ -159,10 +160,19 @@ makes u nilpotent.  So P's new member, with N-th power epsilon (1 + B) / A,
 is singular exactly when 1 + B = 0 mod p, and P^-1's when 1 + A = 0.
 `_inverse_powers` walks the point with A^-1 and B^-1 beside it, so a
 relabel needs no modular inverse, and u^(N-1) at N = 5 is two products
-(u^2, u^4).  `_Packed.inv` keeps the checked inverse, u^(N-1) with
-u u^(N-1) compared with the identity and a fall-back to Gauss-Jordan
-(`_mat_inv`) when it is not a scalar, for `apply_word`'s entry and
-`_base`; the kernel never calls it.
+(u^2, u^4).
+
+A member of a q-commuting pair is inverted one way.  Let X Y = q Y X.  If
+X and Y are invertible, then X^N and Y^N are nonzero scalars.  That is the
+argument above; directly, if X v = lambda v with v != 0 over the algebraic
+closure, then X (Y v) = q lambda Y v and Y v != 0, so lambda, q lambda,
+..., q^(N-1) lambda are N distinct eigenvalues of X (lambda != 0): X is
+diagonalizable and X^N = lambda^N 1.  Y likewise, with q^-1.  So once the
+pair q-commutes, a member whose N-th power is not a nonzero scalar shows
+the pair singular.  `_Packed.inv`, for `apply_word`'s entry and `_base`,
+forms u^(N-1) and u u^(N-1): a nonzero scalar c gives u^-1 = u^(N-1) / c,
+and anything else is SingularSubstitution.  The kernel never calls it, and
+no matrix is inverted by elimination.
 """
 
 from __future__ import annotations
@@ -170,7 +180,6 @@ from __future__ import annotations
 import functools
 import random
 from math import gcd
-from operator import mul
 
 from . import words
 from .plcore import Frozen, is_prime, power
@@ -182,49 +191,6 @@ _MAX_RESAMPLES = 500
 
 class SingularSubstitution(ValueError):
     """A substitution step would invert a singular matrix."""
-
-
-# ---------------------------------------------------------------------------
-# dense matrix arithmetic over F_p (N <= 7, so no need for numpy)
-
-def _mat_mul(a, b, p: int) -> list[list[int]]:
-    """a b mod p, as lists: compare it only with another _mat_mul result."""
-    bt = tuple(zip(*b))
-    return [[sum(map(mul, ra, cb)) % p for cb in bt] for ra in a]
-
-
-def _mat_scale(c: int, a, p: int) -> Matrix:
-    return tuple(tuple((c * x) % p for x in row) for row in a)
-
-
-def _mat_inv(a, p: int) -> list[list[int]]:
-    """Inverse mod p by in-place Gauss-Jordan on a copy reduced mod p, n^3
-    multiply-adds.  A column with no pivot, met exactly when det(a) = 0
-    mod p, raises SingularSubstitution."""
-    n = len(a)
-    m = [[v % p for v in row] for row in a]
-    swaps = []
-    for col in range(n):
-        if not m[col][col]:
-            pivot = next((r for r in range(col + 1, n) if m[r][col]), None)
-            if pivot is None:
-                raise SingularSubstitution("singular substitution")
-            m[col], m[pivot] = m[pivot], m[col]
-            swaps.append((col, pivot))
-        row = m[col]
-        inv = pow(row[col], -1, p)
-        row[col] = 1
-        top = m[col] = [v * inv % p for v in row]
-        for r, row in enumerate(m):
-            f = row[col]
-            if f and r != col:
-                row[col] = 0
-                m[r] = [(v - f * w) % p for v, w in zip(row, top)]
-    # the rows were inverted in swapped order: undo it on the columns
-    for i, j in reversed(swaps):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +245,17 @@ class _Packed:
         return v - ((v * m >> t) & low) * p
 
     def inv(self, a: int) -> tuple[int, int]:
-        """(c, r) with a r = c 1 and c != 0 mod p, so a^-1 = r / c.
-
-        r = a^(N-1) when a^N is a scalar c, as for a member of a
-        q-commuting pair; any other a goes to Gauss-Jordan (c = 1).
-        SingularSubstitution when a is singular."""
+        """(c, r) with r = a^(N-1) and a r = a^N = c 1, c != 0 mod p, so
+        a^-1 = r / c, for a member of a q-commuting pair.  Such a member's
+        N-th power is a nonzero scalar unless the pair is singular (module
+        docstring), so any other a^N raises SingularSubstitution."""
         if self.n == 1:
             r, w = self.one, a
         else:
             r = power(a, self.n - 1, self.mul)
             w = self.mul(a, r)
         c = w & self.slot
-        if w != c * self.one:
-            return 1, self.pack(_mat_inv(self.unpack(a), self.p))
-        if not c:
+        if not c or w != c * self.one:
             raise SingularSubstitution("singular substitution")
         return c, r
 
@@ -385,26 +348,24 @@ def clock_shift(cfg: QConfig, lx: int, ly: int) -> QPair:
     if lx == 0 or ly == 0:
         raise ValueError("scalar factors must be nonzero mod p")
     n, p, q = cfg.N, cfg.p, cfg.q
-    clock = tuple(tuple(pow(q, i, p) if i == j else 0 for j in range(n))
-                  for i in range(n))
-    shift = tuple(tuple(1 if i == (j + 1) % n else 0 for j in range(n))
-                  for i in range(n))
-    return QPair(_mat_scale(lx, clock, p), _mat_scale(ly, shift, p))
+    return QPair(
+        tuple(tuple(lx * pow(q, i, p) % p if i == j else 0 for j in range(n))
+              for i in range(n)),
+        tuple(tuple(ly if i == (j + 1) % n else 0 for j in range(n))
+              for i in range(n)))
 
 
 def commutes_q(pair: QPair, cfg: QConfig) -> bool:
-    p = cfg.p
-    return (_mat_mul(pair.X, pair.Y, p)
-            == _mat_mul(_mat_scale(cfg.q, pair.Y, p), pair.X, p))
-
-
-def pair_valid(pair: QPair, cfg: QConfig) -> bool:
-    try:
-        _mat_inv(pair.X, cfg.p)
-        _mat_inv(pair.Y, cfg.p)
-    except SingularSubstitution:
-        return False
-    return commutes_q(pair, cfg)
+    """X Y = q Y X mod p, compared packed.  ValueError, before anything is
+    packed, unless X and Y are both N x N."""
+    n = cfg.N
+    for name, m in zip("XY", pair._fields()):
+        if len(m) != n or any(len(row) != n for row in m):
+            raise ValueError("%s must be %d x %d; its rows have lengths %s"
+                             % (name, n, n, [len(row) for row in m]))
+    packed = _packed(n, cfg.p)
+    x, y = map(packed.pack, pair._fields())
+    return packed.mul(x, y) == packed.reduce(cfg.q * packed.mul(y, x))
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +383,21 @@ def q_apply_inverse(name: str, pair: QPair, cfg: QConfig) -> QPair:
 
 def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
     """Apply a word over {P, C, I}, rightmost factor first: `_apply_packed`
-    on the packed pair, its inverses and its N-th powers, unpacked.  A
-    singular pair raises SingularSubstitution, and one that does not
-    q-commute ValueError."""
+    on the packed pair, its inverses and its N-th powers, unpacked.  A pair
+    that is not two N x N matrices, or does not q-commute, raises
+    ValueError, even where it is also singular; then a singular pair raises
+    SingularSubstitution, a subclass of ValueError."""
+    if not commutes_q(pair, cfg):
+        raise ValueError("the pair does not q-commute: X Y != q Y X")
     program = words.compile_word(tuple(word), _RELABELS, _program)
     p, eps = cfg.p, _sign(cfg.N)
     packed = _packed(cfg.N, p)
     members, point = [], []
     for m in map(packed.pack, pair._fields()):
-        c, r = packed.inv(m)    # m r = c, and c = m^N once the pair passes
+        c, r = packed.inv(m)    # m r = m^N = c
         ci = pow(c, -1, p)
         members += [(1, m), (ci, r)]
         point += [eps * c % p, eps * ci % p]
-    if not commutes_q(pair, cfg):
-        raise ValueError("the pair does not q-commute: X Y != q Y X")
     inverse_powers = _inverse_powers(program[0], point, cfg.N, p)
     return QPair(*map(packed.unpack, _apply_packed(program, members,
                                                    inverse_powers, cfg)))

@@ -34,7 +34,6 @@ from sympt.birational import (
     orbit_exact,
     scaling_bir,
     tropicalize,
-    word_equals,
     word_equals_identity,
     word_letters,
 )
@@ -401,8 +400,11 @@ def test_word_equals_identity_rejects_nonidentity():
 
 
 def test_word_equals_cross():
-    assert word_equals(parse_word("P C P"), parse_word("I"))["equal"]
-    assert not word_equals(parse_word("P"), parse_word("I"))["equal"]
+    # a = b exactly when a b^-1 acts as the identity
+    assert word_equals_identity(
+        parse_word("P C P") + word_inverse(parse_word("I")))["equal"]
+    assert not word_equals_identity(
+        parse_word("P") + word_inverse(parse_word("I")))["equal"]
 
 
 def test_error_bound_is_reported():

@@ -15,6 +15,12 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "sympt"
 
 
+def assigns_all(node) -> bool:
+    """node is a top-level statement that assigns __all__."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
 def unread_imports(source: str) -> list:
     """(line, name) of each imported name that the module never reads."""
     tree = ast.parse(source)
@@ -29,9 +35,7 @@ def unread_imports(source: str) -> list:
     read = {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
+        if assigns_all(node):
             read |= set(ast.literal_eval(node.value))
     return [(line, name) for line, name in imported if name not in read]
 
@@ -98,9 +102,27 @@ def stale_exports(module) -> list:
     return [name for name in module.__all__ if not hasattr(module, name)]
 
 
-@pytest.mark.parametrize("name", ["sympt", "sympt.picard", "sympt.thompson"])
+def modules_with_all() -> list:
+    """The name of each src/sympt module that assigns __all__."""
+    return ["sympt" if path.stem == "__init__" else "sympt." + path.stem
+            for path in sorted(SRC.glob("*.py"))
+            if any(map(assigns_all,
+                       ast.parse(path.read_text(encoding="utf-8")).body))]
+
+
+@pytest.mark.parametrize("name", modules_with_all())
 def test_every_all_entry_names_an_attribute(name):
     assert stale_exports(importlib.import_module(name)) == []
+
+
+def test_the_check_finds_every_module_with_all():
+    # every sympt module, imported, against what the source search finds
+    names = ["sympt"] + ["sympt." + path.stem for path in SRC.glob("*.py")
+                         if path.stem != "__init__"]
+    found = modules_with_all()
+    assert {"sympt", "sympt.picard", "sympt.thompson"} <= set(found)
+    assert set(found) == {name for name in names
+                          if "__all__" in vars(importlib.import_module(name))}
 
 
 def test_the_check_sees_a_stale_all_entry():

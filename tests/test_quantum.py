@@ -20,7 +20,6 @@ from sympt.quantum import (
     commutes_q,
     default_prime,
     make_config,
-    pair_valid,
     q_apply,
     q_apply_inverse,
     q_relation_check,
@@ -42,6 +41,12 @@ H_RELATIONS = {
 
 def sample_pair(cfg, rng):
     return random_pair(cfg, rng)
+
+
+def _valid(pair, cfg):
+    """Both members invertible and X Y = q Y X."""
+    return (_ref_det(pair.X, cfg.p) != 0 and _ref_det(pair.Y, cfg.p) != 0
+            and commutes_q(pair, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +168,7 @@ def test_random_pairs_satisfy_invariant():
     for n, p in CONFIGS:
         cfg = make_config(n, p)
         for _ in range(10):
-            assert pair_valid(sample_pair(cfg, rng), cfg)
+            assert _valid(sample_pair(cfg, rng), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +195,7 @@ def test_substitution_preserves_commutation_and_invertibility():
                     out = q_apply(s, pair, cfg)
                 except SingularSubstitution:
                     continue
-                assert commutes_q(out, cfg)
-                assert pair_valid(out, cfg)
+                assert _valid(out, cfg)
                 done += 1
 
 
@@ -494,30 +498,26 @@ def _random_matrix(n, p, rng):
 
 
 def _count_gauss_jordan(monkeypatch):
-    """A one-element list counting the kernel's calls of _mat_inv."""
-    calls = [0]
-    mat_inv = quantum._mat_inv
-
-    def counted(a, p):
-        calls[0] += 1
-        return mat_inv(a, p)
-
-    monkeypatch.setattr(quantum, "_mat_inv", counted)
-    return calls
+    """The calls of a Gauss-Jordan inverse, as a one-element list: quantum
+    has none to call."""
+    assert not hasattr(quantum, "_mat_inv")
+    return [0]
 
 
 def _refusal(pair, cfg):
-    """What apply_word raises on an arbitrary pair at entry: a singular
-    member raises SingularSubstitution, and a pair that does not q-commute
-    ValueError; None for a pair it takes."""
+    """What apply_word raises on an arbitrary pair at entry: a pair that
+    does not q-commute raises ValueError, then a singular member
+    SingularSubstitution; None for a pair it takes."""
+    if not quantum.commutes_q(pair, cfg):
+        return ValueError
     if _ref_det(pair.X, cfg.p) == 0 or _ref_det(pair.Y, cfg.p) == 0:
         return SingularSubstitution
-    return None if quantum.commutes_q(pair, cfg) else ValueError
+    return None
 
 
 def _check_refused(word, pair, cfg):
-    """Every entry refuses the arbitrary pair as _refusal says; returns
-    False when the pair is taken after all."""
+    """Every entry refuses the arbitrary pair with exactly the class
+    _refusal says; returns False when the pair is taken after all."""
     want = _refusal(pair, cfg)
     if want is None:
         return False
@@ -526,8 +526,9 @@ def _check_refused(word, pair, cfg):
         calls += [lambda s=s: q_apply(s, pair, cfg),
                   lambda s=s: q_apply_inverse(s, pair, cfg)]
     for call in calls:
-        with pytest.raises(want):
+        with pytest.raises(want) as info:
             call()
+        assert type(info.value) is want
     return True
 
 
@@ -678,13 +679,27 @@ def test_relation_reports_match_letter_by_letter_maps(suite, monkeypatch):
     assert fallbacks == [0]
 
 
+def _singular_pairs(cfg):
+    """Two q-commuting pairs with one singular member: clock (1 - shift)
+    and shift, and clock and (1 - clock) shift.  clock times any
+    polynomial in shift q-commutes with shift, and any polynomial in clock
+    times shift with clock; 1 - shift and 1 - clock have eigenvalue 0."""
+    n, p = cfg.N, cfg.p
+    clock, shift = clock_shift(cfg, 1, 1)._fields()
+    eye = _ref_eye(n)
+    return (QPair(_ref_mul(clock, _ref_add(eye, _ref_scale(-1, shift, p), p),
+                           p), shift),
+            QPair(clock, _ref_mul(_ref_add(eye, _ref_scale(-1, clock, p), p),
+                                  shift, p)))
+
+
 def test_letter_needing_no_inverse_of_a_singular_member_is_refused():
     # I inverts only y, and P after it needs 1 + x and the new x, not x^-1;
     # the letter-by-letter maps answer, but the kernel carries both
     # inverses from the first step, so it refuses the pair at entry
     cfg = make_config(3, 7)
-    pair = QPair(((1, 2, 3), (2, 4, 6), (0, 0, 1)), clock_shift(cfg, 1, 2).Y)
-    assert _ref_det(pair.X, 7) == 0
+    pair = _singular_pairs(cfg)[0]
+    assert commutes_q(pair, cfg) and _ref_det(pair.X, 7) == 0
     for word in ((("I", 1),), (("P", 1), ("I", 1)), (("I", -1), ("C", -1))):
         assert _outcome(_ref_apply_word, word, pair, cfg) != "singular"
         with pytest.raises(SingularSubstitution):
@@ -759,35 +774,13 @@ def test_words_equal_to_one_still_invert_the_pair():
     # members: on a singular member the letters raise, so must the kernel
     cfg = make_config(3, 7)
     good = clock_shift(cfg, 2, 3)
-    singular = QPair(((1, 2, 3), (2, 4, 6), (0, 0, 1)), good.Y)
     for word in ((("C", 3),), (("C", -3),), (("I", 4),), (("I", -4),)):
         assert apply_word(word, good, cfg) == good
-        for pair in (singular, QPair(good.X, singular.X)):
+        for pair in _singular_pairs(cfg):
+            assert commutes_q(pair, cfg)
             assert _outcome(_ref_apply_word, word, pair, cfg) == "singular"
             with pytest.raises(SingularSubstitution):
                 apply_word(word, pair, cfg)
-
-
-def test_mat_inv_matches_reference_inverse():
-    rng = random.Random(11)
-    for p in (2, 3, 7, 11, 101):
-        for n in range(1, 8):
-            singular = 0
-            for _ in range(40):
-                # small value ranges make singular matrices common; entries
-                # past p and below 0 must be read mod p
-                lo, hi = rng.choice(((0, 2), (-p, 2 * p), (0, p)))
-                a = tuple(tuple(rng.randrange(lo, hi) for _ in range(n))
-                          for _ in range(n))
-                want = _outcome(_ref_inv, tuple(tuple(v % p for v in row)
-                                                for row in a), p)
-                got = _outcome(quantum._mat_inv, a, p)
-                if want == "singular":
-                    singular += 1
-                    assert got == "singular", a
-                else:
-                    assert tuple(map(tuple, got)) == want, a
-            assert singular < 40
 
 
 def _count_products(monkeypatch):
@@ -810,9 +803,9 @@ def _count_products(monkeypatch):
 
 
 def test_kernel_operation_counts(monkeypatch):
-    """apply_word inverts the input X and Y at entry by the checked
-    _Packed.inv, 3 packed products each at N = 5 (u^2, u^4, u u^4); the
-    kernel never calls it.  A P step after the identity relabel makes
+    """apply_word checks X Y = q Y X, 2 packed products, and inverts the
+    input X and Y at entry by the checked _Packed.inv, 3 packed products
+    each at N = 5 (u^2, u^4, u u^4); the kernel never calls it.  A P step after the identity relabel makes
     q (X^-1 + X^-1 Y), one product, and in P^k the inverse of a step's
     new member is read two steps on, so k - 2 members are inverted, each
     as u^4 / u^N: two products.  In P C^-1 the step's two terms are lone
@@ -829,7 +822,7 @@ def test_kernel_operation_counts(monkeypatch):
                           ((("P", 1), ("C", -1)), 1)]:
         calls.clear()
         assert apply_word(word, pair, cfg) == _ref_apply_word(word, pair, cfg)
-        assert calls == {"mul": 6 + products, "inv": 2}, word
+        assert calls == {"mul": 8 + products, "inv": 2}, word
     quantum._base(cfg)
     calls.clear()
     report = q_relation_check(H_RELATIONS["P^5"], cfg, 12, 1)
@@ -1108,11 +1101,30 @@ def test_packed_products_and_inverses_match_the_reference(n, p):
 def test_commutation_check_compares_like_with_like():
     cfg = make_config(5, 11)
     pair = clock_shift(cfg, 3, 7)
-    assert commutes_q(pair, cfg) and pair_valid(pair, cfg)
+    assert commutes_q(pair, cfg) and _valid(pair, cfg)
     swapped = QPair(pair.Y, pair.X)
-    assert not commutes_q(swapped, cfg) and not pair_valid(swapped, cfg)
+    assert not commutes_q(swapped, cfg) and not _valid(swapped, cfg)
     zero = tuple((0,) * cfg.N for _ in range(cfg.N))
-    assert not pair_valid(QPair(zero, pair.Y), cfg)  # X is singular
+    assert not _valid(QPair(zero, pair.Y), cfg)  # X is singular
+
+
+def test_a_pair_of_the_wrong_shape_is_refused_by_its_shape():
+    """commutes_q, and so every entry, refuses a pair that is not two
+    N x N matrices before anything is packed, naming the shape, and not as
+    singular."""
+    cfg = make_config(2, 103)
+    square = clock_shift(cfg, 2, 3)
+    cases = [(clock_shift(make_config(3, 103), 2, 3), "X .* 2 x 2.*[3, 3, 3]"),
+             (QPair(square.X, ((0, 1), (1, 0, 0))), r"Y .* 2 x 2.*\[2, 3\]"),
+             (QPair(((1, 0),), square.Y), r"X .* 2 x 2.*\[2\]")]
+    for pair, message in cases:
+        for call in (lambda: commutes_q(pair, cfg),
+                     lambda: apply_word((("C", 1),), pair, cfg),
+                     lambda: q_apply("P", pair, cfg),
+                     lambda: q_apply_inverse("I", pair, cfg)):
+            with pytest.raises(ValueError, match=message) as info:
+                call()
+            assert type(info.value) is ValueError
 
 
 # ---------------------------------------------------------------------------
