@@ -25,12 +25,11 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import itemgetter
 
 from .plcore import (
-    GEN_MATS, MAT_ID, Frozen, PLAut, _json_ints, _json_list, _json_object,
+    GEN_MATS, Frozen, PLAut, _json_ints, _json_list, _json_object,
     from_function, is_prime, mat_inv, power, wedge)
-from .words import MATRICES, compile_word, word_length
+from .words import MATRICES, _projective, compile_word, walk_mod, word_length
 
 # primes just above 2^61, 2^61 + 10^6, 2^62, 2^63
 PRIMES = (
@@ -441,93 +440,16 @@ def is_symplectic(f: BirMap) -> bool:
 # ---------------------------------------------------------------------------
 # randomized word equality
 
-def _relabel_mod(m):
-    """The relabel by the matrix m on a projective triple (a, b, d), as
-    (degree, rows), or None for the identity.
-
-    (x, y) -> (x^m0 y^m1, x^m2 y^m3) with x = a/d and y = b/d sends a, b
-    and d to the monomials in (a, b, d) with exponent rows (m0, m1,
-    -m0 - m1), (m2, m3, -m2 - m3) and (0, 0, 0).  Adding to every row the
-    least shift (s_a, s_b, s_d) that makes them all nonnegative multiplies
-    the triple by one monomial, which leaves the point as it is.  Each
-    unshifted row sums to 0, so each shifted row has the degree D = s_a +
-    s_b + s_d.  For D = 1 the relabel permutes (a, b, d), and for D = 2 it
-    multiplies pairs of them; rows is then an itemgetter of the entries
-    each new row multiplies, in order.  A larger D keeps the exponent rows,
-    raised by pow.  The lone letters give D = 1 for C^+-1 and D = 2 for
-    I^+-1: the maps in the table at _apply_word_mod.
-    """
-    if m == MAT_ID:
-        return None
-    rows = ((m[0], m[1], -m[0] - m[1]), (m[2], m[3], -m[2] - m[3]), (0, 0, 0))
-    shift = [-min(col) for col in zip(*rows)]
-    rows = tuple(tuple(map(sum, zip(row, shift))) for row in rows)
-    degree = sum(shift)
-    if degree > 2:
-        return degree, rows
-    return degree, itemgetter(*(k for row in rows for k, e in enumerate(row)
-                                for _ in range(e)))
-
-
-def _projective(steps, last):
-    # the walk of a word on (a, b, d): each step's relabel, then its P
-    # step, and the last relabel as a step of sign 0
-    return tuple((_relabel_mod(m), sign) for m, sign in (*steps, (last, 0)))
-
-
 def _apply_word_mod(word, point, p):
     """Apply a core word to a point mod p, rightmost factor first, and
     return the image as a projective triple (a, b, d): x = a/d, y = b/d.
-
-    point holds two nonzero residues mod p.  The point is carried as
-    (a, b, d) from (x, y, 1), so a step costs a few products and a call
-    makes no inversion; a caller divides by d only where it needs the
-    image itself.  The word's walk (words.compile_word) relabels by each
-    run of C and I at once (_relabel_mod) and takes P^+-1 one at a time.
-    The letters, as maps and on (a, b, d):
-
-        P     (y, (1 + y)/x)   (ab, d(d + b), ad)
-        P^-1  ((1 + x)/y, x)   (d(d + a), ab, bd)
-        C     (y/x, 1/x)       (b, d, a)
-        C^-1  (1/y, x/y)       (d, a, b)
-        I     (1/y, x)         (d^2, ab, bd)
-        I^-1  (y, 1/x)         (ab, d^2, ad)
-
-    ZeroDivisionError is raised at exactly the points where applying
-    BirMap.apply_mod letter by letter raises.  By induction a, b and d
-    stay nonzero: each new entry is a product of nonzero ones, save d + b
-    and d + a, which are checked.  So x and y stay nonzero.  On such a
-    point the monomial letters have no denominator and nonzero images, so
-    apply_mod never raises there, and a run of them may be applied at
-    once.  P has denominators 1 and x and images y and (1 + y)/x, so it
-    raises iff y = -1, i.e. d + b = 0; P^-1 has denominators y and 1 and
-    images (1 + x)/y and x, so it raises iff x = -1, i.e. d + a = 0.  So
-    d is nonzero, and (a/d, b/d) is the image that apply_mod computes.
-    """
-    a, b = point
-    d = 1
-    for relabel, sign in compile_word(tuple(word), MATRICES, _projective):
-        if relabel:
-            degree, rows = relabel
-            if degree == 1:
-                a, b, d = rows((a, b, d))
-            elif degree == 2:
-                a0, a1, b0, b1, d0, d1 = rows((a, b, d))
-                a, b, d = a0 * a1 % p, b0 * b1 % p, d0 * d1 % p
-            else:
-                a, b, d = [pow(a, i, p) * pow(b, j, p) * pow(d, k, p) % p
-                           for i, j, k in rows]
-        if sign > 0:
-            s = (d + b) % p
-            if not s:
-                raise ZeroDivisionError("image on a coordinate axis")
-            a, b, d = a * b % p, d * s % p, a * d % p
-        elif sign < 0:
-            s = (d + a) % p
-            if not s:
-                raise ZeroDivisionError("image on a coordinate axis")
-            a, b, d = d * s % p, a * b % p, b * d % p
-    return a, b, d
+    It is the last triple of words.walk_mod, which raises
+    ZeroDivisionError at exactly the points where applying
+    BirMap.apply_mod letter by letter raises, and makes no inversion."""
+    # the walk yields at least once, after its last relabel
+    for triple in walk_mod(word, point, p):
+        pass
+    return triple
 
 
 # A prime is checked once per process, by the bounded memo; the built-in

@@ -83,7 +83,6 @@ __all__ = [
     "BreakFn",
     "PicVec",
     "ample_A",
-    "zero_breakfn",
     "compose_breakfn",
     "index",
     "pairing",
@@ -360,10 +359,6 @@ class BreakFn(Frozen):
         return BreakFn([tuple(_json_ints(r, "ray", 2))
                         for r in _json_list(rays, "rays", of="rays")],
                        _json_ints(values, "values"))
-
-
-def zero_breakfn() -> BreakFn:
-    return BreakFn(AXES, (0, 0, 0, 0))
 
 
 def ample_A() -> BreakFn:

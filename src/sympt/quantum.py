@@ -27,9 +27,9 @@ A word is applied by one kernel, `_apply_packed`, to the program that
 runs of C and I, each but the last followed by one P^(+-1) step), kept in
 the same memo entry as the walk.  The kernel carries X, X^-1, Y and Y^-1,
 each as a scalar times a packed matrix (below), so every factor q^g costs
-one modular multiply.  Beside them it carries their N-th powers, which
-are scalars (below): each new member's N-th power is known before the
-member is formed.  So a singular step is refused before any product of
+one modular multiply.  Beside them, `words.walk_mod` walks the N-th
+powers of X and Y, which are scalars (below): each new member's N-th
+power is known before the member is formed.  So a singular step is refused before any product of
 the draw (SingularSubstitution; callers resample), and an invertible
 member is inverted as a power, u^-1 = u^(N-1) / u^N.  `apply_word` first
 refuses a pair that is not two N x N matrices or does not q-commute
@@ -157,10 +157,15 @@ commutative word applied to it, an exact link between this model and the
 birational one, checked by the tests.  A member u with u^N = zeta is
 invertible exactly when zeta != 0, as u^-1 = u^(N-1) / zeta; zeta = 0
 makes u nilpotent.  So P's new member, with N-th power epsilon (1 + B) / A,
-is singular exactly when 1 + B = 0 mod p, and P^-1's when 1 + A = 0.
-`_inverse_powers` walks the point with A^-1 and B^-1 beside it, so a
-relabel needs no modular inverse, and u^(N-1) at N = 5 is two products
-(u^2, u^4).
+is singular exactly when 1 + B = 0 mod p, and P^-1's when 1 + A = 0:
+where bir's P and P^-1 meet a pole.  So one walk serves both models.
+`_inverse_powers` reads the point off `words.walk_mod`, which carries it
+as a projective triple (a, b, d), A = a/d and B = b/d, relabels it by
+the `words.MATRICES` fold of each run, the relabel's matrix, and raises
+ZeroDivisionError at exactly the singular steps.  After a P step the new
+member is Y, and 1 / Y^N = epsilon d / b; after P^-1 it is X, and
+1 / X^N = epsilon d / a.  That is one modular inverse per member a later
+step inverts, and u^(N-1) at N = 5 is two products (u^2, u^4).
 
 A member of a q-commuting pair is inverted one way.  Let X Y = q Y X.  If
 X and Y are invertible, then X^N and Y^N are nonzero scalars.  That is the
@@ -390,15 +395,14 @@ def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
     if not commutes_q(pair, cfg):
         raise ValueError("the pair does not q-commute: X Y != q Y X")
     program = words.compile_word(tuple(word), _RELABELS, _program)
-    p, eps = cfg.p, _sign(cfg.N)
+    p = cfg.p
     packed = _packed(cfg.N, p)
-    members, point = [], []
+    members, powers = [], []
     for m in map(packed.pack, pair._fields()):
         c, r = packed.inv(m)    # m r = m^N = c
-        ci = pow(c, -1, p)
-        members += [(1, m), (ci, r)]
-        point += [eps * c % p, eps * ci % p]
-    inverse_powers = _inverse_powers(program[0], point, cfg.N, p)
+        members += [(1, m), (pow(c, -1, p), r)]
+        powers.append(c)
+    inverse_powers = _inverse_powers(word, program[0], powers, cfg.N, p)
     return QPair(*map(packed.unpack, _apply_packed(program, members,
                                                    inverse_powers, cfg)))
 
@@ -457,15 +461,14 @@ def _program(steps, last):
     """The walk of a word (words.compile_word) as kernel steps, each
     forming only the members that a later step reads.
 
-    A kernel step is (rule, kept, terms, sign, invert) for a walk step,
-    relabel r and then P^sign (module docstring): rule is the (i, k, j, l)
-    of X' and then of Y', which move the point (`_inverse_powers`), or
-    None when r is the identity; kept is the monomials of the member the
-    step keeps and of its inverse, each None where nothing reads it; terms
-    is the two monomials that the new member is q times the sum of, or
-    None where nothing reads it; invert says whether a later step reads
-    the new member's inverse.  The end is the monomials of the output X
-    and Y.
+    A kernel step is (kept, terms, sign, invert) for a walk step, relabel
+    r and then P^sign (module docstring): kept is the monomials of the
+    member the step keeps and of its inverse, each None where nothing
+    reads it; terms is the two monomials that the new member is q times
+    the sum of, or None where nothing reads it; invert says whether a
+    later step reads the new member's inverse.  The end is the monomials
+    of the output X and Y.  The N-th powers move by their own walk,
+    words.walk_mod, whose steps are these (`_inverse_powers`).
     """
     a, b, c, d, g1, g2 = last
     end = _monomial(g1, a, b), _monomial(g2, c, d)
@@ -486,44 +489,27 @@ def _program(steps, last):
                 _monomial(-g - e * f, -e, -f) if keep & 2 else None)
         terms = tuple(_monomial(*t) for t in terms) if new else None
         need = _reads(kept + (terms or ()))
-        rule = (None if r == _RELABELS.identity
-                else _monomial(*x)[1:] + _monomial(*y)[1:])
-        out.append((rule, kept, terms, sign, new > 1))
+        out.append((kept, terms, sign, new > 1))
     return tuple(reversed(out)), end
 
 
-def _inverse_powers(steps, point, n: int, p: int) -> list[int]:
-    """Walk the point (A, A^-1, B, B^-1), with A = epsilon X^N and
-    B = epsilon Y^N, along the program's steps by the commutative maps:
-    the inverse of the N-th power of each new member the steps invert, in
-    order.  SingularSubstitution where a P step's new member is singular,
-    before any product."""
+def _inverse_powers(word, steps, powers, n: int, p: int) -> list[int]:
+    """The inverse of the N-th power of each new member that the word's
+    program steps invert, in order, given powers = (X^N, Y^N): read off
+    the walk of the point (A, B) = epsilon (X^N, Y^N) by the commutative
+    maps (words.walk_mod).  After a P step the new member is Y, and
+    1 / Y^N = epsilon d / b; after P^-1 it is X, and 1 / X^N =
+    epsilon d / a.  SingularSubstitution where a P step's new member is
+    singular, before any product."""
     eps = _sign(n)
-    a, ai, b, bi = point
     out = []
-    for rule, _, _, sign, invert in steps:
-        if rule:
-            v = a, ai, b, bi
-            i, k, j, l, i2, k2, j2, l2 = rule
-            a, ai, b, bi = (
-                pow(v[i], k, p) * pow(v[j], l, p) % p,
-                pow(v[i ^ 1], k, p) * pow(v[j ^ 1], l, p) % p,
-                pow(v[i2], k2, p) * pow(v[j2], l2, p) % p,
-                pow(v[i2 ^ 1], k2, p) * pow(v[j2 ^ 1], l2, p) % p)
-        if sign > 0:    # (A, B) -> (B, (1 + B) / A)
-            t = (1 + b) % p
-            if not t:
-                raise SingularSubstitution("singular substitution")
-            a, ai, b, bi = b, bi, t * ai % p, a * pow(t, -1, p) % p
+    try:
+        for (_, _, sign, invert), (a, b, d) in zip(steps, words.walk_mod(
+                word, [eps * v % p for v in powers], p)):
             if invert:
-                out.append(eps * bi % p)
-        else:           # (A, B) -> ((1 + A) / B, A)
-            t = (1 + a) % p
-            if not t:
-                raise SingularSubstitution("singular substitution")
-            a, ai, b, bi = t * bi % p, b * pow(t, -1, p) % p, a, ai
-            if invert:
-                out.append(eps * ai % p)
+                out.append(eps * d * pow(b if sign > 0 else a, -1, p) % p)
+    except ZeroDivisionError:
+        raise SingularSubstitution("singular substitution") from None
     return out
 
 
@@ -564,7 +550,7 @@ def _apply_packed(program, members, inverse_powers,
         return c, u
 
     m = members
-    for _, (w, wi), terms, sign, invert in steps:
+    for (w, wi), terms, sign, invert in steps:
         w, wi = w and monomial(w, m), wi and monomial(wi, m)
         z = zi = None
         if terms:
@@ -608,21 +594,18 @@ def _trials(word, cfg: QConfig, rng: random.Random):
     p, n = cfg.p, cfg.N
     red = _packed(n, p).reduce
     clock, clock_inv, shift, shift_inv = _base(cfg)
-    eps = _sign(n)
     singular = 0
     while singular < _MAX_RESAMPLES:
         lx = rng.randrange(1, p)
         ly = rng.randrange(1, p)
-        lxi, lyi = pow(lx, -1, p), pow(ly, -1, p)
         try:
             inverse_powers = _inverse_powers(
-                program[0],
-                tuple(eps * pow(v, n, p) % p for v in (lx, lxi, ly, lyi)),
-                n, p)
+                word, program[0], [pow(lx, n, p), pow(ly, n, p)], n, p)
         except SingularSubstitution:
             singular += 1
             walk = None
         else:
+            lxi, lyi = pow(lx, -1, p), pow(ly, -1, p)
             walk = functools.partial(
                 _apply_packed, program, ((lx, clock), (lxi, clock_inv),
                                          (ly, shift), (lyi, shift_inv)),

@@ -39,9 +39,12 @@ The sampled models walk a core word rather than fold it.  compile_word
 folds each maximal run of C and I into one relabel of the model's ring
 (MATRICES for bir and picard, q-monomial relabels for quantum), keeps
 every P step, and is the one place that refuses a letter outside CORE or
-a word of more than STEP_BUDGET P steps.  A spelling of more than
-STEP_BUDGET factors is refused while _core or expand builds it, so no
-exponent, however large, makes a word run without bound.
+a word of more than STEP_BUDGET P steps.  walk_mod is the one walk of the
+commutative maps mod p: bir samples its images, and quantum reads the
+N-th powers of its pair off it, as they move by the same maps.  A
+spelling of more than STEP_BUDGET factors is refused while _core or
+expand builds it, so no exponent, however large, makes a word run
+without bound.
 
 BACKENDS is the one table of models, keyed by name.  Each entry says how to
 evaluate a word; the randomized models (bir, picard, quantum) also say how to
@@ -326,6 +329,99 @@ def compile_word(word: Word, ring: _Ring, finish=None):
     return finish(*walk) if finish else walk
 
 
+def _relabel_mod(m):
+    """The relabel by the matrix m on a projective triple (a, b, d), as
+    (degree, rows), or None for the identity.
+
+    (x, y) -> (x^m0 y^m1, x^m2 y^m3) with x = a/d and y = b/d sends a, b
+    and d to the monomials in (a, b, d) with exponent rows (m0, m1,
+    -m0 - m1), (m2, m3, -m2 - m3) and (0, 0, 0).  Adding to every row the
+    least shift (s_a, s_b, s_d) that makes them all nonnegative multiplies
+    the triple by one monomial, which leaves the point as it is.  Each
+    unshifted row sums to 0, so each shifted row has the degree D = s_a +
+    s_b + s_d.  For D = 1 the relabel permutes (a, b, d), and for D = 2 it
+    multiplies pairs of them; rows is then an itemgetter of the entries
+    each new row multiplies, in order.  A larger D keeps the exponent rows,
+    raised by pow.  The lone letters give D = 1 for C^+-1 and D = 2 for
+    I^+-1: the maps in the table at walk_mod.
+    """
+    if m == plcore.MAT_ID:
+        return None
+    rows = ((m[0], m[1], -m[0] - m[1]), (m[2], m[3], -m[2] - m[3]), (0, 0, 0))
+    shift = [-min(col) for col in zip(*rows)]
+    rows = tuple(tuple(map(sum, zip(row, shift))) for row in rows)
+    degree = sum(shift)
+    if degree > 2:
+        return degree, rows
+    return degree, operator.itemgetter(
+        *(k for row in rows for k, e in enumerate(row) for _ in range(e)))
+
+
+def _projective(steps, last):
+    # the walk of a word on (a, b, d): each step's relabel, then its P
+    # step, and the last relabel as a step of sign 0
+    return tuple((_relabel_mod(m), sign) for m, sign in (*steps, (last, 0)))
+
+
+def walk_mod(word, point, p):
+    """Walk a core word over a point mod p by the commutative maps,
+    rightmost factor first, and yield the image after each step of its
+    walk, the last relabel included, as a projective triple (a, b, d):
+    x = a/d, y = b/d.  The one walk of P, C and I mod p: bir samples its
+    images, and quantum reads the N-th powers of its pair off it.
+
+    point holds two nonzero residues mod p.  The point is carried as
+    (a, b, d) from (x, y, 1), so a step costs a few products and the walk
+    makes no inversion; a caller divides by d only where it needs the
+    image itself.  The word's walk (compile_word, over MATRICES) relabels
+    by each run of C and I at once (_relabel_mod) and takes P^+-1 one at a
+    time.  The letters, as maps and on (a, b, d):
+
+        P     (y, (1 + y)/x)   (ab, d(d + b), ad)
+        P^-1  ((1 + x)/y, x)   (d(d + a), ab, bd)
+        C     (y/x, 1/x)       (b, d, a)
+        C^-1  (1/y, x/y)       (d, a, b)
+        I     (1/y, x)         (d^2, ab, bd)
+        I^-1  (y, 1/x)         (ab, d^2, ad)
+
+    ZeroDivisionError is raised at exactly the step where applying
+    birational.BirMap.apply_mod letter by letter raises.  By induction a,
+    b and d stay nonzero: each new entry is a product of nonzero ones,
+    save d + b and d + a, which are checked.  So x and y stay nonzero.  On
+    such a point the monomial letters have no denominator and nonzero
+    images, so apply_mod never raises there, and a run of them may be
+    applied at once.  P has denominators 1 and x and images y and
+    (1 + y)/x, so it raises iff y = -1, i.e. d + b = 0; P^-1 has
+    denominators y and 1 and images (1 + x)/y and x, so it raises iff
+    x = -1, i.e. d + a = 0.  So d is nonzero, and (a/d, b/d) is the image
+    that apply_mod computes.
+    """
+    a, b = point
+    d = 1
+    for relabel, sign in compile_word(tuple(word), MATRICES, _projective):
+        if relabel:
+            degree, rows = relabel
+            if degree == 1:
+                a, b, d = rows((a, b, d))
+            elif degree == 2:
+                a0, a1, b0, b1, d0, d1 = rows((a, b, d))
+                a, b, d = a0 * a1 % p, b0 * b1 % p, d0 * d1 % p
+            else:
+                a, b, d = [pow(a, i, p) * pow(b, j, p) * pow(d, k, p) % p
+                           for i, j, k in rows]
+        if sign > 0:
+            s = (d + b) % p
+            if not s:
+                raise ZeroDivisionError("image on a coordinate axis")
+            a, b, d = a * b % p, d * s % p, a * d % p
+        elif sign < 0:
+            s = (d + a) % p
+            if not s:
+                raise ZeroDivisionError("image on a coordinate axis")
+            a, b, d = d * s % p, a * b % p, b * d % p
+        yield a, b, d
+
+
 def _module(name: str):
     # a model module loads on first use, so a call imports only the
     # models it reaches
@@ -377,7 +473,7 @@ def _bir_value(word, params):
     if word_length(core) > bir.COMPOSE_CAP:
         raise ValueError(
             "symbolic composition capped at length %d; expanded word has "
-            "length %d (use word_equals for long words)"
+            "length %d (use equal --backend bir for long words)"
             % (bir.COMPOSE_CAP, word_length(core)))
     return bir.compose_letters(bir.word_letters(core))
 

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench" / "expected" / "cli.json"
 GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
@@ -83,14 +85,18 @@ def test_every_subcommand_answers_with_sympy_unimportable():
     _replay_corpus('import sys; sys.modules["sympy"] = None\n')
 
 
-def test_dyadic_convert_loads_only_the_circle_models():
-    corpus = json.loads(BENCH.read_text())
-    argv = corpus["convert.dyadic"]["argv"]
-    assert argv == ["convert", "--word", "P C", "--to", "dyadic"]
-    [(out, code, modules)] = _fresh_run([argv])["calls"]
-    assert (out, code) == (corpus["convert.dyadic"]["stdout"],
-                           corpus["convert.dyadic"]["exit"])
-    assert _ours(modules) == sorted(CLI_MODULES + ["sympt.thompson"])
+@pytest.mark.parametrize("name,model", [
+    ("convert.dyadic", "sympt.thompson"),
+    ("relations.quantum", "sympt.quantum"),
+    ("mutate.wq", "sympt.picard"),
+])
+def test_a_call_loads_only_its_own_model(name, model):
+    # so a model that starts importing another one (quantum or picard
+    # importing birational, say) fails here by name
+    entry = json.loads(BENCH.read_text())[name]
+    [(out, code, modules)] = _fresh_run([entry["argv"]])["calls"]
+    assert (out, code) == (entry["stdout"], entry["exit"])
+    assert _ours(modules) == sorted(CLI_MODULES + [model])
 
 
 def test_start_up_loads_no_convenience_stdlib():

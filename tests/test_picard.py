@@ -41,11 +41,10 @@ from sympt.picard import (
     wedge_form,
     word_acts_as_identity,
     word_operator,
-    zero_breakfn,
 )
-from sympt.plcore import (GEN_MATS, Fan, ccw_key, cone_index, generator_pl,
-                          inverse_pl, mat_apply, mat_inv, mat_mul, primitive,
-                          wedge)
+from sympt.plcore import (AXES, GEN_MATS, Fan, ccw_key, cone_index,
+                          generator_pl, inverse_pl, mat_apply, mat_inv,
+                          mat_mul, primitive, wedge)
 
 Q = QPoly((0, 1))
 ONE_MINUS_Q = QPoly((1, -1))
@@ -319,8 +318,9 @@ def test_breakfn_equality_mod_linear():
     big = BreakFn(((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
                   (0, 0, 0, 0, 1, 1))
     assert big == A
-    assert zero_breakfn() != A
-    assert zero_breakfn().is_linear()
+    zero = BreakFn(AXES, (0, 0, 0, 0))
+    assert zero != A
+    assert zero.is_linear()
 
 
 def test_breakfn_refinement_and_integrality():
@@ -399,7 +399,7 @@ def test_ample_effective_predicates():
     A = ample_A()
     assert is_ample(A)
     assert not is_ample((-1) * A)
-    assert is_ample(zero_breakfn()) and is_effective({})
+    assert is_ample(BreakFn(AXES, (0, 0, 0, 0))) and is_effective({})
     assert is_effective({(1, 0): 2, (0, 1): 0})
     assert not is_effective({(1, 0): -1})
 

@@ -667,6 +667,56 @@ def test_compiled_powers_equal_their_letters():
                         == compile_word(letters, ring, finish)), word
 
 
+def _suffix_images(word, point, p):
+    """The images of point mod p under the suffixes of word that start at
+    each P letter, rightmost first, then under the whole word, each
+    through BirMap.apply_mod one letter at a time.  The list ends in None
+    at the first letter that raises ZeroDivisionError."""
+    out = []
+    for s, e in reversed(word):
+        g = (birational.generator_bir(s) if e > 0
+             else birational.generator_bir_inverse(s))
+        for _ in range(abs(e)):
+            try:
+                point = g.apply_mod(point, p)
+            except ZeroDivisionError:
+                return out + [None]
+            if s == "P":
+                out.append(point)
+    return out + [point]
+
+
+def _walk_images(word, point, p):
+    """The affine points of the triples walk_mod yields, ending in None
+    where it raises ZeroDivisionError."""
+    out = []
+    try:
+        for a, b, d in words.walk_mod(word, point, p):
+            out.append((a * pow(d, -1, p) % p, b * pow(d, -1, p) % p))
+    except ZeroDivisionError:
+        out.append(None)
+    return out
+
+
+def test_the_walk_yields_the_letter_by_letter_image_after_each_step():
+    # at p = 11 the lines x = -1 and y = -1 are hit often, so many walks
+    # meet a pole after one step or more
+    p = 11
+    # P sends (-2, 1) to (1, -1), on which P has a pole
+    assert _walk_images((("P", 2),), (p - 2, 1), p) == [(1, p - 1), None]
+    rng = random.Random(83)
+    inner = whole = 0
+    for _ in range(3000):
+        word = tuple((rng.choice("PCI"), rng.choice((1, -1, 2, -2, 3)))
+                     for _ in range(rng.randint(0, 10)))
+        point = (rng.randrange(1, p), rng.randrange(1, p))
+        want = _suffix_images(word, point, p)
+        assert _walk_images(word, point, p) == want, (word, point)
+        inner += len(want) > 1 and want[-1] is None
+        whole += want[-1] is not None
+    assert inner > 200 and whole > 2000
+
+
 def test_a_sampled_check_spells_a_relation_once(monkeypatch):
     # _core keeps the last 256 spellings, so a second check of a relation
     # in a sampled model spells neither side in the free group again
