@@ -29,7 +29,7 @@ from math import gcd
 from .plcore import (
     GEN_MATS, Frozen, PLAut, _json_ints, _json_list, _json_object,
     from_function, is_prime, mat_inv, power, wedge)
-from .words import MATRICES, _projective, compile_word, walk_mod, word_length
+from .words import compile_mod, walk_mod, word_length
 
 # primes just above 2^61, 2^61 + 10^6, 2^62, 2^63
 PRIMES = (
@@ -440,14 +440,14 @@ def is_symplectic(f: BirMap) -> bool:
 # ---------------------------------------------------------------------------
 # randomized word equality
 
-def _apply_word_mod(word, point, p):
-    """Apply a core word to a point mod p, rightmost factor first, and
-    return the image as a projective triple (a, b, d): x = a/d, y = b/d.
-    It is the last triple of words.walk_mod, which raises
-    ZeroDivisionError at exactly the points where applying
+def _apply_word_mod(walk, point, p):
+    """Apply a core word, compiled by words.compile_mod, to a point mod p,
+    rightmost factor first, and return the image as a projective triple
+    (a, b, d): x = a/d, y = b/d.  It is the last triple of words.walk_mod,
+    which raises ZeroDivisionError at exactly the points where applying
     BirMap.apply_mod letter by letter raises, and makes no inversion."""
     # the walk yields at least once, after its last relabel
-    for triple in walk_mod(word, point, p):
+    for triple in walk_mod(walk, point, p):
         pass
     return triple
 
@@ -464,7 +464,7 @@ def _sample_moved(word, primes, per_prime: int, seed: int):
     if the word does not compile (a letter other than P, C or I, or more P
     steps than words.STEP_BUDGET) or a modulus is not prime, RuntimeError
     after 100 draws per point on one prime."""
-    compile_word(tuple(word), MATRICES, _projective)
+    walk = compile_mod(word)
     for p in primes:
         # the Schwartz-Zippel bound holds over a field only
         if not _is_prime(p):
@@ -481,7 +481,7 @@ def _sample_moved(word, primes, per_prime: int, seed: int):
                 raise RuntimeError("could not sample off the pole locus")
             x, y = point = (rng.randrange(2, p - 1), rng.randrange(2, p - 1))
             try:
-                a, b, d = _apply_word_mod(word, point, p)
+                a, b, d = _apply_word_mod(walk, point, p)
             except ZeroDivisionError:
                 continue
             done += 1

@@ -620,24 +620,30 @@ def from_cones(rays, images, mediant_images) -> PLAut:
     rays[i+1], the last one back to rays[0]; images[i] is the image of
     rays[i] and mediant_images[i] that of rays[i] + rays[i+1].  Each cone's
     matrix is solved from its two rays and checked on the mediant, so a
-    hidden breakpoint or a non-unimodular piece raises ValueError.
+    hidden breakpoint or a non-unimodular piece raises ValueError.  Where
+    the previous cone's matrix, which maps rays[i] to images[i], also maps
+    rays[i+1] to images[i+1], it is the one solution for cone i, integral
+    and of determinant 1, and is kept without a second solve; the mediant
+    check still runs on every cone.
     """
     mats = []
     n = len(rays)
+    m = None
     for i in range(n):
         a, b = rays[i], rays[(i + 1) % n]
         wa, wb = images[i], images[(i + 1) % n]
         if wedge(a, b) <= 0:
             raise AssertionError("candidate rays out of order")
-        top = cone_covector(a, b, wa[0], wb[0])
-        bottom = cone_covector(a, b, wa[1], wb[1])
-        if top is None or bottom is None:
-            raise ValueError("map is not integrally linear on cone %r,%r" % (a, b))
-        m: Mat = top + bottom
-        if mat_det(m) != 1:
-            raise ValueError(
-                "piece on cone %r,%r has det %d, not 1" % (a, b, mat_det(m))
-            )
+        if m is None or mat_apply(m, b) != wb:
+            top = cone_covector(a, b, wa[0], wb[0])
+            bottom = cone_covector(a, b, wa[1], wb[1])
+            if top is None or bottom is None:
+                raise ValueError(
+                    "map is not integrally linear on cone %r,%r" % (a, b))
+            m = top + bottom
+            if mat_det(m) != 1:
+                raise ValueError("piece on cone %r,%r has det %d, not 1"
+                                 % (a, b, mat_det(m)))
         if mediant_images[i] != mat_apply(m, vec_add(a, b)):
             raise ValueError("hidden breakpoint inside cone %r,%r" % (a, b))
         mats.append(m)

@@ -402,7 +402,8 @@ def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
         c, r = packed.inv(m)    # m r = m^N = c
         members += [(1, m), (pow(c, -1, p), r)]
         powers.append(c)
-    inverse_powers = _inverse_powers(word, program[0], powers, cfg.N, p)
+    inverse_powers = _inverse_powers(words.compile_mod(word), program[0],
+                                     powers, cfg.N, p)
     return QPair(*map(packed.unpack, _apply_packed(program, members,
                                                    inverse_powers, cfg)))
 
@@ -493,19 +494,19 @@ def _program(steps, last):
     return tuple(reversed(out)), end
 
 
-def _inverse_powers(word, steps, powers, n: int, p: int) -> list[int]:
+def _inverse_powers(walk, steps, powers, n: int, p: int) -> list[int]:
     """The inverse of the N-th power of each new member that the word's
     program steps invert, in order, given powers = (X^N, Y^N): read off
     the walk of the point (A, B) = epsilon (X^N, Y^N) by the commutative
-    maps (words.walk_mod).  After a P step the new member is Y, and
-    1 / Y^N = epsilon d / b; after P^-1 it is X, and 1 / X^N =
-    epsilon d / a.  SingularSubstitution where a P step's new member is
-    singular, before any product."""
+    maps (words.walk_mod over walk, the word's words.compile_mod).  After
+    a P step the new member is Y, and 1 / Y^N = epsilon d / b; after P^-1
+    it is X, and 1 / X^N = epsilon d / a.  SingularSubstitution where a P
+    step's new member is singular, before any product."""
     eps = _sign(n)
     out = []
     try:
         for (_, _, sign, invert), (a, b, d) in zip(steps, words.walk_mod(
-                word, [eps * v % p for v in powers], p)):
+                walk, [eps * v % p for v in powers], p)):
             if invert:
                 out.append(eps * d * pow(b if sign > 0 else a, -1, p) % p)
     except ZeroDivisionError:
@@ -591,6 +592,7 @@ def _trials(word, cfg: QConfig, rng: random.Random):
     word's packed output on the pair.  Stops after _MAX_RESAMPLES singular
     draws."""
     program = words.compile_word(tuple(word), _RELABELS, _program)
+    commutative = words.compile_mod(word)
     p, n = cfg.p, cfg.N
     red = _packed(n, p).reduce
     clock, clock_inv, shift, shift_inv = _base(cfg)
@@ -600,7 +602,7 @@ def _trials(word, cfg: QConfig, rng: random.Random):
         ly = rng.randrange(1, p)
         try:
             inverse_powers = _inverse_powers(
-                word, program[0], [pow(lx, n, p), pow(ly, n, p)], n, p)
+                commutative, program[0], [pow(lx, n, p), pow(ly, n, p)], n, p)
         except SingularSubstitution:
             singular += 1
             walk = None

@@ -444,21 +444,52 @@ def _leaf_starts(depths, exp):
     return starts
 
 
+_NOT_DEPTHS = ("a tree is a non-empty list of its leaf depths, "
+               "non-negative integers, e.g. [2, 2, 1]")
+
+
+def _is_depth(d) -> bool:
+    return isinstance(d, int) and not isinstance(d, bool) and d >= 0
+
+
 def _checked_tree(depths):
     """(depths, largest depth e, leaf starts over 2**e) for leaf depths that
-    tile [0, 1) by standard dyadic intervals; ValueError otherwise."""
-    if not (isinstance(depths, (list, tuple)) and depths and all(
-            isinstance(d, int) and not isinstance(d, bool) and d >= 0
-            for d in depths)):
-        raise ValueError("a tree is a non-empty list of its leaf depths, "
-                         "non-negative integers, e.g. [2, 2, 1]")
+    tile [0, 1) by standard dyadic intervals; ValueError otherwise.
+
+    One loop takes the starts and checks each depth and its alignment.  A
+    bad depth is refused first, then a sum other than 1, then a leaf that
+    does not start at a multiple of its length.  The largest depth comes
+    first: it is a depth itself, so when it is not one, or the depths do
+    not compare, some depth is bad."""
+    if not (isinstance(depths, (list, tuple)) and depths):
+        raise ValueError(_NOT_DEPTHS)
     depths = tuple(depths)
-    exp = max(depths)
+    try:
+        exp = max(depths)
+    except TypeError:
+        raise ValueError(_NOT_DEPTHS) from None
+    if not _is_depth(exp):
+        raise ValueError(_NOT_DEPTHS)
     # a tree of depth e has more than e leaves; this keeps 1 << e small
-    starts = _leaf_starts(depths, exp) if exp < len(depths) else [0]
-    if starts[-1] != 1 << exp:
+    if exp >= len(depths):
+        if not all(map(_is_depth, depths)):
+            raise ValueError(_NOT_DEPTHS)
         raise ValueError("leaf lengths do not sum to 1")
-    if any(x & ((1 << (exp - d)) - 1) for d, x in zip(depths, starts)):
+    x = 0
+    starts = [0]
+    aligned = True
+    for d in depths:
+        # a plain int needs only its sign checked
+        if (type(d) is not int and not _is_depth(d)) or d < 0:
+            raise ValueError(_NOT_DEPTHS)
+        step = 1 << (exp - d)
+        if x & (step - 1):
+            aligned = False
+        x += step
+        starts.append(x)
+    if x != 1 << exp:
+        raise ValueError("leaf lengths do not sum to 1")
+    if not aligned:
         raise ValueError("a leaf does not start at a multiple of its length")
     return depths, exp, starts
 
@@ -555,22 +586,28 @@ def treepair_identity() -> TreePair:
 
 def _refinement(a, b):
     """The common refinement Z of trees a and b in one merge of their leaf
-    ends: the depths of Z's leaves, and for each the index of the leaf of a
-    and of the leaf of b that holds it."""
+    ends, each end read off the depths as the merge reaches it: the depths
+    of Z's leaves, and for each the index of the leaf of a and of the leaf
+    of b that holds it."""
     exp = max(max(a), max(b))
-    ends_a, ends_b = _leaf_starts(a, exp), _leaf_starts(b, exp)
+    one = 1 << exp
+    # the depth 0 closing each list is never read: both end at one
+    a, b = (*a, 0), (*b, 0)
     depths, under_a, under_b = [], [], []
-    i = j = 1
+    i = j = 0
+    end_a, end_b = 1 << (exp - a[0]), 1 << (exp - b[0])
     pos = 0
-    while pos < ends_a[-1]:
-        end = min(ends_a[i], ends_b[j])
+    while pos < one:
+        end = min(end_a, end_b)
         depths.append(exp + 1 - (end - pos).bit_length())
-        under_a.append(i - 1)
-        under_b.append(j - 1)
-        if end == ends_a[i]:
+        under_a.append(i)
+        under_b.append(j)
+        if end == end_a:
             i += 1
-        if end == ends_b[j]:
+            end_a += 1 << (exp - a[i])
+        if end == end_b:
             j += 1
+            end_b += 1 << (exp - b[j])
         pos = end
     return depths, under_a, under_b
 

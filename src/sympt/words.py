@@ -26,7 +26,8 @@ word into chunks of four factors, the operands of the tree's second
 round, each the product of two pairs, the first round's operands.  An
 exact ring keeps the product of each pair of unit letters it meets, and
 of each chunk of four unit core letters, so a word of L unit core
-letters costs about L / 4 products.  A
+letters costs about L / 4 products.  Within one fold it raises each
+power s^e, |e| > 1, once, and reads s^-e as the inverse of s^e.  A
 ring's atoms are its model's values of the core letters alone, so every
 derived symbol, A and B included, folds from EXPANSIONS.  tree and dyadic
 share _circle_ring, whose atoms are the circle forms of P, C and I and
@@ -40,8 +41,9 @@ folds each maximal run of C and I into one relabel of the model's ring
 (MATRICES for bir and picard, q-monomial relabels for quantum), keeps
 every P step, and is the one place that refuses a letter outside CORE or
 a word of more than STEP_BUDGET P steps.  walk_mod is the one walk of the
-commutative maps mod p: bir samples its images, and quantum reads the
-N-th powers of its pair off it, as they move by the same maps.  A
+commutative maps mod p, over the walk compile_mod compiles once a check:
+bir samples its images, and quantum reads the N-th powers of its pair off
+it, as they move by the same maps.  A
 spelling of more than STEP_BUDGET factors is refused while _core or
 expand builds it, so no exponent, however large, makes a word run
 without bound.
@@ -197,8 +199,9 @@ class _Ring:
     With keep_pairs, each product s^e t^f of two unit letters is kept
     too, at most (2 |ALPHABET|)^2 = 676 values, 36 over CORE, and so is
     each product s^e t^f u^g v^h of four unit core letters, at most
-    6^4 = 1296 values.  The relabel rings keep none: compile_word folds
-    them under its own memo.
+    6^4 = 1296 values.  Such a ring also keeps, for one fold only, each
+    power it raises (raised).  The relabel rings keep none: compile_word
+    folds them under its own memo.
     """
 
     def __init__(self, atom, identity, mul, inverse=operator.invert,
@@ -219,17 +222,27 @@ class _Ring:
             self._values[key] = g
         return self._values[key]
 
-    def raised(self, s: str, e: int):
+    def raised(self, s: str, e: int, powers=None):
         """s^e, e != 0: the value of s^+-1 by repeated squaring, O(log |e|)
-        products."""
-        return plcore.power(self.value(s, 1 if e > 0 else -1), abs(e),
-                            self.mul)
+        products.  With powers, one fold's memo, s^e is kept there for
+        |e| > 1, and s^-e, once kept, is read as its inverse: one pass in
+        place of a second chain of squarings."""
+        if powers is None or e * e == 1:
+            return plcore.power(self.value(s, 1 if e > 0 else -1), abs(e),
+                                self.mul)
+        g = powers.get((s, e))
+        if g is None:
+            g = powers.get((s, -e))
+            g = powers[s, e] = (self.raised(s, e) if g is None
+                                else self.inverse(g))
+        return g
 
-    def pair(self, s: str, e: int, t: str, f: int):
+    def pair(self, s: str, e: int, t: str, f: int, powers=None):
         """s^e t^f, e and f != 0: kept when both are +-1 and the ring
         keeps pairs."""
         if self._pairs is None or e * e != 1 or f * f != 1:
-            return self.mul(self.raised(s, e), self.raised(t, f))
+            return self.mul(self.raised(s, e, powers),
+                            self.raised(t, f, powers))
         key = s, e, t, f
         g = self._pairs.get(key)
         if g is None:
@@ -237,20 +250,20 @@ class _Ring:
                                             self.value(t, f))
         return g
 
-    def chunk(self, factors: Word):
+    def chunk(self, factors: Word, powers=None):
         """The product of one to four factors as the first two rounds of
         plcore.product form it, (f0 f1)(f2 f3), each pair a ring.pair:
         kept when they are four unit core letters and the ring keeps
-        pairs."""
+        pairs.  powers is the fold's memo (raised)."""
         if len(factors) < 4:
-            g = (self.pair(*factors[0], *factors[1]) if len(factors) > 1
-                 else self.raised(*factors[0]))
-            return (self.mul(g, self.raised(*factors[2]))
+            g = (self.pair(*factors[0], *factors[1], powers)
+                 if len(factors) > 1 else self.raised(*factors[0], powers))
+            return (self.mul(g, self.raised(*factors[2], powers))
                     if len(factors) == 3 else g)
         g = self._quads.get(factors) if self._quads is not None else None
         if g is None:
-            g = self.mul(self.pair(*factors[0], *factors[1]),
-                         self.pair(*factors[2], *factors[3]))
+            g = self.mul(self.pair(*factors[0], *factors[1], powers),
+                         self.pair(*factors[2], *factors[3], powers))
             if self._quads is not None and all(
                     s in CORE and e * e == 1 for s, e in factors):
                 self._quads[factors] = g
@@ -261,9 +274,12 @@ def _fold(word: Word, ring: _Ring):
     # the factors in chunks of four, the operands of plcore.product's
     # second round, each a ring.chunk; plcore.product then reduces the
     # chunks in the same balanced tree, so a word of L unit core letters
-    # costs about L / 4 products once its chunks are kept
+    # costs about L / 4 products once its chunks are kept.  A ring that
+    # keeps pairs raises each s^e, |e| > 1, once per fold and reads s^-e
+    # as its inverse (ring.raised); the memo goes when the fold returns
     factors = tuple([f for f in word if f[1]])
-    return plcore.product([ring.chunk(factors[i:i + 4])
+    powers = None if ring._pairs is None else {}
+    return plcore.product([ring.chunk(factors[i:i + 4], powers)
                            for i in range(0, len(factors), 4)],
                           ring.mul, ring.identity)
 
@@ -363,19 +379,28 @@ def _projective(steps, last):
     return tuple((_relabel_mod(m), sign) for m, sign in (*steps, (last, 0)))
 
 
-def walk_mod(word, point, p):
+def compile_mod(word):
+    """The walk of a core word that walk_mod takes: compile_word over
+    MATRICES, each relabel in _relabel_mod's form.  A check compiles its
+    word once and walks it from every sample point, so the word is hashed
+    once, not once a point.  ValueError where compile_word refuses the
+    word."""
+    return compile_word(tuple(word), MATRICES, _projective)
+
+
+def walk_mod(walk, point, p):
     """Walk a core word over a point mod p by the commutative maps,
     rightmost factor first, and yield the image after each step of its
     walk, the last relabel included, as a projective triple (a, b, d):
     x = a/d, y = b/d.  The one walk of P, C and I mod p: bir samples its
     images, and quantum reads the N-th powers of its pair off it.
 
-    point holds two nonzero residues mod p.  The point is carried as
-    (a, b, d) from (x, y, 1), so a step costs a few products and the walk
-    makes no inversion; a caller divides by d only where it needs the
-    image itself.  The word's walk (compile_word, over MATRICES) relabels
-    by each run of C and I at once (_relabel_mod) and takes P^+-1 one at a
-    time.  The letters, as maps and on (a, b, d):
+    walk is compile_mod(word), and point holds two nonzero residues mod
+    p.  The point is carried as (a, b, d) from (x, y, 1), so a step costs
+    a few products and the walk makes no inversion; a caller divides by d
+    only where it needs the image itself.  The walk relabels by each run
+    of C and I at once (_relabel_mod) and takes P^+-1 one at a time.  The
+    letters, as maps and on (a, b, d):
 
         P     (y, (1 + y)/x)   (ab, d(d + b), ad)
         P^-1  ((1 + x)/y, x)   (d(d + a), ab, bd)
@@ -398,7 +423,7 @@ def walk_mod(word, point, p):
     """
     a, b = point
     d = 1
-    for relabel, sign in compile_word(tuple(word), MATRICES, _projective):
+    for relabel, sign in walk:
         if relabel:
             degree, rows = relabel
             if degree == 1:

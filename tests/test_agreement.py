@@ -40,7 +40,8 @@ def _ball(radius):
 def _bir_key(word):
     key = []
     for point in BIR_POINTS:
-        a, b, d = birational._apply_word_mod(word, point, BIR_PRIME)
+        a, b, d = birational._apply_word_mod(words.compile_mod(word), point,
+                                             BIR_PRIME)
         inv = pow(d, -1, BIR_PRIME)
         key.append((a * inv % BIR_PRIME, b * inv % BIR_PRIME))
     return tuple(key)

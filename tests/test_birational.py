@@ -447,7 +447,8 @@ def test_apply_word_mod_matches_symbolic_composition():
         for _ in range(3):
             point = (rng.randrange(2, p - 1), rng.randrange(2, p - 1))
             try:
-                image = _affine(birational._apply_word_mod(word, point, p), p)
+                image = _affine(birational._apply_word_mod(
+                    words.compile_mod(word), point, p), p)
             except ZeroDivisionError:
                 continue
             assert image == f.apply_mod(point, p), word
@@ -486,7 +487,8 @@ def test_apply_word_mod_matches_letter_by_letter_maps():
         point = (rng.randrange(1, p), rng.randrange(1, p))
         want = _letter_by_letter(word, point, p)
         try:
-            got = _affine(birational._apply_word_mod(word, point, p), p)
+            got = _affine(birational._apply_word_mod(
+                words.compile_mod(word), point, p), p)
         except ZeroDivisionError:
             got = None
         assert got == want, (word, point)
@@ -506,7 +508,8 @@ def _sample_moved_by_inverse(word, primes, per_prime, seed):
         while done < per_prime:
             point = (rng.randrange(2, p - 1), rng.randrange(2, p - 1))
             try:
-                image = _affine(birational._apply_word_mod(word, point, p), p)
+                image = _affine(birational._apply_word_mod(
+                    words.compile_mod(word), point, p), p)
             except ZeroDivisionError:
                 continue
             done += 1

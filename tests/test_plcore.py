@@ -35,6 +35,7 @@ from sympt.plcore import (
     power,
     primitive,
     product,
+    vec_add,
     wedge,
     _sort_ccw,
     _strong_lucas_probable_prime,
@@ -426,6 +427,103 @@ def test_from_cones_checks_each_cone():
         from_cones(wide, [(1, 0), (0, 1), (-1, -1)], [(2, 2), (0, 1), (0, -1)])
     assert str(exc.value) == (
         "map is not integrally linear on cone (1, 0),(1, 2)")
+
+
+def _from_cones_by_solves(rays, images, mediant_images):
+    """from_cones as it was before it kept a matrix: each cone solved."""
+    mats = []
+    n = len(rays)
+    for i in range(n):
+        a, b = rays[i], rays[(i + 1) % n]
+        wa, wb = images[i], images[(i + 1) % n]
+        if wedge(a, b) <= 0:
+            raise AssertionError("candidate rays out of order")
+        top = cone_covector(a, b, wa[0], wb[0])
+        bottom = cone_covector(a, b, wa[1], wb[1])
+        if top is None or bottom is None:
+            raise ValueError("map is not integrally linear on cone %r,%r"
+                             % (a, b))
+        m = top + bottom
+        if plcore.mat_det(m) != 1:
+            raise ValueError("piece on cone %r,%r has det %d, not 1"
+                             % (a, b, plcore.mat_det(m)))
+        if mediant_images[i] != mat_apply(m, vec_add(a, b)):
+            raise ValueError("hidden breakpoint inside cone %r,%r" % (a, b))
+        mats.append(m)
+    return PLAut(tuple(rays), tuple(mats))
+
+
+def test_from_cones_checks_a_cone_after_a_kept_matrix(monkeypatch):
+    solves = [0]
+
+    def counted(*args):
+        solves[0] += 1
+        return cone_covector(*args)
+
+    monkeypatch.setattr(plcore, "cone_covector", counted)
+    # the identity on five rays: cone 0 is solved (two covectors), and
+    # each later cone keeps its matrix, which maps its next ray right
+    rays = [(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)]
+    mediants = [vec_add(r, rays[(i + 1) % 5]) for i, r in enumerate(rays)]
+    assert from_cones(rays, rays, mediants) == identity_pl()
+    assert solves[0] == 2
+    # cone 2 follows the kept matrix of cone 1, which maps its rays right
+    # but not its mediant
+    solves[0] = 0
+    with pytest.raises(ValueError) as exc:
+        from_cones(rays, rays, mediants[:2] + [(-1, 2)] + mediants[3:])
+    assert str(exc.value) == "hidden breakpoint inside cone (0, 1),(-1, 0)"
+    assert solves[0] == 2
+    # cone 2 of width 2 follows a kept matrix that misses its next image,
+    # and is solved: x/2 in one entry, then det 2
+    wide = [(1, 0), (1, 1), (0, 1), (-2, -1)]
+    mediants = [vec_add(r, wide[(i + 1) % 4]) for i, r in enumerate(wide)]
+    with pytest.raises(ValueError) as exc:
+        from_cones(wide, wide[:3] + [(-1, -1)], mediants)
+    assert str(exc.value) == (
+        "map is not integrally linear on cone (0, 1),(-2, -1)")
+    with pytest.raises(ValueError) as exc:
+        from_cones(wide, wide[:3] + [(-4, -1)], mediants)
+    assert str(exc.value) == "piece on cone (0, 1),(-2, -1) has det 2, not 1"
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_from_cones_refuses_as_the_solve_of_every_cone_did():
+    rng = random.Random(227)
+    kept = refused = 0
+    for _ in range(600):
+        f = random_word(rng, rng.randint(1, 6))
+        extra = [(rng.randint(-5, 5), rng.randint(-5, 5))
+                 for _ in range(rng.randint(0, 6))]
+        rays = _sort_ccw({*f.rays, *plcore.AXES,
+                          *(primitive(v) for v in extra if v != (0, 0))})
+        n = len(rays)
+        images = [f(r) for r in rays]
+        mediants = [f(vec_add(r, rays[(i + 1) % n]))
+                    for i, r in enumerate(rays)]
+        which = rng.randrange(4)
+        k = rng.randrange(n)
+        if which == 1:
+            images[k] = vec_add(images[k], rng.choice(
+                ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1))))
+        elif which == 2:
+            mediants[k] = vec_add(mediants[k], rng.choice(
+                ((1, 0), (0, -1), (2, 1))))
+        elif which == 3:
+            images[k] = (2 * images[k][0], images[k][1])
+        want = _outcome(_from_cones_by_solves, rays, images, mediants)
+        assert _outcome(from_cones, rays, images, mediants) == want, (
+            rays, images, mediants)
+        kept += want == f
+        refused += isinstance(want, tuple)
+    assert kept > 100 and refused > 300
+
 
 
 # ---------------------------------------------------------------------------

@@ -837,6 +837,131 @@ def random_tree(rng, leaves):
     return depths
 
 
+def _checked_tree_by_passes(depths):
+    """The tree check as it was written before it became one loop: the
+    type of every depth, then the leaf starts, then their sum, then each
+    leaf's alignment, each in its own pass."""
+    if not (isinstance(depths, (list, tuple)) and depths and all(
+            isinstance(d, int) and not isinstance(d, bool) and d >= 0
+            for d in depths)):
+        raise ValueError("a tree is a non-empty list of its leaf depths, "
+                         "non-negative integers, e.g. [2, 2, 1]")
+    depths = tuple(depths)
+    exp = max(depths)
+    starts = _leaf_starts(depths, exp) if exp < len(depths) else [0]
+    if starts[-1] != 1 << exp:
+        raise ValueError("leaf lengths do not sum to 1")
+    if any(x & ((1 << (exp - d)) - 1) for d, x in zip(depths, starts)):
+        raise ValueError("a leaf does not start at a multiple of its length")
+    return depths, exp, starts
+
+
+def _refinement_by_starts(a, b):
+    """The common refinement as a merge of the two lists of leaf ends."""
+    exp = max(max(a), max(b))
+    ends_a, ends_b = _leaf_starts(a, exp), _leaf_starts(b, exp)
+    depths, under_a, under_b = [], [], []
+    i = j = 1
+    pos = 0
+    while pos < ends_a[-1]:
+        end = min(ends_a[i], ends_b[j])
+        depths.append(exp + 1 - (end - pos).bit_length())
+        under_a.append(i - 1)
+        under_b.append(j - 1)
+        if end == ends_a[i]:
+            i += 1
+        if end == ends_b[j]:
+            j += 1
+        pos = end
+    return depths, under_a, under_b
+
+
+def _outcome(f, *args):
+    """f(*args), or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_NOT_A_DEPTH = (True, False, -1, -7, 1.0, 2.5, float("nan"), "1", None,
+                [1], (0,), F(1, 2))
+
+
+def _mangled_trees(rng):
+    """Depth lists near trees: trees, and trees with one depth moved,
+    swapped, dropped, doubled or replaced by a value that is no depth,
+    with the largest depth at or past the leaf count, or deeper than the
+    rest by far."""
+    n = rng.randint(1, 12)
+    tree = list(random_tree(rng, n))
+    kind = rng.randrange(9)
+    i = rng.randrange(n)
+    if kind == 1:
+        tree[i] += rng.choice((-2, -1, 1, 2))
+    elif kind == 2 and n > 1:
+        j = rng.randrange(n)
+        tree[i], tree[j] = tree[j], tree[i]
+    elif kind == 3:
+        del tree[i]
+    elif kind == 4:
+        tree.insert(i, tree[i])
+    elif kind == 5:
+        tree[i] = rng.choice(_NOT_A_DEPTH)
+    elif kind == 6:
+        tree[i] = rng.choice((n, n + 1, 2 * n + 3, 10 ** 6))
+    elif kind == 7:
+        # two faults at once: a bad depth after a misaligned leaf
+        tree = [2, 1, 2] + tree[:i] + [rng.choice(_NOT_A_DEPTH)]
+    return rng.choice((list, tuple))(tree)
+
+
+def test_the_tree_check_in_one_loop_refuses_as_the_passes_did(monkeypatch):
+    fixed = [[], (), [0], [1], [1, 1, 1], [0, 0], [1, 2], [2, 1, 2],
+             [3, 3, 2, 1, 1], [5, 5], [3, 1, 1], [2, 2, 1, 9], [True],
+             [False], [0.0], [1, True], [True, 1], [-1], [1, -1], [-1, 1],
+             [2, 2, 1.5], [1.5, 2, 2], [1, "1"], ["1", "1"], [None],
+             [1, [1]], [2, 1, 2, "x"], [9, 9, True], [1, 1, -10 ** 9],
+             0, None, "11", {1, 1}, {1: 1}, iter([1, 1]), b"\x01\x01"]
+    rng = random.Random(211)
+    cases = fixed + [_mangled_trees(rng) for _ in range(4000)]
+    kinds = set()
+    for depths in cases:
+        want = _outcome(_checked_tree_by_passes, depths)
+        assert _outcome(thompson._checked_tree, depths) == want, depths
+        kinds.add(want[1] if want[0] is ValueError else "valid")
+    assert len(kinds) == 4, kinds
+    # a depth past the leaf count is refused without building 2^depth,
+    # which the passes built first: at 10^30 that raised OverflowError
+    for huge in (2 ** 40, 10 ** 30):
+        with pytest.raises(ValueError, match="^leaf lengths do not sum"):
+            thompson._checked_tree([1, 1, huge])
+        with pytest.raises(ValueError, match="list of its leaf depths"):
+            thompson._checked_tree([huge, 1, -1])
+    # TreePair, which checks both trees, against the same pair built on
+    # the check by passes
+    pairs = [(a, b, rng.randrange(-3, 9)) for a, b in zip(cases, cases[1:])]
+    for a in range(1, 9):
+        for _ in range(60):
+            pairs.append((random_tree(rng, a), random_tree(rng, a),
+                          rng.choice((0, 1, -1, 5, True, 1.0))))
+    fused = [_outcome(TreePair, *pair) for pair in pairs]
+    monkeypatch.setattr(thompson, "_checked_tree", _checked_tree_by_passes)
+    for pair, got in zip(pairs, fused):
+        assert got == _outcome(TreePair, *pair), pair
+    monkeypatch.undo()
+    assert sum(isinstance(x, TreePair) for x in fused) > 300
+
+
+def test_the_refinement_walks_the_depths_as_the_start_lists_did():
+    rng = random.Random(223)
+    for _ in range(500):
+        a = random_tree(rng, rng.randint(1, 16))
+        b = random_tree(rng, rng.randint(1, 16))
+        assert (thompson._refinement(a, b)
+                == _refinement_by_starts(a, b)), (a, b)
+
+
 def test_every_thompson_element_tried_round_trips_through_the_plane():
     ds = [DyadicPL([(F(0), F(c, 16))]) for c in range(1, 16)]
     rng = random.Random(97)

@@ -580,6 +580,53 @@ def test_a_circle_fold_past_the_point_budget_is_refused():
         (1, 99999999999, 0, 1))
 
 
+@pytest.mark.parametrize("backend", ("tree", "dyadic"))
+def test_a_fold_raises_each_power_once(backend, monkeypatch):
+    # U^50 is 7 products by squaring, U^-50 its inverse, and two products
+    # join the three factors: 9, where a second chain for U^-50 made 16
+    owner, name = EXACT_PRODUCTS[backend]
+    compose, calls = getattr(owner, name), [0]
+
+    def counted(f, g):
+        calls[0] += 1
+        return compose(f, g)
+
+    ring = _exact_ring(backend)
+    word = parse_word("U^50 P U^-50")
+    value = evaluate(word, backend)
+    state = {k: dict(v) if isinstance(v, dict) else v
+             for k, v in vars(ring).items()}
+    monkeypatch.setattr(owner, name, counted)
+    assert evaluate(word, backend) == value
+    assert calls[0] == 9
+    monkeypatch.undo()
+    assert value == flat_product(word, backend)
+    # the first chain past the budget is refused as before, and neither a
+    # fold that returns nor one that raises leaves a power in the ring
+    with pytest.raises(ValueError) as exc:
+        evaluate("U^99999999999 P U^-99999999999", backend)
+    assert str(exc.value) == (
+        "circle form past the budget of 16384 points: it holds %d"
+        % {"tree": 16388, "dyadic": 16387}[backend])
+    assert vars(ring) == state
+
+
+def test_a_power_and_its_inverse_in_one_fold_equal_their_letters():
+    rng = random.Random(61)
+    for _ in range(20):
+        s = rng.choice(ALPHABET)
+        e = rng.choice((2, 3, 5, 8))
+        word = [(s, e), (s, -e), (rng.choice(ALPHABET), rng.choice((1, -1)))]
+        rng.shuffle(word)
+        word.append((s, rng.choice((e, -e))))
+        word = tuple(word)
+        for backend in ("pl", "tree", "dyadic"):
+            assert evaluate(word, backend) == flat_product(word, backend), (
+                word, backend)
+        assert _core(word) == rewrite(word, CORE), word
+        assert expand(word) == rewrite(word, {"P", "C"}), word
+
+
 def test_powers_fold_by_squaring():
     for n in (1, 2, 3, 7, 64, 100, 1001):
         assert evaluate("U^%d" % n, "pl") == plcore.linear_pl((1, n, 0, 1))
@@ -691,7 +738,7 @@ def _walk_images(word, point, p):
     where it raises ZeroDivisionError."""
     out = []
     try:
-        for a, b, d in words.walk_mod(word, point, p):
+        for a, b, d in words.walk_mod(words.compile_mod(word), point, p):
             out.append((a * pow(d, -1, p) % p, b * pow(d, -1, p) % p))
     except ZeroDivisionError:
         out.append(None)
@@ -753,6 +800,23 @@ def test_picard_compiles_a_word_once(monkeypatch):
     calls[0] = 0
     assert picard.word_acts_as_identity(word, nvectors=3) == first
     assert calls[0] == 0
+
+
+def test_a_sampled_check_compiles_its_commutative_walk_once(monkeypatch):
+    # bir walks the compiled word from every sample point, and quantum
+    # from every draw's N-th powers, without looking the word up again
+    compile_mod, calls = words.compile_mod, [0]
+
+    def counted(word):
+        calls[0] += 1
+        return compile_mod(word)
+
+    monkeypatch.setattr(words, "compile_mod", counted)
+    monkeypatch.setattr(birational, "compile_mod", counted)
+    word = _core("P C I P^-1 I^-1 C^-1 U^3 R")
+    birational.word_equals_identity(word, trials=20)
+    quantum.word_acts_as_identity(word, trials=20)
+    assert calls[0] == 2
 
 
 def test_the_step_budget_refuses_before_any_step():
