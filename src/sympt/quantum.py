@@ -23,20 +23,23 @@ identity, re-checked by the tests), so a relation word can be probed by
 applying it to random nonsingular pairs and comparing with the input.
 
 A word is applied by one kernel, `_apply_packed`, to the program that
-`_program` compiles from the walk `words.compile_word` folds (relabels by
-runs of C and I, each but the last followed by one P^(+-1) step), kept in
-the same memo entry as the walk.  The kernel carries X, X^-1, Y and Y^-1,
-each as a scalar times a packed matrix (below), so every factor q^g costs
-one modular multiply.  Beside them, `words.walk_mod` walks the N-th
-powers of X and Y, which are scalars (below): each new member's N-th
-power is known before the member is formed.  So a singular step is refused before any product of
-the draw (SingularSubstitution; callers resample), and an invertible
-member is inverted as a power, u^-1 = u^(N-1) / u^N.  `apply_word` first
-refuses a pair that is not two N x N matrices or does not q-commute
-(ValueError), then a singular one (SingularSubstitution), and reads the
-pair's inverses and N-th powers off `_Packed.inv`; so a pair that is both
-singular and not q-commuting raises ValueError.  A sampled check draws
-clock/shift pairs, whose inverses and N-th powers come with the draw.
+`_program` compiles from the walk `words.compile_word` multiplies
+(relabels by runs of C and I, each but the last followed by one P^(+-1)
+step), kept in the same memo entry as the walk.  The kernel carries X,
+X^-1, Y and Y^-1, each as a scalar times a packed matrix (below), so
+every factor q^g costs one modular multiply.  Beside them,
+`words.walk_mod` walks the N-th powers of X and Y, which are scalars
+(below), over the commutative walk the program ends with: each new
+member's N-th power is known before the member is formed.  So a singular
+step is refused before any product of the draw (SingularSubstitution;
+callers resample), and an invertible member is inverted as a power,
+u^-1 = u^(N-1) / u^N.  A check compiles its word once.  `apply_word`
+first refuses a pair that is not two N x N matrices or does not
+q-commute (ValueError), then a singular one (SingularSubstitution); it
+and `_base` read each member's inverse and N-th power off `_Packed.inv`
+in one loop, `_members`, so a pair that is both singular and not
+q-commuting raises ValueError.  A sampled check draws clock/shift pairs,
+whose inverses and N-th powers come with the draw.
 
 A relabel r = (a, b, c, d; g1, g2) sends (X, Y) to (q^g1 X^a Y^b,
 q^g2 X^c Y^d).  Read off the maps above, C is (-1, 1, -1, 0; 1, 1), C^-1
@@ -161,11 +164,12 @@ is singular exactly when 1 + B = 0 mod p, and P^-1's when 1 + A = 0:
 where bir's P and P^-1 meet a pole.  So one walk serves both models.
 `_inverse_powers` reads the point off `words.walk_mod`, which carries it
 as a projective triple (a, b, d), A = a/d and B = b/d, relabels it by
-the `words.MATRICES` fold of each run, the relabel's matrix, and raises
-ZeroDivisionError at exactly the singular steps.  After a P step the new
-member is Y, and 1 / Y^N = epsilon d / b; after P^-1 it is X, and
-1 / X^N = epsilon d / a.  That is one modular inverse per member a later
-step inverts, and u^(N-1) at N = 5 is two products (u^2, u^4).
+the matrix part (a, b, c, d) of each relabel, which by the rule above is
+the `words.MATRICES` fold of its run, and raises ZeroDivisionError at
+exactly the singular steps.  After a P step the new member is Y, and
+1 / Y^N = epsilon d / b; after P^-1 it is X, and 1 / X^N = epsilon d / a.
+That is one modular inverse per member a later step inverts, and
+u^(N-1) at N = 5 is two products (u^2, u^4).
 
 A member of a q-commuting pair is inverted one way.  Let X Y = q Y X.  If
 X and Y are invertible, then X^N and Y^N are nonzero scalars.  That is the
@@ -174,10 +178,10 @@ closure, then X (Y v) = q lambda Y v and Y v != 0, so lambda, q lambda,
 ..., q^(N-1) lambda are N distinct eigenvalues of X (lambda != 0): X is
 diagonalizable and X^N = lambda^N 1.  Y likewise, with q^-1.  So once the
 pair q-commutes, a member whose N-th power is not a nonzero scalar shows
-the pair singular.  `_Packed.inv`, for `apply_word`'s entry and `_base`,
-forms u^(N-1) and u u^(N-1): a nonzero scalar c gives u^-1 = u^(N-1) / c,
-and anything else is SingularSubstitution.  The kernel never calls it, and
-no matrix is inverted by elimination.
+the pair singular.  `_Packed.inv`, for `_members`, forms u^(N-1) and
+u u^(N-1): a nonzero scalar c gives u^-1 = u^(N-1) / c, and anything else
+is SingularSubstitution.  The kernel never calls it, and no matrix is
+inverted by elimination.
 """
 
 from __future__ import annotations
@@ -395,17 +399,23 @@ def apply_word(word, pair: QPair, cfg: QConfig) -> QPair:
     if not commutes_q(pair, cfg):
         raise ValueError("the pair does not q-commute: X Y != q Y X")
     program = words.compile_word(tuple(word), _RELABELS, _program)
-    p = cfg.p
-    packed = _packed(cfg.N, p)
+    packed = _packed(cfg.N, cfg.p)
+    members, powers = _members(pair, packed)
+    inverse_powers = _inverse_powers(program, powers, cfg.N, cfg.p)
+    return QPair(*map(packed.unpack, _apply_packed(program, members,
+                                                   inverse_powers, cfg)))
+
+
+def _members(pair: QPair, packed: _Packed):
+    """The members of pair packed, as (X, X^-1, Y, Y^-1), each a pair
+    (c, M) standing for c M, and their N-th powers (X^N, Y^N): each
+    member's inverse and N-th power read off _Packed.inv."""
     members, powers = [], []
     for m in map(packed.pack, pair._fields()):
         c, r = packed.inv(m)    # m r = m^N = c
-        members += [(1, m), (pow(c, -1, p), r)]
+        members += [(1, m), (pow(c, -1, packed.p), r)]
         powers.append(c)
-    inverse_powers = _inverse_powers(words.compile_mod(word), program[0],
-                                     powers, cfg.N, p)
-    return QPair(*map(packed.unpack, _apply_packed(program, members,
-                                                   inverse_powers, cfg)))
+    return members, powers
 
 
 # C^+-1 and I^+-1 as relabels (a, b, c, d, g1, g2), which send (X, Y) to
@@ -469,7 +479,10 @@ def _program(steps, last):
     the sum of, or None where nothing reads it; invert says whether a
     later step reads the new member's inverse.  The end is the monomials
     of the output X and Y.  The N-th powers move by their own walk,
-    words.walk_mod, whose steps are these (`_inverse_powers`).
+    words.walk_mod, whose steps are these (`_inverse_powers`); the program
+    ends with that walk, in words.compile_mod's form, built from the
+    matrix part (a, b, c, d) of each relabel, which by `_then`'s rule is
+    the words.MATRICES fold of its run.
     """
     a, b, c, d, g1, g2 = last
     end = _monomial(g1, a, b), _monomial(g2, c, d)
@@ -491,17 +504,19 @@ def _program(steps, last):
         terms = tuple(_monomial(*t) for t in terms) if new else None
         need = _reads(kept + (terms or ()))
         out.append((kept, terms, sign, new > 1))
-    return tuple(reversed(out)), end
+    return tuple(reversed(out)), end, words._projective(
+        [(r[:4], sign) for r, sign in steps], last[:4])
 
 
-def _inverse_powers(walk, steps, powers, n: int, p: int) -> list[int]:
+def _inverse_powers(program, powers, n: int, p: int) -> list[int]:
     """The inverse of the N-th power of each new member that the word's
     program steps invert, in order, given powers = (X^N, Y^N): read off
     the walk of the point (A, B) = epsilon (X^N, Y^N) by the commutative
-    maps (words.walk_mod over walk, the word's words.compile_mod).  After
+    maps (words.walk_mod over the program's own walk).  After
     a P step the new member is Y, and 1 / Y^N = epsilon d / b; after P^-1
     it is X, and 1 / X^N = epsilon d / a.  SingularSubstitution where a P
     step's new member is singular, before any product."""
+    steps, _, walk = program
     eps = _sign(n)
     out = []
     try:
@@ -530,7 +545,7 @@ def _apply_packed(program, members, inverse_powers,
     packed with canonical slots.  inverse_powers is what `_inverse_powers`
     returns for the members' point, which has refused a singular step
     before any product."""
-    steps, end = program
+    steps, end, _ = program
     p, n, q = cfg.p, cfg.N, cfg.q
     inverse_powers = iter(inverse_powers)
     q_to = [pow(q, k, p) for k in range(n)]
@@ -576,12 +591,8 @@ def _base(cfg: QConfig) -> tuple[int, int, int, int]:
     """The packed clock and shift of cfg, clock_shift(cfg, 1, 1), each
     followed by its inverse."""
     packed = _packed(cfg.N, cfg.p)
-    out = []
-    for m in clock_shift(cfg, 1, 1)._fields():
-        m = packed.pack(m)
-        c, r = packed.inv(m)
-        out += [m, packed.reduce(pow(c, -1, cfg.p) * r)]
-    return tuple(out)
+    members, _ = _members(clock_shift(cfg, 1, 1), packed)
+    return tuple(packed.reduce(c * m) for c, m in members)
 
 
 def _trials(word, cfg: QConfig, rng: random.Random):
@@ -592,7 +603,6 @@ def _trials(word, cfg: QConfig, rng: random.Random):
     word's packed output on the pair.  Stops after _MAX_RESAMPLES singular
     draws."""
     program = words.compile_word(tuple(word), _RELABELS, _program)
-    commutative = words.compile_mod(word)
     p, n = cfg.p, cfg.N
     red = _packed(n, p).reduce
     clock, clock_inv, shift, shift_inv = _base(cfg)
@@ -602,7 +612,7 @@ def _trials(word, cfg: QConfig, rng: random.Random):
         ly = rng.randrange(1, p)
         try:
             inverse_powers = _inverse_powers(
-                commutative, program[0], [pow(lx, n, p), pow(ly, n, p)], n, p)
+                program, [pow(lx, n, p), pow(ly, n, p)], n, p)
         except SingularSubstitution:
             singular += 1
             walk = None

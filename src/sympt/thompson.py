@@ -436,14 +436,6 @@ def dyadic_compose(f: DyadicPL, g: DyadicPL) -> DyadicPL:
     return DyadicPL._from_ints(top, pairs)
 
 
-def _leaf_starts(depths, exp):
-    """Leaf starts and then the end, as integers over 2**exp >= 2**depth."""
-    starts = [0]
-    for d in depths:
-        starts.append(starts[-1] + (1 << (exp - d)))
-    return starts
-
-
 _NOT_DEPTHS = ("a tree is a non-empty list of its leaf depths, "
                "non-negative integers, e.g. [2, 2, 1]")
 
@@ -634,20 +626,27 @@ def treepair_compose(f: TreePair, g: TreePair) -> TreePair:
 
 
 def treepair_to_dyadic(tp: TreePair) -> DyadicPL:
-    """Breakpoints: domain leaf i starts where range leaf (rot+i) mod N starts."""
+    """Breakpoints: domain leaf i starts where range leaf (rot+i) mod N
+    starts, in one walk of both trees from domain leaf 0."""
     exp = max(max(tp.domain), max(tp.range))
-    dom = _leaf_starts(tp.domain, exp)
-    rng = _leaf_starts(tp.range, exp)
-    n = len(tp.domain)
-    return DyadicPL._from_ints(
-        exp, [(dom[i], rng[(tp.rotation + i) % n]) for i in range(n)])
+    one, r = 1 << exp, tp.rotation
+    # domain leaf 0 goes onto range leaf r, which starts where leaf r - 1
+    # ends
+    y = sum(one >> e for e in tp.range[:r])
+    x, pairs = 0, []
+    for a, b in zip(tp.domain, tp.range[r:] + tp.range[:r]):
+        pairs.append((x, y % one))
+        x += one >> a
+        y += one >> b
+    return DyadicPL._from_ints(exp, pairs)
 
 
 def _leaves(d: DyadicPL, floor=0):
-    """(big, leaves): the maximal standard dyadic intervals of depth at
-    least floor that d sends affinely onto standard intervals of depth at
-    least floor, from 0.  A leaf (x, k, y, s) is [x, x + 2^k) / 2^big
-    going onto [y, y + 2^(k+s)) / 2^big.
+    """The tree pair of d's leaves, (domain, range, first): the maximal
+    standard dyadic intervals of depth at least floor that d sends
+    affinely onto standard intervals of depth at least floor.  domain
+    holds their depths from 0, range the depths of their images from the
+    one at 0, and first is the index of the leaf going onto 0.
 
     Each piece of d, taken from 0, is split from the left into such
     intervals, largest first; an image aligned to its own length ends by
@@ -668,27 +667,26 @@ def _leaves(d: DyadicPL, floor=0):
         ts.insert(0, 0)
         ys.insert(0, (ys[-1] + (dt << s if s >= 0 else dt >> -s)) % one)
         shifts.insert(0, s)
-    leaves = []
+    domain, range_ = [], []
     for x, end, y, s in zip(ts, ts[1:] + [one], ys, shifts):
         while x < end:
             # x | one: 0 <= x < one, and 0 is aligned up to the whole circle
             k = min(_twos(x | one), _twos(y | one) - s,
                     (end - x).bit_length() - 1, big - floor, big - floor - s)
-            leaves.append((x, k, y, s))
+            if not y:
+                first = len(domain)
+            domain.append(big - k)
+            range_.append(big - k - s)
             x += 1 << k
             y = (y + (1 << (k + s))) % one
-    return big, leaves
+    return domain, range_[first:] + range_[:first], first
 
 
 def dyadic_to_treepair(d: DyadicPL) -> TreePair:
-    """Reduced tree-pair form: the leaves of _leaves(d), which are already
-    the reduced pair's.  The range is turned to start at the leaf going
-    onto 0, and TreePair still checks both trees."""
-    big, leaves = _leaves(d)
-    first = [y for _, _, y, _ in leaves].index(0)
-    range_ = [big - k - s for _, k, _, s in leaves]
-    return TreePair([big - k for _, k, _, _ in leaves],
-                    range_[first:] + range_[:first], -first)
+    """Reduced tree-pair form: the pair of _leaves(d), which is already
+    reduced.  TreePair still checks both trees."""
+    domain, range_, first = _leaves(d)
+    return TreePair(domain, range_, -first)
 
 
 def _required_rays(f: PLAut):
@@ -830,12 +828,10 @@ def dyadic_to_plaut(d: DyadicPL) -> PLAut:
     already refused a map that is not a dyadic circle bijection.  A
     failing cone check (ValueError) would be a fault of this conversion.
     """
-    big, leaves = _leaves(d, 2)
-    first = [y for _, _, y, _ in leaves].index(0)
-    depths = [big - k - s for _, k, _, s in leaves]
-    images = _corners(depths[first:] + depths[:first])
+    domain, range_, first = _leaves(d, 2)
+    images = _corners(range_)
     images = images[-first:] + images[:-first]
-    rays = _corners([big - k for _, k, _, _ in leaves])
+    rays = _corners(domain)
     return from_cones([a for a, _ in rays], [a for a, _ in images],
                       [vec_add(a, b) for a, b in images])
 

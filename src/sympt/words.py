@@ -23,12 +23,12 @@ _core and expand spell a word over {P, C, I} or {P, C}, freely reduced.
 The fold raises each factor by repeated squaring (plcore.power) and
 multiplies the factors in a balanced tree (plcore.product).  It cuts the
 word into chunks of four factors, the operands of the tree's second
-round, each the product of two pairs, the first round's operands.  An
-exact ring keeps the product of each pair of unit letters it meets, and
-of each chunk of four unit core letters, so a word of L unit core
-letters costs about L / 4 products.  Within one fold it raises each
-power s^e, |e| > 1, once, and reads s^-e as the inverse of s^e.  A
-ring's atoms are its model's values of the core letters alone, so every
+round, each the product of two pairs, the first round's operands.  A
+ring keeps one table, keyed by factors: the product of each pair of unit
+letters it meets, and of each chunk of four unit core letters, so a word
+of L unit core letters costs about L / 4 products.  Within one fold it
+raises each power s^e, |e| > 1, once, and reads s^-e as the inverse of
+s^e.  A ring's atoms are its model's values of the core letters alone, so every
 derived symbol, A and B included, folds from EXPANSIONS.  tree and dyadic
 share _circle_ring, whose atoms are the circle forms of P, C and I and
 whose every product is held to thompson.POINT_BUDGET; FORMS names each
@@ -37,13 +37,13 @@ time instead (birational.compose_letters), the order in which its
 products stay in lowest terms.
 
 The sampled models walk a core word rather than fold it.  compile_word
-folds each maximal run of C and I into one relabel of the model's ring
-(MATRICES for bir and picard, q-monomial relabels for quantum), keeps
-every P step, and is the one place that refuses a letter outside CORE or
-a word of more than STEP_BUDGET P steps.  walk_mod is the one walk of the
-commutative maps mod p, over the walk compile_mod compiles once a check:
-bir samples its images, and quantum reads the N-th powers of its pair off
-it, as they move by the same maps.  A
+multiplies each maximal run of C and I into one relabel of the model's
+ring (MATRICES for bir and picard, q-monomial relabels for quantum),
+keeps every P step, and is the one place that refuses a letter outside
+CORE or a word of more than STEP_BUDGET P steps.  walk_mod is the one
+walk of the commutative maps mod p, over a walk in compile_mod's form,
+compiled once a check: bir samples its images, and quantum reads the
+N-th powers of its pair off it, as they move by the same maps.  A
 spelling of more than STEP_BUDGET factors is refused while _core or
 expand builds it, so no exponent, however large, makes a word run
 without bound.
@@ -188,29 +188,26 @@ def expand(word: Word, alphabet=("P", "C")) -> Word:
 # backends
 
 class _Ring:
-    """What _fold needs of a model: its identity, product and inverse, and
-    the value of each symbol, of its inverse, of each product of two unit
-    letters and of each product of four unit core letters, built on first
-    use and kept.
+    """What _fold needs of a model: its identity, product and inverse, the
+    value of each symbol and of its inverse, and one table of kept
+    products, keyed by their factors: each product of two unit letters, at
+    most (2 |ALPHABET|)^2 = 676 values, 36 over CORE, and each product of
+    four unit core letters, at most 6^4 = 1296 values.  Each is built on
+    first use.
 
     atom(s, sign) is the model's own value of s^sign (sign 1 or -1), or
     None where the ring builds it: the inverse of s^1, or else the fold of
-    EXPANSIONS[s].  So a call builds only the symbols its word names.
-    With keep_pairs, each product s^e t^f of two unit letters is kept
-    too, at most (2 |ALPHABET|)^2 = 676 values, 36 over CORE, and so is
-    each product s^e t^f u^g v^h of four unit core letters, at most
-    6^4 = 1296 values.  Such a ring also keeps, for one fold only, each
-    power it raises (raised).  The relabel rings keep none: compile_word
-    folds them under its own memo.
+    EXPANSIONS[s].  So a call builds only the symbols its word names.  A
+    fold also keeps, for itself only, each power it raises (raised).  The
+    relabel rings keep no product: compile_word multiplies their runs
+    under its own memo.
     """
 
-    def __init__(self, atom, identity, mul, inverse=operator.invert,
-                 keep_pairs=False):
+    def __init__(self, atom, identity, mul, inverse=operator.invert):
         self.identity, self.mul, self.inverse = identity, mul, inverse
         self._atom = atom
         self._values: dict = {}
-        self._pairs = {} if keep_pairs else None
-        self._quads = {} if keep_pairs else None
+        self._kept: dict = {}
 
     def value(self, s: str, sign: int):
         key = (s, sign)
@@ -237,49 +234,35 @@ class _Ring:
                                 else self.inverse(g))
         return g
 
-    def pair(self, s: str, e: int, t: str, f: int, powers=None):
-        """s^e t^f, e and f != 0: kept when both are +-1 and the ring
-        keeps pairs."""
-        if self._pairs is None or e * e != 1 or f * f != 1:
-            return self.mul(self.raised(s, e, powers),
-                            self.raised(t, f, powers))
-        key = s, e, t, f
-        g = self._pairs.get(key)
-        if g is None:
-            g = self._pairs[key] = self.mul(self.value(s, e),
-                                            self.value(t, f))
-        return g
-
-    def chunk(self, factors: Word, powers=None):
+    def product(self, factors: Word, powers=None):
         """The product of one to four factors as the first two rounds of
-        plcore.product form it, (f0 f1)(f2 f3), each pair a ring.pair:
-        kept when they are four unit core letters and the ring keeps
-        pairs.  powers is the fold's memo (raised)."""
-        if len(factors) < 4:
-            g = (self.pair(*factors[0], *factors[1], powers)
-                 if len(factors) > 1 else self.raised(*factors[0], powers))
-            return (self.mul(g, self.raised(*factors[2], powers))
-                    if len(factors) == 3 else g)
-        g = self._quads.get(factors) if self._quads is not None else None
+        plcore.product form it, (f0 f1)(f2 f3), kept when they are two
+        unit letters or four unit core letters.  powers is the fold's memo
+        (raised)."""
+        n = len(factors)
+        if n == 1:
+            return self.raised(*factors[0], powers)
+        g = self._kept.get(factors)
         if g is None:
-            g = self.mul(self.pair(*factors[0], *factors[1], powers),
-                         self.pair(*factors[2], *factors[3], powers))
-            if self._quads is not None and all(
-                    s in CORE and e * e == 1 for s, e in factors):
-                self._quads[factors] = g
+            half = (n + 1) // 2
+            g = self.mul(self.product(factors[:half], powers),
+                         self.product(factors[half:], powers))
+            if n != 3 and all(e * e == 1 and (n == 2 or s in CORE)
+                              for s, e in factors):
+                self._kept[factors] = g
         return g
 
 
 def _fold(word: Word, ring: _Ring):
     # the factors in chunks of four, the operands of plcore.product's
-    # second round, each a ring.chunk; plcore.product then reduces the
+    # second round, each a ring.product; plcore.product then reduces the
     # chunks in the same balanced tree, so a word of L unit core letters
-    # costs about L / 4 products once its chunks are kept.  A ring that
-    # keeps pairs raises each s^e, |e| > 1, once per fold and reads s^-e
-    # as its inverse (ring.raised); the memo goes when the fold returns
+    # costs about L / 4 products once its chunks are kept.  The fold
+    # raises each s^e, |e| > 1, once and reads s^-e as its inverse
+    # (ring.raised); the memo goes when the fold returns
     factors = tuple([f for f in word if f[1]])
-    powers = None if ring._pairs is None else {}
-    return plcore.product([ring.chunk(factors[i:i + 4], powers)
+    powers = {}
+    return plcore.product([ring.product(factors[i:i + 4], powers)
                            for i in range(0, len(factors), 4)],
                           ring.mul, ring.identity)
 
@@ -289,7 +272,7 @@ def _free_ring(target: frozenset) -> _Ring:
     # the free group on the target letters: a word folds to its expansion,
     # freely reduced
     return _Ring(lambda s, sign: ((s, sign),) if s in target else None,
-                 (), _free_mul, word_inverse, keep_pairs=True)
+                 (), _free_mul, word_inverse)
 
 
 @functools.lru_cache(maxsize=256)
@@ -316,9 +299,11 @@ def compile_word(word: Word, ring: _Ring, finish=None):
     each m_i a maximal run of C and I factors.  Rightmost first, its walk
     is the steps ((r_1, s_1), ..., (r_k, s_k)), each relabelling by r_i
     and then taking one P^(s_i) step, and then the relabel r_last; each
-    relabel is its run's fold in ring, by repeated squaring.  P runs are
-    never folded: P^5 = 1 is one of the relations under test, and a
-    model's pole or singular step must be met where the letters meet it.
+    relabel is the balanced product in ring of its run's factors, each
+    raised by repeated squaring: the tree _fold builds, with nothing kept
+    in ring, as this memo keeps the walk.  P runs are never multiplied:
+    P^5 = 1 is one of the relations under test, and a model's pole or
+    singular step must be met where the letters meet it.
     finish(steps, r_last), when given, converts the walk into the model's
     own program, which is returned in its place.
 
@@ -336,12 +321,14 @@ def compile_word(word: Word, ring: _Ring, finish=None):
     out, run = [], []
     for s, e in reversed(word):
         if s != "P":
-            run.append((s, e))
+            if e:
+                run.append(ring.raised(s, e))
             continue
         for _ in range(abs(e)):
-            out.append((_fold(run[::-1], ring), 1 if e > 0 else -1))
+            out.append((plcore.product(run[::-1], ring.mul, ring.identity),
+                        1 if e > 0 else -1))
             run = []
-    walk = tuple(out), _fold(run[::-1], ring)
+    walk = tuple(out), plcore.product(run[::-1], ring.mul, ring.identity)
     return finish(*walk) if finish else walk
 
 
@@ -395,12 +382,13 @@ def walk_mod(walk, point, p):
     x = a/d, y = b/d.  The one walk of P, C and I mod p: bir samples its
     images, and quantum reads the N-th powers of its pair off it.
 
-    walk is compile_mod(word), and point holds two nonzero residues mod
-    p.  The point is carried as (a, b, d) from (x, y, 1), so a step costs
-    a few products and the walk makes no inversion; a caller divides by d
-    only where it needs the image itself.  The walk relabels by each run
-    of C and I at once (_relabel_mod) and takes P^+-1 one at a time.  The
-    letters, as maps and on (a, b, d):
+    walk is compile_mod(word), or quantum's copy of it, and point holds
+    two nonzero residues mod p.  The point is carried as (a, b, d) from
+    (x, y, 1), so a step costs a few products and the walk makes no
+    inversion; a caller divides by d only where it needs the image
+    itself.  The walk relabels by each run of C and I at once
+    (_relabel_mod) and takes P^+-1 one at a time.  The letters, as maps
+    and on (a, b, d):
 
         P     (y, (1 + y)/x)   (ab, d(d + b), ad)
         P^-1  ((1 + x)/y, x)   (d(d + a), ab, bd)
@@ -462,7 +450,7 @@ def _pl_ring():
     return _Ring(
         lambda s, sign: plcore.generator_pl(s)
         if s in CORE and sign > 0 else None,
-        plcore.identity_pl(), lambda a, b: a * b, keep_pairs=True)
+        plcore.identity_pl(), lambda a, b: a * b)
 
 
 # circle model -> its form in thompson, as named in the converters
@@ -480,8 +468,7 @@ def _circle_ring(model: str):
         lambda s, sign: getattr(th, "plaut_to_" + form)(_pl_ring().value(s, 1))
         if s in CORE and sign > 0 else None,
         getattr(th, form + "_identity")(),
-        lambda a, b: th.within_budget(getattr(th, form + "_compose")(a, b)),
-        keep_pairs=True)
+        lambda a, b: th.within_budget(getattr(th, form + "_compose")(a, b)))
 
 
 def _exact(ring, *args):

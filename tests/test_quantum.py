@@ -735,6 +735,26 @@ def test_long_words_match_letter_by_letter_maps(n, p):
     assert 0 < singular < 8
 
 
+def test_the_program_ends_with_the_commutative_walk():
+    # the matrix part of quantum's relabels is the words.MATRICES fold of
+    # each run, so the walk its program carries for the N-th powers is
+    # the one words.compile_mod compiles for bir
+    rng = random.Random(47)
+    cases = [words._core(entry["lhs"]) for name in words.list_suites()
+             for entry in words.load_suite(name)]
+    cases += [_random_word(rng, 12) for _ in range(300)] + [()]
+    def spelled(walk):
+        # a relabel of degree 1 or 2 is an itemgetter, which compares by
+        # identity: read it off the names of the triple's entries
+        return [(r if r is None or r[0] > 2 else (r[0], r[1]("abd")), sign)
+                for r, sign in walk]
+
+    for word in cases:
+        _, _, walk = words.compile_word(word, quantum._RELABELS,
+                                        quantum._program)
+        assert spelled(walk) == spelled(words.compile_mod(word)), word
+
+
 def test_relabels_fold_exactly():
     # the q exponents are exact integers of the run: the relations of C
     # and I hold with g = 0, whatever N and p
@@ -985,7 +1005,7 @@ def test_a_singular_new_member_that_nothing_inverts_is_still_refused():
                 or _outcome(_ref_apply_word, last + rest, pair, cfg)
                 != "singular"):
             continue
-        steps, _ = words.compile_word(
+        steps, _, _ = words.compile_word(
             last + rest, quantum._RELABELS, quantum._program)
         assert steps[-1][-1] is False       # nothing inverts it
         with pytest.raises(SingularSubstitution):

@@ -29,7 +29,6 @@ from sympt.thompson import (
     treepair_to_plaut,
     vector_to_dyadic,
     _descend,
-    _leaf_starts,
     _leaves,
     _pair_to_vector,
     _refined_cells,
@@ -46,6 +45,15 @@ GEN_NAMES = ("P", "C", "I", "U", "mu", "L")
 # is immutable, so the tests share it.
 circle_form = functools.cache(plaut_to_dyadic)
 plane_form = functools.cache(dyadic_to_plaut)
+
+
+def _leaf_starts(depths, exp):
+    """Leaf starts and then the end, as integers over 2**exp >= 2**depth:
+    the start lists that the conversions once built, kept as an oracle."""
+    starts = [0]
+    for d in depths:
+        starts.append(starts[-1] + (1 << (exp - d)))
+    return starts
 
 
 @functools.cache
@@ -571,7 +579,7 @@ def test_plane_form_reads_rays_and_mediants_through_the_map(monkeypatch):
             m.setattr(TreePair, "__init__", refuse)
             m.setattr(DyadicPL, "_image", refuse)
             m.setattr(thompson, "dyadic_to_treepair", refuse)
-            m.setattr(thompson, "_leaf_starts", refuse)
+            m.setattr(thompson, "_leaf_starts", refuse, raising=False)
             m.setattr(thompson, "from_cones", recorded)
             assert dyadic_to_plaut(d) == g
         assert rays[0] == (1, 0)
@@ -599,16 +607,16 @@ def assert_leaves_match_references(f, g):
     rule cut, and its leaves at floor 0 are a reduced tree pair."""
     df, dg = circle_form(f), circle_form(g)
     for d in (df, dg, dyadic_compose(df, dg)):
-        big, leaves = _leaves(d, 2)
-        assert [F(x, 1 << big) for x, _, _, _ in leaves] == ref_cuts(d)
-        big, leaves = _leaves(d)
-        first = [y for _, _, y, _ in leaves].index(0)
-        domain = tuple(big - k for _, k, _, _ in leaves)
-        range_ = tuple(big - k - s for _, k, _, s in leaves)
-        range_ = range_[first:] + range_[:first]
+        domain, _, _ = _leaves(d, 2)
+        exp = max(domain)
+        assert [F(x, 1 << exp) for x in _leaf_starts(domain, exp)[:-1]] \
+            == ref_cuts(d)
+        domain, range_, first = _leaves(d)
+        domain, range_ = tuple(domain), tuple(range_)
         tp = TreePair(domain, range_, -first)
         assert (tp.domain, tp.range, tp.rotation) == (
             domain, range_, -first % len(domain))
+        assert treepair_to_dyadic(tp) == d
 
 
 def test_leaves_match_references_on_random_words():
@@ -835,6 +843,31 @@ def random_tree(rng, leaves):
     while len(depths) < leaves:
         depths = add_caret(depths, rng.randrange(len(depths)))
     return depths
+
+
+def ref_treepair_to_dyadic(tp):
+    """treepair_to_dyadic from the two lists of leaf starts it once built:
+    domain leaf i starts where range leaf (rot + i) mod N starts."""
+    exp = max(max(tp.domain), max(tp.range))
+    dom = _leaf_starts(tp.domain, exp)
+    rng = _leaf_starts(tp.range, exp)
+    n = len(tp.domain)
+    return DyadicPL._from_ints(
+        exp, [(dom[i], rng[(tp.rotation + i) % n]) for i in range(n)])
+
+
+def test_treepair_to_dyadic_matches_the_start_lists():
+    # seeded pairs at every rotation, the U^+-1000 trees and the identity
+    rng = random.Random(101)
+    pairs = [treepair_identity(), u_power(1000, "tree"),
+             u_power(-1000, "tree")]
+    for _ in range(60):
+        n = rng.randint(1, 16)
+        domain, range_ = random_tree(rng, n), random_tree(rng, n)
+        pairs += [TreePair(domain, range_, r) for r in range(n)]
+    for tp in pairs:
+        assert treepair_to_dyadic(tp) == ref_treepair_to_dyadic(tp), tp
+    assert len({tp.rotation for tp in pairs}) > 10
 
 
 def _checked_tree_by_passes(depths):

@@ -514,8 +514,7 @@ def test_a_cold_fold_takes_no_more_products_than_letters(backend):
         return ring.mul(f, g)
 
     def cold_fold(word):
-        cold = words._Ring(ring._atom, ring.identity, counted, ring.inverse,
-                           keep_pairs=True)
+        cold = words._Ring(ring._atom, ring.identity, counted, ring.inverse)
         calls[0] = 0
         value = words._fold(word, cold)
         assert value == evaluate(word, backend), word
@@ -539,30 +538,39 @@ def test_the_ring_keeps_only_pairs_of_unit_letters(backend):
     for _ in range(40):
         evaluate(random_word(rng, rng.randint(2, 8)), backend)
         evaluate(_unit_core_word(rng, rng.randint(4, 12)), backend)
-    kept, quads = ring._pairs, ring._quads
-    assert kept and len(kept) <= (2 * len(ALPHABET)) ** 2 == 676
-    assert all(e * e == f * f == 1 and {s, t} <= set(ALPHABET)
-               for s, e, t, f in kept)
-    # the chunks of four unit letters kept are over CORE alone, at most
-    # 6^4 of them whatever the words, in each ring that keeps pairs
+    # the one table holds products of two unit letters, at most 26^2,
+    # and of four unit core letters, at most 6^4 of them whatever the
+    # words, keyed by their factors, in each ring
     free = words._free_ring(CORE)
     for _ in range(10):
         _core(random_word(rng, rng.randint(4, 12)))
         _core(_unit_core_word(rng, rng.randint(4, 12)))
-    for table in (quads, free._quads):
-        assert table and len(table) <= 6 ** 4 == 1296
-        assert all(len(key) == 4 and all(s in CORE and e * e == 1
-                                         for s, e in key) for key in table)
+    for kept in (ring._kept, free._kept):
+        pairs = [key for key in kept if len(key) == 2]
+        quads = [key for key in kept if len(key) == 4]
+        assert len(pairs) + len(quads) == len(kept)
+        assert pairs and len(pairs) <= (2 * len(ALPHABET)) ** 2 == 676
+        assert all(e * e == 1 and s in ALPHABET
+                   for key in pairs for s, e in key)
+        assert quads and len(quads) <= 6 ** 4 == 1296
+        assert all(e * e == 1 and s in CORE for key in quads for s, e in key)
+    for key, value in ring._kept.items():
+        assert value == flat_product(key, backend), key
     # a power is raised by squaring and never kept; the letters' own
     # expansions are folded first
     for s in ("X2", "beta", "A", "R"):
         evaluate(s, backend)
-    before, before_quads = dict(kept), dict(quads)
+    before = dict(ring._kept)
     evaluate("X2^5 beta^-2 A^3 R^-7", backend)
-    assert kept == before and quads == before_quads
-    # the relabel rings fold under compile_word's memo and keep none
+    assert ring._kept == before
+    # the relabel rings multiply under compile_word's memo, which keeps
+    # no product in them; only a test's own _fold of a relabel ring does
+    words.compile_word.cache_clear()
     for relabels in (MATRICES, quantum._RELABELS):
-        assert relabels._pairs is None and relabels._quads is None
+        before = dict(relabels._kept)
+        for _ in range(20):
+            compile_word(_unit_core_word(rng, rng.randint(4, 12)), relabels)
+        assert relabels._kept == before
 
 
 def test_a_circle_fold_past_the_point_budget_is_refused():
@@ -804,17 +812,19 @@ def test_picard_compiles_a_word_once(monkeypatch):
 
 def test_a_sampled_check_compiles_its_commutative_walk_once(monkeypatch):
     # bir walks the compiled word from every sample point, and quantum
-    # from every draw's N-th powers, without looking the word up again
-    compile_mod, calls = words.compile_mod, [0]
+    # from every draw's N-th powers, without looking the word up again;
+    # quantum's program carries its own commutative walk, so a quantum
+    # check compiles its word once, not once more for the walk
+    compile_word, calls = words.compile_word, [0]
 
-    def counted(word):
+    def counted(*args):
         calls[0] += 1
-        return compile_mod(word)
+        return compile_word(*args)
 
-    monkeypatch.setattr(words, "compile_mod", counted)
-    monkeypatch.setattr(birational, "compile_mod", counted)
+    monkeypatch.setattr(words, "compile_word", counted)
     word = _core("P C I P^-1 I^-1 C^-1 U^3 R")
     birational.word_equals_identity(word, trials=20)
+    assert calls[0] == 1
     quantum.word_acts_as_identity(word, trials=20)
     assert calls[0] == 2
 
