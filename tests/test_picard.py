@@ -27,16 +27,13 @@ from sympt.picard import (
     mu_Wq_at,
     mu_Wq_inverse,
     mu_be_action,
-    mu_p_action,
     mu_p_vector,
-    p_basis,
     p_expand,
     p_vec,
     pairing,
     pic_product,
     plpart_vec,
     random_v_vector,
-    sigma_v,
     v_membership,
     wedge_form,
     word_acts_as_identity,
@@ -649,16 +646,81 @@ def test_f_prime_additive():
 # ---------------------------------------------------------------------------
 # sigma and the mutation actions
 
+# sigma_v, the eight b/e rules and the p rule as src stated them before both
+# were read off _mutate through a change of basis, kept as oracles.
+
+def ref_sigma_v(w, v):
+    """Mutation on lattice indices: w - min(v^w, 0)v off the v-line,
+    w - v on it.  Returns (0,0) exactly for w = v; callers treat the
+    origin symbol as zero."""
+    v = picard._check_primitive(v)
+    w = tuple(w)
+    if w == (0, 0):
+        raise ValueError("sigma is defined on nonzero vectors")
+    if wedge(w, v) != 0:
+        m = wedge(v, w)
+        if m < 0:
+            return (w[0] - m * v[0], w[1] - m * v[1])
+        return w
+    return (w[0] - v[0], w[1] - v[1])
+
+
+def ref_mu_be_action(x, v):
+    """Mutation at v on b/e terms, by the eight listed rules."""
+    v = picard._check_primitive(v)
+    nv = (-v[0], -v[1])
+
+    def rule(key):
+        if key[0] == "b":
+            w = key[1]
+            if w == v:
+                return -b_vec(nv)
+            if w == nv:
+                return e_vec(nv, 1) + b_vec(nv)
+            if wedge(w, v) > 0:
+                return b_vec(ref_sigma_v(w, v))
+            return b_vec(ref_sigma_v(w, v)) + wedge(v, w) * b_vec(nv)
+        if key[0] == "e":
+            _, a, k = key
+            if a == v:
+                return (b_vec(v) + b_vec(nv)) if k == 1 else e_vec(v, k - 1)
+            if a == nv:
+                return e_vec(nv, k + 1)
+            return e_vec(ref_sigma_v(a, v), k)
+        raise ValueError("mutation on b/e vectors only, got %r" % (key[0],))
+
+    return picard._extend(x, rule)
+
+
+def ref_mu_p_action(w, v):
+    """Mutation at v of the p symbol at w, in p symbols."""
+    v = picard._check_primitive(v)
+    w = tuple(w)
+    if w == (0, 0):
+        raise ValueError("p symbol needs a nonzero vector")
+    s = wedge(w, v)
+    coeff = s if s > 0 else (0 if s < 0 else -1)
+    out = p_vec(ref_sigma_v(w, v))
+    if coeff:
+        out = out + coeff * p_vec((-v[0], -v[1]))
+    return out
+
+
+def ref_mu_p_vector(x, v):
+    return picard._extend(x, lambda key: ref_mu_p_action(key[1], v))
+
+
 def test_sigma_values():
-    assert sigma_v((0, 1), (1, 0)) == (0, 1)
-    assert sigma_v((0, -1), (1, 0)) == (1, -1)
-    assert sigma_v((2, 0), (1, 0)) == (1, 0)
-    assert sigma_v((-1, 0), (1, 0)) == (-2, 0)
-    assert sigma_v((1, 0), (1, 0)) == (0, 0)  # flag value, callers drop it
+    assert ref_sigma_v((0, 1), (1, 0)) == (0, 1)
+    assert ref_sigma_v((0, -1), (1, 0)) == (1, -1)
+    assert ref_sigma_v((2, 0), (1, 0)) == (1, 0)
+    assert ref_sigma_v((-1, 0), (1, 0)) == (-2, 0)
+    # flag value, callers drop it
+    assert ref_sigma_v((1, 0), (1, 0)) == (0, 0)
     with pytest.raises(ValueError):
-        sigma_v((0, 0), (1, 0))
+        ref_sigma_v((0, 0), (1, 0))
     with pytest.raises(ValueError):
-        sigma_v((1, 1), (2, 0))
+        ref_sigma_v((1, 1), (2, 0))
 
 
 def test_sigma_gamma_conjugation():
@@ -669,10 +731,56 @@ def test_sigma_gamma_conjugation():
         w = (rng.randint(-4, 4), rng.randint(-4, 4))
         if w == (0, 0):
             continue
-        lhs = sigma_v(mat_apply(m, w), mat_apply(m, v))
-        s = sigma_v(w, v)
+        lhs = ref_sigma_v(mat_apply(m, w), mat_apply(m, v))
+        s = ref_sigma_v(w, v)
         rhs = mat_apply(m, s) if s != (0, 0) else (0, 0)
         assert lhs == rhs
+
+
+def _box(n):
+    return [(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)
+            if (x, y) != (0, 0)]
+
+
+GRID_V = [v for v in _box(4) if primitive(v) == v]
+GRID_W = _box(6)
+GRID_COEFFS = (1, -3, Q, ONE_MINUS_Q, QPoly((2, 0, -1)))
+
+
+def test_p_and_be_rules_match_their_oracles_on_a_grid():
+    """mu_p_vector and mu_be_action equal the oracles on every symbol at
+    every primitive v with |v_x|, |v_y| <= 4, w != 0 with |w_x|, |w_y| <= 6
+    indexing the symbols, and on one Z[q] combination of them per v."""
+    assert (len(GRID_V), len(GRID_W)) == (48, 168)
+    rng = random.Random(5)
+    checked = 0
+    for v in GRID_V:
+        ps, bes = [], []
+        for w in GRID_W:
+            c = rng.choice(GRID_COEFFS)
+            assert mu_p_vector(c * p_vec(w), v) == c * ref_mu_p_action(w, v)
+            ps.append((("p", w), c))
+            if primitive(w) != w:
+                continue
+            for key in [("b", w)] + [("e", w, k) for k in range(1, 5)]:
+                c = rng.choice(GRID_COEFFS)
+                x = PicVec([(key, c)])
+                assert mu_be_action(x, v) == ref_mu_be_action(x, v)
+                bes.append((key, c))
+                checked += 1
+        x = PicVec(ps)
+        assert mu_p_vector(x, v) == ref_mu_p_vector(x, v)
+        x = PicVec(bes)
+        assert mu_be_action(x, v) == ref_mu_be_action(x, v)
+    assert checked == 48 * 96 * 5
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cross_basis_report_matches_the_oracles(seed, monkeypatch):
+    report = cross_basis_report(80, seed)
+    monkeypatch.setattr(picard, "mu_be_action", ref_mu_be_action)
+    monkeypatch.setattr(picard, "mu_p_vector", ref_mu_p_vector)
+    assert cross_basis_report(80, seed) == report
 
 
 def test_mu_be_rules():
@@ -698,29 +806,28 @@ def test_mu_be_rules():
 
 def test_p_basis_values():
     v = (1, 0)
-    assert p_basis(1, v) == b_vec(v)
-    assert p_basis(2, v) == e_vec(v, level=1) + 2 * b_vec(v)
-    assert p_basis(3, v) == (2 * e_vec(v, level=1) + e_vec(v, level=2)
-                             + 3 * b_vec(v))
+    assert p_expand(v) == b_vec(v)
+    assert p_expand((2, 0)) == e_vec(v, level=1) + 2 * b_vec(v)
+    assert p_expand((3, 0)) == (2 * e_vec(v, level=1) + e_vec(v, level=2)
+                                + 3 * b_vec(v))
     assert p_expand((0, 0)).is_zero()
-    assert p_expand((-2, 0)) == p_basis(2, (-1, 0))
-    with pytest.raises(ValueError):
-        p_basis(0, v)
+    assert p_expand((-2, 0)) == (e_vec((-1, 0), level=1)
+                                 + 2 * b_vec((-1, 0)))
 
 
 def test_mu_p_values():
     v = (1, 0)
-    assert mu_p_action(v, v) == -p_vec((-1, 0))
-    assert mu_p_action((2, 0), v) == p_vec((1, 0)) - p_vec((-1, 0))
-    assert mu_p_action((-3, 0), v) == p_vec((-4, 0)) - p_vec((-1, 0))
+    assert ref_mu_p_action(v, v) == -p_vec((-1, 0))
+    assert ref_mu_p_action((2, 0), v) == p_vec((1, 0)) - p_vec((-1, 0))
+    assert ref_mu_p_action((-3, 0), v) == p_vec((-4, 0)) - p_vec((-1, 0))
     # w ^ v < 0 carries no correction; w ^ v > 0 adds p at -v
-    assert mu_p_action((1, 1), v) == p_vec((1, 1))
-    assert mu_p_action((0, -1), v) == p_vec((1, -1)) + p_vec((-1, 0))
-    img = mu_p_action((0, 1), v)
+    assert ref_mu_p_action((1, 1), v) == p_vec((1, 1))
+    assert ref_mu_p_action((0, -1), v) == p_vec((1, -1)) + p_vec((-1, 0))
+    img = ref_mu_p_action((0, 1), v)
     assert img == p_vec((0, 1))
     assert img.coefficient(("p", (-1, 0))) == 0
     with pytest.raises(ValueError, match="nonzero vector"):
-        mu_p_action((0, 0), v)
+        ref_mu_p_action((0, 0), v)
 
 
 def test_mu_be_matches_p_rule_on_collinear_vectors():
@@ -730,7 +837,7 @@ def test_mu_be_matches_p_rule_on_collinear_vectors():
             w = (sgn * k, 0)
             via_be = mu_be_action(p_expand(w), v)
             expected = PicVec()
-            for key, c in mu_p_action(w, v).terms.items():
+            for key, c in mu_p_vector(p_vec(w), v).terms.items():
                 expected = expected + c * p_expand(key[1])
             assert via_be == expected
 
@@ -752,8 +859,8 @@ def test_be_and_p_rules_differ_by_the_wedge_term():
           if (a, b) != (0, 0)]
     assert len(ws) == 360
     for w in ws:
-        diff = (mu_be_action(p_expand(w), v)
-                - expand_p_symbols(mu_p_action(w, v)))
+        diff = (ref_mu_be_action(p_expand(w), v)
+                - expand_p_symbols(ref_mu_p_action(w, v)))
         assert diff == -wedge(w, v) * b_vec(nv), w
 
 
@@ -1341,13 +1448,13 @@ def test_operator_preserves_v_subspace():
 def test_cluster_mutation_matches_lattice_action():
     """At q = 1 the canonical mutation is the cluster mutation at -v of
     the wedge B-matrix: e_w goes to e_s + max(wedge(-v, s), 0) e_(-v) with
-    s = sigma_v(w, v), and e_v to -e_(-v)."""
+    s = ref_sigma_v(w, v), and e_v to -e_(-v)."""
     v = (1, 0)
     nv = (-1, 0)
     ws = [(0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1),
           (2, 1), (1, 2), (-2, 3), (3, -2), (0, 2), (2, -3)]
     for w in ws:
-        s = sigma_v(w, v)
+        s = ref_sigma_v(w, v)
         assert mu_Wq_action(e_vec(w)).at_one() == (
             e_vec(s) + max(wedge(nv, s), 0) * e_vec(nv))
     assert mu_Wq_action(e_vec(v)).at_one() == -e_vec(nv)
