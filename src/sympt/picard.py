@@ -12,9 +12,9 @@ The lattice is spanned by several families of symbols:
   acts on plpart + delta by the five L-rules, with correction terms mixing
   the two families.
 * ``b(a)`` and ``e(a, k)``: the index encoding of plpart classes and the
-  differences of consecutive tower levels; mutation acts by eight rules.
-* ``p(w)``: a change of basis indexed by all nonzero lattice vectors,
-  with p of a multiple kv expanding into e-levels and b.
+  differences of consecutive tower levels.
+* ``p(w)``: a basis indexed by all nonzero lattice vectors; p at a
+  multiple k a expands into k b(a) and the e levels of a (p_expand).
 * the W[q] model: e symbols with Z[q] coefficients, carrying the canonical
   mutation action, a wedge form, and the invariant subspace V (vectors
   whose Z[q]-weighted index sum vanishes).
@@ -28,9 +28,9 @@ I^(-+1), so words.compile_word folds each run of C and I into one matrix,
 once per word, and _program turns its walk into mutation steps, each
 preceded by one fused relabel matrix.  One loop, _run, runs such steps on
 plain dicts {(x, y, level): (coefficient, bound)}, one per power of q, for
-the operator, the sampled identity test and the three mutations, each of
-which is a one-step program; a PicVec is built only at the boundary, where
-its keys are validated.  On V with integer coefficients no step carries (the
+the operator, the sampled identity test, and mu_Wq_action, mu_Wq_inverse
+and mu_Wq_at, each a one-step program; a PicVec is built only at the
+boundary, where its keys are validated.  On V with integer coefficients no step carries (the
 carry lemma at _mutate, by which _run computes carries), so the sampled
 identity test packs all its vectors into one such dict, the coefficient of
 vector r being digit r of one integer in base 2^w, and refuses an image
@@ -39,10 +39,15 @@ outside V.
 Sign convention: the mutation rule on e_(x,y) with y < 0 carries the
 coefficient -q*y.  That sign is forced by exactness: it is the unique
 choice under which V is invariant and the wedge form is preserved
-exactly in Z[q], and at q = 1 it coincides with the p-basis action.
-The b/e and the p rules agree on the kernel of pi: b_a, p_w -> a, w,
-where be_encode lands, and differ by -wedge(w, v) b_(-v) on one p_w (see
-mu_be_action); cross_basis_report shows that difference with witnesses.
+exactly in Z[q].
+
+_mutate states the mutation once, and the other two bases read it through
+a change of basis: the p rule (mu_p_vector) is the W[q] rule at q = 1,
+through p_(k a) <-> e(a, k), and the b/e rule (mu_be_action) is the p rule
+through p_expand, less wedge(pi(x), v) b_(-v) for pi: b_a -> a, e -> 0.
+That correction vanishes on the kernel of pi, where be_encode lands;
+cross_basis_report shows it with witnesses.  Each of the two docstrings
+proves its rules case by case.
 """
 
 import functools
@@ -98,11 +103,8 @@ __all__ = [
     "pic_product",
     "f_prime",
     "be_encode",
-    "sigma_v",
     "mu_be_action",
-    "p_basis",
     "p_expand",
-    "mu_p_action",
     "mu_p_vector",
     "gamma_action",
     "mu_Wq_action",
@@ -728,99 +730,6 @@ def be_encode(F: BreakFn) -> PicVec:
 
 
 # ---------------------------------------------------------------------------
-# mutation actions
-
-def sigma_v(w: Vec, v: Vec) -> Vec:
-    """Mutation on lattice indices: w - min(v^w, 0)v off the v-line,
-    w - v on it.  Returns (0,0) exactly for w = v; callers treat the
-    origin symbol as zero."""
-    v = _check_primitive(v)
-    w = tuple(w)
-    if w == (0, 0):
-        raise ValueError("sigma is defined on nonzero vectors")
-    if wedge(w, v) != 0:
-        m = wedge(v, w)
-        if m < 0:
-            return (w[0] - m * v[0], w[1] - m * v[1])
-        return w
-    return (w[0] - v[0], w[1] - v[1])
-
-
-def mu_be_action(x: PicVec, v: Vec) -> PicVec:
-    """Mutation at v on b/e terms, by the eight listed rules.  On p
-    symbols, mu_be_action(p_expand(w), v) - p_expand(mu_p_action(w, v)) =
-    -wedge(w, v) b_(-v), so it agrees with the p rule on the kernel of pi."""
-    v = _check_primitive(v)
-    nv = (-v[0], -v[1])
-
-    def rule(key):
-        if key[0] == "b":
-            w = key[1]
-            if w == v:
-                return -b_vec(nv)
-            if w == nv:
-                return e_vec(nv, 1) + b_vec(nv)
-            if wedge(w, v) > 0:
-                return b_vec(sigma_v(w, v))
-            return b_vec(sigma_v(w, v)) + wedge(v, w) * b_vec(nv)
-        if key[0] == "e":
-            _, a, k = key
-            if a == v:
-                return (b_vec(v) + b_vec(nv)) if k == 1 else e_vec(v, k - 1)
-            if a == nv:
-                return e_vec(nv, k + 1)
-            return e_vec(sigma_v(a, v), k)
-        raise ValueError("mutation on b/e vectors only, got %r" % (key[0],))
-
-    return _extend(x, rule)
-
-
-def p_basis(k: int, v: Vec) -> PicVec:
-    """p at kv: e levels 1..k-1 with weights k-1..1, plus k b_v."""
-    k = int(k)
-    if k < 1:
-        raise ValueError("level must be >= 1")
-    v = _check_primitive(v)
-    return PicVec([(("b", v), k)] + [(("e", v, j), k - j)
-                                      for j in range(1, k)])
-
-
-def p_expand(w: Vec) -> PicVec:
-    """b/e expansion of the p symbol at any nonzero lattice vector."""
-    w = tuple(w)
-    if w == (0, 0):
-        return ZERO_VEC
-    return p_basis(*_content_and_primitive(w))
-
-
-def mu_p_action(w: Vec, v: Vec) -> PicVec:
-    """Mutation at v of the p symbol at w, in p symbols."""
-    v = _check_primitive(v)
-    w = tuple(w)
-    if w == (0, 0):
-        raise ValueError("p symbol needs a nonzero vector")
-    s = wedge(w, v)
-    coeff = s if s > 0 else (0 if s < 0 else -1)
-    out = p_vec(sigma_v(w, v))
-    if coeff:
-        out = out + coeff * p_vec((-v[0], -v[1]))
-    return out
-
-
-def mu_p_vector(x: PicVec, v: Vec) -> PicVec:
-    """Mutation at v of a vector of p symbols, by mu_p_action."""
-    v = _check_primitive(v)
-
-    def rule(key):
-        if key[0] != "p":
-            raise ValueError(
-                "basis p mutates p-family vectors only; found %r" % (key,))
-        return mu_p_action(key[1], v)
-
-    return _extend(x, rule)
-
-
-# ---------------------------------------------------------------------------
 # the W[q] model
 
 def gamma_action(x: PicVec, m: Mat) -> PicVec:
@@ -1020,15 +929,136 @@ def mu_Wq_inverse(x: PicVec) -> PicVec:
     return _picvec(_run(_e_layers(x), ((MAT_ID, -1),)))
 
 
+def _direction(v) -> Mat:
+    """A unimodular m with m(1, 0) = v, for every basis that mutates along
+    the direction v; refuses a v that is not primitive."""
+    v = _check_primitive(v)
+    _, s, t = egcd(v[0], v[1])
+    return (v[0], -t, v[1], s)
+
+
 def mu_Wq_at(x: PicVec, v: Vec) -> PicVec:
     """The W[q] mutation along the primitive direction v: mu_Wq_action
-    conjugated by a unimodular m with m(1,0) = v."""
-    v = tuple(v)
-    if primitive(v) != v:
-        raise ValueError("mutation direction must be primitive; got %r" % (v,))
-    _, s, t = egcd(v[0], v[1])
-    m = (v[0], -t, v[1], s)
+    conjugated by m = _direction(v)."""
+    m = _direction(v)
     return _picvec(_run(_e_layers(x), ((mat_inv(m), 1),), m))
+
+
+# ---------------------------------------------------------------------------
+# the p and b/e bases, read through a change of basis
+
+def mu_p_vector(x: PicVec, v: Vec) -> PicVec:
+    """Mutation at v of a vector of p symbols: the W[q] rule at q = 1,
+    read through p_(k a) <-> e(a, k) and conjugated as in mu_Wq_at.
+
+    The p rule.  With s = w ^ v, p_w goes to p_(w + s v) + s p_(-v) when
+    s > 0, to p_w when s < 0, and to p_(w - v) - p_(-v) when s = 0, p at
+    the origin being zero.
+
+    Proof.  m = _direction(v) has determinant 1, so it keeps wedges: for
+    (x, y) = m^-1 w, s = (x, y) ^ (1, 0) = -y.  At q = 1 the carry, the
+    coefficient of q e_t, adds to the e_t of its own layer; for the one
+    term e_(x, y) it is -y (carry lemma at _mutate), so _mutate runs with
+    -y as at_t.  m takes t = (-1, 0) to -v, and (x, y) + c (1, 0) to
+    w + c v.
+    * y > 0, s < 0: the q^0 part e_(x,y) + y e_t and the carry -y e_t
+      leave e_(x,y), so p_w.
+    * y < 0, s > 0: the q^0 part is e_(x-y, y) and the carry s e_t;
+      (x - y, y) = (x, y) + s (1, 0), so p_(w + s v) + s p_(-v).
+    * y = 0, s = 0: the q^0 part is e_(x-1, 0) - e_t and there is no
+      carry, so p_(w - v) - p_(-v); _mutate drops e at the origin.
+    Each p term runs its own _mutate and is scaled by its coefficient, so
+    the rule is Z[q]-linear in the coefficients.
+    """
+    m = _direction(v)
+    m_inv = mat_inv(m)
+
+    def rule(key):
+        if key[0] != "p":
+            raise ValueError(
+                "basis p mutates p-family vectors only; found %r" % (key,))
+        k, (a, b) = _content_and_primitive(key[1])
+        carry = -k * (m_inv[2] * a + m_inv[3] * b)
+        raw = _mutate({(a, b, k): (1, 1)}, 1, m_inv, (carry, abs(carry)))
+        return PicVec([(("p", (k * a, k * b)), n)
+                       for (a, b, k), (n, _) in _relabel(raw, m).items()])
+
+    return _extend(x, rule)
+
+
+def p_expand(w: Vec) -> PicVec:
+    """b/e expansion T of the p symbol at a lattice vector: p at k a, for
+    a primitive, is k b_a plus the e levels 1..k-1 of a with weights
+    k-1..1, and p at the origin is zero."""
+    w = tuple(w)
+    if w == (0, 0):
+        return ZERO_VEC
+    k, a = _content_and_primitive(w)
+    return PicVec([(("b", a), k)] + [(("e", a, j), k - j)
+                                      for j in range(1, k)])
+
+
+def mu_be_action(x: PicVec, v: Vec) -> PicVec:
+    """Mutation at v on b/e terms: T mu_p T^-1 (x) - wedge(pi(x), v) b_(-v).
+
+    T is p_expand and mu_p is mu_p_vector.  T^-1 takes b_a to p_a and
+    e(a, k) to the second difference p_((k+1)a) - 2 p_(ka) + p_((k-1)a),
+    p at the origin being zero; T takes that back to e(a, k), since the b
+    weights k + 1, -2k, k - 1 cancel, and so do the e weights below level
+    k.  pi takes b_a to a and e to 0, so pi(T p_w) = w: the correction is
+    the difference of the b/e and p rules, -wedge(w, v) b_(-v) on T p_w,
+    and vanishes on the kernel of pi, where be_encode lands.
+
+    The eight rules.  With nv = -v, s = w ^ v, and, for a off the line of
+    v, sigma(a) = a + (a ^ v) v when a ^ v > 0 and a otherwise:
+    1. b_v goes to -b_nv;
+    2. b_nv to e(nv, 1) + b_nv;
+    3. b_w with s > 0 to b_sigma(w);
+    4. b_w with s < 0 to b_w - s b_nv;
+    5. e(v, 1) to b_v + b_nv;
+    6. e(v, k) with k >= 2 to e(v, k - 1);
+    7. e(nv, k) to e(nv, k + 1);
+    8. e(a, k) with a != v, nv to e(sigma(a), k).
+
+    Proof, case by case, with the p rule of mu_p_vector.
+    1. mu_p p_v = -p_nv, and s = 0.
+    2. mu_p p_nv = p_(2 nv) - p_nv, which T takes to 2 b_nv + e(nv, 1)
+       - b_nv, and s = 0.
+    3. mu_p p_w = p_sigma(w) + s p_nv, with sigma(w) primitive since w
+       is; T gives b_sigma(w) + s b_nv, and the correction is -s b_nv.
+    4. mu_p p_w = p_w; T gives b_w, and the correction is -s b_nv.
+    For e(a, k), pi is 0, and the weights 1, -2, 1 of the second
+    difference at levels k + 1, k, k - 1 sum to 0, as do their products
+    with the levels.  Each p rule below holds at every level j >= 0, at
+    j = 0 because both of its sides vanish.
+    5, 6. mu_p p_(j v) = p_((j-1) v) - p_nv: the p_nv parts cancel, so
+       the second difference at level k goes to the one at level k - 1.
+       For k >= 2 that is T^-1 e(v, k - 1); for k = 1 it is p_v + p_nv,
+       p_0 being zero, which T takes to b_v + b_nv.
+    7. mu_p p_(j nv) = p_((j+1) nv) - p_nv: the p_nv parts cancel, so the
+       second difference at level k goes to the one at level k + 1.
+    8. a ^ v < 0: mu_p p_(j a) = p_(j a), so e(a, k) stays.  a ^ v > 0:
+       mu_p p_(j a) = p_(j sigma(a)) + j (a ^ v) p_nv, and the p_nv parts
+       cancel, leaving T^-1 e(sigma(a), k), sigma(a) being primitive.
+    """
+    v = _check_primitive(v)
+    nv = (-v[0], -v[1])
+
+    def rule(key):
+        if key[0] == "b":
+            pi, pre = key[1], p_vec(key[1])
+        elif key[0] == "e":
+            _, (a0, a1), k = key
+            pi = (0, 0)
+            pre = PicVec([(("p", (j * a0, j * a1)), c)
+                          for j, c in ((k + 1, 1), (k, -2), (k - 1, 1)) if j])
+        else:
+            raise ValueError(
+                "mutation on b/e vectors only, got %r" % (key[0],))
+        return (_extend(mu_p_vector(pre, v), lambda term: p_expand(term[1]))
+                - wedge(pi, v) * b_vec(nv))
+
+    return _extend(x, rule)
 
 
 def v_membership(x: PicVec) -> bool:
@@ -1217,13 +1247,15 @@ def word_acts_as_identity(word, nvectors: int = 20, seed: int = 0) -> dict:
 
 def cross_basis_report(samples: int = 30, seed: int = 0) -> dict:
     """Compare the three mutation pictures on p symbols at v = (1, 0),
-    the one direction at which the W[q] rules are stated.
+    the one direction at which _mutate states the W[q] rule.
 
-    For sampled lattice vectors w the report checks whether the W[q]
-    action at q = 1 (read through e_w <-> p_w) and the b/e rule list
-    (through the p-basis expansion) give the p-rule value.  On one p_w the
-    b/e value is off by -wedge(w, v) b_(-v) (see mu_be_action), so
-    be_matches_p_rule fails exactly off the v-line; nothing is patched.
+    For sampled lattice vectors w the report checks whether mu_Wq_action
+    at q = 1, read through e_w <-> p_w, and mu_be_action on p_expand(w)
+    give the p rule's value mu_p_vector(p_vec(w), v).  The p rule is the
+    W[q] rule at q = 1, so wq_matches_p_rule holds on every sample.  On
+    p_expand(w) the b/e value is the expanded p rule plus the correction
+    -wedge(w, v) b_(-v) of mu_be_action, so be_matches_p_rule fails
+    exactly off the v-line; nothing is patched.
     """
     if not 1 <= samples <= 80:
         raise ValueError("samples must be between 1 and 80, the number of "
@@ -1238,7 +1270,7 @@ def cross_basis_report(samples: int = 30, seed: int = 0) -> dict:
         if w == (0, 0) or w in seen:
             continue
         seen.add(w)
-        p_rule = mu_p_action(w, v)
+        p_rule = mu_p_vector(p_vec(w), v)
 
         wq_as_p = _extend(mu_Wq_action(e_vec(w)).at_one(),
                           lambda key: p_vec(_e_key_vector(key)))

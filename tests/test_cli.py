@@ -434,6 +434,20 @@ def test_mutate_usage_errors():
         "got {'family': 'e'}")
 
 
+@pytest.mark.parametrize("at", ["0,0", "2,4"])
+def test_mutate_refuses_a_direction_alike_in_every_basis(at):
+    # each vector is one the basis accepts, so only the direction is wrong
+    vectors = {
+        "be": {"terms": [{"family": "b", "arg": [0, 1], "coef": [1]}]},
+        "p": {"terms": [{"family": "p", "arg": [2, 1], "coef": [1]}]},
+        "wq": json.loads(E_VEC)}
+    error = "ray index must be primitive, got (%s, %s)" % tuple(at.split(","))
+    for basis, vector in vectors.items():
+        code, rep = run_json(["mutate", "--basis", basis, "--at", at,
+                              "--vector", json.dumps(vector)])
+        assert (code, rep) == (2, {"error": error}), basis
+
+
 def _mutate_term(**term):
     return json.dumps({"terms": [{"arg": [1, 0], "coef": [1], **term}]})
 

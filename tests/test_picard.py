@@ -748,14 +748,15 @@ GRID_COEFFS = (1, -3, Q, ONE_MINUS_Q, QPoly((2, 0, -1)))
 
 
 def test_p_and_be_rules_match_their_oracles_on_a_grid():
-    """mu_p_vector and mu_be_action equal the oracles on every symbol at
-    every primitive v with |v_x|, |v_y| <= 4, w != 0 with |w_x|, |w_y| <= 6
-    indexing the symbols, and on one Z[q] combination of them per v."""
+    """mu_p_vector and mu_be_action equal the oracles at every primitive v
+    with |v_x|, |v_y| <= 4, on each symbol indexed by a w != 0 with
+    |w_x|, |w_y| <= 6 times a Z[q] coefficient, and mu_p_vector on the sum
+    of those p terms."""
     assert (len(GRID_V), len(GRID_W)) == (48, 168)
     rng = random.Random(5)
     checked = 0
     for v in GRID_V:
-        ps, bes = [], []
+        ps = []
         for w in GRID_W:
             c = rng.choice(GRID_COEFFS)
             assert mu_p_vector(c * p_vec(w), v) == c * ref_mu_p_action(w, v)
@@ -766,12 +767,9 @@ def test_p_and_be_rules_match_their_oracles_on_a_grid():
                 c = rng.choice(GRID_COEFFS)
                 x = PicVec([(key, c)])
                 assert mu_be_action(x, v) == ref_mu_be_action(x, v)
-                bes.append((key, c))
                 checked += 1
         x = PicVec(ps)
         assert mu_p_vector(x, v) == ref_mu_p_vector(x, v)
-        x = PicVec(bes)
-        assert mu_be_action(x, v) == ref_mu_be_action(x, v)
     assert checked == 48 * 96 * 5
 
 

@@ -396,6 +396,7 @@ def test_refined_cells_match_filtering_reference():
 # compose through the inverse of g and bisection, the refinement that
 # returns rays alone, and pl from dyadic through from_function.
 
+@functools.cache    # the powers tests pass it the same elements again
 def ref_dyadic_compose(f, g):
     cand = []
     if not g.is_rotation:
@@ -413,6 +414,7 @@ def ref_dyadic_compose(f, g):
         (t << (top - m), y << (top - k)) for t, y, k in images])
 
 
+@functools.cache    # required is a frozenset, seen again by the powers tests
 def ref_sorted_refined_cells(required):
     rays = []
     for _, _, u, v in _BASE_CELLS:
@@ -461,7 +463,7 @@ def ref_dyadic_to_plaut(d):
 def ref_plaut_to_dyadic(f):
     # one walk per ray image, then every piece certified: the midpoint of
     # two adjacent rays must go where the mediant of their images points
-    rays = ref_sorted_refined_cells(_required_rays(f))
+    rays = ref_sorted_refined_cells(frozenset(_required_rays(f)))
     images = [f(r) for r in rays]
     ts = [_vector_to_pair(r) for r in rays]
     ys = [_vector_to_pair(w) for w in images]
@@ -486,7 +488,7 @@ def assert_kernels_match_oracles(f, g):
     directions between the plane and the circle."""
     for h in (f, g):
         rays, _ = _refined_cells(_required_rays(h))
-        assert rays == ref_sorted_refined_cells(_required_rays(h))
+        assert rays == ref_sorted_refined_cells(frozenset(_required_rays(h)))
     df, dg = circle_form(f), circle_form(g)
     fg = dyadic_compose(df, dg)
     assert fg == ref_dyadic_compose(df, dg)
