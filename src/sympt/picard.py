@@ -30,11 +30,11 @@ preceded by one fused relabel matrix.  One loop, _run, runs such steps on
 plain dicts {(x, y, level): (coefficient, bound)}, one per power of q, for
 the operator, the sampled identity test, and mu_Wq_action, mu_Wq_inverse
 and mu_Wq_at, each a one-step program; a PicVec is built only at the
-boundary, where its keys are validated.  On V with integer coefficients no step carries (the
-carry lemma at _mutate, by which _run computes carries), so the sampled
-identity test packs all its vectors into one such dict, the coefficient of
-vector r being digit r of one integer in base 2^w, and refuses an image
-outside V.
+boundary, where its keys are validated.  On V with integer coefficients no
+step carries (the carry lemma at _mutate, by which _run computes carries),
+so the sampled identity test packs all its vectors into one such dict, the
+coefficient of vector r being digit r of one integer in base 2^w, and
+refuses an image outside V.
 
 Sign convention: the mutation rule on e_(x,y) with y < 0 carries the
 coefficient -q*y.  That sign is forced by exactness: it is the unique
