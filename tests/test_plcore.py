@@ -863,6 +863,14 @@ def composition_pairs(rng):
     return random_word(rng, rng.randint(0, 8)), random_word(rng, rng.randint(0, 8))
 
 
+def assert_rebuilds(*values):
+    """Each PLAut, built by a kernel, passes the full check unrefused and
+    comes back equal: deepcopy rebuilds it through __reduce__, which calls
+    the constructor."""
+    for f in values:
+        assert copy.deepcopy(f) == f
+
+
 def test_compose_matches_from_function_oracle():
     rng = random.Random(71)
     for _ in range(2400):
@@ -870,6 +878,7 @@ def test_compose_matches_from_function_oracle():
         fg = compose_pl(f, g)
         assert fg == ref_compose_pl(f, g), (f, g)
         assert repr(fg) == repr(ref_compose_pl(f, g))
+        assert_rebuilds(f, g, fg, inverse_pl(fg))
     k = 200
     f = U ** k * P * U ** -k
     assert compose_pl(f, ~f).is_identity()

@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 import random
@@ -45,6 +46,20 @@ GEN_NAMES = ("P", "C", "I", "U", "mu", "L")
 # is immutable, so the tests share it.
 circle_form = functools.cache(plaut_to_dyadic)
 plane_form = functools.cache(dyadic_to_plaut)
+
+
+@functools.cache    # the powers tests pass it the same values again
+def rebuilt(x):
+    """x rebuilt through its class's checked entry for pickle and copy,
+    __reduce__, which runs the full check on outside input."""
+    return copy.deepcopy(x)
+
+
+def assert_rebuilds(*values):
+    """Each value, built by a kernel, passes the full check unrefused and
+    comes back equal."""
+    for x in values:
+        assert rebuilt(x) == x
 
 
 def _leaf_starts(depths, exp):
@@ -496,6 +511,7 @@ def assert_kernels_match_oracles(f, g):
     for h, d in ((f, df), (g, dg), (f * g, fg)):
         assert d == ref_plaut_to_dyadic(h)
         assert plane_form(d) == ref_dyadic_to_plaut(d)
+        assert_rebuilds(h, d, plane_form(d))
 
 
 def random_word(rng, length):
@@ -618,7 +634,9 @@ def assert_leaves_match_references(f, g):
         tp = TreePair(domain, range_, -first)
         assert (tp.domain, tp.range, tp.rotation) == (
             domain, range_, -first % len(domain))
-        assert treepair_to_dyadic(tp) == d
+        back, read = treepair_to_dyadic(tp), dyadic_to_treepair(d)
+        assert back == d and read == tp
+        assert_rebuilds(d, back, read, ~tp, ~d)
 
 
 def test_leaves_match_references_on_random_words():
@@ -1178,12 +1196,15 @@ def test_tree_layer_agrees_with_nested_reference():
         assert (tp.domain, tp.range) == (ref_depths(ref[0]),
                                          ref_depths(ref[1]))
         assert treepair_to_dyadic(tp) == ref_to_dyadic(ref) == d
-        assert evaluate(word, "tree") == tp
+        tree = evaluate(word, "tree")
+        assert tree == tp
+        assert_rebuilds(d, tp, tree, ~tp)
         if prev is not None:
-            assert treepair_compose(tp, prev[0]) == as_depths(
-                ref_compose(ref, prev[1]))
-            assert treepair_compose(prev[0], tp) == as_depths(
-                ref_compose(prev[1], ref))
+            fg = treepair_compose(tp, prev[0])
+            gf = treepair_compose(prev[0], tp)
+            assert fg == as_depths(ref_compose(ref, prev[1]))
+            assert gf == as_depths(ref_compose(prev[1], ref))
+            assert_rebuilds(fg, gf)
         prev = tp, ref
 
 
