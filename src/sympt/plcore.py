@@ -322,9 +322,12 @@ class Frozen:
     deleting any attribute raises AttributeError.  A subclass sets its
     fields in __init__ with one _init call.  __reduce__ passes the fields
     to the constructor, so copy, deepcopy and pickle rebuild a value
-    through its validation; a subclass whose constructor takes other
-    arguments overrides __reduce__ with them.  (The standard library's record decorator would do the
-    same, but its import loads inspect, ast and dis on every CLI call.)
+    through the checks its constructor runs on outside input; a subclass
+    whose constructor takes other arguments overrides __reduce__ with
+    them.  _new builds a value from fields with no check at all, for the
+    kernels whose docstrings prove their fields valid.  (The standard
+    library's record decorator would do the same, but its import loads
+    inspect, ast and dis on every CLI call.)
     """
 
     __slots__ = ()
@@ -332,6 +335,14 @@ class Frozen:
     def _init(self, *values) -> None:
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _new(cls, *values):
+        """The value with these fields, unchecked: they must already be
+        valid and canonical."""
+        self = object.__new__(cls)
+        self._init(*values)
+        return self
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -393,6 +404,12 @@ class PLAut(Frozen):
     from rays[i] counterclockwise to rays[i+1]; a linear element has
     rays == () and a single matrix.  Instances are immutable and always
     canonical.
+
+    Outside input enters through the constructor, from_json and
+    __reduce__ (copy and pickle), which canonicalize and then run
+    _validate.  The kernels, compose_pl, inverse_pl and from_cones, build
+    through _trusted, which only canonicalizes; each proves its pieces
+    valid in its docstring.
     """
 
     __slots__ = ("rays", "mats")
@@ -403,6 +420,11 @@ class PLAut(Frozen):
         rays, mats = _canonicalize(rays, mats)
         _validate(rays, mats)
         self._init(rays, mats)
+
+    @classmethod
+    def _trusted(cls, rays, mats) -> "PLAut":
+        """The canonical form of pieces that a kernel proves valid."""
+        return cls._new(*_canonicalize(rays, mats))
 
     @property
     def is_linear(self) -> bool:
@@ -535,7 +557,7 @@ def _canonicalize(rays, mats):
     if not rays:
         if len(mats) != 1:
             raise ValueError("linear element must carry exactly one matrix")
-        return (), mats
+        return (), tuple(mats)
     if len(rays) != len(mats):
         raise ValueError("rays and mats must have equal length")
     n = len(rays)
@@ -603,28 +625,37 @@ def from_function(fn, hint_rays) -> PLAut:
     fn maps Z^2 -> Z^2 and must be linear on every cone of the fan spanned
     by hint_rays plus the coordinate axes.  The rays are sorted, fn is
     probed on each ray and on each mediant of two adjacent rays, and
-    from_cones solves and checks the cones.
+    from_cones solves and checks the cones.  Nothing vouches that fn is
+    a bijection, so the pieces are then checked as outside input.
     """
     rays = _sort_ccw([primitive(r) for r in hint_rays] + list(AXES))
     n = len(rays)
-    return from_cones(rays, [fn(r) for r in rays],
-                      [fn(vec_add(r, rays[(i + 1) % n]))
-                       for i, r in enumerate(rays)])
+    f = from_cones(rays, [fn(r) for r in rays],
+                   [fn(vec_add(r, rays[(i + 1) % n]))
+                    for i, r in enumerate(rays)])
+    return PLAut(f.rays, f.mats)
 
 
 def from_cones(rays, images, mediant_images) -> PLAut:
     """The PLAut linear on each cone between adjacent rays, from the image
     of each ray and of each cone's mediant.
 
-    rays wind once counterclockwise, and cone i runs from rays[i] to
-    rays[i+1], the last one back to rays[0]; images[i] is the image of
-    rays[i] and mediant_images[i] that of rays[i] + rays[i+1].  Each cone's
-    matrix is solved from its two rays and checked on the mediant, so a
-    hidden breakpoint or a non-unimodular piece raises ValueError.  Where
-    the previous cone's matrix, which maps rays[i] to images[i], also maps
-    rays[i+1] to images[i+1], it is the one solution for cone i, integral
-    and of determinant 1, and is kept without a second solve; the mediant
-    check still runs on every cone.
+    rays are primitive and wind once counterclockwise, and cone i runs
+    from rays[i] to rays[i+1], the last one back to rays[0]; images[i] is
+    the image of rays[i] and mediant_images[i] that of rays[i] + rays[i+1].
+    Each cone's matrix is solved from its two rays and checked on the
+    mediant, so a hidden breakpoint or a non-unimodular piece raises
+    ValueError.  Where the previous cone's matrix, which maps rays[i] to
+    images[i], also maps rays[i+1] to images[i+1], it is the one solution
+    for cone i, integral and of determinant 1, and is kept without a second
+    solve; the mediant check still runs on every cone.
+
+    The pieces are valid, so PLAut._trusted only canonicalizes them.  Each
+    has determinant 1, and the matrices of cones i and i+1 both send
+    rays[i+1] to images[i+1], so adjacent pieces agree on their shared
+    ray.  The rays are the caller's, and so is the bijectivity, that the
+    images wind once: dyadic_to_plaut proves both, and from_function,
+    whose fn nothing vouches for, checks its result as outside input.
     """
     mats = []
     n = len(rays)
@@ -647,7 +678,7 @@ def from_cones(rays, images, mediant_images) -> PLAut:
         if mediant_images[i] != mat_apply(m, vec_add(a, b)):
             raise ValueError("hidden breakpoint inside cone %r,%r" % (a, b))
         mats.append(m)
-    return PLAut(tuple(rays), tuple(mats))
+    return PLAut._trusted(rays, mats)
 
 
 def compose_pl(f: PLAut, g: PLAut) -> PLAut:
@@ -658,18 +689,31 @@ def compose_pl(f: PLAut, g: PLAut) -> PLAut:
     counterclockwise like f's rays s_j.  Walking both lists from (1,0),
     each u_i is a breakpoint at r_i and each other s_j one at B_i^-1 s_j,
     where i is g's image cone holding s_j; the cone after it carries
-    A_j B_i.  PLAut then drops the rays where nothing bends.
+    A_j B_i.  PLAut._trusted then drops the rays where nothing bends.
+
+    The pieces are valid, so nothing re-checks them.  Every matrix is a
+    product of determinant-1 matrices.  Every ray is r_i or B_i^-1 s_j,
+    primitive since B_i^-1 is in SL(2,Z).  The merge emits image
+    directions strictly increasing from (1,0), a tie u_i = s_j emitted
+    once, so they wind once; each ray is its direction's preimage under g,
+    a homeomorphism that preserves orientation, so the rays, at least
+    g's two, are distinct and wind once too, and their images under f g
+    wind once because f is such a homeomorphism as well.  At the ray p
+    between two pieces, B_i p and B_i' p are both g(p), since g's pieces
+    agree on their rays, and A_j, A_j' agree on that direction, since f's
+    do; so adjacent pieces agree.  With g or f linear the same holds with
+    one matrix: the rays are f's moved by B^-1, or g's.
     """
     if g.is_linear:
         B = g.mats[0]
         if f.is_linear:
-            return linear_pl(mat_mul(f.mats[0], B))
+            return PLAut._trusted((), (mat_mul(f.mats[0], B),))
         Binv = mat_inv(B)
-        return PLAut(tuple(mat_apply(Binv, s) for s in f.rays),
-                     tuple(mat_mul(A, B) for A in f.mats))
+        return PLAut._trusted(tuple(mat_apply(Binv, s) for s in f.rays),
+                              tuple(mat_mul(A, B) for A in f.mats))
     if f.is_linear:
         A = f.mats[0]
-        return PLAut(g.rays, tuple(mat_mul(A, B) for B in g.mats))
+        return PLAut._trusted(g.rays, tuple(mat_mul(A, B) for B in g.mats))
     us = [mat_apply(B, r) for r, B in zip(g.rays, g.mats)]
     k, l = _ccw_start(us), _ccw_start(f.rays)
     # the cones of g by image ray and the cones of f, in the order from (1,0)
@@ -694,7 +738,7 @@ def compose_pl(f: PLAut, g: PLAut) -> PLAut:
             b += 1
             rays.append(mat_apply(mat_inv(B), s))
         mats.append(mat_mul(A, B))
-    return PLAut(rays, mats)
+    return PLAut._trusted(rays, mats)
 
 
 def power(x, n: int, mul):
@@ -730,8 +774,17 @@ def product(factors, mul, identity):
 
 
 def inverse_pl(f: PLAut) -> PLAut:
-    return PLAut([mat_apply(m, r) for r, m in zip(f.rays, f.mats)],
-                 [mat_inv(m) for m in f.mats])
+    """f^-1: piece i of f sends its cone onto the cone from u_i = B_i r_i
+    to u_(i+1), where f^-1 is B_i^-1.
+
+    The pieces are valid, so PLAut._trusted only canonicalizes them.  The
+    rays u_i are f's image rays, which wind once, primitive since B_i is in
+    SL(2,Z); their images B_i^-1 u_i = r_i wind once; each B_i^-1 has
+    determinant 1; and B_i^-1, B_(i+1)^-1 agree on u_(i+1), since both
+    send it to r_(i+1).
+    """
+    return PLAut._trusted([mat_apply(m, r) for r, m in zip(f.rays, f.mats)],
+                          [mat_inv(m) for m in f.mats])
 
 
 def order_pl(f: PLAut, bound: int = 64):

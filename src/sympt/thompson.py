@@ -40,6 +40,7 @@ calling a ``DyadicPL`` on a number, and its ``points``.
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 from .plcore import (
     Frozen,
@@ -223,74 +224,43 @@ class DyadicPL(Frozen):
 
     Given by ``points``, a tuple of (t, f(t)) pairs with strictly increasing
     dyadic t in [0,1), holding only genuine slope-change points.  A rigid
-    rotation is the single pair ((0, c),).  Slopes are validated to be powers
-    of two and the map to be a degree-one circle bijection.
+    rotation is the single pair ((0, c),).
 
     The points are stored as integers over 2**_exp, their least common
     denominator: ``_ts`` the abscissae, ``_ys`` their images and ``_shifts``
     the slope exponent of the piece starting at each.  Evaluation finds the
     piece by bisection and applies the slope as a shift.
+
+    Outside input enters through the constructor, from_json and
+    __reduce__ (copy and pickle), all through _checked_form, which refuses
+    a slope that is not a power of two or a map that is not a degree-one
+    circle bijection.  The kernels, dyadic_compose, ~, plaut_to_dyadic and
+    treepair_to_dyadic, know each slope and build through _trusted, which
+    only canonicalizes; each proves its map valid in its docstring.
     """
 
     __slots__ = ("_exp", "_ts", "_ys", "_shifts")
 
     def __init__(self, points):
-        self._set(*_common_exponent(
-            [(_dyadic(t), _dyadic(y)) for t, y in points]))
+        self._init(*_checked_form(*_common_exponent(
+            [(_dyadic(t), _dyadic(y)) for t, y in points])))
 
     @classmethod
     def _from_ints(cls, exp, pairs) -> "DyadicPL":
-        """The map through the points (t/2^exp, y/2^exp) of the int pairs."""
-        self = object.__new__(cls)
-        self._set(exp, pairs)
-        return self
+        """The map through the points (t/2^exp, y/2^exp) of the int pairs,
+        checked as outside input."""
+        return cls._new(*_checked_form(exp, pairs))
 
-    def _set(self, exp, pairs):
-        """Validate integer pairs over 2**exp and store the canonical form."""
-        one = 1 << exp
-        pairs.sort()
-        n = len(pairs)
-        for (t1, _), (t2, _) in zip(pairs, pairs[1:]):
-            if t1 == t2:
-                raise ValueError(
-                    "repeated breakpoint at t=%s" % (Fraction(t1, one),))
-        keep = []
-        if n > 1:
-            shifts = []
-            total = 0
-            for (t1, y1), (t2, y2) in zip(pairs, pairs[1:] + pairs[:1]):
-                dt = (t2 - t1) % one
-                dy = (y2 - y1) % one
-                if dy == 0:
-                    raise ValueError("map is not injective near t=%s"
-                                     % (Fraction(t1, one),))
-                # the slope dy / dt is a power of two when both have the
-                # same odd part, and then it is 2^(zy - zt); shifting out
-                # one bit past the twos leaves (odd part - 1) / 2
-                zt, zy = (dt & -dt).bit_length(), (dy & -dy).bit_length()
-                if dt >> zt != dy >> zy:
-                    raise ValueError("slope %s is not a power of two"
-                                     % (Fraction(dy, dt),))
-                shifts.append(zy - zt)
-                total += dy
-            if total != one:
-                raise ValueError("total winding is %s, expected 1"
-                                 % (Fraction(total, one),))
-            keep = [(t, y, s) for (t, y), s, before
-                    in zip(pairs, shifts, shifts[-1:] + shifts[:-1])
-                    if s != before]
-        if not keep:
-            t0, y0 = pairs[0]
-            keep = [(0, (y0 - t0) % one, 0)]
-        # the fewest bits that hold every kept point: the lowest set bit of
-        # any point is the lowest set bit of their OR
-        bits = 0
-        for t, y, _ in keep:
-            bits |= t | y
-        cut = _twos(bits) if bits else exp
-        ts, ys, shifts = zip(*keep)
-        self._init(exp - cut, tuple([t >> cut for t in ts]),
-                   tuple([y >> cut for y in ys]), shifts)
+    @classmethod
+    def _trusted(cls, exp, ts, ys, shifts, first=0) -> "DyadicPL":
+        """The canonical form of a map that a kernel proves valid: points
+        ts[i] / 2^exp that increase around the circle from index first,
+        their images ys[i] / 2^exp, and the slope exponent shifts[i] of the
+        piece from each.  No sort and no check."""
+        if first:
+            ts, ys = ts[first:] + ts[:first], ys[first:] + ys[:first]
+            shifts = shifts[first:] + shifts[:first]
+        return cls._new(*_canonical(exp, ts, ys, shifts))
 
     def __reduce__(self):
         return DyadicPL._from_ints, (self._exp, list(zip(self._ts, self._ys)))
@@ -352,8 +322,14 @@ class DyadicPL(Frozen):
         return y, m
 
     def __invert__(self) -> "DyadicPL":
-        return DyadicPL._from_ints(
-            self._exp, [(y, t) for t, y in zip(self._ts, self._ys)])
+        """The inverse map: its points are the images y_i, with images t_i,
+        and its piece from y_i is the image of the piece from t_i, with
+        slope exponent -s_i.  The y_i increase around the circle from the
+        least, since the map is a degree-one bijection."""
+        ys = self._ys
+        return DyadicPL._trusted(self._exp, ys, self._ts,
+                                 tuple([-s for s in self._shifts]),
+                                 ys.index(min(ys)))
 
     def __mul__(self, other) -> "DyadicPL":
         if not isinstance(other, DyadicPL):
@@ -388,6 +364,63 @@ class DyadicPL(Frozen):
         return cls._from_ints(*_common_exponent(pts))
 
 
+def _checked_form(exp, pairs):
+    """The fields of the map through the integer pairs over 2**exp, or
+    ValueError if they repeat a point, or make a slope that is not a power
+    of two or a map that is not a degree-one circle bijection."""
+    one = 1 << exp
+    pairs.sort()
+    n = len(pairs)
+    for (t1, _), (t2, _) in zip(pairs, pairs[1:]):
+        if t1 == t2:
+            raise ValueError(
+                "repeated breakpoint at t=%s" % (Fraction(t1, one),))
+    shifts = [0]
+    if n > 1:
+        shifts = []
+        total = 0
+        for (t1, y1), (t2, y2) in zip(pairs, pairs[1:] + pairs[:1]):
+            dt = (t2 - t1) % one
+            dy = (y2 - y1) % one
+            if dy == 0:
+                raise ValueError("map is not injective near t=%s"
+                                 % (Fraction(t1, one),))
+            # the slope dy / dt is a power of two when both have the same
+            # odd part, and then it is 2^(zy - zt); shifting out one bit
+            # past the twos leaves (odd part - 1) / 2
+            zt, zy = (dt & -dt).bit_length(), (dy & -dy).bit_length()
+            if dt >> zt != dy >> zy:
+                raise ValueError("slope %s is not a power of two"
+                                 % (Fraction(dy, dt),))
+            shifts.append(zy - zt)
+            total += dy
+        if total != one:
+            raise ValueError("total winding is %s, expected 1"
+                             % (Fraction(total, one),))
+    return _canonical(exp, [t for t, _ in pairs], [y for _, y in pairs],
+                      shifts)
+
+
+def _canonical(exp, ts, ys, shifts):
+    """The fields of a valid map given by increasing points ts over
+    2**exp, their images ys and the slope exponent shifts of the piece
+    from each: only the points where the slope changes, or for a rotation
+    the one point (0, image of 0), over the least power of two."""
+    keep = [(t, y, s) for t, y, s, before
+            in zip(ts, ys, shifts, shifts[-1:] + shifts[:-1]) if s != before]
+    if not keep:
+        keep = [(0, (ys[0] - ts[0]) % (1 << exp), 0)]
+    # the fewest bits that hold every kept point: the lowest set bit of any
+    # point is the lowest set bit of their OR
+    bits = 0
+    for t, y, _ in keep:
+        bits |= t | y
+    cut = _twos(bits) if bits else exp
+    ts, ys, shifts = zip(*keep)
+    return (exp - cut, tuple([t >> cut for t in ts]),
+            tuple([y >> cut for y in ys]), shifts)
+
+
 def dyadic_identity() -> DyadicPL:
     return DyadicPL._from_ints(0, [(0, 0)])
 
@@ -402,6 +435,16 @@ def dyadic_compose(f: DyadicPL, g: DyadicPL) -> DyadicPL:
     of f that holds it, and (g^-1(y), f(y)) is a point of the composite.
     Points are integers over one power of two, fine enough that g^-1 and
     f are exact shifts on them.
+
+    The map is valid as built, so DyadicPL._trusted does not check it.
+    f g is a degree-one circle bijection, as f and g are.  The merge meets
+    each y once, in increasing order, and g^-1 preserves the circle order,
+    so the points g^-1(y) are distinct and increase around the circle from
+    the least.  From each, f g runs affinely to the next: g maps that arc
+    into the piece of g reached at y, and then onto the arc from y to the
+    next y, inside the piece of f that holds y, since every breakpoint of
+    f and every image of one of g lies among the y.  So its slope is
+    2^(gsh + fsh), the exponents of those two pieces.
     """
     up = max(0, max(g._shifts), -min(f._shifts))
     top = max(g._exp, f._exp) + up
@@ -414,7 +457,7 @@ def dyadic_compose(f: DyadicPL, g: DyadicPL) -> DyadicPL:
     # before the first point of each list, its last piece runs across 0
     gy, gt, gsh = gs[-1]
     fx, fy, fsh = fs[-1]
-    pairs = []
+    ts, ys, shifts = [], [], []
     i = j = 0
     n, m = len(gs), len(fs)
     while i < n or j < m:
@@ -431,9 +474,10 @@ def dyadic_compose(f: DyadicPL, g: DyadicPL) -> DyadicPL:
             y = fx
         dt = (y - gy) % one
         dz = (y - fx) % one
-        pairs.append(((gt + (dt >> gsh if gsh >= 0 else dt << -gsh)) % one,
-                      (fy + (dz << fsh if fsh >= 0 else dz >> -fsh)) % one))
-    return DyadicPL._from_ints(top, pairs)
+        ts.append((gt + (dt >> gsh if gsh >= 0 else dt << -gsh)) % one)
+        ys.append((fy + (dz << fsh if fsh >= 0 else dz >> -fsh)) % one)
+        shifts.append(gsh + fsh)
+    return DyadicPL._trusted(top, ts, ys, shifts, ts.index(min(ts)))
 
 
 _NOT_DEPTHS = ("a tree is a non-empty list of its leaf depths, "
@@ -486,8 +530,16 @@ def _checked_tree(depths):
     return depths, exp, starts
 
 
+def _tiled(depths):
+    """What _checked_tree returns, for the leaf depths of a tree that a
+    kernel built, with none of its checks."""
+    exp = max(depths)
+    return depths, exp, [0, *accumulate([1 << (exp - d) for d in depths])]
+
+
 def _reduced(domain, range_, rotation):
-    """Check a pair and cancel its matched carets in one pass.
+    """Cancel the matched carets of a pair in one pass, for trees given as
+    _checked_tree or _tiled returns them, with equal leaf counts.
 
     The leaves are read in domain order onto a stack, kept as four columns:
     domain depth and start, range depth and start.  The top and the next
@@ -497,11 +549,9 @@ def _reduced(domain, range_, rotation):
     top.  Columns, not a list of 4-tuples: freeing those in bulk after each
     composition made the peak RSS of repeated compositions creep upward.
     """
-    domain, dexp, dstarts = _checked_tree(domain)
-    range_, rexp, rstarts = _checked_tree(range_)
+    domain, dexp, dstarts = domain
+    range_, rexp, rstarts = range_
     n = len(domain)
-    if len(range_) != n:
-        raise ValueError("domain and range trees must have equal leaf counts")
     dd_, ds_, rd_, rs_ = [], [], [], []
     for i in range(n):
         j = (rotation + i) % n
@@ -528,9 +578,17 @@ class TreePair(Frozen):
     the tuples of their leaf depths read left to right: (2, 2, 1) has the
     leaves [0, 1/4), [1/4, 1/2), [1/2, 1), and (0,) is one leaf.  In JSON a
     tree is the same flat list.  ``rotation`` r matches domain leaf i with
-    range leaf (r + i) mod N.  Construction checks that each tree's leaves
-    tile [0, 1) by standard dyadic intervals, then cancels every caret
-    present in both trees at matched leaves, in one left-to-right pass.
+    range leaf (r + i) mod N.  A pair is stored reduced: every caret
+    present in both trees at matched leaves is cancelled, in one
+    left-to-right pass.
+
+    Outside input enters through the constructor, from_json and
+    __reduce__ (copy and pickle), which check that the rotation is an
+    integer and that each tree's leaves tile [0, 1) by standard dyadic
+    intervals, as many in each, before they cancel.  The kernels,
+    treepair_compose and dyadic_to_treepair, build through _trusted,
+    which cancels with no check; each proves its trees valid in its
+    docstring.  ~ of a reduced pair is reduced and needs no pass.
     """
 
     __slots__ = ("domain", "range", "rotation")
@@ -539,7 +597,16 @@ class TreePair(Frozen):
         if not isinstance(rotation, int) or isinstance(rotation, bool):
             raise ValueError("tree-pair rotation must be an integer, got %r"
                              % (rotation,))
+        domain, range_ = _checked_tree(domain), _checked_tree(range_)
+        if len(range_[0]) != len(domain[0]):
+            raise ValueError(
+                "domain and range trees must have equal leaf counts")
         self._init(*_reduced(domain, range_, rotation))
+
+    @classmethod
+    def _trusted(cls, domain, range_, rotation) -> "TreePair":
+        """The reduced form of a pair that a kernel proves valid."""
+        return cls._new(*_reduced(_tiled(domain), _tiled(range_), rotation))
 
     @property
     def leaf_count(self) -> int:
@@ -549,7 +616,11 @@ class TreePair(Frozen):
         return self.domain == (0,)
 
     def __invert__(self) -> "TreePair":
-        return TreePair(self.range, self.domain, -self.rotation)
+        """The pair with its trees swapped, which matches range leaf j with
+        domain leaf j - r, and so is reduced: a caret of it at matched
+        leaves would be one of this pair."""
+        return TreePair._new(self.range, self.domain,
+                             -self.rotation % len(self.domain))
 
     def __mul__(self, other) -> "TreePair":
         if not isinstance(other, TreePair):
@@ -611,6 +682,11 @@ def treepair_compose(f: TreePair, g: TreePair) -> TreePair:
     and each leaf of f.range as Z splits its matched leaf of f.domain, so
     both new trees have Z's leaves.  No circle map is built, so the tree
     model stays an independent check of the dyadic one.
+
+    The trees are valid, so TreePair._trusted only cancels carets.  Each is
+    a tiling of [0, 1) by standard intervals, as many as Z has leaves: a
+    standard interval split as Z splits another one, scaled onto it, is
+    still split into standard intervals.
     """
     depths, under_g, under_f = _refinement(g.range, f.domain)
     m, k = len(g.domain), len(f.domain)
@@ -622,23 +698,33 @@ def treepair_compose(f: TreePair, g: TreePair) -> TreePair:
     # of g, the range under the domain leaf of f that goes to 0
     a = under_g.index(g.rotation)
     b = under_f.index(-f.rotation % k)
-    return TreePair(domain[a:] + domain[:a], range_[b:] + range_[:b], a - b)
+    return TreePair._trusted(domain[a:] + domain[:a], range_[b:] + range_[:b],
+                             a - b)
 
 
 def treepair_to_dyadic(tp: TreePair) -> DyadicPL:
     """Breakpoints: domain leaf i starts where range leaf (rot+i) mod N
-    starts, in one walk of both trees from domain leaf 0."""
+    starts, in one walk of both trees from domain leaf 0.
+
+    The map is valid as built, so DyadicPL._trusted does not check it.
+    The leaf starts increase from 0, and domain leaf i, of length 2^-a,
+    goes affinely onto range leaf (rot+i) mod N, of length 2^-b, so the
+    slope exponent from it is a - b; the range leaves are met once each,
+    in circle order, so the map is a degree-one bijection.
+    """
     exp = max(max(tp.domain), max(tp.range))
     one, r = 1 << exp, tp.rotation
     # domain leaf 0 goes onto range leaf r, which starts where leaf r - 1
     # ends
     y = sum(one >> e for e in tp.range[:r])
-    x, pairs = 0, []
+    x, ts, ys, shifts = 0, [], [], []
     for a, b in zip(tp.domain, tp.range[r:] + tp.range[:r]):
-        pairs.append((x, y % one))
+        ts.append(x)
+        ys.append(y % one)
+        shifts.append(a - b)
         x += one >> a
         y += one >> b
-    return DyadicPL._from_ints(exp, pairs)
+    return DyadicPL._trusted(exp, ts, ys, shifts)
 
 
 def _leaves(d: DyadicPL, floor=0):
@@ -684,9 +770,12 @@ def _leaves(d: DyadicPL, floor=0):
 
 def dyadic_to_treepair(d: DyadicPL) -> TreePair:
     """Reduced tree-pair form: the pair of _leaves(d), which is already
-    reduced.  TreePair still checks both trees."""
+    reduced.  Its trees are valid, so TreePair._trusted does not check
+    them: each list holds the depths of standard intervals that tile
+    [0, 1) from 0, the domain leaves in order and their images from the
+    one at 0, one image per leaf."""
     domain, range_, first = _leaves(d)
-    return TreePair(domain, range_, -first)
+    return TreePair._trusted(domain, range_, -first)
 
 
 def _required_rays(f: PLAut):
@@ -773,6 +862,12 @@ def plaut_to_dyadic(f: PLAut) -> DyadicPL:
     a + Zm.  For t > 0, w lies strictly between a and m, so J, centred on
     the midpoint of K, lies inside K, yet w' = -ta + (1 - t)b lies outside
     its cone; t < 0 fails alike.  So t = 0 and J = K.
+
+    So the map is valid as built, and DyadicPL._trusted does not check it.
+    The cells' points increase from 0, f is a bijection that preserves
+    orientation, so the image cells, each one cell of the descent, are met
+    once each in circle order, and a cell of depth k that goes affinely
+    onto an image cell of depth j has slope exponent k - j.
     """
     rays, ts = _refined_cells(_required_rays(f))
     # f bends only at required rays, so each cell takes the matrix of the
@@ -787,8 +882,9 @@ def plaut_to_dyadic(f: PLAut) -> DyadicPL:
     _, ys = _descend(images[first + 1:] + images[:first], exact=True)
     ys = ys[-first:] + ys[:-first]
     exp = max(k for _, k in ts + ys)
-    return within_budget(DyadicPL._from_ints(exp, [
-        (t << (exp - k), y << (exp - j)) for (t, k), (y, j) in zip(ts, ys)]))
+    return within_budget(DyadicPL._trusted(
+        exp, [t << (exp - k) for t, k in ts], [y << (exp - j) for y, j in ys],
+        [k - j for (_, k), (_, j) in zip(ts, ys)]))
 
 
 def _corners(depths):
@@ -824,9 +920,13 @@ def dyadic_to_plaut(d: DyadicPL) -> PLAut:
     bend where the slope of d does not change.
 
     Every DyadicPL converts, since its breakpoints are dyadic and its
-    slopes powers of two, so nothing is refused here: d's constructor has
-    already refused a map that is not a dyadic circle bijection.  A
-    failing cone check (ValueError) would be a fault of this conversion.
+    slopes powers of two, so nothing is refused here: d's checked entries
+    refuse a map that is not a dyadic circle bijection, and its kernels
+    prove theirs valid.  A failing cone check (ValueError) would be a
+    fault of this conversion, so from_cones keeps its checks.  What it
+    takes on trust holds: the rays are mediant-tree vectors, so primitive,
+    in counterclockwise order, and their images, the left corners of the
+    image leaves, meet every leaf once in circle order, so they wind once.
     """
     domain, range_, first = _leaves(d, 2)
     images = _corners(range_)

@@ -131,3 +131,82 @@ def test_the_check_sees_a_stale_all_entry():
          "__all__ = ['gcd', 'kept', 'gone']\n"
          "def kept(): pass\n", module.__dict__)
     assert stale_exports(module) == ["gone"]
+
+
+# The builders that check nothing, each with the only functions that may
+# read it: the kernels, whose docstrings prove their output valid, and the
+# builders themselves.  DyadicPL._from_ints is a checked entry that builds
+# through _new after its checks.  Outside input must never reach these.
+TRUSTED_BUILDERS = ("_trusted", "_new", "__new__")
+TRUSTED_CALLERS = {
+    ("object.__new__", "plcore.Frozen._new"),
+    ("PLAut._new", "plcore.PLAut._trusted"),
+    ("PLAut._trusted", "plcore.compose_pl"),
+    ("PLAut._trusted", "plcore.inverse_pl"),
+    ("PLAut._trusted", "plcore.from_cones"),
+    ("DyadicPL._new", "thompson.DyadicPL._from_ints"),
+    ("DyadicPL._new", "thompson.DyadicPL._trusted"),
+    ("DyadicPL._trusted", "thompson.DyadicPL.__invert__"),
+    ("DyadicPL._trusted", "thompson.dyadic_compose"),
+    ("DyadicPL._trusted", "thompson.treepair_to_dyadic"),
+    ("DyadicPL._trusted", "thompson.plaut_to_dyadic"),
+    ("TreePair._new", "thompson.TreePair._trusted"),
+    ("TreePair._new", "thompson.TreePair.__invert__"),
+    ("TreePair._trusted", "thompson.treepair_compose"),
+    ("TreePair._trusted", "thompson.dyadic_to_treepair"),
+}
+
+
+def trusted_reads(source: str, module: str) -> set:
+    """(builder, reader) for each read of an attribute named in
+    TRUSTED_BUILDERS: builder is owner.attribute, with cls and self read
+    as the class they sit in, and reader the qualified name of the def
+    that reads it."""
+    found = set()
+
+    def visit(node, path, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path + [child.name], child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                visit(child, path + [name], cls)
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and child.attr in TRUSTED_BUILDERS):
+                owner = ast.unparse(child.value)
+                if owner in ("cls", "self"):
+                    owner = cls
+                found.add(("%s.%s" % (owner, child.attr),
+                           ".".join([module] + path)))
+            visit(child, path, cls)
+
+    visit(ast.parse(source), [], None)
+    return found
+
+
+def test_only_the_kernels_build_without_a_check():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= trusted_reads(path.read_text(encoding="utf-8"), path.stem)
+    assert found == TRUSTED_CALLERS
+
+
+def test_the_check_sees_every_trusted_read():
+    source = ("class A:\n"
+              "    @classmethod\n"
+              "    def load(cls, x):\n"
+              "        return cls._trusted(x)\n"
+              "    def copy(self):\n"
+              "        return type(self)._new(self)\n"
+              "def read(x):\n"
+              "    build = A._trusted\n"
+              "    return [build(y) for y in x]\n"
+              "hook = lambda: object.__new__(A)\n"
+              "def _trusted(x):\n"
+              "    return x\n")
+    assert trusted_reads(source, "m") == {
+        ("A._trusted", "m.A.load"), ("type(self)._new", "m.A.copy"),
+        ("A._trusted", "m.read"), ("object.__new__", "m.<lambda>")}

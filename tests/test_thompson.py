@@ -1,6 +1,7 @@
 import copy
 import functools
 import json
+import pickle
 import random
 from bisect import bisect_left
 from fractions import Fraction as F
@@ -9,9 +10,10 @@ from math import gcd
 import pytest
 
 from sympt import plcore, thompson
-from sympt.plcore import (ccw_key, cone_parents, from_cones, from_function,
-                          generator_pl, identity_pl, inverse_pl, linear_pl,
-                          order_pl, vec_add, primitive, wedge)
+from sympt.plcore import (PLAut, ccw_key, cone_parents, from_cones,
+                          from_function, generator_pl, identity_pl,
+                          inverse_pl, linear_pl, order_pl, vec_add, primitive,
+                          wedge)
 from sympt.thompson import (
     _BASE_CELLS,
     DyadicPL,
@@ -543,19 +545,20 @@ def test_circle_kernels_match_oracles_on_powers(n):
 
 
 def test_compose_builds_one_map(monkeypatch):
-    # no inverse of g is built: _set runs once, for the output
+    # no inverse of g is built: one map is built, the output, through the
+    # private path that kernels build through
     calls = []
-    set_ = DyadicPL._set
+    trusted = DyadicPL._trusted.__func__
 
-    def counted(self, exp, pairs):
-        calls.append(len(pairs))
-        set_(self, exp, pairs)
+    def counted(cls, *args):
+        calls.append(args)
+        return trusted(cls, *args)
 
     rng = random.Random(13)
     ds = [plaut_to_dyadic(random_plaut(rng, rng.randint(0, 6)))
           for _ in range(30)]
     ds += [DyadicPL([(F(0), F(c, 8))]) for c in (0, 3)]
-    monkeypatch.setattr(DyadicPL, "_set", counted)
+    monkeypatch.setattr(DyadicPL, "_trusted", classmethod(counted))
     for f in ds:
         for g in ds[::3]:
             calls.clear()
@@ -1341,6 +1344,64 @@ def test_from_json_refuses_a_malformed_document(cls, data, message):
     with pytest.raises(ValueError) as exc:
         cls.from_json(data)
     assert str(exc.value) == message
+
+
+class Tampered:
+    """Pickles as the call fn(*args)."""
+
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
+
+    def __reduce__(self):
+        return self.fn, self.args
+
+
+def refusal(f, *args) -> str:
+    with pytest.raises(ValueError) as exc:
+        f(*args)
+    return str(exc.value)
+
+
+# each class's public constructor, on the fields its __reduce__ passes
+CONSTRUCTOR = {
+    PLAut: PLAut,
+    TreePair: TreePair,
+    DyadicPL: lambda exp, pairs: DyadicPL(
+        [(F(t, 1 << exp), F(y, 1 << exp)) for t, y in pairs]),
+}
+P_MATS = ((0, 1, -1, 0), (0, 1, -1, 1))
+
+
+@pytest.mark.parametrize("value, fields, message", [
+    (generator_pl("P"), (((2, 0), (-1, 0)), P_MATS),
+     "ray (2, 0) is not primitive"),
+    (generator_pl("P"), (((1, 0), (-1, 0)), (P_MATS[0], (1, 1, 0, 1))),
+     "pieces disagree on shared ray (1, 0)"),
+    (generator_pl("P"), ((), ((2, 0, 0, 1),)),
+     "piece matrix (2, 0, 0, 1) has det 2, not 1"),
+    (TreePair((1, 1), (1, 1), 1), ((1, 1), (1, 1), 1.0),
+     "tree-pair rotation must be an integer, got 1.0"),
+    (TreePair((1, 1), (1, 1), 1), ((1, 2), (1, 1), 1),
+     "leaf lengths do not sum to 1"),
+    (TreePair((1, 1), (1, 1), 1), ((1, 1), (0,), 1),
+     "domain and range trees must have equal leaf counts"),
+    (plaut_to_dyadic(generator_pl("P")), (2, [(0, 0), (1, 3)]),
+     "slope 3 is not a power of two"),
+    (plaut_to_dyadic(generator_pl("P")), (2, [(0, 0), (0, 2)]),
+     "repeated breakpoint at t=0"),
+    (plaut_to_dyadic(generator_pl("P")),
+     (2, [(0, 0), (1, 2), (2, 0), (3, 2)]),
+     "total winding is 2, expected 1"),
+], ids=["pl-ray", "pl-pieces", "pl-det", "tree-rotation", "tree-sum",
+        "tree-counts", "dyadic-slope", "dyadic-repeat", "dyadic-winding"])
+def test_a_tampered_pickle_is_refused_as_the_constructor_refuses(
+        value, fields, message):
+    # the value's own __reduce__, with its fields tampered: unpickling
+    # reaches the checked entry, never the private path of the kernels
+    fn, _ = value.__reduce__()
+    blob = pickle.dumps(Tampered(fn, fields))
+    assert refusal(pickle.loads, blob) == message
+    assert refusal(CONSTRUCTOR[type(value)], *fields) == message
 
 
 def test_backends_agree_with_plane_model():
