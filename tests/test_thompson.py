@@ -1318,7 +1318,7 @@ def test_json_refuses_malformed_pairs():
     for bad in ([[1, 2, 3], [3, 2]], [[1], [3, 2]], [[1, 2]]):
         with pytest.raises(ValueError):
             DyadicPL.from_json({"breakpoints": [bad]})
-    # every _set check still runs: a slope of 3 is refused
+    # every _checked_form check still runs: a slope of 3 is refused
     with pytest.raises(ValueError, match="not a power of two"):
         DyadicPL.from_json({"breakpoints": [[[0, 0], [0, 0]],
                                             [[1, 2], [3, 2]]]})
