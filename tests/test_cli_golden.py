@@ -139,6 +139,9 @@ CORPUS = {
     "trop.mono.wide": ["trop", "--word",
                        "mono:1,0,5,1 mono:2,1,1,1 mono:2,1,1,1 P I "
                        "mono:2,1,1,1 P^-1 I^-1"],
+    # swapping x and y reverses orientation: the shadow is linear with
+    # determinant -1, refused on the first cone
+    "trop.mono.reversing": ["trop", "--word", "mono:0,1,1,0"],
     "eval.PCI.bir": ["eval", "--word", "P C I", "--backend", "bir"],
     "eval.PUP.bir": ["eval", "--word", "P U P", "--backend", "bir"],
     "orbit.P": ["orbit", "--word", "P", "--start", "1,2", "--steps", "5"],
