@@ -27,8 +27,8 @@ from functools import lru_cache
 from math import gcd
 
 from .plcore import (
-    GEN_MATS, Frozen, PLAut, _json_ints, _json_list, _json_object,
-    from_function, is_prime, mat_inv, power, wedge)
+    AXES, GEN_MATS, Frozen, PLAut, _json_ints, _json_list, _json_object,
+    _sort_ccw, is_prime, mat_det, mat_inv, power, primitive, wedge)
 from .words import compile_mod, walk_mod, word_length
 
 # primes just above 2^61, 2^61 + 10^6, 2^62, 2^63
@@ -607,20 +607,36 @@ def tropicalize(f: BirMap) -> PLAut:
     A Laurent polynomial is then dominated by its terms of least exponent
     a i + b j, among which is a corner of its Newton polygon, so each of the
     four shadows is a minimum over corners, linear on each cone of the
-    polygon's normal fan.  Its rays are edge normals, so the edge normals
-    of both signs of the four polygons bound cones where f's shadow is linear.
+    polygon's normal fan (Maclagan and Sturmfels, Introduction to Tropical
+    Geometry, section 2).  Its rays are edge normals, so the edge normals
+    of both signs of the four polygons, sorted with the axes, bound cones
+    where f's shadow is linear.  No normal lies strictly inside such a
+    cone, so at its mediant each polygon has one least corner, the least
+    on the whole cone; the piece's rows are numerator corner minus
+    denominator corner, integral and agreeing with the next piece on
+    their shared ray, where both corners are least.  Nothing vouches that
+    the shadow is a bijection, so the pieces enter through the checked
+    PLAut constructor.
 
-    Raises ValueError if the shadow is not an integral piecewise-linear
-    automorphism (non-unimodular piece or hidden breakpoint).
+    Raises ValueError if the shadow is not a piecewise-linear automorphism:
+    a piece of determinant other than 1, named by the first such cone from
+    (1, 0), or image rays that do not wind once.
     """
     corners = [newton_polygon(poly)
                for poly in (f.f1.num, f.f1.den, f.f2.num, f.f2.den)]
-
-    def shadow(v):
-        low = [min(i * v[0] + j * v[1] for i, j in pts) for pts in corners]
-        return (low[0] - low[1], low[2] - low[3])
-
-    return from_function(shadow, [
-        (s * (j1 - j0), s * (i0 - i1)) for pts in corners if len(pts) > 1
-        for (i0, j0), (i1, j1) in zip(pts, pts[1:] + pts[:1])
-        for s in (1, -1)])
+    rays = _sort_ccw([primitive((s * (j1 - j0), s * (i0 - i1)))
+                      for pts in corners if len(pts) > 1
+                      for (i0, j0), (i1, j1) in zip(pts, pts[1:] + pts[:1])
+                      for s in (1, -1)] + list(AXES))
+    mats = []
+    for a, b in zip(rays, rays[1:] + rays[:1]):
+        v = (a[0] + b[0], a[1] + b[1])
+        low = [min(pts, key=lambda p: p[0] * v[0] + p[1] * v[1])
+               for pts in corners]
+        m = (low[0][0] - low[1][0], low[0][1] - low[1][1],
+             low[2][0] - low[3][0], low[2][1] - low[3][1])
+        if mat_det(m) != 1:
+            raise ValueError("piece on cone %r,%r has det %d, not 1"
+                             % (a, b, mat_det(m)))
+        mats.append(m)
+    return PLAut(rays, mats)

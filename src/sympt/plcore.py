@@ -18,8 +18,13 @@ holds a vector is found by bisection, O(log n).
 This module alone defines the lattice facts the other models share: the
 counterclockwise order of directions (ccw_key), the cone of a fan that
 holds a vector (cone_index), the integral linear form of a cone with given
-values on its rays (cone_covector) and the matrices of the named
-generators (GEN_MATS).
+values on its rays (cone_covector, for picard's break functions) and the
+matrices of the named generators (GEN_MATS).
+
+A PLAut is written from its pieces by the code that knows them:
+compose_pl and inverse_pl here, thompson.dyadic_to_plaut from the corner
+rays of circle leaves and birational.tropicalize from the corners of
+Newton polygons.  None probes a map or solves a cone.
 """
 
 from __future__ import annotations
@@ -407,9 +412,9 @@ class PLAut(Frozen):
 
     Outside input enters through the constructor, from_json and
     __reduce__ (copy and pickle), which canonicalize and then run
-    _validate.  The kernels, compose_pl, inverse_pl and from_cones, build
-    through _trusted, which only canonicalizes; each proves its pieces
-    valid in its docstring.
+    _validate.  The kernels, compose_pl, inverse_pl and
+    thompson.dyadic_to_plaut, build through _trusted, which only
+    canonicalizes; each proves its pieces valid in its docstring.
     """
 
     __slots__ = ("rays", "mats")
@@ -617,68 +622,6 @@ def generator_pl(name: str) -> PLAut:
 
 
 AXES: tuple[Vec, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
-def from_function(fn, hint_rays) -> PLAut:
-    """Build the PLAut equal to fn, given rays subordinating its linearity.
-
-    fn maps Z^2 -> Z^2 and must be linear on every cone of the fan spanned
-    by hint_rays plus the coordinate axes.  The rays are sorted, fn is
-    probed on each ray and on each mediant of two adjacent rays, and
-    from_cones solves and checks the cones.  Nothing vouches that fn is
-    a bijection, so the pieces are then checked as outside input.
-    """
-    rays = _sort_ccw([primitive(r) for r in hint_rays] + list(AXES))
-    n = len(rays)
-    f = from_cones(rays, [fn(r) for r in rays],
-                   [fn(vec_add(r, rays[(i + 1) % n]))
-                    for i, r in enumerate(rays)])
-    return PLAut(f.rays, f.mats)
-
-
-def from_cones(rays, images, mediant_images) -> PLAut:
-    """The PLAut linear on each cone between adjacent rays, from the image
-    of each ray and of each cone's mediant.
-
-    rays are primitive and wind once counterclockwise, and cone i runs
-    from rays[i] to rays[i+1], the last one back to rays[0]; images[i] is
-    the image of rays[i] and mediant_images[i] that of rays[i] + rays[i+1].
-    Each cone's matrix is solved from its two rays and checked on the
-    mediant, so a hidden breakpoint or a non-unimodular piece raises
-    ValueError.  Where the previous cone's matrix, which maps rays[i] to
-    images[i], also maps rays[i+1] to images[i+1], it is the one solution
-    for cone i, integral and of determinant 1, and is kept without a second
-    solve; the mediant check still runs on every cone.
-
-    The pieces are valid, so PLAut._trusted only canonicalizes them.  Each
-    has determinant 1, and the matrices of cones i and i+1 both send
-    rays[i+1] to images[i+1], so adjacent pieces agree on their shared
-    ray.  The rays are the caller's, and so is the bijectivity, that the
-    images wind once: dyadic_to_plaut proves both, and from_function,
-    whose fn nothing vouches for, checks its result as outside input.
-    """
-    mats = []
-    n = len(rays)
-    m = None
-    for i in range(n):
-        a, b = rays[i], rays[(i + 1) % n]
-        wa, wb = images[i], images[(i + 1) % n]
-        if wedge(a, b) <= 0:
-            raise AssertionError("candidate rays out of order")
-        if m is None or mat_apply(m, b) != wb:
-            top = cone_covector(a, b, wa[0], wb[0])
-            bottom = cone_covector(a, b, wa[1], wb[1])
-            if top is None or bottom is None:
-                raise ValueError(
-                    "map is not integrally linear on cone %r,%r" % (a, b))
-            m = top + bottom
-            if mat_det(m) != 1:
-                raise ValueError("piece on cone %r,%r has det %d, not 1"
-                                 % (a, b, mat_det(m)))
-        if mediant_images[i] != mat_apply(m, vec_add(a, b)):
-            raise ValueError("hidden breakpoint inside cone %r,%r" % (a, b))
-        mats.append(m)
-    return PLAut._trusted(rays, mats)
 
 
 def compose_pl(f: PLAut, g: PLAut) -> PLAut:

@@ -51,10 +51,10 @@ from .plcore import (
     _json_object,
     cone_parents,
     cone_runs,
-    from_cones,
     generator_pl,
     inverse_pl,
     mat_apply,
+    mat_mul,
     primitive,
     vec_add,
     wedge,
@@ -912,28 +912,35 @@ def dyadic_to_plaut(d: DyadicPL) -> PLAut:
     linearly onto another.  Their starts increase, which is the
     counterclockwise order of their rays, and their images, from the one
     at 0, tile [0, 1) as well.  So one descent by depth per side gives
-    each leaf's corner rays: a domain leaf's left corner is its ray, an
-    image leaf's left corner the ray's image and the sum of its corners
-    the image of the cone's mediant, the midpoint of the leaf.  No point
-    is walked.  plcore.from_cones solves each cone and checks it on the
-    mediant.  The breakpoints of d alone do not suffice: the plane map can
-    bend where the slope of d does not change.
+    each leaf's corner rays, (a, b) for a domain leaf and (c, e) for its
+    image, and the plane map on the leaf's cone is the one matrix
+    [c e] [a b]^-1 that sends a to c and b to e.  No point is walked and
+    no cone is solved.  The breakpoints of d alone do not suffice: the
+    plane map can bend where the slope of d does not change.
 
     Every DyadicPL converts, since its breakpoints are dyadic and its
     slopes powers of two, so nothing is refused here: d's checked entries
     refuse a map that is not a dyadic circle bijection, and its kernels
-    prove theirs valid.  A failing cone check (ValueError) would be a
-    fault of this conversion, so from_cones keeps its checks.  What it
-    takes on trust holds: the rays are mediant-tree vectors, so primitive,
-    in counterclockwise order, and their images, the left corners of the
-    image leaves, meet every leaf once in circle order, so they wind once.
+    prove theirs valid.  The pieces are valid as built, so PLAut._trusted
+    only canonicalizes them.  Both corner pairs are cells of the mediant
+    tree, so wedge(a, b) = wedge(c, e) = 1: [a b]^-1 is integral and each
+    piece is integral with determinant 1.  The piece sends the cone's
+    mediant a + b to c + e, the mediant of the image leaf, so the check
+    that the midpoint of a leaf goes to the midpoint of its image holds
+    by construction.  Adjacent leaves share a corner, b of one being a of
+    the next, and so do their images, since d preserves the circle
+    order, so adjacent pieces agree on their shared ray.  The rays are
+    mediant-tree vectors, so primitive, in counterclockwise order, and
+    their images, the left corners of the image leaves, meet every leaf
+    once in circle order, so they wind once.
     """
     domain, range_, first = _leaves(d, 2)
     images = _corners(range_)
     images = images[-first:] + images[:-first]
     rays = _corners(domain)
-    return from_cones([a for a, _ in rays], [a for a, _ in images],
-                      [vec_add(a, b) for a, b in images])
+    return PLAut._trusted([a for a, _ in rays], [
+        mat_mul((c[0], e[0], c[1], e[1]), (b[1], -b[0], -a[1], a[0]))
+        for (a, b), (c, e) in zip(rays, images)])
 
 
 def plaut_to_treepair(f: PLAut) -> TreePair:

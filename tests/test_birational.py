@@ -40,6 +40,8 @@ from sympt.birational import (
 from sympt.words import (
     _core, evaluate, list_suites, load_suite, parse_word, word_inverse)
 
+from pl_oracle import from_function
+
 P = generator_bir("P")
 C = generator_bir("C")
 I = generator_bir("I")
@@ -772,42 +774,65 @@ def test_newton_polygon_matches_brute_force_hull():
 
 
 def ref_tropicalize(f):
-    # the former route, kept as the reference: the normals of every pair of
-    # exponents, and each minimum over every term
+    # the former route, kept as the reference: each minimum over every
+    # term, probed and solved through the oracle on the fan of the edge
+    # normals of both signs, found without the hull: a normal of two
+    # exponents is an inner edge normal when both reach the minimum
     polys = (f.f1.num, f.f1.den, f.f2.num, f.f2.den)
 
-    def shadow(v):
-        low = [min(i * v[0] + j * v[1] for i, j in p.terms) for p in polys]
-        return (low[0] - low[1], low[2] - low[3])
+    def low(p, v):
+        return min(i * v[0] + j * v[1] for i, j in p.terms)
 
-    return plcore.from_function(shadow, [
-        (s * (b[1] - a[1]), s * (a[0] - b[0])) for p in polys
-        for a, b in itertools.combinations(p.terms, 2) for s in (1, -1)])
+    def shadow(v):
+        lows = [low(p, v) for p in polys]
+        return (lows[0] - lows[1], lows[2] - lows[3])
+
+    normals = set()
+    for p in polys:
+        for a, b in itertools.combinations(p.terms, 2):
+            for v in ((b[1] - a[1], a[0] - b[0]), (a[1] - b[1], b[0] - a[0])):
+                if a[0] * v[0] + a[1] * v[1] == low(p, v):
+                    normals |= {v, (-v[0], -v[1])}
+    return from_function(shadow, normals)
 
 
 def trop_or_refusal(trop, f):
     try:
         return trop(f)
-    except ValueError:
-        return ValueError
+    except ValueError as exc:
+        return str(exc)
 
 
-def test_tropicalize_matches_all_pairs_reference():
-    # random small supports, mostly refused, and composed trop words, whose
-    # shadows are PL automorphisms unless a factor reverses orientation
+def reference_maps():
+    """Random small supports, mostly refused, and composed trop words,
+    whose shadows are PL automorphisms unless a factor reverses
+    orientation."""
     rng = random.Random(47)
     maps = [BirMap(*(RationalFn(random_laurent(rng, rng.randint(1, 4), -2, 2),
                                 random_laurent(rng, rng.randint(1, 4), -2, 2))
                      for _ in range(2)))
             for _ in range(200)]
-    maps += [compose_letters(cli._trop_factors(text))
-             for text in trop_words(30, 53)]
+    return maps + [compose_letters(cli._trop_factors(text))
+                   for text in trop_words(30, 53)]
+
+
+def test_tropicalize_matches_all_pairs_reference():
     accepted = 0
-    for f in maps:
+    for f in reference_maps():
         want = trop_or_refusal(ref_tropicalize, f)
         assert trop_or_refusal(tropicalize, f) == want, f
-        accepted += want is not ValueError
+        accepted += not isinstance(want, str)
     assert accepted >= 30
+
+
+def test_tropicalize_solves_no_cone(monkeypatch):
+    # each piece is read off the least corners on its cone: no cone is
+    # solved from probed values, and the refusals keep their text
+    maps = reference_maps()
+    want = [trop_or_refusal(tropicalize, f) for f in maps]
+    monkeypatch.setattr(plcore, "cone_covector", mock.Mock(
+        side_effect=AssertionError("tropicalize solved a cone")))
+    assert [trop_or_refusal(tropicalize, f) for f in maps] == want
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ TRUSTED_CALLERS = {
     ("PLAut._new", "plcore.PLAut._trusted"),
     ("PLAut._trusted", "plcore.compose_pl"),
     ("PLAut._trusted", "plcore.inverse_pl"),
-    ("PLAut._trusted", "plcore.from_cones"),
+    ("PLAut._trusted", "thompson.dyadic_to_plaut"),
     ("DyadicPL._new", "thompson.DyadicPL._from_ints"),
     ("DyadicPL._new", "thompson.DyadicPL._trusted"),
     ("DyadicPL._trusted", "thompson.DyadicPL.__invert__"),

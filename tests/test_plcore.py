@@ -21,8 +21,6 @@ from sympt.plcore import (
     cone_parents,
     cone_runs,
     dir_less,
-    from_cones,
-    from_function,
     generator_pl,
     identity_pl,
     inverse_pl,
@@ -35,12 +33,13 @@ from sympt.plcore import (
     power,
     primitive,
     product,
-    vec_add,
     wedge,
     _sort_ccw,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
 )
+
+from pl_oracle import from_cones, from_function
 
 P = generator_pl("P")
 C = generator_pl("C")
@@ -395,6 +394,7 @@ def test_from_json_refuses_each_non_integer_shape(data, message):
 
 
 def test_from_function_detects_hidden_break():
+    # the oracle's probe on each cone's mediant
     f = P * I * U  # breakpoints off the coordinate axes
     assert f.breakpoints() == ((-1, 1), (1, -1))
     assert from_function(f, f.breakpoints()) == f
@@ -413,6 +413,7 @@ def test_cone_covector_solves_integral_cones_only():
 
 
 def test_from_cones_checks_each_cone():
+    # the oracle refuses as sympt's former from_cones did, text included
     rays = [(1, 0), (0, 1), (-1, -1)]
     mediants = [(1, 1), (-1, 0), (0, -1)]
     assert from_cones(rays, rays, mediants) == identity_pl()
@@ -427,103 +428,6 @@ def test_from_cones_checks_each_cone():
         from_cones(wide, [(1, 0), (0, 1), (-1, -1)], [(2, 2), (0, 1), (0, -1)])
     assert str(exc.value) == (
         "map is not integrally linear on cone (1, 0),(1, 2)")
-
-
-def _from_cones_by_solves(rays, images, mediant_images):
-    """from_cones as it was before it kept a matrix: each cone solved."""
-    mats = []
-    n = len(rays)
-    for i in range(n):
-        a, b = rays[i], rays[(i + 1) % n]
-        wa, wb = images[i], images[(i + 1) % n]
-        if wedge(a, b) <= 0:
-            raise AssertionError("candidate rays out of order")
-        top = cone_covector(a, b, wa[0], wb[0])
-        bottom = cone_covector(a, b, wa[1], wb[1])
-        if top is None or bottom is None:
-            raise ValueError("map is not integrally linear on cone %r,%r"
-                             % (a, b))
-        m = top + bottom
-        if plcore.mat_det(m) != 1:
-            raise ValueError("piece on cone %r,%r has det %d, not 1"
-                             % (a, b, plcore.mat_det(m)))
-        if mediant_images[i] != mat_apply(m, vec_add(a, b)):
-            raise ValueError("hidden breakpoint inside cone %r,%r" % (a, b))
-        mats.append(m)
-    return PLAut(tuple(rays), tuple(mats))
-
-
-def test_from_cones_checks_a_cone_after_a_kept_matrix(monkeypatch):
-    solves = [0]
-
-    def counted(*args):
-        solves[0] += 1
-        return cone_covector(*args)
-
-    monkeypatch.setattr(plcore, "cone_covector", counted)
-    # the identity on five rays: cone 0 is solved (two covectors), and
-    # each later cone keeps its matrix, which maps its next ray right
-    rays = [(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)]
-    mediants = [vec_add(r, rays[(i + 1) % 5]) for i, r in enumerate(rays)]
-    assert from_cones(rays, rays, mediants) == identity_pl()
-    assert solves[0] == 2
-    # cone 2 follows the kept matrix of cone 1, which maps its rays right
-    # but not its mediant
-    solves[0] = 0
-    with pytest.raises(ValueError) as exc:
-        from_cones(rays, rays, mediants[:2] + [(-1, 2)] + mediants[3:])
-    assert str(exc.value) == "hidden breakpoint inside cone (0, 1),(-1, 0)"
-    assert solves[0] == 2
-    # cone 2 of width 2 follows a kept matrix that misses its next image,
-    # and is solved: x/2 in one entry, then det 2
-    wide = [(1, 0), (1, 1), (0, 1), (-2, -1)]
-    mediants = [vec_add(r, wide[(i + 1) % 4]) for i, r in enumerate(wide)]
-    with pytest.raises(ValueError) as exc:
-        from_cones(wide, wide[:3] + [(-1, -1)], mediants)
-    assert str(exc.value) == (
-        "map is not integrally linear on cone (0, 1),(-2, -1)")
-    with pytest.raises(ValueError) as exc:
-        from_cones(wide, wide[:3] + [(-4, -1)], mediants)
-    assert str(exc.value) == "piece on cone (0, 1),(-2, -1) has det 2, not 1"
-
-
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def test_from_cones_refuses_as_the_solve_of_every_cone_did():
-    rng = random.Random(227)
-    kept = refused = 0
-    for _ in range(600):
-        f = random_word(rng, rng.randint(1, 6))
-        extra = [(rng.randint(-5, 5), rng.randint(-5, 5))
-                 for _ in range(rng.randint(0, 6))]
-        rays = _sort_ccw({*f.rays, *plcore.AXES,
-                          *(primitive(v) for v in extra if v != (0, 0))})
-        n = len(rays)
-        images = [f(r) for r in rays]
-        mediants = [f(vec_add(r, rays[(i + 1) % n]))
-                    for i, r in enumerate(rays)]
-        which = rng.randrange(4)
-        k = rng.randrange(n)
-        if which == 1:
-            images[k] = vec_add(images[k], rng.choice(
-                ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1))))
-        elif which == 2:
-            mediants[k] = vec_add(mediants[k], rng.choice(
-                ((1, 0), (0, -1), (2, 1))))
-        elif which == 3:
-            images[k] = (2 * images[k][0], images[k][1])
-        want = _outcome(_from_cones_by_solves, rays, images, mediants)
-        assert _outcome(from_cones, rays, images, mediants) == want, (
-            rays, images, mediants)
-        kept += want == f
-        refused += isinstance(want, tuple)
-    assert kept > 100 and refused > 300
-
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +719,8 @@ def bump_train(k, t0=0):
 
 
 def ref_compose_pl(f, g):
-    # the former composition through from_function, kept as the oracle
+    # the former composition through the probe-and-solve route, kept as
+    # the oracle
     if f.is_linear and g.is_linear:
         return linear_pl(mat_mul(f.mats[0], g.mats[0]))
     ginv = inverse_pl(g)
@@ -900,9 +805,9 @@ def count_dir_less(monkeypatch):
 @pytest.mark.parametrize("f", [U ** 200 * P * U ** -200, bump_train(50)],
                          ids=["conjugated_P", "bump_train"])
 def test_compose_is_one_merge(monkeypatch, f):
-    # at most a constant times n + m order tests, where from_function sorted
-    # and looked up cones; the product with its inverse is the identity,
-    # which skips the validation of rays
+    # at most a constant times n + m order tests, where the probe-and-solve
+    # oracle sorts and looks up cones; the product with its inverse is the
+    # identity, which skips the validation of rays
     g = ~f
     n, m = len(g.rays), len(f.rays)
     calls = count_dir_less(monkeypatch)

@@ -10,10 +10,9 @@ from math import gcd
 import pytest
 
 from sympt import plcore, thompson
-from sympt.plcore import (PLAut, ccw_key, cone_parents, from_cones,
-                          from_function, generator_pl, identity_pl,
-                          inverse_pl, linear_pl, order_pl, vec_add, primitive,
-                          wedge)
+from sympt.plcore import (PLAut, ccw_key, cone_parents, generator_pl,
+                          identity_pl, inverse_pl, linear_pl, order_pl,
+                          vec_add, primitive, wedge)
 from sympt.thompson import (
     _BASE_CELLS,
     DyadicPL,
@@ -39,6 +38,8 @@ from sympt.thompson import (
     _vector_to_pair,
 )
 from sympt.words import check_suite, evaluate
+
+from pl_oracle import from_function
 
 GEN_NAMES = ("P", "C", "I", "U", "mu", "L")
 
@@ -411,7 +412,8 @@ def test_refined_cells_match_filtering_reference():
 
 # The circle kernels before they walked in circle order, kept as oracles:
 # compose through the inverse of g and bisection, the refinement that
-# returns rays alone, and pl from dyadic through from_function.
+# returns rays alone, and pl from dyadic through the probe-and-solve
+# oracle, pl_oracle.from_function.
 
 @functools.cache    # the powers tests pass it the same elements again
 def ref_dyadic_compose(f, g):
@@ -570,9 +572,10 @@ def test_plane_form_is_solved_from_ordered_cuts(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dyadic_to_plaut re-probed or re-sorted")
 
-    monkeypatch.setattr(plcore, "from_function", refuse)
+    # no cone is probed, sorted or solved: each piece is written from the
+    # corner rays of its leaf and of the leaf's image
     monkeypatch.setattr(plcore, "_sort_ccw", refuse)
-    monkeypatch.setattr(thompson, "from_function", refuse, raising=False)
+    monkeypatch.setattr(plcore, "cone_covector", refuse)
     rng = random.Random(29)
     for _ in range(40):
         g = random_plaut(rng, rng.randint(0, 8))
@@ -580,17 +583,18 @@ def test_plane_form_is_solved_from_ordered_cuts(monkeypatch):
 
 
 def test_plane_form_reads_rays_and_mediants_through_the_map(monkeypatch):
-    # rays, images and mediant images all come off d's own leaves: no
-    # tree pair is built, no leaf starts are summed and nothing is read
-    # through d; the rays reach from_cones from (1, 0) by increasing cut
+    # rays and pieces all come off d's own leaves: no tree pair is built,
+    # no leaf starts are summed and nothing is read through d; the rays
+    # reach PLAut._trusted from (1, 0) by increasing cut
     def refuse(*args, **kwargs):
         raise AssertionError("dyadic_to_plaut left the leaf walk")
 
     rays = []
+    trusted = PLAut._trusted.__func__
 
-    def recorded(rs, images, mediant_images):
+    def recorded(cls, rs, mats):
         rays[:] = rs
-        return from_cones(rs, images, mediant_images)
+        return trusted(cls, rs, mats)
 
     rng = random.Random(37)
     for _ in range(40):
@@ -601,7 +605,7 @@ def test_plane_form_reads_rays_and_mediants_through_the_map(monkeypatch):
             m.setattr(DyadicPL, "_image", refuse)
             m.setattr(thompson, "dyadic_to_treepair", refuse)
             m.setattr(thompson, "_leaf_starts", refuse, raising=False)
-            m.setattr(thompson, "from_cones", recorded)
+            m.setattr(PLAut, "_trusted", classmethod(recorded))
             assert dyadic_to_plaut(d) == g
         assert rays[0] == (1, 0)
         cuts = [vector_to_dyadic(r) for r in rays]
